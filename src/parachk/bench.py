@@ -292,7 +292,9 @@ class BenchRow:
         return self.si_verdict == expected or self.si_verdict.startswith("Unknown")
 
 
-def _avg_check(problem, cfg, repeat, naive_products) -> tuple[str, float]:
+def _median_check(problem, cfg, repeat, naive_products) -> tuple[str, float]:
+    """The first run's verdict and the median time over `repeat` runs: one
+    slow run (a cold cache, a busy host) does not move a median."""
     times = []
     verdict = None
     for _ in range(repeat):
@@ -300,7 +302,7 @@ def _avg_check(problem, cfg, repeat, naive_products) -> tuple[str, float]:
         if verdict is None:
             verdict = report.verdict
         times.append(report.total_ms)
-    return verdict_name(verdict), sum(times) / len(times)
+    return verdict_name(verdict), statistics.median(times)
 
 
 def run_bench(
@@ -317,8 +319,8 @@ def run_bench(
     for entry in corpus():
         if only is not None and entry.name != only:
             continue
-        sc_v, sc_ms = _avg_check(entry.problem_sc, cfg, repeat, naive_products)
-        si_v, si_ms = _avg_check(entry.problem_si, cfg, repeat, naive_products)
+        sc_v, sc_ms = _median_check(entry.problem_sc, cfg, repeat, naive_products)
+        si_v, si_ms = _median_check(entry.problem_si, cfg, repeat, naive_products)
         rows.append(BenchRow(entry.name, entry.expected_fold, sc_v, sc_ms, si_v, si_ms))
     ok = all(r.sc_ok and r.si_ok for r in rows)
     return rows, ok

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     _solver_flags(p_oracle)
 
     p_bench = subs.add_parser("bench", help="run the 16-function fold benchmark")
-    p_bench.add_argument("--repeat", type=int, default=1, metavar="K", help="average timings over K runs")
+    p_bench.add_argument("--repeat", type=int, default=1, metavar="K", help="report the median timing over K runs")
     p_bench.add_argument("--only", default=None, metavar="NAME", help="run a single benchmark entry")
     p_bench.add_argument("--format", choices=["table", "json"], default="table")
     p_bench.add_argument("--naive-products", action="store_true", help=argparse.SUPPRESS)

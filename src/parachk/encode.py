@@ -38,16 +38,12 @@ class SmtScript:
     declarations: tuple[str, ...]
     assertions: tuple[str, ...]
 
-    def text(self, produce_model: bool = True) -> str:
-        lines = []
-        if produce_model:
-            lines.append("(set-option :produce-models true)")
-        lines.append(f"(set-logic {self.logic})")
+    def text(self) -> str:
+        lines = ["(set-option :produce-models true)", f"(set-logic {self.logic})"]
         lines.extend(self.declarations)
         lines.extend(f"(assert {a})" for a in self.assertions)
         lines.append("(check-sat)")
-        if produce_model:
-            lines.append("(get-model)")
+        lines.append("(get-model)")
         return "\n".join(lines) + "\n"
 
 

@@ -6,10 +6,20 @@ environment variable). A `sat` answer is never trusted raw: the model text
 is parsed, the morphism tables and intermediates are read off it, and every
 constraint is replayed concretely. Only a witness that survives this replay
 yields a Realizable verdict.
+
+A model is read once. Each `define-fun` whose body starts with a chain of
+`(ite (and (= x!0 c0) (= x!1 c1) ...) v ...)` tests becomes a point table
+(argument tuple -> value term) plus the fallback term the chain ends in, so
+reading n table entries costs O(n) rather than a walk of the chain per
+entry. Bodies of any other form, z3's auxiliary `f!12`-style functions
+among them, are evaluated by the general term evaluator. A model that is
+malformed or cannot be evaluated (wrong arity, division by zero) is not a
+witness, and the verdict is Unknown.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import shlex
@@ -46,7 +56,6 @@ def default_solver_command() -> str:
 class SolverConfig:
     solver_command: str = field(default_factory=default_solver_command)
     timeout_ms: int = 10_000
-    produce_model: bool = True
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
@@ -69,7 +78,7 @@ def run_solver(script: SmtScript, cfg: SolverConfig) -> RawResult:
     cmd = shlex.split(cfg.solver_command)
     if not cmd:
         raise SolverError("empty solver command")
-    text = script.text(produce_model=cfg.produce_model)
+    text = script.text()
     start = time.perf_counter()
     try:
         proc = subprocess.run(
@@ -110,35 +119,109 @@ _INT = re.compile(r"^-?\d+$")
 
 
 def _parse_sexprs(text: str) -> list:
-    tokens = _TOKEN.findall(text)
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ModelError("unexpected end of model text")
-        tok = tokens[pos]
-        pos += 1
+    """Nested token lists, built with an explicit stack: a model's ite
+    chains nest as deep as its tables are long."""
+    stack: list[list] = [[]]
+    for tok in _TOKEN.findall(text):
         if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(parse())
-            if pos >= len(tokens):
-                raise ModelError("unbalanced parenthesis in model")
-            pos += 1
-            return items
-        if tok == ")":
-            raise ModelError("unexpected ')' in model")
-        return tok
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ModelError("unexpected ')' in model")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) != 1:
+        raise ModelError("unbalanced parenthesis in model")
+    return stack[0]
 
-    out = []
-    while pos < len(tokens):
-        out.append(parse())
-    return out
+
+def _literal(node) -> int | None:
+    """The value of an integer literal, written `n` or `(- n)`."""
+    if isinstance(node, str):
+        return int(node) if _INT.match(node) else None
+    if len(node) == 2 and node[0] == "-" and isinstance(node[1], str) and _INT.match(node[1]):
+        return -int(node[1])
+    return None
+
+
+def _point(test, params: list[str]) -> tuple[int, ...] | None:
+    """The argument tuple that `test` accepts, if the test is a conjunction
+    of `(= param literal)` fixing every parameter exactly once."""
+    eqs = test[1:] if isinstance(test, list) and test and test[0] == "and" else [test]
+    fixed: dict[str, int] = {}
+    for eq in eqs:
+        if not (isinstance(eq, list) and len(eq) == 3 and eq[0] == "="):
+            return None
+        _, a, b = eq
+        if isinstance(a, str) and a in params:
+            name, value = a, _literal(b)
+        elif isinstance(b, str) and b in params:
+            name, value = b, _literal(a)
+        else:
+            return None
+        if value is None or name in fixed:
+            return None
+        fixed[name] = value
+    if len(fixed) != len(params):
+        return None
+    return tuple(fixed[p] for p in params)
+
+
+def _index(params: list[str], body) -> tuple[dict, object]:
+    """Split `body` into a point table and a fallback term.
+
+    The leading run of `(ite point value rest)` nodes becomes a dict from
+    argument tuples to value terms; a repeated point keeps its first value,
+    as the ite order decides. The first node of any other form, with
+    everything below it, is the fallback for arguments not in the table.
+    """
+    points: dict[tuple[int, ...], object] = {}
+    node = body
+    while isinstance(node, list) and len(node) == 4 and node[0] == "ite":
+        point = _point(node[1], params)
+        if point is None:
+            break
+        points.setdefault(point, node[2])
+        node = node[3]
+    return points, node
+
+
+# (fewest, most) arguments of each built-in operator; None: no upper bound
+_ARITY = {
+    "ite": (3, 3),
+    "not": (1, 1),
+    "abs": (1, 1),
+    "-": (1, None),
+    "div": (2, 2),
+    "mod": (2, 2),
+    "=>": (2, None),
+    "=": (2, None),
+    "distinct": (2, None),
+    "<": (2, None),
+    "<=": (2, None),
+    ">": (2, None),
+    ">=": (2, None),
+}
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _div(a: int, b: int) -> int:
+    """SMT-LIB integer division: the remainder a - b * q is never negative."""
+    if b == 0:
+        raise ModelError("division by zero in model")
+    return a // b if b > 0 else -(a // -b)
 
 
 class ModelFunctions:
     """The define-funs of a solver model, evaluable at concrete points.
+
+    Each function is indexed once, when the model is parsed: `call` looks
+    its arguments up in the point table and evaluates the single term found
+    there, or the fallback term. `_eval` is the general evaluator for those
+    terms and the reference the point tables are tested against.
 
     Functions the solver left out of the model were never constrained; they
     default to zero, matching any completion the solver could have chosen.
@@ -146,6 +229,7 @@ class ModelFunctions:
 
     def __init__(self, funcs: dict):
         self.funcs = funcs
+        self._tables = {name: _index(params, body) for name, (params, body) in funcs.items()}
         self._cache: dict = {}
 
     @classmethod
@@ -161,10 +245,17 @@ class ModelFunctions:
         for entry in entries:
             if not isinstance(entry, list) or not entry or entry[0] != "define-fun":
                 continue
-            if len(entry) != 5:
-                raise ModelError(f"malformed define-fun: {entry!r}")
+            if len(entry) != 5 or not isinstance(entry[1], str):
+                raise ModelError("malformed define-fun in model")
             _, name, params, _sort, body = entry
+            if not isinstance(params, list) or not all(
+                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and not _INT.match(p[0])
+                for p in params
+            ):
+                raise ModelError(f"malformed parameter list of {name!r}")
             names = [p[0] for p in params]
+            if len(set(names)) != len(names):
+                raise ModelError(f"repeated parameter name in {name!r}")
             funcs[name] = (names, body)
         return cls(funcs)
 
@@ -175,10 +266,11 @@ class ModelFunctions:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        params, body = self.funcs[name]
+        params = self.funcs[name][0]
         if len(params) != len(args):
             raise ModelError(f"{name} expects {len(params)} arguments, got {len(args)}")
-        value = self._eval(body, dict(zip(params, args)))
+        points, fallback = self._tables[name]
+        value = self._eval(points.get(key[1], fallback), dict(zip(params, args)))
         if isinstance(value, bool):
             value = int(value)
         self._cache[key] = value
@@ -200,11 +292,20 @@ class ModelFunctions:
         if not node:
             raise ModelError("empty application in model")
         head = node[0]
+        if not isinstance(head, str):
+            raise ModelError("application of a compound term in model")
+        fewest, most = _ARITY.get(head, (0, None))
+        if len(node) - 1 < fewest or (most is not None and len(node) - 1 > most):
+            raise ModelError(f"{head!r} applied to {len(node) - 1} arguments in model")
         if head == "ite":
             return self._eval(node[2] if self._eval(node[1], env) else node[3], env)
         if head == "let":
+            if len(node) != 3 or not isinstance(node[1], list) or not all(
+                isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) for b in node[1]
+            ):
+                raise ModelError("malformed let in model")
             extended = dict(env)
-            for name, expr in ((b[0], b[1]) for b in node[1]):
+            for name, expr in node[1]:
                 extended[name] = self._eval(expr, env)
             return self._eval(node[2], extended)
         if head in ("and", "or"):
@@ -224,9 +325,9 @@ class ModelFunctions:
         if head == "distinct":
             vals = [self._eval(x, env) for x in node[1:]]
             return len(set(vals)) == len(vals)
-        if head in ("<", "<=", ">", ">="):
-            a, b = (self._eval(x, env) for x in node[1:3])
-            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[head]
+        if head in _COMPARE:
+            vals = [self._eval(x, env) for x in node[1:]]
+            return all(_COMPARE[head](a, b) for a, b in zip(vals, vals[1:]))
         if head == "+":
             return sum(self._eval(x, env) for x in node[1:])
         if head == "*":
@@ -242,17 +343,15 @@ class ModelFunctions:
             for v in vals[1:]:
                 out -= v
             return out
-        if head == "div":
-            a, b = (self._eval(x, env) for x in node[1:3])
-            return a // b
-        if head == "mod":
-            a, b = (self._eval(x, env) for x in node[1:3])
-            return a % b
+        if head in ("div", "mod"):
+            a, b = (self._eval(x, env) for x in node[1:])
+            q = _div(a, b)
+            return q if head == "div" else a - b * q
         if head == "abs":
             return abs(self._eval(node[1], env))
-        if isinstance(head, str) and head in self.funcs:
+        if head in self.funcs:
             return self.call(head, [self._eval(x, env) for x in node[1:]])
-        raise ModelError(f"cannot evaluate model term {node!r}")
+        raise ModelError(f"cannot evaluate model term {head!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +506,7 @@ def check(
     script = encode(cs, naive_products=naive_products)
     raw = run_solver(script, cfg)
     solver_ms = raw.duration_ms
-    if raw.kind == "sat" and cs.unknown_count and cfg.produce_model:
+    if raw.kind == "sat" and cs.unknown_count:
         # settle the verdict on the exact script, then hunt for a small
         # witness: solvers may pick huge unconstrained intermediate shapes
         bounded = SmtScript(
@@ -418,7 +517,6 @@ def check(
         shrink_cfg = SolverConfig(
             solver_command=cfg.solver_command,
             timeout_ms=min(cfg.timeout_ms, 2_000),
-            produce_model=True,
         )
         raw2 = run_solver(bounded, shrink_cfg)
         solver_ms += raw2.duration_ms

@@ -2,8 +2,12 @@
 their curated example sets, and the derivation of the shape-incomplete
 subsets."""
 
-from parachk import corpus, shape_complete
-from parachk.bench import BenchRow, format_json, format_table
+import itertools
+
+from parachk import Unrealizable, corpus, shape_complete
+from parachk import bench
+from parachk.bench import BenchRow, format_json, format_table, run_bench
+from parachk.solver import CheckReport
 
 EXPECTED = {
     "null": True,
@@ -81,3 +85,12 @@ def test_formatting_round_trips():
 
     payload = json.loads(format_json(rows, True, 3))
     assert payload["ok"] is True and payload["repeat"] == 3
+
+
+def test_repeat_reports_the_median(monkeypatch):
+    times = itertools.cycle([1.0, 2.0, 100.0])
+    monkeypatch.setattr(
+        bench, "check", lambda problem, cfg, naive_products=False: CheckReport(Unrealizable(), next(times), 0.0)
+    )
+    rows, _ = run_bench(repeat=3, only="tail")
+    assert (rows[0].sc_ms, rows[0].si_ms) == (2.0, 2.0)

@@ -135,10 +135,11 @@ def test_exit_codes_follow_verdicts():
 
 
 def _fake_solver(tmp_path, answer: str) -> str:
+    """A solver command that ignores its script and prints `answer`."""
     import os, stat
 
     fake = tmp_path / "fake-solver"
-    fake.write_text(f"#!/bin/sh\ncat > /dev/null\necho {answer}\n")
+    fake.write_text(f"#!/bin/sh\ncat > /dev/null\ncat <<'EOF'\n{answer}\nEOF\n")
     os.chmod(fake, stat.S_IRWXU)
     return str(fake)
 
@@ -164,3 +165,25 @@ def test_emit_smt_naive_products_flag(capsys):
     code = main(["emit-smt", f"{PROBLEMS}/atom_swap_raw.json", "--naive-products"])
     out = capsys.readouterr().out
     assert code == 0 and "srcblk" in out and "srcoff" in out
+
+
+@pytest.mark.parametrize(
+    "define",
+    [
+        "(define-fun srcpos ((x!0 Int)) Int (div 1 0))",
+        "(define-fun srcpos ((x!0 Int)) Int (mod 1 0))",
+        "(define-fun srcpos ((x!0 Int)) Int (ite false 1))",
+        "(define-fun srcpos ((x!0 Int)) Int (ite (not) 1 0))",
+        "(define-fun srcpos ((x!0 Int)) Int (-))",
+        "(define-fun srcpos ((x!0 Int)) Int (abs))",
+        "(define-fun srcpos ((x!0 Int)) Int (let ((a)) a))",
+        "(define-fun srcpos ((x!0 Int)) Int (ite (< 1) 1 0))",
+        "(define-fun srcpos (()) Int 0)",
+        "(define-fun srcpos (x!0) Int 0)",
+    ],
+)
+def test_malformed_model_gives_unknown(capsys, tmp_path, define):
+    fake = _fake_solver(tmp_path, f"sat\n({define})")
+    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--solver", fake])
+    out = capsys.readouterr().out
+    assert code == 2 and "Unknown(witness-validation-failed)" in out

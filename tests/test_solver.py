@@ -2,6 +2,8 @@
 end-to-end check pipeline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parachk import (
     ID,
@@ -113,6 +115,93 @@ def test_model_functions_evaluate_ite_let_arith():
 def test_model_functions_wrapped_in_model_keyword():
     fns = ModelFunctions.parse("(model (define-fun k () Int 42))")
     assert fns.call("k", []) == 42
+
+
+def test_model_functions_follow_smtlib_integer_semantics():
+    text = """
+    (
+      (define-fun q () Int (div (- 7) (- 2)))
+      (define-fun r () Int (mod (- 7) (- 2)))
+      (define-fun chain () Bool (< 1 2 0))
+    )
+    """
+    fns = ModelFunctions.parse(text)
+    assert (fns.call("q", []), fns.call("r", []), fns.call("chain", [])) == (4, 1, 0)
+
+
+def _num(n: int, minus_form: bool) -> str:
+    return f"(- {-n})" if n < 0 and minus_form else str(n)
+
+
+@st.composite
+def ite_tables(draw):
+    """A define-fun whose body is a random ite chain over small points,
+    with repeats, both operand orders, both negative-literal spellings and
+    tests that fix no point, plus query points in and out of the table."""
+    arity = draw(st.integers(1, 3))
+    params = [f"x!{i}" for i in range(arity)]
+    point = st.tuples(*[st.integers(-2, 2)] * arity)
+    value = st.one_of(
+        st.integers(-5, 5).map(lambda n: _num(n, True)),
+        st.integers(-5, 5).map(lambda n: f"(+ x!0 {_num(n, True)})"),
+    )
+    body = draw(st.sampled_from(["0", "x!0", f"(- x!{arity - 1})"]))
+    queries = [draw(point) for _ in range(3)]
+    for _ in range(draw(st.integers(0, 12))):
+        p = draw(point)
+        queries.append(p)
+        kind = draw(st.sampled_from(["point", "point", "point", "le", "mixed"]))
+        if kind == "point":
+            eqs = []
+            for name, c in zip(params, p):
+                lit = _num(c, draw(st.booleans()))
+                eqs.append(f"(= {lit} {name})" if draw(st.booleans()) else f"(= {name} {lit})")
+            bare = arity == 1 and draw(st.booleans())
+            test = eqs[0] if bare else "(and " + " ".join(eqs) + ")"
+        elif kind == "le":
+            test = f"(<= x!0 {_num(p[0], True)})"
+        else:
+            test = f"(and (= x!0 {_num(p[0], True)}) (> x!{arity - 1} {_num(p[-1], True)}))"
+        body = f"(ite {test} {draw(value)} {body})"
+    decl = " ".join(f"({name} Int)" for name in params)
+    return f"((define-fun f ({decl}) Int {body}))", queries
+
+
+@settings(max_examples=200)
+@given(ite_tables())
+def test_indexed_call_matches_generic_eval(case):
+    text, queries = case
+    fns = ModelFunctions.parse(text)
+    params, body = fns.funcs["f"]
+    for q in queries:
+        assert fns.call("f", list(q)) == int(fns._eval(body, dict(zip(params, q))))
+
+
+def _reverse_srcpos(n: int) -> str:
+    """srcpos of a raw list reverse at input length n, as an n-entry ite
+    chain nested n deep."""
+    tests = "".join(f"(ite (and (= x!0 {n}) (= x!1 {q})) {n - 1 - q} " for q in range(n))
+    return f"(define-fun srcpos ((x!0 Int) (x!1 Int)) Int {tests}0{')' * n})"
+
+
+def test_model_functions_read_a_5000_entry_table():
+    n = 5000
+    fns = ModelFunctions.parse(f"({_reverse_srcpos(n)})")
+    assert [fns.call("srcpos", [n, q]) for q in range(n)] == list(range(n - 1, -1, -1))
+    assert fns.call("srcpos", [n + 1, 0]) == 0
+
+
+def test_validate_witness_accepts_a_5000_entry_table():
+    n = 5000
+    atoms = [atom(f"a{i}") for i in range(n)]
+    p = build_problem(
+        "rev-long",
+        Signature(UNIT, ListOf(ID), ListOf(ID)),
+        SketchKind.RAW,
+        [(UnitV(), [ListV(tuple(atoms))], ListV(tuple(reversed(atoms))))],
+    )
+    model = f"((define-fun oshape0 ((x!0 Int)) Int (ite (= x!0 {n}) {n} 0)) {_reverse_srcpos(n)})"
+    assert validate_witness(model, propagate(p))
 
 
 def sum_problem():
