@@ -1,8 +1,8 @@
 """parachk: decide whether a polymorphic function specified by a type, a
 sketch (map/foldr/none), and monomorphic input-output examples is
-realizable, by translating the examples to container-morphism constraints
-and discharging them with an SMT solver. A brute-force oracle independently
-validates verdicts on small shape-complete instances.
+realizable, by translating the examples to container-morphism constraints.
+A brute-force oracle decides small shape-complete sets; an SMT solver
+decides the rest, and cross-checks the oracle in the test suite.
 """
 
 from .functors import (

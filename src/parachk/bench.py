@@ -292,13 +292,13 @@ class BenchRow:
         return self.si_verdict == expected or self.si_verdict.startswith("Unknown")
 
 
-def _median_check(problem, cfg, repeat, naive_products) -> tuple[str, float]:
+def _median_check(problem, cfg, repeat, naive_products, backend) -> tuple[str, float]:
     """The first run's verdict and the median time over `repeat` runs: one
     slow run (a cold cache, a busy host) does not move a median."""
     times = []
     verdict = None
     for _ in range(repeat):
-        report = check(problem, cfg, naive_products=naive_products)
+        report = check(problem, cfg, naive_products=naive_products, backend=backend)
         if verdict is None:
             verdict = report.verdict
         times.append(report.total_ms)
@@ -310,17 +310,18 @@ def run_bench(
     repeat: int = 1,
     only: str | None = None,
     naive_products: bool = False,
+    backend: str = "auto",
 ) -> tuple[list[BenchRow], bool]:
     """Run the corpus; ok means every shape-complete verdict matches the
     expected fold column and every shape-incomplete verdict is the expected
-    one or Unknown."""
+    one or Unknown. `backend` is passed to `check`."""
     cfg = cfg or SolverConfig()
     rows = []
     for entry in corpus():
         if only is not None and entry.name != only:
             continue
-        sc_v, sc_ms = _median_check(entry.problem_sc, cfg, repeat, naive_products)
-        si_v, si_ms = _median_check(entry.problem_si, cfg, repeat, naive_products)
+        sc_v, sc_ms = _median_check(entry.problem_sc, cfg, repeat, naive_products, backend)
+        si_v, si_ms = _median_check(entry.problem_si, cfg, repeat, naive_products, backend)
         rows.append(BenchRow(entry.name, entry.expected_fold, sc_v, sc_ms, si_v, si_ms))
     ok = all(r.sc_ok and r.si_ok for r in rows)
     return rows, ok

@@ -19,7 +19,7 @@ from .functors import ContainerError
 from .oracle import BoundExceeded, OracleError, Ungroundable, oracle_decide
 from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
-from .solver import SolverConfig, SolverError, check
+from .solver import BACKENDS, SolverConfig, SolverError, check
 from .verdict import (
     Realizable,
     Unrealizable,
@@ -55,8 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_check = subs.add_parser("check", help="check one problem file with the SMT backend")
+    p_check = subs.add_parser(
+        "check", help="check one problem file: the oracle decides shape-complete sets, SMT the rest"
+    )
     p_check.add_argument("path")
+    p_check.add_argument(
+        "--backend", choices=BACKENDS, default="auto",
+        help="auto (default): route shape-complete sets to the oracle; smt: always use the SMT solver",
+    )
     p_check.add_argument("--witness", action="store_true", help="print the witness tables on Realizable")
     p_check.add_argument("--format", choices=["table", "json"], default="table")
     p_check.add_argument("--naive-products", action="store_true", help=argparse.SUPPRESS)
@@ -85,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_check(args) -> int:
     problem = load_problem(args.path)
-    report = check(problem, _config(args), naive_products=args.naive_products)
+    report = check(problem, _config(args), naive_products=args.naive_products, backend=args.backend)
     name = verdict_name(report.verdict)
     if args.format == "json":
         payload = {
@@ -93,7 +99,7 @@ def cmd_check(args) -> int:
             "verdict": name,
             "total_ms": round(report.total_ms, 3),
             "solver_ms": round(report.solver_ms, 3),
-            "fast_path": report.fast_path,
+            "path": report.path,
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -140,7 +146,8 @@ def cmd_oracle(args) -> int:
             print(describe_witness(verdict.witness))
 
     if args.cross_check:
-        report = check(problem, _config(args))
+        # pinned to SMT, so the oracle is never compared with itself
+        report = check(problem, _config(args), backend="smt")
         if not same_variant(report.verdict, verdict):
             print(
                 f"cross-check disagreement: oracle {verdict_name(verdict)}, "
@@ -171,6 +178,9 @@ def cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "timeout", 1) <= 0:
+        print(f"error: --timeout must be a positive number of milliseconds, not {args.timeout}", file=sys.stderr)
+        return 3
     try:
         if args.command == "check":
             return cmd_check(args)

@@ -12,7 +12,9 @@ The remaining search is finite: assign, for every observed input shape and
 every output position, a source position, while unifying the element
 equalities this induces. Intermediate elements stay symbolic and are bound
 lazily by unification, so the backtracking prunes as soon as two distinct
-concrete elements would have to coincide.
+concrete elements would have to coincide. `OracleBounds` caps the positions
+per input shape, the distinct input shapes and, optionally, the calls to the
+unifier; going past any of them raises BoundExceeded.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class BoundExceeded(OracleError):
 class OracleBounds:
     max_positions: int = 16
     max_shapes: int = 12
+    # calls to the unifier the search may make; None searches exhaustively
+    max_steps: int | None = None
 
 
 # element terms: a concrete atom code, or position `pos` of intermediate `uid`
@@ -175,12 +179,16 @@ def ground(cs: ConstraintSet) -> GroundInstance:
 
 
 class _Unifier:
-    """Union-find over element terms with literal tags and an undo trail."""
+    """Union-find over element terms with literal tags and an undo trail.
+    Each call to `unify` is one step of the search; going past `max_steps`
+    raises BoundExceeded."""
 
-    def __init__(self):
+    def __init__(self, max_steps: int | None = None):
         self.parent: dict = {}
         self.lit: dict = {}
         self.trail: list = []
+        self.steps = 0
+        self.limit = float("inf") if max_steps is None else max_steps
 
     def find(self, node):
         while node in self.parent:
@@ -199,6 +207,9 @@ class _Unifier:
                 del self.lit[key]
 
     def unify(self, a, b) -> bool:
+        self.steps += 1
+        if self.steps > self.limit:
+            raise BoundExceeded(f"the search exceeded {self.limit} unification steps")
         if isinstance(a, Lit) and isinstance(b, Lit):
             return a.code == b.code
         if isinstance(a, Lit):
@@ -253,7 +264,7 @@ def oracle_check(gi: GroundInstance, bounds: OracleBounds = OracleBounds()) -> V
         for key in sorted(by_key)
         for q in range(len(by_key[key][0].out_terms))
     ]
-    uf = _Unifier()
+    uf = _Unifier(bounds.max_steps)
     assignment: dict[tuple[tuple[int, ...], int], int] = {}
 
     def assign(idx: int) -> bool:

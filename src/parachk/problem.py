@@ -24,7 +24,7 @@ the extra functor is Unit; ``base`` is required exactly for foldr sketches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .functors import (
@@ -121,7 +121,6 @@ class Problem:
     sketch: SketchKind
     examples: tuple[IOExample, ...]
     atoms: AtomTable
-    options: object | None = field(default=None, compare=False)
 
 
 def atom(label: str) -> AtomV:
@@ -139,7 +138,6 @@ def build_problem(
     signature: Signature,
     sketch: SketchKind,
     examples,
-    options=None,
 ) -> Problem:
     """Validate, intern atoms, and assemble a Problem.
 
@@ -158,7 +156,7 @@ def build_problem(
         raise ValidationError("a problem needs at least one example")
     _validate(signature, sketch, exs)
     interned, table = _intern(exs)
-    return Problem(name, signature, sketch, tuple(interned), table, options)
+    return Problem(name, signature, sketch, tuple(interned), table)
 
 
 def _validate(sig: Signature, sketch: SketchKind, examples) -> None:
@@ -279,7 +277,7 @@ def relabel_problem(p: Problem, mapping: dict[str, str]) -> Problem:
         )
         for ex in p.examples
     ]
-    return build_problem(p.name, p.signature, p.sketch, exs, p.options)
+    return build_problem(p.name, p.signature, p.sketch, exs)
 
 
 # ---------------------------------------------------------------------------

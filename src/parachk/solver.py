@@ -1,4 +1,13 @@
-"""External SMT solver driver and result interpretation.
+"""Deciding a problem: the engine router, running the external SMT solver,
+and reading its results.
+
+`check` propagates the examples first; a conflict visible there is already
+the verdict. A shape-complete set is then decided by the brute-force oracle
+(`oracle.ground` + `oracle_check`) within ORACLE_MAX_STEPS unification
+steps, with no script and no process. The SMT path decides every other set,
+and also a shape-complete one the oracle cannot ground, whose search goes
+past its bounds, or whose witness fails replay. `backend="smt"` always
+takes the SMT path, so the oracle can be cross-checked against it.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -29,12 +38,14 @@ from dataclasses import dataclass, field
 
 from .encode import SmtScript, encode, shrink_assertions, _block_shapes, _blocks
 from .functors import Atom, Extension, ShapeMismatch, flatten_shape, size_of
+from .oracle import BoundExceeded, OracleBounds, Ungroundable, oracle_decide
 from .problem import Problem
 from .propagate import (
     ConstraintSet,
     PropagationUnrealizable,
     Unknown,
     propagate,
+    shape_complete,
 )
 from .verdict import (
     Realizable,
@@ -480,29 +491,62 @@ def interpret(
 # End-to-end check
 
 
+# Unification steps the oracle may take on a routed set before `check`
+# hands the set to SMT; `parachk oracle` searches without a budget.
+ORACLE_MAX_STEPS = 20_000
+
+BACKENDS = ("auto", "smt")
+
+
 @dataclass(frozen=True)
 class CheckReport:
     verdict: Verdict
     total_ms: float
     solver_ms: float
-    fast_path: bool = False
+    # which path decided: "fast-path" (propagation), "oracle", "smt", or
+    # "smt+shrink" (a second, shrink-bounded script ran after `sat`)
+    path: str = "smt"
+
+
+def _oracle_verdict(cs: ConstraintSet) -> Verdict | None:
+    """The oracle's verdict on a shape-complete set, or None when SMT must
+    decide: the set is not groundable, the search is over its bounds, or
+    the witness fails replay."""
+    try:
+        verdict = oracle_decide(cs, OracleBounds(max_steps=ORACLE_MAX_STEPS))
+    except (Ungroundable, BoundExceeded):
+        return None
+    if isinstance(verdict, Realizable) and not validate_summary(cs, verdict.witness):
+        return None
+    return verdict
 
 
 def check(
     problem: Problem,
     cfg: SolverConfig | None = None,
     naive_products: bool = False,
+    backend: str = "auto",
 ) -> CheckReport:
-    """Propagate, encode, solve, and interpret. Unrealizability that is
-    already visible during propagation skips the solver."""
-    if cfg is None:
-        cfg = problem.options if isinstance(problem.options, SolverConfig) else SolverConfig()
+    """Propagate, then decide. Unrealizability that is already visible
+    during propagation needs no further work. With backend "auto", a
+    shape-complete set goes to the oracle, and SMT (encode, solve, shrink,
+    extract, replay) decides the rest and whatever the oracle hands back;
+    backend "smt" always takes the SMT path."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
     start = time.perf_counter()
     try:
         cs = propagate(problem)
     except PropagationUnrealizable as e:
         total = (time.perf_counter() - start) * 1000.0
-        return CheckReport(Unrealizable(e.reason), total, 0.0, fast_path=True)
+        return CheckReport(Unrealizable(e.reason), total, 0.0, path="fast-path")
+    if backend == "auto" and shape_complete(problem).complete:
+        verdict = _oracle_verdict(cs)
+        if verdict is not None:
+            total = (time.perf_counter() - start) * 1000.0
+            return CheckReport(verdict, total, 0.0, path="oracle")
+    cfg = cfg or SolverConfig()
+    path = "smt"
     script = encode(cs, naive_products=naive_products)
     raw = run_solver(script, cfg)
     solver_ms = raw.duration_ms
@@ -520,8 +564,9 @@ def check(
         )
         raw2 = run_solver(bounded, shrink_cfg)
         solver_ms += raw2.duration_ms
+        path = "smt+shrink"
         if raw2.kind == "sat":
             raw = raw2
     verdict = interpret(raw, cs, naive_products)
     total = (time.perf_counter() - start) * 1000.0
-    return CheckReport(verdict, total, solver_ms)
+    return CheckReport(verdict, total, solver_ms, path)

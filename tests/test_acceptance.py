@@ -65,7 +65,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def bench_run():
     start = time.perf_counter()
-    rows, ok = run_bench(CFG)
+    rows, ok = run_bench(CFG, backend="smt")
     wall = time.perf_counter() - start
     return rows, ok, wall
 
@@ -80,7 +80,7 @@ def agreement_run():
     for entry in corpus():
         cs = propagate(entry.problem_sc)
         oracle_v = oracle_decide(cs)
-        solver_v = check(entry.problem_sc, CFG).verdict
+        solver_v = check(entry.problem_sc, CFG, backend="smt").verdict
         if not same_variant(oracle_v, solver_v):
             disagreements.append((entry.name, verdict_name(oracle_v), verdict_name(solver_v)))
         for v in (oracle_v, solver_v):
@@ -91,7 +91,7 @@ def agreement_run():
         p = support.random_problem(rng)
         cs = propagate(p)
         oracle_v = oracle_decide(cs)
-        solver_v = check(p, CFG).verdict
+        solver_v = check(p, CFG, backend="smt").verdict
         if not same_variant(oracle_v, solver_v):
             disagreements.append((p.name, verdict_name(oracle_v), verdict_name(solver_v)))
         for v in (oracle_v, solver_v):
@@ -191,7 +191,7 @@ def test_criterion_6_property_suites():
     for _ in range(25):
         p = support.random_problem(rng)
         q = relabel_problem(p, support.fresh_relabeling(p))
-        assert same_variant(check(p, CFG).verdict, check(q, CFG).verdict)
+        assert same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
 
     # example-order invariance
     orders = 0
@@ -203,7 +203,7 @@ def test_criterion_6_property_suites():
     for _ in range(25):
         p = support.random_problem(rng)
         q = support.permuted_examples(rng, p)
-        assert same_variant(check(p, CFG).verdict, check(q, CFG).verdict)
+        assert same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
 
     # unrealizability is monotone under example addition
     monotone = 0
@@ -217,9 +217,9 @@ def test_criterion_6_property_suites():
         monotone += 1
     for _ in range(15):
         p = support.random_foldr_problem(rng, realizable=False)
-        if isinstance(check(p, CFG).verdict, Unrealizable):
+        if isinstance(check(p, CFG, backend="smt").verdict, Unrealizable):
             grown = support.duplicate_relabeled_example(rng, p)
-            assert isinstance(check(grown, CFG).verdict, Unrealizable)
+            assert isinstance(check(grown, CFG, backend="smt").verdict, Unrealizable)
 
     # a constant monomorphic extra argument never changes the verdict
     constant = 0
@@ -236,7 +236,7 @@ def test_criterion_6_property_suites():
         if p.signature.extra != UNIT:
             continue
         q = support.with_constant_extra(p, literal=7)
-        assert same_variant(check(p, CFG).verdict, check(q, CFG).verdict)
+        assert same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
         solver_constant += 1
 
     _report(

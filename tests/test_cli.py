@@ -11,18 +11,28 @@ from conftest import needs_solver
 PROBLEMS = "problems"
 
 
-@needs_solver
-def test_check_unrealizable_exit_one(capsys):
-    code = main(["check", f"{PROBLEMS}/reverse_as_map.json"])
+# the default backend decides these shape-complete sets without a solver
+BACKENDS = [pytest.param([], id="auto"), pytest.param(["--backend", "smt"], id="smt", marks=needs_solver)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_check_unrealizable_exit_one(capsys, backend):
+    code = main(["check", f"{PROBLEMS}/reverse_as_map.json", *backend])
     out = capsys.readouterr().out
     assert code == 1 and "Unrealizable" in out
 
 
-@needs_solver
-def test_check_realizable_exit_zero(capsys):
-    code = main(["check", f"{PROBLEMS}/reverse_as_foldr.json", "--witness"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_check_realizable_exit_zero(capsys, backend):
+    code = main(["check", f"{PROBLEMS}/reverse_as_foldr.json", "--witness", *backend])
     out = capsys.readouterr().out
     assert code == 0 and "Realizable" in out and "shape morphism" in out
+
+
+def test_check_json_reports_the_deciding_path(capsys):
+    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["path"] == "oracle" and "fast_path" not in payload
 
 
 @needs_solver
@@ -130,7 +140,7 @@ def test_exit_codes_follow_verdicts():
         with open(fake, "w") as fh:
             fh.write("#!/bin/sh\ncat > /dev/null\necho unknown\n")
         os.chmod(fake, stat.S_IRWXU)
-        code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--solver", fake])
+        code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--solver", fake, "--backend", "smt"])
         assert code == 2
 
 
@@ -156,7 +166,7 @@ def test_oracle_cross_check_disagreement_exit_four(capsys, tmp_path):
 def test_solver_env_var_fallback(tmp_path, monkeypatch, capsys):
     fake = _fake_solver(tmp_path, "unknown")
     monkeypatch.setenv("PARACHK_SOLVER", fake)
-    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json"])
+    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--backend", "smt"])
     out = capsys.readouterr().out
     assert code == 2 and "Unknown" in out
 
@@ -184,6 +194,18 @@ def test_emit_smt_naive_products_flag(capsys):
 )
 def test_malformed_model_gives_unknown(capsys, tmp_path, define):
     fake = _fake_solver(tmp_path, f"sat\n({define})")
-    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--solver", fake])
+    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--solver", fake, "--backend", "smt"])
     out = capsys.readouterr().out
     assert code == 2 and "Unknown(witness-validation-failed)" in out
+
+
+@pytest.mark.parametrize("timeout", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command",
+    [["check", f"{PROBLEMS}/atom_swap_raw.json"], ["oracle", f"{PROBLEMS}/reverse_as_foldr.json", "--cross-check"]],
+    ids=["check", "oracle-cross-check"],
+)
+def test_nonpositive_timeout_exit_three(capsys, command, timeout):
+    code = main([*command, "--timeout", timeout])
+    err = capsys.readouterr().err
+    assert code == 3 and "--timeout" in err

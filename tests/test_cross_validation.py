@@ -26,7 +26,7 @@ def test_oracle_and_solver_agree_on_random_instances(cfg):
         assert shape_complete(p).complete
         cs = propagate(p)
         oracle_verdict = oracle_decide(cs)
-        solver_verdict = check(p, cfg).verdict
+        solver_verdict = check(p, cfg, backend="smt").verdict
         assert same_variant(oracle_verdict, solver_verdict), (
             f"{p.name}: oracle {verdict_name(oracle_verdict)} vs "
             f"solver {verdict_name(solver_verdict)}"
@@ -40,7 +40,7 @@ def test_oracle_and_solver_agree_on_the_benchmark(cfg):
     for entry in corpus():
         cs = propagate(entry.problem_sc)
         oracle_verdict = oracle_decide(cs)
-        solver_verdict = check(entry.problem_sc, cfg).verdict
+        solver_verdict = check(entry.problem_sc, cfg, backend="smt").verdict
         assert same_variant(oracle_verdict, solver_verdict), entry.name
         expected = Realizable if entry.expected_fold else type(oracle_verdict)
         assert verdict_name(oracle_verdict).startswith(
@@ -55,7 +55,7 @@ def test_solver_witnesses_replay_like_oracle_witnesses(cfg):
     for _ in range(20):
         p = support.random_foldr_problem(rng)
         cs = propagate(p)
-        report = check(p, cfg)
+        report = check(p, cfg, backend="smt")
         if isinstance(report.verdict, Realizable):
             assert validate_summary(cs, report.verdict.witness)
             validated += 1

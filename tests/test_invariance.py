@@ -75,14 +75,14 @@ def test_invariances_hold_through_the_solver(cfg):
     rng = random.Random(1005)
     for _ in range(8):
         p = support.random_problem(rng)
-        base = check(p, cfg).verdict
-        relabeled = check(relabel_problem(p, support.fresh_relabeling(p)), cfg).verdict
-        permuted = check(support.permuted_examples(rng, p), cfg).verdict
+        base = check(p, cfg, backend="smt").verdict
+        relabeled = check(relabel_problem(p, support.fresh_relabeling(p)), cfg, backend="smt").verdict
+        permuted = check(support.permuted_examples(rng, p), cfg, backend="smt").verdict
         assert same_variant(base, relabeled)
         assert same_variant(base, permuted)
         if p.signature.extra == UNIT:
-            constant = check(support.with_constant_extra(p), cfg).verdict
+            constant = check(support.with_constant_extra(p), cfg, backend="smt").verdict
             assert same_variant(base, constant)
         if isinstance(base, Unrealizable) and p.sketch.value == "foldr":
-            grown = check(support.duplicate_relabeled_example(rng, p), cfg).verdict
+            grown = check(support.duplicate_relabeled_example(rng, p), cfg, backend="smt").verdict
             assert isinstance(grown, Unrealizable)

@@ -176,6 +176,45 @@ def test_bound_exceeded():
     assert isinstance(verdict, Realizable)
 
 
+def _swap_conflict():
+    return build_problem(
+        "swap",
+        raw_list_sig(),
+        SketchKind.RAW,
+        [
+            (UnitV(), [lst(atom("a"), atom("b"))], lst(atom("a"), atom("b"))),
+            (UnitV(), [lst(atom("b"), atom("a"))], lst(atom("a"), atom("b"))),
+        ],
+    )
+
+
+def _reverse():
+    rows = [[], ["a"], ["a", "b"], ["a", "b", "c"]]
+    return build_problem(
+        "rev",
+        raw_list_sig(),
+        SketchKind.RAW,
+        [(UnitV(), [lst(*map(atom, r))], lst(*map(atom, reversed(r)))) for r in rows],
+    )
+
+
+@pytest.mark.parametrize("make", [_swap_conflict, _reverse])
+def test_step_budget(make):
+    gi = ground(propagate(make()))
+    exhaustive = oracle_check(gi)
+    assert oracle_check(gi, OracleBounds(max_steps=None)) == exhaustive
+    # the smallest budget the search fits in gives the exhaustive verdict;
+    # every smaller one raises
+    budget = 1
+    while True:
+        try:
+            verdict = oracle_check(gi, OracleBounds(max_steps=budget))
+            break
+        except BoundExceeded:
+            budget += 1
+    assert budget > 1 and verdict == exhaustive
+
+
 def test_determinism():
     rng = random.Random(99)
     for _ in range(10):

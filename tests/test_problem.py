@@ -185,15 +185,6 @@ def test_missing_extra_fails_for_int_signature():
     assert "extra" in str(err.value)
 
 
-def test_problem_equality_under_reparse_with_options():
-    p = build_problem(
-        "opt", Signature(UNIT, ID, ID), SketchKind.RAW,
-        [(UnitV(), [atom("a")], atom("a"))], options=object(),
-    )
-    q = parse_problem(problem_to_json(p))
-    assert q == p  # options are not part of identity
-
-
 def test_foldr_result_functor_must_be_fixed_arity():
     from parachk import ListV
 

@@ -269,7 +269,7 @@ def test_check_atom_swap_unsat(cfg):
     p = build_problem(
         "fAC", Signature(UNIT, ID, ID), SketchKind.RAW, [(UnitV(), [atom("A")], atom("C"))]
     )
-    assert isinstance(check(p, cfg).verdict, Unrealizable)
+    assert isinstance(check(p, cfg, backend="smt").verdict, Unrealizable)
 
 
 @needs_solver
@@ -282,7 +282,7 @@ def test_check_reverse_raw_witness(cfg):
             (UnitV(), [lst(atom("a"), atom("b"), atom("c"))], lst(atom("c"), atom("b"), atom("a"))),
         ],
     )
-    report = check(p, cfg)
+    report = check(p, cfg, backend="smt")
     assert isinstance(report.verdict, Realizable)
     table = report.verdict.witness.position_table
     assert {q: table[((3,), q)] for q in range(3)} == {0: 2, 1: 1, 2: 0}
@@ -298,7 +298,7 @@ def test_check_map_length_mismatch_fast_path(cfg):
     )
     report = check(p, cfg)
     assert isinstance(report.verdict, Unrealizable)
-    assert report.fast_path and report.solver_ms == 0.0
+    assert report.path == "fast-path" and report.solver_ms == 0.0
 
 
 @needs_solver
@@ -310,7 +310,7 @@ def test_check_foldr_base_conflict_fast_path(cfg):
         [(UnitV(), [], lst(atom("a")), lst())],
     )
     report = check(p, cfg)
-    assert isinstance(report.verdict, Unrealizable) and report.fast_path
+    assert isinstance(report.verdict, Unrealizable) and report.path == "fast-path"
 
 
 @needs_solver
@@ -318,7 +318,7 @@ def test_check_empty_map_is_realizable(cfg):
     p = build_problem(
         "empty-map", Signature(UNIT, ID, ID), SketchKind.MAP, [(UnitV(), [], lst())]
     )
-    assert isinstance(check(p, cfg).verdict, Realizable)
+    assert isinstance(check(p, cfg, backend="smt").verdict, Realizable)
 
 
 @needs_solver
@@ -336,7 +336,7 @@ def test_realizable_witnesses_are_validated_before_reporting(cfg):
             (UnitV(), [], lst(), lst()),
         ],
     )
-    report = check(p, cfg)
+    report = check(p, cfg, backend="smt")
     assert isinstance(report.verdict, Realizable)
     assert validate_summary(propagate(p), report.verdict.witness)
 
@@ -355,7 +355,7 @@ def test_naive_products_end_to_end(cfg):
             (IntV(1), [atom("c")], PairV(lst(atom("c")), lst()), PairV(lst(), lst())),
         ],
     )
-    report = check(p, cfg, naive_products=True)
+    report = check(p, cfg, naive_products=True, backend="smt")
     assert verdict_name(report.verdict) in ("Realizable", "Unknown(timeout)", "Unknown(solver-unknown)")
-    efficient = check(p, cfg)
+    efficient = check(p, cfg, backend="smt")
     assert isinstance(efficient.verdict, Realizable)
