@@ -292,13 +292,13 @@ class BenchRow:
         return self.si_verdict == expected or self.si_verdict.startswith("Unknown")
 
 
-def _median_check(problem, cfg, repeat, naive_products, backend) -> tuple[str, float]:
+def _median_check(problem, cfg, repeat, backend) -> tuple[str, float]:
     """The first run's verdict and the median time over `repeat` runs: one
     slow run (a cold cache, a busy host) does not move a median."""
     times = []
     verdict = None
     for _ in range(repeat):
-        report = check(problem, cfg, naive_products=naive_products, backend=backend)
+        report = check(problem, cfg, backend=backend)
         if verdict is None:
             verdict = report.verdict
         times.append(report.total_ms)
@@ -309,7 +309,6 @@ def run_bench(
     cfg: SolverConfig | None = None,
     repeat: int = 1,
     only: str | None = None,
-    naive_products: bool = False,
     backend: str = "auto",
 ) -> tuple[list[BenchRow], bool]:
     """Run the corpus; ok means every shape-complete verdict matches the
@@ -320,8 +319,8 @@ def run_bench(
     for entry in corpus():
         if only is not None and entry.name != only:
             continue
-        sc_v, sc_ms = _median_check(entry.problem_sc, cfg, repeat, naive_products, backend)
-        si_v, si_ms = _median_check(entry.problem_si, cfg, repeat, naive_products, backend)
+        sc_v, sc_ms = _median_check(entry.problem_sc, cfg, repeat, backend)
+        si_v, si_ms = _median_check(entry.problem_si, cfg, repeat, backend)
         rows.append(BenchRow(entry.name, entry.expected_fold, sc_v, sc_ms, si_v, si_ms))
     ok = all(r.sc_ok and r.si_ok for r in rows)
     return rows, ok

@@ -16,10 +16,10 @@ import sys
 from .bench import format_json, format_table, run_bench
 from .encode import encode
 from .functors import ContainerError
-from .oracle import BoundExceeded, OracleError, Ungroundable, oracle_decide
+from .oracle import BoundExceeded, OracleError, Ungroundable
 from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
-from .solver import BACKENDS, SolverConfig, SolverError, check
+from .solver import BACKENDS, SolverConfig, SolverError, check, oracle_verdict
 from .verdict import (
     Realizable,
     Unrealizable,
@@ -65,12 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--witness", action="store_true", help="print the witness tables on Realizable")
     p_check.add_argument("--format", choices=["table", "json"], default="table")
-    p_check.add_argument("--naive-products", action="store_true", help=argparse.SUPPRESS)
     _solver_flags(p_check)
 
     p_emit = subs.add_parser("emit-smt", help="print the SMT-LIB2 script for a problem file")
     p_emit.add_argument("path")
-    p_emit.add_argument("--naive-products", action="store_true", help=argparse.SUPPRESS)
 
     p_oracle = subs.add_parser("oracle", help="decide one problem with the brute-force oracle")
     p_oracle.add_argument("path")
@@ -83,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeat", type=int, default=1, metavar="K", help="report the median timing over K runs")
     p_bench.add_argument("--only", default=None, metavar="NAME", help="run a single benchmark entry")
     p_bench.add_argument("--format", choices=["table", "json"], default="table")
-    p_bench.add_argument("--naive-products", action="store_true", help=argparse.SUPPRESS)
     _solver_flags(p_bench)
 
     return parser
@@ -91,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_check(args) -> int:
     problem = load_problem(args.path)
-    report = check(problem, _config(args), naive_products=args.naive_products, backend=args.backend)
+    report = check(problem, _config(args), backend=args.backend)
     name = verdict_name(report.verdict)
     if args.format == "json":
         payload = {
@@ -116,25 +113,23 @@ def cmd_emit_smt(args) -> int:
     except PropagationUnrealizable as e:
         print(f"error: unrealizable before encoding, no script is sent: {e.reason}", file=sys.stderr)
         return 3
-    script = encode(cs, naive_products=args.naive_products)
+    script = encode(cs)
     sys.stdout.write(script.text())
     return 0
 
 
 def cmd_oracle(args) -> int:
     problem = load_problem(args.path)
-    completeness = shape_complete(problem)
-    if not completeness.complete:
-        print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
-        for m in completeness.missing:
-            print(f"  {m}", file=sys.stderr)
-        return 3
     try:
-        cs = propagate(problem)
-        verdict = oracle_decide(cs)
+        verdict = oracle_verdict(propagate(problem))
     except PropagationUnrealizable as e:
         verdict = Unrealizable(e.reason)
-    except (Ungroundable, BoundExceeded) as e:
+    except Ungroundable:
+        print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
+        for m in shape_complete(problem).missing:
+            print(f"  {m}", file=sys.stderr)
+        return 3
+    except BoundExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 
@@ -164,7 +159,6 @@ def cmd_bench(args) -> int:
         _config(args),
         repeat=max(1, args.repeat),
         only=args.only,
-        naive_products=args.naive_products,
     )
     if not rows:
         print(f"error: no benchmark entry named {args.only!r}", file=sys.stderr)

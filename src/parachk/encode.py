@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .functors import (
-    FunctorExpr,
-    ProdOf,
-    ProdS,
-    ShapeValue,
-    flatten_shape,
-    size_of,
-)
+from .functors import flatten_shape
 from .propagate import ConstraintSet, Known, Unknown
 
 
@@ -61,20 +54,7 @@ def mid_terms(uid: int, schema) -> list[str]:
     return [f"mid{uid}_{slot.name}" for slot in schema.slots]
 
 
-def _blocks(f: FunctorExpr) -> list[FunctorExpr]:
-    if isinstance(f, ProdOf):
-        return _blocks(f.left) + _blocks(f.right)
-    return [f]
-
-
-def _block_shapes(f: FunctorExpr, s: ShapeValue) -> list[ShapeValue]:
-    if isinstance(f, ProdOf):
-        assert isinstance(s, ProdS)
-        return _block_shapes(f.left, s.left) + _block_shapes(f.right, s.right)
-    return [s]
-
-
-def encode(cs: ConstraintSet, naive_products: bool = False) -> SmtScript:
+def encode(cs: ConstraintSet) -> SmtScript:
     """Translate a constraint set to a solver-ready script."""
     part_schemas = [flatten_shape(f) for f in cs.input_parts]
     out_schema = flatten_shape(cs.output_functor)
@@ -91,12 +71,8 @@ def encode(cs: ConstraintSet, naive_products: bool = False) -> SmtScript:
         f"(declare-fun oshape{j} ({int_args}) Int)"
         for j in range(len(out_schema.slots))
     ]
-    pos_args = " ".join(["Int"] * (in_arity + (2 if naive_products else 1)))
-    if naive_products:
-        decls.append(f"(declare-fun srcblk ({pos_args}) Int)")
-        decls.append(f"(declare-fun srcoff ({pos_args}) Int)")
-    else:
-        decls.append(f"(declare-fun srcpos ({pos_args}) Int)")
+    pos_args = " ".join(["Int"] * (in_arity + 1))
+    decls.append(f"(declare-fun srcpos ({pos_args}) Int)")
     for uid in sorted(unknowns):
         schema = unknowns[uid]
         for term in mid_terms(uid, schema):
@@ -121,10 +97,7 @@ def encode(cs: ConstraintSet, naive_products: bool = False) -> SmtScript:
             out_slots = mid_terms(c.output.uid, c.output.schema)
         for j, term in enumerate(out_slots):
             assertions.append(f"(= {_app(f'oshape{j}', ins)} {term})")
-        if naive_products:
-            assertions.extend(_positions_naive(cs, c, ins, out_schema))
-        else:
-            assertions.extend(_positions(cs, c, ins, out_schema))
+        assertions.extend(_positions(c, ins))
 
     logic = "UFLIA" if cs.unknown_count else "QF_UFLIA"
     return SmtScript(logic, tuple(decls), tuple(assertions))
@@ -161,7 +134,7 @@ def _or(disjuncts: list[str]) -> str:
     return "(or " + " ".join(disjuncts) + ")"
 
 
-def _positions(cs, c, ins, out_schema) -> list[str]:
+def _positions(c, ins) -> list[str]:
     """Position and element-consistency assertions for one constraint."""
     known_pos: list[tuple[int, int]] = []  # absolute position, element code
     window = None  # (uid, base offset, count form string)
@@ -202,79 +175,3 @@ def _positions(cs, c, ins, out_schema) -> list[str]:
         )
     return out
 
-
-def _positions_naive(cs, c, ins, out_schema) -> list[str]:
-    """Tagged-union position encoding: positions are (block, offset) pairs
-    over the product structure, so the solver must reason about the union."""
-    in_blocks = []  # (kind, payload)
-    for part in c.inputs:
-        if isinstance(part, Known):
-            shapes = _block_shapes(part.ext.functor, part.ext.shape)
-            fs = _blocks(part.ext.functor)
-            taken = 0
-            for bf, bs in zip(fs, shapes):
-                n = size_of(bf, bs)
-                codes = [a.code for a in part.ext.elements[taken : taken + n]]
-                taken += n
-                in_blocks.append(("known", codes))
-        else:
-            terms = mid_terms(part.uid, part.schema)
-            sub = [flatten_shape(bf) for bf in _blocks(part.schema.functor)]
-            start = 0
-            bases: list[str] = []
-            for schema in sub:
-                width = len(schema.slots)
-                cf = schema.count.smt(terms[start : start + width])
-                in_blocks.append(("window", (part.uid, list(bases), cf)))
-                bases.append(cf)
-                start += width
-
-    def disjuncts(qb: str, qo: str, target: str) -> str:
-        blk = _app("srcblk", ins + [qb, qo])
-        off_t = _app("srcoff", ins + [qb, qo])
-        ds = []
-        for bi, (kind, payload) in enumerate(in_blocks):
-            if kind == "known":
-                for j, code in enumerate(payload):
-                    ds.append(
-                        f"(and (= {blk} {bi}) (= {off_t} {j}) (= {code} {target}))"
-                    )
-            else:
-                uid, bases, cf = payload
-                idx = " ".join([*bases, off_t])
-                lin = f"(+ {idx})" if bases else off_t
-                ds.append(
-                    f"(and (= {blk} {bi}) (>= {off_t} 0) (< {off_t} {cf}) "
-                    f"(= (elem{uid} {lin}) {target}))"
-                )
-        return _or(ds)
-
-    out = []
-    out_fs = _blocks(cs.output_functor)
-    if isinstance(c.output, Known):
-        shapes = _block_shapes(cs.output_functor, c.output.ext.shape)
-        taken = 0
-        for b, (bf, bs) in enumerate(zip(out_fs, shapes)):
-            n = size_of(bf, bs)
-            for q in range(n):
-                code = c.output.ext.elements[taken + q].code
-                out.append(disjuncts(str(b), str(q), str(code)))
-            taken += n
-    else:
-        uid = c.output.uid
-        terms = mid_terms(uid, c.output.schema)
-        sub = [flatten_shape(bf) for bf in out_fs]
-        start = 0
-        bases: list[str] = []
-        for b, schema in enumerate(sub):
-            width = len(schema.slots)
-            cf = schema.count.smt(terms[start : start + width])
-            idx = " ".join([*bases, "q"])
-            lin = f"(+ {idx})" if bases else "q"
-            body = disjuncts(str(b), "q", f"(elem{uid} {lin})")
-            out.append(
-                f"(forall ((q Int)) (=> (and (>= q 0) (< q {cf})) {body}))"
-            )
-            bases.append(cf)
-            start += width
-    return out

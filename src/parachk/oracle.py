@@ -3,8 +3,9 @@
 Grounding resolves every intermediate shape by suffix matching: the
 intermediate at level k of a trace is the fold result of the last k list
 elements, so its shape is pinned by any example whose full input carries
-exactly those element shapes (with the same extra and base shapes). On a
-shape-complete set this resolves everything. Afterwards the shape morphism
+exactly those element shapes (with the same extra and base shapes). This
+resolves everything exactly when the set is shape complete; otherwise
+grounding raises Ungroundable. Afterwards the shape morphism
 is checked to be a function of the input shape; a clash is a shape conflict
 and immediate evidence of unrealizability.
 
@@ -23,7 +24,13 @@ from dataclasses import dataclass
 
 from .functors import Atom, Extension, ShapeValue, flatten_shape, show_shape, size_of
 from .problem import AtomTable
-from .propagate import ConstraintSet, Known, MorphismConstraint
+from .propagate import (
+    ConstraintSet,
+    Known,
+    MorphismConstraint,
+    show_trace_key,
+    unpinned_suffixes,
+)
 from .verdict import Realizable, Unrealizable, Verdict, WitnessSummary
 
 
@@ -40,8 +47,8 @@ class ShapeConflict(OracleError):
 
 
 class Ungroundable(OracleError):
-    """An intermediate shape is not pinned by the example set (the set is
-    not shape complete, or lacks a suffix example with a matching base)."""
+    """An intermediate shape is not pinned by the example set: the set is
+    not shape complete."""
 
 
 class BoundExceeded(OracleError):
@@ -86,7 +93,8 @@ class GroundInstance:
 
 def resolve_intermediate_shapes(cs: ConstraintSet) -> dict[int, ShapeValue]:
     """Pin each trace intermediate to the output shape of the example whose
-    full input matches the corresponding suffix."""
+    full input matches the corresponding suffix. Raises Ungroundable when
+    the set is not shape complete (`unpinned_suffixes`)."""
     if cs.unknown_count == 0:
         return {}
     if len(cs.input_parts) != 3:
@@ -99,46 +107,45 @@ def resolve_intermediate_shapes(cs: ConstraintSet) -> dict[int, ShapeValue]:
             chains.append([])
         chains[-1].append(c)
 
-    def chain_data(steps):
-        h = steps[0].inputs[0].ext.shape
-        base = steps[0].inputs[2].ext.shape
-        fs = tuple(s.inputs[1].ext.shape for s in steps)
-        return h, base, fs
-
-    full: dict[tuple, ShapeValue] = {}
+    keys = []
     for steps in chains:
         if not isinstance(steps[-1].output, Known):
             raise OracleError("a trace must end in a known output")
-        h, base, fs = chain_data(steps)
+        h = steps[0].inputs[0].ext.shape
+        base = steps[0].inputs[2].ext.shape
+        # step 0 consumes the last list element
+        seq = tuple(s.inputs[1].ext.shape for s in reversed(steps))
+        keys.append((h, base, seq))
+    missing = unpinned_suffixes(keys)
+    if missing:
+        raise Ungroundable(
+            f"no example pins the intermediate for {show_trace_key(missing[0])}"
+        )
+
+    full: dict[tuple, ShapeValue] = {}
+    for key, steps in zip(keys, chains):
         out = steps[-1].output.ext.shape
-        prior = full.get((h, base, fs))
+        prior = full.get(key)
         if prior is not None and prior != out:
             raise ShapeConflict(
                 f"two examples with equal input shapes produce shapes "
                 f"{show_shape(prior)} and {show_shape(out)}"
             )
-        full[(h, base, fs)] = out
+        full[key] = out
 
     resolved: dict[int, ShapeValue] = {}
-    for steps in chains:
-        h, base, fs = chain_data(steps)
-        for k in range(1, len(steps)):
-            uid = steps[k - 1].output.uid
-            shape = full.get((h, base, fs[:k]))
-            if shape is None:
-                raise Ungroundable(
-                    f"no example pins the intermediate for extra {show_shape(h)}, "
-                    f"inputs [{', '.join(show_shape(s) for s in fs[:k])}]"
-                )
-            resolved[uid] = shape
+    for (h, base, seq), steps in zip(keys, chains):
+        n = len(seq)
+        for k in range(1, n):
+            resolved[steps[k - 1].output.uid] = full[(h, base, seq[n - k :])]
     return resolved
 
 
 def ground(cs: ConstraintSet) -> GroundInstance:
     """Resolve intermediate shapes and check the shape morphism is a function."""
+    inter_shapes = resolve_intermediate_shapes(cs)
     part_schemas = [flatten_shape(f) for f in cs.input_parts]
     out_functor = cs.output_functor
-    inter_shapes = resolve_intermediate_shapes(cs)
 
     def container_shape(part) -> ShapeValue:
         return part.ext.shape if isinstance(part, Known) else inter_shapes[part.uid]

@@ -20,6 +20,7 @@ from .functors import (
     FunctorExpr,
     ProdOf,
     ShapeSchema,
+    ShapeValue,
     flatten_shape,
     shape_of,
     show_shape,
@@ -150,6 +151,40 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
 # Shape completeness
 
 
+# A fold trace's key: (extra shape, base shape, element shapes in list
+# order). A trace pins the shape of its own result, nothing else.
+TraceKey = tuple[ShapeValue, ShapeValue, tuple[ShapeValue, ...]]
+
+
+def unpinned_suffixes(traces: list[TraceKey]) -> list[TraceKey]:
+    """The keys a foldr set must pin but does not, each once, in the order
+    the traces ask for them.
+
+    The intermediate after the last k elements of a trace is the fold of
+    that suffix from the same extra argument and base, so only a trace with
+    the same extra shape and base shape whose full input is the suffix pins
+    its shape. Every nonempty proper suffix must be pinned; the empty suffix
+    is the base case.
+    """
+    present = set(traces)
+    missing: dict[TraceKey, None] = {}
+    for h, base, seq in traces:
+        for k in range(1, len(seq)):
+            key = (h, base, seq[len(seq) - k :])
+            if key not in present:
+                missing[key] = None
+    return list(missing)
+
+
+def show_trace_key(key: TraceKey) -> str:
+    h, base, seq = key
+    return (
+        f"extra {show_shape(h)}, base {show_shape(base)}, inputs ["
+        + ", ".join(show_shape(s) for s in seq)
+        + "]"
+    )
+
+
 @dataclass(frozen=True)
 class CompletenessReport:
     complete: bool
@@ -157,35 +192,20 @@ class CompletenessReport:
 
 
 def shape_complete(p: Problem) -> CompletenessReport:
-    """A foldr example set is shape complete when, for every example, each
-    nonempty proper suffix of its input shapes recurs as the full input of
-    some example with the same extra shape. The empty suffix needs no
-    example: its result is the given base case.
-
-    Raw and map sketches have no unknown intermediates and are trivially
-    complete.
+    """A foldr example set is shape complete when no suffix it needs is
+    unpinned (`unpinned_suffixes`). Raw and map sketches have no unknown
+    intermediates and are trivially complete.
     """
     if p.sketch is not SketchKind.FOLDR:
         return CompletenessReport(True, ())
     sig = p.signature
-    keys = []
-    for ex in p.examples:
-        h = shape_of(sig.extra, ex.extra)
-        seq = tuple(shape_of(sig.element, v) for v in ex.inputs)
-        keys.append((h, seq))
-    present = set(keys)
-    missing = []
-    seen = set()
-    for h, seq in keys:
-        for k in range(1, len(seq)):
-            suffix = seq[len(seq) - k :]
-            if (h, suffix) not in present and (h, suffix) not in seen:
-                seen.add((h, suffix))
-                missing.append(
-                    "extra "
-                    + show_shape(h)
-                    + ", inputs ["
-                    + ", ".join(show_shape(s) for s in suffix)
-                    + "]"
-                )
-    return CompletenessReport(not missing, tuple(missing))
+    traces = [
+        (
+            shape_of(sig.extra, ex.extra),
+            shape_of(sig.result, ex.base),
+            tuple(shape_of(sig.element, v) for v in ex.inputs),
+        )
+        for ex in p.examples
+    ]
+    missing = tuple(show_trace_key(key) for key in unpinned_suffixes(traces))
+    return CompletenessReport(not missing, missing)

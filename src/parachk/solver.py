@@ -2,12 +2,13 @@
 and reading its results.
 
 `check` propagates the examples first; a conflict visible there is already
-the verdict. A shape-complete set is then decided by the brute-force oracle
+the verdict. Every other set goes to the brute-force oracle
 (`oracle.ground` + `oracle_check`) within ORACLE_MAX_STEPS unification
-steps, with no script and no process. The SMT path decides every other set,
-and also a shape-complete one the oracle cannot ground, whose search goes
-past its bounds, or whose witness fails replay. `backend="smt"` always
-takes the SMT path, so the oracle can be cross-checked against it.
+steps, with no script and no process. Grounding raises Ungroundable exactly
+when the set is not shape complete; the SMT path decides those sets, and
+also a shape-complete one whose search goes past the oracle's bounds or
+whose witness fails replay. `backend="smt"` always takes the SMT path, so
+the oracle can be cross-checked against it.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -36,17 +37,11 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 
-from .encode import SmtScript, encode, shrink_assertions, _block_shapes, _blocks
-from .functors import Atom, Extension, ShapeMismatch, flatten_shape, size_of
+from .encode import SmtScript, encode, shrink_assertions
+from .functors import Atom, Extension, ShapeMismatch, flatten_shape
 from .oracle import BoundExceeded, OracleBounds, Ungroundable, oracle_decide
 from .problem import Problem
-from .propagate import (
-    ConstraintSet,
-    PropagationUnrealizable,
-    Unknown,
-    propagate,
-    shape_complete,
-)
+from .propagate import ConstraintSet, PropagationUnrealizable, Unknown, propagate
 from .verdict import (
     Realizable,
     Unrealizable,
@@ -373,9 +368,7 @@ class WitnessError(Exception):
     pass
 
 
-def extract_witness(
-    model_text: str, cs: ConstraintSet, naive_products: bool = False
-) -> WitnessSummary:
+def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
     """Read the morphism tables and intermediates off a sat model."""
     try:
         fns = ModelFunctions.parse(model_text)
@@ -418,58 +411,31 @@ def extract_witness(
                     fns.call(f"oshape{j}", list(key))
                     for j in range(len(out_schema.slots))
                 )
-            n_out = len(out.elements)
-            if naive_products:
-                _extract_naive_positions(
-                    fns, cs, parts, out, key, position_table
-                )
-            else:
-                for q in range(n_out):
-                    if (key, q) not in position_table:
-                        position_table[(key, q)] = fns.call("srcpos", [*key, q])
+            for q in range(len(out.elements)):
+                if (key, q) not in position_table:
+                    position_table[(key, q)] = fns.call("srcpos", [*key, q])
     except (ModelError, RecursionError) as e:
         raise WitnessError(str(e)) from None
     return WitnessSummary(shape_table, position_table, intermediates)
 
 
-def _extract_naive_positions(fns, cs, parts, out, key, position_table) -> None:
-    in_bases = []
-    base = 0
-    for ext in parts:
-        for bf, bs in zip(
-            _blocks(ext.functor), _block_shapes(ext.functor, ext.shape)
-        ):
-            in_bases.append(base)
-            base += size_of(bf, bs)
-    total = base
-    q = 0
-    for b, (bf, bs) in enumerate(
-        zip(_blocks(out.functor), _block_shapes(out.functor, out.shape))
-    ):
-        for qo in range(size_of(bf, bs)):
-            if (key, q) not in position_table:
-                blk = fns.call("srcblk", [*key, b, qo])
-                off = fns.call("srcoff", [*key, b, qo])
-                if 0 <= blk < len(in_bases):
-                    position_table[(key, q)] = in_bases[blk] + off
-                else:
-                    position_table[(key, q)] = total  # out of range, fails replay
-            q += 1
-
-
-def validate_witness(model_text: str, cs: ConstraintSet, naive_products: bool = False) -> bool:
-    """True iff the model's witness survives concrete replay of every
-    constraint. Unparseable or corrupt models are simply not witnesses."""
+def replayed_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary | None:
+    """The model's witness if it survives concrete replay of every
+    constraint, else None. Unparseable or corrupt models are simply not
+    witnesses."""
     try:
-        summary = extract_witness(model_text, cs, naive_products)
+        summary = extract_witness(model_text, cs)
     except WitnessError:
-        return False
-    return validate_summary(cs, summary)
+        return None
+    return summary if validate_summary(cs, summary) else None
 
 
-def interpret(
-    raw: RawResult, cs: ConstraintSet, naive_products: bool = False
-) -> Verdict:
+def validate_witness(model_text: str, cs: ConstraintSet) -> bool:
+    """True iff the model's witness survives concrete replay."""
+    return replayed_witness(model_text, cs) is not None
+
+
+def interpret(raw: RawResult, cs: ConstraintSet) -> Verdict:
     if raw.kind == "unsat":
         return Unrealizable()
     if raw.kind == "timeout":
@@ -478,13 +444,20 @@ def interpret(
         return UnknownVerdict("solver-unknown")
     if raw.kind == "error":
         raise SolverError(raw.detail)
-    try:
-        summary = extract_witness(raw.model_text, cs, naive_products)
-    except WitnessError:
-        return UnknownVerdict("witness-validation-failed")
-    if not validate_summary(cs, summary):
+    summary = replayed_witness(raw.model_text, cs)
+    if summary is None:
         return UnknownVerdict("witness-validation-failed")
     return Realizable(summary)
+
+
+def oracle_verdict(cs: ConstraintSet, bounds: OracleBounds = OracleBounds()) -> Verdict:
+    """The oracle's verdict, with a Realizable witness replayed like a
+    solver's: one that fails replay gives Unknown. Raises Ungroundable when
+    the set is not shape complete and BoundExceeded past `bounds`."""
+    verdict = oracle_decide(cs, bounds)
+    if isinstance(verdict, Realizable) and not validate_summary(cs, verdict.witness):
+        return UnknownVerdict("witness-validation-failed")
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -508,28 +481,14 @@ class CheckReport:
     path: str = "smt"
 
 
-def _oracle_verdict(cs: ConstraintSet) -> Verdict | None:
-    """The oracle's verdict on a shape-complete set, or None when SMT must
-    decide: the set is not groundable, the search is over its bounds, or
-    the witness fails replay."""
-    try:
-        verdict = oracle_decide(cs, OracleBounds(max_steps=ORACLE_MAX_STEPS))
-    except (Ungroundable, BoundExceeded):
-        return None
-    if isinstance(verdict, Realizable) and not validate_summary(cs, verdict.witness):
-        return None
-    return verdict
-
-
 def check(
     problem: Problem,
     cfg: SolverConfig | None = None,
-    naive_products: bool = False,
     backend: str = "auto",
 ) -> CheckReport:
     """Propagate, then decide. Unrealizability that is already visible
-    during propagation needs no further work. With backend "auto", a
-    shape-complete set goes to the oracle, and SMT (encode, solve, shrink,
+    during propagation needs no further work. With backend "auto", the
+    oracle decides a shape-complete set, and SMT (encode, solve, shrink,
     extract, replay) decides the rest and whatever the oracle hands back;
     backend "smt" always takes the SMT path."""
     if backend not in BACKENDS:
@@ -540,14 +499,17 @@ def check(
     except PropagationUnrealizable as e:
         total = (time.perf_counter() - start) * 1000.0
         return CheckReport(Unrealizable(e.reason), total, 0.0, path="fast-path")
-    if backend == "auto" and shape_complete(problem).complete:
-        verdict = _oracle_verdict(cs)
-        if verdict is not None:
+    if backend == "auto":
+        try:
+            verdict = oracle_verdict(cs, OracleBounds(max_steps=ORACLE_MAX_STEPS))
+        except (Ungroundable, BoundExceeded):
+            verdict = None  # not shape complete, or past the bounds
+        if isinstance(verdict, (Realizable, Unrealizable)):
             total = (time.perf_counter() - start) * 1000.0
             return CheckReport(verdict, total, 0.0, path="oracle")
     cfg = cfg or SolverConfig()
     path = "smt"
-    script = encode(cs, naive_products=naive_products)
+    script = encode(cs)
     raw = run_solver(script, cfg)
     solver_ms = raw.duration_ms
     if raw.kind == "sat" and cs.unknown_count:
@@ -567,6 +529,6 @@ def check(
         path = "smt+shrink"
         if raw2.kind == "sat":
             raw = raw2
-    verdict = interpret(raw, cs, naive_products)
+    verdict = interpret(raw, cs)
     total = (time.perf_counter() - start) * 1000.0
     return CheckReport(verdict, total, solver_ms, path)

@@ -90,7 +90,7 @@ def test_formatting_round_trips():
 def test_repeat_reports_the_median(monkeypatch):
     times = itertools.cycle([1.0, 2.0, 100.0])
     monkeypatch.setattr(
-        bench, "check", lambda problem, cfg, naive_products=False, backend="auto": CheckReport(Unrealizable(), next(times), 0.0)
+        bench, "check", lambda problem, cfg, backend="auto": CheckReport(Unrealizable(), next(times), 0.0)
     )
     rows, _ = run_bench(repeat=3, only="tail")
     assert (rows[0].sc_ms, rows[0].si_ms) == (2.0, 2.0)

@@ -1,9 +1,11 @@
 """The command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from parachk import solver
 from parachk.cli import main
 
 from conftest import needs_solver
@@ -60,6 +62,23 @@ def test_emit_smt_deterministic(capsys):
     assert "(= 0 1)" in first  # the literal codes of A and C
 
 
+# SHA-256 of the `emit-smt` output per problem file: the encoding must not drift
+EMIT_SMT_SHA256 = {
+    "atom_swap_raw": "e618ea7c6db49b8dd2cd6399b8da448d0552f92146e92e6a24db9e347e7afb61",
+    "drop_as_foldr": "23475ea7395c278913fc23e3db653e533eb8b23ce783451206badeaac8f104c5",
+    "reverse_as_foldr": "df49a8e3e39bae50efcb4524b700eaa7fb1eac3f9dfcb03c4249629000441af6",
+    "reverse_as_map": "532c7abd934579ef1cce8f39917038b35ce25985e0216cf989df6167e162161d",
+    "tail_as_foldr_minimal": "5de1d6de48f25ba1c6d1fc70fd6f4e7867723c691466ea7c942366aec17ac177",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_SMT_SHA256))
+def test_emit_smt_golden(capsys, name):
+    assert main(["emit-smt", f"{PROBLEMS}/{name}.json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_SMT_SHA256[name]
+
+
 def test_emit_smt_fast_path_has_no_script(capsys, tmp_path):
     bad = tmp_path / "mismatch.json"
     bad.write_text(
@@ -90,6 +109,38 @@ def test_oracle_refuses_incomplete_sets(capsys):
     code = main(["oracle", f"{PROBLEMS}/tail_as_foldr_minimal.json"])
     err = capsys.readouterr().err
     assert code == 3 and "shape-complete" in err
+
+
+def test_oracle_propagates_before_checking_completeness(capsys, tmp_path):
+    # the empty input contradicts the base; the set also misses the suffix [*]
+    conflict = tmp_path / "conflict.json"
+    conflict.write_text(
+        json.dumps(
+            {
+                "name": "base-conflict",
+                "signature": {"element": "Id", "result": "List(Id)"},
+                "sketch": "foldr",
+                "examples": [
+                    {"inputs": [], "output": {"list": [{"atom": "a"}]}, "base": {"list": []}},
+                    {
+                        "inputs": [{"atom": "b"}, {"atom": "c"}],
+                        "output": {"list": [{"atom": "c"}]},
+                        "base": {"list": []},
+                    },
+                ],
+            }
+        )
+    )
+    for command in ("check", "oracle"):
+        code = main([command, str(conflict)])
+        assert code == 1 and "Unrealizable" in capsys.readouterr().out
+
+
+def test_oracle_replays_its_witness(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "validate_summary", lambda cs, summary: False)
+    code = main(["oracle", f"{PROBLEMS}/reverse_as_foldr.json"])
+    out = capsys.readouterr().out
+    assert code == 2 and "Unknown(witness-validation-failed)" in out
 
 
 @needs_solver
@@ -169,12 +220,6 @@ def test_solver_env_var_fallback(tmp_path, monkeypatch, capsys):
     code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--backend", "smt"])
     out = capsys.readouterr().out
     assert code == 2 and "Unknown" in out
-
-
-def test_emit_smt_naive_products_flag(capsys):
-    code = main(["emit-smt", f"{PROBLEMS}/atom_swap_raw.json", "--naive-products"])
-    out = capsys.readouterr().out
-    assert code == 0 and "srcblk" in out and "srcoff" in out
 
 
 @pytest.mark.parametrize(

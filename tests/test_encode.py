@@ -5,8 +5,6 @@ import re
 
 from parachk import (
     ID,
-    INT,
-    IntV,
     ListOf,
     ListV,
     Signature,
@@ -170,26 +168,3 @@ def test_every_symbol_is_declared():
         declared = set(re.findall(r"\(declare-fun (\S+)", "\n".join(script.declarations)))
         used = set(re.findall(r"\b(oshape\d+|srcpos|mid\d+_\w+|elem\d+)\b", "\n".join(script.assertions)))
         assert used <= declared
-
-
-# ---------------------------------------------------------------------------
-# Naive product encoding (regression surface only)
-
-
-def test_naive_products_uses_tagged_positions():
-    from parachk import PairV, ProdOf
-
-    p = build_problem(
-        "splitAt",
-        Signature(INT, ID, ProdOf(ListOf(ID), ListOf(ID))),
-        SketchKind.FOLDR,
-        [
-            (IntV(1), [atom("a"), atom("b")], PairV(lst(atom("a")), lst(atom("b"))), PairV(lst(), lst())),
-            (IntV(1), [atom("c")], PairV(lst(atom("c")), lst()), PairV(lst(), lst())),
-        ],
-    )
-    cs = propagate(p)
-    text = encode(cs, naive_products=True).text()
-    assert "srcblk" in text and "srcoff" in text and "srcpos" not in text
-    efficient = encode(cs).text()
-    assert "srcpos" in efficient and "srcblk" not in efficient

@@ -4,6 +4,8 @@ shape completeness."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parachk import (
     ID,
@@ -12,17 +14,21 @@ from parachk import (
     ListOf,
     ListV,
     PropagationUnrealizable,
+    ShapeConflict,
     Signature,
     SketchKind,
     UNIT,
     UnitV,
+    Ungroundable,
     atom,
     build_problem,
+    ground,
     propagate,
     propagate_foldr,
     propagate_map,
     propagate_raw,
     shape_complete,
+    shape_of,
 )
 from parachk.propagate import Known, Unknown
 
@@ -187,7 +193,7 @@ def test_shape_complete_two_examples_missing_len_one():
     )
     rep = shape_complete(p)
     assert not rep.complete
-    assert list(rep.missing) == ["extra (), inputs [*]"]
+    assert list(rep.missing) == ["extra (), base [], inputs [*]"]
 
 
 def test_shape_complete_distinguishes_extra_shapes():
@@ -266,3 +272,47 @@ def _supplied(p, requirement):
 def test_raw_and_map_trivially_complete():
     p = pid((UnitV(), [atom("A")], atom("A")))
     assert shape_complete(p).complete
+
+
+
+def _rebased_tower(rng, p, examples):
+    """Half of the examples again, under another extra value and, where the
+    draw allows, a base of another shape. The extra keeps its shape when it
+    is a nonempty list of atoms, so only the base tells the towers apart;
+    None when the extra functor admits no other value."""
+    sig = p.signature
+    extra = examples[0][0]
+    if sig.extra == INT:
+        other = IntV(99)
+    elif sig.extra == ListOf(ID) and extra.items:
+        other = lst(*(atom("w") for _ in extra.items))
+    else:
+        return None
+    old = shape_of(sig.result, examples[0][3])
+    bases = [support.random_value(rng, sig.result, list_cap=2) for _ in range(4)]
+    base = next((b for b in bases if shape_of(sig.result, b) != old), bases[0])
+    return [(other, ins, out if ins else base, base) for _, ins, out, _ in examples if rng.random() < 0.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+def test_shape_complete_iff_groundable(seed, rebase):
+    """`shape_complete` and the oracle's grounding apply one rule: a foldr
+    set is complete exactly when grounding finds every intermediate pinned."""
+    rng = random.Random(seed)
+    p = support.random_foldr_problem(rng, realizable=rng.random() < 0.5)
+    examples = [(e.extra, e.inputs, e.output, e.base) for e in p.examples]
+    tower = _rebased_tower(rng, p, examples) if rebase else None
+    if tower is None:
+        examples = [ex for ex in examples if rng.random() < 0.6] or examples[:1]
+    else:
+        examples += tower
+    q = build_problem(p.name, p.signature, p.sketch, examples)
+    try:
+        ground(propagate(q))
+        groundable = True
+    except ShapeConflict:
+        groundable = True
+    except Ungroundable:
+        groundable = False
+    assert shape_complete(q).complete == groundable

@@ -20,12 +20,15 @@ from parachk import (
     SolverError,
     UNIT,
     UnitV,
+    Ungroundable,
     Unrealizable,
     atom,
     build_problem,
     check,
+    ground,
     load_problem,
     propagate,
+    shape_complete,
     validate_summary,
 )
 from parachk import solver
@@ -71,6 +74,27 @@ def test_oracle_witness_replays(no_spawn):
 
 def test_shape_incomplete_set_goes_to_smt(no_spawn):
     assert_spawns(load_problem(f"{PROBLEMS}/tail_as_foldr_minimal.json"), no_spawn)
+
+
+def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
+    # the length-1 example has the extra shape of the length-2 one, but a
+    # base of another shape, so the intermediate after [z] stays unpinned
+    p = build_problem(
+        "base-shapes",
+        Signature(ID, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (atom("a"), [atom("x")], ListV((atom("a"),)), ListV((atom("a"),))),
+            (atom("b"), [atom("y"), atom("z")], ListV((atom("b"),)), ListV((atom("b"), atom("b")))),
+        ],
+    )
+    report = shape_complete(p)
+    assert not report.complete
+    assert report.missing == ("extra *, base [*,*], inputs [*]",)
+    with pytest.raises(Ungroundable) as err:
+        ground(propagate(p))
+    assert str(err.value).endswith(report.missing[0])
+    assert_spawns(p, no_spawn)
 
 
 def test_set_over_the_oracle_bounds_goes_to_smt(no_spawn):

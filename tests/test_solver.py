@@ -28,7 +28,6 @@ from parachk import (
     propagate,
     run_solver,
     validate_witness,
-    verdict_name,
 )
 from parachk.solver import ModelFunctions, RawResult
 
@@ -339,23 +338,3 @@ def test_realizable_witnesses_are_validated_before_reporting(cfg):
     report = check(p, cfg, backend="smt")
     assert isinstance(report.verdict, Realizable)
     assert validate_summary(propagate(p), report.verdict.witness)
-
-
-@needs_solver
-def test_naive_products_end_to_end(cfg):
-    from parachk import PairV, ProdOf
-
-    p = build_problem(
-        "splitAt-naive",
-        Signature(INT, ID, ProdOf(ListOf(ID), ListOf(ID))),
-        SketchKind.FOLDR,
-        [
-            (IntV(1), [atom("a"), atom("b")], PairV(lst(atom("a")), lst(atom("b"))), PairV(lst(), lst())),
-            (IntV(1), [], PairV(lst(), lst()), PairV(lst(), lst())),
-            (IntV(1), [atom("c")], PairV(lst(atom("c")), lst()), PairV(lst(), lst())),
-        ],
-    )
-    report = check(p, cfg, naive_products=True, backend="smt")
-    assert verdict_name(report.verdict) in ("Realizable", "Unknown(timeout)", "Unknown(solver-unknown)")
-    efficient = check(p, cfg, backend="smt")
-    assert isinstance(efficient.verdict, Realizable)
