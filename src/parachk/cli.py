@@ -56,12 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_check = subs.add_parser(
-        "check", help="check one problem file: the oracle decides shape-complete sets, SMT the rest"
+        "check",
+        help="check one problem file: the oracle decides shape-complete sets and the "
+        "shape-incomplete ones that a guess of small intermediate shapes settles within "
+        "a 20,000-step budget, SMT the rest",
     )
     p_check.add_argument("path")
     p_check.add_argument(
         "--backend", choices=BACKENDS, default="auto",
-        help="auto (default): route shape-complete sets to the oracle; smt: always use the SMT solver",
+        help="auto (default): try the oracle first, with guessed shapes for unpinned "
+        "fold intermediates; smt: always use the SMT solver",
     )
     p_check.add_argument("--witness", action="store_true", help="print the witness tables on Realizable")
     p_check.add_argument("--format", choices=["table", "json"], default="table")

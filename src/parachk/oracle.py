@@ -1,26 +1,32 @@
-"""Brute-force realizability decision for shape-complete constraint sets.
+"""Brute-force realizability decision for fold sets, by grounding and search.
 
 Grounding resolves every intermediate shape by suffix matching: the
 intermediate at level k of a trace is the fold result of the last k list
 elements, so its shape is pinned by any example whose full input carries
 exactly those element shapes (with the same extra and base shapes). This
 resolves everything exactly when the set is shape complete; otherwise
-grounding raises Ungroundable. Afterwards the shape morphism
-is checked to be a function of the input shape; a clash is a shape conflict
-and immediate evidence of unrealizability.
+grounding raises Ungroundable, unless a completion supplies a guessed shape
+for every unpinned suffix. Afterwards the shape morphism is checked to be a
+function of the input shape; a clash is a shape conflict and, when no shape
+was guessed, immediate evidence of unrealizability.
 
 The remaining search is finite: assign, for every observed input shape and
 every output position, a source position, while unifying the element
 equalities this induces. Intermediate elements stay symbolic and are bound
 lazily by unification, so the backtracking prunes as soon as two distinct
 concrete elements would have to coincide. `OracleBounds` caps the positions
-per input shape, the distinct input shapes and, optionally, the calls to the
-unifier; going past any of them raises BoundExceeded.
+per input shape and the distinct input shapes; going past either raises
+BoundExceeded. A `StepBudget`, when given, caps the calls to the unifier.
+
+`oracle_complete` decides a shape-incomplete set by searching it once per
+completion drawn from small candidate shapes, all under one step budget.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import product
 
 from .functors import Atom, Extension, ShapeValue, flatten_shape, show_shape, size_of
 from .problem import AtomTable
@@ -28,6 +34,7 @@ from .propagate import (
     ConstraintSet,
     Known,
     MorphismConstraint,
+    TraceKey,
     show_trace_key,
     unpinned_suffixes,
 )
@@ -41,14 +48,19 @@ class OracleError(Exception):
 class ShapeConflict(OracleError):
     """Two equal input shapes forced two different output shapes."""
 
-    def __init__(self, message: str, resolved: dict | None = None):
-        super().__init__(message)
-        self.resolved = resolved or {}
+
+class ExampleConflict(ShapeConflict):
+    """Two full examples with equal input shapes have outputs of different
+    shapes. No guess at an intermediate shape can mend that."""
 
 
 class Ungroundable(OracleError):
     """An intermediate shape is not pinned by the example set: the set is
-    not shape complete."""
+    not shape complete. `missing` lists the unpinned trace keys."""
+
+    def __init__(self, message: str, missing: list[TraceKey]):
+        super().__init__(message)
+        self.missing = missing
 
 
 class BoundExceeded(OracleError):
@@ -59,8 +71,20 @@ class BoundExceeded(OracleError):
 class OracleBounds:
     max_positions: int = 16
     max_shapes: int = 12
-    # calls to the unifier the search may make; None searches exhaustively
-    max_steps: int | None = None
+
+
+class StepBudget:
+    """Steps left to the groundings and searches that share the budget:
+    one per call to the unifier, and what `oracle_complete` charges for
+    the rest. Spending past zero raises BoundExceeded."""
+
+    def __init__(self, steps: int):
+        self.left = steps
+
+    def spend(self, steps: int) -> None:
+        self.left -= steps
+        if self.left < 0:
+            raise BoundExceeded("the oracle spent its step budget")
 
 
 # element terms: a concrete atom code, or position `pos` of intermediate `uid`
@@ -91,59 +115,84 @@ class GroundInstance:
     atoms: AtomTable
 
 
-def resolve_intermediate_shapes(cs: ConstraintSet) -> dict[int, ShapeValue]:
-    """Pin each trace intermediate to the output shape of the example whose
-    full input matches the corresponding suffix. Raises Ungroundable when
-    the set is not shape complete (`unpinned_suffixes`)."""
-    if cs.unknown_count == 0:
-        return {}
+Trace = tuple[TraceKey, list[MorphismConstraint]]
+
+
+def _traces(cs: ConstraintSet) -> list[Trace]:
+    """Each fold trace of `cs`: its key and its steps, the first of which
+    consumes the last list element."""
     if len(cs.input_parts) != 3:
         raise OracleError("unknown intermediates outside a fold trace")
-
-    # reconstruct the traces: a chain starts where the accumulator is known
+    # a chain starts where the accumulator is known
     chains = []
     for c in cs.constraints:
         if isinstance(c.inputs[2], Known):
             chains.append([])
         chains[-1].append(c)
 
-    keys = []
+    traces = []
     for steps in chains:
         if not isinstance(steps[-1].output, Known):
             raise OracleError("a trace must end in a known output")
         h = steps[0].inputs[0].ext.shape
         base = steps[0].inputs[2].ext.shape
-        # step 0 consumes the last list element
         seq = tuple(s.inputs[1].ext.shape for s in reversed(steps))
-        keys.append((h, base, seq))
-    missing = unpinned_suffixes(keys)
-    if missing:
-        raise Ungroundable(
-            f"no example pins the intermediate for {show_trace_key(missing[0])}"
-        )
+        traces.append(((h, base, seq), steps))
+    return traces
 
-    full: dict[tuple, ShapeValue] = {}
-    for key, steps in zip(keys, chains):
+
+def _pinned(traces: list[Trace]) -> dict[TraceKey, ShapeValue]:
+    """The output shape of each full example, by trace key. Raises
+    ExampleConflict when two examples with one key disagree."""
+    full: dict[TraceKey, ShapeValue] = {}
+    for key, steps in traces:
         out = steps[-1].output.ext.shape
         prior = full.get(key)
         if prior is not None and prior != out:
-            raise ShapeConflict(
+            raise ExampleConflict(
                 f"two examples with equal input shapes produce shapes "
                 f"{show_shape(prior)} and {show_shape(out)}"
             )
         full[key] = out
+    return full
 
+
+def resolve_intermediate_shapes(
+    cs: ConstraintSet, completion: Mapping[TraceKey, ShapeValue] | None = None
+) -> dict[int, ShapeValue]:
+    """Pin each trace intermediate to the output shape of the example whose
+    full input matches the corresponding suffix, or to the shape that
+    `completion` guesses for a suffix no example pins. Raises Ungroundable
+    when a suffix is pinned by neither (`unpinned_suffixes`)."""
+    if cs.unknown_count == 0:
+        return {}
+    traces = _traces(cs)
+    completion = completion or {}
+    missing = [
+        key for key in unpinned_suffixes([key for key, _ in traces])
+        if key not in completion
+    ]
+    if missing:
+        raise Ungroundable(
+            f"no example pins the intermediate for {show_trace_key(missing[0])}",
+            missing,
+        )
+
+    full = {**_pinned(traces), **completion}
     resolved: dict[int, ShapeValue] = {}
-    for (h, base, seq), steps in zip(keys, chains):
+    for (h, base, seq), steps in traces:
         n = len(seq)
         for k in range(1, n):
             resolved[steps[k - 1].output.uid] = full[(h, base, seq[n - k :])]
     return resolved
 
 
-def ground(cs: ConstraintSet) -> GroundInstance:
-    """Resolve intermediate shapes and check the shape morphism is a function."""
-    inter_shapes = resolve_intermediate_shapes(cs)
+def ground(
+    cs: ConstraintSet, completion: Mapping[TraceKey, ShapeValue] | None = None
+) -> GroundInstance:
+    """Resolve intermediate shapes, the unpinned ones from `completion`, and
+    check the shape morphism is a function."""
+    inter_shapes = resolve_intermediate_shapes(cs, completion)
     part_schemas = [flatten_shape(f) for f in cs.input_parts]
     out_functor = cs.output_functor
 
@@ -164,8 +213,7 @@ def ground(cs: ConstraintSet) -> GroundInstance:
         if forced is not None and forced != out_shape:
             raise ShapeConflict(
                 f"input shape {key} maps to both {show_shape(forced)} and "
-                f"{show_shape(out_shape)}",
-                resolved=inter_shapes,
+                f"{show_shape(out_shape)}"
             )
         shape_map[key] = out_shape
 
@@ -187,15 +235,15 @@ def ground(cs: ConstraintSet) -> GroundInstance:
 
 class _Unifier:
     """Union-find over element terms with literal tags and an undo trail.
-    Each call to `unify` is one step of the search; going past `max_steps`
-    raises BoundExceeded."""
+    Each call to `unify` is one step of the search; going past `limit`
+    steps raises BoundExceeded."""
 
-    def __init__(self, max_steps: int | None = None):
+    def __init__(self, limit: float):
         self.parent: dict = {}
         self.lit: dict = {}
         self.trail: list = []
         self.steps = 0
-        self.limit = float("inf") if max_steps is None else max_steps
+        self.limit = limit
 
     def find(self, node):
         while node in self.parent:
@@ -246,8 +294,14 @@ class _Unifier:
         return self.lit.get(self.find(node))
 
 
-def oracle_check(gi: GroundInstance, bounds: OracleBounds = OracleBounds()) -> Verdict:
-    """Decide a ground instance by exhaustive position assignment."""
+def oracle_check(
+    gi: GroundInstance,
+    bounds: OracleBounds = OracleBounds(),
+    budget: StepBudget | None = None,
+) -> Verdict:
+    """Decide a ground instance by exhaustive position assignment, spending
+    one step of `budget` per call to the unifier; with no budget the search
+    is exhaustive."""
     by_key: dict[tuple[int, ...], list[GroundConstraint]] = {}
     for c in gi.constraints:
         by_key.setdefault(c.key, []).append(c)
@@ -271,7 +325,7 @@ def oracle_check(gi: GroundInstance, bounds: OracleBounds = OracleBounds()) -> V
         for key in sorted(by_key)
         for q in range(len(by_key[key][0].out_terms))
     ]
-    uf = _Unifier(bounds.max_steps)
+    uf = _Unifier(float("inf") if budget is None else budget.left)
     assignment: dict[tuple[tuple[int, ...], int], int] = {}
 
     def assign(idx: int) -> bool:
@@ -290,7 +344,12 @@ def oracle_check(gi: GroundInstance, bounds: OracleBounds = OracleBounds()) -> V
             uf.rollback(mark)
         return False
 
-    if not assign(0):
+    try:
+        found = assign(0)
+    finally:
+        if budget is not None:
+            budget.left -= uf.steps
+    if not found:
         return Unrealizable()
 
     out_schema = flatten_shape(gi.output_functor)
@@ -315,10 +374,162 @@ def oracle_check(gi: GroundInstance, bounds: OracleBounds = OracleBounds()) -> V
     return Realizable(summary)
 
 
-def oracle_decide(cs: ConstraintSet, bounds: OracleBounds = OracleBounds()) -> Verdict:
+def oracle_decide(
+    cs: ConstraintSet,
+    bounds: OracleBounds = OracleBounds(),
+    budget: StepBudget | None = None,
+) -> Verdict:
     """Ground then check; a shape conflict is already an unrealizability proof."""
     try:
         gi = ground(cs)
     except ShapeConflict as e:
         return Unrealizable(str(e))
-    return oracle_check(gi, bounds)
+    return oracle_check(gi, bounds, budget)
+
+
+# ---------------------------------------------------------------------------
+# Completions: guessed shapes for the intermediates no example pins
+
+# Lengths tried for a list slot of an unpinned intermediate.
+COMPLETION_LENGTHS = range(5)
+
+
+def candidate_shapes(cs: ConstraintSet) -> tuple[list[ShapeValue], bool]:
+    """The result shapes to try for an unpinned intermediate, and whether
+    they are all the shapes there are. A list slot takes the lengths
+    COMPLETION_LENGTHS, a bool slot 0 and 1, and an int slot every value it
+    holds in a known base or output, and each of those ±1. So the candidates
+    cover the whole shape space exactly when every slot is bool."""
+    schema = flatten_shape(cs.output_functor)
+    seen: list[set[int]] = [set() for _ in schema.slots]
+    if any(slot.kind == "int" for slot in schema.slots):
+        for c in cs.constraints:
+            for part in (c.inputs[-1], c.output):
+                if isinstance(part, Known):
+                    for values, v in zip(seen, schema.encode_shape(part.ext.shape)):
+                        values.add(v)
+    ranges = []
+    for slot, values in zip(schema.slots, seen):
+        if slot.kind == "nat":
+            ranges.append(COMPLETION_LENGTHS)
+        elif slot.kind == "bool":
+            ranges.append((0, 1))
+        else:
+            ranges.append(sorted({v + d for v in values for d in (-1, 0, 1)}))
+    shapes = [schema.decode_slots(v) for v in product(*ranges) if schema.refines(v)]
+    return shapes, all(slot.kind == "bool" for slot in schema.slots)
+
+
+def consistent_completions(
+    cs: ConstraintSet,
+    missing: list[TraceKey],
+    shapes: list[ShapeValue],
+    budget: StepBudget,
+) -> Iterator[dict[TraceKey, ShapeValue]]:
+    """Every completion of `missing` from `shapes` under which the shape
+    morphism stays a function: every one that `ground` accepts. Raises
+    ExampleConflict, which no completion mends, before the first.
+
+    A suffix s = (h, base, [e, *rest]) ties its shape to that of its tail
+    (h, base, rest): the morphism maps (h, e, shape of tail) to the shape
+    of s. The shortest unpinned suffixes are guessed first, each tie is
+    checked as soon as both its shapes are fixed, and a guess that clashes
+    is not extended. Each tie checked spends one step of `budget`.
+    """
+    pinned = _pinned(_traces(cs))
+    shape = dict(pinned)
+    order = sorted(missing, key=lambda key: len(key[2]))
+    level = {key: i for i, key in enumerate(order)}
+    ties: dict[TraceKey, TraceKey] = {}
+    for h, base, seq in pinned:
+        shape[(h, base, ())] = base
+        for i in range(len(seq)):
+            ties[(h, base, seq[i:])] = (h, base, seq[i + 1 :])
+    # the ties whose later shape is guessed at each level; -1: none guessed
+    checks: dict[int, list[tuple[TraceKey, TraceKey]]] = {}
+    for s, tail in ties.items():
+        at = max(level.get(s, -1), level.get(tail, -1))
+        checks.setdefault(at, []).append((s, tail))
+
+    table: dict[tuple, ShapeValue] = {}  # (h, e, shape of tail) -> shape of s
+
+    def fix(level_ties: list[tuple[TraceKey, TraceKey]]) -> list | None:
+        """Enter ties into `table` and return the entries added; on a clash
+        remove them again and return None."""
+        budget.spend(len(level_ties))
+        added = []
+        for s, tail in level_ties:
+            arg = (s[0], s[2][0], shape[tail])
+            if arg not in table:
+                table[arg] = shape[s]
+                added.append(arg)
+            elif table[arg] != shape[s]:
+                for a in added:
+                    del table[a]
+                return None
+        return added
+
+    if fix(checks.get(-1, [])) is None:
+        return
+    choice = [-1] * len(order)  # index into `shapes` of the guess at each level
+    undo: list[list] = [[] for _ in order]
+    i = 0
+    while i >= 0:
+        for arg in undo[i]:
+            del table[arg]
+        undo[i] = []
+        choice[i] += 1
+        if choice[i] == len(shapes):
+            choice[i] = -1
+            i -= 1
+            continue
+        shape[order[i]] = shapes[choice[i]]
+        added = fix(checks.get(i, []))
+        if added is None:
+            continue
+        undo[i] = added
+        if i + 1 < len(order):
+            i += 1
+        else:
+            yield {key: shape[key] for key in order}
+
+
+def oracle_complete(
+    cs: ConstraintSet,
+    missing: list[TraceKey],
+    bounds: OracleBounds,
+    budget: StepBudget,
+) -> Verdict | None:
+    """Decide a shape-incomplete set without a solver where that is sound,
+    else return None. `missing` lists its unpinned suffixes (`Ungroundable`).
+
+    Each completion gives every unpinned suffix one of the
+    `candidate_shapes`; the shape-consistent ones (`consistent_completions`)
+    are grounded and searched in turn. A grounding spends one step per
+    constraint and one per ground term it builds, and every search spends
+    its unifier calls, all from `budget`. The verdict is
+    - Realizable with the first witness found, for the caller to replay;
+    - Unrealizable for a conflict among full examples, or when every
+      completion is refuted and the completions cover every shape the
+      unpinned intermediates can take, as they do when every result slot
+      is bool;
+    - None when SMT must decide: the budget ran out, a search went past
+      `bounds`, or the candidates do not cover the shape space.
+    """
+    shapes, covered = candidate_shapes(cs)
+    detail = "every completion has a shape conflict"
+    try:
+        for completion in consistent_completions(cs, missing, shapes, budget):
+            gi = ground(cs, completion)
+            budget.spend(
+                sum(1 + len(c.in_terms) + len(c.out_terms) for c in gi.constraints)
+            )
+            verdict = oracle_check(gi, bounds, budget)
+            if isinstance(verdict, Realizable):
+                return verdict
+            detail = verdict.detail
+    except ExampleConflict as e:
+        return Unrealizable(str(e))
+    except BoundExceeded:
+        return None
+    return Unrealizable(detail) if covered else None

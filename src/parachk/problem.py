@@ -105,9 +105,6 @@ class AtomTable:
     def size(self) -> int:
         return len(self.labels)
 
-    def code_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def label_of(self, code: int) -> str:
         if 0 <= code < len(self.labels):
             return self.labels[code]
@@ -405,6 +402,14 @@ def value_to_json(v: Value):
 
 
 def parse_problem(text: str) -> Problem:
+    # reading, validating and interning all recurse on nesting
+    try:
+        return _parse_problem(text)
+    except RecursionError:
+        raise ParseError("the problem file is nested too deeply") from None
+
+
+def _parse_problem(text: str) -> Problem:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -425,6 +430,9 @@ def parse_problem(text: str) -> Problem:
     for key in ("element", "result"):
         if key not in sig_doc:
             raise ParseError(f"signature: missing field {key!r}")
+    for key, f in sig_doc.items():
+        if not isinstance(f, str):
+            raise ParseError(f"signature: {key!r} is a functor string, not {f!r}")
     extra_f = parse_functor(sig_doc["extra"]) if "extra" in sig_doc else UNIT
     signature = Signature(
         extra=extra_f,

@@ -13,12 +13,10 @@ last list element and the given base value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .functors import (
     Extension,
     FunctorExpr,
-    ProdOf,
     ShapeSchema,
     ShapeValue,
     flatten_shape,
@@ -64,11 +62,6 @@ class ConstraintSet:
     constraints: tuple[MorphismConstraint, ...]
     unknown_count: int
     atoms: AtomTable
-
-    @property
-    def input_functor(self) -> FunctorExpr:
-        """The morphism domain as a single right-nested product."""
-        return reduce(lambda acc, f: ProdOf(f, acc), reversed(self.input_parts))
 
 
 def propagate(p: Problem) -> ConstraintSet:

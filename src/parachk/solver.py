@@ -2,13 +2,23 @@
 and reading its results.
 
 `check` propagates the examples first; a conflict visible there is already
-the verdict. Every other set goes to the brute-force oracle
-(`oracle.ground` + `oracle_check`) within ORACLE_MAX_STEPS unification
-steps, with no script and no process. Grounding raises Ungroundable exactly
-when the set is not shape complete; the SMT path decides those sets, and
-also a shape-complete one whose search goes past the oracle's bounds or
-whose witness fails replay. `backend="smt"` always takes the SMT path, so
-the oracle can be cross-checked against it.
+the verdict. Every other set goes to the brute-force oracle with a budget
+of ORACLE_MAX_STEPS steps, with no script and no process. A shape-complete
+set is grounded and searched once (`oracle_verdict`). A shape-incomplete
+set, where grounding raises Ungroundable, is searched once per completion
+(`oracle.oracle_complete`): a guess of a small shape (lists of length 0..4,
+both values of a bool, observed ints ±1) for every fold intermediate no
+example pins. Guesses are made shortest suffix first, and one that makes
+the shape morphism a non-function is never extended or grounded. Checking
+a guess, grounding and unifying all spend steps of the one budget. A
+replayed witness of any completion is Realizable. Unrealizable needs no
+solver only where it is sound for every shape: a shape conflict among full
+examples, or every completion refuted when every result slot is bool, so
+the guesses covered the whole shape space. The SMT path decides everything
+else: a set no completion settles, and a search that goes past the
+oracle's bounds or budget or proposes a witness that fails replay.
+`backend="smt"` always takes the SMT path, so the oracle can be
+cross-checked against it.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -39,7 +49,14 @@ from dataclasses import dataclass, field
 
 from .encode import SmtScript, encode, shrink_assertions
 from .functors import Atom, Extension, ShapeMismatch, flatten_shape
-from .oracle import BoundExceeded, OracleBounds, Ungroundable, oracle_decide
+from .oracle import (
+    BoundExceeded,
+    OracleBounds,
+    StepBudget,
+    Ungroundable,
+    oracle_complete,
+    oracle_decide,
+)
 from .problem import Problem
 from .propagate import ConstraintSet, PropagationUnrealizable, Unknown, propagate
 from .verdict import (
@@ -450,14 +467,23 @@ def interpret(raw: RawResult, cs: ConstraintSet) -> Verdict:
     return Realizable(summary)
 
 
-def oracle_verdict(cs: ConstraintSet, bounds: OracleBounds = OracleBounds()) -> Verdict:
-    """The oracle's verdict, with a Realizable witness replayed like a
-    solver's: one that fails replay gives Unknown. Raises Ungroundable when
-    the set is not shape complete and BoundExceeded past `bounds`."""
-    verdict = oracle_decide(cs, bounds)
+def replay_gate(cs: ConstraintSet, verdict: Verdict | None) -> Verdict | None:
+    """`verdict`, except that a Realizable witness that fails replay gives
+    Unknown, as a solver's does."""
     if isinstance(verdict, Realizable) and not validate_summary(cs, verdict.witness):
         return UnknownVerdict("witness-validation-failed")
     return verdict
+
+
+def oracle_verdict(
+    cs: ConstraintSet,
+    bounds: OracleBounds = OracleBounds(),
+    budget: StepBudget | None = None,
+) -> Verdict:
+    """The oracle's verdict, through `replay_gate`. Raises Ungroundable when
+    the set is not shape complete and BoundExceeded past `bounds` or
+    `budget`."""
+    return replay_gate(cs, oracle_decide(cs, bounds, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +502,10 @@ class CheckReport:
     verdict: Verdict
     total_ms: float
     solver_ms: float
-    # which path decided: "fast-path" (propagation), "oracle", "smt", or
-    # "smt+shrink" (a second, shrink-bounded script ran after `sat`)
+    # which path decided: "fast-path" (propagation), "oracle" (a
+    # shape-complete set), "oracle+completion" (a shape-incomplete set
+    # settled by guessed intermediate shapes), "smt", or "smt+shrink" (a
+    # second, shrink-bounded script ran after `sat`)
     path: str = "smt"
 
 
@@ -488,8 +516,9 @@ def check(
 ) -> CheckReport:
     """Propagate, then decide. Unrealizability that is already visible
     during propagation needs no further work. With backend "auto", the
-    oracle decides a shape-complete set, and SMT (encode, solve, shrink,
-    extract, replay) decides the rest and whatever the oracle hands back;
+    oracle decides a shape-complete set and every shape-incomplete set that
+    its completions settle (`oracle.oracle_complete`), and SMT (encode, solve,
+    shrink, extract, replay) decides whatever the oracle hands back;
     backend "smt" always takes the SMT path."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
@@ -500,13 +529,18 @@ def check(
         total = (time.perf_counter() - start) * 1000.0
         return CheckReport(Unrealizable(e.reason), total, 0.0, path="fast-path")
     if backend == "auto":
+        bounds, budget = OracleBounds(), StepBudget(ORACLE_MAX_STEPS)
+        path = "oracle"
         try:
-            verdict = oracle_verdict(cs, OracleBounds(max_steps=ORACLE_MAX_STEPS))
-        except (Ungroundable, BoundExceeded):
-            verdict = None  # not shape complete, or past the bounds
+            verdict = oracle_verdict(cs, bounds, budget)
+        except Ungroundable as e:
+            path = "oracle+completion"
+            verdict = replay_gate(cs, oracle_complete(cs, e.missing, bounds, budget))
+        except BoundExceeded:
+            verdict = None  # past the bounds or the budget
         if isinstance(verdict, (Realizable, Unrealizable)):
             total = (time.perf_counter() - start) * 1000.0
-            return CheckReport(verdict, total, 0.0, path="oracle")
+            return CheckReport(verdict, total, 0.0, path)
     cfg = cfg or SolverConfig()
     path = "smt"
     script = encode(cs)

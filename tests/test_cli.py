@@ -52,6 +52,20 @@ def test_check_missing_file_exit_three(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bad_problem_files_exit_three(capsys, tmp_path):
+    nested = '{"just": ' * 3_000 + '{"atom": "a"}' + "}" * 3_000
+    texts = {
+        "functor.json": '{"name": "x", "signature": {"element": 5, "result": "Id"}, '
+        '"sketch": "raw", "examples": [{"inputs": [{"atom": "a"}], "output": {"atom": "a"}}]}',
+        "nested.json": nested,
+    }
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_emit_smt_deterministic(capsys):
     assert main(["emit-smt", f"{PROBLEMS}/atom_swap_raw.json"]) == 0
     first = capsys.readouterr().out

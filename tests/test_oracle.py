@@ -1,5 +1,6 @@
 """The brute-force oracle: grounding, conflicts, search, witnesses."""
 
+import itertools
 import random
 
 import pytest
@@ -17,19 +18,26 @@ from parachk import (
     Unrealizable,
     atom,
     build_problem,
+    corpus,
     ground,
     oracle_check,
     oracle_decide,
     propagate,
+    show_shape,
     validate_summary,
     verdict_name,
 )
 from parachk.oracle import (
     OracleBounds,
     ShapeConflict,
+    StepBudget,
     Ungroundable,
+    candidate_shapes,
+    consistent_completions,
+    oracle_complete,
     resolve_intermediate_shapes,
 )
+from parachk import oracle
 from parachk.functors import size_of
 
 import support
@@ -202,17 +210,17 @@ def _reverse():
 def test_step_budget(make):
     gi = ground(propagate(make()))
     exhaustive = oracle_check(gi)
-    assert oracle_check(gi, OracleBounds(max_steps=None)) == exhaustive
-    # the smallest budget the search fits in gives the exhaustive verdict;
-    # every smaller one raises
-    budget = 1
+    # the smallest budget the search fits in gives the exhaustive verdict
+    # and is spent to the last step; every smaller one raises
+    steps = 1
     while True:
+        budget = StepBudget(steps)
         try:
-            verdict = oracle_check(gi, OracleBounds(max_steps=budget))
+            verdict = oracle_check(gi, budget=budget)
             break
         except BoundExceeded:
-            budget += 1
-    assert budget > 1 and verdict == exhaustive
+            steps += 1
+    assert steps > 1 and verdict == exhaustive and budget.left == 0
 
 
 def test_determinism():
@@ -237,3 +245,76 @@ def test_oracle_witnesses_validate():
             assert validate_summary(cs, verdict.witness)
             checked += 1
     assert checked >= 10
+
+
+def test_candidate_shapes_cover_bool_schemas_only():
+    entries = {e.name: e for e in corpus()}
+
+    def candidates(name):
+        shapes, covered = candidate_shapes(propagate(entries[name].problem_si))
+        return [show_shape(s) for s in shapes], covered
+
+    assert candidates("null") == (["F", "T"], True)
+    assert candidates("head") == (["N", "J*"], True)
+    assert candidates("reverse") == (["[]", "[*]", "[*,*]", "[*,*,*]", "[*,*,*,*]"], False)
+    # length's SI outputs are 3 and 2, its base 0: each value and its neighbours
+    assert candidates("length") == ([str(n) for n in range(-1, 5)], False)
+
+
+def test_consistent_completions_are_those_ground_accepts():
+    # pruning by suffix length must drop exactly the completions whose
+    # grounding has a shape conflict
+    rng = random.Random(7)
+    compared = 0
+    while compared < 25:
+        p = support.random_foldr_problem(rng)
+        kept = [(e.extra, e.inputs, e.output, e.base) for e in p.examples if rng.random() < 0.5]
+        if not kept:
+            continue
+        cs = propagate(build_problem(p.name, p.signature, p.sketch, kept))
+        try:
+            ground(cs)
+            continue
+        except (Ungroundable, ShapeConflict) as e:
+            missing = getattr(e, "missing", None)
+        shapes, _ = candidate_shapes(cs)
+        if missing is None or len(shapes) ** len(missing) > 3000:
+            continue
+        accepted = []
+        for combo in itertools.product(shapes, repeat=len(missing)):
+            completion = dict(zip(missing, combo))
+            try:
+                ground(cs, completion)
+                accepted.append(completion)
+            except ShapeConflict:
+                pass
+        try:
+            found = list(consistent_completions(cs, missing, shapes, StepBudget(10**9)))
+        except ShapeConflict:
+            found = []
+        key = lambda c: sorted(map(repr, c.items()))
+        assert sorted(map(key, found)) == sorted(map(key, accepted))
+        compared += 1
+
+
+def test_guesses_and_groundings_spend_the_budget(monkeypatch):
+    # with searches that cost nothing, the groundings alone must still
+    # spend the budget: the 58 shape-consistent completions of one
+    # 8-element trace cost at least 58 * 8 steps
+    monkeypatch.setattr(oracle, "oracle_check", lambda gi, bounds, budget: Unrealizable())
+    xs = [atom(f"x{i}") for i in range(8)]
+    p = build_problem(
+        "open-keys", tail_sig(), SketchKind.FOLDR, [(UnitV(), xs, lst(atom("z")), lst())]
+    )
+    cs = propagate(p)
+    with pytest.raises(Ungroundable) as err:
+        ground(cs)
+    shapes, _ = candidate_shapes(cs)
+    guessing = StepBudget(10**9)
+    assert len(list(consistent_completions(cs, err.value.missing, shapes, guessing))) == 58
+    budget = StepBudget(10**9)
+    assert oracle_complete(cs, err.value.missing, OracleBounds(), budget) is None
+    assert guessing.left - budget.left >= 58 * len(cs.constraints)
+    # guessing alone spends steps too
+    with pytest.raises(BoundExceeded):
+        list(consistent_completions(cs, err.value.missing, shapes, StepBudget(100)))

@@ -1,5 +1,7 @@
 """Problem files: parsing, validation, interning, canonical serialization."""
 
+import json
+
 import pytest
 
 from parachk import (
@@ -82,6 +84,32 @@ def test_unknown_fields_rejected():
         parse_problem('{"name": "x", "signature": {"element": "Id", "result": "Id", "bogus": "Id"}, "sketch": "raw", "examples": [{"inputs": [{"atom": "a"}], "output": {"atom": "a"}}]}')
     with pytest.raises(ParseError):
         parse_problem('{"name": "x", "signature": {"element": "Id", "result": "Id"}, "sketch": "raw", "examples": [{"inputs": [{"watom": "a"}], "output": {"atom": "a"}}]}')
+
+
+@pytest.mark.parametrize("field", ["extra", "element", "result"])
+def test_non_string_functor_rejected(field):
+    signature = {"element": "Id", "result": "Id", field: 5}
+    doc = {
+        "name": "x",
+        "signature": signature,
+        "sketch": "raw",
+        "examples": [{"inputs": [{"atom": "a"}], "output": {"atom": "a"}}],
+    }
+    with pytest.raises(ParseError, match=f"'{field}' is a functor string"):
+        parse_problem(json.dumps(doc))
+
+
+@pytest.mark.parametrize("depth", [990, 3_000, 100_000])
+def test_deep_nesting_is_a_parse_error(depth):
+    value = '{"just": ' * depth + '{"atom": "a"}' + "}" * depth
+    text = (
+        '{"name": "x", "signature": {"element": "Id", "result": "Id"}, '
+        '"sketch": "raw", "examples": [{"inputs": [{"atom": "a"}], "output": '
+        + value
+        + "}]}"
+    )
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_problem(text)
 
 
 def test_type_error_names_example_and_field():

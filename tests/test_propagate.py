@@ -212,26 +212,50 @@ def test_shape_complete_distinguishes_extra_shapes():
     assert not rep.complete and "extra 1" in rep.missing[0]
 
 
-def _requirements(p):
-    """Independent recomputation: every (extra shape, nonempty proper input
-    shape suffix) some example of p demands."""
-    from parachk import shape_of, show_shape
+def _trace_key(p, ex):
+    from parachk import show_shape
 
+    sig = p.signature
+    return (
+        show_shape(shape_of(sig.extra, ex.extra)),
+        show_shape(shape_of(sig.result, ex.base)),
+        tuple(show_shape(shape_of(sig.element, v)) for v in ex.inputs),
+    )
+
+
+def _requirements(p):
+    """Independent recomputation: every (extra shape, base shape, nonempty
+    proper input shape suffix) some example of p demands."""
     out = set()
     for ex in p.examples:
-        h = show_shape(shape_of(p.signature.extra, ex.extra))
-        seq = [show_shape(shape_of(p.signature.element, v)) for v in ex.inputs]
+        h, base, seq = _trace_key(p, ex)
         for k in range(1, len(seq)):
-            out.add((h, tuple(seq[len(seq) - k :])))
+            out.add((h, base, seq[len(seq) - k :]))
     return out
+
+
+def _supplied(p, requirement):
+    """Some example of p is the trace the requirement names."""
+    return any(_trace_key(p, ex) == requirement for ex in p.examples)
+
+
+def _show(requirement):
+    h, base, seq = requirement
+    return f"extra {h}, base {base}, inputs [" + ", ".join(seq) + "]"
 
 
 def test_deleting_example_never_fixes_remaining_requirements():
     # once a requirement of a surviving example is missing, deleting more
     # examples can only remove suppliers, never resurrect it
     rng = random.Random(13)
-    for _ in range(15):
+    several_bases = 0
+    for _ in range(20):
         p = support.random_foldr_problem(rng)
+        examples = [(e.extra, e.inputs, e.output, e.base) for e in p.examples]
+        tower = _rebased_tower(rng, p, examples)
+        if tower:
+            p = build_problem(p.name, p.signature, p.sketch, examples + tower)
+        several_bases += len({_trace_key(p, ex)[1] for ex in p.examples}) > 1
 
         def subset(prob, skip):
             exs = [
@@ -248,6 +272,8 @@ def test_deleting_example_never_fixes_remaining_requirements():
             missing_q = {
                 m for m in _requirements(q) if not _supplied(q, m)
             }
+            # the model is the rule `shape_complete` applies
+            assert {_show(m) for m in missing_q} == set(shape_complete(q).missing)
             for k in range(len(q.examples)):
                 r = subset(q, k)
                 if r is None:
@@ -255,18 +281,7 @@ def test_deleting_example_never_fixes_remaining_requirements():
                 still_required = _requirements(r)
                 for m in missing_q & still_required:
                     assert not _supplied(r, m)
-
-
-def _supplied(p, requirement):
-    from parachk import shape_of, show_shape
-
-    h, suffix = requirement
-    for ex in p.examples:
-        eh = show_shape(shape_of(p.signature.extra, ex.extra))
-        seq = tuple(show_shape(shape_of(p.signature.element, v)) for v in ex.inputs)
-        if (eh, seq) == (h, suffix):
-            return True
-    return False
+    assert several_bases >= 5
 
 
 def test_raw_and_map_trivially_complete():

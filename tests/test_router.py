@@ -1,18 +1,25 @@
 """The engine router inside `check`: shape-complete sets are decided by the
-oracle without a solver; the rest, and whatever the oracle cannot settle,
-go to SMT. The solver here is a stub that fails when it is spawned, so a
-check that returns proves no process ran, and a SolverError proves the SMT
-path was taken."""
+oracle without a solver, and so are the shape-incomplete sets that a guess
+of small intermediate shapes settles; the rest, and whatever the oracle
+cannot settle, go to SMT. The solver here is a stub that fails when it is
+spawned, so a check that returns proves no process ran, and a SolverError
+proves the SMT path was taken."""
 
 import os
+import random
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parachk import (
+    Atom,
+    Extension,
     ID,
     ListOf,
     ListV,
+    MaybeOf,
     Realizable,
     Signature,
     SketchKind,
@@ -25,13 +32,18 @@ from parachk import (
     atom,
     build_problem,
     check,
+    corpus,
+    from_extension,
     ground,
     load_problem,
     propagate,
     shape_complete,
+    to_extension,
     validate_summary,
 )
-from parachk import solver
+from parachk import oracle, solver
+
+import support
 
 PROBLEMS = "problems"
 
@@ -48,6 +60,14 @@ def no_spawn(tmp_path) -> SolverConfig:
 def assert_spawns(problem, cfg, backend="auto"):
     with pytest.raises(SolverError, match="spawned"):
         check(problem, cfg, backend=backend)
+
+
+def assert_completed(problem, cfg):
+    """Decided in-process with guessed intermediate shapes, and replayed."""
+    report = check(problem, cfg)
+    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+    assert isinstance(report.verdict, Realizable)
+    assert validate_summary(propagate(problem), report.verdict.witness)
 
 
 @pytest.mark.parametrize(
@@ -94,7 +114,161 @@ def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
     with pytest.raises(Ungroundable) as err:
         ground(propagate(p))
     assert str(err.value).endswith(report.missing[0])
+    assert_completed(p, no_spawn)
+
+
+ENTRIES = {e.name: e for e in corpus()}
+
+
+@pytest.mark.parametrize("name", [n for n, e in ENTRIES.items() if e.expected_fold])
+def test_realizable_incomplete_corpus_sets_are_completed(no_spawn, name):
+    assert not shape_complete(ENTRIES[name].problem_si).complete
+    assert_completed(ENTRIES[name].problem_si, no_spawn)
+
+
+def test_incomplete_set_with_bool_slots_only_is_refuted_without_a_solver(no_spawn):
+    # index: the result Maybe(Id) has the shapes N and J* only, so the
+    # completions cover every shape an unpinned intermediate can take
+    problem = ENTRIES["index"].problem_si
+    assert problem.signature.result == MaybeOf(ID)
+    report = check(problem, no_spawn)
+    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+    assert isinstance(report.verdict, Unrealizable)
+
+
+@pytest.mark.parametrize("name", ["tail", "init", "drop"])
+def test_unrealizable_incomplete_sets_with_list_slots_go_to_smt(no_spawn, name):
+    # every small completion is refuted, but a longer intermediate might not be
+    assert_spawns(ENTRIES[name].problem_si, no_spawn)
+
+
+def test_intermediate_longer_than_every_candidate_goes_to_smt(no_spawn):
+    # reverse with the length-5 example left out: the fold of [b,c,d,e,f]
+    # must hold five atoms, one more than the longest candidate, so no
+    # completion is realizable, yet the set is
+    xs = [atom(x) for x in "abcdef"]
+    examples = [
+        (UnitV(), xs[-n:], ListV(tuple(reversed(xs[-n:]))), ListV(()))
+        for n in (1, 2, 3, 4, 6)
+    ]
+    p = build_problem("reverse-gap", Signature(UNIT, ID, ListOf(ID)), SketchKind.FOLDR, examples)
+    assert shape_complete(p).missing == ("extra (), base [], inputs [*, *, *, *, *]",)
     assert_spawns(p, no_spawn)
+
+
+def test_conflict_among_full_examples_needs_no_completion(no_spawn):
+    # [a,b] and [c,d] have one input shape but outputs of two shapes; the
+    # suffix [*] is unpinned and its result has a list slot
+    p = build_problem(
+        "full-conflict",
+        Signature(UNIT, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (UnitV(), [atom("a"), atom("b")], ListV((atom("b"),)), ListV(())),
+            (UnitV(), [atom("c"), atom("d")], ListV(()), ListV(())),
+        ],
+    )
+    assert not shape_complete(p).complete
+    report = check(p, no_spawn)
+    assert report.path == "oracle+completion"
+    assert isinstance(report.verdict, Unrealizable)
+    assert "two examples with equal input shapes" in report.verdict.detail
+
+
+@pytest.fixture
+def groundings(monkeypatch) -> list:
+    """The completion of every call `check` makes to `oracle.ground`."""
+    seen = []
+    real_ground = oracle.ground
+
+    def counting_ground(cs, completion=None):
+        seen.append(completion)
+        return real_ground(cs, completion)
+
+    monkeypatch.setattr(oracle, "ground", counting_ground)
+    return seen
+
+
+def test_many_open_keys_go_to_smt_within_the_budget(no_spawn, groundings):
+    # one 8-element trace leaves 7 suffixes unpinned (5**7 completions, 58
+    # of them shape consistent), and the atom z comes from nowhere, so no
+    # completion is realizable
+    xs = [atom(f"x{i}") for i in range(8)]
+    p = build_problem(
+        "open-keys",
+        Signature(UNIT, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [(UnitV(), xs, ListV((atom("z"),)), ListV(()))],
+    )
+    assert len(shape_complete(p).missing) == 7
+    assert_spawns(p, no_spawn)
+    # only shape-consistent completions are grounded (a shape conflict in
+    # one would escape `check`), and their searches spend the budget
+    # after a few
+    assert 1 <= len(groundings) <= 16
+
+
+def test_clash_among_pinned_shapes_grounds_no_completion(no_spawn, groundings):
+    # [z], [y,z] and [x,y,z] make the morphism map the input shape
+    # (*, *, [*]) to both [*] and [*,*,*], whatever is guessed; the trace
+    # from extra f and base [w] leaves its suffix [*] unpinned
+    e, f = atom("e"), atom("f")
+    p = build_problem(
+        "pinned-clash",
+        Signature(ID, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (e, [atom("z")], ListV((atom("z"),)), ListV(())),
+            (e, [atom("y"), atom("z")], ListV((atom("y"),)), ListV(())),
+            (e, [atom("x"), atom("y"), atom("z")], ListV((atom("x"),) * 3), ListV(())),
+            (f, [atom("a"), atom("b")], ListV((atom("w"),)), ListV((atom("w"),))),
+        ],
+    )
+    assert shape_complete(p).missing == ("extra *, base [*], inputs [*]",)
+    assert_spawns(p, no_spawn)
+    assert groundings == [None]
+
+
+def _from_nowhere(p):
+    """p with one output atom of a nonempty example replaced by an atom
+    that occurs nowhere in p; None when those outputs carry no atom."""
+    examples = [[e.extra, e.inputs, e.output, e.base] for e in p.examples]
+    for ex in examples:
+        out = to_extension(p.signature.result, ex[2])
+        if ex[1] and out.elements:
+            elems = (Atom(-1, "nowhere"), *out.elements[1:])
+            ex[2] = from_extension(Extension(out.functor, out.shape, elems))
+            return build_problem(p.name + "-nowhere", p.signature, p.sketch, examples)
+    return None
+
+
+# a command that cannot be spawned: the SMT path raises before any process
+NO_SOLVER = SolverConfig(solver_command="/nonexistent/parachk-test-solver")
+
+
+def _auto_verdict(problem):
+    """The verdict of `check` under auto, or None when it went to SMT."""
+    try:
+        return check(problem, NO_SOLVER).verdict
+    except SolverError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_completion_never_contradicts_construction(seed):
+    """A set realizable by construction, with examples dropped, is never
+    Unrealizable under auto; its copy with an element from nowhere is never
+    Realizable."""
+    rng = random.Random(seed)
+    p = support.random_foldr_problem(rng)
+    examples = [(e.extra, e.inputs, e.output, e.base) for e in p.examples]
+    kept = [ex for ex in examples if rng.random() < 0.5] or examples[-1:]
+    q = build_problem(p.name, p.signature, p.sketch, kept)
+    assert not isinstance(_auto_verdict(q), Unrealizable)
+    r = _from_nowhere(q)
+    if r is not None:
+        assert not isinstance(_auto_verdict(r), Realizable)
 
 
 def test_set_over_the_oracle_bounds_goes_to_smt(no_spawn):
@@ -117,6 +291,11 @@ def test_step_budget_hands_the_set_to_smt(no_spawn, monkeypatch):
 def test_rejected_oracle_witness_goes_to_smt(no_spawn, monkeypatch):
     monkeypatch.setattr(solver, "validate_summary", lambda cs, summary: False)
     assert_spawns(load_problem(f"{PROBLEMS}/reverse_as_foldr.json"), no_spawn)
+
+
+def test_rejected_completion_witness_goes_to_smt(no_spawn, monkeypatch):
+    monkeypatch.setattr(solver, "validate_summary", lambda cs, summary: False)
+    assert_spawns(ENTRIES["reverse"].problem_si, no_spawn)
 
 
 def test_smt_backend_skips_the_oracle(no_spawn):
