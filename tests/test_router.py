@@ -5,6 +5,7 @@ cannot settle, go to SMT. The solver here is a stub that fails when it is
 spawned, so a check that returns proves no process ran, and a SolverError
 proves the SMT path was taken."""
 
+import glob
 import os
 import random
 import stat
@@ -40,6 +41,7 @@ from parachk import (
     shape_complete,
     to_extension,
     validate_summary,
+    verdict_name,
 )
 from parachk import oracle, solver
 
@@ -118,6 +120,76 @@ def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
 
 
 ENTRIES = {e.name: e for e in corpus()}
+
+
+
+def _route_case(case):
+    if case.endswith(".json"):
+        return load_problem(f"{PROBLEMS}/{case}")
+    name, which = case.split("/")
+    entry = ENTRIES[name]
+    return entry.problem_sc if which == "sc" else entry.problem_si
+
+
+# Every fold-corpus problem: its verdict and the path that decided it, or
+# (None, "smt") where the check spawns the solver.
+ROUTES = [
+    ("null/sc", "Realizable", "oracle"),
+    ("null/si", "Realizable", "oracle+completion"),
+    ("length/sc", "Realizable", "oracle"),
+    ("length/si", "Realizable", "oracle+completion"),
+    ("head/sc", "Realizable", "oracle"),
+    ("head/si", "Realizable", "oracle+completion"),
+    ("last/sc", "Realizable", "oracle"),
+    ("last/si", "Realizable", "oracle+completion"),
+    ("tail/sc", "Unrealizable", "oracle"),
+    ("tail/si", None, "smt"),
+    ("init/sc", "Unrealizable", "oracle"),
+    ("init/si", None, "smt"),
+    ("reverse/sc", "Realizable", "oracle"),
+    ("reverse/si", "Realizable", "oracle+completion"),
+    ("index/sc", "Unrealizable", "oracle"),
+    ("index/si", "Unrealizable", "oracle+completion"),
+    ("drop/sc", "Unrealizable", "oracle"),
+    ("drop/si", None, "smt"),
+    ("take/sc", "Realizable", "oracle"),
+    ("take/si", "Realizable", "oracle+completion"),
+    ("splitAt/sc", "Realizable", "oracle"),
+    ("splitAt/si", "Realizable", "oracle+completion"),
+    ("append/sc", "Realizable", "oracle"),
+    ("append/si", "Realizable", "oracle+completion"),
+    ("prepend/sc", "Realizable", "oracle"),
+    ("prepend/si", "Realizable", "oracle+completion"),
+    ("zip/sc", "Realizable", "oracle"),
+    ("zip/si", "Realizable", "oracle+completion"),
+    ("unzip/sc", "Realizable", "oracle"),
+    ("unzip/si", "Realizable", "oracle+completion"),
+    ("concat/sc", "Realizable", "oracle"),
+    ("concat/si", "Realizable", "oracle+completion"),
+    ("atom_swap_raw.json", "Unrealizable", "oracle"),
+    ("drop_as_foldr.json", "Unrealizable", "oracle"),
+    ("reverse_as_foldr.json", "Realizable", "oracle"),
+    ("reverse_as_map.json", "Unrealizable", "oracle"),
+    ("tail_as_foldr_minimal.json", None, "smt"),
+]
+
+
+def test_route_table_covers_the_fold_corpus():
+    cases = {case for case, _, _ in ROUTES}
+    expected = {f"{name}/{which}" for name in ENTRIES for which in ("sc", "si")}
+    expected |= {os.path.basename(f) for f in glob.glob(f"{PROBLEMS}/*.json")}
+    assert len(ROUTES) == len(cases) == 37 and cases == expected
+
+
+@pytest.mark.parametrize("case, verdict, path", ROUTES)
+def test_route_table(no_spawn, case, verdict, path):
+    problem = _route_case(case)
+    if verdict is None:
+        assert_spawns(problem, no_spawn)
+        return
+    report = check(problem, no_spawn)
+    assert report.solver_ms == 0.0
+    assert (verdict_name(report.verdict), report.path) == (verdict, path)
 
 
 @pytest.mark.parametrize("name", [n for n, e in ENTRIES.items() if e.expected_fold])
