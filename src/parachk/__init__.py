@@ -1,9 +1,10 @@
 """parachk: decide whether a polymorphic function specified by a type, a
 sketch (map/foldr/none), and monomorphic input-output examples is
 realizable, by translating the examples to container-morphism constraints.
-A brute-force oracle decides small shape-complete sets, and the
-shape-incomplete ones that a guess of small intermediate shapes settles; an
-SMT solver decides the rest, and cross-checks the oracle in the test suite.
+A brute-force oracle (`oracle_decide`) decides small shape-complete sets,
+and the shape-incomplete ones that a guess of small intermediate shapes
+settles; an SMT solver decides the rest, and cross-checks the oracle in the
+test suite.
 """
 
 from .functors import (
@@ -93,7 +94,6 @@ from .solver import (
 from .oracle import (
     BoundExceeded,
     GroundInstance,
-    OracleBounds,
     ShapeConflict,
     StepBudget,
     Ungroundable,

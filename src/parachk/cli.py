@@ -16,7 +16,7 @@ import sys
 from .bench import format_json, format_table, run_bench
 from .encode import encode
 from .functors import ContainerError
-from .oracle import BoundExceeded, OracleError, Ungroundable
+from .oracle import OracleError, Ungroundable
 from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
 from .solver import BACKENDS, SolverConfig, SolverError, check, oracle_verdict
@@ -132,9 +132,6 @@ def cmd_oracle(args) -> int:
         print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
         for m in shape_complete(problem).missing:
             print(f"  {m}", file=sys.stderr)
-        return 3
-    except BoundExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
         return 3
 
     if args.format == "json":

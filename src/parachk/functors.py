@@ -587,7 +587,12 @@ def _flatten(f: FunctorExpr):
             is_, ic, icount = _flatten(inner)
             slots = [SlotSpec("b0", "bool")] + is_
             clauses = [ZeroOne(0)] + [c.shift(1) for c in ic]
-            clauses += [ZeroWhenAbsent(0, i + 1) for i in range(len(is_))]
+            # an inner slot that an inner presence bit guards is 0 once that
+            # bit is, so only the unguarded slots need this bit as their guard
+            guarded = {c.slot for c in ic if isinstance(c, ZeroWhenAbsent)}
+            clauses += [
+                ZeroWhenAbsent(0, i + 1) for i in range(len(is_)) if i not in guarded
+            ]
             coeffs = tuple(icount.shift(1).coeffs)
             if icount.const:
                 coeffs = ((0, icount.const),) + coeffs

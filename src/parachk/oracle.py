@@ -14,12 +14,14 @@ The remaining search is finite: assign, for every observed input shape and
 every output position, a source position, while unifying the element
 equalities this induces. Intermediate elements stay symbolic and are bound
 lazily by unification, so the backtracking prunes as soon as two distinct
-concrete elements would have to coincide. `OracleBounds` caps the positions
-per input shape and the distinct input shapes; going past either raises
-BoundExceeded. A `StepBudget`, when given, caps the calls to the unifier.
+concrete elements would have to coincide. A search with more than
+MAX_POSITIONS positions per input shape or MAX_SHAPES distinct input shapes
+raises BoundExceeded, and so does one that spends a given `StepBudget`.
 
-`oracle_complete` decides a shape-incomplete set by searching it once per
-completion drawn from small candidate shapes, all under one step budget.
+`oracle_decide` is the one entry point. It grounds and searches a raw, map
+or shape-complete fold set once; under a budget it searches a
+shape-incomplete set once per completion drawn from small candidate shapes,
+all under the one budget.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class ShapeConflict(OracleError):
 
 
 class ExampleConflict(ShapeConflict):
-    """Two full examples with equal input shapes have outputs of different
-    shapes. No guess at an intermediate shape can mend that."""
+    """The shapes the examples pin, with no guess involved, force one input
+    shape to two output shapes. No guess at an intermediate shape can mend
+    that."""
 
 
 class Ungroundable(OracleError):
@@ -67,19 +70,21 @@ class BoundExceeded(OracleError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleBounds:
-    max_positions: int = 16
-    max_shapes: int = 12
+# The most positions per input shape, and the most distinct input shapes,
+# a search takes on.
+MAX_POSITIONS = 16
+MAX_SHAPES = 12
 
 
 class StepBudget:
     """Steps left to the groundings and searches that share the budget:
-    one per call to the unifier, and what `oracle_complete` charges for
-    the rest. Spending past zero raises BoundExceeded."""
+    one per call to the unifier, and what a completion charges for the
+    rest. Spending past zero raises BoundExceeded. `completed` tells
+    whether the set went through completions."""
 
     def __init__(self, steps: int):
         self.left = steps
+        self.completed = False
 
     def spend(self, steps: int) -> None:
         self.left -= steps
@@ -87,23 +92,13 @@ class StepBudget:
             raise BoundExceeded("the oracle spent its step budget")
 
 
-# element terms: a concrete atom code, or position `pos` of intermediate `uid`
-@dataclass(frozen=True)
-class Lit:
-    code: int
-
-
-@dataclass(frozen=True)
-class Ref:
-    uid: int
-    pos: int
-
-
+# Element terms are ints: an atom code (>= 0) stands for itself, and
+# -1 - i for the i-th intermediate position, counted in (uid, position) order.
 @dataclass(frozen=True)
 class GroundConstraint:
     key: tuple[int, ...]
-    in_terms: tuple
-    out_terms: tuple
+    in_terms: tuple[int, ...]
+    out_terms: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -217,11 +212,17 @@ def ground(
             )
         shape_map[key] = out_shape
 
-    def terms_of(part) -> tuple:
+    inter_terms: dict[int, tuple[int, ...]] = {}
+    term = -1
+    for uid in sorted(inter_shapes):
+        n = size_of(out_functor, inter_shapes[uid])
+        inter_terms[uid] = tuple(range(term, term - n, -1))
+        term -= n
+
+    def terms_of(part) -> tuple[int, ...]:
         if isinstance(part, Known):
-            return tuple(Lit(a.code) for a in part.ext.elements)
-        shape = inter_shapes[part.uid]
-        return tuple(Ref(part.uid, q) for q in range(size_of(out_functor, shape)))
+            return tuple(a.code for a in part.ext.elements)
+        return inter_terms[part.uid]
 
     grounded = []
     for c in cs.constraints:
@@ -234,18 +235,19 @@ def ground(
 
 
 class _Unifier:
-    """Union-find over element terms with literal tags and an undo trail.
-    Each call to `unify` is one step of the search; going past `limit`
-    steps raises BoundExceeded."""
+    """Union-find over the intermediate terms, each root optionally bound to
+    an atom code, with an undo trail: a term t for a parent link of t, ~t
+    for an atom bound to root t. Each call to `unify` is one step of the
+    search; going past `limit` steps raises BoundExceeded."""
 
     def __init__(self, limit: float):
-        self.parent: dict = {}
-        self.lit: dict = {}
-        self.trail: list = []
+        self.parent: dict[int, int] = {}
+        self.lit: dict[int, int] = {}
+        self.trail: list[int] = []
         self.steps = 0
         self.limit = limit
 
-    def find(self, node):
+    def find(self, node: int) -> int:
         while node in self.parent:
             node = self.parent[node]
         return node
@@ -255,28 +257,28 @@ class _Unifier:
 
     def rollback(self, mark: int) -> None:
         while len(self.trail) > mark:
-            kind, key = self.trail.pop()
-            if kind == "p":
+            key = self.trail.pop()
+            if key < 0:
                 del self.parent[key]
             else:
-                del self.lit[key]
+                del self.lit[~key]
 
-    def unify(self, a, b) -> bool:
+    def unify(self, a: int, b: int) -> bool:
         self.steps += 1
         if self.steps > self.limit:
             raise BoundExceeded(f"the search exceeded {self.limit} unification steps")
-        if isinstance(a, Lit) and isinstance(b, Lit):
-            return a.code == b.code
-        if isinstance(a, Lit):
+        if a >= 0:
+            if b >= 0:
+                return a == b
             a, b = b, a
         ra = self.find(a)
-        if isinstance(b, Lit):
+        if b >= 0:
             bound = self.lit.get(ra)
             if bound is None:
-                self.lit[ra] = b.code
-                self.trail.append(("l", ra))
+                self.lit[ra] = b
+                self.trail.append(~ra)
                 return True
-            return bound == b.code
+            return bound == b
         rb = self.find(b)
         if ra == rb:
             return True
@@ -284,21 +286,14 @@ class _Unifier:
         if la is not None and lb is not None and la != lb:
             return False
         self.parent[ra] = rb
-        self.trail.append(("p", ra))
+        self.trail.append(ra)
         if la is not None and lb is None:
             self.lit[rb] = la
-            self.trail.append(("l", rb))
+            self.trail.append(~rb)
         return True
 
-    def resolve(self, node) -> int | None:
-        return self.lit.get(self.find(node))
 
-
-def oracle_check(
-    gi: GroundInstance,
-    bounds: OracleBounds = OracleBounds(),
-    budget: StepBudget | None = None,
-) -> Verdict:
+def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdict:
     """Decide a ground instance by exhaustive position assignment, spending
     one step of `budget` per call to the unifier; with no budget the search
     is exhaustive."""
@@ -306,16 +301,16 @@ def oracle_check(
     for c in gi.constraints:
         by_key.setdefault(c.key, []).append(c)
 
-    if len(by_key) > bounds.max_shapes:
+    if len(by_key) > MAX_SHAPES:
         raise BoundExceeded(
-            f"{len(by_key)} distinct input shapes exceed the bound {bounds.max_shapes}"
+            f"{len(by_key)} distinct input shapes exceed the bound {MAX_SHAPES}"
         )
     for key, group in by_key.items():
         n_in, n_out = len(group[0].in_terms), len(group[0].out_terms)
-        if max(n_in, n_out) > bounds.max_positions:
+        if max(n_in, n_out) > MAX_POSITIONS:
             raise BoundExceeded(
                 f"input shape {key} has {max(n_in, n_out)} positions, bound is "
-                f"{bounds.max_positions}"
+                f"{MAX_POSITIONS}"
             )
 
     # one position variable per (input shape, output position), shared by all
@@ -356,35 +351,22 @@ def oracle_check(
     shape_table = {
         key: out_schema.encode_shape(shape) for key, shape in gi.shape_map.items()
     }
-    fresh: dict = {}
+    fresh: dict[int, int] = {}
     intermediates: dict[int, Extension] = {}
+    term = -1
     for uid in sorted(gi.inter_shapes):
         shape = gi.inter_shapes[uid]
         elems = []
-        for q in range(size_of(gi.output_functor, shape)):
-            code = uf.resolve(Ref(uid, q))
+        for _ in range(size_of(gi.output_functor, shape)):
+            root = uf.find(term)
+            code = uf.lit.get(root)
             if code is None:
-                root = uf.find(Ref(uid, q))
-                if root not in fresh:
-                    fresh[root] = gi.atoms.size + len(fresh)
-                code = fresh[root]
+                code = fresh.setdefault(root, gi.atoms.size + len(fresh))
             elems.append(Atom(code, gi.atoms.label_of(code)))
+            term -= 1
         intermediates[uid] = Extension(gi.output_functor, shape, tuple(elems))
     summary = WitnessSummary(shape_table, dict(assignment), intermediates)
     return Realizable(summary)
-
-
-def oracle_decide(
-    cs: ConstraintSet,
-    bounds: OracleBounds = OracleBounds(),
-    budget: StepBudget | None = None,
-) -> Verdict:
-    """Ground then check; a shape conflict is already an unrealizability proof."""
-    try:
-        gi = ground(cs)
-    except ShapeConflict as e:
-        return Unrealizable(str(e))
-    return oracle_check(gi, bounds, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +410,8 @@ def consistent_completions(
 ) -> Iterator[dict[TraceKey, ShapeValue]]:
     """Every completion of `missing` from `shapes` under which the shape
     morphism stays a function: every one that `ground` accepts. Raises
-    ExampleConflict, which no completion mends, before the first.
+    ExampleConflict before the first when the pinned shapes clash, which
+    no completion mends.
 
     A suffix s = (h, base, [e, *rest]) ties its shape to that of its tail
     (h, base, rest): the morphism maps (h, e, shape of tail) to the shape
@@ -470,7 +453,7 @@ def consistent_completions(
         return added
 
     if fix(checks.get(-1, [])) is None:
-        return
+        raise ExampleConflict("the shapes the examples pin map one input shape to two shapes")
     choice = [-1] * len(order)  # index into `shapes` of the guess at each level
     undo: list[list] = [[] for _ in order]
     i = 0
@@ -494,42 +477,46 @@ def consistent_completions(
             yield {key: shape[key] for key in order}
 
 
-def oracle_complete(
-    cs: ConstraintSet,
-    missing: list[TraceKey],
-    bounds: OracleBounds,
-    budget: StepBudget,
-) -> Verdict | None:
-    """Decide a shape-incomplete set without a solver where that is sound,
-    else return None. `missing` lists its unpinned suffixes (`Ungroundable`).
+def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict | None:
+    """Decide `cs` by search, or return None where SMT must decide.
 
-    Each completion gives every unpinned suffix one of the
-    `candidate_shapes`; the shape-consistent ones (`consistent_completions`)
-    are grounded and searched in turn. A grounding spends one step per
-    constraint and one per ground term it builds, and every search spends
-    its unifier calls, all from `budget`. The verdict is
-    - Realizable with the first witness found, for the caller to replay;
-    - Unrealizable for a conflict among full examples, or when every
-      completion is refuted and the completions cover every shape the
-      unpinned intermediates can take, as they do when every result slot
-      is bool;
-    - None when SMT must decide: the budget ran out, a search went past
-      `bounds`, or the candidates do not cover the shape space.
+    A raw, map or shape-complete fold set is grounded and searched once. A
+    shape-incomplete set raises Ungroundable without a budget; under one,
+    each shape-consistent completion from the `candidate_shapes` is
+    grounded, for one step per constraint and ground term, and searched.
+    Realizable carries the first witness found, for the caller to replay.
+    Unrealizable needs a failed search of a complete set, a conflict that
+    involves no guessed shape, or every completion refuted when the
+    candidates cover every shape, as they do for an all-bool result. A
+    conflict under a guessed shape proves nothing: None. Going past
+    MAX_POSITIONS, MAX_SHAPES or the budget raises BoundExceeded.
     """
+    try:
+        gi = ground(cs)
+    except ShapeConflict as e:
+        return Unrealizable(str(e))
+    except Ungroundable as e:
+        if budget is None:
+            raise
+        missing = e.missing
+    else:
+        return oracle_check(gi, budget)
+    budget.completed = True
     shapes, covered = candidate_shapes(cs)
     detail = "every completion has a shape conflict"
     try:
         for completion in consistent_completions(cs, missing, shapes, budget):
-            gi = ground(cs, completion)
+            try:
+                gi = ground(cs, completion)
+            except ShapeConflict:
+                return None
             budget.spend(
                 sum(1 + len(c.in_terms) + len(c.out_terms) for c in gi.constraints)
             )
-            verdict = oracle_check(gi, bounds, budget)
+            verdict = oracle_check(gi, budget)
             if isinstance(verdict, Realizable):
                 return verdict
             detail = verdict.detail
     except ExampleConflict as e:
         return Unrealizable(str(e))
-    except BoundExceeded:
-        return None
     return Unrealizable(detail) if covered else None

@@ -136,7 +136,7 @@ def build_problem(
     sketch: SketchKind,
     examples,
 ) -> Problem:
-    """Validate, intern atoms, and assemble a Problem.
+    """Intern atoms, validate, and assemble a Problem.
 
     examples is a sequence of IOExample or of (extra, inputs, output[, base])
     tuples; atom codes in the given values are ignored and reassigned in
@@ -151,8 +151,8 @@ def build_problem(
             exs.append(IOExample(extra, tuple(inputs), output, *rest))
     if not exs:
         raise ValidationError("a problem needs at least one example")
-    _validate(signature, sketch, exs)
     interned, table = _intern(exs)
+    _validate(signature, sketch, interned)
     return Problem(name, signature, sketch, tuple(interned), table)
 
 
@@ -199,22 +199,18 @@ def _validate(sig: Signature, sketch: SketchKind, examples) -> None:
             if ex.base is None:
                 raise ValidationError(f"example {i}: foldr examples need a 'base'")
             check(i, "base", sig.result, ex.base)
-            seen = bases_by_extra.get(_strip_codes(ex.extra))
-            if seen is not None and seen != _strip_codes(ex.base):
+            # interned codes are in bijection with labels, so values compare
+            # by label
+            seen = bases_by_extra.setdefault(ex.extra, ex.base)
+            if seen != ex.base:
                 raise ValidationError(
                     f"example {i}: base {show_value(ex.base)} differs from the "
                     f"base of an earlier example with the same extra argument"
                 )
-            bases_by_extra[_strip_codes(ex.extra)] = _strip_codes(ex.base)
         elif ex.base is not None:
             raise ValidationError(
                 f"example {i}: field 'base' is only meaningful for foldr sketches"
             )
-
-
-def _strip_codes(v: Value) -> Value:
-    # compare values by label, ignoring whatever codes they carry
-    return _map_atoms(v, lambda a: Atom(0, a.label))
 
 
 def _map_atoms(v: Value, fn) -> Value:

@@ -2,21 +2,18 @@
 and reading its results.
 
 `check` propagates the examples first; a conflict visible there is already
-the verdict. Every other set goes to the brute-force oracle with a budget
-of ORACLE_MAX_STEPS steps, with no script and no process. A shape-complete
-set is grounded and searched once (`oracle_verdict`). A shape-incomplete
-set, where grounding raises Ungroundable, is searched once per completion
-(`oracle.oracle_complete`): a guess of a small shape (lists of length 0..4,
-both values of a bool, observed ints ±1) for every fold intermediate no
-example pins. Guesses are made shortest suffix first, and one that makes
-the shape morphism a non-function is never extended or grounded. Checking
-a guess, grounding and unifying all spend steps of the one budget. A
-replayed witness of any completion is Realizable. Unrealizable needs no
-solver only where it is sound for every shape: a shape conflict among full
-examples, or every completion refuted when every result slot is bool, so
-the guesses covered the whole shape space. The SMT path decides everything
-else: a set no completion settles, and a search that goes past the
-oracle's bounds or budget or proposes a witness that fails replay.
+the verdict. Every other set goes to the brute-force oracle's one entry
+point, `oracle.oracle_decide`, with a budget of ORACLE_MAX_STEPS steps and
+no script or process. It searches a shape-complete set once, and a
+shape-incomplete set once per completion: a guess of a small shape (lists
+of length 0..4, both values of a bool, observed ints ±1) for every fold
+intermediate no example pins. `oracle_verdict` is the one replay gate: an
+oracle witness counts only once it replays. Unrealizable needs no solver
+only where it holds for every shape: a failed search of a shape-complete
+set, a conflict that involves no guessed shape, or every completion refuted
+when every result slot is bool. The SMT path decides everything else: a set
+no completion settles, and a search that goes past the oracle's limits or
+proposes a witness that fails replay.
 `backend="smt"` always takes the SMT path, so the oracle can be
 cross-checked against it.
 
@@ -49,14 +46,7 @@ from dataclasses import dataclass, field
 
 from .encode import SmtScript, encode, shrink_assertions
 from .functors import Atom, Extension, ShapeMismatch, flatten_shape
-from .oracle import (
-    BoundExceeded,
-    OracleBounds,
-    StepBudget,
-    Ungroundable,
-    oracle_complete,
-    oracle_decide,
-)
+from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
 from .propagate import ConstraintSet, PropagationUnrealizable, Unknown, propagate
 from .verdict import (
@@ -467,23 +457,16 @@ def interpret(raw: RawResult, cs: ConstraintSet) -> Verdict:
     return Realizable(summary)
 
 
-def replay_gate(cs: ConstraintSet, verdict: Verdict | None) -> Verdict | None:
-    """`verdict`, except that a Realizable witness that fails replay gives
-    Unknown, as a solver's does."""
+def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict | None:
+    """The oracle's verdict (`oracle.oracle_decide`), except that a
+    Realizable witness that fails replay gives Unknown, as a solver's does.
+    None where SMT must decide. Without a budget, a shape-incomplete set
+    raises Ungroundable; going past the oracle's bounds or `budget` raises
+    BoundExceeded."""
+    verdict = oracle_decide(cs, budget)
     if isinstance(verdict, Realizable) and not validate_summary(cs, verdict.witness):
         return UnknownVerdict("witness-validation-failed")
     return verdict
-
-
-def oracle_verdict(
-    cs: ConstraintSet,
-    bounds: OracleBounds = OracleBounds(),
-    budget: StepBudget | None = None,
-) -> Verdict:
-    """The oracle's verdict, through `replay_gate`. Raises Ungroundable when
-    the set is not shape complete and BoundExceeded past `bounds` or
-    `budget`."""
-    return replay_gate(cs, oracle_decide(cs, bounds, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +499,10 @@ def check(
 ) -> CheckReport:
     """Propagate, then decide. Unrealizability that is already visible
     during propagation needs no further work. With backend "auto", the
-    oracle decides a shape-complete set and every shape-incomplete set that
-    its completions settle (`oracle.oracle_complete`), and SMT (encode, solve,
-    shrink, extract, replay) decides whatever the oracle hands back;
-    backend "smt" always takes the SMT path."""
+    oracle decides every set it can within ORACLE_MAX_STEPS steps
+    (`oracle_verdict`), and SMT (encode, solve, shrink, extract, replay)
+    decides whatever the oracle hands back; backend "smt" always takes the
+    SMT path."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
     start = time.perf_counter()
@@ -529,17 +512,14 @@ def check(
         total = (time.perf_counter() - start) * 1000.0
         return CheckReport(Unrealizable(e.reason), total, 0.0, path="fast-path")
     if backend == "auto":
-        bounds, budget = OracleBounds(), StepBudget(ORACLE_MAX_STEPS)
-        path = "oracle"
+        budget = StepBudget(ORACLE_MAX_STEPS)
         try:
-            verdict = oracle_verdict(cs, bounds, budget)
-        except Ungroundable as e:
-            path = "oracle+completion"
-            verdict = replay_gate(cs, oracle_complete(cs, e.missing, bounds, budget))
+            verdict = oracle_verdict(cs, budget)
         except BoundExceeded:
             verdict = None  # past the bounds or the budget
         if isinstance(verdict, (Realizable, Unrealizable)):
             total = (time.perf_counter() - start) * 1000.0
+            path = "oracle+completion" if budget.completed else "oracle"
             return CheckReport(verdict, total, 0.0, path)
     cfg = cfg or SolverConfig()
     path = "smt"

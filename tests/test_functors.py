@@ -1,6 +1,9 @@
 """Container translation: typechecking, shapes, canonical positions, and
 shape schemas."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,10 +39,17 @@ from parachk import (
 )
 from parachk.functors import (
     ArityMismatch,
+    ConstBool,
+    ConstInt,
+    ConstUnit,
     Extension,
+    Id,
+    Nonneg,
     ShapeMismatch,
     TypeMismatch,
     UnsupportedFunctor,
+    ZeroOne,
+    ZeroWhenAbsent,
 )
 
 A, B, C = Atom(0, "A"), Atom(1, "B"), Atom(2, "C")
@@ -156,6 +166,64 @@ def test_flatten_shape_rejects_nested_variable_lists():
     with pytest.raises(UnsupportedFunctor):
         flatten_shape(ProdOf(ID, ListOf(BOOL)))
 
+
+
+def _nested_maybe(depth):
+    f = ID
+    for _ in range(depth):
+        f = MaybeOf(f)
+    return f
+
+
+def test_nested_maybe_schema_is_linear_in_depth():
+    # a bool and its guard clause per level, not a clause per inner slot
+    for depth in (1, 10, 150):
+        assert len(flatten_shape(_nested_maybe(depth)).clauses) == 2 * depth - 1
+
+
+def _quadratic_clauses(f):
+    """The refinement as built before guarded slots were skipped: every
+    Maybe level zeroes every inner slot while absent."""
+    match f:
+        case Id() | ConstUnit():
+            return 0, []
+        case ConstInt():
+            return 1, []
+        case ConstBool():
+            return 1, [ZeroOne(0)]
+        case ListOf(_):
+            return 1, [Nonneg(0)]
+        case ProdOf(l, r):
+            lw, lc = _quadratic_clauses(l)
+            rw, rc = _quadratic_clauses(r)
+            return lw + rw, lc + [c.shift(lw) for c in rc]
+        case MaybeOf(inner):
+            w, ic = _quadratic_clauses(inner)
+            absent = [ZeroWhenAbsent(0, i + 1) for i in range(w)]
+            return w + 1, [ZeroOne(0)] + [c.shift(1) for c in ic] + absent
+
+
+def _random_functor(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([ID, UNIT, INT, BOOL, ListOf(ID), ListOf(ProdOf(ID, ID))])
+    if rng.random() < 0.5:
+        return MaybeOf(_random_functor(rng, depth - 1))
+    return ProdOf(_random_functor(rng, depth - 1), _random_functor(rng, depth - 1))
+
+
+def test_maybe_refinement_agrees_with_the_quadratic_construction():
+    rng = random.Random(17)
+    compared = 0
+    while compared < 40:
+        f = _random_functor(rng, 4)
+        schema = flatten_shape(f)
+        width, reference = _quadratic_clauses(f)
+        if not 1 <= width <= 6:
+            continue
+        assert width == len(schema.slots)
+        for slots in itertools.product(range(-1, 3), repeat=width):
+            assert schema.refines(slots) == all(c.eval(slots) for c in reference), (f, slots)
+        compared += 1
 
 # ---------------------------------------------------------------------------
 # Property suites

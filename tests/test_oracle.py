@@ -28,13 +28,11 @@ from parachk import (
     verdict_name,
 )
 from parachk.oracle import (
-    OracleBounds,
     ShapeConflict,
     StepBudget,
     Ungroundable,
     candidate_shapes,
     consistent_completions,
-    oracle_complete,
     resolve_intermediate_shapes,
 )
 from parachk import oracle
@@ -169,7 +167,7 @@ def test_oracle_requires_shape_completeness():
         ground(propagate(p))
 
 
-def test_bound_exceeded():
+def test_bound_exceeded(monkeypatch):
     xs = [atom(f"x{i}") for i in range(20)]
     p = build_problem(
         "big",
@@ -180,7 +178,8 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
         oracle_check(ground(propagate(p)))
     # a generous bound allows it
-    verdict = oracle_check(ground(propagate(p)), OracleBounds(max_positions=32))
+    monkeypatch.setattr(oracle, "MAX_POSITIONS", 32)
+    verdict = oracle_check(ground(propagate(p)))
     assert isinstance(verdict, Realizable)
 
 
@@ -301,7 +300,7 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     # with searches that cost nothing, the groundings alone must still
     # spend the budget: the 58 shape-consistent completions of one
     # 8-element trace cost at least 58 * 8 steps
-    monkeypatch.setattr(oracle, "oracle_check", lambda gi, bounds, budget: Unrealizable())
+    monkeypatch.setattr(oracle, "oracle_check", lambda gi, budget=None: Unrealizable())
     xs = [atom(f"x{i}") for i in range(8)]
     p = build_problem(
         "open-keys", tail_sig(), SketchKind.FOLDR, [(UnitV(), xs, lst(atom("z")), lst())]
@@ -313,7 +312,7 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     guessing = StepBudget(10**9)
     assert len(list(consistent_completions(cs, err.value.missing, shapes, guessing))) == 58
     budget = StepBudget(10**9)
-    assert oracle_complete(cs, err.value.missing, OracleBounds(), budget) is None
+    assert oracle_decide(cs, budget) is None
     assert guessing.left - budget.left >= 58 * len(cs.constraints)
     # guessing alone spends steps too
     with pytest.raises(BoundExceeded):

@@ -297,8 +297,47 @@ def test_clash_among_pinned_shapes_grounds_no_completion(no_spawn, groundings):
         ],
     )
     assert shape_complete(p).missing == ("extra *, base [*], inputs [*]",)
-    assert_spawns(p, no_spawn)
+    report = check(p, no_spawn)
+    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+    assert isinstance(report.verdict, Unrealizable)
     assert groundings == [None]
+
+
+def test_clash_through_a_base_is_unrealizable_without_a_solver(no_spawn, groundings):
+    # the base [w] of extra e and the pinned suffix [c] of extra f both
+    # feed the step the input shape (*, *, [*]), which yields [*,*] for
+    # [a] and [*] for [b,c]; extra g leaves its suffix [y] unpinned
+    e, f, g = atom("e"), atom("f"), atom("g")
+    p = build_problem(
+        "base-clash",
+        Signature(ID, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (e, [atom("a")], ListV((atom("a"), atom("w"))), ListV((atom("w"),))),
+            (f, [atom("c")], ListV((atom("c"),)), ListV(())),
+            (f, [atom("b"), atom("c")], ListV((atom("b"),)), ListV(())),
+            (g, [atom("x"), atom("y")], ListV(()), ListV((atom("u"), atom("v")))),
+        ],
+    )
+    assert shape_complete(p).missing == ("extra *, base [*,*], inputs [*]",)
+    report = check(p, no_spawn)
+    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+    assert isinstance(report.verdict, Unrealizable)
+    assert groundings == [None]
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_conflict_in_a_guessed_completion_is_never_unrealizable(monkeypatch, name):
+    # a shape conflict under guessed shapes proves nothing about other shapes
+    real_ground = oracle.ground
+
+    def clashing_ground(cs, completion=None):
+        if completion:
+            raise oracle.ShapeConflict("a guessed shape clashes")
+        return real_ground(cs, completion)
+
+    monkeypatch.setattr(oracle, "ground", clashing_ground)
+    assert not isinstance(_auto_verdict(ENTRIES[name].problem_si), Unrealizable)
 
 
 def _from_nowhere(p):
@@ -344,7 +383,7 @@ def test_completion_never_contradicts_construction(seed):
 
 
 def test_set_over_the_oracle_bounds_goes_to_smt(no_spawn):
-    # 20 positions exceed OracleBounds.max_positions
+    # 20 positions exceed oracle.MAX_POSITIONS
     xs = [atom(f"x{i}") for i in range(20)]
     p = build_problem(
         "big-reverse",
