@@ -44,6 +44,7 @@ from parachk.functors import (
     ConstUnit,
     Extension,
     Id,
+    LinearForm,
     Nonneg,
     ShapeMismatch,
     TypeMismatch,
@@ -84,6 +85,25 @@ def test_shape_of_erases_atoms_keeps_constants():
     assert shape_of(INT, IntV(7)) == IntS(7)
     with pytest.raises(TypeMismatch):
         shape_of(ListOf(ID), lst(IntV(1)))
+
+
+@pytest.mark.parametrize(
+    "f, v, message",
+    [
+        (ListOf(ID), lst(IntV(1)), "value [1] does not inhabit List(Id)"),
+        (
+            ProdOf(ID, MaybeOf(INT)),
+            PairV(AtomV(A), JustV(BoolV(False))),
+            "value (A,Just false) does not inhabit Prod(Id,Maybe(Int))",
+        ),
+        (UNIT, NothingV(), "value Nothing does not inhabit Unit"),
+    ],
+)
+def test_type_mismatch_names_the_whole_value(f, v, message):
+    for translate in (to_extension, shape_of):
+        with pytest.raises(TypeMismatch) as err:
+            translate(f, v)
+        assert str(err.value) == message
 
 
 def test_size_of():
@@ -166,6 +186,70 @@ def test_flatten_shape_rejects_nested_variable_lists():
     with pytest.raises(UnsupportedFunctor):
         flatten_shape(ProdOf(ID, ListOf(BOOL)))
 
+
+
+# Schemas pinned slot by slot: every constructor, nested Maybe under Prod
+# and Prod under Maybe, and an Id count that moves onto a presence bit.
+_SCHEMAS = [
+    (ID, (), (), LinearForm(1, ())),
+    (ProdOf(INT, BOOL), (("k0", "int"), ("b0", "bool")), (ZeroOne(1),), LinearForm(0, ())),
+    (
+        MaybeOf(MaybeOf(ID)),
+        (("b0", "bool"), ("b1", "bool")),
+        (ZeroOne(0), ZeroOne(1), ZeroWhenAbsent(0, 1)),
+        LinearForm(0, ((1, 1),)),
+    ),
+    (
+        MaybeOf(ProdOf(ListOf(ID), MaybeOf(INT))),
+        (("b0", "bool"), ("n0", "nat"), ("b1", "bool"), ("k0", "int")),
+        (
+            ZeroOne(0),
+            Nonneg(1),
+            ZeroOne(2),
+            ZeroWhenAbsent(2, 3),
+            ZeroWhenAbsent(0, 1),
+            ZeroWhenAbsent(0, 2),
+        ),
+        LinearForm(0, ((1, 1),)),
+    ),
+    (
+        ProdOf(MaybeOf(BOOL), ProdOf(UNIT, ListOf(ProdOf(ID, ID)))),
+        (("b0", "bool"), ("b1", "bool"), ("n0", "nat")),
+        (ZeroOne(0), ZeroOne(1), ZeroWhenAbsent(0, 1), Nonneg(2)),
+        LinearForm(0, ((2, 2),)),
+    ),
+    (
+        MaybeOf(ProdOf(ID, MaybeOf(ProdOf(BOOL, ID)))),
+        (("b0", "bool"), ("b1", "bool"), ("b2", "bool")),
+        (ZeroOne(0), ZeroOne(1), ZeroOne(2), ZeroWhenAbsent(1, 2), ZeroWhenAbsent(0, 1)),
+        LinearForm(0, ((0, 1), (1, 1))),
+    ),
+    (
+        ProdOf(MaybeOf(ProdOf(ID, ListOf(ID))), MaybeOf(MaybeOf(ProdOf(INT, ID)))),
+        (("b0", "bool"), ("n0", "nat"), ("b1", "bool"), ("b2", "bool"), ("k0", "int")),
+        (
+            ZeroOne(0),
+            Nonneg(1),
+            ZeroWhenAbsent(0, 1),
+            ZeroOne(2),
+            ZeroOne(3),
+            ZeroWhenAbsent(3, 4),
+            ZeroWhenAbsent(2, 3),
+        ),
+        LinearForm(0, ((0, 1), (1, 1), (3, 1))),
+    ),
+]
+
+
+@pytest.mark.parametrize("f, slots, clauses, count", _SCHEMAS)
+def test_schema_golden(f, slots, clauses, count):
+    schema = flatten_shape(f)
+    assert tuple((s.name, s.kind) for s in schema.slots) == slots
+    assert schema.clauses == clauses
+    assert schema.count == count
+    # an absent Maybe zeroes every slot below it
+    if isinstance(f, MaybeOf):
+        assert schema.encode_shape(MaybeS(None)) == (0,) * len(slots)
 
 
 def _nested_maybe(depth):

@@ -1,12 +1,18 @@
 """Problem files: parsing, validation, interning, canonical serialization."""
 
 import json
+import random
 
 import pytest
 
 from parachk import (
+    BoolV,
     ID,
+    INT,
+    IntV,
+    JustV,
     ListOf,
+    PairV,
     Signature,
     SketchKind,
     UNIT,
@@ -19,8 +25,10 @@ from parachk import (
     problem_to_json,
     relabel_problem,
 )
-from parachk.functors import ListV, MaybeOf, ProdOf
-from parachk.problem import ParseError, ValidationError
+from parachk.functors import AtomV, ListV, MaybeOf, ProdOf
+from parachk.problem import ParseError, ValidationError, _map_atoms
+
+from support import random_problem, random_value
 
 
 REVERSE_MAP = """
@@ -224,3 +232,189 @@ def test_foldr_result_functor_must_be_fixed_arity():
             [(UnitV(), [], ListV(()), ListV(()))],
         )
     assert "foldr" in str(err.value)
+
+
+# Exact messages of every validation rule, one example each: the example
+# index, the field, the whole field's value and the functor it must inhabit.
+_BAD_FIELDS = [
+    (
+        Signature(INT, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (IntV(1), [atom("a")], ListV((atom("a"),)), ListV(())),
+            (atom("q"), [], ListV(()), ListV(())),
+        ],
+        "example 1: field 'extra': value q does not typecheck against Int",
+    ),
+    (
+        Signature(UNIT, ListOf(ID), ID),
+        SketchKind.RAW,
+        [(UnitV(), [ListV((atom("a"), IntV(3)))], atom("a"))],
+        "example 0: field 'inputs[0]': value [a,3] does not typecheck against List(Id)",
+    ),
+    (
+        # the inputs are checked before their number
+        Signature(UNIT, ID, ID),
+        SketchKind.RAW,
+        [(UnitV(), [atom("a"), IntV(1)], atom("a"))],
+        "example 0: field 'inputs[1]': value 1 does not typecheck against Id",
+    ),
+    (
+        Signature(UNIT, ID, ID),
+        SketchKind.RAW,
+        [(UnitV(), [atom("a"), atom("b")], atom("a"))],
+        "example 0: raw examples take exactly one input, got 2",
+    ),
+    (
+        Signature(UNIT, ID, ListOf(ID)),
+        SketchKind.RAW,
+        [(UnitV(), [atom("a")], ListV((atom("a"), BoolV(True))))],
+        "example 0: field 'output': value [a,true] does not typecheck against List(Id)",
+    ),
+    (
+        Signature(UNIT, ID, MaybeOf(ID)),
+        SketchKind.MAP,
+        [(UnitV(), [atom("a"), atom("b")], ListV((JustV(atom("a")), JustV(IntV(2)))))],
+        "example 0: field 'output[1]': value Just 2 does not typecheck against Maybe(Id)",
+    ),
+    (
+        Signature(UNIT, ID, ID),
+        SketchKind.MAP,
+        [(UnitV(), [atom("a")], atom("a"))],
+        "example 0: field 'output': a map sketch produces a list",
+    ),
+    (
+        Signature(UNIT, ID, ProdOf(ID, INT)),
+        SketchKind.FOLDR,
+        [(UnitV(), [atom("a")], PairV(atom("a"), IntV(1)), PairV(atom("b"), atom("c")))],
+        "example 0: field 'base': value (b,c) does not typecheck against Prod(Id,Int)",
+    ),
+    (
+        Signature(UNIT, ID, ID),
+        SketchKind.FOLDR,
+        [(UnitV(), [atom("a")], atom("a"))],
+        "example 0: foldr examples need a 'base'",
+    ),
+    (
+        Signature(UNIT, ID, ID),
+        SketchKind.RAW,
+        [(UnitV(), [atom("a")], atom("a"), atom("a"))],
+        "example 0: field 'base' is only meaningful for foldr sketches",
+    ),
+    (
+        Signature(INT, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (IntV(1), [atom("a")], ListV(()), ListV(())),
+            (IntV(1), [], ListV((atom("z"),)), ListV((atom("z"),))),
+        ],
+        "example 1: base [z] differs from the base of an earlier example with "
+        "the same extra argument",
+    ),
+    (
+        # the result functor is checked before any example
+        Signature(UNIT, ID, ListOf(ListOf(ID))),
+        SketchKind.FOLDR,
+        [(IntV(1), [], ListV(()), ListV(()))],
+        "result functor unusable for foldr: List(List(Id)): element functor "
+        "List(Id) has a variable shape, so the list shape is not fixed-arity",
+    ),
+]
+
+
+@pytest.mark.parametrize("sig, sketch, examples, message", _BAD_FIELDS)
+def test_validation_messages(sig, sketch, examples, message):
+    with pytest.raises(ValidationError) as err:
+        build_problem("bad", sig, sketch, examples)
+    assert str(err.value) == message
+
+
+def _fields(ex):
+    """(field name, value) for every field the validator checks by type."""
+    out = [("extra", ex.extra)]
+    out += [(f"inputs[{j}]", v) for j, v in enumerate(ex.inputs)]
+    out.append(("output", ex.output))
+    if ex.base is not None:
+        out.append(("base", ex.base))
+    return out
+
+
+def _first_occurrences(examples) -> tuple[str, ...]:
+    labels: dict[str, None] = {}
+
+    def collect(a):
+        labels.setdefault(a.label, None)
+        return a
+
+    for ex in examples:
+        for _, v in _fields(ex):
+            _map_atoms(v, collect)
+    return tuple(labels)
+
+
+def _mistype_leaf(v, k):
+    """v with its k-th leaf (atom, constant, Nothing or empty list) replaced
+    by a leaf of another type, and the number of leaves seen."""
+    match v:
+        case ListV(items) if items:
+            out = []
+            for x in items:
+                x, k = _mistype_leaf(x, k)
+                out.append(x)
+            return ListV(tuple(out)), k
+        case PairV(a, b):
+            a, k = _mistype_leaf(a, k)
+            b, k = _mistype_leaf(b, k)
+            return PairV(a, b), k
+        case JustV(x):
+            x, k = _mistype_leaf(x, k)
+            return JustV(x), k
+        case AtomV(_) if k == 0:
+            return IntV(0), -1
+        case _ if k == 0:
+            return atom("x"), -1
+    return v, k - 1
+
+
+def _random_map_problem(rng):
+    sig = Signature(UNIT, rng.choice([ID, ListOf(ID)]), rng.choice([ID, MaybeOf(ID), INT]))
+    examples = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(0, 3)
+        inputs = [random_value(rng, sig.element) for _ in range(n)]
+        output = ListV(tuple(random_value(rng, sig.result) for _ in range(n)))
+        examples.append((UnitV(), inputs, output))
+    return build_problem("map", sig, SketchKind.MAP, examples)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_interning_is_first_occurrence_and_one_leaf_mistyped_is_rejected(seed):
+    rng = random.Random(seed)
+    p = _random_map_problem(rng) if seed % 4 == 0 else random_problem(rng)
+    assert p.atoms.labels == _first_occurrences(p.examples)
+    codes = {}
+    for ex in p.examples:
+        for _, v in _fields(ex):
+            _map_atoms(v, lambda a: codes.setdefault(a.code, a.label) and a)
+    assert codes == dict(enumerate(p.atoms.labels))
+
+    i = rng.randrange(len(p.examples))
+    fieldname, value = rng.choice(_fields(p.examples[i]))
+    leaves = -1 - _mistype_leaf(value, -1)[1]  # k runs down from -1 past every leaf
+    bad, _ = _mistype_leaf(value, rng.randrange(leaves))
+    exs = [(ex.extra, ex.inputs, ex.output, ex.base) for ex in p.examples]
+    extra, inputs, output, base = exs[i]
+    if fieldname == "extra":
+        extra = bad
+    elif fieldname == "output":
+        output = bad
+    elif fieldname == "base":
+        base = bad
+    else:
+        inputs = list(inputs)
+        inputs[int(fieldname[7:-1])] = bad
+    exs[i] = (extra, inputs, output, base)
+    with pytest.raises(ValidationError) as err:
+        build_problem(p.name, p.signature, p.sketch, exs)
+    # a prefix: a map output's elements are named output[j]
+    assert str(err.value).startswith(f"example {i}: field '{fieldname}")
