@@ -10,6 +10,7 @@ or Unknown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,7 +49,9 @@ def _exit_code(verdict) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="parachk",
         description="Decide realizability of polymorphic functions from types, sketches, and input-output examples.",

@@ -6,6 +6,11 @@ The position numbering is canonical: depth-first, left to right, with the
 positions of a product laid out as the left block followed by the right
 block. The same numbering is used both for concrete values and for the
 symbolic shape schemas consumed by the SMT encoding.
+
+Each translation is one walk: `to_extension` checks that a value inhabits
+its functor while it collects the shape and the elements (`typecheck` and
+`shape_of` are defined through it), and `flatten_shape` builds a schema in
+one walk over the functor.
 """
 
 from __future__ import annotations
@@ -278,52 +283,16 @@ class Extension:
 
 def typecheck(f: FunctorExpr, v: Value) -> bool:
     """Structural check that v inhabits f at the atom type."""
-    match f, v:
-        case Id(), AtomV(_):
-            return True
-        case ConstUnit(), UnitV():
-            return True
-        case ConstInt(), IntV(_):
-            return True
-        case ConstBool(), BoolV(_):
-            return True
-        case ListOf(inner), ListV(items):
-            return all(typecheck(inner, x) for x in items)
-        case ProdOf(l, r), PairV(a, b):
-            return typecheck(l, a) and typecheck(r, b)
-        case MaybeOf(_), NothingV():
-            return True
-        case MaybeOf(inner), JustV(x):
-            return typecheck(inner, x)
-    return False
+    try:
+        to_extension(f, v)
+    except TypeMismatch:
+        return False
+    return True
 
 
 def shape_of(f: FunctorExpr, v: Value) -> ShapeValue:
     """The shape component of v: atoms erased, monomorphic constants kept."""
-    if not typecheck(f, v):
-        raise TypeMismatch(f"value {show_value(v)} does not inhabit {f}")
-    return _shape_of(f, v)
-
-
-def _shape_of(f: FunctorExpr, v: Value) -> ShapeValue:
-    match f, v:
-        case Id(), _:
-            return IdS()
-        case ConstUnit(), _:
-            return UnitS()
-        case ConstInt(), IntV(n):
-            return IntS(n)
-        case ConstBool(), BoolV(b):
-            return BoolS(b)
-        case ListOf(inner), ListV(items):
-            return ListS(tuple(_shape_of(inner, x) for x in items))
-        case ProdOf(l, r), PairV(a, b):
-            return ProdS(_shape_of(l, a), _shape_of(r, b))
-        case MaybeOf(_), NothingV():
-            return MaybeS(None)
-        case MaybeOf(inner), JustV(x):
-            return MaybeS(_shape_of(inner, x))
-    raise TypeMismatch(f"value {show_value(v)} does not inhabit {f}")
+    return to_extension(f, v).shape
 
 
 def size_of(f: FunctorExpr, s: ShapeValue) -> int:
@@ -349,9 +318,7 @@ def size_of(f: FunctorExpr, s: ShapeValue) -> int:
 
 
 def to_extension(f: FunctorExpr, v: Value) -> Extension:
-    """Translate a value to its container form."""
-    if not typecheck(f, v):
-        raise TypeMismatch(f"value {show_value(v)} does not inhabit {f}")
+    """Translate a value to its container form, checking that it inhabits f."""
     elems: list[Atom] = []
 
     def walk(g: FunctorExpr, w: Value) -> ShapeValue:
@@ -359,7 +326,7 @@ def to_extension(f: FunctorExpr, v: Value) -> Extension:
             case Id(), AtomV(a):
                 elems.append(a)
                 return IdS()
-            case ConstUnit(), _:
+            case ConstUnit(), UnitV():
                 return UnitS()
             case ConstInt(), IntV(n):
                 return IntS(n)
@@ -374,9 +341,14 @@ def to_extension(f: FunctorExpr, v: Value) -> Extension:
                 return MaybeS(None)
             case MaybeOf(inner), JustV(x):
                 return MaybeS(walk(inner, x))
-        raise TypeMismatch(f"value {show_value(w)} does not inhabit {g}")
+        raise TypeMismatch
 
-    shape = walk(f, v)
+    try:
+        shape = walk(f, v)
+    except TypeMismatch:
+        # the message shows the whole value, so it is built after the walk
+        # has unwound: a mismatch deep in v leaves no stack for show_value
+        raise TypeMismatch(f"value {show_value(v)} does not inhabit {f}") from None
     return Extension(f, shape, tuple(elems))
 
 
@@ -452,9 +424,6 @@ class LinearForm:
             return parts[0]
         return "(+ " + " ".join(parts) + ")"
 
-    def shift(self, offset: int) -> "LinearForm":
-        return LinearForm(self.const, tuple((i + offset, c) for i, c in self.coeffs))
-
 
 @dataclass(frozen=True)
 class Nonneg:
@@ -465,9 +434,6 @@ class Nonneg:
 
     def smt(self, terms) -> str:
         return f"(>= {terms[self.slot]} 0)"
-
-    def shift(self, offset: int) -> "Nonneg":
-        return Nonneg(self.slot + offset)
 
 
 @dataclass(frozen=True)
@@ -480,9 +446,6 @@ class ZeroOne:
     def smt(self, terms) -> str:
         t = terms[self.slot]
         return f"(and (>= {t} 0) (<= {t} 1))"
-
-    def shift(self, offset: int) -> "ZeroOne":
-        return ZeroOne(self.slot + offset)
 
 
 @dataclass(frozen=True)
@@ -497,9 +460,6 @@ class ZeroWhenAbsent:
 
     def smt(self, terms) -> str:
         return f"(=> (= {terms[self.guard]} 0) (= {terms[self.slot]} 0))"
-
-    def shift(self, offset: int) -> "ZeroWhenAbsent":
-        return ZeroWhenAbsent(self.guard + offset, self.slot + offset)
 
 
 @dataclass(frozen=True)
@@ -543,78 +503,81 @@ class ShapeSchema:
         return shape
 
 
+# slot names are numbered per kind in traversal order: k0, b0, b1, n0, ...
+_SLOT_PREFIX = {"int": "k", "bool": "b", "nat": "n"}
+
+
 def flatten_shape(f: FunctorExpr) -> ShapeSchema:
     """Flatten the shapes of f into integer slots.
 
-    Fails for list functors whose element functor itself has shape degrees of
-    freedom (e.g. List(List(Id))): those shapes are not fixed-arity, so they
-    can only appear in concrete values, never as a symbolic container.
+    One walk over f appends every slot, clause and count coefficient at its
+    final index. Fails for list functors whose element functor itself has
+    shape degrees of freedom (e.g. List(List(Id))): those shapes are not
+    fixed-arity, so they can only appear in concrete values, never as a
+    symbolic container.
     """
-    slots, clauses, count = _flatten(f)
-    return ShapeSchema(f, tuple(slots), tuple(clauses), count)
+    slots: list[SlotSpec] = []
+    clauses: list = []
+    coeffs: list[tuple[int, int]] = []
+    per_kind = dict.fromkeys(_SLOT_PREFIX, 0)
+
+    def slot(kind: str) -> int:
+        slots.append(SlotSpec(f"{_SLOT_PREFIX[kind]}{per_kind[kind]}", kind))
+        per_kind[kind] += 1
+        return len(slots) - 1
+
+    def walk(g: FunctorExpr) -> tuple[int, list[int]]:
+        # returns g's constant position count and its slots that no
+        # presence bit inside g guards
+        match g:
+            case Id():
+                return 1, []
+            case ConstUnit():
+                return 0, []
+            case ConstInt():
+                return 0, [slot("int")]
+            case ConstBool():
+                b = slot("bool")
+                clauses.append(ZeroOne(b))
+                return 0, [b]
+            case ListOf(inner):
+                width = len(slots)
+                const, _ = walk(inner)
+                if len(slots) != width:
+                    raise UnsupportedFunctor(
+                        f"{g}: element functor {inner} has a variable shape, so the "
+                        f"list shape is not fixed-arity"
+                    )
+                n = slot("nat")
+                clauses.append(Nonneg(n))
+                if const:
+                    coeffs.append((n, const))
+                return 0, [n]
+            case ProdOf(l, r):
+                lconst, lfree = walk(l)
+                rconst, rfree = walk(r)
+                return lconst + rconst, lfree + rfree
+            case MaybeOf(inner):
+                b = slot("bool")
+                clauses.append(ZeroOne(b))
+                at = len(coeffs)
+                const, free = walk(inner)
+                # an inner slot that an inner presence bit guards is 0 once
+                # that bit is, so only the unguarded slots need this bit
+                clauses.extend(ZeroWhenAbsent(b, i) for i in free)
+                if const:
+                    coeffs.insert(at, (b, const))
+                return 0, [b]
+        raise UnsupportedFunctor(f"not a functor expression: {g!r}")
+
+    const, _ = walk(f)
+    return ShapeSchema(f, tuple(slots), tuple(clauses), LinearForm(const, tuple(coeffs)))
 
 
-def _flatten(f: FunctorExpr):
-    match f:
-        case Id() | ConstUnit():
-            return [], [], LinearForm(1 if isinstance(f, Id) else 0, ())
-        case ConstInt():
-            return [SlotSpec("k0", "int")], [], LinearForm(0, ())
-        case ConstBool():
-            return [SlotSpec("b0", "bool")], [ZeroOne(0)], LinearForm(0, ())
-        case ListOf(inner):
-            in_slots, _, in_count = _flatten(inner)
-            if in_slots:
-                raise UnsupportedFunctor(
-                    f"{f}: element functor {inner} has a variable shape, so the "
-                    f"list shape is not fixed-arity"
-                )
-            slot = SlotSpec("n0", "nat")
-            coeffs = ((0, in_count.const),) if in_count.const else ()
-            return [slot], [Nonneg(0)], LinearForm(0, coeffs)
-        case ProdOf(l, r):
-            ls, lc, lcount = _flatten(l)
-            rs, rc, rcount = _flatten(r)
-            off = len(ls)
-            slots = ls + [SlotSpec(s.name, s.kind) for s in rs]
-            clauses = lc + [c.shift(off) for c in rc]
-            count = LinearForm(
-                lcount.const + rcount.const,
-                lcount.coeffs + rcount.shift(off).coeffs,
-            )
-            return _rename(slots), clauses, count
-        case MaybeOf(inner):
-            is_, ic, icount = _flatten(inner)
-            slots = [SlotSpec("b0", "bool")] + is_
-            clauses = [ZeroOne(0)] + [c.shift(1) for c in ic]
-            # an inner slot that an inner presence bit guards is 0 once that
-            # bit is, so only the unguarded slots need this bit as their guard
-            guarded = {c.slot for c in ic if isinstance(c, ZeroWhenAbsent)}
-            clauses += [
-                ZeroWhenAbsent(0, i + 1) for i in range(len(is_)) if i not in guarded
-            ]
-            coeffs = tuple(icount.shift(1).coeffs)
-            if icount.const:
-                coeffs = ((0, icount.const),) + coeffs
-            return _rename(slots), clauses, LinearForm(0, coeffs)
-    raise UnsupportedFunctor(f"not a functor expression: {f!r}")
-
-
-def _rename(slots: list[SlotSpec]) -> list[SlotSpec]:
-    # slot names must be unique within a schema; number by kind in order
-    counts: dict[str, int] = {}
-    out = []
-    for s in slots:
-        prefix = s.name.rstrip("0123456789")
-        k = counts.get(prefix, 0)
-        counts[prefix] = k + 1
-        out.append(SlotSpec(f"{prefix}{k}", s.kind))
-    return out
-
-
-def _encode_slots(f: FunctorExpr, s: ShapeValue, out: list[int]) -> None:
+def _encode_slots(f: FunctorExpr, s: ShapeValue | None, out: list[int]) -> None:
+    # s is None below an absent Maybe, where every slot is 0
     match f, s:
-        case (Id(), IdS()) | (ConstUnit(), UnitS()):
+        case (Id(), IdS() | None) | (ConstUnit(), UnitS() | None):
             return
         case ConstInt(), IntS(n):
             out.append(n)
@@ -622,22 +585,22 @@ def _encode_slots(f: FunctorExpr, s: ShapeValue, out: list[int]) -> None:
             out.append(1 if b else 0)
         case ListOf(_), ListS(children):
             out.append(len(children))
+        case (ConstInt() | ConstBool() | ListOf(_)), None:
+            out.append(0)
         case ProdOf(l, r), ProdS(a, b):
             _encode_slots(l, a, out)
             _encode_slots(r, b, out)
-        case MaybeOf(inner), MaybeS(None):
-            out.append(0)
-            out.extend([0] * _slot_width(inner))
+        case ProdOf(l, r), None:
+            _encode_slots(l, None, out)
+            _encode_slots(r, None, out)
         case MaybeOf(inner), MaybeS(c):
-            out.append(1)
+            out.append(0 if c is None else 1)
             _encode_slots(inner, c, out)
+        case MaybeOf(inner), None:
+            out.append(0)
+            _encode_slots(inner, None, out)
         case _:
             raise ShapeMismatch(f"shape {show_shape(s)} is not a shape of {f}")
-
-
-def _slot_width(f: FunctorExpr) -> int:
-    slots, _, _ = _flatten(f)
-    return len(slots)
 
 
 def _decode_slots(f: FunctorExpr, vals: list[int], i: int):

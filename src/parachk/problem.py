@@ -33,8 +33,12 @@ from .functors import (
     Atom,
     AtomV,
     BoolV,
+    ConstBool,
+    ConstInt,
+    ConstUnit,
     FunctorExpr,
     ID,
+    Id,
     IntV,
     JustV,
     ListOf,
@@ -43,11 +47,13 @@ from .functors import (
     NothingV,
     PairV,
     ProdOf,
+    TypeMismatch,
     UNIT,
     UnitV,
+    UnsupportedFunctor,
     Value,
+    flatten_shape,
     show_value,
-    typecheck,
 )
 
 
@@ -136,11 +142,12 @@ def build_problem(
     sketch: SketchKind,
     examples,
 ) -> Problem:
-    """Intern atoms, validate, and assemble a Problem.
+    """Check, intern and assemble a Problem.
 
     examples is a sequence of IOExample or of (extra, inputs, output[, base])
-    tuples; atom codes in the given values are ignored and reassigned in
-    first-occurrence order.
+    tuples. One walk per field checks the value against its functor and
+    reassigns atom codes in first-occurrence order; the codes in the given
+    values are ignored.
     """
     exs = []
     for ex in examples:
@@ -151,66 +158,84 @@ def build_problem(
             exs.append(IOExample(extra, tuple(inputs), output, *rest))
     if not exs:
         raise ValidationError("a problem needs at least one example")
-    interned, table = _intern(exs)
-    _validate(signature, sketch, interned)
-    return Problem(name, signature, sketch, tuple(interned), table)
-
-
-def _validate(sig: Signature, sketch: SketchKind, examples) -> None:
     if sketch is SketchKind.FOLDR:
         # fold traces introduce symbolic intermediate results, so the result
         # functor must have fixed-arity shapes
-        from .functors import UnsupportedFunctor, flatten_shape
-
         try:
-            flatten_shape(sig.result)
+            flatten_shape(signature.result)
         except UnsupportedFunctor as e:
             raise ValidationError(f"result functor unusable for foldr: {e}") from None
 
-    def check(i: int, fieldname: str, f: FunctorExpr, v: Value) -> None:
-        if not typecheck(f, v):
+    codes: dict[str, int] = {}  # label -> code, in first-occurrence order
+
+    def intern(f: FunctorExpr, v: Value) -> Value:
+        match f, v:
+            case Id(), AtomV(a):
+                return AtomV(Atom(codes.setdefault(a.label, len(codes)), a.label))
+            case (ConstUnit(), UnitV()) | (ConstInt(), IntV()) | (ConstBool(), BoolV()):
+                return v
+            case ListOf(inner), ListV(items):
+                return ListV(tuple(intern(inner, x) for x in items))
+            case ProdOf(l, r), PairV(a, b):
+                return PairV(intern(l, a), intern(r, b))
+            case MaybeOf(_), NothingV():
+                return v
+            case MaybeOf(inner), JustV(x):
+                return JustV(intern(inner, x))
+        raise TypeMismatch
+
+    def check(i: int, fieldname: str, f: FunctorExpr, v: Value) -> Value:
+        try:
+            return intern(f, v)
+        except TypeMismatch:
             raise ValidationError(
                 f"example {i}: field {fieldname!r}: value {show_value(v)} "
                 f"does not typecheck against {f}"
-            )
+            ) from None
 
+    interned = []
     bases_by_extra: dict[Value, Value] = {}
-    for i, ex in enumerate(examples):
-        check(i, "extra", sig.extra, ex.extra)
-        for j, v in enumerate(ex.inputs):
-            check(i, f"inputs[{j}]", sig.element, v)
-        if sketch is SketchKind.RAW:
-            if len(ex.inputs) != 1:
-                raise ValidationError(
-                    f"example {i}: raw examples take exactly one input, got "
-                    f"{len(ex.inputs)}"
-                )
-            check(i, "output", sig.result, ex.output)
-        elif sketch is SketchKind.MAP:
+    for i, ex in enumerate(exs):
+        extra = check(i, "extra", signature.extra, ex.extra)
+        inputs = tuple(
+            check(i, f"inputs[{j}]", signature.element, v) for j, v in enumerate(ex.inputs)
+        )
+        if sketch is SketchKind.RAW and len(inputs) != 1:
+            raise ValidationError(
+                f"example {i}: raw examples take exactly one input, got {len(inputs)}"
+            )
+        if sketch is SketchKind.MAP:
             if not isinstance(ex.output, ListV):
                 raise ValidationError(
                     f"example {i}: field 'output': a map sketch produces a list"
                 )
-            for j, v in enumerate(ex.output.items):
-                check(i, f"output[{j}]", sig.result, v)
+            output = ListV(
+                tuple(
+                    check(i, f"output[{j}]", signature.result, v)
+                    for j, v in enumerate(ex.output.items)
+                )
+            )
         else:
-            check(i, "output", sig.result, ex.output)
+            output = check(i, "output", signature.result, ex.output)
+        base = None
         if sketch is SketchKind.FOLDR:
             if ex.base is None:
                 raise ValidationError(f"example {i}: foldr examples need a 'base'")
-            check(i, "base", sig.result, ex.base)
+            base = check(i, "base", signature.result, ex.base)
             # interned codes are in bijection with labels, so values compare
             # by label
-            seen = bases_by_extra.setdefault(ex.extra, ex.base)
-            if seen != ex.base:
+            seen = bases_by_extra.setdefault(extra, base)
+            if seen != base:
                 raise ValidationError(
-                    f"example {i}: base {show_value(ex.base)} differs from the "
+                    f"example {i}: base {show_value(base)} differs from the "
                     f"base of an earlier example with the same extra argument"
                 )
         elif ex.base is not None:
             raise ValidationError(
                 f"example {i}: field 'base' is only meaningful for foldr sketches"
             )
+        interned.append(IOExample(extra, inputs, output, base))
+    return Problem(name, signature, sketch, tuple(interned), AtomTable(tuple(codes)))
 
 
 def _map_atoms(v: Value, fn) -> Value:
@@ -227,30 +252,9 @@ def _map_atoms(v: Value, fn) -> Value:
             return v
 
 
-def _intern(examples) -> tuple[list[IOExample], AtomTable]:
-    labels: list[str] = []
-    codes: dict[str, int] = {}
-
-    def code(a: Atom) -> Atom:
-        if a.label not in codes:
-            codes[a.label] = len(labels)
-            labels.append(a.label)
-        return Atom(codes[a.label], a.label)
-
-    out = []
-    for ex in examples:
-        extra = _map_atoms(ex.extra, code)
-        inputs = tuple(_map_atoms(v, code) for v in ex.inputs)
-        output = _map_atoms(ex.output, code)
-        base = _map_atoms(ex.base, code) if ex.base is not None else None
-        out.append(IOExample(extra, inputs, output, base))
-    return out, AtomTable(tuple(labels))
-
-
 def intern_atoms(p: Problem) -> AtomTable:
     """Recompute the dense label/code bijection of a problem's examples."""
-    _, table = _intern(p.examples)
-    return table
+    return build_problem(p.name, p.signature, p.sketch, p.examples).atoms
 
 
 def relabel_problem(p: Problem, mapping: dict[str, str]) -> Problem:
