@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parachk import (
+    CompletenessReport,
     ID,
     INT,
     IntV,
@@ -287,6 +288,38 @@ def test_deleting_example_never_fixes_remaining_requirements():
 def test_raw_and_map_trivially_complete():
     p = pid((UnitV(), [atom("A")], atom("A")))
     assert shape_complete(p).complete
+
+
+def test_shape_complete_ignores_what_propagation_refutes():
+    # the empty example contradicts its base, which propagation refutes;
+    # shape completeness still reads every example's shapes and reports the
+    # suffix [*] that the length-2 example needs
+    p = build_problem(
+        "base-conflict",
+        tail_sig(),
+        SketchKind.FOLDR,
+        [
+            (UnitV(), [], lst(atom("a")), lst()),
+            (UnitV(), [atom("b"), atom("c")], lst(atom("c")), lst()),
+        ],
+    )
+    with pytest.raises(PropagationUnrealizable):
+        propagate(p)
+    assert shape_complete(p) == CompletenessReport(
+        False, ("extra (), base [], inputs [*]",)
+    )
+    # an example pinning [*] completes it
+    q = build_problem(
+        "pinned",
+        tail_sig(),
+        SketchKind.FOLDR,
+        [
+            (UnitV(), [], lst(atom("a")), lst()),
+            (UnitV(), [atom("b"), atom("c")], lst(atom("c")), lst()),
+            (UnitV(), [atom("d")], lst(), lst()),
+        ],
+    )
+    assert shape_complete(q) == CompletenessReport(True, ())
 
 
 
