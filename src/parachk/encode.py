@@ -3,11 +3,12 @@
 The morphism is encoded as uninterpreted functions over the flattened input
 shape slots: one function per output shape slot, plus one position function
 mapping (input shape slots, output position) to the source input position.
-Unknown intermediates contribute slot constants guarded by their schema's
-refinement and an uninterpreted element function; element functions are only
-constrained inside their dependency bounds, and output positions of unknown
-containers are universally quantified under a guard. Constraints with known
-outputs are fully enumerated and stay quantifier free.
+Each intermediate, uid 0..unknown_count-1, contributes slot constants
+guarded by the result schema's refinement and an uninterpreted element
+function; element functions are only constrained inside their dependency
+bounds, and output positions of unknown containers are universally
+quantified under a guard. Constraints with known outputs are fully
+enumerated and stay quantifier free.
 
 Script generation is deterministic: a fixed problem yields byte-identical
 text.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .functors import flatten_shape
-from .propagate import ConstraintSet, Known, Unknown
+from .propagate import ConstraintSet, Known
 
 
 class EncodeError(Exception):
@@ -60,12 +61,6 @@ def encode(cs: ConstraintSet) -> SmtScript:
     out_schema = flatten_shape(cs.output_functor)
     in_arity = sum(len(s.slots) for s in part_schemas)
 
-    unknowns: dict[int, object] = {}
-    for c in cs.constraints:
-        for part in (*c.inputs, c.output):
-            if isinstance(part, Unknown):
-                unknowns[part.uid] = part.schema
-
     int_args = " ".join(["Int"] * in_arity)
     decls = [
         f"(declare-fun oshape{j} ({int_args}) Int)"
@@ -73,31 +68,23 @@ def encode(cs: ConstraintSet) -> SmtScript:
     ]
     pos_args = " ".join(["Int"] * (in_arity + 1))
     decls.append(f"(declare-fun srcpos ({pos_args}) Int)")
-    for uid in sorted(unknowns):
-        schema = unknowns[uid]
-        for term in mid_terms(uid, schema):
-            decls.append(f"(declare-fun {term} () Int)")
-        decls.append(f"(declare-fun elem{uid} (Int) Int)")
-
     assertions = []
-    for uid in sorted(unknowns):
-        schema = unknowns[uid]
-        assertions.extend(schema.smt_refinements(mid_terms(uid, schema)))
+    for uid in range(cs.unknown_count):
+        terms = mid_terms(uid, out_schema)
+        decls.extend(f"(declare-fun {term} () Int)" for term in terms)
+        decls.append(f"(declare-fun elem{uid} (Int) Int)")
+        assertions.extend(out_schema.smt_refinements(terms))
 
     def slot_terms(part, schema) -> list[str]:
         if isinstance(part, Known):
             return [_num(v) for v in schema.encode_shape(part.ext.shape)]
-        return mid_terms(part.uid, part.schema)
+        return mid_terms(part.uid, out_schema)
 
     for c in cs.constraints:
         ins = [t for part, schema in zip(c.inputs, part_schemas) for t in slot_terms(part, schema)]
-        if isinstance(c.output, Known):
-            out_slots = [_num(v) for v in out_schema.encode_shape(c.output.ext.shape)]
-        else:
-            out_slots = mid_terms(c.output.uid, c.output.schema)
-        for j, term in enumerate(out_slots):
+        for j, term in enumerate(slot_terms(c.output, out_schema)):
             assertions.append(f"(= {_app(f'oshape{j}', ins)} {term})")
-        assertions.extend(_positions(c, ins))
+        assertions.extend(_positions(c, ins, out_schema))
 
     logic = "UFLIA" if cs.unknown_count else "QF_UFLIA"
     return SmtScript(logic, tuple(decls), tuple(assertions))
@@ -114,16 +101,13 @@ def shrink_assertions(cs: ConstraintSet) -> list[str]:
             len(p.ext.elements) for p in (*c.inputs, c.output) if isinstance(p, Known)
         )
         cap = max(cap, 8 + known)
-    out = []
-    seen = set()
-    for c in cs.constraints:
-        for part in (*c.inputs, c.output):
-            if isinstance(part, Unknown) and part.uid not in seen:
-                seen.add(part.uid)
-                for slot, term in zip(part.schema.slots, mid_terms(part.uid, part.schema)):
-                    if slot.kind == "nat":
-                        out.append(f"(<= {term} {cap})")
-    return out
+    schema = flatten_shape(cs.output_functor)
+    return [
+        f"(<= {term} {cap})"
+        for uid in range(cs.unknown_count)
+        for slot, term in zip(schema.slots, mid_terms(uid, schema))
+        if slot.kind == "nat"
+    ]
 
 
 def _or(disjuncts: list[str]) -> str:
@@ -134,7 +118,7 @@ def _or(disjuncts: list[str]) -> str:
     return "(or " + " ".join(disjuncts) + ")"
 
 
-def _positions(c, ins) -> list[str]:
+def _positions(c, ins, out_schema) -> list[str]:
     """Position and element-consistency assertions for one constraint."""
     known_pos: list[tuple[int, int]] = []  # absolute position, element code
     window = None  # (uid, base offset, count form string)
@@ -147,7 +131,7 @@ def _positions(c, ins) -> list[str]:
                 known_pos.append((off, a.code))
                 off += 1
         else:
-            cf = part.schema.count.smt(mid_terms(part.uid, part.schema))
+            cf = out_schema.count.smt(mid_terms(part.uid, out_schema))
             window = (part.uid, off, cf)
 
     def disjuncts(q_term: str, target: str) -> str:
@@ -168,7 +152,7 @@ def _positions(c, ins) -> list[str]:
             out.append(disjuncts(str(q), str(a.code)))
     else:
         uid = c.output.uid
-        cf = c.output.schema.count.smt(mid_terms(uid, c.output.schema))
+        cf = out_schema.count.smt(mid_terms(uid, out_schema))
         body = disjuncts("q", f"(elem{uid} q)")
         out.append(
             f"(forall ((q Int)) (=> (and (>= q 0) (< q {cf})) {body}))"

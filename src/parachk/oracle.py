@@ -35,7 +35,6 @@ from .problem import AtomTable
 from .propagate import (
     ConstraintSet,
     Known,
-    MorphismConstraint,
     TraceKey,
     show_trace_key,
     unpinned_suffixes,
@@ -110,38 +109,12 @@ class GroundInstance:
     atoms: AtomTable
 
 
-Trace = tuple[TraceKey, list[MorphismConstraint]]
-
-
-def _traces(cs: ConstraintSet) -> list[Trace]:
-    """Each fold trace of `cs`: its key and its steps, the first of which
-    consumes the last list element."""
-    if len(cs.input_parts) != 3:
-        raise OracleError("unknown intermediates outside a fold trace")
-    # a chain starts where the accumulator is known
-    chains = []
-    for c in cs.constraints:
-        if isinstance(c.inputs[2], Known):
-            chains.append([])
-        chains[-1].append(c)
-
-    traces = []
-    for steps in chains:
-        if not isinstance(steps[-1].output, Known):
-            raise OracleError("a trace must end in a known output")
-        h = steps[0].inputs[0].ext.shape
-        base = steps[0].inputs[2].ext.shape
-        seq = tuple(s.inputs[1].ext.shape for s in reversed(steps))
-        traces.append(((h, base, seq), steps))
-    return traces
-
-
-def _pinned(traces: list[Trace]) -> dict[TraceKey, ShapeValue]:
+def _pinned(cs: ConstraintSet) -> dict[TraceKey, ShapeValue]:
     """The output shape of each full example, by trace key. Raises
     ExampleConflict when two examples with one key disagree."""
     full: dict[TraceKey, ShapeValue] = {}
-    for key, steps in traces:
-        out = steps[-1].output.ext.shape
+    for trace in cs.traces:
+        key, out = trace.key, trace.steps[-1].output.ext.shape
         prior = full.get(key)
         if prior is not None and prior != out:
             raise ExampleConflict(
@@ -161,10 +134,9 @@ def resolve_intermediate_shapes(
     when a suffix is pinned by neither (`unpinned_suffixes`)."""
     if cs.unknown_count == 0:
         return {}
-    traces = _traces(cs)
     completion = completion or {}
     missing = [
-        key for key in unpinned_suffixes([key for key, _ in traces])
+        key for key in unpinned_suffixes([t.key for t in cs.traces])
         if key not in completion
     ]
     if missing:
@@ -173,12 +145,13 @@ def resolve_intermediate_shapes(
             missing,
         )
 
-    full = {**_pinned(traces), **completion}
+    full = {**_pinned(cs), **completion}
     resolved: dict[int, ShapeValue] = {}
-    for (h, base, seq), steps in traces:
+    for trace in cs.traces:
+        h, base, seq = trace.key
         n = len(seq)
         for k in range(1, n):
-            resolved[steps[k - 1].output.uid] = full[(h, base, seq[n - k :])]
+            resolved[trace.steps[k - 1].output.uid] = full[(h, base, seq[n - k :])]
     return resolved
 
 
@@ -194,24 +167,6 @@ def ground(
     def container_shape(part) -> ShapeValue:
         return part.ext.shape if isinstance(part, Known) else inter_shapes[part.uid]
 
-    def key_of(c: MorphismConstraint) -> tuple[int, ...]:
-        key: list[int] = []
-        for schema, part in zip(part_schemas, c.inputs):
-            key.extend(schema.encode_shape(container_shape(part)))
-        return tuple(key)
-
-    shape_map: dict[tuple[int, ...], ShapeValue] = {}
-    for c in cs.constraints:
-        key = key_of(c)
-        out_shape = container_shape(c.output)
-        forced = shape_map.get(key)
-        if forced is not None and forced != out_shape:
-            raise ShapeConflict(
-                f"input shape {key} maps to both {show_shape(forced)} and "
-                f"{show_shape(out_shape)}"
-            )
-        shape_map[key] = out_shape
-
     inter_terms: dict[int, tuple[int, ...]] = {}
     term = -1
     for uid in sorted(inter_shapes):
@@ -224,10 +179,24 @@ def ground(
             return tuple(a.code for a in part.ext.elements)
         return inter_terms[part.uid]
 
+    shape_map: dict[tuple[int, ...], ShapeValue] = {}
     grounded = []
     for c in cs.constraints:
+        key = tuple(
+            v
+            for schema, part in zip(part_schemas, c.inputs)
+            for v in schema.encode_shape(container_shape(part))
+        )
+        out_shape = container_shape(c.output)
+        forced = shape_map.get(key)
+        if forced is not None and forced != out_shape:
+            raise ShapeConflict(
+                f"input shape {key} maps to both {show_shape(forced)} and "
+                f"{show_shape(out_shape)}"
+            )
+        shape_map[key] = out_shape
         in_terms = tuple(t for part in c.inputs for t in terms_of(part))
-        grounded.append(GroundConstraint(key_of(c), in_terms, terms_of(c.output)))
+        grounded.append(GroundConstraint(key, in_terms, terms_of(c.output)))
 
     return GroundInstance(
         tuple(grounded), shape_map, inter_shapes, out_functor, cs.atoms
@@ -385,11 +354,10 @@ def candidate_shapes(cs: ConstraintSet) -> tuple[list[ShapeValue], bool]:
     schema = flatten_shape(cs.output_functor)
     seen: list[set[int]] = [set() for _ in schema.slots]
     if any(slot.kind == "int" for slot in schema.slots):
-        for c in cs.constraints:
-            for part in (c.inputs[-1], c.output):
-                if isinstance(part, Known):
-                    for values, v in zip(seen, schema.encode_shape(part.ext.shape)):
-                        values.add(v)
+        for trace in cs.traces:
+            for shape in (trace.key[1], trace.steps[-1].output.ext.shape):
+                for values, v in zip(seen, schema.encode_shape(shape)):
+                    values.add(v)
     ranges = []
     for slot, values in zip(schema.slots, seen):
         if slot.kind == "nat":
@@ -419,7 +387,7 @@ def consistent_completions(
     checked as soon as both its shapes are fixed, and a guess that clashes
     is not extended. Each tie checked spends one step of `budget`.
     """
-    pinned = _pinned(_traces(cs))
+    pinned = _pinned(cs)
     shape = dict(pinned)
     order = sorted(missing, key=lambda key: len(key[2]))
     level = {key: i for i, key in enumerate(order)}

@@ -515,4 +515,8 @@ def problem_to_json(p: Problem) -> str:
 
 def load_problem(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return parse_problem(text)

@@ -5,9 +5,16 @@ Each constraint states that one application of the unknown morphism maps a
 tuple of input containers to an output container. For raw and map sketches
 every container is known. For foldr sketches the morphism takes the triple
 (extra, element, accumulator); the accumulators threading a trace are fresh
-unknowns whose shapes come from the result functor's schema. Inputs of an
-example are numbered right to left, so constraint 0 of a trace consumes the
-last list element and the given base value.
+unknowns, numbered 0..unknown_count-1 in constraint order, whose shapes are
+shapes of the result functor. Inputs of an example are numbered right to
+left, so constraint 0 of a trace consumes the last list element and the
+given base value.
+
+This module alone knows how a fold trace is laid out. `ConstraintSet.traces`
+holds one `Trace` per nonempty foldr example, in constraint order: its
+`TraceKey` (extra shape, base shape, element shapes in list order) and its
+steps, which are consecutive constraints whose intermediates have
+consecutive uids. Raw and map sets have no traces.
 """
 
 from __future__ import annotations
@@ -17,10 +24,7 @@ from dataclasses import dataclass
 from .functors import (
     Extension,
     FunctorExpr,
-    ShapeSchema,
     ShapeValue,
-    flatten_shape,
-    shape_of,
     show_shape,
     to_extension,
 )
@@ -42,8 +46,9 @@ class Known:
 
 @dataclass(frozen=True)
 class Unknown:
+    """A fold intermediate: a container of the result functor."""
+
     uid: int
-    schema: ShapeSchema
 
 
 SymbolicContainer = Known | Unknown
@@ -55,6 +60,21 @@ class MorphismConstraint:
     output: SymbolicContainer
 
 
+# A fold trace's key: (extra shape, base shape, element shapes in list
+# order). A trace pins the shape of its own result, nothing else.
+TraceKey = tuple[ShapeValue, ShapeValue, tuple[ShapeValue, ...]]
+
+
+@dataclass(frozen=True)
+class Trace:
+    """One nonempty foldr example: its key and its steps, the first of which
+    consumes the last list element and the base, the last of which outputs
+    the example's output."""
+
+    key: TraceKey
+    steps: tuple[MorphismConstraint, ...]
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     input_parts: tuple[FunctorExpr, ...]
@@ -62,6 +82,7 @@ class ConstraintSet:
     constraints: tuple[MorphismConstraint, ...]
     unknown_count: int
     atoms: AtomTable
+    traces: tuple[Trace, ...] = ()
 
 
 def propagate(p: Problem) -> ConstraintSet:
@@ -106,10 +127,23 @@ def propagate_map(p: Problem) -> ConstraintSet:
     return ConstraintSet((sig.element,), sig.result, tuple(constraints), 0, p.atoms)
 
 
+def _fold_extensions(sig, ex) -> tuple[Extension, Extension, list[Extension]]:
+    """A foldr example's extra, base and elements, in list order."""
+    return (
+        to_extension(sig.extra, ex.extra),
+        to_extension(sig.result, ex.base),
+        [to_extension(sig.element, v) for v in ex.inputs],
+    )
+
+
+def _trace_key(extra: Extension, base: Extension, elems: list[Extension]) -> TraceKey:
+    return extra.shape, base.shape, tuple(e.shape for e in elems)
+
+
 def propagate_foldr(p: Problem) -> ConstraintSet:
     sig = p.signature
-    schema = flatten_shape(sig.result)
-    constraints = []
+    constraints: list[MorphismConstraint] = []
+    traces = []
     uid = 0
     for i, ex in enumerate(p.examples):
         n = len(ex.inputs)
@@ -120,33 +154,30 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
                     f"the base case"
                 )
             continue
-        extra = Known(to_extension(sig.extra, ex.extra))
-        accs: list[SymbolicContainer] = [Known(to_extension(sig.result, ex.base))]
-        for _ in range(n - 1):
-            accs.append(Unknown(uid, schema))
-            uid += 1
+        extra, base, elems = _fold_extensions(sig, ex)
+        accs: list[SymbolicContainer] = [Known(base)]
+        accs.extend(Unknown(uid + k) for k in range(n - 1))
         accs.append(Known(to_extension(sig.result, ex.output)))
-        for step in range(n):
-            elem = Known(to_extension(sig.element, ex.inputs[n - 1 - step]))
-            constraints.append(
-                MorphismConstraint((extra, elem, accs[step]), accs[step + 1])
-            )
+        uid += n - 1
+        h = Known(extra)
+        steps = tuple(
+            MorphismConstraint((h, Known(elems[n - 1 - k]), accs[k]), accs[k + 1])
+            for k in range(n)
+        )
+        constraints.extend(steps)
+        traces.append(Trace(_trace_key(extra, base, elems), steps))
     return ConstraintSet(
         (sig.extra, sig.element, sig.result),
         sig.result,
         tuple(constraints),
         uid,
         p.atoms,
+        tuple(traces),
     )
 
 
 # ---------------------------------------------------------------------------
 # Shape completeness
-
-
-# A fold trace's key: (extra shape, base shape, element shapes in list
-# order). A trace pins the shape of its own result, nothing else.
-TraceKey = tuple[ShapeValue, ShapeValue, tuple[ShapeValue, ...]]
 
 
 def unpinned_suffixes(traces: list[TraceKey]) -> list[TraceKey]:
@@ -191,14 +222,6 @@ def shape_complete(p: Problem) -> CompletenessReport:
     """
     if p.sketch is not SketchKind.FOLDR:
         return CompletenessReport(True, ())
-    sig = p.signature
-    traces = [
-        (
-            shape_of(sig.extra, ex.extra),
-            shape_of(sig.result, ex.base),
-            tuple(shape_of(sig.element, v) for v in ex.inputs),
-        )
-        for ex in p.examples
-    ]
+    traces = [_trace_key(*_fold_extensions(p.signature, ex)) for ex in p.examples]
     missing = tuple(show_trace_key(key) for key in unpinned_suffixes(traces))
     return CompletenessReport(not missing, missing)

@@ -48,7 +48,7 @@ from .encode import SmtScript, encode, shrink_assertions
 from .functors import Atom, Extension, ShapeMismatch, flatten_shape
 from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
-from .propagate import ConstraintSet, PropagationUnrealizable, Unknown, propagate
+from .propagate import ConstraintSet, PropagationUnrealizable, propagate
 from .verdict import (
     Realizable,
     Unrealizable,
@@ -99,6 +99,7 @@ def run_solver(script: SmtScript, cfg: SolverConfig) -> RawResult:
             input=text,
             capture_output=True,
             text=True,
+            errors="replace",
             timeout=cfg.timeout_ms / 1000.0,
         )
     except FileNotFoundError as e:
@@ -375,6 +376,11 @@ class WitnessError(Exception):
     pass
 
 
+# The most positions, and the longest list, of an intermediate read off a
+# model.
+_MAX_REPLAYED = 20_000
+
+
 def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
     """Read the morphism tables and intermediates off a sat model."""
     try:
@@ -382,22 +388,20 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
     except ModelError as e:
         raise WitnessError(str(e)) from None
 
+    out_schema = flatten_shape(cs.output_functor)
     intermediates: dict[int, Extension] = {}
-    seen: dict[int, object] = {}
-    for c in cs.constraints:
-        for part in (*c.inputs, c.output):
-            if isinstance(part, Unknown):
-                seen[part.uid] = part.schema
     try:
-        for uid in sorted(seen):
-            schema = seen[uid]
-            slots = [fns.call(f"mid{uid}_{s.name}", []) for s in schema.slots]
-            shape = schema.decode_slots(slots)
-            count = schema.count_value(slots)
-            if count > 20_000:
-                raise WitnessError(
-                    f"intermediate {uid} has {count} positions, too large to replay"
-                )
+        for uid in range(cs.unknown_count):
+            slots = [fns.call(f"mid{uid}_{s.name}", []) for s in out_schema.slots]
+            count = out_schema.count_value(slots)
+            # decoding builds a list of every length: bound them all first
+            if count > _MAX_REPLAYED or any(
+                v > _MAX_REPLAYED
+                for s, v in zip(out_schema.slots, slots)
+                if s.kind == "nat"
+            ):
+                raise WitnessError(f"intermediate {uid} is too large to replay")
+            shape = out_schema.decode_slots(slots)
             elems = []
             for q in range(count):
                 code = fns.call(f"elem{uid}", [q])
@@ -406,7 +410,6 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
     except (ModelError, ShapeMismatch, RecursionError) as e:
         raise WitnessError(f"intermediates unreadable: {e}") from None
 
-    out_schema = flatten_shape(cs.output_functor)
     shape_table: dict = {}
     position_table: dict = {}
     try:

@@ -58,12 +58,17 @@ def test_bad_problem_files_exit_three(capsys, tmp_path):
         "functor.json": '{"name": "x", "signature": {"element": 5, "result": "Id"}, '
         '"sketch": "raw", "examples": [{"inputs": [{"atom": "a"}], "output": {"atom": "a"}}]}',
         "nested.json": nested,
+        "utf16.json": b"\xff\xfe{}",
     }
     for name, text in texts.items():
         path = tmp_path / name
-        path.write_text(text)
-        assert main(["check", str(path)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        for command in ("check", "emit-smt", "oracle"):
+            assert main([command, str(path)]) == 3
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_emit_smt_deterministic(capsys):
@@ -254,6 +259,48 @@ def test_solver_env_var_fallback(tmp_path, monkeypatch, capsys):
 def test_malformed_model_gives_unknown(capsys, tmp_path, define):
     fake = _fake_solver(tmp_path, f"sat\n({define})")
     code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--solver", fake, "--backend", "smt"])
+    out = capsys.readouterr().out
+    assert code == 2 and "Unknown(witness-validation-failed)" in out
+
+
+def _byte_solver(tmp_path, answer: bytes) -> str:
+    """A solver command that ignores its script and prints the bytes
+    `answer`, which need not be text."""
+    import os, stat
+
+    out = tmp_path / "answer"
+    out.write_bytes(answer)
+    fake = tmp_path / "fake-solver"
+    fake.write_text(f"#!/bin/sh\ncat > /dev/null\ncat '{out}'\n")
+    os.chmod(fake, stat.S_IRWXU)
+    return str(fake)
+
+
+def test_undecodable_model_gives_unknown(capsys, tmp_path):
+    fake = _byte_solver(tmp_path, b"sat\n\377\n")
+    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--solver", fake, "--backend", "smt"])
+    out = capsys.readouterr().out
+    assert code == 2 and "Unknown(witness-validation-failed)" in out
+
+
+def test_undecodable_status_is_a_solver_error(capsys, tmp_path):
+    fake = _byte_solver(tmp_path, b"\377sat\n")
+    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--solver", fake, "--backend", "smt"])
+    assert code == 3 and capsys.readouterr().err.startswith("error: ")
+
+
+def test_huge_intermediate_in_a_model_gives_unknown(capsys, tmp_path):
+    # a list of 2 * 10**18 positions: building it fails at once, where a
+    # length of 10**8 would take seconds and gigabytes before the verdict
+    from parachk import load_problem, propagate
+
+    cs = propagate(load_problem(f"{PROBLEMS}/reverse_as_foldr.json"))
+    assert cs.unknown_count > 0
+    defines = " ".join(
+        f"(define-fun mid{uid}_n0 () Int {2 * 10**18})" for uid in range(cs.unknown_count)
+    )
+    fake = _fake_solver(tmp_path, f"sat\n({defines})")
+    code = main(["check", f"{PROBLEMS}/reverse_as_foldr.json", "--solver", fake, "--backend", "smt"])
     out = capsys.readouterr().out
     assert code == 2 and "Unknown(witness-validation-failed)" in out
 

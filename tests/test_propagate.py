@@ -2,6 +2,7 @@
 shape completeness."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,9 @@ from parachk import (
     Ungroundable,
     atom,
     build_problem,
+    flatten_shape,
     ground,
+    load_problem,
     propagate,
     propagate_foldr,
     propagate_map,
@@ -31,7 +34,7 @@ from parachk import (
     shape_complete,
     shape_of,
 )
-from parachk.propagate import Known, Unknown
+from parachk.propagate import Known, Unknown, show_trace_key
 
 import support
 
@@ -141,7 +144,74 @@ def test_foldr_sum_style_chain():
     assert len(cs.constraints) == 3 and cs.unknown_count == 2
     mids = [c.output for c in cs.constraints[:-1]]
     assert all(isinstance(m, Unknown) for m in mids)
-    assert all(s.kind == "int" for m in mids for s in m.schema.slots)
+    assert all(s.kind == "int" for m in mids for s in flatten_shape(cs.output_functor).slots)
+
+
+def _check_trace_record(p):
+    """`propagate(p).traces` holds, for each nonempty foldr example in
+    order, its (extra, base, inputs) shapes and its steps: consecutive
+    constraints, threaded through intermediates with consecutive uids."""
+    cs = propagate(p)
+    sig = p.signature
+    if p.sketch is not SketchKind.FOLDR:
+        assert cs.traces == ()
+        return cs
+    assert [t.key for t in cs.traces] == [
+        (
+            shape_of(sig.extra, ex.extra),
+            shape_of(sig.result, ex.base),
+            tuple(shape_of(sig.element, v) for v in ex.inputs),
+        )
+        for ex in p.examples
+        if ex.inputs
+    ]
+    assert [c for t in cs.traces for c in t.steps] == list(cs.constraints)
+    uid = 0
+    for t in cs.traces:
+        h, base, seq = t.key
+        assert len(t.steps) == len(seq)
+        assert all(step.inputs[0].ext.shape == h for step in t.steps)
+        assert tuple(step.inputs[1].ext.shape for step in reversed(t.steps)) == seq
+        assert t.steps[0].inputs[2].ext.shape == base
+        assert isinstance(t.steps[-1].output, Known)
+        for step, after in zip(t.steps, t.steps[1:]):
+            assert step.output == Unknown(uid) == after.inputs[2]
+            uid += 1
+    assert uid == cs.unknown_count
+    return cs
+
+
+def test_traces_record_every_corpus_set():
+    from parachk.bench import corpus
+
+    problems = [q for e in corpus() for q in (e.problem_sc, e.problem_si)]
+    problems += [load_problem(str(path)) for path in sorted(Path("problems").glob("*.json"))]
+    assert len(problems) == 37
+    foldr = 0
+    for q in problems:
+        foldr += bool(_check_trace_record(q).traces)
+    assert foldr == 35
+
+
+def test_traces_record_two_extras_and_two_bases():
+    p = build_problem(
+        "drop-two-bases",
+        Signature(INT, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (IntV(1), [atom("a"), atom("b")], lst(atom("b")), lst()),
+            (IntV(2), [atom("c")], lst(atom("z")), lst(atom("z"))),
+            (IntV(1), [], lst(), lst()),
+            (IntV(2), [atom("d"), atom("e"), atom("f")], lst(atom("z")), lst(atom("z"))),
+        ],
+    )
+    cs = _check_trace_record(p)
+    assert [show_trace_key(t.key) for t in cs.traces] == [
+        "extra 1, base [], inputs [*, *]",
+        "extra 2, base [*], inputs [*]",
+        "extra 2, base [*], inputs [*, *, *]",
+    ]
+    assert cs.unknown_count == 3
 
 
 def test_constraint_count_invariants():

@@ -29,7 +29,7 @@ from parachk import (
     run_solver,
     validate_witness,
 )
-from parachk.solver import ModelFunctions, RawResult
+from parachk.solver import ModelFunctions, RawResult, WitnessError, extract_witness
 
 from conftest import needs_solver
 
@@ -257,6 +257,20 @@ def test_validate_witness_rejects_out_of_range_position():
 def test_validate_witness_rejects_garbage():
     cs = propagate(sum_problem())
     assert not validate_witness("not an s-expression (", cs)
+
+
+def test_long_intermediate_without_positions_is_not_decoded():
+    # a list of units has no positions, so only the length bound stops
+    # decoding from building a list of 2 * 10**18 shapes
+    p = build_problem(
+        "units",
+        Signature(UNIT, ID, ListOf(UNIT)),
+        SketchKind.FOLDR,
+        [(UnitV(), [atom("a"), atom("b")], lst(UnitV(), UnitV()), lst())],
+    )
+    cs = propagate(p)
+    with pytest.raises(WitnessError, match="too large"):
+        extract_witness(f"((define-fun mid0_n0 () Int {2 * 10**18}))", cs)
 
 
 # ---------------------------------------------------------------------------
