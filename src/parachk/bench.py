@@ -64,156 +64,96 @@ def _entry(name, signature, expected, examples) -> BenchEntry:
     return BenchEntry(name, sc, si, expected)
 
 
-def _simple_list_entry(name, result, out_fn, base, expected, lengths) -> BenchEntry:
-    """Functions of one list, no extra argument. Input atoms are chosen per
-    example; outputs come from the reference function."""
-    pool = ["", "g", "e f", "a b c", "h i j k"]
-    sig = Signature(UNIT, ID, result)
+# The input atoms of an example, by its length.
+_POOL = ["", "g", "e f", "a b c", "h i j k"]
+
+
+def _fold_entry(
+    name, result, out_fn, base, expected, lengths, extra=(UNIT, UnitV())
+) -> BenchEntry:
+    """A function of one list of atoms, with the extra argument `extra`
+    (functor, value) kept constant through the fold. Input atoms are chosen
+    per example by length; outputs come from the reference function."""
+    sig = Signature(extra[0], ID, result)
     examples = []
     for n in lengths:
-        xs = _atoms(pool[n]) if n else []
-        examples.append((UnitV(), xs, out_fn(xs), base))
+        xs = _atoms(_POOL[n])
+        examples.append((extra[1], xs, out_fn(xs), base))
     return _entry(name, sig, expected, examples)
 
 
 def _corpus() -> list[BenchEntry]:
-    entries = []
-
-    entries.append(
-        _simple_list_entry(
-            "null", BOOL, lambda xs: BoolV(len(xs) == 0), BoolV(True), True, [3, 0, 2, 1]
-        )
-    )
-    entries.append(
-        _simple_list_entry(
-            "length", INT, lambda xs: IntV(len(xs)), IntV(0), True, [3, 0, 2, 1]
-        )
-    )
-    entries.append(
-        _simple_list_entry(
+    entries = [
+        _fold_entry("null", BOOL, lambda xs: BoolV(len(xs) == 0), BoolV(True), True, [3, 0, 2, 1]),
+        _fold_entry("length", INT, lambda xs: IntV(len(xs)), IntV(0), True, [3, 0, 2, 1]),
+        _fold_entry(
             "head",
             MaybeOf(ID),
             lambda xs: JustV(xs[0]) if xs else NothingV(),
             NothingV(),
             True,
             [3, 0, 2, 1],
-        )
-    )
-    entries.append(
-        _simple_list_entry(
+        ),
+        _fold_entry(
             "last",
             MaybeOf(ID),
             lambda xs: JustV(xs[-1]) if xs else NothingV(),
             NothingV(),
             True,
             [3, 0, 2, 1],
-        )
-    )
-    entries.append(
-        _simple_list_entry(
-            "tail", ListOf(ID), lambda xs: _lst(*xs[1:]), _lst(), False, [3, 0, 2, 1]
-        )
-    )
-    entries.append(
-        _simple_list_entry(
-            "init", ListOf(ID), lambda xs: _lst(*xs[:-1]), _lst(), False, [3, 0, 1, 2]
-        )
-    )
-    entries.append(
-        _simple_list_entry(
-            "reverse",
-            ListOf(ID),
-            lambda xs: _lst(*reversed(xs)),
-            _lst(),
-            True,
-            [4, 0, 3, 1, 2],
-        )
-    )
+        ),
+        _fold_entry("tail", ListOf(ID), lambda xs: _lst(*xs[1:]), _lst(), False, [3, 0, 2, 1]),
+        _fold_entry("init", ListOf(ID), lambda xs: _lst(*xs[:-1]), _lst(), False, [3, 0, 1, 2]),
+        _fold_entry(
+            "reverse", ListOf(ID), lambda xs: _lst(*reversed(xs)), _lst(), True, [4, 0, 3, 1, 2]
+        ),
+    ]
 
-    # integer-argument functions, argument kept constant through the fold
-    def int_entry(name, k, result, out_fn, base, expected, lengths):
-        pool = ["", "g", "e f", "a b c", "h i j k"]
-        sig = Signature(INT, ID, result)
-        examples = []
-        for n in lengths:
-            xs = _atoms(pool[n]) if n else []
-            examples.append((IntV(k), xs, out_fn(xs), base))
-        return _entry(name, sig, expected, examples)
-
-    entries.append(
-        int_entry(
+    # integer-argument functions
+    one, two = (INT, IntV(1)), (INT, IntV(2))
+    entries += [
+        _fold_entry(
             "index",
-            1,
             MaybeOf(ID),
             lambda xs: JustV(xs[1]) if len(xs) > 1 else NothingV(),
             NothingV(),
             False,
             [3, 0, 2, 1],
-        )
-    )
-    entries.append(
-        int_entry(
-            "drop", 1, ListOf(ID), lambda xs: _lst(*xs[1:]), _lst(), False, [3, 0, 2, 1]
-        )
-    )
-    entries.append(
-        int_entry(
-            "take", 2, ListOf(ID), lambda xs: _lst(*xs[:2]), _lst(), True, [3, 0, 2, 1]
-        )
-    )
-    entries.append(
-        int_entry(
+            one,
+        ),
+        _fold_entry("drop", ListOf(ID), lambda xs: _lst(*xs[1:]), _lst(), False, [3, 0, 2, 1], one),
+        _fold_entry("take", ListOf(ID), lambda xs: _lst(*xs[:2]), _lst(), True, [3, 0, 2, 1], two),
+        _fold_entry(
             "splitAt",
-            1,
             ProdOf(ListOf(ID), ListOf(ID)),
             lambda xs: PairV(_lst(*xs[:1]), _lst(*xs[1:])),
             PairV(_lst(), _lst()),
             True,
             [3, 0, 2, 1],
-        )
-    )
+            one,
+        ),
+    ]
 
-    # list-argument functions, the other list kept constant through the fold
-    def list_extra_entry(name, result, out_fn, base_fn, expected, lengths):
-        pool = ["", "g", "e f", "a b c", "h i j k"]
-        sig = Signature(ListOf(ID), ID, result)
-        examples = []
-        for n in lengths:
-            x = _atoms("p q")
-            xs = _atoms(pool[n]) if n else []
-            examples.append((_lst(*x), xs, out_fn(x, xs), base_fn(x)))
-        return _entry(name, sig, expected, examples)
-
-    entries.append(
-        list_extra_entry(
-            "append",
-            ListOf(ID),
-            lambda x, ys: _lst(*ys, *x),
-            lambda x: _lst(*x),
-            True,
-            [3, 0, 2, 1],
-        )
-    )
-    entries.append(
-        list_extra_entry(
-            "prepend",
-            ListOf(ID),
-            lambda x, ys: _lst(*x, *ys),
-            lambda x: _lst(*x),
-            True,
-            [3, 0, 2, 1],
-        )
-    )
-    entries.append(
-        list_extra_entry(
+    # list-argument functions
+    pq = _atoms("p q")
+    other = (ListOf(ID), _lst(*pq))
+    entries += [
+        _fold_entry(
+            "append", ListOf(ID), lambda ys: _lst(*ys, *pq), _lst(*pq), True, [3, 0, 2, 1], other
+        ),
+        _fold_entry(
+            "prepend", ListOf(ID), lambda ys: _lst(*pq, *ys), _lst(*pq), True, [3, 0, 2, 1], other
+        ),
+        _fold_entry(
             "zip",
             ListOf(ProdOf(ID, ID)),
-            lambda x, ys: _lst(*(PairV(a, b) for a, b in zip(x, ys))),
-            lambda x: _lst(),
+            lambda ys: _lst(*(PairV(a, b) for a, b in zip(pq, ys))),
+            _lst(),
             True,
             [3, 0, 2, 1],
-        )
-    )
+            other,
+        ),
+    ]
 
     # unzip :: [(a, a)] -> ([a], [a])
     def unzip_entry():

@@ -22,10 +22,6 @@ from .functors import flatten_shape
 from .propagate import ConstraintSet, Known
 
 
-class EncodeError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SmtScript:
     logic: str
@@ -121,12 +117,13 @@ def _or(disjuncts: list[str]) -> str:
 def _positions(c, ins, out_schema) -> list[str]:
     """Position and element-consistency assertions for one constraint."""
     known_pos: list[tuple[int, int]] = []  # absolute position, element code
-    window = None  # (uid, base offset, count form string)
+    # (uid, base offset, count form string); propagation puts the only
+    # symbolic input, the accumulator, last, so every known position is
+    # below the window
+    window = None
     off = 0
     for part in c.inputs:
         if isinstance(part, Known):
-            if window is not None and part.ext.elements:
-                raise EncodeError("known input positions after a symbolic container")
             for a in part.ext.elements:
                 known_pos.append((off, a.code))
                 off += 1

@@ -219,10 +219,6 @@ class ListS(ShapeValue):
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
 
-    @property
-    def length(self) -> int:
-        return len(self.children)
-
 
 @dataclass(frozen=True)
 class ProdS(ShapeValue):
@@ -233,10 +229,6 @@ class ProdS(ShapeValue):
 @dataclass(frozen=True)
 class MaybeS(ShapeValue):
     child: ShapeValue | None
-
-    @property
-    def present(self) -> bool:
-        return self.child is not None
 
 
 def show_shape(s: ShapeValue) -> str:

@@ -1,12 +1,13 @@
 """Brute-force realizability decision for fold sets, by grounding and search.
 
-Grounding resolves every intermediate shape by suffix matching: the
-intermediate at level k of a trace is the fold result of the last k list
-elements, so its shape is pinned by any example whose full input carries
-exactly those element shapes (with the same extra and base shapes). This
-resolves everything exactly when the set is shape complete; otherwise
-grounding raises Ungroundable, unless a completion supplies a guessed shape
-for every unpinned suffix. Afterwards the shape morphism is checked to be a
+The intermediate at level k of a fold trace is the fold result of the last
+k list elements, so its shape is pinned by any example whose full input
+carries exactly those element shapes (with the same extra and base shapes).
+A completion gives the shape of every suffix the traces need: the pinned
+ones, and a guess for each suffix no example pins. A raw, map or
+shape-complete set has one completion, the one that guesses nothing; a
+shape-incomplete set has one per guess. Grounding a completion gives every
+intermediate its suffix's shape and checks that the shape morphism is a
 function of the input shape; a clash is a shape conflict and, when no shape
 was guessed, immediate evidence of unrealizability.
 
@@ -18,10 +19,10 @@ concrete elements would have to coincide. A search with more than
 MAX_POSITIONS positions per input shape or MAX_SHAPES distinct input shapes
 raises BoundExceeded, and so does one that spends a given `StepBudget`.
 
-`oracle_decide` is the one entry point. It grounds and searches a raw, map
-or shape-complete fold set once; under a budget it searches a
-shape-incomplete set once per completion drawn from small candidate shapes,
-all under the one budget.
+`oracle_decide` is the one entry point: one loop that grounds and searches
+each completion, the one of a complete set or, under a budget, every
+shape-consistent guess from small candidate shapes of a shape-incomplete
+set, all under the one budget.
 """
 
 from __future__ import annotations
@@ -50,18 +51,14 @@ class ShapeConflict(OracleError):
     """Two equal input shapes forced two different output shapes."""
 
 
-class ExampleConflict(ShapeConflict):
-    """The shapes the examples pin, with no guess involved, force one input
-    shape to two output shapes. No guess at an intermediate shape can mend
-    that."""
-
-
 class Ungroundable(OracleError):
     """An intermediate shape is not pinned by the example set: the set is
     not shape complete. `missing` lists the unpinned trace keys."""
 
-    def __init__(self, message: str, missing: list[TraceKey]):
-        super().__init__(message)
+    def __init__(self, missing: list[TraceKey]):
+        super().__init__(
+            f"no example pins the intermediate for {show_trace_key(missing[0])}"
+        )
         self.missing = missing
 
 
@@ -81,7 +78,7 @@ class StepBudget:
     rest. Spending past zero raises BoundExceeded. `completed` tells
     whether the set went through completions."""
 
-    def __init__(self, steps: int):
+    def __init__(self, steps: float):
         self.left = steps
         self.completed = False
 
@@ -110,14 +107,18 @@ class GroundInstance:
 
 
 def _pinned(cs: ConstraintSet) -> dict[TraceKey, ShapeValue]:
-    """The output shape of each full example, by trace key. Raises
-    ExampleConflict when two examples with one key disagree."""
+    """The output shape of each full example, by trace key: the completion
+    that guesses nothing. Raises ShapeConflict when two examples with one
+    key disagree. A set with no intermediates needs no shapes, and its
+    grounding finds such a clash itself."""
     full: dict[TraceKey, ShapeValue] = {}
+    if cs.unknown_count == 0:
+        return full
     for trace in cs.traces:
         key, out = trace.key, trace.steps[-1].output.ext.shape
         prior = full.get(key)
         if prior is not None and prior != out:
-            raise ExampleConflict(
+            raise ShapeConflict(
                 f"two examples with equal input shapes produce shapes "
                 f"{show_shape(prior)} and {show_shape(out)}"
             )
@@ -125,42 +126,32 @@ def _pinned(cs: ConstraintSet) -> dict[TraceKey, ShapeValue]:
     return full
 
 
-def resolve_intermediate_shapes(
-    cs: ConstraintSet, completion: Mapping[TraceKey, ShapeValue] | None = None
+def intermediate_shapes(
+    cs: ConstraintSet, shapes: Mapping[TraceKey, ShapeValue]
 ) -> dict[int, ShapeValue]:
-    """Pin each trace intermediate to the output shape of the example whose
-    full input matches the corresponding suffix, or to the shape that
-    `completion` guesses for a suffix no example pins. Raises Ungroundable
-    when a suffix is pinned by neither (`unpinned_suffixes`)."""
-    if cs.unknown_count == 0:
-        return {}
-    completion = completion or {}
-    missing = [
-        key for key in unpinned_suffixes([t.key for t in cs.traces])
-        if key not in completion
-    ]
-    if missing:
-        raise Ungroundable(
-            f"no example pins the intermediate for {show_trace_key(missing[0])}",
-            missing,
-        )
-
-    full = {**_pinned(cs), **completion}
+    """The shape of each trace intermediate, by uid: the one `shapes` gives
+    the suffix of the trace it is the fold result of."""
     resolved: dict[int, ShapeValue] = {}
     for trace in cs.traces:
         h, base, seq = trace.key
-        n = len(seq)
-        for k in range(1, n):
-            resolved[trace.steps[k - 1].output.uid] = full[(h, base, seq[n - k :])]
+        for k in range(1, len(seq)):
+            resolved[trace.steps[k - 1].output.uid] = shapes[(h, base, seq[-k:])]
     return resolved
 
 
 def ground(
-    cs: ConstraintSet, completion: Mapping[TraceKey, ShapeValue] | None = None
+    cs: ConstraintSet, shapes: Mapping[TraceKey, ShapeValue] | None = None
 ) -> GroundInstance:
-    """Resolve intermediate shapes, the unpinned ones from `completion`, and
-    check the shape morphism is a function."""
-    inter_shapes = resolve_intermediate_shapes(cs, completion)
+    """Give each trace intermediate the shape of its suffix in `shapes`, a
+    completion, and check the shape morphism is a function. Without
+    `shapes`, the completion that guesses nothing: a set with an unpinned
+    suffix raises Ungroundable."""
+    if shapes is None:
+        missing = unpinned_suffixes([trace.key for trace in cs.traces])
+        if missing:
+            raise Ungroundable(missing)
+        shapes = _pinned(cs)
+    inter_shapes = intermediate_shapes(cs, shapes)
     part_schemas = [flatten_shape(f) for f in cs.input_parts]
     out_functor = cs.output_functor
 
@@ -206,15 +197,14 @@ def ground(
 class _Unifier:
     """Union-find over the intermediate terms, each root optionally bound to
     an atom code, with an undo trail: a term t for a parent link of t, ~t
-    for an atom bound to root t. Each call to `unify` is one step of the
-    search; going past `limit` steps raises BoundExceeded."""
+    for an atom bound to root t. Each call to `unify` spends one step of
+    `budget`."""
 
-    def __init__(self, limit: float):
+    def __init__(self, budget: StepBudget):
         self.parent: dict[int, int] = {}
         self.lit: dict[int, int] = {}
         self.trail: list[int] = []
-        self.steps = 0
-        self.limit = limit
+        self.budget = budget
 
     def find(self, node: int) -> int:
         while node in self.parent:
@@ -233,9 +223,7 @@ class _Unifier:
                 del self.lit[~key]
 
     def unify(self, a: int, b: int) -> bool:
-        self.steps += 1
-        if self.steps > self.limit:
-            raise BoundExceeded(f"the search exceeded {self.limit} unification steps")
+        self.budget.spend(1)
         if a >= 0:
             if b >= 0:
                 return a == b
@@ -289,7 +277,7 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
         for key in sorted(by_key)
         for q in range(len(by_key[key][0].out_terms))
     ]
-    uf = _Unifier(float("inf") if budget is None else budget.left)
+    uf = _Unifier(budget or StepBudget(float("inf")))
     assignment: dict[tuple[tuple[int, ...], int], int] = {}
 
     def assign(idx: int) -> bool:
@@ -308,12 +296,7 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
             uf.rollback(mark)
         return False
 
-    try:
-        found = assign(0)
-    finally:
-        if budget is not None:
-            budget.left -= uf.steps
-    if not found:
+    if not assign(0):
         return Unrealizable()
 
     out_schema = flatten_shape(gi.output_functor)
@@ -377,9 +360,9 @@ def consistent_completions(
     budget: StepBudget,
 ) -> Iterator[dict[TraceKey, ShapeValue]]:
     """Every completion of `missing` from `shapes` under which the shape
-    morphism stays a function: every one that `ground` accepts. Raises
-    ExampleConflict before the first when the pinned shapes clash, which
-    no completion mends.
+    morphism stays a function: every one that `ground` accepts. Each gives
+    the shape of every suffix, pinned and guessed. Raises ShapeConflict
+    before the first when the pinned shapes clash, which no guess mends.
 
     A suffix s = (h, base, [e, *rest]) ties its shape to that of its tail
     (h, base, rest): the morphism maps (h, e, shape of tail) to the shape
@@ -421,7 +404,7 @@ def consistent_completions(
         return added
 
     if fix(checks.get(-1, [])) is None:
-        raise ExampleConflict("the shapes the examples pin map one input shape to two shapes")
+        raise ShapeConflict("the shapes the examples pin map one input shape to two shapes")
     choice = [-1] * len(order)  # index into `shapes` of the guess at each level
     undo: list[list] = [[] for _ in order]
     i = 0
@@ -442,49 +425,49 @@ def consistent_completions(
         if i + 1 < len(order):
             i += 1
         else:
-            yield {key: shape[key] for key in order}
+            yield dict(shape)
 
 
 def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict | None:
     """Decide `cs` by search, or return None where SMT must decide.
 
-    A raw, map or shape-complete fold set is grounded and searched once. A
-    shape-incomplete set raises Ungroundable without a budget; under one,
-    each shape-consistent completion from the `candidate_shapes` is
-    grounded, for one step per constraint and ground term, and searched.
-    Realizable carries the first witness found, for the caller to replay.
-    Unrealizable needs a failed search of a complete set, a conflict that
-    involves no guessed shape, or every completion refuted when the
-    candidates cover every shape, as they do for an all-bool result. A
-    conflict under a guessed shape proves nothing: None. Going past
-    MAX_POSITIONS, MAX_SHAPES or the budget raises BoundExceeded.
+    Each completion is grounded and searched in turn: the one that guesses
+    nothing of a raw, map or shape-complete set, or, under a budget, each
+    shape-consistent completion of a shape-incomplete set from the
+    `candidate_shapes`, whose grounding costs one step per constraint and
+    ground term. Without a budget a shape-incomplete set raises
+    Ungroundable. Realizable carries the first witness found, for the
+    caller to replay. Unrealizable needs a conflict that involves no
+    guessed shape, or every completion refuted when the completions cover
+    every shape: the one of a complete set does, and so do the guesses for
+    an all-bool result. A conflict under a guessed shape proves nothing:
+    None. Going past MAX_POSITIONS, MAX_SHAPES or the budget raises
+    BoundExceeded.
     """
+    missing = unpinned_suffixes([trace.key for trace in cs.traces])
+    if missing and budget is None:
+        raise Ungroundable(missing)
+    covered, detail = True, "every completion has a shape conflict"
     try:
-        gi = ground(cs)
-    except ShapeConflict as e:
-        return Unrealizable(str(e))
-    except Ungroundable as e:
-        if budget is None:
-            raise
-        missing = e.missing
-    else:
-        return oracle_check(gi, budget)
-    budget.completed = True
-    shapes, covered = candidate_shapes(cs)
-    detail = "every completion has a shape conflict"
-    try:
-        for completion in consistent_completions(cs, missing, shapes, budget):
+        if missing:
+            budget.completed = True
+            shapes, covered = candidate_shapes(cs)
+            completions = consistent_completions(cs, missing, shapes, budget)
+        else:
+            completions = [_pinned(cs)]
+        for completion in completions:
             try:
                 gi = ground(cs, completion)
-            except ShapeConflict:
-                return None
-            budget.spend(
-                sum(1 + len(c.in_terms) + len(c.out_terms) for c in gi.constraints)
-            )
+            except ShapeConflict as e:
+                return None if missing else Unrealizable(str(e))
+            if missing:
+                budget.spend(
+                    sum(1 + len(c.in_terms) + len(c.out_terms) for c in gi.constraints)
+                )
             verdict = oracle_check(gi, budget)
             if isinstance(verdict, Realizable):
                 return verdict
             detail = verdict.detail
-    except ExampleConflict as e:
+    except ShapeConflict as e:
         return Unrealizable(str(e))
     return Unrealizable(detail) if covered else None

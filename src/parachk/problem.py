@@ -414,6 +414,8 @@ def _parse_problem(text: str) -> Problem:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
+    except ValueError as e:  # an integer literal longer than Python converts
+        raise ParseError(f"a number in the problem file is too long: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("a problem file is a JSON object")
     _reject_unknown(doc, {"name", "signature", "sketch", "examples"}, "problem")

@@ -4,9 +4,10 @@ and reading its results.
 `check` propagates the examples first; a conflict visible there is already
 the verdict. Every other set goes to the brute-force oracle's one entry
 point, `oracle.oracle_decide`, with a budget of ORACLE_MAX_STEPS steps and
-no script or process. It searches a shape-complete set once, and a
-shape-incomplete set once per completion: a guess of a small shape (lists
-of length 0..4, both values of a bool, observed ints ±1) for every fold
+no script or process. It searches once per completion: a raw, map or
+shape-complete set has the one that guesses nothing, and a
+shape-incomplete set one per guess of a small shape (lists of length
+0..4, both values of a bool, observed ints ±1) for every fold
 intermediate no example pins. `oracle_verdict` is the one replay gate: an
 oracle witness counts only once it replays. Unrealizable needs no solver
 only where it holds for every shape: a failed search of a shape-complete
@@ -151,12 +152,21 @@ def _parse_sexprs(text: str) -> list:
     return stack[0]
 
 
+def _int(token: str) -> int:
+    """The value of an integer token; one longer than Python converts is a
+    malformed model."""
+    try:
+        return int(token)
+    except ValueError as e:
+        raise ModelError(f"integer literal in model: {e}") from None
+
+
 def _literal(node) -> int | None:
     """The value of an integer literal, written `n` or `(- n)`."""
     if isinstance(node, str):
-        return int(node) if _INT.match(node) else None
+        return _int(node) if _INT.match(node) else None
     if len(node) == 2 and node[0] == "-" and isinstance(node[1], str) and _INT.match(node[1]):
-        return -int(node[1])
+        return -_int(node[1])
     return None
 
 
@@ -295,7 +305,7 @@ class ModelFunctions:
             if node in env:
                 return env[node]
             if _INT.match(node):
-                return int(node)
+                return _int(node)
             if node == "true":
                 return True
             if node == "false":

@@ -2,9 +2,10 @@
 their curated example sets, and the derivation of the shape-incomplete
 subsets."""
 
+import hashlib
 import itertools
 
-from parachk import Unrealizable, corpus, shape_complete
+from parachk import Unrealizable, corpus, problem_to_json, shape_complete
 from parachk import bench
 from parachk.bench import BenchRow, format_json, format_table, run_bench
 from parachk.solver import CheckReport
@@ -36,6 +37,20 @@ def test_corpus_has_the_sixteen_functions():
 
 def test_expected_fold_column():
     assert {e.name: e.expected_fold for e in corpus()} == EXPECTED
+
+
+# SHA-256 of every corpus entry's two problem files and fold column, in
+# order: the fold-corpus benchmark workload is built from `corpus()`, so a
+# refactor of the corpus builders must not move a single byte
+CORPUS_SHA256 = "0ab3edcd9b56420523bd92d43da432edf332d39aeb0245a695a797373fc50c5d"
+
+
+def test_corpus_golden():
+    h = hashlib.sha256()
+    for e in corpus():
+        for text in (problem_to_json(e.problem_sc), problem_to_json(e.problem_si), str(e.expected_fold)):
+            h.update(text.encode())
+    assert h.hexdigest() == CORPUS_SHA256
 
 
 def test_example_set_sizes():

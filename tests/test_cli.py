@@ -59,6 +59,10 @@ def test_bad_problem_files_exit_three(capsys, tmp_path):
         '"sketch": "raw", "examples": [{"inputs": [{"atom": "a"}], "output": {"atom": "a"}}]}',
         "nested.json": nested,
         "utf16.json": b"\xff\xfe{}",
+        # past Python's 4,300-digit limit on converting a string to an int
+        "huge-int.json": '{"name": "x", "signature": {"extra": "Int", "element": "Id", '
+        '"result": "Id"}, "sketch": "raw", "examples": [{"extra": {"int": ' + "1" * 5_000
+        + '}, "inputs": [{"atom": "a"}], "output": {"atom": "a"}}]}',
     }
     for name, text in texts.items():
         path = tmp_path / name
@@ -254,6 +258,14 @@ def test_solver_env_var_fallback(tmp_path, monkeypatch, capsys):
         "(define-fun srcpos ((x!0 Int)) Int (ite (< 1) 1 0))",
         "(define-fun srcpos (()) Int 0)",
         "(define-fun srcpos (x!0) Int 0)",
+        # integer literals longer than Python converts, as a value and as a point
+        pytest.param(
+            "(define-fun srcpos ((x!0 Int)) Int " + "1" * 5_000 + ")", id="huge-value"
+        ),
+        pytest.param(
+            "(define-fun srcpos ((x!0 Int)) Int (ite (= x!0 " + "1" * 5_000 + ") 0 1))",
+            id="huge-point",
+        ),
     ],
 )
 def test_malformed_model_gives_unknown(capsys, tmp_path, define):

@@ -33,7 +33,7 @@ from parachk.oracle import (
     Ungroundable,
     candidate_shapes,
     consistent_completions,
-    resolve_intermediate_shapes,
+    intermediate_shapes,
 )
 from parachk import oracle
 from parachk.functors import size_of
@@ -70,11 +70,15 @@ def test_tail_intermediates_resolved_by_suffix_chase():
     # the fold results on the suffixes [C] and [B,C] are pinned by the
     # length-1 and length-2 examples: sizes 0 and 1
     cs = propagate(tail_sc_problem())
-    resolved = resolve_intermediate_shapes(cs)
+    resolved = intermediate_shapes(cs, oracle._pinned(cs))
     sizes = sorted(size_of(ListOf(ID), s) for s in resolved.values())
     assert sizes == [0, 0, 1]  # Y1, Y2 of the 3-example plus Y1 of the 2-example
     trace_sizes = [size_of(ListOf(ID), resolved[uid]) for uid in (0, 1)]
     assert trace_sizes == [0, 1]
+    # every suffix is pinned, so grounding gets as far as the clash that
+    # makes tail no fold: (*, []) maps to [] for [z] and to [*] for [x,y]
+    with pytest.raises(ShapeConflict):
+        ground(cs)
 
 
 def test_tail_sc_is_unrealizable():
@@ -279,11 +283,14 @@ def test_consistent_completions_are_those_ground_accepts():
         shapes, _ = candidate_shapes(cs)
         if missing is None or len(shapes) ** len(missing) > 3000:
             continue
+        # the shape of each full example, by trace key: the last one wins,
+        # and a clash between two examples is left to `ground` to find
+        pinned = {t.key: t.steps[-1].output.ext.shape for t in cs.traces}
         accepted = []
         for combo in itertools.product(shapes, repeat=len(missing)):
             completion = dict(zip(missing, combo))
             try:
-                ground(cs, completion)
+                ground(cs, {**pinned, **completion})
                 accepted.append(completion)
             except ShapeConflict:
                 pass
@@ -291,7 +298,10 @@ def test_consistent_completions_are_those_ground_accepts():
             found = list(consistent_completions(cs, missing, shapes, StepBudget(10**9)))
         except ShapeConflict:
             found = []
-        key = lambda c: sorted(map(repr, c.items()))
+        # each completion carries the pinned shapes along with its guesses
+        for c in found:
+            assert all(c[k] == shape for k, shape in pinned.items())
+        key = lambda c: sorted(repr((k, c[k])) for k in missing)
         assert sorted(map(key, found)) == sorted(map(key, accepted))
         compared += 1
 
