@@ -20,7 +20,14 @@ from .functors import ContainerError
 from .oracle import OracleError, Ungroundable
 from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
-from .solver import BACKENDS, SolverConfig, SolverError, check, oracle_verdict
+from .solver import (
+    BACKENDS,
+    SolverConfig,
+    SolverError,
+    check,
+    oracle_verdict,
+    with_base_case,
+)
 from .verdict import (
     Realizable,
     Unrealizable,
@@ -128,7 +135,8 @@ def cmd_emit_smt(args) -> int:
 def cmd_oracle(args) -> int:
     problem = load_problem(args.path)
     try:
-        verdict = oracle_verdict(propagate(problem))
+        cs = propagate(problem)
+        verdict = with_base_case(cs, oracle_verdict(cs))
     except PropagationUnrealizable as e:
         verdict = Unrealizable(e.reason)
     except Ungroundable:

@@ -10,7 +10,9 @@ symbolic shape schemas consumed by the SMT encoding.
 Each translation is one walk: `to_extension` checks that a value inhabits
 its functor while it collects the shape and the elements (`typecheck` and
 `shape_of` are defined through it), and `flatten_shape` builds a schema in
-one walk over the functor.
+one walk over the functor. Problem loading (`problem.py`) does not call
+`to_extension`: the walk that checks and interns each field records the
+same shape and elements, and propagation reads those.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ def show_shape(s: ShapeValue) -> str:
 # Extensions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extension:
     """A value in container form: a shape and its elements in canonical
     position order. Only Id leaves contribute positions."""

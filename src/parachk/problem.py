@@ -19,36 +19,57 @@ tagged terms: ``{"atom": "A"}``, ``{"int": 3}``, ``{"bool": true}``,
 ``"unit"``, ``{"list": [...]}``, ``{"pair": [l, r]}``, ``"nothing"``,
 ``{"just": v}``. Unknown fields are rejected. ``extra`` may be omitted when
 the extra functor is Unit; ``base`` is required exactly for foldr sketches.
+
+Loading is one walk per field, directed by the field's functor: from the
+JSON node (or, in `build_problem`, the value built in code) straight to the
+interned value and its container form, which `Problem.extensions` keeps for
+propagation. The walk checks syntax and type together and builds no
+location. A field it rejects is rendered by `value_from_json`, and a file
+with faults gets the error of its first syntax fault, else of its first
+validation fault: the same errors as reading every value first and checking
+them after.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .functors import (
     BOOL,
     INT,
     Atom,
     AtomV,
+    BoolS,
     BoolV,
     ConstBool,
     ConstInt,
     ConstUnit,
+    Extension,
     FunctorExpr,
     ID,
     Id,
+    IdS,
+    IntS,
     IntV,
     JustV,
     ListOf,
+    ListS,
     ListV,
     MaybeOf,
+    MaybeS,
     NothingV,
     PairV,
     ProdOf,
+    ProdS,
+    ShapeValue,
     TypeMismatch,
     UNIT,
+    UnitS,
     UnitV,
     UnsupportedFunctor,
     Value,
@@ -117,6 +138,17 @@ class AtomTable:
         return f"#{code}"
 
 
+class ExampleExtensions(NamedTuple):
+    """One example's fields in container form: the extra argument, each
+    input, the output (for a map sketch, each element of the output) and
+    the base (None outside foldr sketches)."""
+
+    extra: Extension
+    inputs: tuple[Extension, ...]
+    outputs: tuple[Extension, ...]
+    base: Extension | None
+
+
 @dataclass(frozen=True)
 class Problem:
     name: str
@@ -124,6 +156,9 @@ class Problem:
     sketch: SketchKind
     examples: tuple[IOExample, ...]
     atoms: AtomTable
+    # one per example, recorded by the walk that checked and interned it;
+    # they follow from the examples, so they take no part in equality
+    extensions: tuple[ExampleExtensions, ...] = field(compare=False, repr=False)
 
 
 def atom(label: str) -> AtomV:
@@ -133,7 +168,7 @@ def atom(label: str) -> AtomV:
 
 
 # ---------------------------------------------------------------------------
-# Construction and validation
+# Construction and validation: one walk per field
 
 
 def build_problem(
@@ -145,9 +180,9 @@ def build_problem(
     """Check, intern and assemble a Problem.
 
     examples is a sequence of IOExample or of (extra, inputs, output[, base])
-    tuples. One walk per field checks the value against its functor and
-    reassigns atom codes in first-occurrence order; the codes in the given
-    values are ignored.
+    tuples. One walk per field checks the value against its functor,
+    reassigns atom codes in first-occurrence order and records the field's
+    container form; the codes in the given values are ignored.
     """
     exs = []
     for ex in examples:
@@ -158,6 +193,37 @@ def build_problem(
             exs.append(IOExample(extra, tuple(inputs), output, *rest))
     if not exs:
         raise ValidationError("a problem needs at least one example")
+    fields = (
+        (ex.extra, ex.inputs, ex.output, _ABSENT if ex.base is None else ex.base)
+        for ex in exs
+    )
+    return _assemble(name, signature, sketch, fields, _VALUES)
+
+
+# A field with no value: a missing base.
+_ABSENT = object()
+
+
+class _Form(NamedTuple):
+    """How `_assemble` reads the fields of one form, values or JSON nodes.
+
+    reader(f) walks a field of functor f once: it returns the interned value
+    and its shape, appends the field's atoms to `elems` in position order
+    and interns new labels into `atoms` (label -> AtomV, in first-occurrence
+    order). A field that is no value of f raises TypeMismatch. show(field,
+    where) renders the field in a message, and items(field) is the list of
+    its elements, or None if it is no list.
+    """
+
+    reader: Callable[[FunctorExpr], Callable]
+    show: Callable[[object, str], str]
+    items: Callable[[object], list | None]
+
+
+def _assemble(name: str, signature: Signature, sketch: SketchKind, examples, form: _Form) -> Problem:
+    """The Problem of `examples`, (extra, inputs, output, base) tuples of
+    fields in `form`, base _ABSENT where there is none. Every rule raises
+    ValidationError at the first field or example that breaks it."""
     if sketch is SketchKind.FOLDR:
         # fold traces introduce symbolic intermediate results, so the result
         # functor must have fixed-arity shapes
@@ -166,62 +232,57 @@ def build_problem(
         except UnsupportedFunctor as e:
             raise ValidationError(f"result functor unusable for foldr: {e}") from None
 
-    codes: dict[str, int] = {}  # label -> code, in first-occurrence order
+    atoms: dict[str, AtomV] = {}
+    read_extra, read_element, read_result = (
+        form.reader(f) for f in (signature.extra, signature.element, signature.result)
+    )
 
-    def intern(f: FunctorExpr, v: Value) -> Value:
-        match f, v:
-            case Id(), AtomV(a):
-                return AtomV(Atom(codes.setdefault(a.label, len(codes)), a.label))
-            case (ConstUnit(), UnitV()) | (ConstInt(), IntV()) | (ConstBool(), BoolV()):
-                return v
-            case ListOf(inner), ListV(items):
-                return ListV(tuple(intern(inner, x) for x in items))
-            case ProdOf(l, r), PairV(a, b):
-                return PairV(intern(l, a), intern(r, b))
-            case MaybeOf(_), NothingV():
-                return v
-            case MaybeOf(inner), JustV(x):
-                return JustV(intern(inner, x))
-        raise TypeMismatch
-
-    def check(i: int, fieldname: str, f: FunctorExpr, v: Value) -> Value:
+    def check(read, f, node, i, key, j=None) -> tuple[Value, Extension]:
+        elems: list[Atom] = []
         try:
-            return intern(f, v)
+            value, shape = read(node, atoms, elems)
         except TypeMismatch:
+            # the field's name and location are built only on the way to an
+            # error
+            key = key if j is None else f"{key}[{j}]"
+            shown = form.show(node, f"examples[{i}].{key}")
             raise ValidationError(
-                f"example {i}: field {fieldname!r}: value {show_value(v)} "
-                f"does not typecheck against {f}"
+                f"example {i}: field {key!r}: value {shown} does not typecheck against {f}"
             ) from None
+        return value, Extension(f, shape, elems)
 
     interned = []
+    extensions = []
     bases_by_extra: dict[Value, Value] = {}
-    for i, ex in enumerate(exs):
-        extra = check(i, "extra", signature.extra, ex.extra)
-        inputs = tuple(
-            check(i, f"inputs[{j}]", signature.element, v) for j, v in enumerate(ex.inputs)
-        )
+    for i, (extra, inputs, output, base) in enumerate(examples):
+        extra, extra_ext = check(read_extra, signature.extra, extra, i, "extra")
+        inputs = [
+            check(read_element, signature.element, x, i, "inputs", j)
+            for j, x in enumerate(inputs)
+        ]
         if sketch is SketchKind.RAW and len(inputs) != 1:
             raise ValidationError(
                 f"example {i}: raw examples take exactly one input, got {len(inputs)}"
             )
         if sketch is SketchKind.MAP:
-            if not isinstance(ex.output, ListV):
+            items = form.items(output)
+            if items is None:
                 raise ValidationError(
                     f"example {i}: field 'output': a map sketch produces a list"
                 )
-            output = ListV(
-                tuple(
-                    check(i, f"output[{j}]", signature.result, v)
-                    for j, v in enumerate(ex.output.items)
-                )
-            )
+            outputs = [
+                check(read_result, signature.result, y, i, "output", j)
+                for j, y in enumerate(items)
+            ]
+            output = ListV(tuple(v for v, _ in outputs))
         else:
-            output = check(i, "output", signature.result, ex.output)
-        base = None
+            outputs = [check(read_result, signature.result, output, i, "output")]
+            output = outputs[0][0]
+        base_ext = None
         if sketch is SketchKind.FOLDR:
-            if ex.base is None:
+            if base is _ABSENT:
                 raise ValidationError(f"example {i}: foldr examples need a 'base'")
-            base = check(i, "base", signature.result, ex.base)
+            base, base_ext = check(read_result, signature.result, base, i, "base")
             # interned codes are in bijection with labels, so values compare
             # by label
             seen = bases_by_extra.setdefault(extra, base)
@@ -230,12 +291,69 @@ def build_problem(
                     f"example {i}: base {show_value(base)} differs from the "
                     f"base of an earlier example with the same extra argument"
                 )
-        elif ex.base is not None:
+        elif base is not _ABSENT:
             raise ValidationError(
                 f"example {i}: field 'base' is only meaningful for foldr sketches"
             )
-        interned.append(IOExample(extra, inputs, output, base))
-    return Problem(name, signature, sketch, tuple(interned), AtomTable(tuple(codes)))
+        else:
+            base = None
+        interned.append(IOExample(extra, tuple(v for v, _ in inputs), output, base))
+        extensions.append(
+            ExampleExtensions(
+                extra_ext,
+                tuple(e for _, e in inputs),
+                tuple(e for _, e in outputs),
+                base_ext,
+            )
+        )
+    return Problem(
+        name, signature, sketch, tuple(interned), AtomTable(tuple(atoms)), tuple(extensions)
+    )
+
+
+def _intern_value(f: FunctorExpr, v: Value, atoms: dict, elems: list) -> tuple[Value, ShapeValue]:
+    """The one walk of a value built in code (`_Form.reader`)."""
+    match f, v:
+        case Id(), AtomV(a):
+            w = atoms.get(a.label)
+            if w is None:
+                w = atoms[a.label] = AtomV(Atom(len(atoms), a.label))
+            elems.append(w.atom)
+            return w, _IDS
+        case ConstUnit(), UnitV():
+            return v, _UNITS
+        case ConstInt(), IntV(n):
+            return v, IntS(n)
+        case ConstBool(), BoolV(b):
+            return v, BoolS(b)
+        case ListOf(inner), ListV(items):
+            return _list_of([_intern_value(inner, x, atoms, elems) for x in items])
+        case ProdOf(l, r), PairV(a, b):
+            a, sa = _intern_value(l, a, atoms, elems)
+            b, sb = _intern_value(r, b, atoms, elems)
+            return PairV(a, b), ProdS(sa, sb)
+        case MaybeOf(_), NothingV():
+            return v, _NOTHINGS
+        case MaybeOf(inner), JustV(x):
+            x, s = _intern_value(inner, x, atoms, elems)
+            return JustV(x), MaybeS(s)
+    raise TypeMismatch
+
+
+def _list_of(items: list[tuple[Value, ShapeValue]]) -> tuple[Value, ShapeValue]:
+    values, shapes = zip(*items) if items else ((), ())
+    return ListV(values), ListS(shapes)
+
+
+_IDS = IdS()
+_UNITS = UnitS()
+_NOTHINGS = MaybeS(None)
+
+_VALUES = _Form(
+    reader=lambda f: functools.partial(_intern_value, f),
+    show=lambda v, where: show_value(v),
+    items=lambda v: v.items if isinstance(v, ListV) else None,
+)
 
 
 def _map_atoms(v: Value, fn) -> Value:
@@ -397,6 +515,99 @@ def value_to_json(v: Value):
     raise TypeError(f"not a Value: {v!r}")
 
 
+def _tag(node, tag: str):
+    """The body of a one-tag value term with this tag, else None."""
+    if type(node) is dict and len(node) == 1:
+        return node.get(tag)
+    return None
+
+
+@functools.cache
+def _json_reader(f: FunctorExpr) -> Callable:
+    """The one walk of a JSON field of functor f (`_Form.reader`): the syntax
+    of `value_from_json`, the type check and the interning together. It
+    builds no location; a field it rejects goes to `value_from_json` for
+    the message."""
+    match f:
+        case Id():
+
+            def read(node, atoms, elems):
+                label = _tag(node, "atom")
+                if type(label) is not str:
+                    raise TypeMismatch
+                v = atoms.get(label)
+                if v is None:
+                    v = atoms[label] = AtomV(Atom(len(atoms), label))
+                elems.append(v.atom)
+                return v, _IDS
+
+        case ConstUnit():
+
+            def read(node, atoms, elems):
+                if node != "unit":
+                    raise TypeMismatch
+                return _UNITV, _UNITS
+
+        case ConstInt():
+
+            def read(node, atoms, elems):
+                n = _tag(node, "int")
+                if type(n) is not int:
+                    raise TypeMismatch
+                return IntV(n), IntS(n)
+
+        case ConstBool():
+
+            def read(node, atoms, elems):
+                b = _tag(node, "bool")
+                if type(b) is not bool:
+                    raise TypeMismatch
+                return BoolV(b), BoolS(b)
+
+        case ListOf(inner):
+            item = _json_reader(inner)
+
+            def read(node, atoms, elems):
+                body = _tag(node, "list")
+                if type(body) is not list:
+                    raise TypeMismatch
+                return _list_of([item(x, atoms, elems) for x in body])
+
+        case ProdOf(l, r):
+            left, right = _json_reader(l), _json_reader(r)
+
+            def read(node, atoms, elems):
+                body = _tag(node, "pair")
+                if type(body) is not list or len(body) != 2:
+                    raise TypeMismatch
+                a, sa = left(body[0], atoms, elems)
+                b, sb = right(body[1], atoms, elems)
+                return PairV(a, b), ProdS(sa, sb)
+
+        case MaybeOf(inner):
+            item = _json_reader(inner)
+
+            def read(node, atoms, elems):
+                if node == "nothing":
+                    return _NOTHINGV, _NOTHINGS
+                x, s = item(_tag(node, "just"), atoms, elems)
+                return JustV(x), MaybeS(s)
+
+        case _:
+            raise UnsupportedFunctor(f"not a functor expression: {f!r}")
+    return read
+
+
+_UNITV = UnitV()
+_NOTHINGV = NothingV()
+
+_JSON = _Form(
+    reader=_json_reader,
+    show=lambda node, where: show_value(value_from_json(node, where)),
+    items=lambda node: body if type(body := _tag(node, "list")) is list else None,
+)
+
+
 # ---------------------------------------------------------------------------
 # Problem files
 
@@ -449,37 +660,54 @@ def _parse_problem(text: str) -> Problem:
             f"problem: 'sketch' is one of 'raw', 'map', 'foldr', got {doc['sketch']!r}"
         ) from None
 
-    if not isinstance(doc["examples"], list) or not doc["examples"]:
+    ex_docs = doc["examples"]
+    if not isinstance(ex_docs, list) or not ex_docs:
         raise ParseError("problem: 'examples' is a non-empty array")
-    examples = []
-    for i, ex_doc in enumerate(doc["examples"]):
-        where = f"examples[{i}]"
+    try:
+        return _assemble(doc["name"], signature, sketch, _example_fields(ex_docs), _JSON)
+    except ValidationError:
+        # every syntax fault in the file is reported before any validation
+        # fault: look for one past the field the walk stopped at
+        _first_syntax_fault(ex_docs)
+        raise
+
+
+_EXAMPLE_KEYS = frozenset({"extra", "inputs", "output", "base"})
+
+
+def _example_fields(ex_docs: list):
+    """The (extra, inputs, output, base) JSON nodes of each example, base
+    _ABSENT where there is none; a malformed example raises ParseError when
+    it is reached."""
+    for i, ex_doc in enumerate(ex_docs):
         if not isinstance(ex_doc, dict):
-            raise ParseError(f"{where}: an example is an object")
-        _reject_unknown(ex_doc, {"extra", "inputs", "output", "base"}, where)
+            raise ParseError(f"examples[{i}]: an example is an object")
+        if not ex_doc.keys() <= _EXAMPLE_KEYS:
+            _reject_unknown(ex_doc, _EXAMPLE_KEYS, f"examples[{i}]")
         for key in ("inputs", "output"):
             if key not in ex_doc:
-                raise ParseError(f"{where}: missing field {key!r}")
+                raise ParseError(f"examples[{i}]: missing field {key!r}")
         if not isinstance(ex_doc["inputs"], list):
-            raise ParseError(f"{where}: 'inputs' is an array")
-        extra = (
-            value_from_json(ex_doc["extra"], f"{where}.extra")
-            if "extra" in ex_doc
-            else UnitV()
+            raise ParseError(f"examples[{i}]: 'inputs' is an array")
+        yield (
+            ex_doc.get("extra", "unit"),
+            ex_doc["inputs"],
+            ex_doc["output"],
+            ex_doc.get("base", _ABSENT),
         )
-        inputs = tuple(
-            value_from_json(x, f"{where}.inputs[{j}]")
-            for j, x in enumerate(ex_doc["inputs"])
-        )
-        output = value_from_json(ex_doc["output"], f"{where}.output")
-        base = (
-            value_from_json(ex_doc["base"], f"{where}.base")
-            if "base" in ex_doc
-            else None
-        )
-        examples.append(IOExample(extra, inputs, output, base))
 
-    return build_problem(doc["name"], signature, sketch, examples)
+
+def _first_syntax_fault(ex_docs: list) -> None:
+    """Raise the ParseError of the first malformed example or value term,
+    if there is one."""
+    for i, (extra, inputs, output, base) in enumerate(_example_fields(ex_docs)):
+        where = f"examples[{i}]"
+        value_from_json(extra, f"{where}.extra")
+        for j, x in enumerate(inputs):
+            value_from_json(x, f"{where}.inputs[{j}]")
+        value_from_json(output, f"{where}.output")
+        if base is not _ABSENT:
+            value_from_json(base, f"{where}.base")
 
 
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:

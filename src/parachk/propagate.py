@@ -8,27 +8,27 @@ every container is known. For foldr sketches the morphism takes the triple
 unknowns, numbered 0..unknown_count-1 in constraint order, whose shapes are
 shapes of the result functor. Inputs of an example are numbered right to
 left, so constraint 0 of a trace consumes the last list element and the
-given base value.
+given base value. Every known container is an extension the loader
+recorded (`Problem.extensions`); no value is walked again here.
 
 This module alone knows how a fold trace is laid out. `ConstraintSet.traces`
 holds one `Trace` per nonempty foldr example, in constraint order: its
 `TraceKey` (extra shape, base shape, element shapes in list order) and its
 steps, which are consecutive constraints whose intermediates have
 consecutive uids. Raw and map sets have no traces.
+
+The fold's base case `e` is an unknown of its own, a container morphism
+from the extra functor to the result functor that every example fixes at
+its extra argument: `ConstraintSet.base_case` is that raw set, including
+the examples with an empty input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .functors import (
-    Extension,
-    FunctorExpr,
-    ShapeValue,
-    show_shape,
-    to_extension,
-)
-from .problem import AtomTable, Problem, SketchKind
+from .functors import Extension, FunctorExpr, ShapeValue, show_shape
+from .problem import AtomTable, ExampleExtensions, Problem, SketchKind
 
 
 class PropagationUnrealizable(Exception):
@@ -83,6 +83,9 @@ class ConstraintSet:
     unknown_count: int
     atoms: AtomTable
     traces: tuple[Trace, ...] = ()
+    # a foldr set's base case, e(extra) = base: a raw set from the extra
+    # functor to the result functor, one constraint per distinct extra value
+    base_case: ConstraintSet | None = None
 
 
 def propagate(p: Problem) -> ConstraintSet:
@@ -95,14 +98,10 @@ def propagate(p: Problem) -> ConstraintSet:
 
 def propagate_raw(p: Problem) -> ConstraintSet:
     sig = p.signature
-    constraints = [
-        MorphismConstraint(
-            (Known(to_extension(sig.element, ex.inputs[0])),),
-            Known(to_extension(sig.result, ex.output)),
-        )
-        for ex in p.examples
-    ]
-    return ConstraintSet((sig.element,), sig.result, tuple(constraints), 0, p.atoms)
+    constraints = tuple(
+        MorphismConstraint((Known(x.inputs[0]),), Known(x.outputs[0])) for x in p.extensions
+    )
+    return ConstraintSet((sig.element,), sig.result, constraints, 0, p.atoms)
 
 
 def propagate_map(p: Problem) -> ConstraintSet:
@@ -110,62 +109,56 @@ def propagate_map(p: Problem) -> ConstraintSet:
     length, so a length mismatch is already an unrealizability verdict."""
     sig = p.signature
     constraints = []
-    for i, ex in enumerate(p.examples):
-        outs = ex.output.items  # validated to be a ListV
-        if len(ex.inputs) != len(outs):
+    for i, x in enumerate(p.extensions):
+        if len(x.inputs) != len(x.outputs):
             raise PropagationUnrealizable(
-                f"example {i}: map preserves list length, but {len(ex.inputs)} "
-                f"inputs map to {len(outs)} outputs"
+                f"example {i}: map preserves list length, but {len(x.inputs)} "
+                f"inputs map to {len(x.outputs)} outputs"
             )
-        for x, y in zip(ex.inputs, outs):
-            constraints.append(
-                MorphismConstraint(
-                    (Known(to_extension(sig.element, x)),),
-                    Known(to_extension(sig.result, y)),
-                )
-            )
+        constraints.extend(
+            MorphismConstraint((Known(a),), Known(b)) for a, b in zip(x.inputs, x.outputs)
+        )
     return ConstraintSet((sig.element,), sig.result, tuple(constraints), 0, p.atoms)
 
 
-def _fold_extensions(sig, ex) -> tuple[Extension, Extension, list[Extension]]:
-    """A foldr example's extra, base and elements, in list order."""
-    return (
-        to_extension(sig.extra, ex.extra),
-        to_extension(sig.result, ex.base),
-        [to_extension(sig.element, v) for v in ex.inputs],
-    )
-
-
-def _trace_key(extra: Extension, base: Extension, elems: list[Extension]) -> TraceKey:
-    return extra.shape, base.shape, tuple(e.shape for e in elems)
+def _trace_key(x: ExampleExtensions) -> TraceKey:
+    return x.extra.shape, x.base.shape, tuple(e.shape for e in x.inputs)
 
 
 def propagate_foldr(p: Problem) -> ConstraintSet:
     sig = p.signature
     constraints: list[MorphismConstraint] = []
     traces = []
+    bases: dict[Extension, Extension] = {}
     uid = 0
-    for i, ex in enumerate(p.examples):
-        n = len(ex.inputs)
+    for i, x in enumerate(p.extensions):
+        bases.setdefault(x.extra, x.base)
+        n = len(x.inputs)
         if n == 0:
-            if ex.base != ex.output:
+            if x.base != x.outputs[0]:
                 raise PropagationUnrealizable(
                     f"example {i}: an empty input forces the output to equal "
                     f"the base case"
                 )
             continue
-        extra, base, elems = _fold_extensions(sig, ex)
-        accs: list[SymbolicContainer] = [Known(base)]
+        accs: list[SymbolicContainer] = [Known(x.base)]
         accs.extend(Unknown(uid + k) for k in range(n - 1))
-        accs.append(Known(to_extension(sig.result, ex.output)))
+        accs.append(Known(x.outputs[0]))
         uid += n - 1
-        h = Known(extra)
+        h = Known(x.extra)
         steps = tuple(
-            MorphismConstraint((h, Known(elems[n - 1 - k]), accs[k]), accs[k + 1])
+            MorphismConstraint((h, Known(x.inputs[n - 1 - k]), accs[k]), accs[k + 1])
             for k in range(n)
         )
         constraints.extend(steps)
-        traces.append(Trace(_trace_key(extra, base, elems), steps))
+        traces.append(Trace(_trace_key(x), steps))
+    base_case = ConstraintSet(
+        (sig.extra,),
+        sig.result,
+        tuple(MorphismConstraint((Known(h),), Known(b)) for h, b in bases.items()),
+        0,
+        p.atoms,
+    )
     return ConstraintSet(
         (sig.extra, sig.element, sig.result),
         sig.result,
@@ -173,6 +166,7 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
         uid,
         p.atoms,
         tuple(traces),
+        base_case,
     )
 
 
@@ -222,6 +216,6 @@ def shape_complete(p: Problem) -> CompletenessReport:
     """
     if p.sketch is not SketchKind.FOLDR:
         return CompletenessReport(True, ())
-    traces = [_trace_key(*_fold_extensions(p.signature, ex)) for ex in p.examples]
+    traces = [_trace_key(x) for x in p.extensions]
     missing = tuple(show_trace_key(key) for key in unpinned_suffixes(traces))
     return CompletenessReport(not missing, missing)

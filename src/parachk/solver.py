@@ -16,7 +16,8 @@ when every result slot is bool. The SMT path decides everything else: a set
 no completion settles, and a search that goes past the oracle's limits or
 proposes a witness that fails replay.
 `backend="smt"` always takes the SMT path, so the oracle can be
-cross-checked against it.
+cross-checked against it. On either backend a fold's base case, the raw
+set `e(extra) = base`, is decided by the oracle alone (`with_base_case`).
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -498,11 +499,37 @@ class CheckReport:
     verdict: Verdict
     total_ms: float
     solver_ms: float
-    # which path decided: "fast-path" (propagation), "oracle" (a
+    # which path decided the steps: "fast-path" (propagation), "oracle" (a
     # shape-complete set), "oracle+completion" (a shape-incomplete set
     # settled by guessed intermediate shapes), "smt", or "smt+shrink" (a
     # second, shrink-bounded script ran after `sat`)
     path: str = "smt"
+
+
+def with_base_case(cs: ConstraintSet, verdict: Verdict) -> Verdict:
+    """The verdict of `cs` from `verdict`, that of its steps: a fold is
+    realizable iff its steps and its base case are.
+
+    The sketch's `e` is a container morphism from the extra functor to the
+    result functor, independent of the step function, and every constraint
+    on it is known: `cs.base_case`, a raw set. Unless the steps are already
+    Unrealizable, the oracle decides it within its limits and
+    ORACLE_MAX_STEPS steps, on every path, since no SMT script asserts it.
+    A base case past those limits, or whose witness fails replay, turns
+    Realizable into Unknown.
+    """
+    if cs.base_case is None or isinstance(verdict, Unrealizable):
+        return verdict
+    try:
+        base = oracle_verdict(cs.base_case, StepBudget(ORACLE_MAX_STEPS))
+    except BoundExceeded:
+        base = None
+    if isinstance(base, Unrealizable):
+        detail = "no container morphism of the extra argument gives every base"
+        return Unrealizable(f"{detail}: {base.detail}" if base.detail else detail)
+    if isinstance(base, Realizable) or not isinstance(verdict, Realizable):
+        return verdict
+    return UnknownVerdict("base-case-undecided")
 
 
 def check(
@@ -515,7 +542,8 @@ def check(
     oracle decides every set it can within ORACLE_MAX_STEPS steps
     (`oracle_verdict`), and SMT (encode, solve, shrink, extract, replay)
     decides whatever the oracle hands back; backend "smt" always takes the
-    SMT path."""
+    SMT path. Either way the oracle then decides a fold's base case
+    (`with_base_case`)."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
     start = time.perf_counter()
@@ -524,6 +552,14 @@ def check(
     except PropagationUnrealizable as e:
         total = (time.perf_counter() - start) * 1000.0
         return CheckReport(Unrealizable(e.reason), total, 0.0, path="fast-path")
+    verdict, solver_ms, path = _decide(cs, cfg, backend)
+    verdict = with_base_case(cs, verdict)
+    total = (time.perf_counter() - start) * 1000.0
+    return CheckReport(verdict, total, solver_ms, path)
+
+
+def _decide(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[Verdict, float, str]:
+    """The verdict on the steps of `cs`, the solver time and the path."""
     if backend == "auto":
         budget = StepBudget(ORACLE_MAX_STEPS)
         try:
@@ -531,9 +567,7 @@ def check(
         except BoundExceeded:
             verdict = None  # past the bounds or the budget
         if isinstance(verdict, (Realizable, Unrealizable)):
-            total = (time.perf_counter() - start) * 1000.0
-            path = "oracle+completion" if budget.completed else "oracle"
-            return CheckReport(verdict, total, 0.0, path)
+            return verdict, 0.0, "oracle+completion" if budget.completed else "oracle"
     cfg = cfg or SolverConfig()
     path = "smt"
     script = encode(cs)
@@ -556,6 +590,4 @@ def check(
         path = "smt+shrink"
         if raw2.kind == "sat":
             raw = raw2
-    verdict = interpret(raw, cs)
-    total = (time.perf_counter() - start) * 1000.0
-    return CheckReport(verdict, total, solver_ms, path)
+    return interpret(raw, cs), solver_ms, path

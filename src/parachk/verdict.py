@@ -43,7 +43,9 @@ class Unrealizable:
 
 @dataclass(frozen=True)
 class UnknownVerdict:
-    reason: str  # "timeout" | "solver-unknown" | "witness-validation-failed"
+    # "timeout" | "solver-unknown" | "witness-validation-failed" |
+    # "base-case-undecided"
+    reason: str
 
 
 Verdict = Realizable | Unrealizable | UnknownVerdict

@@ -100,15 +100,26 @@ def random_foldr_problem(rng: random.Random, realizable: bool = True) -> Problem
     One extra value is shared by every example, so the base is shared too
     and suffix closure holds by construction (examples form a tower: the
     length-n example uses the last n shapes of one maximal shape sequence).
+    The base is the image of the extra value under a sampled container
+    morphism, as every output is under the sampled step morphism.
     """
     sig = Signature(rng.choice(H_POOL), rng.choice(F_POOL), rng.choice(G_POOL))
     extra = random_value(rng, sig.extra, list_cap=2)
-    base = random_value(rng, sig.result, list_cap=2)
+    h_ext = to_extension(sig.extra, extra)
+    # the base is e(extra) for a sampled container morphism e: a shape of
+    # the result, each position filled from a position of the extra value
+    base_shape = _random_g_shape(rng, sig.result, empty=not h_ext.elements)
+    base = from_extension(
+        Extension(
+            sig.result,
+            base_shape,
+            tuple(rng.choice(h_ext.elements) for _ in range(size_of(sig.result, base_shape))),
+        )
+    )
     max_len = rng.randint(1, 4)
     tower = [random_value(rng, sig.element, list_cap=2) for _ in range(max_len)]
     tower_shapes = [shape_of(sig.element, v) for v in tower]
 
-    h_ext = to_extension(sig.extra, extra)
     shape_morphism: dict = {}
     pos_morphism: dict = {}
     out_schema = flatten_shape(sig.result)

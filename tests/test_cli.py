@@ -327,3 +327,22 @@ def test_nonpositive_timeout_exit_three(capsys, command, timeout):
     code = main([*command, "--timeout", timeout])
     err = capsys.readouterr().err
     assert code == 3 and "--timeout" in err
+
+
+def test_oracle_refutes_an_invented_base(capsys):
+    code = main(["oracle", f"{PROBLEMS}/invented_base.json"])
+    assert code == 1 and "Unrealizable (oracle)" in capsys.readouterr().out
+
+
+def test_oracle_leaves_a_base_case_past_its_bounds_unknown(capsys, tmp_path):
+    extras = [{"list": [{"atom": "x"}] * n} for n in range(14)]
+    doc = {
+        "name": "wide-base",
+        "signature": {"extra": "List(Id)", "element": "Id", "result": "List(Id)"},
+        "sketch": "foldr",
+        "examples": [{"extra": x, "inputs": [], "output": x, "base": x} for x in extras],
+    }
+    path = tmp_path / "wide-base.json"
+    path.write_text(json.dumps(doc))
+    code = main(["oracle", str(path)])
+    assert code == 2 and "Unknown(base-case-undecided)" in capsys.readouterr().out

@@ -5,11 +5,29 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parachk import build_problem, parse_problem
+from parachk import (
+    Known,
+    ListV,
+    PropagationUnrealizable,
+    Signature,
+    SketchKind,
+    UNIT,
+    build_problem,
+    flatten_shape,
+    parse_problem,
+    problem_to_json,
+    propagate,
+    relabel_problem,
+    to_extension,
+)
+from parachk.functors import UnsupportedFunctor
 from parachk.problem import ParseError, ValidationError, value_to_json
 
 import support
+from test_functors import functor_exprs, value_strategy
 from test_problem import _BAD_FIELDS, _mistype_leaf
 
 
@@ -222,3 +240,86 @@ def test_a_mistyped_leaf_gets_the_same_message_from_a_file(seed):
     with pytest.raises(ValidationError) as from_file:
         parse_problem(_file_of(p.signature, p.sketch, exs))
     assert str(from_file.value) == str(from_values.value)
+
+
+# ---------------------------------------------------------------------------
+# The one walk: a file loads to the problem it was written from, with the
+# container form of every field
+
+
+def _extensions_match_their_fields(p):
+    """Every extension `propagate` reads is `to_extension` of its field."""
+    sig = p.signature
+    assert len(p.extensions) == len(p.examples)
+    for ex, x in zip(p.examples, p.extensions):
+        assert x.extra == to_extension(sig.extra, ex.extra)
+        assert x.inputs == tuple(to_extension(sig.element, v) for v in ex.inputs)
+        outputs = ex.output.items if p.sketch is SketchKind.MAP else (ex.output,)
+        assert x.outputs == tuple(to_extension(sig.result, v) for v in outputs)
+        if p.sketch is SketchKind.FOLDR:
+            assert x.base == to_extension(sig.result, ex.base)
+        else:
+            assert x.base is None and ex.base is None
+
+
+def _assert_one_walk(p):
+    _extensions_match_their_fields(p)
+    q = parse_problem(problem_to_json(p))
+    assert q == p and q.atoms == p.atoms
+    _extensions_match_their_fields(q)
+    try:
+        cs = propagate(q)
+    except PropagationUnrealizable:
+        return
+    knowns = [part.ext for c in cs.constraints for part in (*c.inputs, c.output) if isinstance(part, Known)]
+    fields = {e for x in q.extensions for e in (x.extra, *x.inputs, *x.outputs, x.base)}
+    assert set(knowns) <= fields
+
+
+@st.composite
+def _problems(draw):
+    sketch = draw(st.sampled_from(list(SketchKind)))
+    element = draw(functor_exprs)
+    if sketch is SketchKind.FOLDR:
+        result = draw(functor_exprs.filter(_fixed_arity))
+        extra = draw(functor_exprs)
+    else:
+        result, extra = draw(functor_exprs), UNIT
+    bases = {}
+    examples = []
+    for _ in range(draw(st.integers(1, 4))):
+        h = draw(value_strategy(extra))
+        n = 1 if sketch is SketchKind.RAW else draw(st.integers(0, 3))
+        inputs = [draw(value_strategy(element)) for _ in range(n)]
+        if sketch is SketchKind.MAP:
+            output = ListV(tuple(draw(value_strategy(result)) for _ in inputs))
+        else:
+            output = draw(value_strategy(result))
+        if sketch is SketchKind.FOLDR:
+            base = bases.setdefault(h, draw(value_strategy(result)))
+            examples.append((h, inputs, output, base))
+        else:
+            examples.append((h, inputs, output))
+    return build_problem("drawn", Signature(extra, element, result), sketch, examples)
+
+
+def _fixed_arity(f):
+    try:
+        flatten_shape(f)
+    except UnsupportedFunctor:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems())
+def test_one_walk_on_drawn_problems(p):
+    _assert_one_walk(p)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_one_walk_on_sampled_problems(seed):
+    rng = random.Random(seed)
+    for p in (support.random_problem(rng), support.random_raw_problem(rng)):
+        _assert_one_walk(p)
+        _assert_one_walk(relabel_problem(p, support.fresh_relabeling(p)))

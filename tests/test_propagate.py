@@ -186,11 +186,11 @@ def test_traces_record_every_corpus_set():
 
     problems = [q for e in corpus() for q in (e.problem_sc, e.problem_si)]
     problems += [load_problem(str(path)) for path in sorted(Path("problems").glob("*.json"))]
-    assert len(problems) == 37
+    assert len(problems) == 38
     foldr = 0
     for q in problems:
         foldr += bool(_check_trace_record(q).traces)
-    assert foldr == 35
+    assert foldr == 36
 
 
 def test_traces_record_two_extras_and_two_bases():

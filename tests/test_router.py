@@ -46,6 +46,7 @@ from parachk import (
 from parachk import oracle, solver
 
 import support
+from test_cli import _fake_solver
 
 PROBLEMS = "problems"
 
@@ -100,7 +101,9 @@ def test_shape_incomplete_set_goes_to_smt(no_spawn):
 
 def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
     # the length-1 example has the extra shape of the length-2 one, but a
-    # base of another shape, so the intermediate after [z] stays unpinned
+    # base of another shape, so the intermediate after [z] stays unpinned;
+    # a completion settles the steps, but Id has one shape, so no container
+    # morphism gives the two base shapes
     p = build_problem(
         "base-shapes",
         Signature(ID, ID, ListOf(ID)),
@@ -116,7 +119,13 @@ def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
     with pytest.raises(Ungroundable) as err:
         ground(propagate(p))
     assert str(err.value).endswith(report.missing[0])
-    assert_completed(p, no_spawn)
+    report = check(p, no_spawn)
+    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+    assert isinstance(report.verdict, Unrealizable)
+    assert report.verdict.detail.startswith(
+        "no container morphism of the extra argument gives every base: input shape () "
+        "maps to both [*] and [*,*]"
+    )
 
 
 ENTRIES = {e.name: e for e in corpus()}
@@ -171,6 +180,7 @@ ROUTES = [
     ("reverse_as_foldr.json", "Realizable", "oracle"),
     ("reverse_as_map.json", "Unrealizable", "oracle"),
     ("tail_as_foldr_minimal.json", None, "smt"),
+    ("invented_base.json", "Unrealizable", "oracle"),
 ]
 
 
@@ -178,7 +188,7 @@ def test_route_table_covers_the_fold_corpus():
     cases = {case for case, _, _ in ROUTES}
     expected = {f"{name}/{which}" for name in ENTRIES for which in ("sc", "si")}
     expected |= {os.path.basename(f) for f in glob.glob(f"{PROBLEMS}/*.json")}
-    assert len(ROUTES) == len(cases) == 37 and cases == expected
+    assert len(ROUTES) == len(cases) == 38 and cases == expected
 
 
 @pytest.mark.parametrize("case, verdict, path", ROUTES)
@@ -416,3 +426,73 @@ def test_smt_backend_skips_the_oracle(no_spawn):
 def test_unknown_backend_is_rejected():
     with pytest.raises(ValueError):
         check(load_problem(f"{PROBLEMS}/atom_swap_raw.json"), backend="oracle")
+
+
+# A model of the steps of problems/invented_base.json: each step conses its
+# element onto the accumulator, so the steps are realizable and only the
+# base [z], which the extra () cannot give, is not.
+CONS_MODEL = """sat
+(
+  (define-fun oshape0 ((x!0 Int)) Int (+ x!0 1))
+  (define-fun srcpos ((x!0 Int) (x!1 Int)) Int x!1)
+  (define-fun mid0_n0 () Int 2)
+  (define-fun elem0 ((x!0 Int)) Int (ite (= x!0 0) 3 1))
+)"""
+
+
+def _answering(tmp_path, answer: str) -> SolverConfig:
+    return SolverConfig(solver_command=_fake_solver(tmp_path, answer))
+
+
+@pytest.mark.parametrize("backend", ["auto", "smt"])
+def test_invented_base_is_unrealizable_on_both_backends(tmp_path, backend):
+    p = load_problem(f"{PROBLEMS}/invented_base.json")
+    cfg = _answering(tmp_path, CONS_MODEL)
+    steps, _, path = solver._decide(propagate(p), cfg, backend)
+    assert isinstance(steps, Realizable)
+    report = check(p, cfg, backend=backend)
+    assert isinstance(report.verdict, Unrealizable) and report.path == path
+    assert report.verdict.detail.startswith(
+        "no container morphism of the extra argument gives every base"
+    )
+
+
+def _wide_bases(extras):
+    # each example is empty, so its output is its base, and e is the
+    # identity: realizable, but past what the oracle takes on
+    return build_problem(
+        "wide-base",
+        Signature(ListOf(ID), ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [(x, [], x, x) for x in extras],
+    )
+
+
+WIDE_BASES = [
+    pytest.param(
+        [ListV(tuple(atom(f"x{i}") for i in range(n))) for n in range(oracle.MAX_SHAPES + 1)],
+        id="shapes",
+    ),
+    pytest.param(
+        [ListV(tuple(atom(f"x{i}") for i in range(oracle.MAX_POSITIONS + 1)))],
+        id="positions",
+    ),
+]
+
+
+@pytest.mark.parametrize("extras", WIDE_BASES)
+@pytest.mark.parametrize("backend", ["auto", "smt"])
+def test_base_case_past_the_oracle_bounds_is_never_realizable(tmp_path, extras, backend):
+    p = _wide_bases(extras)
+    cfg = _answering(tmp_path, "sat\n(\n)")
+    steps, _, _ = solver._decide(propagate(p), cfg, backend)
+    assert isinstance(steps, Realizable)
+    report = check(p, cfg, backend=backend)
+    assert verdict_name(report.verdict) == "Unknown(base-case-undecided)"
+
+
+def test_sampled_fold_problems_have_a_parametric_base():
+    rng = random.Random(0)
+    for _ in range(500):
+        cs = propagate(support.random_foldr_problem(rng))
+        assert isinstance(oracle.oracle_decide(cs.base_case), Realizable)
