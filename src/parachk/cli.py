@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 Realizable, 1 Unrealizable, 2 Unknown, 3 errors (missing or
-invalid input, solver failures, oracle preconditions), 4 cross-check
-disagreement. `bench` exits 0 iff every shape-complete verdict matches the
-expected fold column and every shape-incomplete verdict is the expected one
-or Unknown.
+Exit codes: 0 Realizable, 1 Unrealizable, 2 Unknown, 3 errors (usage
+errors, missing or invalid input, solver failures, oracle preconditions),
+4 cross-check disagreement. `bench` exits 0 iff every shape-complete
+verdict matches the expected fold column and every shape-incomplete
+verdict is the expected one or Unknown.
 """
 
 from __future__ import annotations
@@ -56,10 +56,19 @@ def _exit_code(verdict) -> int:
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 3, the code of every input
+    error, rather than argparse's 2, which is Unknown's."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and kept: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parachk",
         description="Decide realizability of polymorphic functions from types, sketches, and input-output examples.",
     )

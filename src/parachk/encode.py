@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .functors import flatten_shape
 from .propagate import ConstraintSet, Known
 
 
@@ -53,8 +52,8 @@ def mid_terms(uid: int, schema) -> list[str]:
 
 def encode(cs: ConstraintSet) -> SmtScript:
     """Translate a constraint set to a solver-ready script."""
-    part_schemas = [flatten_shape(f) for f in cs.input_parts]
-    out_schema = flatten_shape(cs.output_functor)
+    part_schemas = cs.input_schemas()
+    out_schema = cs.result_schema()
     in_arity = sum(len(s.slots) for s in part_schemas)
 
     int_args = " ".join(["Int"] * in_arity)
@@ -71,14 +70,14 @@ def encode(cs: ConstraintSet) -> SmtScript:
         decls.append(f"(declare-fun elem{uid} (Int) Int)")
         assertions.extend(out_schema.smt_refinements(terms))
 
-    def slot_terms(part, schema) -> list[str]:
+    def slot_terms(part) -> list[str]:
         if isinstance(part, Known):
-            return [_num(v) for v in schema.encode_shape(part.ext.shape)]
+            return [_num(v) for v in part.key]
         return mid_terms(part.uid, out_schema)
 
     for c in cs.constraints:
-        ins = [t for part, schema in zip(c.inputs, part_schemas) for t in slot_terms(part, schema)]
-        for j, term in enumerate(slot_terms(c.output, out_schema)):
+        ins = [t for part in c.inputs for t in slot_terms(part)]
+        for j, term in enumerate(slot_terms(c.output)):
             assertions.append(f"(= {_app(f'oshape{j}', ins)} {term})")
         assertions.extend(_positions(c, ins, out_schema))
 
@@ -97,7 +96,7 @@ def shrink_assertions(cs: ConstraintSet) -> list[str]:
             len(p.ext.elements) for p in (*c.inputs, c.output) if isinstance(p, Known)
         )
         cap = max(cap, 8 + known)
-    schema = flatten_shape(cs.output_functor)
+    schema = cs.result_schema()
     return [
         f"(<= {term} {cap})"
         for uid in range(cs.unknown_count)

@@ -11,13 +11,22 @@ intermediate its suffix's shape and checks that the shape morphism is a
 function of the input shape; a clash is a shape conflict and, when no shape
 was guessed, immediate evidence of unrealizability.
 
-The remaining search is finite: assign, for every observed input shape and
-every output position, a source position, while unifying the element
-equalities this induces. Intermediate elements stay symbolic and are bound
-lazily by unification, so the backtracking prunes as soon as two distinct
-concrete elements would have to coincide. A search with more than
-MAX_POSITIONS positions per input shape or MAX_SHAPES distinct input shapes
-raises BoundExceeded, and so does one that spends a given `StepBudget`.
+The remaining decision is finite: assign, for every observed input shape
+and every output position, a source position, while unifying the element
+equalities this induces. Where every constraint of an input shape holds
+only atoms, in its inputs and at the output position, the position ties
+nothing else and a scan settles it: the first input position that matches
+in every constraint, or none, which refutes the set. That covers every
+position of a raw or map set and of a base case. The other positions are
+tied through intermediates, whose elements stay symbolic and are bound
+lazily by unification; a backtracking search assigns them from the
+candidates no two distinct atoms rule out, and prunes as soon as two
+distinct atoms would have to coincide. A search with more than
+MAX_POSITIONS positions per input shape or MAX_SHAPES input shapes to
+search raises BoundExceeded, and so does one that spends a given
+`StepBudget`; scans spend nothing and count towards neither bound.
+Grounding reads the slot keys propagation recorded (`Known.key`) and keys
+each intermediate once.
 
 `oracle_decide` is the one entry point: one loop that grounds and searches
 each completion, the one of a complete set or, under a budget, every
@@ -31,12 +40,12 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import product
 
-from .functors import Atom, Extension, ShapeValue, flatten_shape, show_shape, size_of
-from .problem import AtomTable
+from .functors import Atom, Extension, ShapeValue, show_shape
 from .propagate import (
     ConstraintSet,
     Known,
     TraceKey,
+    read_inputs,
     show_trace_key,
     unpinned_suffixes,
 )
@@ -66,8 +75,9 @@ class BoundExceeded(OracleError):
     pass
 
 
-# The most positions per input shape, and the most distinct input shapes,
-# a search takes on.
+# The most positions per input shape, and the most input shapes, that a
+# search takes on; input shapes whose positions scans settle count for
+# neither.
 MAX_POSITIONS = 16
 MAX_SHAPES = 12
 
@@ -99,11 +109,11 @@ class GroundConstraint:
 
 @dataclass(frozen=True)
 class GroundInstance:
-    constraints: tuple[GroundConstraint, ...]
-    shape_map: dict  # input slot key -> output ShapeValue
+    constraints: tuple[GroundConstraint, ...]  # in the order of cs.constraints
+    out_keys: dict  # input slot key -> output slot key
     inter_shapes: dict  # uid -> ShapeValue
-    output_functor: object
-    atoms: AtomTable
+    inter_terms: dict  # uid -> its terms
+    cs: ConstraintSet
 
 
 def _pinned(cs: ConstraintSet) -> dict[TraceKey, ShapeValue]:
@@ -145,53 +155,50 @@ def ground(
     """Give each trace intermediate the shape of its suffix in `shapes`, a
     completion, and check the shape morphism is a function. Without
     `shapes`, the completion that guesses nothing: a set with an unpinned
-    suffix raises Ungroundable."""
+    suffix raises Ungroundable. Known containers bring their keys; each
+    intermediate is keyed once."""
     if shapes is None:
         missing = unpinned_suffixes([trace.key for trace in cs.traces])
         if missing:
             raise Ungroundable(missing)
         shapes = _pinned(cs)
     inter_shapes = intermediate_shapes(cs, shapes)
-    part_schemas = [flatten_shape(f) for f in cs.input_parts]
-    out_functor = cs.output_functor
+    cs.input_schemas()  # an input part without fixed-arity shapes raises here
 
-    def container_shape(part) -> ShapeValue:
-        return part.ext.shape if isinstance(part, Known) else inter_shapes[part.uid]
-
+    inter_keys: dict[int, tuple[int, ...]] = {}
     inter_terms: dict[int, tuple[int, ...]] = {}
-    term = -1
-    for uid in sorted(inter_shapes):
-        n = size_of(out_functor, inter_shapes[uid])
-        inter_terms[uid] = tuple(range(term, term - n, -1))
-        term -= n
-
-    def terms_of(part) -> tuple[int, ...]:
-        if isinstance(part, Known):
-            return tuple(a.code for a in part.ext.elements)
-        return inter_terms[part.uid]
+    if inter_shapes:
+        out_schema = cs.result_schema()
+        term = -1
+        for uid in sorted(inter_shapes):
+            key = inter_keys[uid] = out_schema.encode_shape(inter_shapes[uid])
+            n = out_schema.count_value(key)
+            inter_terms[uid] = tuple(range(term, term - n, -1))
+            term -= n
 
     shape_map: dict[tuple[int, ...], ShapeValue] = {}
+    out_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
     grounded = []
     for c in cs.constraints:
-        key = tuple(
-            v
-            for schema, part in zip(part_schemas, c.inputs)
-            for v in schema.encode_shape(container_shape(part))
-        )
-        out_shape = container_shape(c.output)
+        key, in_terms = read_inputs(c, inter_keys, inter_terms)
+        out = c.output
+        if type(out) is Known:
+            out_shape, out_key, out_terms = out.ext.shape, out.key, out.codes
+        else:
+            uid = out.uid
+            out_shape, out_key, out_terms = inter_shapes[uid], inter_keys[uid], inter_terms[uid]
         forced = shape_map.get(key)
-        if forced is not None and forced != out_shape:
+        if forced is None:
+            shape_map[key] = out_shape
+            out_keys[key] = out_key
+        elif forced != out_shape:
             raise ShapeConflict(
                 f"input shape {key} maps to both {show_shape(forced)} and "
                 f"{show_shape(out_shape)}"
             )
-        shape_map[key] = out_shape
-        in_terms = tuple(t for part in c.inputs for t in terms_of(part))
-        grounded.append(GroundConstraint(key, in_terms, terms_of(c.output)))
+        grounded.append(GroundConstraint(key, in_terms, out_terms))
 
-    return GroundInstance(
-        tuple(grounded), shape_map, inter_shapes, out_functor, cs.atoms
-    )
+    return GroundInstance(tuple(grounded), out_keys, inter_shapes, inter_terms, cs)
 
 
 class _Unifier:
@@ -250,75 +257,125 @@ class _Unifier:
         return True
 
 
+def _first_source(group: list[GroundConstraint], q: int) -> int | None:
+    """The first input position that holds the atom at output position q
+    in every constraint of `group`, where all those terms are atoms."""
+    first = group[0]
+    target = first.out_terms[q]
+    p = -1
+    while True:
+        try:
+            p = first.in_terms.index(target, p + 1)
+        except ValueError:
+            return None
+        if all(c.in_terms[p] == c.out_terms[q] for c in group):
+            return p
+
+
+def _nowhere(key: tuple[int, ...], q: int) -> str:
+    return (
+        f"no input position gives output position {q} of input shape {key} "
+        f"in every constraint"
+    )
+
+
 def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdict:
-    """Decide a ground instance by exhaustive position assignment, spending
-    one step of `budget` per call to the unifier; with no budget the search
-    is exhaustive."""
+    """Decide a ground instance by position assignment: one variable per
+    input shape and output position, shared by every constraint with that
+    input shape.
+
+    Where those constraints hold only atoms, in their inputs and at the
+    output position, unification is equality and binds nothing, so the
+    variable is independent of every other: a scan settles it as the first
+    input position that matches in every constraint. Every other variable
+    keeps the positions that no constraint rules out by two different
+    atoms, and a search assigns those, backtracking and spending one step
+    of `budget` per call to the unifier; with no budget it is exhaustive.
+    A variable left without a position refutes the set before any search.
+    Scans spend no steps, and only input shapes with a searched variable
+    count towards MAX_SHAPES and MAX_POSITIONS.
+    """
     by_key: dict[tuple[int, ...], list[GroundConstraint]] = {}
     for c in gi.constraints:
         by_key.setdefault(c.key, []).append(c)
 
-    if len(by_key) > MAX_SHAPES:
+    settled: dict[tuple[tuple[int, ...], int], int] = {}
+    searched: list[tuple[tuple[int, ...], list[int]]] = []
+    for key in sorted(by_key):
+        group = by_key[key]
+        concrete = all(t >= 0 for c in group for t in c.in_terms)
+        open_qs = []
+        for q in range(len(group[0].out_terms)):
+            if concrete and all(c.out_terms[q] >= 0 for c in group):
+                p = _first_source(group, q)
+                if p is None:
+                    return Unrealizable(_nowhere(key, q))
+                settled[(key, q)] = p
+            else:
+                open_qs.append(q)
+        if open_qs:
+            searched.append((key, open_qs))
+
+    if len(searched) > MAX_SHAPES:
         raise BoundExceeded(
-            f"{len(by_key)} distinct input shapes exceed the bound {MAX_SHAPES}"
+            f"{len(searched)} input shapes to search exceed the bound {MAX_SHAPES}"
         )
-    for key, group in by_key.items():
+    variables = []  # (input shape, output position, candidate positions)
+    for key, open_qs in searched:
+        group = by_key[key]
         n_in, n_out = len(group[0].in_terms), len(group[0].out_terms)
         if max(n_in, n_out) > MAX_POSITIONS:
             raise BoundExceeded(
                 f"input shape {key} has {max(n_in, n_out)} positions, bound is "
                 f"{MAX_POSITIONS}"
             )
+        for q in open_qs:
+            outs = [c.out_terms[q] for c in group]
+            candidates = [
+                p
+                for p in range(n_in)
+                if all(b < 0 or (a := c.in_terms[p]) < 0 or a == b for c, b in zip(group, outs))
+            ]
+            if not candidates:
+                return Unrealizable(_nowhere(key, q))
+            variables.append((key, q, candidates))
 
-    # one position variable per (input shape, output position), shared by all
-    # constraints with that input shape
-    variables = [
-        (key, q)
-        for key in sorted(by_key)
-        for q in range(len(by_key[key][0].out_terms))
-    ]
     uf = _Unifier(budget or StepBudget(float("inf")))
-    assignment: dict[tuple[tuple[int, ...], int], int] = {}
+    chosen: dict[tuple[tuple[int, ...], int], int] = {}
 
     def assign(idx: int) -> bool:
         if idx == len(variables):
             return True
-        key, q = variables[idx]
+        key, q, candidates = variables[idx]
         group = by_key[key]
-        n_in = len(group[0].in_terms)
-        for p in range(n_in):
+        for p in candidates:
             mark = uf.mark()
             if all(uf.unify(c.in_terms[p], c.out_terms[q]) for c in group):
-                assignment[(key, q)] = p
+                chosen[(key, q)] = p
                 if assign(idx + 1):
                     return True
-                del assignment[(key, q)]
+                del chosen[(key, q)]
             uf.rollback(mark)
         return False
 
     if not assign(0):
         return Unrealizable()
 
-    out_schema = flatten_shape(gi.output_functor)
-    shape_table = {
-        key: out_schema.encode_shape(shape) for key, shape in gi.shape_map.items()
-    }
+    cs = gi.cs
+    cs.result_schema()  # a result without fixed-arity shapes has no witness
     fresh: dict[int, int] = {}
     intermediates: dict[int, Extension] = {}
-    term = -1
     for uid in sorted(gi.inter_shapes):
-        shape = gi.inter_shapes[uid]
         elems = []
-        for _ in range(size_of(gi.output_functor, shape)):
+        for term in gi.inter_terms[uid]:
             root = uf.find(term)
             code = uf.lit.get(root)
             if code is None:
-                code = fresh.setdefault(root, gi.atoms.size + len(fresh))
-            elems.append(Atom(code, gi.atoms.label_of(code)))
-            term -= 1
-        intermediates[uid] = Extension(gi.output_functor, shape, tuple(elems))
-    summary = WitnessSummary(shape_table, dict(assignment), intermediates)
-    return Realizable(summary)
+                code = fresh.setdefault(root, cs.atoms.size + len(fresh))
+            elems.append(Atom(code, cs.atoms.label_of(code)))
+        intermediates[uid] = Extension(cs.output_functor, gi.inter_shapes[uid], tuple(elems))
+    positions = dict(sorted({**settled, **chosen}.items()))
+    return Realizable(WitnessSummary(dict(gi.out_keys), positions, intermediates))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +391,13 @@ def candidate_shapes(cs: ConstraintSet) -> tuple[list[ShapeValue], bool]:
     COMPLETION_LENGTHS, a bool slot 0 and 1, and an int slot every value it
     holds in a known base or output, and each of those ±1. So the candidates
     cover the whole shape space exactly when every slot is bool."""
-    schema = flatten_shape(cs.output_functor)
+    schema = cs.result_schema()
     seen: list[set[int]] = [set() for _ in schema.slots]
     if any(slot.kind == "int" for slot in schema.slots):
         for trace in cs.traces:
-            for shape in (trace.key[1], trace.steps[-1].output.ext.shape):
-                for values, v in zip(seen, schema.encode_shape(shape)):
+            # the keys of the trace's base and of its output
+            for key in (trace.steps[0].inputs[2].key, trace.steps[-1].output.key):
+                for values, v in zip(seen, key):
                     values.add(v)
     ranges = []
     for slot, values in zip(schema.slots, seen):

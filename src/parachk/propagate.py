@@ -9,7 +9,10 @@ unknowns, numbered 0..unknown_count-1 in constraint order, whose shapes are
 shapes of the result functor. Inputs of an example are numbered right to
 left, so constraint 0 of a trace consumes the last list element and the
 given base value. Every known container is an extension the loader
-recorded (`Problem.extensions`); no value is walked again here.
+recorded (`Problem.extensions`); no value is walked again here. Each is
+keyed here, once: `Known.key` is its shape's slot key under the schema of
+its functor, and the set keeps those schemas (`ConstraintSet.part_schemas`,
+`out_schema`), one per functor, for every later reader.
 
 This module alone knows how a fold trace is laid out. `ConstraintSet.traces`
 holds one `Trace` per nonempty foldr example, in constraint order: its
@@ -25,9 +28,19 @@ the examples with an empty input.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .functors import Extension, FunctorExpr, ShapeValue, show_shape
+from .functors import (
+    Extension,
+    FunctorExpr,
+    ShapeSchema,
+    ShapeValue,
+    UnsupportedFunctor,
+    flatten_shape,
+    show_shape,
+)
 from .problem import AtomTable, ExampleExtensions, Problem, SketchKind
 
 
@@ -39,9 +52,15 @@ class PropagationUnrealizable(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Known:
+class Known(NamedTuple):
+    """A container the examples give: its extension, the slot key of its
+    shape (`ShapeSchema.encode_shape`; None where its functor has no
+    fixed-arity shapes) and the codes of its elements in position order.
+    The key and the codes follow from the extension."""
+
     ext: Extension
+    key: tuple[int, ...] | None
+    codes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -58,6 +77,26 @@ SymbolicContainer = Known | Unknown
 class MorphismConstraint:
     inputs: tuple[SymbolicContainer, ...]
     output: SymbolicContainer
+
+
+def read_inputs(
+    c: MorphismConstraint,
+    inter_keys: Mapping[int, tuple[int, ...]],
+    inter_terms: Mapping[int, tuple[int, ...]],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The slot key and the element terms of the inputs of `c`: a known
+    part's own key and codes, an intermediate's in `inter_keys` and
+    `inter_terms`, by uid (KeyError if one is missing)."""
+    key: tuple[int, ...] = ()
+    terms: tuple[int, ...] = ()
+    for part in c.inputs:
+        if type(part) is Known:
+            key += part.key
+            terms += part.codes
+        else:
+            key += inter_keys[part.uid]
+            terms += inter_terms[part.uid]
+    return key, terms
 
 
 # A fold trace's key: (extra shape, base shape, element shapes in list
@@ -82,10 +121,45 @@ class ConstraintSet:
     constraints: tuple[MorphismConstraint, ...]
     unknown_count: int
     atoms: AtomTable
+    # the schema of each input part and of the output functor, built once;
+    # None for a functor whose shapes are not fixed-arity
+    part_schemas: tuple[ShapeSchema | None, ...]
+    out_schema: ShapeSchema | None
     traces: tuple[Trace, ...] = ()
     # a foldr set's base case, e(extra) = base: a raw set from the extra
     # functor to the result functor, one constraint per distinct extra value
     base_case: ConstraintSet | None = None
+
+    def input_schemas(self) -> tuple[ShapeSchema, ...]:
+        """The schema of each input part. One whose shapes are not
+        fixed-arity raises flatten_shape's UnsupportedFunctor."""
+        return tuple(
+            flatten_shape(f) if s is None else s
+            for f, s in zip(self.input_parts, self.part_schemas)
+        )
+
+    def result_schema(self) -> ShapeSchema:
+        """The schema of the output functor, or flatten_shape's
+        UnsupportedFunctor."""
+        s = self.out_schema
+        return flatten_shape(self.output_functor) if s is None else s
+
+
+def _schema(f: FunctorExpr) -> ShapeSchema | None:
+    try:
+        return flatten_shape(f)
+    except UnsupportedFunctor:
+        return None
+
+
+def _known(ext: Extension, schema: ShapeSchema | None) -> Known:
+    if schema is None:
+        key = None
+    elif schema.slots:
+        key = schema.encode_shape(ext.shape)
+    else:
+        key = ()  # a schema without slots keys every shape (), with no walk
+    return Known(ext, key, tuple([a.code for a in ext.elements]))
 
 
 def propagate(p: Problem) -> ConstraintSet:
@@ -98,27 +172,35 @@ def propagate(p: Problem) -> ConstraintSet:
 
 def propagate_raw(p: Problem) -> ConstraintSet:
     sig = p.signature
+    element, result = _schema(sig.element), _schema(sig.result)
     constraints = tuple(
-        MorphismConstraint((Known(x.inputs[0]),), Known(x.outputs[0])) for x in p.extensions
+        MorphismConstraint((_known(x.inputs[0], element),), _known(x.outputs[0], result))
+        for x in p.extensions
     )
-    return ConstraintSet((sig.element,), sig.result, constraints, 0, p.atoms)
+    return ConstraintSet(
+        (sig.element,), sig.result, constraints, 0, p.atoms, (element,), result
+    )
 
 
 def propagate_map(p: Problem) -> ConstraintSet:
     """One constraint per list element. A map cannot change the outer list
     length, so a length mismatch is already an unrealizability verdict."""
     sig = p.signature
-    constraints = []
     for i, x in enumerate(p.extensions):
         if len(x.inputs) != len(x.outputs):
             raise PropagationUnrealizable(
                 f"example {i}: map preserves list length, but {len(x.inputs)} "
                 f"inputs map to {len(x.outputs)} outputs"
             )
-        constraints.extend(
-            MorphismConstraint((Known(a),), Known(b)) for a, b in zip(x.inputs, x.outputs)
-        )
-    return ConstraintSet((sig.element,), sig.result, tuple(constraints), 0, p.atoms)
+    element, result = _schema(sig.element), _schema(sig.result)
+    constraints = tuple(
+        MorphismConstraint((_known(a, element),), _known(b, result))
+        for x in p.extensions
+        for a, b in zip(x.inputs, x.outputs)
+    )
+    return ConstraintSet(
+        (sig.element,), sig.result, constraints, 0, p.atoms, (element,), result
+    )
 
 
 def _trace_key(x: ExampleExtensions) -> TraceKey:
@@ -127,27 +209,29 @@ def _trace_key(x: ExampleExtensions) -> TraceKey:
 
 def propagate_foldr(p: Problem) -> ConstraintSet:
     sig = p.signature
+    extra, element, result = _schema(sig.extra), _schema(sig.element), _schema(sig.result)
     constraints: list[MorphismConstraint] = []
     traces = []
-    bases: dict[Extension, Extension] = {}
+    # extra -> (extra, base), keyed, for the base case
+    bases: dict[Extension, tuple[Known, Known]] = {}
     uid = 0
     for i, x in enumerate(p.extensions):
-        bases.setdefault(x.extra, x.base)
         n = len(x.inputs)
+        if n == 0 and x.base != x.outputs[0]:
+            raise PropagationUnrealizable(
+                f"example {i}: an empty input forces the output to equal the base case"
+            )
+        if x.extra not in bases:
+            bases[x.extra] = _known(x.extra, extra), _known(x.base, result)
+        h, base = bases[x.extra]
         if n == 0:
-            if x.base != x.outputs[0]:
-                raise PropagationUnrealizable(
-                    f"example {i}: an empty input forces the output to equal "
-                    f"the base case"
-                )
             continue
-        accs: list[SymbolicContainer] = [Known(x.base)]
+        accs: list[SymbolicContainer] = [base]
         accs.extend(Unknown(uid + k) for k in range(n - 1))
-        accs.append(Known(x.outputs[0]))
+        accs.append(_known(x.outputs[0], result))
         uid += n - 1
-        h = Known(x.extra)
         steps = tuple(
-            MorphismConstraint((h, Known(x.inputs[n - 1 - k]), accs[k]), accs[k + 1])
+            MorphismConstraint((h, _known(x.inputs[n - 1 - k], element), accs[k]), accs[k + 1])
             for k in range(n)
         )
         constraints.extend(steps)
@@ -155,9 +239,11 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
     base_case = ConstraintSet(
         (sig.extra,),
         sig.result,
-        tuple(MorphismConstraint((Known(h),), Known(b)) for h, b in bases.items()),
+        tuple(MorphismConstraint((h,), b) for h, b in bases.values()),
         0,
         p.atoms,
+        (extra,),
+        result,
     )
     return ConstraintSet(
         (sig.extra, sig.element, sig.result),
@@ -165,6 +251,8 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
         tuple(constraints),
         uid,
         p.atoms,
+        (extra, element, result),
+        result,
         tuple(traces),
         base_case,
     )

@@ -8,16 +8,19 @@ no script or process. It searches once per completion: a raw, map or
 shape-complete set has the one that guesses nothing, and a
 shape-incomplete set one per guess of a small shape (lists of length
 0..4, both values of a bool, observed ints ±1) for every fold
-intermediate no example pins. `oracle_verdict` is the one replay gate: an
-oracle witness counts only once it replays. Unrealizable needs no solver
-only where it holds for every shape: a failed search of a shape-complete
-set, a conflict that involves no guessed shape, or every completion refuted
-when every result slot is bool. The SMT path decides everything else: a set
-no completion settles, and a search that goes past the oracle's limits or
-proposes a witness that fails replay.
+intermediate no example pins. Raw and map sets are settled by scans alone,
+and so is any position that no intermediate ties; only positions tied
+through fold intermediates are searched. `oracle_verdict` is the one
+replay gate: an oracle witness counts only once it replays. Unrealizable
+needs no solver only where it holds for every shape: a failed scan or
+search of a shape-complete set, a conflict that involves no guessed shape,
+or every completion refuted when every result slot is bool. The SMT path
+decides everything else: a fold set no completion settles, and a search
+that goes past the oracle's limits or proposes a witness that fails replay.
 `backend="smt"` always takes the SMT path, so the oracle can be
 cross-checked against it. On either backend a fold's base case, the raw
-set `e(extra) = base`, is decided by the oracle alone (`with_base_case`).
+set `e(extra) = base`, is decided by the oracle's scans alone, with no
+bound or budget (`with_base_case`).
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -47,18 +50,16 @@ import time
 from dataclasses import dataclass, field
 
 from .encode import SmtScript, encode, shrink_assertions
-from .functors import Atom, Extension, ShapeMismatch, flatten_shape
+from .functors import Atom, Extension, ShapeMismatch
 from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
-from .propagate import ConstraintSet, PropagationUnrealizable, propagate
+from .propagate import ConstraintSet, Known, PropagationUnrealizable, propagate, read_inputs
 from .verdict import (
     Realizable,
     Unrealizable,
     UnknownVerdict,
     Verdict,
     WitnessSummary,
-    constraint_key,
-    resolve_constraint,
     validate_summary,
 )
 
@@ -399,8 +400,11 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
     except ModelError as e:
         raise WitnessError(str(e)) from None
 
-    out_schema = flatten_shape(cs.output_functor)
+    out_schema = cs.result_schema()
     intermediates: dict[int, Extension] = {}
+    # a refined slot vector is the key of the shape it decodes to
+    inter_keys: dict[int, tuple[int, ...]] = {}
+    inter_codes: dict[int, tuple[int, ...]] = {}
     try:
         for uid in range(cs.unknown_count):
             slots = [fns.call(f"mid{uid}_{s.name}", []) for s in out_schema.slots]
@@ -413,11 +417,11 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
             ):
                 raise WitnessError(f"intermediate {uid} is too large to replay")
             shape = out_schema.decode_slots(slots)
-            elems = []
-            for q in range(count):
-                code = fns.call(f"elem{uid}", [q])
-                elems.append(Atom(code, cs.atoms.label_of(code)))
-            intermediates[uid] = Extension(cs.output_functor, shape, tuple(elems))
+            inter_keys[uid] = tuple(slots)
+            codes = tuple(fns.call(f"elem{uid}", [q]) for q in range(count))
+            inter_codes[uid] = codes
+            elems = tuple(Atom(code, cs.atoms.label_of(code)) for code in codes)
+            intermediates[uid] = Extension(cs.output_functor, shape, elems)
     except (ModelError, ShapeMismatch, RecursionError) as e:
         raise WitnessError(f"intermediates unreadable: {e}") from None
 
@@ -425,14 +429,15 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
     position_table: dict = {}
     try:
         for c in cs.constraints:
-            parts, out = resolve_constraint(c, intermediates)
-            key = constraint_key(parts)
+            key, _ = read_inputs(c, inter_keys, inter_codes)
             if key not in shape_table:
                 shape_table[key] = tuple(
                     fns.call(f"oshape{j}", list(key))
                     for j in range(len(out_schema.slots))
                 )
-            for q in range(len(out.elements)):
+            out = c.output
+            targets = out.codes if type(out) is Known else inter_codes[out.uid]
+            for q in range(len(targets)):
                 if (key, q) not in position_table:
                     position_table[(key, q)] = fns.call("srcpos", [*key, q])
     except (ModelError, RecursionError) as e:
@@ -513,17 +518,13 @@ def with_base_case(cs: ConstraintSet, verdict: Verdict) -> Verdict:
     The sketch's `e` is a container morphism from the extra functor to the
     result functor, independent of the step function, and every constraint
     on it is known: `cs.base_case`, a raw set. Unless the steps are already
-    Unrealizable, the oracle decides it within its limits and
-    ORACLE_MAX_STEPS steps, on every path, since no SMT script asserts it.
-    A base case past those limits, or whose witness fails replay, turns
-    Realizable into Unknown.
+    Unrealizable, the oracle decides it on every path, since no SMT script
+    asserts it; a raw set is settled by scans alone, so no bound or budget
+    applies. A base witness that fails replay turns Realizable into Unknown.
     """
     if cs.base_case is None or isinstance(verdict, Unrealizable):
         return verdict
-    try:
-        base = oracle_verdict(cs.base_case, StepBudget(ORACLE_MAX_STEPS))
-    except BoundExceeded:
-        base = None
+    base = oracle_verdict(cs.base_case)
     if isinstance(base, Unrealizable):
         detail = "no container morphism of the extra argument gives every base"
         return Unrealizable(f"{detail}: {base.detail}" if base.detail else detail)

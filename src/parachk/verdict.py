@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .functors import Extension, flatten_shape, show_shape, show_value, size_of
-from .propagate import ConstraintSet, Known, MorphismConstraint
+from .functors import Extension, flatten_shape, show_shape, show_value
+from .propagate import ConstraintSet, Known, MorphismConstraint, read_inputs
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,9 @@ def resolve_constraint(
 
 
 def constraint_key(parts: list[Extension]) -> tuple[int, ...]:
+    """The slot key of a constraint's input extensions, each keyed under
+    the schema of its own functor: the key `propagate.read_inputs` reads
+    off the keys propagation recorded."""
     key: list[int] = []
     for ext in parts:
         key.extend(flatten_shape(ext.functor).encode_shape(ext.shape))
@@ -90,27 +93,38 @@ def constraint_key(parts: list[Extension]) -> tuple[int, ...]:
 
 
 def validate_summary(cs: ConstraintSet, summary: WitnessSummary) -> bool:
-    """Replay every constraint against the witness tables."""
+    """Replay every constraint against the witness tables. Known containers
+    carry their keys and codes; each intermediate is keyed once, from its
+    shape."""
+    out_schema = cs.result_schema()
+    inter_keys: dict[int, tuple[int, ...]] = {}
+    inter_codes: dict[int, tuple[int, ...]] = {}
     for uid, ext in summary.intermediates.items():
         if ext.functor != cs.output_functor:
             return False
-        if len(ext.elements) != size_of(ext.functor, ext.shape):
+        key = out_schema.encode_shape(ext.shape)
+        if len(ext.elements) != out_schema.count_value(key):
             return False
-    out_schema = flatten_shape(cs.output_functor)
+        inter_keys[uid] = key
+        inter_codes[uid] = tuple([a.code for a in ext.elements])
+    shape_table, position_table = summary.shape_table, summary.position_table
     for c in cs.constraints:
-        resolved = resolve_constraint(c, summary.intermediates)
-        if resolved is None:
+        try:
+            key, in_codes = read_inputs(c, inter_keys, inter_codes)
+        except KeyError:
             return False
-        parts, out = resolved
-        key = constraint_key(parts)
-        if summary.shape_table.get(key) != out_schema.encode_shape(out.shape):
+        out = c.output
+        if type(out) is Known:
+            out_key, targets = out.key, out.codes
+        elif out.uid in inter_keys:
+            out_key, targets = inter_keys[out.uid], inter_codes[out.uid]
+        else:
             return False
-        in_codes = [a.code for ext in parts for a in ext.elements]
-        for q, target in enumerate(out.elements):
-            p = summary.position_table.get((key, q))
-            if p is None or not 0 <= p < len(in_codes):
-                return False
-            if in_codes[p] != target.code:
+        if shape_table.get(key) != out_key:
+            return False
+        for q, target in enumerate(targets):
+            p = position_table.get((key, q))
+            if p is None or not 0 <= p < len(in_codes) or in_codes[p] != target:
                 return False
     return True
 

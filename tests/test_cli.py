@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -335,6 +336,9 @@ def test_oracle_refutes_an_invented_base(capsys):
 
 
 def test_oracle_leaves_a_base_case_past_its_bounds_unknown(capsys, tmp_path):
+    # named for the bounds a base case could once go past: 14 extra shapes
+    # are more than oracle.MAX_SHAPES, but scans settle a base case of any
+    # width, and e is the identity here
     extras = [{"list": [{"atom": "x"}] * n} for n in range(14)]
     doc = {
         "name": "wide-base",
@@ -345,4 +349,53 @@ def test_oracle_leaves_a_base_case_past_its_bounds_unknown(capsys, tmp_path):
     path = tmp_path / "wide-base.json"
     path.write_text(json.dumps(doc))
     code = main(["oracle", str(path)])
-    assert code == 2 and "Unknown(base-case-undecided)" in capsys.readouterr().out
+    assert code == 0 and "wide-base: Realizable (oracle)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_oracle_refutes_an_element_from_nowhere_at_once(capsys, tmp_path, n):
+    # every output position but the last has n sources; the last has none.
+    # A search over the earlier positions tries n ** (n - 1) combinations
+    # (27 s at n = 8); a scan refutes the set at the last position
+    doc = {
+        "name": "nowhere",
+        "signature": {"element": "List(Id)", "result": "List(Id)"},
+        "sketch": "raw",
+        "examples": [
+            {
+                "inputs": [{"list": [{"atom": "a"}] * n}],
+                "output": {"list": [{"atom": "a"}] * (n - 1) + [{"atom": "z"}]},
+            }
+        ],
+    }
+    path = tmp_path / "nowhere.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["oracle", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 1 and "nowhere: Unrealizable (oracle)" in capsys.readouterr().out
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", f"{PROBLEMS}/atom_swap_raw.json", "--timeout", "abc"], "invalid int value: 'abc'"),
+        (["check"], "the following arguments are required: path"),
+        (["frob"], "invalid choice: 'frob'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-timeout", "no-path", "unknown-command", "no-command"],
+)
+def test_usage_errors_exit_three(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 3
+    assert err.startswith("usage: parachk") and message in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "--help"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.startswith("usage: parachk check")

@@ -4,12 +4,22 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parachk import (
+    Atom,
     BoundExceeded,
+    Extension,
     ID,
+    JustV,
     ListOf,
     ListV,
+    MaybeOf,
+    NothingV,
+    PairV,
+    ProdOf,
+    PropagationUnrealizable,
     Realizable,
     Signature,
     SketchKind,
@@ -27,6 +37,8 @@ from parachk import (
     validate_summary,
     verdict_name,
 )
+from parachk.propagate import Known
+from parachk.verdict import WitnessSummary
 from parachk.oracle import (
     ShapeConflict,
     StepBudget,
@@ -36,7 +48,7 @@ from parachk.oracle import (
     intermediate_shapes,
 )
 from parachk import oracle
-from parachk.functors import size_of
+from parachk.functors import flatten_shape, size_of
 
 import support
 
@@ -171,41 +183,92 @@ def test_oracle_requires_shape_completeness():
         ground(propagate(p))
 
 
-def test_bound_exceeded(monkeypatch):
-    xs = [atom(f"x{i}") for i in range(20)]
-    p = build_problem(
-        "big",
-        raw_list_sig(),
-        SketchKind.RAW,
-        [(UnitV(), [lst(*xs)], lst(*xs))],
-    )
-    with pytest.raises(BoundExceeded):
-        oracle_check(ground(propagate(p)))
-    # a generous bound allows it
-    monkeypatch.setattr(oracle, "MAX_POSITIONS", 32)
-    verdict = oracle_check(ground(propagate(p)))
-    assert isinstance(verdict, Realizable)
+def _concat(width):
+    # foldr (++) []: the last step of the two-element example reads the
+    # intermediate after a block of `width` atoms and outputs 2 * width
+    def block(tag):
+        return lst(*(atom(f"{tag}{i}") for i in range(width)))
 
-
-def _swap_conflict():
+    xs, ys, zs = block("x"), block("y"), block("z")
     return build_problem(
-        "swap",
+        "concat",
         raw_list_sig(),
-        SketchKind.RAW,
+        SketchKind.FOLDR,
         [
-            (UnitV(), [lst(atom("a"), atom("b"))], lst(atom("a"), atom("b"))),
-            (UnitV(), [lst(atom("b"), atom("a"))], lst(atom("a"), atom("b"))),
+            (UnitV(), [xs, ys], lst(*xs.items, *ys.items), lst()),
+            (UnitV(), [zs], zs, lst()),
         ],
     )
 
 
+def _cons(n):
+    # foldr (:) [] over the suffixes of one list: an input shape to search
+    # per accumulator length 0..n-1
+    xs = [atom(f"x{i}") for i in range(n)]
+    return build_problem(
+        "cons",
+        tail_sig(),
+        SketchKind.FOLDR,
+        [(UnitV(), xs[n - k :], lst(*xs[n - k :]), lst()) for k in range(1, n + 1)],
+    )
+
+
+def test_bound_exceeded(monkeypatch):
+    gi = ground(propagate(_concat(9)))
+    with pytest.raises(BoundExceeded):
+        oracle_check(gi)
+    # a generous bound allows it
+    monkeypatch.setattr(oracle, "MAX_POSITIONS", 32)
+    verdict = oracle_check(gi)
+    assert isinstance(verdict, Realizable)
+
+
+def test_shape_bound_exceeded(monkeypatch):
+    gi = ground(propagate(_cons(oracle.MAX_SHAPES + 2)))
+    with pytest.raises(BoundExceeded):
+        oracle_check(gi)
+    monkeypatch.setattr(oracle, "MAX_SHAPES", 20)
+    verdict = oracle_check(gi)
+    assert isinstance(verdict, Realizable)
+
+
+def test_scanned_positions_count_towards_no_bound():
+    # 20 positions of one shape and 14 input shapes, every one atom-only
+    xs = [atom(f"x{i}") for i in range(20)]
+    rows = [lst(*xs[:n]) for n in range(oracle.MAX_SHAPES + 2)] + [lst(*xs)]
+    p = build_problem(
+        "wide", raw_list_sig(), SketchKind.RAW, [(UnitV(), [r], r) for r in rows]
+    )
+    budget = StepBudget(0)
+    verdict = oracle_check(ground(propagate(p)), budget)
+    assert isinstance(verdict, Realizable) and budget.left == 0
+
+
+def _swap_conflict():
+    # reverse as a fold, and a second three-element example with the last
+    # two elements of its reverse swapped: each scan passes, the search
+    # refutes
+    rows = [
+        (["a"], ["a"]),
+        (["a", "b"], ["b", "a"]),
+        (["d", "e", "f"], ["f", "e", "d"]),
+        (["a", "b", "c"], ["c", "a", "b"]),
+    ]
+    return build_problem(
+        "swap",
+        tail_sig(),
+        SketchKind.FOLDR,
+        [(UnitV(), list(map(atom, r)), lst(*map(atom, out)), lst()) for r, out in rows],
+    )
+
+
 def _reverse():
-    rows = [[], ["a"], ["a", "b"], ["a", "b", "c"]]
+    rows = [["c"], ["b", "c"], ["a", "b", "c"]]
     return build_problem(
         "rev",
-        raw_list_sig(),
-        SketchKind.RAW,
-        [(UnitV(), [lst(*map(atom, r))], lst(*map(atom, reversed(r)))) for r in rows],
+        tail_sig(),
+        SketchKind.FOLDR,
+        [(UnitV(), list(map(atom, r)), lst(*map(atom, reversed(r))), lst()) for r in rows],
     )
 
 
@@ -327,3 +390,121 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     # guessing alone spends steps too
     with pytest.raises(BoundExceeded):
         list(consistent_completions(cs, err.value.missing, shapes, StepBudget(100)))
+
+
+def _plain_backtracking(gi):
+    """The search as it was before scans: every position variable in
+    (input shape, output position) order, every input position of each in
+    turn, backtracking over all of them; no bound."""
+    by_key = {}
+    for c in gi.constraints:
+        by_key.setdefault(c.key, []).append(c)
+    variables = [
+        (key, q) for key in sorted(by_key) for q in range(len(by_key[key][0].out_terms))
+    ]
+    uf = oracle._Unifier(StepBudget(float("inf")))
+    assignment = {}
+
+    def assign(idx):
+        if idx == len(variables):
+            return True
+        key, q = variables[idx]
+        group = by_key[key]
+        for p in range(len(group[0].in_terms)):
+            mark = uf.mark()
+            if all(uf.unify(c.in_terms[p], c.out_terms[q]) for c in group):
+                assignment[(key, q)] = p
+                if assign(idx + 1):
+                    return True
+                del assignment[(key, q)]
+            uf.rollback(mark)
+        return False
+
+    if not assign(0):
+        return Unrealizable()
+    cs = gi.cs
+    out_schema = flatten_shape(cs.output_functor)
+    shape_table = {}
+    for g, c in zip(gi.constraints, cs.constraints):
+        out = c.output.ext.shape if isinstance(c.output, Known) else gi.inter_shapes[c.output.uid]
+        shape_table.setdefault(g.key, out_schema.encode_shape(out))
+    fresh, intermediates, term = {}, {}, -1
+    for uid in sorted(gi.inter_shapes):
+        shape = gi.inter_shapes[uid]
+        elems = []
+        for _ in range(size_of(cs.output_functor, shape)):
+            root = uf.find(term)
+            code = uf.lit.get(root)
+            if code is None:
+                code = fresh.setdefault(root, cs.atoms.size + len(fresh))
+            elems.append(Atom(code, cs.atoms.label_of(code)))
+            term -= 1
+        intermediates[uid] = Extension(cs.output_functor, shape, tuple(elems))
+    return Realizable(WitnessSummary(shape_table, dict(assignment), intermediates))
+
+
+def _assert_same_search(cs):
+    """oracle_check gives the verdict and the witness of the plain search;
+    returns whether the set got as far as a search."""
+    try:
+        gi = ground(cs)
+    except ShapeConflict:
+        return False
+    verdict, plain = oracle_check(gi), _plain_backtracking(gi)
+    assert type(verdict) is type(plain)
+    if isinstance(plain, Realizable):
+        assert verdict.witness == plain.witness
+        assert list(verdict.witness.position_table) == list(plain.witness.position_table)
+        assert validate_summary(cs, verdict.witness)
+    return True
+
+
+_SMALL_FUNCTORS = [ID, ProdOf(ID, ID), ListOf(ID), MaybeOf(ID), ProdOf(ListOf(ID), ID)]
+
+
+def _small_values(f):
+    # few labels and short lists: realizable and refuted sets both come
+    # up, and the plain search stays small
+    if f == ID:
+        return st.sampled_from("abc").map(atom)
+    if isinstance(f, ListOf):
+        return st.lists(_small_values(f.inner), max_size=4).map(lambda xs: ListV(tuple(xs)))
+    if isinstance(f, ProdOf):
+        return st.tuples(_small_values(f.left), _small_values(f.right)).map(
+            lambda t: PairV(*t)
+        )
+    return st.one_of(st.just(NothingV()), _small_values(f.inner).map(JustV))
+
+
+@st.composite
+def _raw_and_map_problems(draw):
+    sketch = draw(st.sampled_from([SketchKind.RAW, SketchKind.MAP]))
+    element, result = draw(st.sampled_from(_SMALL_FUNCTORS)), draw(st.sampled_from(_SMALL_FUNCTORS))
+    examples = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = 1 if sketch is SketchKind.RAW else draw(st.integers(0, 3))
+        inputs = [draw(_small_values(element)) for _ in range(n)]
+        outputs = [draw(_small_values(result)) for _ in range(n)]
+        output = outputs[0] if sketch is SketchKind.RAW else ListV(tuple(outputs))
+        examples.append((UnitV(), inputs, output))
+    return build_problem("drawn", Signature(UNIT, element, result), sketch, examples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_and_map_problems())
+def test_scans_agree_with_plain_search_on_drawn_sets(p):
+    try:
+        cs = propagate(p)
+    except PropagationUnrealizable:
+        return
+    _assert_same_search(cs)
+
+
+def test_scans_agree_with_plain_search_on_sampled_folds():
+    # the steps and the base case of each fold; a third drawn unrealizable
+    rng = random.Random(12)
+    searched = 0
+    for i in range(300):
+        cs = propagate(support.random_foldr_problem(rng, realizable=i % 3 != 0))
+        searched += _assert_same_search(cs) + _assert_same_search(cs.base_case)
+    assert searched >= 400

@@ -393,7 +393,25 @@ def test_completion_never_contradicts_construction(seed):
 
 
 def test_set_over_the_oracle_bounds_goes_to_smt(no_spawn):
-    # 20 positions exceed oracle.MAX_POSITIONS
+    # foldr (++) []: the last step of the first example reads an
+    # intermediate, so its 20 positions are searched, past
+    # oracle.MAX_POSITIONS
+    xs = [atom(f"x{i}") for i in range(10)]
+    ys = [atom(f"y{i}") for i in range(10)]
+    p = build_problem(
+        "big-concat",
+        Signature(UNIT, ListOf(ID), ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (UnitV(), [ListV(tuple(xs)), ListV(tuple(ys))], ListV(tuple(xs + ys)), ListV(())),
+            (UnitV(), [ListV(tuple(ys))], ListV(tuple(ys)), ListV(())),
+        ],
+    )
+    assert_spawns(p, no_spawn)
+
+
+def test_raw_set_over_the_oracle_bounds_is_decided_in_process(no_spawn):
+    # a raw set holds only atoms: scans settle its 20 positions
     xs = [atom(f"x{i}") for i in range(20)]
     p = build_problem(
         "big-reverse",
@@ -401,7 +419,8 @@ def test_set_over_the_oracle_bounds_goes_to_smt(no_spawn):
         SketchKind.RAW,
         [(UnitV(), [ListV(tuple(xs))], ListV(tuple(reversed(xs))))],
     )
-    assert_spawns(p, no_spawn)
+    report = check(p, no_spawn)
+    assert isinstance(report.verdict, Realizable) and report.path == "oracle"
 
 
 def test_step_budget_hands_the_set_to_smt(no_spawn, monkeypatch):
@@ -457,38 +476,53 @@ def test_invented_base_is_unrealizable_on_both_backends(tmp_path, backend):
     )
 
 
-def _wide_bases(extras):
-    # each example is empty, so its output is its base, and e is the
-    # identity: realizable, but past what the oracle takes on
+def _wide_bases(lengths, bases=None):
+    # one extra list of each length; each example is empty, so its output
+    # is its base. With bases=None, e is the identity: realizable, though
+    # its 13 extra shapes or 17 positions are past oracle.MAX_SHAPES or
+    # oracle.MAX_POSITIONS
+    extras = [ListV(tuple(atom(f"x{i}") for i in range(n))) for n in lengths]
+    bases = extras if bases is None else bases(extras)
     return build_problem(
         "wide-base",
         Signature(ListOf(ID), ID, ListOf(ID)),
         SketchKind.FOLDR,
-        [(x, [], x, x) for x in extras],
+        [(x, [], b, b) for x, b in zip(extras, bases)],
     )
 
 
 WIDE_BASES = [
-    pytest.param(
-        [ListV(tuple(atom(f"x{i}") for i in range(n))) for n in range(oracle.MAX_SHAPES + 1)],
-        id="shapes",
-    ),
-    pytest.param(
-        [ListV(tuple(atom(f"x{i}") for i in range(oracle.MAX_POSITIONS + 1)))],
-        id="positions",
-    ),
+    pytest.param(range(oracle.MAX_SHAPES + 1), id="shapes"),
+    pytest.param([oracle.MAX_POSITIONS + 1], id="positions"),
 ]
 
 
-@pytest.mark.parametrize("extras", WIDE_BASES)
+@pytest.mark.parametrize("lengths", WIDE_BASES)
 @pytest.mark.parametrize("backend", ["auto", "smt"])
-def test_base_case_past_the_oracle_bounds_is_never_realizable(tmp_path, extras, backend):
-    p = _wide_bases(extras)
+def test_base_case_past_the_oracle_bounds_is_never_realizable(tmp_path, lengths, backend):
+    # named for the bounds a base case could once go past; scans settle a
+    # base case of any width, and this one is the identity
+    p = _wide_bases(lengths)
     cfg = _answering(tmp_path, "sat\n(\n)")
-    steps, _, _ = solver._decide(propagate(p), cfg, backend)
+    steps, _, path = solver._decide(propagate(p), cfg, backend)
     assert isinstance(steps, Realizable)
     report = check(p, cfg, backend=backend)
-    assert verdict_name(report.verdict) == "Unknown(base-case-undecided)"
+    assert isinstance(report.verdict, Realizable) and report.path == path
+
+
+@pytest.mark.parametrize("lengths", WIDE_BASES)
+@pytest.mark.parametrize("backend", ["auto", "smt"])
+def test_wide_base_from_nowhere_is_unrealizable(tmp_path, lengths, backend):
+    # the same extras, but the longest base ends in an atom no extra holds
+    p = _wide_bases(
+        lengths, lambda extras: extras[:-1] + [ListV(extras[-1].items[:-1] + (atom("z"),))]
+    )
+    cfg = _answering(tmp_path, "sat\n(\n)")
+    report = check(p, cfg, backend=backend)
+    assert isinstance(report.verdict, Unrealizable)
+    assert report.verdict.detail.startswith(
+        "no container morphism of the extra argument gives every base: no input position"
+    )
 
 
 def test_sampled_fold_problems_have_a_parametric_base():
