@@ -19,7 +19,6 @@ from parachk import (
     NothingV,
     PairV,
     ProdOf,
-    PropagationUnrealizable,
     Realizable,
     Signature,
     SketchKind,
@@ -493,11 +492,7 @@ def _raw_and_map_problems(draw):
 @settings(max_examples=300, deadline=None)
 @given(_raw_and_map_problems())
 def test_scans_agree_with_plain_search_on_drawn_sets(p):
-    try:
-        cs = propagate(p)
-    except PropagationUnrealizable:
-        return
-    _assert_same_search(cs)
+    _assert_same_search(propagate(p))
 
 
 def test_scans_agree_with_plain_search_on_sampled_folds():
