@@ -76,7 +76,6 @@ from .propagate import (
     propagate,
     propagate_foldr,
     propagate_map,
-    propagate_raw,
     shape_complete,
 )
 from .encode import SmtScript, encode

@@ -193,9 +193,12 @@ def cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "timeout", 1) <= 0:
-        print(f"error: --timeout must be a positive number of milliseconds, not {args.timeout}", file=sys.stderr)
-        return 3
+    if hasattr(args, "timeout"):
+        try:
+            _config(args)
+        except ValueError as e:
+            print(f"error: --{e}", file=sys.stderr)
+            return 3
     try:
         if args.command == "check":
             return cmd_check(args)

@@ -11,8 +11,9 @@ Each translation is one walk: `to_extension` checks that a value inhabits
 its functor while it collects the shape and the elements (`typecheck` and
 `shape_of` are defined through it), and `flatten_shape` builds a schema in
 one walk over the functor. Problem loading (`problem.py`) does not call
-`to_extension`: the walk that checks and interns each field records the
-same shape and elements, and propagation reads those.
+`to_extension`: one walk over each field's problem-file term, shared by
+files and by problems built in code, checks and interns the field and
+records the same shape and elements, and propagation reads those.
 """
 
 from __future__ import annotations

@@ -21,13 +21,13 @@ tagged terms: ``{"atom": "A"}``, ``{"int": 3}``, ``{"bool": true}``,
 the extra functor is Unit; ``base`` is required exactly for foldr sketches.
 
 Loading is one walk per field, directed by the field's functor: from the
-JSON node (or, in `build_problem`, the value built in code) straight to the
-interned value and its container form, which `Problem.extensions` keeps for
-propagation. The walk checks syntax and type together and builds no
-location. A field it rejects is rendered by `value_from_json`, and a file
-with faults gets the error of its first syntax fault, else of its first
-validation fault: the same errors as reading every value first and checking
-them after.
+JSON node straight to the interned value and its container form, which
+`Problem.extensions` keeps for propagation. Files and code share the walk:
+`build_problem` reads the problem-file term of each value built in code.
+The walk checks syntax and type together and builds no location. A field
+it rejects is rendered by `value_from_json`, and a file with faults gets
+the error of its first syntax fault, else of its first validation fault:
+the same errors as reading every value first and checking them after.
 """
 
 from __future__ import annotations
@@ -180,9 +180,11 @@ def build_problem(
     """Check, intern and assemble a Problem.
 
     examples is a sequence of IOExample or of (extra, inputs, output[, base])
-    tuples. One walk per field checks the value against its functor,
-    reassigns atom codes in first-occurrence order and records the field's
-    container form; the codes in the given values are ignored.
+    tuples. Each field is read as its problem-file term, by the walk of
+    `parse_problem`: it checks the value against its functor, reassigns
+    atom codes in first-occurrence order and records the field's container
+    form; the codes in the given values are ignored. A field that is not a
+    Value raises TypeError.
     """
     exs = []
     for ex in examples:
@@ -193,36 +195,27 @@ def build_problem(
             exs.append(IOExample(extra, tuple(inputs), output, *rest))
     if not exs:
         raise ValidationError("a problem needs at least one example")
-    fields = (
-        (ex.extra, ex.inputs, ex.output, _ABSENT if ex.base is None else ex.base)
-        for ex in exs
+    return _assemble(name, signature, sketch, map(_example_terms, exs))
+
+
+def _example_terms(ex: IOExample):
+    """The (extra, inputs, output, base) problem-file terms of an example
+    built in code, base _ABSENT where there is none."""
+    return (
+        value_to_json(ex.extra),
+        [value_to_json(x) for x in ex.inputs],
+        value_to_json(ex.output),
+        _ABSENT if ex.base is None else value_to_json(ex.base),
     )
-    return _assemble(name, signature, sketch, fields, _VALUES)
 
 
 # A field with no value: a missing base.
 _ABSENT = object()
 
 
-class _Form(NamedTuple):
-    """How `_assemble` reads the fields of one form, values or JSON nodes.
-
-    reader(f) walks a field of functor f once: it returns the interned value
-    and its shape, appends the field's atoms to `elems` in position order
-    and interns new labels into `atoms` (label -> AtomV, in first-occurrence
-    order). A field that is no value of f raises TypeMismatch. show(field,
-    where) renders the field in a message, and items(field) is the list of
-    its elements, or None if it is no list.
-    """
-
-    reader: Callable[[FunctorExpr], Callable]
-    show: Callable[[object, str], str]
-    items: Callable[[object], list | None]
-
-
-def _assemble(name: str, signature: Signature, sketch: SketchKind, examples, form: _Form) -> Problem:
+def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> Problem:
     """The Problem of `examples`, (extra, inputs, output, base) tuples of
-    fields in `form`, base _ABSENT where there is none. Every rule raises
+    problem-file terms, base _ABSENT where there is none. Every rule raises
     ValidationError at the first field or example that breaks it."""
     if sketch is SketchKind.FOLDR:
         # fold traces introduce symbolic intermediate results, so the result
@@ -234,7 +227,7 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples, for
 
     atoms: dict[str, AtomV] = {}
     read_extra, read_element, read_result = (
-        form.reader(f) for f in (signature.extra, signature.element, signature.result)
+        _json_reader(f) for f in (signature.extra, signature.element, signature.result)
     )
 
     def check(read, f, node, i, key, j=None) -> tuple[Value, Extension]:
@@ -245,7 +238,7 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples, for
             # the field's name and location are built only on the way to an
             # error
             key = key if j is None else f"{key}[{j}]"
-            shown = form.show(node, f"examples[{i}].{key}")
+            shown = show_value(value_from_json(node, f"examples[{i}].{key}"))
             raise ValidationError(
                 f"example {i}: field {key!r}: value {shown} does not typecheck against {f}"
             ) from None
@@ -265,8 +258,8 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples, for
                 f"example {i}: raw examples take exactly one input, got {len(inputs)}"
             )
         if sketch is SketchKind.MAP:
-            items = form.items(output)
-            if items is None:
+            items = _tag(output, "list")
+            if type(items) is not list:
                 raise ValidationError(
                     f"example {i}: field 'output': a map sketch produces a list"
                 )
@@ -309,51 +302,6 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples, for
     return Problem(
         name, signature, sketch, tuple(interned), AtomTable(tuple(atoms)), tuple(extensions)
     )
-
-
-def _intern_value(f: FunctorExpr, v: Value, atoms: dict, elems: list) -> tuple[Value, ShapeValue]:
-    """The one walk of a value built in code (`_Form.reader`)."""
-    match f, v:
-        case Id(), AtomV(a):
-            w = atoms.get(a.label)
-            if w is None:
-                w = atoms[a.label] = AtomV(Atom(len(atoms), a.label))
-            elems.append(w.atom)
-            return w, _IDS
-        case ConstUnit(), UnitV():
-            return v, _UNITS
-        case ConstInt(), IntV(n):
-            return v, IntS(n)
-        case ConstBool(), BoolV(b):
-            return v, BoolS(b)
-        case ListOf(inner), ListV(items):
-            return _list_of([_intern_value(inner, x, atoms, elems) for x in items])
-        case ProdOf(l, r), PairV(a, b):
-            a, sa = _intern_value(l, a, atoms, elems)
-            b, sb = _intern_value(r, b, atoms, elems)
-            return PairV(a, b), ProdS(sa, sb)
-        case MaybeOf(_), NothingV():
-            return v, _NOTHINGS
-        case MaybeOf(inner), JustV(x):
-            x, s = _intern_value(inner, x, atoms, elems)
-            return JustV(x), MaybeS(s)
-    raise TypeMismatch
-
-
-def _list_of(items: list[tuple[Value, ShapeValue]]) -> tuple[Value, ShapeValue]:
-    values, shapes = zip(*items) if items else ((), ())
-    return ListV(values), ListS(shapes)
-
-
-_IDS = IdS()
-_UNITS = UnitS()
-_NOTHINGS = MaybeS(None)
-
-_VALUES = _Form(
-    reader=lambda f: functools.partial(_intern_value, f),
-    show=lambda v, where: show_value(v),
-    items=lambda v: v.items if isinstance(v, ListV) else None,
-)
 
 
 def _map_atoms(v: Value, fn) -> Value:
@@ -524,10 +472,14 @@ def _tag(node, tag: str):
 
 @functools.cache
 def _json_reader(f: FunctorExpr) -> Callable:
-    """The one walk of a JSON field of functor f (`_Form.reader`): the syntax
-    of `value_from_json`, the type check and the interning together. It
-    builds no location; a field it rejects goes to `value_from_json` for
-    the message."""
+    """The one walk of a field of functor f, a problem-file term: the syntax
+    of `value_from_json`, the type check and the interning together.
+
+    read(node, atoms, elems) returns the interned value and its shape,
+    appends the field's atoms to `elems` in position order and interns new
+    labels into `atoms` (label -> AtomV, in first-occurrence order). A node
+    that is no value of f raises TypeMismatch. The walk builds no location;
+    a field it rejects goes to `value_from_json` for the message."""
     match f:
         case Id():
 
@@ -598,14 +550,16 @@ def _json_reader(f: FunctorExpr) -> Callable:
     return read
 
 
+def _list_of(items: list[tuple[Value, ShapeValue]]) -> tuple[Value, ShapeValue]:
+    values, shapes = zip(*items) if items else ((), ())
+    return ListV(values), ListS(shapes)
+
+
+_IDS = IdS()
+_UNITS = UnitS()
+_NOTHINGS = MaybeS(None)
 _UNITV = UnitV()
 _NOTHINGV = NothingV()
-
-_JSON = _Form(
-    reader=_json_reader,
-    show=lambda node, where: show_value(value_from_json(node, where)),
-    items=lambda node: body if type(body := _tag(node, "list")) is list else None,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +618,7 @@ def _parse_problem(text: str) -> Problem:
     if not isinstance(ex_docs, list) or not ex_docs:
         raise ParseError("problem: 'examples' is a non-empty array")
     try:
-        return _assemble(doc["name"], signature, sketch, _example_fields(ex_docs), _JSON)
+        return _assemble(doc["name"], signature, sketch, _example_fields(ex_docs))
     except ValidationError:
         # every syntax fault in the file is reported before any validation
         # fault: look for one past the field the walk stopped at

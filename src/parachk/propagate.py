@@ -163,23 +163,10 @@ def _known(ext: Extension, schema: ShapeSchema | None) -> Known:
 
 
 def propagate(p: Problem) -> ConstraintSet:
-    if p.sketch is SketchKind.RAW:
-        return propagate_raw(p)
-    if p.sketch is SketchKind.MAP:
-        return propagate_map(p)
-    return propagate_foldr(p)
-
-
-def propagate_raw(p: Problem) -> ConstraintSet:
-    sig = p.signature
-    element, result = _schema(sig.element), _schema(sig.result)
-    constraints = tuple(
-        MorphismConstraint((_known(x.inputs[0], element),), _known(x.outputs[0], result))
-        for x in p.extensions
-    )
-    return ConstraintSet(
-        (sig.element,), sig.result, constraints, 0, p.atoms, (element,), result
-    )
+    # a raw example has exactly one input and one output: a one-element map
+    if p.sketch is SketchKind.FOLDR:
+        return propagate_foldr(p)
+    return propagate_map(p)
 
 
 def propagate_map(p: Problem) -> ConstraintSet:

@@ -74,8 +74,11 @@ class SolverConfig:
     timeout_ms: int = 10_000
 
     def __post_init__(self):
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout must be positive")
+        # the subprocess wait takes its timeout as a C int of milliseconds
+        if not 0 < self.timeout_ms <= 2**31 - 1:
+            raise ValueError(
+                f"timeout must be from 1 to {2**31 - 1} milliseconds, not {self.timeout_ms}"
+            )
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,38 @@ def test_nonpositive_timeout_exit_three(capsys, command, timeout):
     assert code == 3 and "--timeout" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", f"{PROBLEMS}/atom_swap_raw.json", "--backend", "smt"],
+        ["oracle", f"{PROBLEMS}/reverse_as_foldr.json", "--cross-check"],
+        ["bench", "--only", "length"],
+    ],
+    ids=["check", "oracle-cross-check", "bench"],
+)
+def test_timeout_past_a_subprocess_wait_exit_three(capsys, tmp_path, command):
+    # a wait of 2**31 ms or more overflows inside subprocess; the solver is
+    # never reached, so its unsat answer does not matter
+    fake = _fake_solver(tmp_path, "unsat")
+    code = main([*command, "--solver", fake, "--timeout", str(2**31)])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: --timeout") and str(2**31 - 1) in err
+
+
+def test_largest_timeout_reaches_the_solver(capsys, tmp_path):
+    fake = _fake_solver(tmp_path, "unsat")
+    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--backend", "smt", "--solver", fake, "--timeout", str(2**31 - 1)])
+    assert code == 1 and "Unrealizable" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("timeout", [0, 2**31])
+def test_solver_config_rejects_a_timeout_out_of_range(timeout):
+    from parachk import SolverConfig
+
+    with pytest.raises(ValueError, match="timeout"):
+        SolverConfig(timeout_ms=timeout)
+
+
 def test_oracle_refutes_an_invented_base(capsys):
     code = main(["oracle", f"{PROBLEMS}/invented_base.json"])
     assert code == 1 and "Unrealizable (oracle)" in capsys.readouterr().out

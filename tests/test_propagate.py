@@ -30,7 +30,6 @@ from parachk import (
     propagate,
     propagate_foldr,
     propagate_map,
-    propagate_raw,
     shape_complete,
     shape_of,
 )
@@ -49,7 +48,7 @@ def pid(*examples):
 
 def test_raw_one_constraint_per_example():
     p = pid((UnitV(), [atom("A")], atom("C")))
-    cs = propagate_raw(p)
+    cs = propagate(p)
     assert len(cs.constraints) == 1 and cs.unknown_count == 0
     assert cs.input_parts == (ID,)
     c = cs.constraints[0]
