@@ -59,7 +59,6 @@ from .problem import (
     SketchKind,
     atom,
     build_problem,
-    intern_atoms,
     load_problem,
     parse_problem,
     parse_functor,

@@ -60,7 +60,7 @@ def _entry(name, signature, expected, examples) -> BenchEntry:
     report = shape_complete(sc)
     if not report.complete:
         raise AssertionError(f"{name}: curated set is not shape complete: {report.missing}")
-    si = build_problem(name, signature, SketchKind.FOLDR, list(sc.examples)[::2])
+    si = build_problem(name, signature, SketchKind.FOLDR, examples[::2])
     return BenchEntry(name, sc, si, expected)
 
 

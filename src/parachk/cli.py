@@ -42,6 +42,16 @@ def _solver_flags(sub):
     sub.add_argument("--timeout", type=int, default=10_000, metavar="MS", help="per-call solver timeout in milliseconds")
 
 
+def _repeat_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _config(args) -> SolverConfig:
     if args.solver is not None:
         return SolverConfig(solver_command=args.solver, timeout_ms=args.timeout)
@@ -101,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _solver_flags(p_oracle)
 
     p_bench = subs.add_parser("bench", help="run the 16-function fold benchmark")
-    p_bench.add_argument("--repeat", type=int, default=1, metavar="K", help="report the median timing over K runs")
+    p_bench.add_argument("--repeat", type=_repeat_count, default=1, metavar="K", help="report the median timing over K runs")
     p_bench.add_argument("--only", default=None, metavar="NAME", help="run a single benchmark entry")
     p_bench.add_argument("--format", choices=["table", "json"], default="table")
     _solver_flags(p_bench)
@@ -121,6 +131,8 @@ def cmd_check(args) -> int:
             "solver_ms": round(report.solver_ms, 3),
             "path": report.path,
         }
+        if isinstance(report.verdict, Unrealizable):
+            payload["detail"] = report.verdict.detail
         print(json.dumps(payload, indent=2))
     else:
         print(f"{problem.name}: {name} ({report.total_ms:.1f} ms total, {report.solver_ms:.1f} ms solver)")
@@ -155,7 +167,10 @@ def cmd_oracle(args) -> int:
         return 3
 
     if args.format == "json":
-        print(json.dumps({"name": problem.name, "verdict": verdict_name(verdict)}, indent=2))
+        payload = {"name": problem.name, "verdict": verdict_name(verdict)}
+        if isinstance(verdict, Unrealizable):
+            payload["detail"] = verdict.detail
+        print(json.dumps(payload, indent=2))
     else:
         print(f"{problem.name}: {verdict_name(verdict)} (oracle)")
         if args.witness and isinstance(verdict, Realizable):
@@ -176,16 +191,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows, ok = run_bench(
-        _config(args),
-        repeat=max(1, args.repeat),
-        only=args.only,
-    )
+    rows, ok = run_bench(_config(args), repeat=args.repeat, only=args.only)
     if not rows:
         print(f"error: no benchmark entry named {args.only!r}", file=sys.stderr)
         return 3
     if args.format == "json":
-        print(format_json(rows, ok, max(1, args.repeat)))
+        print(format_json(rows, ok, args.repeat))
     else:
         print(format_table(rows))
     return 0 if ok else 1

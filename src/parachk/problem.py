@@ -21,9 +21,10 @@ tagged terms: ``{"atom": "A"}``, ``{"int": 3}``, ``{"bool": true}``,
 the extra functor is Unit; ``base`` is required exactly for foldr sketches.
 
 Loading is one walk per field, directed by the field's functor: from the
-JSON node straight to the interned value and its container form, which
-`Problem.extensions` keeps for propagation. Files and code share the walk:
-`build_problem` reads the problem-file term of each value built in code.
+JSON node straight to its container form, the one form that
+`Problem.extensions` keeps; `Problem.examples` rebuilds the values on each
+access. Files and code share the walk: `build_problem` reads the
+problem-file term of each value built in code.
 The walk checks syntax and type together and builds no location. A field
 it rejects is rendered by `value_from_json`, and a file with faults gets
 the error of its first syntax fault, else of its first validation fault:
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -66,7 +67,6 @@ from .functors import (
     PairV,
     ProdOf,
     ProdS,
-    ShapeValue,
     TypeMismatch,
     UNIT,
     UnitS,
@@ -74,6 +74,7 @@ from .functors import (
     UnsupportedFunctor,
     Value,
     flatten_shape,
+    from_extension,
     show_value,
 )
 
@@ -154,11 +155,25 @@ class Problem:
     name: str
     signature: Signature
     sketch: SketchKind
-    examples: tuple[IOExample, ...]
     atoms: AtomTable
-    # one per example, recorded by the walk that checked and interned it;
-    # they follow from the examples, so they take no part in equality
-    extensions: tuple[ExampleExtensions, ...] = field(compare=False, repr=False)
+    # one per example, recorded by the walk that checked and interned it
+    extensions: tuple[ExampleExtensions, ...]
+
+    @property
+    def examples(self) -> tuple[IOExample, ...]:
+        """The examples as values, rebuilt from their container form on each
+        access; a map output is the list of its outputs."""
+        return tuple(
+            IOExample(
+                from_extension(e.extra),
+                tuple(map(from_extension, e.inputs)),
+                ListV(tuple(map(from_extension, e.outputs)))
+                if self.sketch is SketchKind.MAP
+                else from_extension(e.outputs[0]),
+                None if e.base is None else from_extension(e.base),
+            )
+            for e in self.extensions
+        )
 
 
 def atom(label: str) -> AtomV:
@@ -225,15 +240,15 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
         except UnsupportedFunctor as e:
             raise ValidationError(f"result functor unusable for foldr: {e}") from None
 
-    atoms: dict[str, AtomV] = {}
+    atoms: dict[str, Atom] = {}
     read_extra, read_element, read_result = (
         _json_reader(f) for f in (signature.extra, signature.element, signature.result)
     )
 
-    def check(read, f, node, i, key, j=None) -> tuple[Value, Extension]:
+    def check(read, f, node, i, key, j=None) -> Extension:
         elems: list[Atom] = []
         try:
-            value, shape = read(node, atoms, elems)
+            shape = read(node, atoms, elems)
         except TypeMismatch:
             # the field's name and location are built only on the way to an
             # error
@@ -242,17 +257,16 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
             raise ValidationError(
                 f"example {i}: field {key!r}: value {shown} does not typecheck against {f}"
             ) from None
-        return value, Extension(f, shape, elems)
+        return Extension(f, shape, elems)
 
-    interned = []
     extensions = []
-    bases_by_extra: dict[Value, Value] = {}
+    bases_by_extra: dict[Extension, Extension] = {}
     for i, (extra, inputs, output, base) in enumerate(examples):
-        extra, extra_ext = check(read_extra, signature.extra, extra, i, "extra")
-        inputs = [
+        extra = check(read_extra, signature.extra, extra, i, "extra")
+        inputs = tuple(
             check(read_element, signature.element, x, i, "inputs", j)
             for j, x in enumerate(inputs)
-        ]
+        )
         if sketch is SketchKind.RAW and len(inputs) != 1:
             raise ValidationError(
                 f"example {i}: raw examples take exactly one input, got {len(inputs)}"
@@ -263,25 +277,22 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
                 raise ValidationError(
                     f"example {i}: field 'output': a map sketch produces a list"
                 )
-            outputs = [
+            outputs = tuple(
                 check(read_result, signature.result, y, i, "output", j)
                 for j, y in enumerate(items)
-            ]
-            output = ListV(tuple(v for v, _ in outputs))
+            )
         else:
-            outputs = [check(read_result, signature.result, output, i, "output")]
-            output = outputs[0][0]
-        base_ext = None
+            outputs = (check(read_result, signature.result, output, i, "output"),)
         if sketch is SketchKind.FOLDR:
             if base is _ABSENT:
                 raise ValidationError(f"example {i}: foldr examples need a 'base'")
-            base, base_ext = check(read_result, signature.result, base, i, "base")
-            # interned codes are in bijection with labels, so values compare
-            # by label
+            base = check(read_result, signature.result, base, i, "base")
+            # interned codes are in bijection with labels, so extensions
+            # compare by label
             seen = bases_by_extra.setdefault(extra, base)
             if seen != base:
                 raise ValidationError(
-                    f"example {i}: base {show_value(base)} differs from the "
+                    f"example {i}: base {show_value(from_extension(base))} differs from the "
                     f"base of an earlier example with the same extra argument"
                 )
         elif base is not _ABSENT:
@@ -290,18 +301,8 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
             )
         else:
             base = None
-        interned.append(IOExample(extra, tuple(v for v, _ in inputs), output, base))
-        extensions.append(
-            ExampleExtensions(
-                extra_ext,
-                tuple(e for _, e in inputs),
-                tuple(e for _, e in outputs),
-                base_ext,
-            )
-        )
-    return Problem(
-        name, signature, sketch, tuple(interned), AtomTable(tuple(atoms)), tuple(extensions)
-    )
+        extensions.append(ExampleExtensions(extra, inputs, outputs, base))
+    return Problem(name, signature, sketch, AtomTable(tuple(atoms)), tuple(extensions))
 
 
 def _map_atoms(v: Value, fn) -> Value:
@@ -316,11 +317,6 @@ def _map_atoms(v: Value, fn) -> Value:
             return JustV(_map_atoms(x, fn))
         case _:
             return v
-
-
-def intern_atoms(p: Problem) -> AtomTable:
-    """Recompute the dense label/code bijection of a problem's examples."""
-    return build_problem(p.name, p.signature, p.sketch, p.examples).atoms
 
 
 def relabel_problem(p: Problem, mapping: dict[str, str]) -> Problem:
@@ -475,11 +471,11 @@ def _json_reader(f: FunctorExpr) -> Callable:
     """The one walk of a field of functor f, a problem-file term: the syntax
     of `value_from_json`, the type check and the interning together.
 
-    read(node, atoms, elems) returns the interned value and its shape,
-    appends the field's atoms to `elems` in position order and interns new
-    labels into `atoms` (label -> AtomV, in first-occurrence order). A node
-    that is no value of f raises TypeMismatch. The walk builds no location;
-    a field it rejects goes to `value_from_json` for the message."""
+    read(node, atoms, elems) returns the field's shape, appends its interned
+    atoms to `elems` in position order and interns new labels into `atoms`
+    (label -> Atom, in first-occurrence order). A node that is no value of
+    f raises TypeMismatch. The walk builds no location; a field it rejects
+    goes to `value_from_json` for the message."""
     match f:
         case Id():
 
@@ -487,18 +483,18 @@ def _json_reader(f: FunctorExpr) -> Callable:
                 label = _tag(node, "atom")
                 if type(label) is not str:
                     raise TypeMismatch
-                v = atoms.get(label)
-                if v is None:
-                    v = atoms[label] = AtomV(Atom(len(atoms), label))
-                elems.append(v.atom)
-                return v, _IDS
+                a = atoms.get(label)
+                if a is None:
+                    a = atoms[label] = Atom(len(atoms), label)
+                elems.append(a)
+                return _IDS
 
         case ConstUnit():
 
             def read(node, atoms, elems):
                 if node != "unit":
                     raise TypeMismatch
-                return _UNITV, _UNITS
+                return _UNITS
 
         case ConstInt():
 
@@ -506,7 +502,7 @@ def _json_reader(f: FunctorExpr) -> Callable:
                 n = _tag(node, "int")
                 if type(n) is not int:
                     raise TypeMismatch
-                return IntV(n), IntS(n)
+                return IntS(n)
 
         case ConstBool():
 
@@ -514,7 +510,7 @@ def _json_reader(f: FunctorExpr) -> Callable:
                 b = _tag(node, "bool")
                 if type(b) is not bool:
                     raise TypeMismatch
-                return BoolV(b), BoolS(b)
+                return BoolS(b)
 
         case ListOf(inner):
             item = _json_reader(inner)
@@ -523,7 +519,7 @@ def _json_reader(f: FunctorExpr) -> Callable:
                 body = _tag(node, "list")
                 if type(body) is not list:
                     raise TypeMismatch
-                return _list_of([item(x, atoms, elems) for x in body])
+                return ListS([item(x, atoms, elems) for x in body])
 
         case ProdOf(l, r):
             left, right = _json_reader(l), _json_reader(r)
@@ -532,34 +528,24 @@ def _json_reader(f: FunctorExpr) -> Callable:
                 body = _tag(node, "pair")
                 if type(body) is not list or len(body) != 2:
                     raise TypeMismatch
-                a, sa = left(body[0], atoms, elems)
-                b, sb = right(body[1], atoms, elems)
-                return PairV(a, b), ProdS(sa, sb)
+                return ProdS(left(body[0], atoms, elems), right(body[1], atoms, elems))
 
         case MaybeOf(inner):
             item = _json_reader(inner)
 
             def read(node, atoms, elems):
                 if node == "nothing":
-                    return _NOTHINGV, _NOTHINGS
-                x, s = item(_tag(node, "just"), atoms, elems)
-                return JustV(x), MaybeS(s)
+                    return _NOTHINGS
+                return MaybeS(item(_tag(node, "just"), atoms, elems))
 
         case _:
             raise UnsupportedFunctor(f"not a functor expression: {f!r}")
     return read
 
 
-def _list_of(items: list[tuple[Value, ShapeValue]]) -> tuple[Value, ShapeValue]:
-    values, shapes = zip(*items) if items else ((), ())
-    return ListV(values), ListS(shapes)
-
-
 _IDS = IdS()
 _UNITS = UnitS()
 _NOTHINGS = MaybeS(None)
-_UNITV = UnitV()
-_NOTHINGV = NothingV()
 
 
 # ---------------------------------------------------------------------------

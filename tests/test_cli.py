@@ -47,6 +47,38 @@ def test_check_json_format(capsys):
     assert payload["name"] == "tail-as-foldr-minimal"
 
 
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_json_shows_the_base_case_detail(capsys, command):
+    code = main([command, f"{PROBLEMS}/invented_base.json", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["verdict"] == "Unrealizable"
+    assert payload["detail"].startswith(
+        "no container morphism of the extra argument gives every base"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_json_shows_the_propagation_reason(capsys, tmp_path, command):
+    widen = tmp_path / "widen.json"
+    widen.write_text(
+        json.dumps(
+            {
+                "name": "widen",
+                "signature": {"element": "Id", "result": "Id"},
+                "sketch": "map",
+                "examples": [
+                    {"inputs": [{"atom": "a"}], "output": {"list": [{"atom": "a"}, {"atom": "a"}]}}
+                ],
+            }
+        )
+    )
+    code = main([command, str(widen), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["detail"] == (
+        "example 0: map preserves list length, but 1 inputs map to 2 outputs"
+    )
+
+
 def test_check_missing_file_exit_three(capsys):
     code = main(["check", "no_such_file.json"])
     assert code == 3
@@ -416,8 +448,14 @@ def test_oracle_refutes_an_element_from_nowhere_at_once(capsys, tmp_path, n):
         (["check"], "the following arguments are required: path"),
         (["frob"], "invalid choice: 'frob'"),
         ([], "the following arguments are required: command"),
+        (["bench", "--repeat", "0"], "argument --repeat: must be at least 1, not 0"),
+        (["bench", "--repeat", "-3"], "argument --repeat: must be at least 1, not -3"),
+        (["bench", "--repeat", "abc"], "argument --repeat: invalid int value: 'abc'"),
     ],
-    ids=["bad-timeout", "no-path", "unknown-command", "no-command"],
+    ids=[
+        "bad-timeout", "no-path", "unknown-command", "no-command",
+        "zero-repeat", "negative-repeat", "bad-repeat",
+    ],
 )
 def test_usage_errors_exit_three(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_:

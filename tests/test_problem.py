@@ -1,5 +1,6 @@
 """Problem files: parsing, validation, interning, canonical serialization."""
 
+import dataclasses
 import json
 import random
 
@@ -19,7 +20,6 @@ from parachk import (
     UnitV,
     atom,
     build_problem,
-    intern_atoms,
     parse_functor,
     parse_problem,
     problem_to_json,
@@ -171,9 +171,17 @@ def test_interning_dense_first_occurrence():
         ],
     )
     assert p.atoms.labels == ("B", "A", "C")
-    assert intern_atoms(p).labels == p.atoms.labels
     first = p.examples[0].inputs[0].items[0].atom
     assert (first.code, first.label) == (0, "B")
+
+
+def test_a_problem_keeps_only_the_container_form():
+    p = parse_problem(REVERSE_MAP)
+    fields = [f.name for f in dataclasses.fields(p)]
+    assert fields == ["name", "signature", "sketch", "atoms", "extensions"]
+    # the values are rebuilt from the extensions, a map output as one list
+    (ex,) = p.examples
+    assert ex.output == ListV(tuple(ex.inputs[::-1])) and ex.base is None
 
 
 def test_relabeling_preserves_structure():
