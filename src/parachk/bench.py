@@ -253,7 +253,10 @@ def run_bench(
 ) -> tuple[list[BenchRow], bool]:
     """Run the corpus; ok means every shape-complete verdict matches the
     expected fold column and every shape-incomplete verdict is the expected
-    one or Unknown. `backend` is passed to `check`."""
+    one or Unknown. `backend` is passed to `check`; `repeat` must be at
+    least 1."""
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, not {repeat}")
     cfg = cfg or SolverConfig()
     rows = []
     for entry in corpus():

@@ -157,14 +157,19 @@ def cmd_oracle(args) -> int:
     problem = load_problem(args.path)
     try:
         cs = propagate(problem)
-        verdict = with_base_case(cs, oracle_verdict(cs))
     except PropagationUnrealizable as e:
         verdict = Unrealizable(e.reason)
-    except Ungroundable:
-        print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
-        for m in shape_complete(problem).missing:
-            print(f"  {m}", file=sys.stderr)
-        return 3
+    else:
+        try:
+            verdict = oracle_verdict(cs)
+        except Ungroundable:
+            verdict = None  # the steps wait for a shape-complete set; the base case does not
+        verdict = with_base_case(cs, verdict)
+        if verdict is None:
+            print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
+            for m in shape_complete(problem).missing:
+                print(f"  {m}", file=sys.stderr)
+            return 3
 
     if args.format == "json":
         payload = {"name": problem.name, "verdict": verdict_name(verdict)}

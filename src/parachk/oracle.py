@@ -2,9 +2,10 @@
 
 The intermediate at level k of a fold trace is the fold result of the last
 k list elements, so its shape is pinned by any example whose full input
-carries exactly those element shapes (with the same extra and base shapes).
-A completion gives the shape of every suffix the traces need: the pinned
-ones, and a guess for each suffix no example pins. A raw, map or
+carries exactly those element shapes (with the same extra shape), and the
+base pins the empty suffix. A completion gives the shape of every suffix
+the traces need: the pinned ones, and a guess for each suffix no example
+pins. A raw, map or
 shape-complete set has one completion, the one that guesses nothing; a
 shape-incomplete set has one per guess. Grounding a completion gives every
 intermediate its suffix's shape and checks that the shape morphism is a
@@ -117,22 +118,24 @@ class GroundInstance:
 
 
 def _pinned(cs: ConstraintSet) -> dict[TraceKey, ShapeValue]:
-    """The output shape of each full example, by trace key: the completion
-    that guesses nothing. Raises ShapeConflict when two examples with one
-    key disagree. A set with no intermediates needs no shapes, and its
-    grounding finds such a clash itself."""
+    """The output shape of each full example, by trace key, and the shape
+    of each base, by its trace's empty suffix: the completion that guesses
+    nothing. Raises ShapeConflict when two examples with one key disagree;
+    two bases that do are a base clash, which no container morphism `e`
+    gives. A set with no intermediates needs no shapes: its grounding finds
+    a clash of outputs itself, and its base case one of bases."""
     full: dict[TraceKey, ShapeValue] = {}
     if cs.unknown_count == 0:
         return full
+
+    def pin(key: TraceKey, out: ShapeValue, what: str) -> None:
+        prior = full.setdefault(key, out)
+        if prior != out:
+            raise ShapeConflict(f"{what} shapes {show_shape(prior)} and {show_shape(out)}")
     for trace in cs.traces:
-        key, out = trace.key, trace.steps[-1].output.ext.shape
-        prior = full.get(key)
-        if prior is not None and prior != out:
-            raise ShapeConflict(
-                f"two examples with equal input shapes produce shapes "
-                f"{show_shape(prior)} and {show_shape(out)}"
-            )
-        full[key] = out
+        h, _ = trace.key
+        pin((h, ()), trace.steps[0].inputs[2].ext.shape, "a base clash: bases of one extra shape have")
+        pin(trace.key, trace.steps[-1].output.ext.shape, "two examples with equal input shapes produce")
     return full
 
 
@@ -143,9 +146,9 @@ def intermediate_shapes(
     the suffix of the trace it is the fold result of."""
     resolved: dict[int, ShapeValue] = {}
     for trace in cs.traces:
-        h, base, seq = trace.key
+        h, seq = trace.key
         for k in range(1, len(seq)):
-            resolved[trace.steps[k - 1].output.uid] = shapes[(h, base, seq[-k:])]
+            resolved[trace.steps[k - 1].output.uid] = shapes[(h, seq[-k:])]
     return resolved
 
 
@@ -389,16 +392,15 @@ def candidate_shapes(cs: ConstraintSet) -> tuple[list[ShapeValue], bool]:
     """The result shapes to try for an unpinned intermediate, and whether
     they are all the shapes there are. A list slot takes the lengths
     COMPLETION_LENGTHS, a bool slot 0 and 1, and an int slot every value it
-    holds in a known base or output, and each of those ±1. So the candidates
-    cover the whole shape space exactly when every slot is bool."""
+    holds in a pinned base or output shape (`_pinned`), and each of those
+    ±1. So the candidates cover the whole shape space exactly when every
+    slot is bool."""
     schema = cs.result_schema()
     seen: list[set[int]] = [set() for _ in schema.slots]
     if any(slot.kind == "int" for slot in schema.slots):
-        for trace in cs.traces:
-            # the keys of the trace's base and of its output
-            for key in (trace.steps[0].inputs[2].key, trace.steps[-1].output.key):
-                for values, v in zip(seen, key):
-                    values.add(v)
+        for shape in _pinned(cs).values():
+            for values, v in zip(seen, schema.encode_shape(shape)):
+                values.add(v)
     ranges = []
     for slot, values in zip(schema.slots, seen):
         if slot.kind == "nat":
@@ -422,21 +424,21 @@ def consistent_completions(
     the shape of every suffix, pinned and guessed. Raises ShapeConflict
     before the first when the pinned shapes clash, which no guess mends.
 
-    A suffix s = (h, base, [e, *rest]) ties its shape to that of its tail
-    (h, base, rest): the morphism maps (h, e, shape of tail) to the shape
-    of s. The shortest unpinned suffixes are guessed first, each tie is
-    checked as soon as both its shapes are fixed, and a guess that clashes
-    is not extended. Each tie checked spends one step of `budget`.
+    A suffix s = (h, [e, *rest]) ties its shape to that of its tail
+    (h, rest), and the empty suffix (h, []) has the shape of the base: the
+    morphism maps (h, e, shape of tail) to the shape of s. The shortest
+    unpinned suffixes are guessed first, each tie is checked as soon as
+    both its shapes are fixed, and a guess that clashes is not extended.
+    Each tie checked spends one step of `budget`.
     """
     pinned = _pinned(cs)
     shape = dict(pinned)
-    order = sorted(missing, key=lambda key: len(key[2]))
+    order = sorted(missing, key=lambda key: len(key[1]))
     level = {key: i for i, key in enumerate(order)}
     ties: dict[TraceKey, TraceKey] = {}
-    for h, base, seq in pinned:
-        shape[(h, base, ())] = base
+    for h, seq in pinned:
         for i in range(len(seq)):
-            ties[(h, base, seq[i:])] = (h, base, seq[i + 1 :])
+            ties[(h, seq[i:])] = (h, seq[i + 1 :])
     # the ties whose later shape is guessed at each level; -1: none guessed
     checks: dict[int, list[tuple[TraceKey, TraceKey]]] = {}
     for s, tail in ties.items():
@@ -451,7 +453,7 @@ def consistent_completions(
         budget.spend(len(level_ties))
         added = []
         for s, tail in level_ties:
-            arg = (s[0], s[2][0], shape[tail])
+            arg = (s[0], s[1][0], shape[tail])
             if arg not in table:
                 table[arg] = shape[s]
                 added.append(arg)

@@ -16,14 +16,15 @@ its functor, and the set keeps those schemas (`ConstraintSet.part_schemas`,
 
 This module alone knows how a fold trace is laid out. `ConstraintSet.traces`
 holds one `Trace` per nonempty foldr example, in constraint order: its
-`TraceKey` (extra shape, base shape, element shapes in list order) and its
-steps, which are consecutive constraints whose intermediates have
-consecutive uids. Raw and map sets have no traces.
+`TraceKey` (extra shape, element shapes in list order) and its steps, which
+are consecutive constraints whose intermediates have consecutive uids. Raw
+and map sets have no traces.
 
 The fold's base case `e` is an unknown of its own, a container morphism
 from the extra functor to the result functor that every example fixes at
 its extra argument: `ConstraintSet.base_case` is that raw set, including
-the examples with an empty input.
+the examples with an empty input. A base's shape is a function of its
+extra's shape, so a trace key leaves it out.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ def read_inputs(
     return key, terms
 
 
-# A fold trace's key: (extra shape, base shape, element shapes in list
-# order). A trace pins the shape of its own result, nothing else.
-TraceKey = tuple[ShapeValue, ShapeValue, tuple[ShapeValue, ...]]
+# A fold trace's key: (extra shape, element shapes in list order). A trace
+# pins the shape of its own result; its base, that of its empty suffix.
+TraceKey = tuple[ShapeValue, tuple[ShapeValue, ...]]
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def propagate_map(p: Problem) -> ConstraintSet:
 
 
 def _trace_key(x: ExampleExtensions) -> TraceKey:
-    return x.extra.shape, x.base.shape, tuple(e.shape for e in x.inputs)
+    return x.extra.shape, tuple(e.shape for e in x.inputs)
 
 
 def propagate_foldr(p: Problem) -> ConstraintSet:
@@ -254,28 +255,24 @@ def unpinned_suffixes(traces: list[TraceKey]) -> list[TraceKey]:
     the traces ask for them.
 
     The intermediate after the last k elements of a trace is the fold of
-    that suffix from the same extra argument and base, so only a trace with
-    the same extra shape and base shape whose full input is the suffix pins
-    its shape. Every nonempty proper suffix must be pinned; the empty suffix
-    is the base case.
+    that suffix from the same extra argument, so only a trace with the same
+    extra shape whose full input is the suffix pins its shape. Every
+    nonempty proper suffix must be pinned; the empty suffix is the base
+    case, whose shape the base gives.
     """
     present = set(traces)
     missing: dict[TraceKey, None] = {}
-    for h, base, seq in traces:
+    for h, seq in traces:
         for k in range(1, len(seq)):
-            key = (h, base, seq[len(seq) - k :])
+            key = (h, seq[len(seq) - k :])
             if key not in present:
                 missing[key] = None
     return list(missing)
 
 
 def show_trace_key(key: TraceKey) -> str:
-    h, base, seq = key
-    return (
-        f"extra {show_shape(h)}, base {show_shape(base)}, inputs ["
-        + ", ".join(show_shape(s) for s in seq)
-        + "]"
-    )
+    h, seq = key
+    return f"extra {show_shape(h)}, inputs [" + ", ".join(show_shape(s) for s in seq) + "]"
 
 
 @dataclass(frozen=True)

@@ -514,9 +514,10 @@ class CheckReport:
     path: str = "smt"
 
 
-def with_base_case(cs: ConstraintSet, verdict: Verdict) -> Verdict:
+def with_base_case(cs: ConstraintSet, verdict: Verdict | None) -> Verdict | None:
     """The verdict of `cs` from `verdict`, that of its steps: a fold is
-    realizable iff its steps and its base case are.
+    realizable iff its steps and its base case are. Steps left undecided
+    (None) stay so unless the base case refutes the set.
 
     The sketch's `e` is a container morphism from the extra functor to the
     result functor, independent of the step function, and every constraint

@@ -5,6 +5,8 @@ subsets."""
 import hashlib
 import itertools
 
+import pytest
+
 from parachk import Unrealizable, corpus, problem_to_json, shape_complete
 from parachk import bench
 from parachk.bench import BenchRow, format_json, format_table, run_bench
@@ -109,3 +111,10 @@ def test_repeat_reports_the_median(monkeypatch):
     )
     rows, _ = run_bench(repeat=3, only="tail")
     assert (rows[0].sc_ms, rows[0].si_ms) == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("repeat", [0, -1])
+def test_repeat_below_one_is_rejected(monkeypatch, repeat):
+    monkeypatch.setattr(bench, "check", lambda *args, **kwargs: pytest.fail("checked a problem"))
+    with pytest.raises(ValueError, match=f"repeat must be at least 1, not {repeat}"):
+        run_bench(repeat=repeat, only="length")

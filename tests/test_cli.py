@@ -192,6 +192,55 @@ def test_oracle_propagates_before_checking_completeness(capsys, tmp_path):
         assert code == 1 and "Unrealizable" in capsys.readouterr().out
 
 
+def _one_trace(tmp_path, base):
+    """A foldr set over a unit extra whose one example [b,c] -> [b,c,z]
+    leaves the suffix [*] unpinned."""
+    path = tmp_path / "one-trace.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "one-trace",
+                "signature": {"element": "Id", "result": "List(Id)"},
+                "sketch": "foldr",
+                "examples": [
+                    {
+                        "inputs": [{"atom": "b"}, {"atom": "c"}],
+                        "output": {"list": [{"atom": "b"}, {"atom": "c"}, {"atom": "z"}]},
+                        "base": base,
+                    }
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_oracle_refutes_a_base_case_of_an_incomplete_set(capsys, tmp_path):
+    # the base [z] holds an atom no unit extra gives: `check` refutes the set
+    # in-process, and the oracle refutes it before it needs the suffix [*]
+    path = _one_trace(tmp_path, {"list": [{"atom": "z"}]})
+    code = main(["check", path, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["path"] == "oracle+completion"
+    code = main(["oracle", path, "--format", "json"])
+    oracle_payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and oracle_payload["verdict"] == "Unrealizable"
+    assert oracle_payload["detail"] == payload["detail"]
+    assert oracle_payload["detail"].startswith(
+        "no container morphism of the extra argument gives every base"
+    )
+
+
+def test_oracle_refuses_an_incomplete_set_whose_base_case_holds(capsys, tmp_path):
+    code = main(["oracle", _one_trace(tmp_path, {"list": []}), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the oracle needs a shape-complete example set; missing:",
+        "  extra (), inputs [*]",
+    ]
+
+
 def test_oracle_replays_its_witness(capsys, monkeypatch):
     monkeypatch.setattr(solver, "validate_summary", lambda cs, summary: False)
     code = main(["oracle", f"{PROBLEMS}/reverse_as_foldr.json"])

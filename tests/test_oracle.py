@@ -36,7 +36,9 @@ from parachk import (
     validate_summary,
     verdict_name,
 )
-from parachk.propagate import Known
+from parachk.problem import ProblemError
+from parachk.propagate import Known, PropagationUnrealizable, unpinned_suffixes
+from parachk.solver import ORACLE_MAX_STEPS, oracle_verdict, with_base_case
 from parachk.verdict import WitnessSummary
 from parachk.oracle import (
     ShapeConflict,
@@ -389,6 +391,122 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     # guessing alone spends steps too
     with pytest.raises(BoundExceeded):
         list(consistent_completions(cs, err.value.missing, shapes, StepBudget(100)))
+
+
+# The suffix keying of the parent change, kept here to compare with: a
+# trace was keyed by (extra shape, base shape, element shapes).
+
+
+def _keyed_with_bases(q):
+    return [
+        (x.extra.shape, x.base.shape, tuple(e.shape for e in x.inputs))
+        for x in q.extensions
+        if x.inputs
+    ]
+
+
+def _unpinned_with_bases(keys):
+    present = set(keys)
+    missing = {}
+    for h, base, seq in keys:
+        for k in range(1, len(seq)):
+            if (h, base, seq[len(seq) - k :]) not in present:
+                missing[(h, base, seq[len(seq) - k :])] = None
+    return list(missing)
+
+
+def _pinned_with_bases(cs, keys):
+    full = {}
+    if cs.unknown_count == 0:
+        return full
+    for key, trace in zip(keys, cs.traces):
+        out = trace.steps[-1].output.ext.shape
+        if full.setdefault(key, out) != out:
+            raise ShapeConflict("two examples with equal input shapes")
+    return full
+
+
+def _intermediate_shapes_with_bases(cs, keys, shapes):
+    resolved = {}
+    for (h, base, seq), trace in zip(keys, cs.traces):
+        for k in range(1, len(seq)):
+            resolved[trace.steps[k - 1].output.uid] = shapes[(h, base, seq[-k:])]
+    return resolved
+
+
+def _or_conflict(f, *args):
+    try:
+        return f(*args)
+    except ShapeConflict:
+        return ShapeConflict
+
+
+def _dropped_towers(rng):
+    """A drawn fold with examples dropped and, half the time, its examples
+    again under another extra value and a drawn base, which may be no image
+    of that extra: under an extra of the first one's shape, which a list
+    of atoms keeps, a base of another shape is a base clash."""
+    p = support.random_foldr_problem(rng, realizable=rng.random() < 0.5)
+    sig = p.signature
+    examples = [(e.extra, e.inputs, e.output, e.base) for e in p.examples]
+    kept = [ex for ex in examples if rng.random() < 0.6] or examples[-1:]
+    if rng.random() < 0.5:
+        first = examples[0][0]
+        if isinstance(first, ListV) and first.items and rng.random() < 0.5:
+            other = ListV(tuple(atom("w") for _ in first.items))  # of the first one's shape
+        else:
+            other = support.random_value(rng, sig.extra, list_cap=2)
+        base = support.random_value(rng, sig.result, list_cap=2)
+        tower = [(other, ins, out if ins else base, base) for _, ins, out, _ in examples]
+        try:
+            return build_problem(p.name, sig, p.sketch, kept + [ex for ex in tower if rng.random() < 0.6])
+        except ProblemError:  # the other extra is the first one, with another base
+            pass
+    return build_problem(p.name, sig, p.sketch, kept)
+
+
+def test_keys_without_bases_pin_what_keys_with_bases_did():
+    # wherever the base case holds, a base's shape is a function of its
+    # extra's shape, so dropping it from the key pins the same suffixes;
+    # where it fails, the set stays Unrealizable
+    rng = random.Random(15)
+    held = incomplete = two_extras = refuted = clashes = 0
+    for _ in range(300):
+        q = _dropped_towers(rng)
+        try:
+            cs = propagate(q)
+        except PropagationUnrealizable:
+            continue
+        old = _keyed_with_bases(q)
+        if isinstance(oracle_decide(cs.base_case), Unrealizable):
+            try:
+                steps = oracle_verdict(cs, StepBudget(ORACLE_MAX_STEPS))
+            except BoundExceeded:
+                steps = None
+            assert isinstance(with_base_case(cs, steps), Unrealizable)
+            refuted += 1
+            if cs.unknown_count and len({(h, b) for h, b, _ in old}) > len({h for h, _, _ in old}):
+                assert isinstance(steps, Unrealizable)
+                clashes += 1
+            continue
+        missing = _unpinned_with_bases(old)
+        assert unpinned_suffixes([t.key for t in cs.traces]) == [(h, seq) for h, _, seq in missing]
+        pinned = _or_conflict(_pinned_with_bases, cs, old)
+        if pinned and pinned is not ShapeConflict:
+            pinned = {(h, seq): shape for (h, _, seq), shape in pinned.items()}
+            pinned.update({(h, ()): base for h, base, _ in old})
+        assert _or_conflict(oracle._pinned, cs) == pinned
+        if not missing:
+            assert _or_conflict(
+                lambda: intermediate_shapes(cs, oracle._pinned(cs))
+            ) == _or_conflict(
+                lambda: _intermediate_shapes_with_bases(cs, old, _pinned_with_bases(cs, old))
+            )
+        held += 1
+        incomplete += bool(missing)
+        two_extras += len({x.extra for x in q.extensions}) > 1
+    assert held >= 200 and incomplete >= 60 and two_extras >= 20
+    assert refuted >= 30 and clashes >= 5
 
 
 def _plain_backtracking(gi):

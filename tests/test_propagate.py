@@ -148,30 +148,27 @@ def test_foldr_sum_style_chain():
 
 def _check_trace_record(p):
     """`propagate(p).traces` holds, for each nonempty foldr example in
-    order, its (extra, base, inputs) shapes and its steps: consecutive
-    constraints, threaded through intermediates with consecutive uids."""
+    order, its (extra, inputs) shapes and its steps: consecutive
+    constraints from its base, threaded through intermediates with
+    consecutive uids."""
     cs = propagate(p)
     sig = p.signature
     if p.sketch is not SketchKind.FOLDR:
         assert cs.traces == ()
         return cs
+    nonempty = [ex for ex in p.examples if ex.inputs]
     assert [t.key for t in cs.traces] == [
-        (
-            shape_of(sig.extra, ex.extra),
-            shape_of(sig.result, ex.base),
-            tuple(shape_of(sig.element, v) for v in ex.inputs),
-        )
-        for ex in p.examples
-        if ex.inputs
+        (shape_of(sig.extra, ex.extra), tuple(shape_of(sig.element, v) for v in ex.inputs))
+        for ex in nonempty
     ]
     assert [c for t in cs.traces for c in t.steps] == list(cs.constraints)
     uid = 0
-    for t in cs.traces:
-        h, base, seq = t.key
+    for t, ex in zip(cs.traces, nonempty):
+        h, seq = t.key
         assert len(t.steps) == len(seq)
         assert all(step.inputs[0].ext.shape == h for step in t.steps)
         assert tuple(step.inputs[1].ext.shape for step in reversed(t.steps)) == seq
-        assert t.steps[0].inputs[2].ext.shape == base
+        assert t.steps[0].inputs[2].ext.shape == shape_of(sig.result, ex.base)
         assert isinstance(t.steps[-1].output, Known)
         for step, after in zip(t.steps, t.steps[1:]):
             assert step.output == Unknown(uid) == after.inputs[2]
@@ -206,9 +203,9 @@ def test_traces_record_two_extras_and_two_bases():
     )
     cs = _check_trace_record(p)
     assert [show_trace_key(t.key) for t in cs.traces] == [
-        "extra 1, base [], inputs [*, *]",
-        "extra 2, base [*], inputs [*]",
-        "extra 2, base [*], inputs [*, *, *]",
+        "extra 1, inputs [*, *]",
+        "extra 2, inputs [*]",
+        "extra 2, inputs [*, *, *]",
     ]
     assert cs.unknown_count == 3
 
@@ -263,7 +260,7 @@ def test_shape_complete_two_examples_missing_len_one():
     )
     rep = shape_complete(p)
     assert not rep.complete
-    assert list(rep.missing) == ["extra (), base [], inputs [*]"]
+    assert list(rep.missing) == ["extra (), inputs [*]"]
 
 
 def test_shape_complete_distinguishes_extra_shapes():
@@ -288,19 +285,18 @@ def _trace_key(p, ex):
     sig = p.signature
     return (
         show_shape(shape_of(sig.extra, ex.extra)),
-        show_shape(shape_of(sig.result, ex.base)),
         tuple(show_shape(shape_of(sig.element, v)) for v in ex.inputs),
     )
 
 
 def _requirements(p):
-    """Independent recomputation: every (extra shape, base shape, nonempty
-    proper input shape suffix) some example of p demands."""
+    """Independent recomputation: every (extra shape, nonempty proper input
+    shape suffix) some example of p demands."""
     out = set()
     for ex in p.examples:
-        h, base, seq = _trace_key(p, ex)
+        h, seq = _trace_key(p, ex)
         for k in range(1, len(seq)):
-            out.add((h, base, seq[len(seq) - k :]))
+            out.add((h, seq[len(seq) - k :]))
     return out
 
 
@@ -310,8 +306,8 @@ def _supplied(p, requirement):
 
 
 def _show(requirement):
-    h, base, seq = requirement
-    return f"extra {h}, base {base}, inputs [" + ", ".join(seq) + "]"
+    h, seq = requirement
+    return f"extra {h}, inputs [" + ", ".join(seq) + "]"
 
 
 def test_deleting_example_never_fixes_remaining_requirements():
@@ -325,7 +321,7 @@ def test_deleting_example_never_fixes_remaining_requirements():
         tower = _rebased_tower(rng, p, examples)
         if tower:
             p = build_problem(p.name, p.signature, p.sketch, examples + tower)
-        several_bases += len({_trace_key(p, ex)[1] for ex in p.examples}) > 1
+        several_bases += len({shape_of(p.signature.result, ex.base) for ex in p.examples}) > 1
 
         def subset(prob, skip):
             exs = [
@@ -375,7 +371,7 @@ def test_shape_complete_ignores_what_propagation_refutes():
     with pytest.raises(PropagationUnrealizable):
         propagate(p)
     assert shape_complete(p) == CompletenessReport(
-        False, ("extra (), base [], inputs [*]",)
+        False, ("extra (), inputs [*]",)
     )
     # an example pinning [*] completes it
     q = build_problem(

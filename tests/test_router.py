@@ -28,7 +28,6 @@ from parachk import (
     SolverError,
     UNIT,
     UnitV,
-    Ungroundable,
     Unrealizable,
     atom,
     build_problem,
@@ -101,9 +100,10 @@ def test_shape_incomplete_set_goes_to_smt(no_spawn):
 
 def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
     # the length-1 example has the extra shape of the length-2 one, but a
-    # base of another shape, so the intermediate after [z] stays unpinned;
-    # a completion settles the steps, but Id has one shape, so no container
-    # morphism gives the two base shapes
+    # base of another shape. A trace key holds no base, so it pins the
+    # intermediate after [z] and the set is shape complete; but Id has one
+    # shape, so no container morphism gives the two base shapes, and the
+    # pinned shapes say so before any search
     p = build_problem(
         "base-shapes",
         Signature(ID, ID, ListOf(ID)),
@@ -113,18 +113,14 @@ def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
             (atom("b"), [atom("y"), atom("z")], ListV((atom("b"),)), ListV((atom("b"), atom("b")))),
         ],
     )
-    report = shape_complete(p)
-    assert not report.complete
-    assert report.missing == ("extra *, base [*,*], inputs [*]",)
-    with pytest.raises(Ungroundable) as err:
+    assert shape_complete(p).complete
+    with pytest.raises(oracle.ShapeConflict, match="a base clash"):
         ground(propagate(p))
-    assert str(err.value).endswith(report.missing[0])
     report = check(p, no_spawn)
-    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+    assert report.path == "oracle" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
-    assert report.verdict.detail.startswith(
-        "no container morphism of the extra argument gives every base: input shape () "
-        "maps to both [*] and [*,*]"
+    assert report.verdict.detail == (
+        "a base clash: bases of one extra shape have shapes [*] and [*,*]"
     )
 
 
@@ -234,7 +230,7 @@ def test_intermediate_longer_than_every_candidate_goes_to_smt(no_spawn):
         for n in (1, 2, 3, 4, 6)
     ]
     p = build_problem("reverse-gap", Signature(UNIT, ID, ListOf(ID)), SketchKind.FOLDR, examples)
-    assert shape_complete(p).missing == ("extra (), base [], inputs [*, *, *, *, *]",)
+    assert shape_complete(p).missing == ("extra (), inputs [*, *, *, *, *]",)
     assert_spawns(p, no_spawn)
 
 
@@ -292,47 +288,50 @@ def test_many_open_keys_go_to_smt_within_the_budget(no_spawn, groundings):
 
 def test_clash_among_pinned_shapes_grounds_no_completion(no_spawn, groundings):
     # [z], [y,z] and [x,y,z] make the morphism map the input shape
-    # (*, *, [*]) to both [*] and [*,*,*], whatever is guessed; the trace
-    # from extra f and base [w] leaves its suffix [*] unpinned
-    e, f = atom("e"), atom("f")
+    # ((), *, [*]) to both [*] and [*,*,*], whatever is guessed; the trace
+    # [a,b,c,d,e] leaves its suffix of length 4 unpinned. Every base is [],
+    # so the base case holds
     p = build_problem(
         "pinned-clash",
-        Signature(ID, ID, ListOf(ID)),
+        Signature(UNIT, ID, ListOf(ID)),
         SketchKind.FOLDR,
         [
-            (e, [atom("z")], ListV((atom("z"),)), ListV(())),
-            (e, [atom("y"), atom("z")], ListV((atom("y"),)), ListV(())),
-            (e, [atom("x"), atom("y"), atom("z")], ListV((atom("x"),) * 3), ListV(())),
-            (f, [atom("a"), atom("b")], ListV((atom("w"),)), ListV((atom("w"),))),
+            (UnitV(), [atom("z")], ListV((atom("z"),)), ListV(())),
+            (UnitV(), [atom("y"), atom("z")], ListV((atom("y"),)), ListV(())),
+            (UnitV(), [atom("x"), atom("y"), atom("z")], ListV((atom("x"),) * 3), ListV(())),
+            (UnitV(), [atom(x) for x in "abcde"], ListV(()), ListV(())),
         ],
     )
-    assert shape_complete(p).missing == ("extra *, base [*], inputs [*]",)
+    assert shape_complete(p).missing == ("extra (), inputs [*, *, *, *]",)
     report = check(p, no_spawn)
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
+    assert report.verdict.detail == "the shapes the examples pin map one input shape to two shapes"
     assert groundings == []
 
 
 def test_clash_through_a_base_is_unrealizable_without_a_solver(no_spawn, groundings):
-    # the base [w] of extra e and the pinned suffix [c] of extra f both
-    # feed the step the input shape (*, *, [*]), which yields [*,*] for
-    # [a] and [*] for [b,c]; extra g leaves its suffix [y] unpinned
-    e, f, g = atom("e"), atom("f"), atom("g")
+    # the base [w] gives the empty suffix the shape [*], so [a] maps the
+    # input shape ((), *, [*]) to [*]; the pinned suffix [c], of shape
+    # [*], feeds [b,c] that input shape too, which yields [*,*]. The trace
+    # [x,y,z,v] leaves its suffix of length 3 unpinned. Every base is [w],
+    # so the base case holds
+    w = ListV((atom("w"),))
     p = build_problem(
         "base-clash",
-        Signature(ID, ID, ListOf(ID)),
+        Signature(UNIT, ID, ListOf(ID)),
         SketchKind.FOLDR,
         [
-            (e, [atom("a")], ListV((atom("a"), atom("w"))), ListV((atom("w"),))),
-            (f, [atom("c")], ListV((atom("c"),)), ListV(())),
-            (f, [atom("b"), atom("c")], ListV((atom("b"),)), ListV(())),
-            (g, [atom("x"), atom("y")], ListV(()), ListV((atom("u"), atom("v")))),
+            (UnitV(), [atom("a")], ListV((atom("a"),)), w),
+            (UnitV(), [atom("b"), atom("c")], ListV((atom("b"), atom("c"))), w),
+            (UnitV(), [atom(x) for x in "xyzv"], w, w),
         ],
     )
-    assert shape_complete(p).missing == ("extra *, base [*,*], inputs [*]",)
+    assert shape_complete(p).missing == ("extra (), inputs [*, *, *]",)
     report = check(p, no_spawn)
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
+    assert report.verdict.detail == "the shapes the examples pin map one input shape to two shapes"
     assert groundings == []
 
 
