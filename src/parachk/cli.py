@@ -16,7 +16,7 @@ import sys
 
 from .bench import format_json, format_table, run_bench
 from .encode import encode
-from .functors import ContainerError
+from .functors import ContainerError, UnsupportedFunctor
 from .oracle import OracleError, Ungroundable
 from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
@@ -24,6 +24,7 @@ from .solver import (
     BACKENDS,
     SolverConfig,
     SolverError,
+    base_case_verdict,
     check,
     oracle_verdict,
     with_base_case,
@@ -164,6 +165,12 @@ def cmd_oracle(args) -> int:
             verdict = oracle_verdict(cs)
         except Ungroundable:
             verdict = None  # the steps wait for a shape-complete set; the base case does not
+        except UnsupportedFunctor:
+            # steps with no fixed-arity shapes to ground: only a refuted base
+            # case decides the set, as in `check`
+            verdict = base_case_verdict(cs)
+            if not isinstance(verdict, Unrealizable):
+                raise
         verdict = with_base_case(cs, verdict)
         if verdict is None:
             print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)

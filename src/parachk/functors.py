@@ -19,6 +19,7 @@ records the same shape and elements, and propagation reads those.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ContainerError(Exception):
@@ -110,8 +111,7 @@ BOOL = ConstBool()
 # Values
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """An opaque element of the type parameter, identified by an interned code."""
 
     code: int
@@ -259,17 +259,14 @@ def show_shape(s: ShapeValue) -> str:
 # Extensions
 
 
-@dataclass(frozen=True, slots=True)
-class Extension:
+class Extension(NamedTuple):
     """A value in container form: a shape and its elements in canonical
-    position order. Only Id leaves contribute positions."""
+    position order. Only Id leaves contribute positions. `elements` is a
+    tuple, as every constructor passes it."""
 
     functor: FunctorExpr
     shape: ShapeValue
     elements: tuple[Atom, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
 
 
 # ---------------------------------------------------------------------------

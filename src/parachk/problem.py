@@ -23,7 +23,9 @@ the extra functor is Unit; ``base`` is required exactly for foldr sketches.
 Loading is one walk per field, directed by the field's functor: from the
 JSON node straight to its container form, the one form that
 `Problem.extensions` keeps; `Problem.examples` rebuilds the values on each
-access. Files and code share the walk: `build_problem` reads the
+access. Its records are NamedTuples (`Atom`, `Extension`), and the fields
+of a functor with one shape (Id, Unit and products of them) share one
+shape object. Files and code share the walk: `build_problem` reads the
 problem-file term of each value built in code.
 The walk checks syntax and type together and builds no location. A field
 it rejects is rendered by `value_from_json`, and a file with faults gets
@@ -67,6 +69,7 @@ from .functors import (
     PairV,
     ProdOf,
     ProdS,
+    ShapeValue,
     TypeMismatch,
     UNIT,
     UnitS,
@@ -257,7 +260,7 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
             raise ValidationError(
                 f"example {i}: field {key!r}: value {shown} does not typecheck against {f}"
             ) from None
-        return Extension(f, shape, elems)
+        return Extension(f, shape, tuple(elems))
 
     extensions = []
     bases_by_extra: dict[Extension, Extension] = {}
@@ -272,7 +275,7 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
                 f"example {i}: raw examples take exactly one input, got {len(inputs)}"
             )
         if sketch is SketchKind.MAP:
-            items = _tag(output, "list")
+            items = output.get("list") if type(output) is dict and len(output) == 1 else None
             if type(items) is not list:
                 raise ValidationError(
                     f"example {i}: field 'output': a map sketch produces a list"
@@ -459,13 +462,6 @@ def value_to_json(v: Value):
     raise TypeError(f"not a Value: {v!r}")
 
 
-def _tag(node, tag: str):
-    """The body of a one-tag value term with this tag, else None."""
-    if type(node) is dict and len(node) == 1:
-        return node.get(tag)
-    return None
-
-
 @functools.cache
 def _json_reader(f: FunctorExpr) -> Callable:
     """The one walk of a field of functor f, a problem-file term: the syntax
@@ -475,60 +471,76 @@ def _json_reader(f: FunctorExpr) -> Callable:
     atoms to `elems` in position order and interns new labels into `atoms`
     (label -> Atom, in first-occurrence order). A node that is no value of
     f raises TypeMismatch. The walk builds no location; a field it rejects
-    goes to `value_from_json` for the message."""
+    goes to `value_from_json` for the message.
+
+    Each reader tests its node's tag in line. A functor with one shape
+    (`_only_shape`) returns that shape, built once with the reader, so its
+    fields share one shape object; a list of such elements reads each item
+    for its atoms and its type check, then repeats the one shape."""
     match f:
         case Id():
 
             def read(node, atoms, elems):
-                label = _tag(node, "atom")
-                if type(label) is not str:
-                    raise TypeMismatch
-                a = atoms.get(label)
-                if a is None:
-                    a = atoms[label] = Atom(len(atoms), label)
-                elems.append(a)
-                return _IDS
+                if type(node) is dict and len(node) == 1:
+                    label = node.get("atom")
+                    if type(label) is str:
+                        a = atoms.get(label)
+                        if a is None:
+                            a = atoms[label] = Atom(len(atoms), label)
+                        elems.append(a)
+                        return _IDS
+                raise TypeMismatch
 
         case ConstUnit():
 
             def read(node, atoms, elems):
-                if node != "unit":
-                    raise TypeMismatch
-                return _UNITS
+                if node == "unit":
+                    return _UNITS
+                raise TypeMismatch
 
         case ConstInt():
 
             def read(node, atoms, elems):
-                n = _tag(node, "int")
-                if type(n) is not int:
-                    raise TypeMismatch
-                return IntS(n)
+                if type(node) is dict and len(node) == 1:
+                    n = node.get("int")
+                    if type(n) is int:
+                        return IntS(n)
+                raise TypeMismatch
 
         case ConstBool():
 
             def read(node, atoms, elems):
-                b = _tag(node, "bool")
-                if type(b) is not bool:
-                    raise TypeMismatch
-                return BoolS(b)
+                if type(node) is dict and len(node) == 1:
+                    b = node.get("bool")
+                    if type(b) is bool:
+                        return BoolS(b)
+                raise TypeMismatch
 
         case ListOf(inner):
-            item = _json_reader(inner)
+            item, shape = _json_reader(inner), _only_shape(inner)
 
             def read(node, atoms, elems):
-                body = _tag(node, "list")
-                if type(body) is not list:
-                    raise TypeMismatch
-                return ListS([item(x, atoms, elems) for x in body])
+                if type(node) is dict and len(node) == 1:
+                    body = node.get("list")
+                    if type(body) is list:
+                        if shape is None:
+                            return ListS([item(x, atoms, elems) for x in body])
+                        for x in body:
+                            item(x, atoms, elems)
+                        return ListS((shape,) * len(body))
+                raise TypeMismatch
 
         case ProdOf(l, r):
-            left, right = _json_reader(l), _json_reader(r)
+            left, right, shape = _json_reader(l), _json_reader(r), _only_shape(f)
 
             def read(node, atoms, elems):
-                body = _tag(node, "pair")
-                if type(body) is not list or len(body) != 2:
-                    raise TypeMismatch
-                return ProdS(left(body[0], atoms, elems), right(body[1], atoms, elems))
+                if type(node) is dict and len(node) == 1:
+                    body = node.get("pair")
+                    if type(body) is list and len(body) == 2:
+                        a = left(body[0], atoms, elems)
+                        b = right(body[1], atoms, elems)
+                        return ProdS(a, b) if shape is None else shape
+                raise TypeMismatch
 
         case MaybeOf(inner):
             item = _json_reader(inner)
@@ -536,7 +548,9 @@ def _json_reader(f: FunctorExpr) -> Callable:
             def read(node, atoms, elems):
                 if node == "nothing":
                     return _NOTHINGS
-                return MaybeS(item(_tag(node, "just"), atoms, elems))
+                if type(node) is dict and len(node) == 1:
+                    return MaybeS(item(node.get("just"), atoms, elems))
+                raise TypeMismatch
 
         case _:
             raise UnsupportedFunctor(f"not a functor expression: {f!r}")
@@ -546,6 +560,21 @@ def _json_reader(f: FunctorExpr) -> Callable:
 _IDS = IdS()
 _UNITS = UnitS()
 _NOTHINGS = MaybeS(None)
+
+
+def _only_shape(f: FunctorExpr) -> ShapeValue | None:
+    """The shape of f if f has exactly one: f is Id, Unit or a product of
+    such functors. None for every other functor."""
+    match f:
+        case Id():
+            return _IDS
+        case ConstUnit():
+            return _UNITS
+        case ProdOf(l, r):
+            a, b = _only_shape(l), _only_shape(r)
+            if a is not None and b is not None:
+                return ProdS(a, b)
+    return None
 
 
 # ---------------------------------------------------------------------------

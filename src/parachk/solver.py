@@ -20,7 +20,8 @@ that goes past the oracle's limits or proposes a witness that fails replay.
 `backend="smt"` always takes the SMT path, so the oracle can be
 cross-checked against it. On either backend a fold's base case, the raw
 set `e(extra) = base`, is decided by the oracle's scans alone, with no
-bound or budget (`with_base_case`).
+bound or budget (`base_case_verdict`). On the auto backend it is decided
+before SMT sees the steps, so a refuted base case spawns no solver.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -50,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 
 from .encode import SmtScript, encode, shrink_assertions
-from .functors import Atom, Extension, ShapeMismatch
+from .functors import Atom, Extension, ShapeMismatch, UnsupportedFunctor
 from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
 from .propagate import ConstraintSet, Known, PropagationUnrealizable, propagate, read_inputs
@@ -514,24 +515,36 @@ class CheckReport:
     path: str = "smt"
 
 
-def with_base_case(cs: ConstraintSet, verdict: Verdict | None) -> Verdict | None:
-    """The verdict of `cs` from `verdict`, that of its steps: a fold is
-    realizable iff its steps and its base case are. Steps left undecided
-    (None) stay so unless the base case refutes the set.
+def base_case_verdict(cs: ConstraintSet) -> Verdict | None:
+    """The verdict on a fold's base case, None for a raw or map set.
 
     The sketch's `e` is a container morphism from the extra functor to the
     result functor, independent of the step function, and every constraint
-    on it is known: `cs.base_case`, a raw set. Unless the steps are already
-    Unrealizable, the oracle decides it on every path, since no SMT script
-    asserts it; a raw set is settled by scans alone, so no bound or budget
-    applies. A base witness that fails replay turns Realizable into Unknown.
-    """
-    if cs.base_case is None or isinstance(verdict, Unrealizable):
-        return verdict
+    on it is known: `cs.base_case`, a raw set. The oracle decides it on
+    every path, since no SMT script asserts it; a raw set is settled by
+    scans alone, so no bound or budget applies. A refuted base case refutes
+    the fold, and its detail says so."""
+    if cs.base_case is None:
+        return None
     base = oracle_verdict(cs.base_case)
     if isinstance(base, Unrealizable):
         detail = "no container morphism of the extra argument gives every base"
         return Unrealizable(f"{detail}: {base.detail}" if base.detail else detail)
+    return base
+
+
+def with_base_case(cs: ConstraintSet, verdict: Verdict | None) -> Verdict | None:
+    """The verdict of `cs` from `verdict`, that of its steps: a fold is
+    realizable iff its steps and its base case (`base_case_verdict`) are.
+    Unless the steps are already Unrealizable, the base case is decided,
+    and a refuted one is the verdict. Steps left undecided (None) stay so
+    otherwise, and a base witness that fails replay turns Realizable into
+    Unknown."""
+    if cs.base_case is None or isinstance(verdict, Unrealizable):
+        return verdict
+    base = base_case_verdict(cs)
+    if isinstance(base, Unrealizable):
+        return base
     if isinstance(base, Realizable) or not isinstance(verdict, Realizable):
         return verdict
     return UnknownVerdict("base-case-undecided")
@@ -545,9 +558,10 @@ def check(
     """Propagate, then decide. Unrealizability that is already visible
     during propagation needs no further work. With backend "auto", the
     oracle decides every set it can within ORACLE_MAX_STEPS steps
-    (`oracle_verdict`), and SMT (encode, solve, shrink, extract, replay)
-    decides whatever the oracle hands back; backend "smt" always takes the
-    SMT path. Either way the oracle then decides a fold's base case
+    (`oracle_verdict`); a fold it cannot settle is decided by its base case
+    if the oracle refutes that, and SMT (encode, solve, shrink, extract,
+    replay) decides whatever is left. Backend "smt" always takes the SMT
+    path. Either way the oracle then decides a fold's base case
     (`with_base_case`)."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
@@ -564,15 +578,23 @@ def check(
 
 
 def _decide(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[Verdict, float, str]:
-    """The verdict on the steps of `cs`, the solver time and the path."""
+    """The verdict on the steps of `cs`, the solver time and the path. On
+    the auto backend, a fold whose steps the oracle cannot settle and whose
+    base case it refutes spawns no solver: the base case's refutation is
+    the verdict."""
     if backend == "auto":
         budget = StepBudget(ORACLE_MAX_STEPS)
         try:
             verdict = oracle_verdict(cs, budget)
-        except BoundExceeded:
-            verdict = None  # past the bounds or the budget
+        except (BoundExceeded, UnsupportedFunctor):
+            # past the bounds or the budget, or steps whose element functor
+            # has no fixed-arity shapes, which the SMT encoding rejects too
+            verdict = None
         if isinstance(verdict, (Realizable, Unrealizable)):
             return verdict, 0.0, "oracle+completion" if budget.completed else "oracle"
+        base = base_case_verdict(cs)
+        if isinstance(base, Unrealizable):
+            return base, 0.0, "oracle"
     cfg = cfg or SolverConfig()
     path = "smt"
     script = encode(cs)

@@ -231,6 +231,58 @@ def test_oracle_refutes_a_base_case_of_an_incomplete_set(capsys, tmp_path):
     )
 
 
+def _no_schema(tmp_path, inputs, base):
+    """A foldr set over a unit extra whose element, List(Maybe(Unit)), has
+    no fixed-arity shapes, so no step can be grounded or encoded. Each
+    input is a list of "nothing" or "unit" (for Just ()); the output is
+    the base."""
+    path = tmp_path / "no-schema.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "no-schema",
+                "signature": {"element": "List(Maybe(Unit))", "result": "List(Id)"},
+                "sketch": "foldr",
+                "examples": [
+                    {
+                        "inputs": [
+                            {"list": [v if v == "nothing" else {"just": v} for v in xs]}
+                            for xs in inputs
+                        ],
+                        "output": base,
+                        "base": base,
+                    }
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("inputs", [[["nothing", "unit"]], [["nothing"], ["unit"]]], ids=["complete", "incomplete"])
+def test_check_and_oracle_agree_on_a_refuted_base_of_steps_without_a_schema(capsys, tmp_path, inputs):
+    # the base [z] holds an atom no unit extra gives: both commands refute
+    # the set by its base case, whether the example set is shape complete
+    # or not
+    path = _no_schema(tmp_path, inputs, {"list": [{"atom": "z"}]})
+    details = []
+    for command in ("check", "oracle"):
+        code = main([command, path, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1 and payload["verdict"] == "Unrealizable"
+        details.append(payload["detail"])
+    assert details[0] == details[1]
+    assert details[0].startswith("no container morphism of the extra argument gives every base")
+
+
+def test_steps_without_a_schema_still_fail_where_the_base_case_holds(capsys, tmp_path):
+    # the base [], which the unit extra gives, refutes nothing
+    path = _no_schema(tmp_path, [["nothing"]], {"list": []})
+    for command in ("check", "oracle"):
+        assert main([command, path]) == 3
+        assert "has a variable shape" in capsys.readouterr().err
+
+
 def test_oracle_refuses_an_incomplete_set_whose_base_case_holds(capsys, tmp_path):
     code = main(["oracle", _one_trace(tmp_path, {"list": []}), "--format", "json"])
     captured = capsys.readouterr()

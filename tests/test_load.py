@@ -9,12 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parachk import (
+    Atom,
+    Extension,
+    ID,
     Known,
+    ListOf,
     ListV,
+    PairV,
+    ProdOf,
+    UnitV,
+    atom,
     PropagationUnrealizable,
     Signature,
     SketchKind,
     UNIT,
+    UnitS,
     build_problem,
     flatten_shape,
     parse_problem,
@@ -323,3 +332,97 @@ def test_one_walk_on_sampled_problems(seed):
     for p in (support.random_problem(rng), support.random_raw_problem(rng)):
         _assert_one_walk(p)
         _assert_one_walk(relabel_problem(p, support.fresh_relabeling(p)))
+
+
+# ---------------------------------------------------------------------------
+# The records of the walk: one shape per single-shape functor, and cheap
+# hashable Atom and Extension records
+
+
+def _pair(x, y):
+    return {"pair": [{"atom": x}, {"atom": y}]}
+
+
+def test_fields_of_a_single_shape_functor_share_one_shape():
+    p = parse_problem(
+        _doc(
+            [
+                {"inputs": [_pair("a", "b"), _pair("c", "d")], "output": {"list": [_pair("b", "a"), _pair("d", "c")]}},
+                {"inputs": [_pair("e", "f")], "output": {"list": [_pair("f", "e")]}},
+            ],
+            "map",
+            {"element": "Prod(Id,Id)", "result": "Prod(Id,Id)"},
+        )
+    )
+    x, y = p.extensions
+    shapes = [e.shape for e in (*x.inputs, *x.outputs, *y.inputs, *y.outputs)]
+    assert all(s is shapes[0] for s in shapes)
+    assert x.inputs[0].shape is x.inputs[1].shape
+    assert x.extra.shape is y.extra.shape == UnitS()
+    assert [e.elements for e in x.inputs] == [(Atom(0, "a"), Atom(1, "b")), (Atom(2, "c"), Atom(3, "d"))]
+
+
+def test_a_list_of_single_shape_elements_is_its_container_form():
+    f = ListOf(ProdOf(ID, UNIT))
+    values = [ListV(tuple(PairV(atom(c), UnitV()) for c in labels)) for labels in ("", "a", "bab")]
+    p = build_problem("units", Signature(UNIT, f, ListOf(ID)), SketchKind.RAW, [(UnitV(), [v], ListV(())) for v in values])
+    q = parse_problem(problem_to_json(p))
+    assert q == p
+    for x, ex, v in zip(q.extensions, q.examples, values):
+        (field,) = x.inputs
+        assert field == to_extension(f, ex.inputs[0])
+        assert [a.label for a in field.elements] == [a.label for a in to_extension(f, v).elements]
+        assert all(child is field.shape.children[0] for child in field.shape.children)
+
+
+@pytest.mark.parametrize(
+    "f, value",
+    [
+        (ProdOf(ID, ProdOf(UNIT, ID)), PairV(atom("a"), PairV(UnitV(), atom("b")))),
+        (ListOf(ProdOf(ID, UNIT)), ListV((PairV(atom("a"), UnitV()), PairV(atom("b"), UnitV())))),
+        (ListOf(ID), ListV((atom("a"), atom("b"), atom("c")))),
+    ],
+    ids=str,
+)
+def test_a_mistyped_leaf_of_a_single_shape_field_gets_one_message(f, value):
+    sig = Signature(UNIT, f, ListOf(ID))
+    leaves = -1 - _mistype_leaf(value, -1)[1]
+    assert leaves >= 3
+    for k in range(leaves):
+        bad, _ = _mistype_leaf(value, k)
+        exs = [(UnitV(), [value], ListV(()), ListV(())), (UnitV(), [value, bad], ListV(()), ListV(()))]
+        with pytest.raises(ValidationError) as from_values:
+            build_problem("bad", sig, SketchKind.FOLDR, exs)
+        with pytest.raises(ValidationError) as from_file:
+            parse_problem(_file_of(sig, SketchKind.FOLDR, exs))
+        assert str(from_file.value) == str(from_values.value)
+        assert str(from_file.value).startswith("example 1: field 'inputs[1]': value ")
+
+
+def test_atoms_and_extensions_are_dict_keys():
+    assert Atom(0, "a") == Atom(0, "a") and hash(Atom(0, "a")) == hash(Atom(0, "a"))
+    assert Atom(0, "a") != Atom(1, "a")
+    assert {Atom(0, "a"): 1}[Atom(0, "a")] == 1
+    # two examples with one extra value: the second one's base is checked
+    # against the base filed under the first one's extra, an equal but
+    # distinct Extension, as `bases_by_extra` looks it up
+    signature = {"extra": "List(Id)", "element": "Id", "result": "List(Id)"}
+    extra = {"list": [{"atom": "w"}, {"atom": "u"}]}
+
+    def doc(second_base):
+        w = {"list": [{"atom": "w"}]}
+        return _doc(
+            [
+                {"extra": extra, "inputs": [], "output": w, "base": w},
+                {"extra": extra, "inputs": [], "output": second_base, "base": second_base},
+            ],
+            signature=signature,
+        )
+
+    x, y = parse_problem(doc({"list": [{"atom": "w"}]})).extensions
+    assert x.extra is not y.extra and x.extra == y.extra
+    assert {x.extra: x.base}[y.extra] == y.base
+    rebuilt = Extension(ListOf(ID), x.base.shape, x.base.elements)
+    assert rebuilt == y.base and hash(rebuilt) == hash(y.base)
+    with pytest.raises(ValidationError, match="differs from the base of an earlier example"):
+        parse_problem(doc({"list": []}))

@@ -286,6 +286,27 @@ def test_many_open_keys_go_to_smt_within_the_budget(no_spawn, groundings):
     assert 1 <= len(groundings) <= 16
 
 
+def test_refuted_base_case_spares_the_solver(no_spawn):
+    # the open-keys set with the base [w], an atom no unit extra gives: no
+    # completion settles the steps, and the refuted base case decides the
+    # set before anything is spawned; backend "smt" still takes the SMT path
+    xs = [atom(f"x{i}") for i in range(8)]
+    p = build_problem(
+        "open-keys-invented-base",
+        Signature(UNIT, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [(UnitV(), xs, ListV((atom("z"),)), ListV((atom("w"),)))],
+    )
+    assert len(shape_complete(p).missing) == 7
+    report = check(p, no_spawn)
+    assert report.path == "oracle" and report.solver_ms == 0.0
+    assert isinstance(report.verdict, Unrealizable)
+    assert report.verdict.detail.startswith(
+        "no container morphism of the extra argument gives every base"
+    )
+    assert_spawns(p, no_spawn, backend="smt")
+
+
 def test_clash_among_pinned_shapes_grounds_no_completion(no_spawn, groundings):
     # [z], [y,z] and [x,y,z] make the morphism map the input shape
     # ((), *, [*]) to both [*] and [*,*,*], whatever is guessed; the trace
