@@ -16,7 +16,7 @@ import sys
 
 from .bench import format_json, format_table, run_bench
 from .encode import encode
-from .functors import ContainerError, UnsupportedFunctor
+from .functors import ContainerError
 from .oracle import OracleError, Ungroundable
 from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
@@ -24,10 +24,9 @@ from .solver import (
     BACKENDS,
     SolverConfig,
     SolverError,
-    base_case_verdict,
+    base_case_first,
     check,
     oracle_verdict,
-    with_base_case,
 )
 from .verdict import (
     Realizable,
@@ -162,17 +161,8 @@ def cmd_oracle(args) -> int:
         verdict = Unrealizable(e.reason)
     else:
         try:
-            verdict = oracle_verdict(cs)
+            verdict, _, _ = base_case_first(cs, lambda: (oracle_verdict(cs), 0.0, "oracle"))
         except Ungroundable:
-            verdict = None  # the steps wait for a shape-complete set; the base case does not
-        except UnsupportedFunctor:
-            # steps with no fixed-arity shapes to ground: only a refuted base
-            # case decides the set, as in `check`
-            verdict = base_case_verdict(cs)
-            if not isinstance(verdict, Unrealizable):
-                raise
-        verdict = with_base_case(cs, verdict)
-        if verdict is None:
             print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
             for m in shape_complete(problem).missing:
                 print(f"  {m}", file=sys.stderr)

@@ -17,11 +17,11 @@ search of a shape-complete set, a conflict that involves no guessed shape,
 or every completion refuted when every result slot is bool. The SMT path
 decides everything else: a fold set no completion settles, and a search
 that goes past the oracle's limits or proposes a witness that fails replay.
-`backend="smt"` always takes the SMT path, so the oracle can be
-cross-checked against it. On either backend a fold's base case, the raw
-set `e(extra) = base`, is decided by the oracle's scans alone, with no
-bound or budget (`base_case_verdict`). On the auto backend it is decided
-before SMT sees the steps, so a refuted base case spawns no solver.
+`backend="smt"` always takes the SMT path for the steps, so the oracle can
+be cross-checked against it. A fold's base case, the raw set
+`e(extra) = base`, is decided first, once, by the oracle's scans alone,
+with no bound or budget (`base_case_first`, which `parachk oracle` calls
+too): a refuted base case is the verdict, and nothing else runs.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 
 from .encode import SmtScript, encode, shrink_assertions
-from .functors import Atom, Extension, ShapeMismatch, UnsupportedFunctor
+from .functors import Atom, Extension, ShapeMismatch
 from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
 from .propagate import ConstraintSet, Known, PropagationUnrealizable, propagate, read_inputs
@@ -95,7 +95,10 @@ class SolverError(Exception):
 
 
 def run_solver(script: SmtScript, cfg: SolverConfig) -> RawResult:
-    cmd = shlex.split(cfg.solver_command)
+    try:
+        cmd = shlex.split(cfg.solver_command)
+    except ValueError as e:
+        raise SolverError(f"cannot parse solver command {cfg.solver_command!r}: {e}") from None
     if not cmd:
         raise SolverError("empty solver command")
     text = script.text()
@@ -533,21 +536,20 @@ def base_case_verdict(cs: ConstraintSet) -> Verdict | None:
     return base
 
 
-def with_base_case(cs: ConstraintSet, verdict: Verdict | None) -> Verdict | None:
-    """The verdict of `cs` from `verdict`, that of its steps: a fold is
-    realizable iff its steps and its base case (`base_case_verdict`) are.
-    Unless the steps are already Unrealizable, the base case is decided,
-    and a refuted one is the verdict. Steps left undecided (None) stay so
-    otherwise, and a base witness that fails replay turns Realizable into
-    Unknown."""
-    if cs.base_case is None or isinstance(verdict, Unrealizable):
-        return verdict
+def base_case_first(cs: ConstraintSet, decide_steps) -> tuple[Verdict, float, str]:
+    """The verdict of `cs`, the solver time and the path: a fold is
+    realizable iff its base case and its steps are. The base case
+    (`base_case_verdict`) is decided first, and once; a refuted one is the
+    verdict, on path "oracle". Otherwise `decide_steps()` gives the verdict
+    on the steps, the solver time and the path, and a base witness that
+    fails replay turns Realizable steps into Unknown."""
     base = base_case_verdict(cs)
     if isinstance(base, Unrealizable):
-        return base
-    if isinstance(base, Realizable) or not isinstance(verdict, Realizable):
-        return verdict
-    return UnknownVerdict("base-case-undecided")
+        return base, 0.0, "oracle"
+    verdict, solver_ms, path = decide_steps()
+    if isinstance(base, UnknownVerdict) and isinstance(verdict, Realizable):
+        verdict = UnknownVerdict("base-case-undecided")
+    return verdict, solver_ms, path
 
 
 def check(
@@ -556,13 +558,11 @@ def check(
     backend: str = "auto",
 ) -> CheckReport:
     """Propagate, then decide. Unrealizability that is already visible
-    during propagation needs no further work. With backend "auto", the
-    oracle decides every set it can within ORACLE_MAX_STEPS steps
-    (`oracle_verdict`); a fold it cannot settle is decided by its base case
-    if the oracle refutes that, and SMT (encode, solve, shrink, extract,
-    replay) decides whatever is left. Backend "smt" always takes the SMT
-    path. Either way the oracle then decides a fold's base case
-    (`with_base_case`)."""
+    during propagation needs no further work. A fold's base case is decided
+    next (`base_case_first`). With backend "auto", the oracle decides the
+    steps of every set it can within ORACLE_MAX_STEPS steps
+    (`oracle_verdict`), and SMT (encode, solve, shrink, extract, replay)
+    decides whatever is left. Backend "smt" always takes the SMT path."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
     start = time.perf_counter()
@@ -571,30 +571,21 @@ def check(
     except PropagationUnrealizable as e:
         total = (time.perf_counter() - start) * 1000.0
         return CheckReport(Unrealizable(e.reason), total, 0.0, path="fast-path")
-    verdict, solver_ms, path = _decide(cs, cfg, backend)
-    verdict = with_base_case(cs, verdict)
+    verdict, solver_ms, path = base_case_first(cs, lambda: _decide(cs, cfg, backend))
     total = (time.perf_counter() - start) * 1000.0
     return CheckReport(verdict, total, solver_ms, path)
 
 
 def _decide(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[Verdict, float, str]:
-    """The verdict on the steps of `cs`, the solver time and the path. On
-    the auto backend, a fold whose steps the oracle cannot settle and whose
-    base case it refutes spawns no solver: the base case's refutation is
-    the verdict."""
+    """The verdict on the steps of `cs`, the solver time and the path."""
     if backend == "auto":
         budget = StepBudget(ORACLE_MAX_STEPS)
         try:
             verdict = oracle_verdict(cs, budget)
-        except (BoundExceeded, UnsupportedFunctor):
-            # past the bounds or the budget, or steps whose element functor
-            # has no fixed-arity shapes, which the SMT encoding rejects too
-            verdict = None
+        except BoundExceeded:
+            verdict = None  # past the bounds or the budget
         if isinstance(verdict, (Realizable, Unrealizable)):
             return verdict, 0.0, "oracle+completion" if budget.completed else "oracle"
-        base = base_case_verdict(cs)
-        if isinstance(base, Unrealizable):
-            return base, 0.0, "oracle"
     cfg = cfg or SolverConfig()
     path = "smt"
     script = encode(cs)

@@ -1,4 +1,6 @@
+import os
 import shutil
+import stat
 
 import pytest
 
@@ -18,3 +20,12 @@ needs_solver = pytest.mark.skipif(
 @pytest.fixture(scope="session")
 def cfg() -> SolverConfig:
     return SolverConfig()
+
+
+@pytest.fixture
+def no_spawn(tmp_path) -> SolverConfig:
+    """A solver command that exits non-zero whenever it is spawned."""
+    fake = tmp_path / "fake-solver"
+    fake.write_text("#!/bin/sh\ncat > /dev/null\necho spawned >&2\nexit 7\n")
+    os.chmod(fake, stat.S_IRWXU)
+    return SolverConfig(solver_command=str(fake))

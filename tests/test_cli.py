@@ -216,12 +216,12 @@ def _one_trace(tmp_path, base):
 
 
 def test_oracle_refutes_a_base_case_of_an_incomplete_set(capsys, tmp_path):
-    # the base [z] holds an atom no unit extra gives: `check` refutes the set
-    # in-process, and the oracle refutes it before it needs the suffix [*]
+    # the base [z] holds an atom no unit extra gives: both commands refute
+    # the set by its base case, before the steps need the suffix [*]
     path = _one_trace(tmp_path, {"list": [{"atom": "z"}]})
     code = main(["check", path, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
-    assert code == 1 and payload["path"] == "oracle+completion"
+    assert code == 1 and payload["path"] == "oracle"
     code = main(["oracle", path, "--format", "json"])
     oracle_payload = json.loads(capsys.readouterr().out)
     assert code == 1 and oracle_payload["verdict"] == "Unrealizable"
@@ -281,6 +281,72 @@ def test_steps_without_a_schema_still_fail_where_the_base_case_holds(capsys, tmp
     for command in ("check", "oracle"):
         assert main([command, path]) == 3
         assert "has a variable shape" in capsys.readouterr().err
+
+
+def _base_detail(out: str) -> str:
+    """The detail of the JSON verdict `out` starts with, which a
+    cross-check line may follow."""
+    payload, _ = json.JSONDecoder().raw_decode(out)
+    assert payload["verdict"] == "Unrealizable"
+    return payload["detail"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--backend", "smt"], ["oracle", "--cross-check"]],
+    ids=["check-smt", "oracle-cross-check"],
+)
+def test_refuted_base_of_steps_without_a_schema_spawns_no_solver(capsys, tmp_path, no_spawn, command):
+    # the base case is decided before the steps, which neither the oracle
+    # nor the SMT encoding can take on, so its refutation is the verdict
+    # on the SMT backend too
+    path = _no_schema(tmp_path, [["nothing", "unit"]], {"list": [{"atom": "z"}]})
+    code = main([command[0], path, *command[1:], "--solver", no_spawn.solver_command, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert _base_detail(captured.out).startswith(
+        "no container morphism of the extra argument gives every base"
+    )
+
+
+def test_smt_backend_refutes_an_invented_base_without_a_solver(capsys, no_spawn):
+    code = main(
+        ["check", f"{PROBLEMS}/invented_base.json", "--backend", "smt",
+         "--solver", no_spawn.solver_command, "--format", "json"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["path"] == "oracle"
+    assert _base_detail(captured.out).startswith(
+        "no container morphism of the extra argument gives every base"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_refuted_base_is_decided_before_steps_past_the_search_bounds(capsys, tmp_path, command):
+    # foldr (++) over two 10-element lists with the base [z], which no unit
+    # extra gives: the step's input shape (10, 11) has 21 positions, more
+    # than oracle.MAX_POSITIONS, but the base case refutes the set first
+    xs = [{"atom": f"a{i}"} for i in range(10)]
+    ys = [{"atom": f"b{i}"} for i in range(10)]
+    z = {"atom": "z"}
+    doc = {
+        "name": "append-invented-base",
+        "signature": {"element": "List(Id)", "result": "List(Id)"},
+        "sketch": "foldr",
+        "examples": [
+            {"inputs": [{"list": xs}, {"list": ys}], "output": {"list": xs + ys + [z]}, "base": {"list": [z]}},
+            {"inputs": [{"list": ys}], "output": {"list": ys + [z]}, "base": {"list": [z]}},
+        ],
+    }
+    path = tmp_path / "append.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert _base_detail(captured.out).startswith(
+        "no container morphism of the extra argument gives every base"
+    )
 
 
 def test_oracle_refuses_an_incomplete_set_whose_base_case_holds(capsys, tmp_path):
@@ -369,6 +435,20 @@ def test_oracle_cross_check_disagreement_exit_four(capsys, tmp_path):
     code = main(["oracle", f"{PROBLEMS}/reverse_as_foldr.json", "--cross-check", "--solver", fake])
     err = capsys.readouterr().err
     assert code == 4 and "disagreement" in err
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_unbalanced_quote_in_the_solver_command_is_an_input_error(capsys, monkeypatch, via):
+    # the problem goes to SMT on the auto backend, so the command is parsed
+    argv = ["check", f"{PROBLEMS}/tail_as_foldr_minimal.json"]
+    if via == "flag":
+        argv += ["--solver", "z3 '-in"]
+    else:
+        monkeypatch.setenv("PARACHK_SOLVER", "z3 '-in")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: cannot parse solver command \"z3 '-in\"")
 
 
 def test_solver_env_var_fallback(tmp_path, monkeypatch, capsys):

@@ -38,7 +38,7 @@ from parachk import (
 )
 from parachk.problem import ProblemError
 from parachk.propagate import Known, PropagationUnrealizable, unpinned_suffixes
-from parachk.solver import ORACLE_MAX_STEPS, oracle_verdict, with_base_case
+from parachk.solver import ORACLE_MAX_STEPS, oracle_verdict
 from parachk.verdict import WitnessSummary
 from parachk.oracle import (
     ShapeConflict,
@@ -483,7 +483,6 @@ def test_keys_without_bases_pin_what_keys_with_bases_did():
                 steps = oracle_verdict(cs, StepBudget(ORACLE_MAX_STEPS))
             except BoundExceeded:
                 steps = None
-            assert isinstance(with_base_case(cs, steps), Unrealizable)
             refuted += 1
             if cs.unknown_count and len({(h, b) for h, b, _ in old}) > len({h for h, _, _ in old}):
                 assert isinstance(steps, Unrealizable)

@@ -8,7 +8,6 @@ proves the SMT path was taken."""
 import glob
 import os
 import random
-import stat
 
 import pytest
 from hypothesis import given, settings
@@ -48,15 +47,6 @@ import support
 from test_cli import _fake_solver
 
 PROBLEMS = "problems"
-
-
-@pytest.fixture
-def no_spawn(tmp_path) -> SolverConfig:
-    """A solver command that exits non-zero whenever it is spawned."""
-    fake = tmp_path / "fake-solver"
-    fake.write_text("#!/bin/sh\ncat > /dev/null\necho spawned >&2\nexit 7\n")
-    os.chmod(fake, stat.S_IRWXU)
-    return SolverConfig(solver_command=str(fake))
 
 
 def assert_spawns(problem, cfg, backend="auto"):
@@ -102,8 +92,9 @@ def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
     # the length-1 example has the extra shape of the length-2 one, but a
     # base of another shape. A trace key holds no base, so it pins the
     # intermediate after [z] and the set is shape complete; but Id has one
-    # shape, so no container morphism gives the two base shapes, and the
-    # pinned shapes say so before any search
+    # shape, so no container morphism gives the two base shapes. The pinned
+    # shapes say so before any search, and `check` decides the base case
+    # first, so its refutation is the verdict
     p = build_problem(
         "base-shapes",
         Signature(ID, ID, ListOf(ID)),
@@ -120,7 +111,8 @@ def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
     assert report.path == "oracle" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
     assert report.verdict.detail == (
-        "a base clash: bases of one extra shape have shapes [*] and [*,*]"
+        "no container morphism of the extra argument gives every base: "
+        "input shape () maps to both [*] and [*,*]"
     )
 
 
@@ -255,12 +247,14 @@ def test_conflict_among_full_examples_needs_no_completion(no_spawn):
 
 @pytest.fixture
 def groundings(monkeypatch) -> list:
-    """The completion of every call `check` makes to `oracle.ground`."""
+    """The completion of every call `check` makes to `oracle.ground` for the
+    steps of a fold, not for its base case."""
     seen = []
     real_ground = oracle.ground
 
     def counting_ground(cs, completion=None):
-        seen.append(completion)
+        if cs.base_case is not None:
+            seen.append(completion)
         return real_ground(cs, completion)
 
     monkeypatch.setattr(oracle, "ground", counting_ground)
@@ -287,9 +281,9 @@ def test_many_open_keys_go_to_smt_within_the_budget(no_spawn, groundings):
 
 
 def test_refuted_base_case_spares_the_solver(no_spawn):
-    # the open-keys set with the base [w], an atom no unit extra gives: no
-    # completion settles the steps, and the refuted base case decides the
-    # set before anything is spawned; backend "smt" still takes the SMT path
+    # the open-keys set with the base [w], an atom no unit extra gives: the
+    # refuted base case decides the set before its steps, which no
+    # completion settles, so nothing is spawned on either backend
     xs = [atom(f"x{i}") for i in range(8)]
     p = build_problem(
         "open-keys-invented-base",
@@ -298,13 +292,13 @@ def test_refuted_base_case_spares_the_solver(no_spawn):
         [(UnitV(), xs, ListV((atom("z"),)), ListV((atom("w"),)))],
     )
     assert len(shape_complete(p).missing) == 7
-    report = check(p, no_spawn)
-    assert report.path == "oracle" and report.solver_ms == 0.0
-    assert isinstance(report.verdict, Unrealizable)
-    assert report.verdict.detail.startswith(
-        "no container morphism of the extra argument gives every base"
-    )
-    assert_spawns(p, no_spawn, backend="smt")
+    for backend in solver.BACKENDS:
+        report = check(p, no_spawn, backend=backend)
+        assert report.path == "oracle" and report.solver_ms == 0.0
+        assert isinstance(report.verdict, Unrealizable)
+        assert report.verdict.detail.startswith(
+            "no container morphism of the extra argument gives every base"
+        )
 
 
 def test_clash_among_pinned_shapes_grounds_no_completion(no_spawn, groundings):
@@ -335,20 +329,21 @@ def test_clash_through_a_base_is_unrealizable_without_a_solver(no_spawn, groundi
     # the base [w] gives the empty suffix the shape [*], so [a] maps the
     # input shape ((), *, [*]) to [*]; the pinned suffix [c], of shape
     # [*], feeds [b,c] that input shape too, which yields [*,*]. The trace
-    # [x,y,z,v] leaves its suffix of length 3 unpinned. Every base is [w],
-    # so the base case holds
+    # [x,y,z,v] leaves its suffix of length 3 unpinned. Every extra is w
+    # and every base is [w], so the base case holds
     w = ListV((atom("w"),))
     p = build_problem(
         "base-clash",
-        Signature(UNIT, ID, ListOf(ID)),
+        Signature(ID, ID, ListOf(ID)),
         SketchKind.FOLDR,
         [
-            (UnitV(), [atom("a")], ListV((atom("a"),)), w),
-            (UnitV(), [atom("b"), atom("c")], ListV((atom("b"), atom("c"))), w),
-            (UnitV(), [atom(x) for x in "xyzv"], w, w),
+            (atom("w"), [atom("a")], ListV((atom("a"),)), w),
+            (atom("w"), [atom("b"), atom("c")], ListV((atom("b"), atom("c"))), w),
+            (atom("w"), [atom(x) for x in "xyzv"], w, w),
         ],
     )
-    assert shape_complete(p).missing == ("extra (), inputs [*, *, *]",)
+    assert shape_complete(p).missing == ("extra *, inputs [*, *, *]",)
+    assert isinstance(solver.base_case_verdict(propagate(p)), Realizable)
     report = check(p, no_spawn)
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
@@ -487,13 +482,37 @@ def _answering(tmp_path, answer: str) -> SolverConfig:
 def test_invented_base_is_unrealizable_on_both_backends(tmp_path, backend):
     p = load_problem(f"{PROBLEMS}/invented_base.json")
     cfg = _answering(tmp_path, CONS_MODEL)
-    steps, _, path = solver._decide(propagate(p), cfg, backend)
+    steps, _, _ = solver._decide(propagate(p), cfg, backend)
     assert isinstance(steps, Realizable)
     report = check(p, cfg, backend=backend)
-    assert isinstance(report.verdict, Unrealizable) and report.path == path
+    assert isinstance(report.verdict, Unrealizable) and report.path == "oracle"
     assert report.verdict.detail.startswith(
         "no container morphism of the extra argument gives every base"
     )
+
+
+@pytest.mark.parametrize(
+    "name, backend, answer, path",
+    [
+        ("reverse_as_foldr.json", "auto", None, "oracle"),
+        ("tail_as_foldr_minimal.json", "auto", "sat\n(\n)", "smt+shrink"),
+        ("tail_as_foldr_minimal.json", "auto", "unsat", "smt"),
+        ("reverse_as_foldr.json", "smt", "sat\n(\n)", "smt+shrink"),
+        ("reverse_as_foldr.json", "smt", "unsat", "smt"),
+    ],
+)
+def test_base_case_is_decided_once_per_fold(tmp_path, no_spawn, monkeypatch, name, backend, answer, path):
+    calls = []
+    real = solver.base_case_verdict
+
+    def counting(cs):
+        calls.append(cs)
+        return real(cs)
+
+    monkeypatch.setattr(solver, "base_case_verdict", counting)
+    cfg = no_spawn if answer is None else _answering(tmp_path, answer)
+    report = check(load_problem(f"{PROBLEMS}/{name}"), cfg, backend=backend)
+    assert report.path == path and len(calls) == 1
 
 
 def _wide_bases(lengths, bases=None):
