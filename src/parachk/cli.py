@@ -5,6 +5,10 @@ errors, missing or invalid input, solver failures, oracle preconditions),
 4 cross-check disagreement. `bench` exits 0 iff every shape-complete
 verdict matches the expected fold column and every shape-incomplete
 verdict is the expected one or Unknown.
+
+`check` and `oracle` decide through `solver.decide` and print its
+`CheckReport` alike; the table line ends in the timings for `check` and
+in `(oracle)` for `oracle`.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
 from .solver import (
     BACKENDS,
+    CheckReport,
     SolverConfig,
     SolverError,
-    base_case_first,
     check,
+    decide,
     oracle_verdict,
 )
 from .verdict import (
@@ -119,25 +124,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_check(args) -> int:
-    problem = load_problem(args.path)
-    report = check(problem, _config(args), backend=args.backend)
-    name = verdict_name(report.verdict)
+def _print_report(args, name: str, report: CheckReport, note: str) -> None:
+    """The verdict of `check` and `parachk oracle`: a JSON payload, or the
+    table line `name: Verdict (note)` and the witness on request."""
+    verdict = report.verdict
     if args.format == "json":
         payload = {
-            "name": problem.name,
-            "verdict": name,
+            "name": name,
+            "verdict": verdict_name(verdict),
             "total_ms": round(report.total_ms, 3),
             "solver_ms": round(report.solver_ms, 3),
             "path": report.path,
         }
-        if isinstance(report.verdict, Unrealizable):
-            payload["detail"] = report.verdict.detail
+        if isinstance(verdict, Unrealizable):
+            payload["detail"] = verdict.detail
         print(json.dumps(payload, indent=2))
     else:
-        print(f"{problem.name}: {name} ({report.total_ms:.1f} ms total, {report.solver_ms:.1f} ms solver)")
-        if args.witness and isinstance(report.verdict, Realizable):
-            print(describe_witness(report.verdict.witness))
+        print(f"{name}: {verdict_name(verdict)} ({note})")
+        if args.witness and isinstance(verdict, Realizable):
+            print(describe_witness(verdict.witness))
+
+
+def cmd_check(args) -> int:
+    problem = load_problem(args.path)
+    report = check(problem, _config(args), backend=args.backend)
+    timings = f"{report.total_ms:.1f} ms total, {report.solver_ms:.1f} ms solver"
+    _print_report(args, problem.name, report, timings)
     return _exit_code(report.verdict)
 
 
@@ -156,40 +168,26 @@ def cmd_emit_smt(args) -> int:
 def cmd_oracle(args) -> int:
     problem = load_problem(args.path)
     try:
-        cs = propagate(problem)
-    except PropagationUnrealizable as e:
-        verdict = Unrealizable(e.reason)
-    else:
-        try:
-            verdict, _, _ = base_case_first(cs, lambda: (oracle_verdict(cs), 0.0, "oracle"))
-        except Ungroundable:
-            print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
-            for m in shape_complete(problem).missing:
-                print(f"  {m}", file=sys.stderr)
-            return 3
-
-    if args.format == "json":
-        payload = {"name": problem.name, "verdict": verdict_name(verdict)}
-        if isinstance(verdict, Unrealizable):
-            payload["detail"] = verdict.detail
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"{problem.name}: {verdict_name(verdict)} (oracle)")
-        if args.witness and isinstance(verdict, Realizable):
-            print(describe_witness(verdict.witness))
+        report = decide(problem, lambda cs: (oracle_verdict(cs), 0.0, "oracle"))
+    except Ungroundable:
+        print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
+        for m in shape_complete(problem).missing:
+            print(f"  {m}", file=sys.stderr)
+        return 3
+    _print_report(args, problem.name, report, "oracle")
 
     if args.cross_check:
         # pinned to SMT, so the oracle is never compared with itself
-        report = check(problem, _config(args), backend="smt")
-        if not same_variant(report.verdict, verdict):
+        solved = check(problem, _config(args), backend="smt").verdict
+        if not same_variant(solved, report.verdict):
             print(
-                f"cross-check disagreement: oracle {verdict_name(verdict)}, "
-                f"solver {verdict_name(report.verdict)}",
+                f"cross-check disagreement: oracle {verdict_name(report.verdict)}, "
+                f"solver {verdict_name(solved)}",
                 file=sys.stderr,
             )
             return 4
-        print(f"cross-check agrees: {verdict_name(report.verdict)}")
-    return _exit_code(verdict)
+        print(f"cross-check agrees: {verdict_name(solved)}")
+    return _exit_code(report.verdict)
 
 
 def cmd_bench(args) -> int:

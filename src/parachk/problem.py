@@ -326,6 +326,9 @@ def relabel_problem(p: Problem, mapping: dict[str, str]) -> Problem:
     """Rename atom labels through an injective mapping; structure unchanged."""
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("relabeling must be injective")
+    merged = set(mapping.values()) & (set(p.atoms.labels) - mapping.keys())
+    if merged:
+        raise ValueError(f"relabeling would merge atoms: {min(merged)!r} is both a new and a kept label")
 
     def rename(a: Atom) -> Atom:
         return Atom(-1, mapping.get(a.label, a.label))

@@ -1,8 +1,9 @@
 """Deciding a problem: the engine router, running the external SMT solver,
 and reading its results.
 
-`check` propagates the examples first; a conflict visible there is already
-the verdict. Every other set goes to the brute-force oracle's one entry
+`decide` is the one driver of `check` and `parachk oracle`: it propagates
+the examples first, and a conflict visible there is already the verdict.
+`check` sends every other set to the brute-force oracle's one entry
 point, `oracle.oracle_decide`, with a budget of ORACLE_MAX_STEPS steps and
 no script or process. It searches once per completion: a raw, map or
 shape-complete set has the one that guesses nothing, and a
@@ -18,10 +19,11 @@ or every completion refuted when every result slot is bool. The SMT path
 decides everything else: a fold set no completion settles, and a search
 that goes past the oracle's limits or proposes a witness that fails replay.
 `backend="smt"` always takes the SMT path for the steps, so the oracle can
-be cross-checked against it. A fold's base case, the raw set
-`e(extra) = base`, is decided first, once, by the oracle's scans alone,
-with no bound or budget (`base_case_first`, which `parachk oracle` calls
-too): a refuted base case is the verdict, and nothing else runs.
+be cross-checked against it; `parachk oracle` has `decide` search the
+steps without a budget or an SMT fallback. Before the steps, `decide`
+decides a fold's base case, the raw set `e(extra) = base`, once, by the
+oracle's scans alone, with no bound or budget: a refuted base case is the
+verdict, and nothing else runs.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -112,7 +114,7 @@ def run_solver(script: SmtScript, cfg: SolverConfig) -> RawResult:
             errors="replace",
             timeout=cfg.timeout_ms / 1000.0,
         )
-    except FileNotFoundError as e:
+    except OSError as e:  # missing, a directory, not executable, no shebang
         raise SolverError(f"cannot spawn solver {cmd[0]!r}: {e}") from None
     except subprocess.TimeoutExpired:
         return RawResult("timeout", "", (time.perf_counter() - start) * 1000.0)
@@ -511,10 +513,10 @@ class CheckReport:
     verdict: Verdict
     total_ms: float
     solver_ms: float
-    # which path decided the steps: "fast-path" (propagation), "oracle" (a
-    # shape-complete set), "oracle+completion" (a shape-incomplete set
-    # settled by guessed intermediate shapes), "smt", or "smt+shrink" (a
-    # second, shrink-bounded script ran after `sat`)
+    # which path decided: "fast-path" (propagation), "oracle" (a refuted
+    # base case or a shape-complete set), "oracle+completion" (a
+    # shape-incomplete set settled by guessed intermediate shapes), "smt",
+    # or "smt+shrink" (a second, shrink-bounded script ran after `sat`)
     path: str = "smt"
 
 
@@ -536,20 +538,25 @@ def base_case_verdict(cs: ConstraintSet) -> Verdict | None:
     return base
 
 
-def base_case_first(cs: ConstraintSet, decide_steps) -> tuple[Verdict, float, str]:
-    """The verdict of `cs`, the solver time and the path: a fold is
-    realizable iff its base case and its steps are. The base case
-    (`base_case_verdict`) is decided first, and once; a refuted one is the
-    verdict, on path "oracle". Otherwise `decide_steps()` gives the verdict
-    on the steps, the solver time and the path, and a base witness that
-    fails replay turns Realizable steps into Unknown."""
-    base = base_case_verdict(cs)
-    if isinstance(base, Unrealizable):
-        return base, 0.0, "oracle"
-    verdict, solver_ms, path = decide_steps()
-    if isinstance(base, UnknownVerdict) and isinstance(verdict, Realizable):
-        verdict = UnknownVerdict("base-case-undecided")
-    return verdict, solver_ms, path
+def decide(problem: Problem, decide_steps) -> CheckReport:
+    """Propagate, then decide a fold's base case (`base_case_verdict`) once,
+    then its steps: `decide_steps(cs)` gives their verdict, the solver time
+    and the path. A propagation conflict (path "fast-path") or a refuted
+    base case (path "oracle") is the verdict; a base witness that fails
+    replay turns Realizable steps into Unknown."""
+    start = time.perf_counter()
+    solver_ms, path = 0.0, "oracle"
+    try:
+        cs = propagate(problem)
+    except PropagationUnrealizable as e:
+        verdict, path = Unrealizable(e.reason), "fast-path"
+    else:
+        base = verdict = base_case_verdict(cs)
+        if not isinstance(base, Unrealizable):
+            verdict, solver_ms, path = decide_steps(cs)
+            if isinstance(base, UnknownVerdict) and isinstance(verdict, Realizable):
+                verdict = UnknownVerdict("base-case-undecided")
+    return CheckReport(verdict, (time.perf_counter() - start) * 1000.0, solver_ms, path)
 
 
 def check(
@@ -557,23 +564,13 @@ def check(
     cfg: SolverConfig | None = None,
     backend: str = "auto",
 ) -> CheckReport:
-    """Propagate, then decide. Unrealizability that is already visible
-    during propagation needs no further work. A fold's base case is decided
-    next (`base_case_first`). With backend "auto", the oracle decides the
-    steps of every set it can within ORACLE_MAX_STEPS steps
+    """Decide `problem` (`decide`). With backend "auto", the oracle decides
+    the steps of every set it can within ORACLE_MAX_STEPS steps
     (`oracle_verdict`), and SMT (encode, solve, shrink, extract, replay)
     decides whatever is left. Backend "smt" always takes the SMT path."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
-    start = time.perf_counter()
-    try:
-        cs = propagate(problem)
-    except PropagationUnrealizable as e:
-        total = (time.perf_counter() - start) * 1000.0
-        return CheckReport(Unrealizable(e.reason), total, 0.0, path="fast-path")
-    verdict, solver_ms, path = base_case_first(cs, lambda: _decide(cs, cfg, backend))
-    total = (time.perf_counter() - start) * 1000.0
-    return CheckReport(verdict, total, solver_ms, path)
+    return decide(problem, lambda cs: _decide(cs, cfg, backend))
 
 
 def _decide(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[Verdict, float, str]:

@@ -29,3 +29,18 @@ def no_spawn(tmp_path) -> SolverConfig:
     fake.write_text("#!/bin/sh\ncat > /dev/null\necho spawned >&2\nexit 7\n")
     os.chmod(fake, stat.S_IRWXU)
     return SolverConfig(solver_command=str(fake))
+
+
+@pytest.fixture(params=["directory", "not-executable", "no-shebang"])
+def unspawnable(request, tmp_path) -> str:
+    """A solver path that exists but cannot be executed."""
+    path = tmp_path / request.param
+    if request.param == "directory":
+        path.mkdir()
+    elif request.param == "not-executable":
+        path.write_text("#!/bin/sh\necho sat\n")
+        os.chmod(path, stat.S_IRUSR | stat.S_IWUSR)
+    else:  # an executable text file without a shebang line
+        path.write_text("echo sat\n")
+        os.chmod(path, stat.S_IRWXU)
+    return str(path)

@@ -1,12 +1,14 @@
 """The command-line interface: exit codes, output formats, determinism."""
 
+import glob
 import hashlib
 import json
 import time
 
 import pytest
 
-from parachk import solver
+from parachk import load_problem, problem_to_json, shape_complete, solver
+from parachk.bench import corpus
 from parachk.cli import main
 
 from conftest import needs_solver
@@ -74,9 +76,40 @@ def test_json_shows_the_propagation_reason(capsys, tmp_path, command):
     )
     code = main([command, str(widen), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
-    assert code == 1 and payload["detail"] == (
+    assert code == 1 and payload["path"] == "fast-path" and payload["detail"] == (
         "example 0: map preserves list length, but 1 inputs map to 2 outputs"
     )
+
+
+def _shape_complete_files(tmp_path) -> list[str]:
+    """Every shape-complete problem file and corpus SC set, as files."""
+    paths = [
+        path
+        for path in sorted(glob.glob(f"{PROBLEMS}/*.json"))
+        if shape_complete(load_problem(path)).complete
+    ]
+    for entry in corpus():
+        path = tmp_path / f"{entry.name}-sc.json"
+        path.write_text(problem_to_json(entry.problem_sc))
+        paths.append(str(path))
+    return paths
+
+
+def test_check_and_oracle_report_a_shape_complete_set_alike(capsys, tmp_path, no_spawn):
+    # both commands decide through one driver, so on a set the oracle
+    # decides whole they differ only in their table line's note
+    for path in _shape_complete_files(tmp_path):
+        code = main(["check", path, "--format", "json", "--solver", no_spawn.solver_command])
+        checked = json.loads(capsys.readouterr().out)
+        assert main(["oracle", path, "--format", "json"]) == code
+        oracle = json.loads(capsys.readouterr().out)
+        detail = ["detail"] if oracle["verdict"] == "Unrealizable" else []
+        assert list(oracle) == ["name", "verdict", "total_ms", "solver_ms", "path", *detail]
+        assert list(checked) == list(oracle) and oracle["solver_ms"] == 0
+        for key in ("name", "verdict", "path", *detail):
+            assert oracle[key] == checked[key], (path, key)
+        assert main(["oracle", path]) == code
+        assert capsys.readouterr().out == f"{oracle['name']}: {oracle['verdict']} (oracle)\n"
 
 
 def test_check_missing_file_exit_three(capsys):
@@ -435,6 +468,13 @@ def test_oracle_cross_check_disagreement_exit_four(capsys, tmp_path):
     code = main(["oracle", f"{PROBLEMS}/reverse_as_foldr.json", "--cross-check", "--solver", fake])
     err = capsys.readouterr().err
     assert code == 4 and "disagreement" in err
+
+
+def test_unspawnable_solver_exit_three(capsys, unspawnable):
+    code = main(["check", f"{PROBLEMS}/atom_swap_raw.json", "--backend", "smt", "--solver", unspawnable])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot spawn solver {unspawnable!r}: [Errno ")
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -18,8 +18,11 @@ from parachk import (
     SketchKind,
     UNIT,
     UnitV,
+    Unrealizable,
     atom,
     build_problem,
+    check,
+    load_problem,
     parse_functor,
     parse_problem,
     problem_to_json,
@@ -190,6 +193,17 @@ def test_relabeling_preserves_structure():
     assert q.atoms.labels == ("X", "Y", "Z")
     # same interning codes, same shapes
     assert [a.code for a in (q.examples[0].inputs[i].atom for i in range(3))] == [0, 1, 2]
+
+
+def test_relabeling_never_merges_atoms():
+    # atom-swap-raw maps A to C, which no raw morphism does; renaming A to
+    # the C it keeps would merge the two atoms into one realizable set
+    p = load_problem("problems/atom_swap_raw.json")
+    with pytest.raises(ValueError, match="'C'"):
+        relabel_problem(p, {"A": "C"})
+    swapped = relabel_problem(p, {"A": "C", "C": "A"})
+    assert swapped.atoms.labels == ("C", "A")
+    assert isinstance(check(swapped).verdict, Unrealizable)
 
 
 def test_serialize_parse_fixpoint():

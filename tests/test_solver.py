@@ -68,6 +68,15 @@ def test_run_solver_spawn_failure():
         run_solver(TRUE_SCRIPT, cfg)
 
 
+def test_unspawnable_solver_is_a_solver_error(unspawnable):
+    cfg = SolverConfig(solver_command=unspawnable)
+    with pytest.raises(SolverError, match="cannot spawn solver"):
+        run_solver(TRUE_SCRIPT, cfg)
+    p = build_problem("swap", Signature(UNIT, ID, ID), SketchKind.RAW, [(UnitV(), [atom("a")], atom("b"))])
+    with pytest.raises(SolverError, match="cannot spawn solver"):
+        check(p, cfg, backend="smt")
+
+
 def test_solver_config_rejects_nonpositive_timeout():
     with pytest.raises(ValueError):
         SolverConfig(timeout_ms=0)
