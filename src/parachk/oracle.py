@@ -29,10 +29,18 @@ search raises BoundExceeded, and so does one that spends a given
 Grounding reads the slot keys propagation recorded (`Known.key`) and keys
 each intermediate once.
 
-`oracle_decide` is the one entry point: one loop that grounds and searches
-each completion, the one of a complete set or, under a budget, every
-shape-consistent guess from small candidate shapes of a shape-incomplete
-set, all under the one budget.
+Of a shape-incomplete set, what every realization shares is decided before
+any guess. The shape morphism is a function, so the pinned shapes force the
+shape of some unpinned suffixes, and a clash among them refutes the set for
+every schema (`forced_shapes`). The constraints whose intermediates all
+have known shapes form the guess-free part, which `ground` grounds when a
+completion leaves the other suffixes out: every realization restricts to a
+solution of it, so a refuted part refutes the set.
+
+`oracle_decide` is the one entry point: it grounds and searches the one
+completion of a complete set or, under a budget, the guess-free part of a
+shape-incomplete set and then every shape-consistent guess from small
+candidate shapes for the suffixes left, all under the one budget.
 """
 
 from __future__ import annotations
@@ -142,13 +150,16 @@ def _pinned(cs: ConstraintSet) -> dict[TraceKey, ShapeValue]:
 def intermediate_shapes(
     cs: ConstraintSet, shapes: Mapping[TraceKey, ShapeValue]
 ) -> dict[int, ShapeValue]:
-    """The shape of each trace intermediate, by uid: the one `shapes` gives
-    the suffix of the trace it is the fold result of."""
+    """The shape of each trace intermediate whose suffix has a shape in
+    `shapes`, by uid: the one `shapes` gives the suffix of the trace it is
+    the fold result of."""
     resolved: dict[int, ShapeValue] = {}
     for trace in cs.traces:
         h, seq = trace.key
         for k in range(1, len(seq)):
-            resolved[trace.steps[k - 1].output.uid] = shapes[(h, seq[-k:])]
+            shape = shapes.get((h, seq[-k:]))
+            if shape is not None:
+                resolved[trace.steps[k - 1].output.uid] = shape
     return resolved
 
 
@@ -158,8 +169,10 @@ def ground(
     """Give each trace intermediate the shape of its suffix in `shapes`, a
     completion, and check the shape morphism is a function. Without
     `shapes`, the completion that guesses nothing: a set with an unpinned
-    suffix raises Ungroundable. Known containers bring their keys; each
-    intermediate is keyed once."""
+    suffix raises Ungroundable. Where `shapes` leaves a suffix out, its
+    intermediates are left out, and so is every constraint that reads or
+    yields one: that grounds the part of the set the given shapes settle.
+    Known containers bring their keys; each intermediate is keyed once."""
     if shapes is None:
         missing = unpinned_suffixes([trace.key for trace in cs.traces])
         if missing:
@@ -167,6 +180,13 @@ def ground(
         shapes = _pinned(cs)
     inter_shapes = intermediate_shapes(cs, shapes)
     cs.input_schemas()  # an input part without fixed-arity shapes raises here
+    constraints = cs.constraints
+    if len(inter_shapes) < cs.unknown_count:
+        constraints = tuple(
+            c
+            for c in constraints
+            if all(type(x) is Known or x.uid in inter_shapes for x in (*c.inputs, c.output))
+        )
 
     inter_keys: dict[int, tuple[int, ...]] = {}
     inter_terms: dict[int, tuple[int, ...]] = {}
@@ -182,7 +202,7 @@ def ground(
     shape_map: dict[tuple[int, ...], ShapeValue] = {}
     out_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
     grounded = []
-    for c in cs.constraints:
+    for c in constraints:
         key, in_terms = read_inputs(c, inter_keys, inter_terms)
         out = c.output
         if type(out) is Known:
@@ -413,35 +433,98 @@ def candidate_shapes(cs: ConstraintSet) -> tuple[list[ShapeValue], bool]:
     return shapes, all(slot.kind == "bool" for slot in schema.slots)
 
 
+def _ties(cs: ConstraintSet) -> dict[TraceKey, TraceKey]:
+    """Each nonempty suffix s = (h, [e, *rest]) of a trace, with its tail
+    (h, rest): the morphism maps (h, e, shape of tail) to the shape of s,
+    and the empty suffix (h, []) has the shape of the base."""
+    ties = {}
+    for trace in cs.traces:
+        h, seq = trace.key
+        for i in range(len(seq)):
+            ties[(h, seq[i:])] = (h, seq[i + 1 :])
+    return ties
+
+
+def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> dict[TraceKey, ShapeValue]:
+    """The shape every realization gives a suffix, wherever the examples
+    fix one: the pinned shapes (`_pinned`) and the shapes they force.
+
+    Where the tail of a suffix s (`_ties`) has a known shape ρ' and a tie
+    between known shapes already maps (h, e, ρ') to ρ, s has shape ρ in
+    every realization, because the shape morphism is a function. Forcing
+    repeats to a fixpoint, and each tie looked at spends one step of
+    `budget`. Two known ties that map one argument to two shapes raise
+    ShapeConflict, which no guess and no schema mends; where a forced shape
+    is involved, the detail names its suffix."""
+    shape = _pinned(cs)
+    ties = _ties(cs)
+    table: dict[tuple, ShapeValue] = {}  # (h, e, shape of tail) -> shape of s
+    pending = []
+    budget.spend(len(ties))
+    for s, tail in ties.items():
+        if s in shape and tail in shape:
+            arg = (s[0], s[1][0], shape[tail])
+            if table.setdefault(arg, shape[s]) != shape[s]:
+                raise ShapeConflict(
+                    "the shapes the examples pin map one input shape to two shapes"
+                )
+        else:
+            pending.append((s, tail))
+    # every tie left has an unpinned side; one that clashes has a pinned
+    # suffix, so its tail is the forced one
+    while pending:
+        waiting = []
+        for s, tail in pending:
+            rho = shape.get(tail)
+            if rho is None:
+                waiting.append((s, tail))
+                continue
+            arg = (s[0], s[1][0], rho)
+            prior = table.get(arg)
+            if s not in shape:
+                if prior is None:
+                    waiting.append((s, tail))
+                else:
+                    shape[s] = prior
+            elif prior is None:
+                table[arg] = shape[s]
+            elif prior != shape[s]:
+                raise ShapeConflict(
+                    f"the suffix {show_trace_key(tail)} is forced to the shape "
+                    f"{show_shape(rho)}, so one input shape maps to both "
+                    f"{show_shape(prior)} and {show_shape(shape[s])}"
+                )
+        if len(waiting) == len(pending):
+            break
+        budget.spend(len(waiting))
+        pending = waiting
+    return shape
+
+
 def consistent_completions(
     cs: ConstraintSet,
+    known: dict[TraceKey, ShapeValue],
     missing: list[TraceKey],
     shapes: list[ShapeValue],
     budget: StepBudget,
 ) -> Iterator[dict[TraceKey, ShapeValue]]:
-    """Every completion of `missing` from `shapes` under which the shape
-    morphism stays a function: every one that `ground` accepts. Each gives
-    the shape of every suffix, pinned and guessed. Raises ShapeConflict
-    before the first when the pinned shapes clash, which no guess mends.
+    """Every completion of `known` that guesses each suffix of `missing`
+    from `shapes` and under which the shape morphism stays a function:
+    every one that `ground` accepts. Each gives the shape of every suffix,
+    known and guessed. Raises ShapeConflict before the first when the
+    known shapes clash, which no guess mends.
 
-    A suffix s = (h, [e, *rest]) ties its shape to that of its tail
-    (h, rest), and the empty suffix (h, []) has the shape of the base: the
-    morphism maps (h, e, shape of tail) to the shape of s. The shortest
-    unpinned suffixes are guessed first, each tie is checked as soon as
-    both its shapes are fixed, and a guess that clashes is not extended.
+    The shortest suffixes of `missing` are guessed first, each tie
+    (`_ties`) is checked as soon as both its shapes are fixed, and a guess
+    that clashes is not extended.
     Each tie checked spends one step of `budget`.
     """
-    pinned = _pinned(cs)
-    shape = dict(pinned)
+    shape = dict(known)
     order = sorted(missing, key=lambda key: len(key[1]))
     level = {key: i for i, key in enumerate(order)}
-    ties: dict[TraceKey, TraceKey] = {}
-    for h, seq in pinned:
-        for i in range(len(seq)):
-            ties[(h, seq[i:])] = (h, seq[i + 1 :])
     # the ties whose later shape is guessed at each level; -1: none guessed
     checks: dict[int, list[tuple[TraceKey, TraceKey]]] = {}
-    for s, tail in ties.items():
+    for s, tail in _ties(cs).items():
         at = max(level.get(s, -1), level.get(tail, -1))
         checks.setdefault(at, []).append((s, tail))
 
@@ -464,7 +547,10 @@ def consistent_completions(
         return added
 
     if fix(checks.get(-1, [])) is None:
-        raise ShapeConflict("the shapes the examples pin map one input shape to two shapes")
+        raise ShapeConflict("the known shapes map one input shape to two shapes")
+    if not order:
+        yield dict(shape)
+        return
     choice = [-1] * len(order)  # index into `shapes` of the guess at each level
     undo: list[list] = [[] for _ in order]
     i = 0
@@ -488,42 +574,65 @@ def consistent_completions(
             yield dict(shape)
 
 
+PART_REFUTED = "the steps whose intermediates have known shapes are already unrealizable"
+
+
+def _charged_ground(
+    cs: ConstraintSet, shapes: Mapping[TraceKey, ShapeValue], budget: StepBudget
+) -> GroundInstance:
+    """`ground`, charging `budget` one step per constraint and ground term."""
+    gi = ground(cs, shapes)
+    budget.spend(sum(1 + len(c.in_terms) + len(c.out_terms) for c in gi.constraints))
+    return gi
+
+
 def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict | None:
     """Decide `cs` by search, or return None where SMT must decide.
 
-    Each completion is grounded and searched in turn: the one that guesses
-    nothing of a raw, map or shape-complete set, or, under a budget, each
-    shape-consistent completion of a shape-incomplete set from the
-    `candidate_shapes`, whose grounding costs one step per constraint and
-    ground term. Without a budget a shape-incomplete set raises
-    Ungroundable. Realizable carries the first witness found, for the
-    caller to replay. Unrealizable needs a conflict that involves no
-    guessed shape, or every completion refuted when the completions cover
-    every shape: the one of a complete set does, and so do the guesses for
-    an all-bool result. A conflict under a guessed shape proves nothing:
-    None. Going past MAX_POSITIONS, MAX_SHAPES or the budget raises
-    BoundExceeded.
+    A raw, map or shape-complete set has one completion, the one that
+    guesses nothing: it is grounded and searched, and its verdict is the
+    verdict. A shape-incomplete set raises Ungroundable without a budget.
+    Under one, what every realization shares is decided before any guess:
+    - the shapes the pinned ones force (`forced_shapes`), where a clash is
+      Unrealizable; with every suffix forced, the set is decided as a
+      complete one;
+    - the guess-free part: the constraints whose intermediates all have
+      known shapes, grounded and searched. Every realization restricts to
+      a solution of it, so a refuted part is Unrealizable, and a realizable
+      one proves nothing.
+    Then each shape-consistent completion of the suffixes left from the
+    `candidate_shapes` is grounded and searched in turn. Every grounding
+    of a shape-incomplete set costs one step per constraint and ground
+    term. Realizable carries the first witness found, for the caller to
+    replay. A conflict under a guessed shape proves nothing, so it is None,
+    and so is every completion refuted, unless the candidates cover every
+    shape, as the guesses for an all-bool result do. Going past
+    MAX_POSITIONS, MAX_SHAPES or the budget raises BoundExceeded.
     """
     missing = unpinned_suffixes([trace.key for trace in cs.traces])
     if missing and budget is None:
         raise Ungroundable(missing)
-    covered, detail = True, "every completion has a shape conflict"
     try:
-        if missing:
-            budget.completed = True
-            shapes, covered = candidate_shapes(cs)
-            completions = consistent_completions(cs, missing, shapes, budget)
-        else:
-            completions = [_pinned(cs)]
-        for completion in completions:
+        if not missing:
+            return oracle_check(ground(cs, _pinned(cs)), budget)
+        budget.completed = True
+        known = forced_shapes(cs, budget)
+        part = _charged_ground(cs, known, budget)
+        missing = [key for key in missing if key not in known]
+        if not missing:
+            return oracle_check(part, budget)
+        if part.constraints:
+            verdict = oracle_check(part, budget)
+            if isinstance(verdict, Unrealizable):
+                detail = verdict.detail
+                return Unrealizable(f"{PART_REFUTED}: {detail}" if detail else PART_REFUTED)
+        shapes, covered = candidate_shapes(cs)
+        detail = "every completion has a shape conflict"
+        for completion in consistent_completions(cs, known, missing, shapes, budget):
             try:
-                gi = ground(cs, completion)
-            except ShapeConflict as e:
-                return None if missing else Unrealizable(str(e))
-            if missing:
-                budget.spend(
-                    sum(1 + len(c.in_terms) + len(c.out_terms) for c in gi.constraints)
-                )
+                gi = _charged_ground(cs, completion, budget)
+            except ShapeConflict:
+                return None
             verdict = oracle_check(gi, budget)
             if isinstance(verdict, Realizable):
                 return verdict

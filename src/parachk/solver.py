@@ -5,19 +5,22 @@ and reading its results.
 the examples first, and a conflict visible there is already the verdict.
 `check` sends every other set to the brute-force oracle's one entry
 point, `oracle.oracle_decide`, with a budget of ORACLE_MAX_STEPS steps and
-no script or process. It searches once per completion: a raw, map or
-shape-complete set has the one that guesses nothing, and a
-shape-incomplete set one per guess of a small shape (lists of length
-0..4, both values of a bool, observed ints ±1) for every fold
-intermediate no example pins. Raw and map sets are settled by scans alone,
-and so is any position that no intermediate ties; only positions tied
-through fold intermediates are searched. `oracle_verdict` is the one
-replay gate: an oracle witness counts only once it replays. Unrealizable
-needs no solver only where it holds for every shape: a failed scan or
-search of a shape-complete set, a conflict that involves no guessed shape,
-or every completion refuted when every result slot is bool. The SMT path
-decides everything else: a fold set no completion settles, and a search
-that goes past the oracle's limits or proposes a witness that fails replay.
+no script or process. A raw, map or shape-complete set has one completion,
+the one that guesses nothing. Of a shape-incomplete set, the oracle first
+decides what every realization shares: the shapes the pinned ones force,
+and the guess-free part, the steps whose intermediates all have known
+shapes. Then it searches once per guess of a small shape (lists of length
+0..4, both values of a bool, observed ints ±1) for every fold intermediate
+left. Raw and map sets are settled by scans alone, and so is any position
+that no intermediate ties; only positions tied through fold intermediates
+are searched. `oracle_verdict` is the one replay gate: an oracle witness
+counts only once it replays. Unrealizable needs no solver only where it
+holds for every shape: a failed scan or search of a shape-complete set, a
+conflict that involves no guessed shape (a forced clash among them), a
+refuted guess-free part, or every completion refuted when every result
+slot is bool. The SMT path decides everything else: a fold set that no
+rule and no completion settles, and a search that goes past the oracle's
+limits or proposes a witness that fails replay.
 `backend="smt"` always takes the SMT path for the steps, so the oracle can
 be cross-checked against it; `parachk oracle` has `decide` search the
 steps without a budget or an SMT fallback. Before the steps, `decide`
@@ -515,8 +518,9 @@ class CheckReport:
     solver_ms: float
     # which path decided: "fast-path" (propagation), "oracle" (a refuted
     # base case or a shape-complete set), "oracle+completion" (a
-    # shape-incomplete set settled by guessed intermediate shapes), "smt",
-    # or "smt+shrink" (a second, shrink-bounded script ran after `sat`)
+    # shape-incomplete set settled in-process: by forced shapes, its
+    # guess-free part or guessed intermediate shapes), "smt", or
+    # "smt+shrink" (a second, shrink-bounded script ran after `sat`)
     path: str = "smt"
 
 

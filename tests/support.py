@@ -161,6 +161,26 @@ def random_foldr_problem(rng: random.Random, realizable: bool = True) -> Problem
     return mutate_problem(rng, problem)
 
 
+def dropped_examples(rng: random.Random, p: Problem) -> Problem:
+    """`p` with each example kept at random, so that suffixes go unpinned."""
+    examples = [(e.extra, e.inputs, e.output, e.base) for e in p.examples]
+    kept = [ex for ex in examples if rng.random() < 0.6] or examples[-1:]
+    return build_problem(p.name, p.signature, p.sketch, kept)
+
+
+def reverse_gap() -> Problem:
+    """reverse as a fold with its length-5 example left out: the fold of
+    [b,c,d,e,f] must hold five atoms, one more than the longest candidate
+    shape, so no completion is realizable, yet the set is. No rule that
+    guesses nothing refutes it, so `check` sends it to SMT."""
+    xs = [atom(x) for x in "abcdef"]
+    examples = [
+        (UnitV(), xs[-n:], ListV(tuple(reversed(xs[-n:]))), ListV(()))
+        for n in (1, 2, 3, 4, 6)
+    ]
+    return build_problem("reverse-gap", Signature(UNIT, ID, ListOf(ID)), SketchKind.FOLDR, examples)
+
+
 def mutate_problem(rng: random.Random, p: Problem) -> Problem:
     """Perturb one output; the result is often, not always, unrealizable."""
     examples = [list(ex) for ex in ((e.extra, e.inputs, e.output, e.base) for e in p.examples)]

@@ -11,6 +11,7 @@ from parachk import load_problem, problem_to_json, shape_complete, solver
 from parachk.bench import corpus
 from parachk.cli import main
 
+import support
 from conftest import needs_solver
 
 PROBLEMS = "problems"
@@ -40,13 +41,29 @@ def test_check_json_reports_the_deciding_path(capsys):
     assert code == 1 and payload["path"] == "oracle" and "fast_path" not in payload
 
 
-@needs_solver
 def test_check_json_format(capsys):
     code = main(["check", f"{PROBLEMS}/tail_as_foldr_minimal.json", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["verdict"] == "Unrealizable"
     assert payload["name"] == "tail-as-foldr-minimal"
+    assert payload["path"] == "oracle+completion" and payload["solver_ms"] == 0
+    assert payload["detail"] == (
+        "the steps whose intermediates have known shapes are already unrealizable"
+    )
+
+
+def test_check_json_names_a_forced_clash(tmp_path, capsys):
+    path = tmp_path / "init-si.json"
+    (init,) = [e for e in corpus() if e.name == "init"]
+    path.write_text(problem_to_json(init.problem_si))
+    code = main(["check", str(path), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["path"] == "oracle+completion"
+    assert payload["detail"] == (
+        "the suffix extra (), inputs [*, *] is forced to the shape [], so one "
+        "input shape maps to both [] and [*,*]"
+    )
 
 
 @pytest.mark.parametrize("command", ["check", "oracle"])
@@ -478,9 +495,11 @@ def test_unspawnable_solver_exit_three(capsys, unspawnable):
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
-def test_unbalanced_quote_in_the_solver_command_is_an_input_error(capsys, monkeypatch, via):
+def test_unbalanced_quote_in_the_solver_command_is_an_input_error(tmp_path, capsys, monkeypatch, via):
     # the problem goes to SMT on the auto backend, so the command is parsed
-    argv = ["check", f"{PROBLEMS}/tail_as_foldr_minimal.json"]
+    path = tmp_path / "reverse-gap.json"
+    path.write_text(problem_to_json(support.reverse_gap()))
+    argv = ["check", str(path)]
     if via == "flag":
         argv += ["--solver", "z3 '-in"]
     else:

@@ -2,11 +2,14 @@
 acceptance suite runs the full 200-instance agreement check; this is the
 fast everyday version."""
 
+import glob
 import random
 
 from parachk import (
     Realizable,
+    UnknownVerdict,
     check,
+    load_problem,
     oracle_decide,
     propagate,
     shape_complete,
@@ -42,10 +45,21 @@ def test_oracle_and_solver_agree_on_the_benchmark(cfg):
         oracle_verdict = oracle_decide(cs)
         solver_verdict = check(entry.problem_sc, cfg, backend="smt").verdict
         assert same_variant(oracle_verdict, solver_verdict), entry.name
-        expected = Realizable if entry.expected_fold else type(oracle_verdict)
         assert verdict_name(oracle_verdict).startswith(
             "Realizable" if entry.expected_fold else "Unrealizable"
         ), entry.name
+    # the shape-incomplete sets and the problem files, which the auto route
+    # decides by forced shapes, guess-free parts and guesses: a verdict it
+    # gives must be the solver's
+    problems = [entry.problem_si for entry in corpus()]
+    problems += [load_problem(path) for path in sorted(glob.glob("problems/*.json"))]
+    for p in problems:
+        auto = check(p, cfg).verdict
+        if not isinstance(auto, UnknownVerdict):
+            smt = check(p, cfg, backend="smt").verdict
+            assert same_variant(auto, smt), (
+                f"{p.name}: auto {verdict_name(auto)} vs smt {verdict_name(smt)}"
+            )
 
 
 @needs_solver

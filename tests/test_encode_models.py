@@ -10,7 +10,7 @@ found a witness, and `check` would report a wrong Unrealizable.
 import glob
 import random
 
-from parachk import build_problem, encode, load_problem, propagate
+from parachk import encode, load_problem, propagate
 from parachk.bench import corpus
 from parachk.encode import shrink_assertions
 from parachk.oracle import BoundExceeded, StepBudget
@@ -101,17 +101,10 @@ def test_every_oracle_witness_of_the_corpus_and_problem_files_is_a_model():
     assert kinds.count("complete") >= 8 and "completion" in kinds
 
 
-def _dropped(rng, p):
-    """`p` with each example kept at random, so that suffixes go unpinned."""
-    examples = [(e.extra, e.inputs, e.output, e.base) for e in p.examples]
-    kept = [ex for ex in examples if rng.random() < 0.6] or examples[-1:]
-    return build_problem(p.name, p.signature, p.sketch, kept)
-
-
 def test_every_oracle_witness_of_drawn_folds_is_a_model():
     rng = random.Random(31)
     kinds = []
     for _ in range(300):
         p = support.random_foldr_problem(rng, realizable=rng.random() < 0.8)
-        kinds.append(assert_admitted(_dropped(rng, p)))
+        kinds.append(assert_admitted(support.dropped_examples(rng, p)))
     assert kinds.count("complete") >= 50 and kinds.count("completion") >= 50

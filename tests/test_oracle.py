@@ -46,6 +46,7 @@ from parachk.oracle import (
     Ungroundable,
     candidate_shapes,
     consistent_completions,
+    forced_shapes,
     intermediate_shapes,
 )
 from parachk import oracle
@@ -358,8 +359,11 @@ def test_consistent_completions_are_those_ground_accepts():
                 accepted.append(completion)
             except ShapeConflict:
                 pass
+        budget = StepBudget(10**9)
         try:
-            found = list(consistent_completions(cs, missing, shapes, StepBudget(10**9)))
+            known = forced_shapes(cs, budget)
+            unforced = [key for key in missing if key not in known]
+            found = list(consistent_completions(cs, known, unforced, shapes, budget))
         except ShapeConflict:
             found = []
         # each completion carries the pinned shapes along with its guesses
@@ -384,13 +388,15 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
         ground(cs)
     shapes, _ = candidate_shapes(cs)
     guessing = StepBudget(10**9)
-    assert len(list(consistent_completions(cs, err.value.missing, shapes, guessing))) == 58
+    known = forced_shapes(cs, guessing)
+    assert known == oracle._pinned(cs)  # no suffix is forced
+    assert len(list(consistent_completions(cs, known, err.value.missing, shapes, guessing))) == 58
     budget = StepBudget(10**9)
     assert oracle_decide(cs, budget) is None
     assert guessing.left - budget.left >= 58 * len(cs.constraints)
     # guessing alone spends steps too
     with pytest.raises(BoundExceeded):
-        list(consistent_completions(cs, err.value.missing, shapes, StepBudget(100)))
+        list(consistent_completions(cs, known, err.value.missing, shapes, StepBudget(100)))
 
 
 # The suffix keying of the parent change, kept here to compare with: a

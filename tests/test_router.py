@@ -1,9 +1,9 @@
 """The engine router inside `check`: shape-complete sets are decided by the
-oracle without a solver, and so are the shape-incomplete sets that a guess
-of small intermediate shapes settles; the rest, and whatever the oracle
-cannot settle, go to SMT. The solver here is a stub that fails when it is
-spawned, so a check that returns proves no process ran, and a SolverError
-proves the SMT path was taken."""
+oracle without a solver, and so are the shape-incomplete sets that a rule
+guessing nothing refutes or a guess of small intermediate shapes settles;
+the rest, and whatever the oracle cannot settle, go to SMT. The solver here
+is a stub that fails when it is spawned, so a check that returns proves no
+process ran, and a SolverError proves the SMT path was taken."""
 
 import glob
 import os
@@ -42,6 +42,7 @@ from parachk import (
     verdict_name,
 )
 from parachk import oracle, solver
+from parachk.propagate import unpinned_suffixes
 
 import support
 from test_cli import _fake_solver
@@ -85,7 +86,8 @@ def test_oracle_witness_replays(no_spawn):
 
 
 def test_shape_incomplete_set_goes_to_smt(no_spawn):
-    assert_spawns(load_problem(f"{PROBLEMS}/tail_as_foldr_minimal.json"), no_spawn)
+    # the guard of every test that needs a set to reach SMT on auto
+    assert_spawns(support.reverse_gap(), no_spawn)
 
 
 def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
@@ -128,8 +130,8 @@ def _route_case(case):
     return entry.problem_sc if which == "sc" else entry.problem_si
 
 
-# Every fold-corpus problem: its verdict and the path that decided it, or
-# (None, "smt") where the check spawns the solver.
+# Every fold-corpus problem: its verdict and the path that decided it; none
+# spawns the solver.
 ROUTES = [
     ("null/sc", "Realizable", "oracle"),
     ("null/si", "Realizable", "oracle+completion"),
@@ -140,15 +142,15 @@ ROUTES = [
     ("last/sc", "Realizable", "oracle"),
     ("last/si", "Realizable", "oracle+completion"),
     ("tail/sc", "Unrealizable", "oracle"),
-    ("tail/si", None, "smt"),
+    ("tail/si", "Unrealizable", "oracle+completion"),
     ("init/sc", "Unrealizable", "oracle"),
-    ("init/si", None, "smt"),
+    ("init/si", "Unrealizable", "oracle+completion"),
     ("reverse/sc", "Realizable", "oracle"),
     ("reverse/si", "Realizable", "oracle+completion"),
     ("index/sc", "Unrealizable", "oracle"),
     ("index/si", "Unrealizable", "oracle+completion"),
     ("drop/sc", "Unrealizable", "oracle"),
-    ("drop/si", None, "smt"),
+    ("drop/si", "Unrealizable", "oracle+completion"),
     ("take/sc", "Realizable", "oracle"),
     ("take/si", "Realizable", "oracle+completion"),
     ("splitAt/sc", "Realizable", "oracle"),
@@ -167,7 +169,7 @@ ROUTES = [
     ("drop_as_foldr.json", "Unrealizable", "oracle"),
     ("reverse_as_foldr.json", "Realizable", "oracle"),
     ("reverse_as_map.json", "Unrealizable", "oracle"),
-    ("tail_as_foldr_minimal.json", None, "smt"),
+    ("tail_as_foldr_minimal.json", "Unrealizable", "oracle+completion"),
     ("invented_base.json", "Unrealizable", "oracle"),
 ]
 
@@ -181,11 +183,7 @@ def test_route_table_covers_the_fold_corpus():
 
 @pytest.mark.parametrize("case, verdict, path", ROUTES)
 def test_route_table(no_spawn, case, verdict, path):
-    problem = _route_case(case)
-    if verdict is None:
-        assert_spawns(problem, no_spawn)
-        return
-    report = check(problem, no_spawn)
+    report = check(_route_case(case), no_spawn)
     assert report.solver_ms == 0.0
     assert (verdict_name(report.verdict), report.path) == (verdict, path)
 
@@ -206,24 +204,38 @@ def test_incomplete_set_with_bool_slots_only_is_refuted_without_a_solver(no_spaw
     assert isinstance(report.verdict, Unrealizable)
 
 
+# the forced clash of init/si, and the one step of the others that no guess
+# touches: the 3-element example's last, whose accumulator the 2-element
+# example pins to length 1, and whose two output atoms one accumulator
+# position and the head cannot both give
+GUESS_FREE_REFUTATIONS = {
+    "tail/si": oracle.PART_REFUTED,
+    "init/si": (
+        "the suffix extra (), inputs [*, *] is forced to the shape [], so one "
+        "input shape maps to both [] and [*,*]"
+    ),
+    "drop/si": oracle.PART_REFUTED,
+}
+
+
 @pytest.mark.parametrize("name", ["tail", "init", "drop"])
 def test_unrealizable_incomplete_sets_with_list_slots_go_to_smt(no_spawn, name):
-    # every small completion is refuted, but a longer intermediate might not be
-    assert_spawns(ENTRIES[name].problem_si, no_spawn)
+    # named for the route these sets took while only guesses could refute
+    # them: every small completion is refuted, but a longer intermediate
+    # might not be. A rule that guesses nothing now refutes each
+    report = check(ENTRIES[name].problem_si, no_spawn)
+    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+    assert isinstance(report.verdict, Unrealizable)
+    assert report.verdict.detail == GUESS_FREE_REFUTATIONS[f"{name}/si"]
 
 
-def test_intermediate_longer_than_every_candidate_goes_to_smt(no_spawn):
-    # reverse with the length-5 example left out: the fold of [b,c,d,e,f]
-    # must hold five atoms, one more than the longest candidate, so no
-    # completion is realizable, yet the set is
-    xs = [atom(x) for x in "abcdef"]
-    examples = [
-        (UnitV(), xs[-n:], ListV(tuple(reversed(xs[-n:]))), ListV(()))
-        for n in (1, 2, 3, 4, 6)
-    ]
-    p = build_problem("reverse-gap", Signature(UNIT, ID, ListOf(ID)), SketchKind.FOLDR, examples)
+def test_intermediate_longer_than_every_candidate_goes_to_smt(no_spawn, monkeypatch):
+    p = support.reverse_gap()
     assert shape_complete(p).missing == ("extra (), inputs [*, *, *, *, *]",)
     assert_spawns(p, no_spawn)
+    # a length-5 candidate realizes it
+    monkeypatch.setattr(oracle, "COMPLETION_LENGTHS", range(6))
+    assert_completed(p, no_spawn)
 
 
 def test_conflict_among_full_examples_needs_no_completion(no_spawn):
@@ -353,16 +365,24 @@ def test_clash_through_a_base_is_unrealizable_without_a_solver(no_spawn, groundi
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_conflict_in_a_guessed_completion_is_never_unrealizable(monkeypatch, name):
-    # a shape conflict under guessed shapes proves nothing about other shapes
+    # a shape conflict under guessed shapes proves nothing about other
+    # shapes: the set goes to SMT, unless a rule that guesses nothing
+    # refutes it first, as it does without the conflict
+    problem = ENTRIES[name].problem_si
+    real = _auto_verdict(problem)
     real_ground = oracle.ground
 
     def clashing_ground(cs, completion=None):
-        if completion:
+        known = oracle.forced_shapes(cs, oracle.StepBudget(float("inf")))
+        if completion and set(completion) - set(known):
             raise oracle.ShapeConflict("a guessed shape clashes")
         return real_ground(cs, completion)
 
     monkeypatch.setattr(oracle, "ground", clashing_ground)
-    assert not isinstance(_auto_verdict(ENTRIES[name].problem_si), Unrealizable)
+    guessed = _auto_verdict(problem)
+    if guessed is not None:
+        assert isinstance(real, Unrealizable) and isinstance(guessed, Unrealizable)
+        assert guessed.detail == real.detail == GUESS_FREE_REFUTATIONS[f"{name}/si"]
 
 
 def _from_nowhere(p):
@@ -405,6 +425,60 @@ def test_completion_never_contradicts_construction(seed):
     r = _from_nowhere(q)
     if r is not None:
         assert not isinstance(_auto_verdict(r), Realizable)
+
+
+def test_guess_free_rules_never_refute_a_realizable_draw():
+    rng = random.Random(1917)
+    for _ in range(1000):
+        p = support.dropped_examples(rng, support.random_foldr_problem(rng))
+        assert not isinstance(_auto_verdict(p), Unrealizable), p.name
+
+
+def _wide_witness(cs) -> bool | None:
+    """Whether some shape-consistent completion of the pinned shapes, with
+    list lengths 0..8, is realizable: found by guessing alone, with no
+    forced shape and no guess-free part. None past 2,000,000 steps or the
+    search bounds."""
+    budget = oracle.StepBudget(2_000_000)
+    shapes, _ = oracle.candidate_shapes(cs)
+    missing = unpinned_suffixes([trace.key for trace in cs.traces])
+    try:
+        for completion in oracle.consistent_completions(cs, oracle._pinned(cs), missing, shapes, budget):
+            if isinstance(oracle.oracle_check(oracle.ground(cs, completion), budget), Realizable):
+                return True
+    except oracle.ShapeConflict:
+        return False
+    except oracle.BoundExceeded:
+        return None
+    return False
+
+
+def test_guess_free_refutations_have_no_wide_realization(monkeypatch):
+    """Every shape-incomplete draw that `check` refutes has no realizable
+    completion with lists up to 8 long, twice the longest candidate."""
+    rng = random.Random(4242)
+    refuted = []
+    for _ in range(2000):
+        p = support.random_foldr_problem(rng, realizable=rng.random() < 0.5)
+        p = support.dropped_examples(rng, p)
+        try:
+            report = check(p, NO_SOLVER)
+        except SolverError:
+            continue
+        if isinstance(report.verdict, Unrealizable) and report.path == "oracle+completion":
+            refuted.append((p, report.verdict.detail))
+    # the budget alone bounds these searches
+    monkeypatch.setattr(oracle, "COMPLETION_LENGTHS", range(9))
+    monkeypatch.setattr(oracle, "MAX_POSITIONS", 64)
+    monkeypatch.setattr(oracle, "MAX_SHAPES", 64)
+    wide = [_wide_witness(propagate(p)) for p, _ in refuted]
+    assert True not in wide, [p.name for (p, _), w in zip(refuted, wide) if w]
+    past_budget = wide.count(None)
+    assert past_budget <= 1, f"{past_budget} of {len(refuted)} refuted sets were not checked"
+    # the rules that guess nothing refute sets of their own
+    forced = [d for _, d in refuted if d.startswith("the suffix ")]
+    part = [d for _, d in refuted if d.startswith(oracle.PART_REFUTED)]
+    assert len(forced) >= 5 and len(part) >= 10, (len(forced), len(part))
 
 
 def test_set_over_the_oracle_bounds_goes_to_smt(no_spawn):
@@ -495,8 +569,8 @@ def test_invented_base_is_unrealizable_on_both_backends(tmp_path, backend):
     "name, backend, answer, path",
     [
         ("reverse_as_foldr.json", "auto", None, "oracle"),
-        ("tail_as_foldr_minimal.json", "auto", "sat\n(\n)", "smt+shrink"),
-        ("tail_as_foldr_minimal.json", "auto", "unsat", "smt"),
+        ("reverse-gap", "auto", "sat\n(\n)", "smt+shrink"),
+        ("reverse-gap", "auto", "unsat", "smt"),
         ("reverse_as_foldr.json", "smt", "sat\n(\n)", "smt+shrink"),
         ("reverse_as_foldr.json", "smt", "unsat", "smt"),
     ],
@@ -511,7 +585,8 @@ def test_base_case_is_decided_once_per_fold(tmp_path, no_spawn, monkeypatch, nam
 
     monkeypatch.setattr(solver, "base_case_verdict", counting)
     cfg = no_spawn if answer is None else _answering(tmp_path, answer)
-    report = check(load_problem(f"{PROBLEMS}/{name}"), cfg, backend=backend)
+    problem = support.reverse_gap() if name == "reverse-gap" else load_problem(f"{PROBLEMS}/{name}")
+    report = check(problem, cfg, backend=backend)
     assert report.path == path and len(calls) == 1
 
 
