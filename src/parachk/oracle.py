@@ -30,12 +30,13 @@ Grounding reads the slot keys propagation recorded (`Known.key`) and keys
 each intermediate once.
 
 Of a shape-incomplete set, what every realization shares is decided before
-any guess. The shape morphism is a function, so the pinned shapes force the
-shape of some unpinned suffixes, and a clash among them refutes the set for
-every schema (`forced_shapes`). The constraints whose intermediates all
-have known shapes form the guess-free part, which `ground` grounds when a
-completion leaves the other suffixes out: every realization restricts to a
-solution of it, so a refuted part refutes the set.
+any guess. The shape morphism is a function, so known shapes force the
+shape of some unpinned suffixes (`_force`), and a clash among the pinned
+and forced ones refutes the set for every schema (`forced_shapes`). The
+constraints whose intermediates all have known shapes form the guess-free
+part, which `ground` grounds when a completion leaves the other suffixes
+out: every realization restricts to a solution of it, so a refuted part
+refutes the set. Each guess is forced through in the same way.
 
 `oracle_decide` is the one entry point: it grounds and searches the one
 completion of a complete set or, under a budget, the guess-free part of a
@@ -408,17 +409,17 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
 COMPLETION_LENGTHS = range(5)
 
 
-def candidate_shapes(cs: ConstraintSet) -> tuple[list[ShapeValue], bool]:
+def candidate_shapes(cs: ConstraintSet, known: Mapping) -> tuple[list[ShapeValue], bool]:
     """The result shapes to try for an unpinned intermediate, and whether
     they are all the shapes there are. A list slot takes the lengths
     COMPLETION_LENGTHS, a bool slot 0 and 1, and an int slot every value it
-    holds in a pinned base or output shape (`_pinned`), and each of those
-    ±1. So the candidates cover the whole shape space exactly when every
-    slot is bool."""
+    holds in a `known` shape (a pinned base or output shape, or a copy of
+    one), and each of those ±1. So the candidates cover the whole shape
+    space exactly when every slot is bool."""
     schema = cs.result_schema()
     seen: list[set[int]] = [set() for _ in schema.slots]
     if any(slot.kind == "int" for slot in schema.slots):
-        for shape in _pinned(cs).values():
+        for shape in known.values():
             for values, v in zip(seen, schema.encode_shape(shape)):
                 values.add(v)
     ranges = []
@@ -445,133 +446,114 @@ def _ties(cs: ConstraintSet) -> dict[TraceKey, TraceKey]:
     return ties
 
 
-def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> dict[TraceKey, ShapeValue]:
-    """The shape every realization gives a suffix, wherever the examples
-    fix one: the pinned shapes (`_pinned`) and the shapes they force.
+@dataclass
+class Forcing:
+    """The known suffix shapes and what they force (`_force`): `table`
+    maps (h, e, shape of tail) to the suffix's shape for every tie between
+    known shapes, `kids` gives the suffixes whose tail each suffix is, and
+    `waiting` the unknown suffixes with a known tail, by that argument."""
 
-    Where the tail of a suffix s (`_ties`) has a known shape ρ' and a tie
-    between known shapes already maps (h, e, ρ') to ρ, s has shape ρ in
-    every realization, because the shape morphism is a function. Forcing
-    repeats to a fixpoint, and each tie looked at spends one step of
-    `budget`. Two known ties that map one argument to two shapes raise
-    ShapeConflict, which no guess and no schema mends; where a forced shape
-    is involved, the detail names its suffix."""
-    shape = _pinned(cs)
-    ties = _ties(cs)
-    table: dict[tuple, ShapeValue] = {}  # (h, e, shape of tail) -> shape of s
-    pending = []
-    budget.spend(len(ties))
-    for s, tail in ties.items():
-        if s in shape and tail in shape:
-            arg = (s[0], s[1][0], shape[tail])
-            if table.setdefault(arg, shape[s]) != shape[s]:
-                raise ShapeConflict(
-                    "the shapes the examples pin map one input shape to two shapes"
-                )
-        else:
-            pending.append((s, tail))
-    # every tie left has an unpinned side; one that clashes has a pinned
-    # suffix, so its tail is the forced one
-    while pending:
-        waiting = []
-        for s, tail in pending:
-            rho = shape.get(tail)
-            if rho is None:
-                waiting.append((s, tail))
-                continue
+    known: dict[TraceKey, ShapeValue]
+    table: dict[tuple, ShapeValue]
+    kids: dict[TraceKey, list[TraceKey]]
+    waiting: dict[tuple, tuple[TraceKey, ...]]
+
+
+def _force(state: Forcing, newly_known: list[TraceKey], budget: StepBudget) -> None:
+    """Propagate newly known suffix shapes through the ties, in place: the
+    shape morphism is a function, so a suffix whose argument the table
+    maps has that shape, and a known suffix gives its shape to every
+    suffix waiting on its argument. Each tie looked at spends one step of
+    `budget`. A known suffix whose argument maps to another shape raises
+    ShapeConflict naming its tail."""
+    known, table, waiting = state.known, state.table, state.waiting
+    todo = list(newly_known)
+    for tail in todo:  # grows by each suffix whose shape is forced
+        rho = known[tail]
+        kids = state.kids.get(tail, ())
+        budget.spend(len(kids))
+        for s in kids:
             arg = (s[0], s[1][0], rho)
             prior = table.get(arg)
-            if s not in shape:
+            if s not in known:
                 if prior is None:
-                    waiting.append((s, tail))
+                    waiting[arg] = waiting.get(arg, ()) + (s,)
                 else:
-                    shape[s] = prior
+                    known[s] = prior
+                    todo.append(s)
             elif prior is None:
-                table[arg] = shape[s]
-            elif prior != shape[s]:
+                table[arg] = known[s]
+                woken = waiting.pop(arg, ())
+                known.update(dict.fromkeys(woken, known[s]))
+                todo.extend(woken)
+            elif prior != known[s]:
                 raise ShapeConflict(
                     f"the suffix {show_trace_key(tail)} is forced to the shape "
                     f"{show_shape(rho)}, so one input shape maps to both "
-                    f"{show_shape(prior)} and {show_shape(shape[s])}"
+                    f"{show_shape(prior)} and {show_shape(known[s])}"
                 )
-        if len(waiting) == len(pending):
-            break
-        budget.spend(len(waiting))
-        pending = waiting
-    return shape
 
 
-def consistent_completions(
-    cs: ConstraintSet,
-    known: dict[TraceKey, ShapeValue],
-    missing: list[TraceKey],
-    shapes: list[ShapeValue],
-    budget: StepBudget,
-) -> Iterator[dict[TraceKey, ShapeValue]]:
-    """Every completion of `known` that guesses each suffix of `missing`
-    from `shapes` and under which the shape morphism stays a function:
-    every one that `ground` accepts. Each gives the shape of every suffix,
-    known and guessed. Raises ShapeConflict before the first when the
-    known shapes clash, which no guess mends.
-
-    The shortest suffixes of `missing` are guessed first, each tie
-    (`_ties`) is checked as soon as both its shapes are fixed, and a guess
-    that clashes is not extended.
-    Each tie checked spends one step of `budget`.
-    """
-    shape = dict(known)
-    order = sorted(missing, key=lambda key: len(key[1]))
-    level = {key: i for i, key in enumerate(order)}
-    # the ties whose later shape is guessed at each level; -1: none guessed
-    checks: dict[int, list[tuple[TraceKey, TraceKey]]] = {}
+def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> Forcing:
+    """The shape every realization gives a suffix, wherever the examples
+    fix one: the pinned shapes (`_pinned`) and the shapes they force
+    (`_force`). Two ties between pinned shapes, or a tie and a forced one,
+    that map one argument to two shapes raise ShapeConflict, which no
+    guess and no schema mends."""
+    known = _pinned(cs)
+    state = Forcing(known, {}, {}, {})
     for s, tail in _ties(cs).items():
-        at = max(level.get(s, -1), level.get(tail, -1))
-        checks.setdefault(at, []).append((s, tail))
+        state.kids.setdefault(tail, []).append(s)
+        if s in known and tail in known:
+            arg = (s[0], s[1][0], known[tail])
+            if state.table.setdefault(arg, known[s]) != known[s]:
+                raise ShapeConflict(
+                    "the shapes the examples pin map one input shape to two shapes"
+                )
+    _force(state, list(known), budget)
+    return state
 
-    table: dict[tuple, ShapeValue] = {}  # (h, e, shape of tail) -> shape of s
 
-    def fix(level_ties: list[tuple[TraceKey, TraceKey]]) -> list | None:
-        """Enter ties into `table` and return the entries added; on a clash
-        remove them again and return None."""
-        budget.spend(len(level_ties))
-        added = []
-        for s, tail in level_ties:
-            arg = (s[0], s[1][0], shape[tail])
-            if arg not in table:
-                table[arg] = shape[s]
-                added.append(arg)
-            elif table[arg] != shape[s]:
-                for a in added:
-                    del table[a]
-                return None
-        return added
-
-    if fix(checks.get(-1, [])) is None:
-        raise ShapeConflict("the known shapes map one input shape to two shapes")
-    if not order:
-        yield dict(shape)
-        return
-    choice = [-1] * len(order)  # index into `shapes` of the guess at each level
-    undo: list[list] = [[] for _ in order]
-    i = 0
-    while i >= 0:
-        for arg in undo[i]:
-            del table[arg]
-        undo[i] = []
-        choice[i] += 1
-        if choice[i] == len(shapes):
-            choice[i] = -1
-            i -= 1
+def _guesses(state: Forcing, s: TraceKey, shapes: list, budget: StepBudget) -> Iterator[Forcing]:
+    """A copy of `state` for each of `shapes` that the unknown suffix `s`,
+    and every suffix waiting on its argument, takes without a clash
+    (`_force`). Each guess spends one step of `budget`."""
+    h, seq = s
+    arg = (h, seq[0], state.known[(h, seq[1:])])
+    for shape in shapes:
+        budget.spend(1)
+        waiting = dict(state.waiting)
+        group = waiting.pop(arg)
+        known = {**state.known, **dict.fromkeys(group, shape)}
+        child = Forcing(known, {**state.table, arg: shape}, state.kids, waiting)
+        try:
+            _force(child, group, budget)
+        except ShapeConflict:
             continue
-        shape[order[i]] = shapes[choice[i]]
-        added = fix(checks.get(i, []))
-        if added is None:
+        yield child
+
+
+def completions(state: Forcing, missing: list, shapes: list, budget: StepBudget) -> Iterator[dict]:
+    """Every completion of `state` (`forced_shapes`) that gives each
+    suffix of `missing` a shape, guessed from `shapes` or forced by a
+    guess, which may lie outside `shapes`, and under which the shape
+    morphism stays a function. The shortest unknown suffix is guessed
+    first (`_guesses`), on an explicit stack, so only `budget` bounds
+    the depth of the guesses."""
+    order = sorted(missing, key=lambda key: len(key[1]))
+    stack = [(iter([state]), 0)]
+    while stack:
+        children, i = stack[-1]
+        state = next(children, None)
+        if state is None:
+            stack.pop()
             continue
-        undo[i] = added
-        if i + 1 < len(order):
+        while i < len(order) and order[i] in state.known:
             i += 1
+        if i == len(order):
+            yield state.known
         else:
-            yield dict(shape)
+            stack.append((_guesses(state, order[i], shapes, budget), i))
 
 
 PART_REFUTED = "the steps whose intermediates have known shapes are already unrealizable"
@@ -600,10 +582,11 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
       known shapes, grounded and searched. Every realization restricts to
       a solution of it, so a refuted part is Unrealizable, and a realizable
       one proves nothing.
-    Then each shape-consistent completion of the suffixes left from the
-    `candidate_shapes` is grounded and searched in turn. Every grounding
-    of a shape-incomplete set costs one step per constraint and ground
-    term. Realizable carries the first witness found, for the caller to
+    Then each shape-consistent completion of the suffixes left
+    (`completions`) is grounded and searched in turn: a guess takes a
+    shape from the `candidate_shapes`, and the shapes it forces may lie
+    outside them. Every grounding of a shape-incomplete set costs one step
+    per constraint and ground term. Realizable carries the first witness found, for the caller to
     replay. A conflict under a guessed shape proves nothing, so it is None,
     and so is every completion refuted, unless the candidates cover every
     shape, as the guesses for an all-bool result do. Going past
@@ -616,9 +599,9 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
         if not missing:
             return oracle_check(ground(cs, _pinned(cs)), budget)
         budget.completed = True
-        known = forced_shapes(cs, budget)
-        part = _charged_ground(cs, known, budget)
-        missing = [key for key in missing if key not in known]
+        forcing = forced_shapes(cs, budget)
+        part = _charged_ground(cs, forcing.known, budget)
+        missing = [key for key in missing if key not in forcing.known]
         if not missing:
             return oracle_check(part, budget)
         if part.constraints:
@@ -626,9 +609,9 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
             if isinstance(verdict, Unrealizable):
                 detail = verdict.detail
                 return Unrealizable(f"{PART_REFUTED}: {detail}" if detail else PART_REFUTED)
-        shapes, covered = candidate_shapes(cs)
+        shapes, covered = candidate_shapes(cs, forcing.known)
         detail = "every completion has a shape conflict"
-        for completion in consistent_completions(cs, known, missing, shapes, budget):
+        for completion in completions(forcing, missing, shapes, budget):
             try:
                 gi = _charged_ground(cs, completion, budget)
             except ShapeConflict:

@@ -181,6 +181,26 @@ def reverse_gap() -> Problem:
     return build_problem("reverse-gap", Signature(UNIT, ID, ListOf(ID)), SketchKind.FOLDR, examples)
 
 
+def forced_past_candidates() -> Problem:
+    """concat as a fold with two suffixes unpinned, [[*],[*,*]] and
+    [[*,*],[*],[*,*]]: guessing the first has length 3 forces the second to
+    length 5, which ["ab","cde"] gives [[*,*],[*,*,*]], one more than the
+    longest candidate shape. The set is realizable."""
+    examples = [
+        [[atom(c) for c in word] for word in words]
+        for words in (["ab", "cde"], ["cde"], ["ij"], ["k", "fg", "h", "ij"])
+    ]
+    return build_problem(
+        "forced-past-candidates",
+        Signature(UNIT, ListOf(ID), ListOf(ID)),
+        SketchKind.FOLDR,
+        [
+            (UnitV(), [ListV(tuple(xs)) for xs in lists], ListV(tuple(x for xs in lists for x in xs)), ListV(()))
+            for lists in examples
+        ],
+    )
+
+
 def mutate_problem(rng: random.Random, p: Problem) -> Problem:
     """Perturb one output; the result is often, not always, unrealizable."""
     examples = [list(ex) for ex in ((e.extra, e.inputs, e.output, e.base) for e in p.examples)]

@@ -15,6 +15,8 @@ from parachk import (
     shape_complete,
     validate_summary,
 )
+from parachk import solver
+from parachk.oracle import StepBudget
 from parachk.verdict import same_variant, verdict_name
 
 import support
@@ -53,6 +55,8 @@ def test_oracle_and_solver_agree_on_the_benchmark(cfg):
     # gives must be the solver's
     problems = [entry.problem_si for entry in corpus()]
     problems += [load_problem(path) for path in sorted(glob.glob("problems/*.json"))]
+    # and a set where a guess forces a shape past every candidate
+    problems.append(support.forced_past_candidates())
     for p in problems:
         auto = check(p, cfg).verdict
         if not isinstance(auto, UnknownVerdict):
@@ -60,6 +64,12 @@ def test_oracle_and_solver_agree_on_the_benchmark(cfg):
             assert same_variant(auto, smt), (
                 f"{p.name}: auto {verdict_name(auto)} vs smt {verdict_name(smt)}"
             )
+    # the oracle decides that set past the auto route's step budget
+    p = problems[-1]
+    assert same_variant(
+        solver.oracle_verdict(propagate(p), StepBudget(10**6)),
+        check(p, cfg, backend="smt").verdict,
+    )
 
 
 @needs_solver

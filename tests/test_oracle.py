@@ -45,7 +45,7 @@ from parachk.oracle import (
     StepBudget,
     Ungroundable,
     candidate_shapes,
-    consistent_completions,
+    completions,
     forced_shapes,
     intermediate_shapes,
 )
@@ -319,7 +319,8 @@ def test_candidate_shapes_cover_bool_schemas_only():
     entries = {e.name: e for e in corpus()}
 
     def candidates(name):
-        shapes, covered = candidate_shapes(propagate(entries[name].problem_si))
+        cs = propagate(entries[name].problem_si)
+        shapes, covered = candidate_shapes(cs, oracle._pinned(cs))
         return [show_shape(s) for s in shapes], covered
 
     assert candidates("null") == (["F", "T"], True)
@@ -329,9 +330,42 @@ def test_candidate_shapes_cover_bool_schemas_only():
     assert candidates("length") == ([str(n) for n in range(-1, 5)], False)
 
 
+def _completions_past_candidates(cs, missing) -> int:
+    """Check that guessing with forcing finds every candidate completion
+    of `missing` whose grounding has no shape conflict, and only
+    completions that ground; return how many it finds outside the
+    candidates, each with a forced shape there, a copy of a pinned one."""
+    shapes, _ = candidate_shapes(cs, oracle._pinned(cs))
+    # the shape of each full example, by trace key: the last one wins,
+    # and a clash between two examples is left to `ground` to find
+    pinned = {t.key: t.steps[-1].output.ext.shape for t in cs.traces}
+    accepted = []
+    for combo in itertools.product(shapes, repeat=len(missing)):
+        completion = dict(zip(missing, combo))
+        try:
+            ground(cs, {**pinned, **completion})
+            accepted.append(completion)
+        except ShapeConflict:
+            pass
+    budget = StepBudget(10**9)
+    try:
+        found = list(completions(forced_shapes(cs, budget), missing, shapes, budget))
+    except ShapeConflict:
+        found = []
+    # each completion carries the pinned shapes along with its guesses
+    for c in found:
+        assert all(c[k] == shape for k, shape in pinned.items())
+        ground(cs, c)
+    candidate = [c for c in found if all(c[k] in shapes for k in missing)]
+    for c in found:
+        if c not in candidate:
+            assert {c[k] for k in missing if c[k] not in shapes} <= set(oracle._pinned(cs).values())
+    key = lambda c: sorted(repr((k, c[k])) for k in missing)
+    assert sorted(map(key, candidate)) == sorted(map(key, accepted))
+    return len(found) - len(candidate)
+
+
 def test_consistent_completions_are_those_ground_accepts():
-    # pruning by suffix length must drop exactly the completions whose
-    # grounding has a shape conflict
     rng = random.Random(7)
     compared = 0
     while compared < 25:
@@ -345,33 +379,14 @@ def test_consistent_completions_are_those_ground_accepts():
             continue
         except (Ungroundable, ShapeConflict) as e:
             missing = getattr(e, "missing", None)
-        shapes, _ = candidate_shapes(cs)
+        shapes, _ = candidate_shapes(cs, oracle._pinned(cs))
         if missing is None or len(shapes) ** len(missing) > 3000:
             continue
-        # the shape of each full example, by trace key: the last one wins,
-        # and a clash between two examples is left to `ground` to find
-        pinned = {t.key: t.steps[-1].output.ext.shape for t in cs.traces}
-        accepted = []
-        for combo in itertools.product(shapes, repeat=len(missing)):
-            completion = dict(zip(missing, combo))
-            try:
-                ground(cs, {**pinned, **completion})
-                accepted.append(completion)
-            except ShapeConflict:
-                pass
-        budget = StepBudget(10**9)
-        try:
-            known = forced_shapes(cs, budget)
-            unforced = [key for key in missing if key not in known]
-            found = list(consistent_completions(cs, known, unforced, shapes, budget))
-        except ShapeConflict:
-            found = []
-        # each completion carries the pinned shapes along with its guesses
-        for c in found:
-            assert all(c[k] == shape for k, shape in pinned.items())
-        key = lambda c: sorted(repr((k, c[k])) for k in missing)
-        assert sorted(map(key, found)) == sorted(map(key, accepted))
+        _completions_past_candidates(cs, missing)
         compared += 1
+    # guessing [[*],[*,*]] length 3 forces [[*,*],[*],[*,*]] to length 5
+    cs = propagate(support.forced_past_candidates())
+    assert _completions_past_candidates(cs, unpinned_suffixes([t.key for t in cs.traces])) >= 1
 
 
 def test_guesses_and_groundings_spend_the_budget(monkeypatch):
@@ -386,17 +401,26 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     cs = propagate(p)
     with pytest.raises(Ungroundable) as err:
         ground(cs)
-    shapes, _ = candidate_shapes(cs)
     guessing = StepBudget(10**9)
-    known = forced_shapes(cs, guessing)
-    assert known == oracle._pinned(cs)  # no suffix is forced
-    assert len(list(consistent_completions(cs, known, err.value.missing, shapes, guessing))) == 58
+    forcing = forced_shapes(cs, guessing)
+    assert forcing.known == oracle._pinned(cs)  # no suffix is forced
+    shapes, _ = candidate_shapes(cs, forcing.known)
+    assert len(list(completions(forcing, err.value.missing, shapes, guessing))) == 58
     budget = StepBudget(10**9)
     assert oracle_decide(cs, budget) is None
     assert guessing.left - budget.left >= 58 * len(cs.constraints)
     # guessing alone spends steps too
     with pytest.raises(BoundExceeded):
-        list(consistent_completions(cs, known, err.value.missing, shapes, StepBudget(100)))
+        list(completions(forcing, err.value.missing, shapes, StepBudget(100)))
+
+
+def test_shape_forced_past_the_candidates_is_realizable():
+    # guessing [[*],[*,*]] length 3 forces [[*,*],[*],[*,*]] to length 5,
+    # past every candidate; the forced shape is kept, not dropped
+    cs = propagate(support.forced_past_candidates())
+    verdict = oracle_verdict(cs, StepBudget(10**6))
+    assert isinstance(verdict, Realizable)
+    assert validate_summary(cs, verdict.witness)
 
 
 # The suffix keying of the parent change, kept here to compare with: a

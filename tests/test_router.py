@@ -6,6 +6,7 @@ is a stub that fails when it is spawned, so a check that returns proves no
 process ran, and a SolverError proves the SMT path was taken."""
 
 import glob
+import itertools
 import os
 import random
 
@@ -219,10 +220,10 @@ GUESS_FREE_REFUTATIONS = {
 
 
 @pytest.mark.parametrize("name", ["tail", "init", "drop"])
-def test_unrealizable_incomplete_sets_with_list_slots_go_to_smt(no_spawn, name):
-    # named for the route these sets took while only guesses could refute
-    # them: every small completion is refuted, but a longer intermediate
-    # might not be. A rule that guesses nothing now refutes each
+def test_incomplete_sets_refuted_before_any_guess(no_spawn, name):
+    # every small completion is refuted, but a longer intermediate might
+    # not be, so guesses alone cannot refute these sets; a rule that
+    # guesses nothing refutes each
     report = check(ENTRIES[name].problem_si, no_spawn)
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
@@ -290,6 +291,21 @@ def test_many_open_keys_go_to_smt_within_the_budget(no_spawn, groundings):
     # one would escape `check`), and their searches spend the budget
     # after a few
     assert 1 <= len(groundings) <= 16
+
+
+def test_long_trace_is_decided_by_guesses_and_forcing(no_spawn):
+    # one 300-element trace whose output is its first atom leaves 299
+    # suffixes unpinned; each guess is forced down the trace, one step per
+    # tie, so the guesses stay deep inside the budget and need no recursion
+    xs = [atom(f"x{i}") for i in range(300)]
+    p = build_problem(
+        "long-trace",
+        Signature(UNIT, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [(UnitV(), xs, ListV((xs[0],)), ListV(()))],
+    )
+    assert len(shape_complete(p).missing) == 299
+    assert_completed(p, no_spawn)
 
 
 def test_refuted_base_case_spares_the_solver(no_spawn):
@@ -373,7 +389,7 @@ def test_conflict_in_a_guessed_completion_is_never_unrealizable(monkeypatch, nam
     real_ground = oracle.ground
 
     def clashing_ground(cs, completion=None):
-        known = oracle.forced_shapes(cs, oracle.StepBudget(float("inf")))
+        known = oracle.forced_shapes(cs, oracle.StepBudget(float("inf"))).known
         if completion and set(completion) - set(known):
             raise oracle.ShapeConflict("a guessed shape clashes")
         return real_ground(cs, completion)
@@ -435,19 +451,27 @@ def test_guess_free_rules_never_refute_a_realizable_draw():
 
 
 def _wide_witness(cs) -> bool | None:
-    """Whether some shape-consistent completion of the pinned shapes, with
-    list lengths 0..8, is realizable: found by guessing alone, with no
-    forced shape and no guess-free part. None past 2,000,000 steps or the
-    search bounds."""
+    """Whether some completion of the pinned shapes, with list lengths
+    0..8, is realizable: every candidate completion grounded and searched
+    in turn, with no forcing and no guess-free part. None past 2,000,000
+    steps, one per completion and each unification, or the search
+    bounds."""
     budget = oracle.StepBudget(2_000_000)
-    shapes, _ = oracle.candidate_shapes(cs)
-    missing = unpinned_suffixes([trace.key for trace in cs.traces])
     try:
-        for completion in oracle.consistent_completions(cs, oracle._pinned(cs), missing, shapes, budget):
-            if isinstance(oracle.oracle_check(oracle.ground(cs, completion), budget), Realizable):
-                return True
+        pinned = oracle._pinned(cs)
     except oracle.ShapeConflict:
         return False
+    shapes, _ = oracle.candidate_shapes(cs, pinned)
+    missing = unpinned_suffixes([trace.key for trace in cs.traces])
+    try:
+        for combo in itertools.product(shapes, repeat=len(missing)):
+            budget.spend(1)
+            try:
+                gi = oracle.ground(cs, {**pinned, **dict(zip(missing, combo))})
+            except oracle.ShapeConflict:
+                continue
+            if isinstance(oracle.oracle_check(gi, budget), Realizable):
+                return True
     except oracle.BoundExceeded:
         return None
     return False
