@@ -26,6 +26,7 @@ from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
 from .solver import (
     BACKENDS,
+    ORACLE_MAX_STEPS,
     CheckReport,
     SolverConfig,
     SolverError,
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="check one problem file: the oracle decides shape-complete sets and the "
         "shape-incomplete ones that a guess of small intermediate shapes settles within "
-        "a 20,000-step budget, SMT the rest",
+        f"a {ORACLE_MAX_STEPS:,}-step budget, SMT the rest",
     )
     p_check.add_argument("path")
     p_check.add_argument(

@@ -1,13 +1,13 @@
 """Brute-force realizability decision for fold sets, by grounding and search.
 
-The intermediate at level k of a fold trace is the fold result of the last
-k list elements, so its shape is pinned by any example whose full input
-carries exactly those element shapes (with the same extra shape), and the
-base pins the empty suffix. A completion gives the shape of every suffix
-the traces need: the pinned ones, and a guess for each suffix no example
-pins. A raw, map or
-shape-complete set has one completion, the one that guesses nothing; a
-shape-incomplete set has one per guess. Grounding a completion gives every
+Each fold intermediate is the fold result of a suffix of its trace, so its
+shape is that of the suffix (`ConstraintSet.suffixes`): an example whose
+full input is the suffix pins it, and a base pins the empty suffix. A
+completion gives a shape to every suffix the traces need, by suffix id: the
+pinned ones, and a guess for each suffix no example pins
+(`ConstraintSet.unpinned`). A raw, map or shape-complete set has one
+completion, the one that guesses nothing; a shape-incomplete set has one
+per guess. Grounding a completion gives every
 intermediate its suffix's shape and checks that the shape morphism is a
 function of the input shape; a clash is a shape conflict and, when no shape
 was guessed, immediate evidence of unrealizability.
@@ -51,14 +51,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .functors import Atom, Extension, ShapeValue, show_shape
-from .propagate import (
-    ConstraintSet,
-    Known,
-    TraceKey,
-    read_inputs,
-    show_trace_key,
-    unpinned_suffixes,
-)
+from .propagate import ConstraintSet, Known, Suffix, read_inputs, show_suffix
 from .verdict import Realizable, Unrealizable, Verdict, WitnessSummary
 
 
@@ -72,13 +65,13 @@ class ShapeConflict(OracleError):
 
 class Ungroundable(OracleError):
     """An intermediate shape is not pinned by the example set: the set is
-    not shape complete. `missing` lists the unpinned trace keys."""
+    not shape complete. `missing` lists the ids of the unpinned suffixes."""
 
-    def __init__(self, missing: list[TraceKey]):
+    def __init__(self, cs: ConstraintSet):
         super().__init__(
-            f"no example pins the intermediate for {show_trace_key(missing[0])}"
+            f"no example pins the intermediate for {show_suffix(cs.suffixes, cs.unpinned[0])}"
         )
-        self.missing = missing
+        self.missing = cs.unpinned
 
 
 class BoundExceeded(OracleError):
@@ -95,12 +88,10 @@ MAX_SHAPES = 12
 class StepBudget:
     """Steps left to the groundings and searches that share the budget:
     one per call to the unifier, and what a completion charges for the
-    rest. Spending past zero raises BoundExceeded. `completed` tells
-    whether the set went through completions."""
+    rest. Spending past zero raises BoundExceeded."""
 
     def __init__(self, steps: float):
         self.left = steps
-        self.completed = False
 
     def spend(self, steps: int) -> None:
         self.left -= steps
@@ -126,58 +117,50 @@ class GroundInstance:
     cs: ConstraintSet
 
 
-def _pinned(cs: ConstraintSet) -> dict[TraceKey, ShapeValue]:
-    """The output shape of each full example, by trace key, and the shape
-    of each base, by its trace's empty suffix: the completion that guesses
-    nothing. Raises ShapeConflict when two examples with one key disagree;
+def _pinned(cs: ConstraintSet) -> dict[int, ShapeValue]:
+    """The output shape of each full example and of each base, by the id
+    of its suffix and of its trace's root: the completion that guesses
+    nothing. Raises ShapeConflict when two examples of one suffix disagree;
     two bases that do are a base clash, which no container morphism `e`
     gives. A set with no intermediates needs no shapes: its grounding finds
     a clash of outputs itself, and its base case one of bases."""
-    full: dict[TraceKey, ShapeValue] = {}
+    full: dict[int, ShapeValue] = {}
     if cs.unknown_count == 0:
         return full
 
-    def pin(key: TraceKey, out: ShapeValue, what: str) -> None:
-        prior = full.setdefault(key, out)
+    def pin(s: int, out: ShapeValue, what: str) -> None:
+        prior = full.setdefault(s, out)
         if prior != out:
             raise ShapeConflict(f"{what} shapes {show_shape(prior)} and {show_shape(out)}")
     for trace in cs.traces:
-        h, _ = trace.key
-        pin((h, ()), trace.steps[0].inputs[2].ext.shape, "a base clash: bases of one extra shape have")
-        pin(trace.key, trace.steps[-1].output.ext.shape, "two examples with equal input shapes produce")
+        pin(trace.suffixes[0], trace.steps[0].inputs[2].ext.shape, "a base clash: bases of one extra shape have")
+        pin(trace.suffixes[-1], trace.steps[-1].output.ext.shape, "two examples with equal input shapes produce")
     return full
 
 
-def intermediate_shapes(
-    cs: ConstraintSet, shapes: Mapping[TraceKey, ShapeValue]
-) -> dict[int, ShapeValue]:
+def intermediate_shapes(cs: ConstraintSet, shapes: Mapping[int, ShapeValue]) -> dict[int, ShapeValue]:
     """The shape of each trace intermediate whose suffix has a shape in
-    `shapes`, by uid: the one `shapes` gives the suffix of the trace it is
-    the fold result of."""
-    resolved: dict[int, ShapeValue] = {}
-    for trace in cs.traces:
-        h, seq = trace.key
-        for k in range(1, len(seq)):
-            shape = shapes.get((h, seq[-k:]))
-            if shape is not None:
-                resolved[trace.steps[k - 1].output.uid] = shape
-    return resolved
+    `shapes`, by uid: the one `shapes` gives the suffix it is the fold
+    result of."""
+    return {
+        step.output.uid: shapes[s]
+        for trace in cs.traces
+        for step, s in zip(trace.steps, trace.suffixes[1:-1])
+        if s in shapes
+    }
 
 
-def ground(
-    cs: ConstraintSet, shapes: Mapping[TraceKey, ShapeValue] | None = None
-) -> GroundInstance:
-    """Give each trace intermediate the shape of its suffix in `shapes`, a
-    completion, and check the shape morphism is a function. Without
+def ground(cs: ConstraintSet, shapes: Mapping[int, ShapeValue] | None = None) -> GroundInstance:
+    """Give each trace intermediate the shape `shapes`, a completion, gives
+    its suffix's id, and check the shape morphism is a function. Without
     `shapes`, the completion that guesses nothing: a set with an unpinned
     suffix raises Ungroundable. Where `shapes` leaves a suffix out, its
     intermediates are left out, and so is every constraint that reads or
     yields one: that grounds the part of the set the given shapes settle.
     Known containers bring their keys; each intermediate is keyed once."""
     if shapes is None:
-        missing = unpinned_suffixes([trace.key for trace in cs.traces])
-        if missing:
-            raise Ungroundable(missing)
+        if cs.unpinned:
+            raise Ungroundable(cs)
         shapes = _pinned(cs)
     inter_shapes = intermediate_shapes(cs, shapes)
     cs.input_schemas()  # an input part without fixed-arity shapes raises here
@@ -434,46 +417,35 @@ def candidate_shapes(cs: ConstraintSet, known: Mapping) -> tuple[list[ShapeValue
     return shapes, all(slot.kind == "bool" for slot in schema.slots)
 
 
-def _ties(cs: ConstraintSet) -> dict[TraceKey, TraceKey]:
-    """Each nonempty suffix s = (h, [e, *rest]) of a trace, with its tail
-    (h, rest): the morphism maps (h, e, shape of tail) to the shape of s,
-    and the empty suffix (h, []) has the shape of the base."""
-    ties = {}
-    for trace in cs.traces:
-        h, seq = trace.key
-        for i in range(len(seq)):
-            ties[(h, seq[i:])] = (h, seq[i + 1 :])
-    return ties
-
-
 @dataclass
 class Forcing:
-    """The known suffix shapes and what they force (`_force`): `table`
+    """The known suffix shapes by id and what they force (`_force`): `table`
     maps (h, e, shape of tail) to the suffix's shape for every tie between
     known shapes, `kids` gives the suffixes whose tail each suffix is, and
     `waiting` the unknown suffixes with a known tail, by that argument."""
 
-    known: dict[TraceKey, ShapeValue]
+    suffixes: tuple[Suffix, ...]
+    known: dict[int, ShapeValue]
     table: dict[tuple, ShapeValue]
-    kids: dict[TraceKey, list[TraceKey]]
-    waiting: dict[tuple, tuple[TraceKey, ...]]
+    kids: dict[int, list[int]]
+    waiting: dict[tuple, tuple[int, ...]]
 
 
-def _force(state: Forcing, newly_known: list[TraceKey], budget: StepBudget) -> None:
+def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
     """Propagate newly known suffix shapes through the ties, in place: the
     shape morphism is a function, so a suffix whose argument the table
     maps has that shape, and a known suffix gives its shape to every
     suffix waiting on its argument. Each tie looked at spends one step of
     `budget`. A known suffix whose argument maps to another shape raises
     ShapeConflict naming its tail."""
-    known, table, waiting = state.known, state.table, state.waiting
+    suffixes, known, table, waiting = state.suffixes, state.known, state.table, state.waiting
     todo = list(newly_known)
     for tail in todo:  # grows by each suffix whose shape is forced
         rho = known[tail]
         kids = state.kids.get(tail, ())
         budget.spend(len(kids))
         for s in kids:
-            arg = (s[0], s[1][0], rho)
+            arg = (suffixes[s].h, suffixes[s].e, rho)
             prior = table.get(arg)
             if s not in known:
                 if prior is None:
@@ -488,7 +460,7 @@ def _force(state: Forcing, newly_known: list[TraceKey], budget: StepBudget) -> N
                 todo.extend(woken)
             elif prior != known[s]:
                 raise ShapeConflict(
-                    f"the suffix {show_trace_key(tail)} is forced to the shape "
+                    f"the suffix {show_suffix(suffixes, tail)} is forced to the shape "
                     f"{show_shape(rho)}, so one input shape maps to both "
                     f"{show_shape(prior)} and {show_shape(known[s])}"
                 )
@@ -501,11 +473,13 @@ def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> Forcing:
     that map one argument to two shapes raise ShapeConflict, which no
     guess and no schema mends."""
     known = _pinned(cs)
-    state = Forcing(known, {}, {}, {})
-    for s, tail in _ties(cs).items():
+    state = Forcing(cs.suffixes, known, {}, {}, {})
+    for s, (h, e, tail, _) in enumerate(cs.suffixes):
+        if tail < 0:
+            continue
         state.kids.setdefault(tail, []).append(s)
         if s in known and tail in known:
-            arg = (s[0], s[1][0], known[tail])
+            arg = (h, e, known[tail])
             if state.table.setdefault(arg, known[s]) != known[s]:
                 raise ShapeConflict(
                     "the shapes the examples pin map one input shape to two shapes"
@@ -514,18 +488,18 @@ def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> Forcing:
     return state
 
 
-def _guesses(state: Forcing, s: TraceKey, shapes: list, budget: StepBudget) -> Iterator[Forcing]:
+def _guesses(state: Forcing, s: int, shapes: list, budget: StepBudget) -> Iterator[Forcing]:
     """A copy of `state` for each of `shapes` that the unknown suffix `s`,
     and every suffix waiting on its argument, takes without a clash
     (`_force`). Each guess spends one step of `budget`."""
-    h, seq = s
-    arg = (h, seq[0], state.known[(h, seq[1:])])
+    h, e, tail, _ = state.suffixes[s]
+    arg = (h, e, state.known[tail])
     for shape in shapes:
         budget.spend(1)
         waiting = dict(state.waiting)
         group = waiting.pop(arg)
         known = {**state.known, **dict.fromkeys(group, shape)}
-        child = Forcing(known, {**state.table, arg: shape}, state.kids, waiting)
+        child = Forcing(state.suffixes, known, {**state.table, arg: shape}, state.kids, waiting)
         try:
             _force(child, group, budget)
         except ShapeConflict:
@@ -538,9 +512,9 @@ def completions(state: Forcing, missing: list, shapes: list, budget: StepBudget)
     suffix of `missing` a shape, guessed from `shapes` or forced by a
     guess, which may lie outside `shapes`, and under which the shape
     morphism stays a function. The shortest unknown suffix is guessed
-    first (`_guesses`), on an explicit stack, so only `budget` bounds
-    the depth of the guesses."""
-    order = sorted(missing, key=lambda key: len(key[1]))
+    first, ties in the order of `missing` (`_guesses`), on an explicit
+    stack, so only `budget` bounds the depth of the guesses."""
+    order = sorted(missing, key=lambda s: state.suffixes[s].length)
     stack = [(iter([state]), 0)]
     while stack:
         children, i = stack[-1]
@@ -560,7 +534,7 @@ PART_REFUTED = "the steps whose intermediates have known shapes are already unre
 
 
 def _charged_ground(
-    cs: ConstraintSet, shapes: Mapping[TraceKey, ShapeValue], budget: StepBudget
+    cs: ConstraintSet, shapes: Mapping[int, ShapeValue], budget: StepBudget
 ) -> GroundInstance:
     """`ground`, charging `budget` one step per constraint and ground term."""
     gi = ground(cs, shapes)
@@ -592,16 +566,12 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
     shape, as the guesses for an all-bool result do. Going past
     MAX_POSITIONS, MAX_SHAPES or the budget raises BoundExceeded.
     """
-    missing = unpinned_suffixes([trace.key for trace in cs.traces])
-    if missing and budget is None:
-        raise Ungroundable(missing)
     try:
-        if not missing:
-            return oracle_check(ground(cs, _pinned(cs)), budget)
-        budget.completed = True
+        if budget is None or not cs.unpinned:
+            return oracle_check(ground(cs), budget)
         forcing = forced_shapes(cs, budget)
         part = _charged_ground(cs, forcing.known, budget)
-        missing = [key for key in missing if key not in forcing.known]
+        missing = [s for s in cs.unpinned if s not in forcing.known]
         if not missing:
             return oracle_check(part, budget)
         if part.constraints:

@@ -14,17 +14,18 @@ keyed here, once: `Known.key` is its shape's slot key under the schema of
 its functor, and the set keeps those schemas (`ConstraintSet.part_schemas`,
 `out_schema`), one per functor, for every later reader.
 
-This module alone knows how a fold trace is laid out. `ConstraintSet.traces`
-holds one `Trace` per nonempty foldr example, in constraint order: its
-`TraceKey` (extra shape, element shapes in list order) and its steps, which
-are consecutive constraints whose intermediates have consecutive uids. Raw
-and map sets have no traces.
+This module alone knows how a fold trace is laid out. `ConstraintSet.suffixes`
+numbers every suffix of every trace once (`number_suffixes`), and `unpinned`
+lists those no example pins. `ConstraintSet.traces` holds one `Trace` per
+nonempty foldr example, in constraint order: its suffix ids and its steps,
+which are consecutive constraints whose intermediates have consecutive
+uids. Raw and map sets have no traces.
 
 The fold's base case `e` is an unknown of its own, a container morphism
 from the extra functor to the result functor that every example fixes at
 its extra argument: `ConstraintSet.base_case` is that raw set, including
 the examples with an empty input. A base's shape is a function of its
-extra's shape, so a trace key leaves it out.
+extra's shape, so a suffix leaves it out.
 """
 
 from __future__ import annotations
@@ -100,18 +101,25 @@ def read_inputs(
     return key, terms
 
 
-# A fold trace's key: (extra shape, element shapes in list order). A trace
-# pins the shape of its own result; its base, that of its empty suffix.
-TraceKey = tuple[ShapeValue, tuple[ShapeValue, ...]]
+class Suffix(NamedTuple):
+    """A fold trace suffix: extra shape h, first element shape e and the id
+    of its tail, the suffix after e; the shape morphism maps (h, e, shape of
+    tail) to its shape. A root, an empty suffix, has e None and tail -1."""
+
+    h: ShapeValue
+    e: ShapeValue | None
+    tail: int
+    length: int
 
 
 @dataclass(frozen=True)
 class Trace:
-    """One nonempty foldr example: its key and its steps, the first of which
+    """One nonempty foldr example: the ids of its suffixes, shortest first,
+    from its root to the example itself, and its steps, the first of which
     consumes the last list element and the base, the last of which outputs
-    the example's output."""
+    the example's output. Step k outputs the fold of suffix k + 1."""
 
-    key: TraceKey
+    suffixes: tuple[int, ...]
     steps: tuple[MorphismConstraint, ...]
 
 
@@ -130,6 +138,9 @@ class ConstraintSet:
     # a foldr set's base case, e(extra) = base: a raw set from the extra
     # functor to the result functor, one constraint per distinct extra value
     base_case: ConstraintSet | None = None
+    # every suffix of every trace, by id, and those no example pins
+    suffixes: tuple[Suffix, ...] = ()
+    unpinned: tuple[int, ...] = ()
 
     def input_schemas(self) -> tuple[ShapeSchema, ...]:
         """The schema of each input part. One whose shapes are not
@@ -191,15 +202,11 @@ def propagate_map(p: Problem) -> ConstraintSet:
     )
 
 
-def _trace_key(x: ExampleExtensions) -> TraceKey:
-    return x.extra.shape, tuple(e.shape for e in x.inputs)
-
-
 def propagate_foldr(p: Problem) -> ConstraintSet:
     sig = p.signature
     extra, element, result = _schema(sig.extra), _schema(sig.element), _schema(sig.result)
     constraints: list[MorphismConstraint] = []
-    traces = []
+    steps_of = []
     # extra -> (extra, base), keyed, for the base case
     bases: dict[Extension, tuple[Known, Known]] = {}
     uid = 0
@@ -223,7 +230,8 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
             for k in range(n)
         )
         constraints.extend(steps)
-        traces.append(Trace(_trace_key(x), steps))
+        steps_of.append(steps)
+    suffixes, chains, unpinned = number_suffixes([x for x in p.extensions if x.inputs])
     base_case = ConstraintSet(
         (sig.extra,),
         sig.result,
@@ -241,18 +249,23 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
         p.atoms,
         (extra, element, result),
         result,
-        tuple(traces),
+        tuple(map(Trace, chains, steps_of)),
         base_case,
+        suffixes,
+        unpinned,
     )
 
 
 # ---------------------------------------------------------------------------
-# Shape completeness
+# Suffixes and shape completeness
 
 
-def unpinned_suffixes(traces: list[TraceKey]) -> list[TraceKey]:
-    """The keys a foldr set must pin but does not, each once, in the order
-    the traces ask for them.
+def number_suffixes(
+    examples: list[ExampleExtensions],
+) -> tuple[tuple[Suffix, ...], list[tuple[int, ...]], tuple[int, ...]]:
+    """Every suffix of the examples' traces, numbered once; the ids of
+    each example's suffixes, shortest first; and the unpinned ones, each
+    once, in the order the traces ask for them.
 
     The intermediate after the last k elements of a trace is the fold of
     that suffix from the same extra argument, so only a trace with the same
@@ -260,19 +273,36 @@ def unpinned_suffixes(traces: list[TraceKey]) -> list[TraceKey]:
     nonempty proper suffix must be pinned; the empty suffix is the base
     case, whose shape the base gives.
     """
-    present = set(traces)
-    missing: dict[TraceKey, None] = {}
-    for h, seq in traces:
-        for k in range(1, len(seq)):
-            key = (h, seq[len(seq) - k :])
-            if key not in present:
-                missing[key] = None
-    return list(missing)
+    ids: dict[tuple, int] = {}
+    table: list[Suffix] = []
+    chains = []
+    for x in examples:
+        h = x.extra.shape
+        sid = ids.get((-1, h))
+        if sid is None:
+            sid = ids[(-1, h)] = len(table)
+            table.append(Suffix(h, None, -1, 0))
+        chain = [sid]
+        for element in reversed(x.inputs):
+            key = (sid, element.shape)
+            sid = ids.get(key)
+            if sid is None:
+                sid = ids[key] = len(table)
+                table.append(Suffix(h, element.shape, key[0], len(chain)))
+            chain.append(sid)
+        chains.append(tuple(chain))
+    pinned = {chain[-1] for chain in chains}
+    unpinned = dict.fromkeys(s for chain in chains for s in chain[1:-1] if s not in pinned)
+    return tuple(table), chains, tuple(unpinned)
 
 
-def show_trace_key(key: TraceKey) -> str:
-    h, seq = key
-    return f"extra {show_shape(h)}, inputs [" + ", ".join(show_shape(s) for s in seq) + "]"
+def show_suffix(table: tuple[Suffix, ...], sid: int) -> str:
+    """Suffix `sid` of `table`, its elements read off its tails."""
+    h, elements = table[sid].h, []
+    while table[sid].tail >= 0:
+        elements.append(show_shape(table[sid].e))
+        sid = table[sid].tail
+    return f"extra {show_shape(h)}, inputs [" + ", ".join(elements) + "]"
 
 
 @dataclass(frozen=True)
@@ -283,11 +313,11 @@ class CompletenessReport:
 
 def shape_complete(p: Problem) -> CompletenessReport:
     """A foldr example set is shape complete when no suffix it needs is
-    unpinned (`unpinned_suffixes`). Raw and map sketches have no unknown
+    unpinned (`number_suffixes`). Raw and map sketches have no unknown
     intermediates and are trivially complete.
     """
     if p.sketch is not SketchKind.FOLDR:
         return CompletenessReport(True, ())
-    traces = [_trace_key(x) for x in p.extensions]
-    missing = tuple(show_trace_key(key) for key in unpinned_suffixes(traces))
+    table, _, unpinned = number_suffixes(p.extensions)
+    missing = tuple(show_suffix(table, s) for s in unpinned)
     return CompletenessReport(not missing, missing)

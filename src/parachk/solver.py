@@ -580,13 +580,12 @@ def check(
 def _decide(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[Verdict, float, str]:
     """The verdict on the steps of `cs`, the solver time and the path."""
     if backend == "auto":
-        budget = StepBudget(ORACLE_MAX_STEPS)
         try:
-            verdict = oracle_verdict(cs, budget)
+            verdict = oracle_verdict(cs, StepBudget(ORACLE_MAX_STEPS))
         except BoundExceeded:
             verdict = None  # past the bounds or the budget
         if isinstance(verdict, (Realizable, Unrealizable)):
-            return verdict, 0.0, "oracle+completion" if budget.completed else "oracle"
+            return verdict, 0.0, "oracle+completion" if cs.unpinned else "oracle"
     cfg = cfg or SolverConfig()
     path = "smt"
     script = encode(cs)

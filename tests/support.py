@@ -201,6 +201,29 @@ def forced_past_candidates() -> Problem:
     )
 
 
+def long_trace(n: int, output: list[str], base: list[str] = ()) -> Problem:
+    """One `Unit -> Id -> List(Id)` fold example over the atoms x0..x{n-1},
+    whose output and base hold the atoms labelled `output` and `base`. It
+    pins none of its n - 1 proper suffixes."""
+    xs = [atom(f"x{i}") for i in range(n)]
+    return build_problem(
+        f"long-trace-{n}",
+        Signature(UNIT, ID, ListOf(ID)),
+        SketchKind.FOLDR,
+        [(UnitV(), xs, ListV(tuple(map(atom, output))), ListV(tuple(map(atom, base))))],
+    )
+
+
+def suffix_key(cs, s: int) -> tuple[ShapeValue, tuple[ShapeValue, ...]]:
+    """Suffix `s` of `cs.suffixes` as (extra shape, element shapes in list
+    order), its elements read off its tails."""
+    h, elements = cs.suffixes[s].h, []
+    while cs.suffixes[s].tail >= 0:
+        elements.append(cs.suffixes[s].e)
+        s = cs.suffixes[s].tail
+    return h, tuple(elements)
+
+
 def mutate_problem(rng: random.Random, p: Problem) -> Problem:
     """Perturb one output; the result is often, not always, unrealizable."""
     examples = [list(ex) for ex in ((e.extra, e.inputs, e.output, e.base) for e in p.examples)]

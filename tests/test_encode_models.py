@@ -75,9 +75,8 @@ def assert_admitted(p) -> str | None:
         cs = propagate(p)
     except PropagationUnrealizable:
         return None
-    budget = StepBudget(ORACLE_MAX_STEPS)
     try:
-        verdict = oracle_verdict(cs, budget)
+        verdict = oracle_verdict(cs, StepBudget(ORACLE_MAX_STEPS))
     except BoundExceeded:
         return None
     if not isinstance(verdict, Realizable):
@@ -91,7 +90,7 @@ def assert_admitted(p) -> str | None:
     if max(sizes, default=0) <= SHRINK_FLOOR:
         for assertion in shrink_assertions(cs):
             assert holds(fns, assertion, bound), f"{p.name}: the shrink pass excludes {assertion}"
-    return "completion" if budget.completed else "complete"
+    return "completion" if cs.unpinned else "complete"
 
 
 def test_every_oracle_witness_of_the_corpus_and_problem_files_is_a_model():

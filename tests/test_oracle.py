@@ -37,7 +37,7 @@ from parachk import (
     verdict_name,
 )
 from parachk.problem import ProblemError
-from parachk.propagate import Known, PropagationUnrealizable, unpinned_suffixes
+from parachk.propagate import Known, PropagationUnrealizable
 from parachk.solver import ORACLE_MAX_STEPS, oracle_verdict
 from parachk.verdict import WitnessSummary
 from parachk.oracle import (
@@ -336,9 +336,9 @@ def _completions_past_candidates(cs, missing) -> int:
     completions that ground; return how many it finds outside the
     candidates, each with a forced shape there, a copy of a pinned one."""
     shapes, _ = candidate_shapes(cs, oracle._pinned(cs))
-    # the shape of each full example, by trace key: the last one wins,
+    # the shape of each full example, by suffix id: the last one wins,
     # and a clash between two examples is left to `ground` to find
-    pinned = {t.key: t.steps[-1].output.ext.shape for t in cs.traces}
+    pinned = {t.suffixes[-1]: t.steps[-1].output.ext.shape for t in cs.traces}
     accepted = []
     for combo in itertools.product(shapes, repeat=len(missing)):
         completion = dict(zip(missing, combo))
@@ -386,7 +386,7 @@ def test_consistent_completions_are_those_ground_accepts():
         compared += 1
     # guessing [[*],[*,*]] length 3 forces [[*,*],[*],[*,*]] to length 5
     cs = propagate(support.forced_past_candidates())
-    assert _completions_past_candidates(cs, unpinned_suffixes([t.key for t in cs.traces])) >= 1
+    assert _completions_past_candidates(cs, cs.unpinned) >= 1
 
 
 def test_guesses_and_groundings_spend_the_budget(monkeypatch):
@@ -394,11 +394,7 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     # spend the budget: the 58 shape-consistent completions of one
     # 8-element trace cost at least 58 * 8 steps
     monkeypatch.setattr(oracle, "oracle_check", lambda gi, budget=None: Unrealizable())
-    xs = [atom(f"x{i}") for i in range(8)]
-    p = build_problem(
-        "open-keys", tail_sig(), SketchKind.FOLDR, [(UnitV(), xs, lst(atom("z")), lst())]
-    )
-    cs = propagate(p)
+    cs = propagate(support.long_trace(8, ["z"]))
     with pytest.raises(Ungroundable) as err:
         ground(cs)
     guessing = StepBudget(10**9)
@@ -519,12 +515,15 @@ def test_keys_without_bases_pin_what_keys_with_bases_did():
                 clashes += 1
             continue
         missing = _unpinned_with_bases(old)
-        assert unpinned_suffixes([t.key for t in cs.traces]) == [(h, seq) for h, _, seq in missing]
+        assert [support.suffix_key(cs, s) for s in cs.unpinned] == [(h, seq) for h, _, seq in missing]
         pinned = _or_conflict(_pinned_with_bases, cs, old)
         if pinned and pinned is not ShapeConflict:
             pinned = {(h, seq): shape for (h, _, seq), shape in pinned.items()}
             pinned.update({(h, ()): base for h, base, _ in old})
-        assert _or_conflict(oracle._pinned, cs) == pinned
+        by_key = _or_conflict(oracle._pinned, cs)
+        if by_key and by_key is not ShapeConflict:
+            by_key = {support.suffix_key(cs, s): shape for s, shape in by_key.items()}
+        assert by_key == pinned
         if not missing:
             assert _or_conflict(
                 lambda: intermediate_shapes(cs, oracle._pinned(cs))

@@ -33,7 +33,7 @@ from parachk import (
     shape_complete,
     shape_of,
 )
-from parachk.propagate import Known, Unknown, show_trace_key
+from parachk.propagate import Known, Unknown, show_suffix
 
 import support
 
@@ -148,23 +148,26 @@ def test_foldr_sum_style_chain():
 
 def _check_trace_record(p):
     """`propagate(p).traces` holds, for each nonempty foldr example in
-    order, its (extra, inputs) shapes and its steps: consecutive
-    constraints from its base, threaded through intermediates with
-    consecutive uids."""
+    order, the ids of its suffixes, shortest first, and its steps:
+    consecutive constraints from its base, threaded through intermediates
+    with consecutive uids. `cs.suffixes` numbers each suffix once."""
     cs = propagate(p)
     sig = p.signature
     if p.sketch is not SketchKind.FOLDR:
         assert cs.traces == ()
         return cs
     nonempty = [ex for ex in p.examples if ex.inputs]
-    assert [t.key for t in cs.traces] == [
+    assert [support.suffix_key(cs, t.suffixes[-1]) for t in cs.traces] == [
         (shape_of(sig.extra, ex.extra), tuple(shape_of(sig.element, v) for v in ex.inputs))
         for ex in nonempty
     ]
     assert [c for t in cs.traces for c in t.steps] == list(cs.constraints)
     uid = 0
+    keys = {support.suffix_key(cs, s) for s in range(len(cs.suffixes))}
+    assert len(keys) == len(cs.suffixes)
     for t, ex in zip(cs.traces, nonempty):
-        h, seq = t.key
+        h, seq = support.suffix_key(cs, t.suffixes[-1])
+        assert [support.suffix_key(cs, s) for s in t.suffixes] == [(h, seq[k:]) for k in range(len(seq), -1, -1)]
         assert len(t.steps) == len(seq)
         assert all(step.inputs[0].ext.shape == h for step in t.steps)
         assert tuple(step.inputs[1].ext.shape for step in reversed(t.steps)) == seq
@@ -202,7 +205,7 @@ def test_traces_record_two_extras_and_two_bases():
         ],
     )
     cs = _check_trace_record(p)
-    assert [show_trace_key(t.key) for t in cs.traces] == [
+    assert [show_suffix(cs.suffixes, t.suffixes[-1]) for t in cs.traces] == [
         "extra 1, inputs [*, *]",
         "extra 2, inputs [*]",
         "extra 2, inputs [*, *, *]",

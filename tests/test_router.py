@@ -43,7 +43,7 @@ from parachk import (
     verdict_name,
 )
 from parachk import oracle, solver
-from parachk.propagate import unpinned_suffixes
+from parachk.functors import IdS
 
 import support
 from test_cli import _fake_solver
@@ -278,13 +278,7 @@ def test_many_open_keys_go_to_smt_within_the_budget(no_spawn, groundings):
     # one 8-element trace leaves 7 suffixes unpinned (5**7 completions, 58
     # of them shape consistent), and the atom z comes from nowhere, so no
     # completion is realizable
-    xs = [atom(f"x{i}") for i in range(8)]
-    p = build_problem(
-        "open-keys",
-        Signature(UNIT, ID, ListOf(ID)),
-        SketchKind.FOLDR,
-        [(UnitV(), xs, ListV((atom("z"),)), ListV(()))],
-    )
+    p = support.long_trace(8, ["z"])
     assert len(shape_complete(p).missing) == 7
     assert_spawns(p, no_spawn)
     # only shape-consistent completions are grounded (a shape conflict in
@@ -293,32 +287,36 @@ def test_many_open_keys_go_to_smt_within_the_budget(no_spawn, groundings):
     assert 1 <= len(groundings) <= 16
 
 
-def test_long_trace_is_decided_by_guesses_and_forcing(no_spawn):
+def test_long_trace_is_decided_by_guesses_and_forcing(no_spawn, monkeypatch):
     # one 300-element trace whose output is its first atom leaves 299
     # suffixes unpinned; each guess is forced down the trace, one step per
     # tie, so the guesses stay deep inside the budget and need no recursion
-    xs = [atom(f"x{i}") for i in range(300)]
-    p = build_problem(
-        "long-trace",
-        Signature(UNIT, ID, ListOf(ID)),
-        SketchKind.FOLDR,
-        [(UnitV(), xs, ListV((xs[0],)), ListV(()))],
-    )
+    p = support.long_trace(300, ["x0"])
     assert len(shape_complete(p).missing) == 299
     assert_completed(p, no_spawn)
+    # each suffix is numbered once and read by its id, so the element
+    # shapes hashed grow with the trace, not with its square
+    calls, hashes = [0], []
+    real_hash = IdS.__hash__
+
+    def counting_hash(self):
+        calls[0] += 1
+        return real_hash(self)
+
+    monkeypatch.setattr(IdS, "__hash__", counting_hash)
+    for n in (200, 800):
+        p = support.long_trace(n, ["x0"])
+        calls[0] = 0
+        assert check(p, no_spawn).path == "oracle+completion"
+        hashes.append(calls[0])
+    assert hashes[1] <= 6 * hashes[0], hashes
 
 
 def test_refuted_base_case_spares_the_solver(no_spawn):
     # the open-keys set with the base [w], an atom no unit extra gives: the
     # refuted base case decides the set before its steps, which no
     # completion settles, so nothing is spawned on either backend
-    xs = [atom(f"x{i}") for i in range(8)]
-    p = build_problem(
-        "open-keys-invented-base",
-        Signature(UNIT, ID, ListOf(ID)),
-        SketchKind.FOLDR,
-        [(UnitV(), xs, ListV((atom("z"),)), ListV((atom("w"),)))],
-    )
+    p = support.long_trace(8, ["z"], base=["w"])
     assert len(shape_complete(p).missing) == 7
     for backend in solver.BACKENDS:
         report = check(p, no_spawn, backend=backend)
@@ -462,12 +460,11 @@ def _wide_witness(cs) -> bool | None:
     except oracle.ShapeConflict:
         return False
     shapes, _ = oracle.candidate_shapes(cs, pinned)
-    missing = unpinned_suffixes([trace.key for trace in cs.traces])
     try:
-        for combo in itertools.product(shapes, repeat=len(missing)):
+        for combo in itertools.product(shapes, repeat=len(cs.unpinned)):
             budget.spend(1)
             try:
-                gi = oracle.ground(cs, {**pinned, **dict(zip(missing, combo))})
+                gi = oracle.ground(cs, {**pinned, **dict(zip(cs.unpinned, combo))})
             except oracle.ShapeConflict:
                 continue
             if isinstance(oracle.oracle_check(gi, budget), Realizable):
