@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .functors import schema_of
 from .propagate import ConstraintSet, Known
 
 
@@ -51,9 +52,11 @@ def mid_terms(uid: int, schema) -> list[str]:
 
 
 def encode(cs: ConstraintSet) -> SmtScript:
-    """Translate a constraint set to a solver-ready script."""
-    part_schemas = cs.input_schemas()
-    out_schema = cs.result_schema()
+    """Translate a constraint set to a solver-ready script. A functor
+    without fixed-arity shapes has no schema and raises flatten_shape's
+    UnsupportedFunctor before any key becomes an argument."""
+    part_schemas = [schema_of(f) for f in cs.input_parts]
+    out_schema = schema_of(cs.output_functor)
     in_arity = sum(len(s.slots) for s in part_schemas)
 
     int_args = " ".join(["Int"] * in_arity)
@@ -96,7 +99,7 @@ def shrink_assertions(cs: ConstraintSet) -> list[str]:
             len(p.ext.elements) for p in (*c.inputs, c.output) if isinstance(p, Known)
         )
         cap = max(cap, 8 + known)
-    schema = cs.result_schema()
+    schema = schema_of(cs.output_functor)
     return [
         f"(<= {term} {cap})"
         for uid in range(cs.unknown_count)

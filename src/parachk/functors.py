@@ -7,6 +7,9 @@ positions of a product laid out as the left block followed by the right
 block. The same numbering is used both for concrete values and for the
 symbolic shape schemas consumed by the SMT encoding.
 
+Every shape of every functor has a key (`shape_key`); a schema exists only
+for fixed-arity shapes, and keys a shape by the same tuple.
+
 Each translation is one walk: `to_extension` checks that a value inhabits
 its functor while it collects the shape and the elements (`typecheck` and
 `shape_of` are defined through it), and `flatten_shape` builds a schema in
@@ -18,6 +21,7 @@ records the same shape and elements, and propagation reads those.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -479,9 +483,8 @@ class ShapeSchema:
         return self.count.eval(slot_values)
 
     def encode_shape(self, s: ShapeValue) -> tuple[int, ...]:
-        out: list[int] = []
-        _encode_slots(self.functor, s, out)
-        return tuple(out)
+        """The slot vector of s: its `shape_key`."""
+        return shape_key(self.functor, s)
 
     def decode_slots(self, slot_values) -> ShapeValue:
         vals = list(slot_values)
@@ -505,8 +508,8 @@ def flatten_shape(f: FunctorExpr) -> ShapeSchema:
     One walk over f appends every slot, clause and count coefficient at its
     final index. Fails for list functors whose element functor itself has
     shape degrees of freedom (e.g. List(List(Id))): those shapes are not
-    fixed-arity, so they can only appear in concrete values, never as a
-    symbolic container.
+    fixed-arity, so they can only appear in concrete values, keyed by
+    `shape_key` alone, never as a symbolic container.
     """
     slots: list[SlotSpec] = []
     clauses: list = []
@@ -566,8 +569,27 @@ def flatten_shape(f: FunctorExpr) -> ShapeSchema:
     return ShapeSchema(f, tuple(slots), tuple(clauses), LinearForm(const, tuple(coeffs)))
 
 
-def _encode_slots(f: FunctorExpr, s: ShapeValue | None, out: list[int]) -> None:
-    # s is None below an absent Maybe, where every slot is 0
+@functools.cache
+def schema_of(f: FunctorExpr) -> ShapeSchema:
+    """`flatten_shape(f)`, built once per functor: the readers of a
+    constraint set ask for one schema at every grounding and replay. Like
+    `flatten_shape`, it raises UnsupportedFunctor where f has no schema."""
+    return flatten_shape(f)
+
+
+def shape_key(f: FunctorExpr, s: ShapeValue) -> tuple[int, ...]:
+    """The key of shape s of f, one preorder walk: a list gives its length
+    and its children's keys, an int or a bool its value, a Maybe 0 or 1 and
+    its child's key (the zero key, all 0s, when absent), Id and Unit
+    nothing. Given f, a key reads back to its shape, so equal keys mean
+    equal shapes. Where f has a schema, the key is the slot vector."""
+    out: list[int] = []
+    _key(f, s, out)
+    return tuple(out)
+
+
+def _key(f: FunctorExpr, s: ShapeValue | None, out: list[int]) -> None:
+    # s is None below an absent Maybe, where every int is 0
     match f, s:
         case (Id(), IdS() | None) | (ConstUnit(), UnitS() | None):
             return
@@ -575,22 +597,29 @@ def _encode_slots(f: FunctorExpr, s: ShapeValue | None, out: list[int]) -> None:
             out.append(n)
         case ConstBool(), BoolS(b):
             out.append(1 if b else 0)
-        case ListOf(_), ListS(children):
+        case ListOf(inner), ListS(children):
             out.append(len(children))
+            # a functor's keys are all empty or none is, so a first child
+            # that adds nothing leaves the rest unwalked
+            width = len(out)
+            for c in children:
+                _key(inner, c, out)
+                if len(out) == width:
+                    break
         case (ConstInt() | ConstBool() | ListOf(_)), None:
             out.append(0)
         case ProdOf(l, r), ProdS(a, b):
-            _encode_slots(l, a, out)
-            _encode_slots(r, b, out)
+            _key(l, a, out)
+            _key(r, b, out)
         case ProdOf(l, r), None:
-            _encode_slots(l, None, out)
-            _encode_slots(r, None, out)
+            _key(l, None, out)
+            _key(r, None, out)
         case MaybeOf(inner), MaybeS(c):
             out.append(0 if c is None else 1)
-            _encode_slots(inner, c, out)
+            _key(inner, c, out)
         case MaybeOf(inner), None:
             out.append(0)
-            _encode_slots(inner, None, out)
+            _key(inner, None, out)
         case _:
             raise ShapeMismatch(f"shape {show_shape(s)} is not a shape of {f}")
 

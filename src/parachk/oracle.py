@@ -26,8 +26,9 @@ distinct atoms would have to coincide. A search with more than
 MAX_POSITIONS positions per input shape or MAX_SHAPES input shapes to
 search raises BoundExceeded, and so does one that spends a given
 `StepBudget`; scans spend nothing and count towards neither bound.
-Grounding reads the slot keys propagation recorded (`Known.key`) and keys
-each intermediate once.
+Grounding reads the shape keys propagation recorded (`Known.key`), of any
+functor, nested containers included, and keys each intermediate once under
+the schema of the fold result, which is fixed-arity.
 
 Of a shape-incomplete set, what every realization shares is decided before
 any guess. The shape morphism is a function, so known shapes force the
@@ -50,7 +51,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import product
 
-from .functors import Atom, Extension, ShapeValue, show_shape
+from .functors import Atom, Extension, ShapeValue, schema_of, show_shape
 from .propagate import ConstraintSet, Known, Suffix, read_inputs, show_suffix
 from .verdict import Realizable, Unrealizable, Verdict, WitnessSummary
 
@@ -163,7 +164,6 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, ShapeValue] | None = None) ->
             raise Ungroundable(cs)
         shapes = _pinned(cs)
     inter_shapes = intermediate_shapes(cs, shapes)
-    cs.input_schemas()  # an input part without fixed-arity shapes raises here
     constraints = cs.constraints
     if len(inter_shapes) < cs.unknown_count:
         constraints = tuple(
@@ -175,7 +175,7 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, ShapeValue] | None = None) ->
     inter_keys: dict[int, tuple[int, ...]] = {}
     inter_terms: dict[int, tuple[int, ...]] = {}
     if inter_shapes:
-        out_schema = cs.result_schema()
+        out_schema = schema_of(cs.output_functor)
         term = -1
         for uid in sorted(inter_shapes):
             key = inter_keys[uid] = out_schema.encode_shape(inter_shapes[uid])
@@ -369,7 +369,6 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
         return Unrealizable()
 
     cs = gi.cs
-    cs.result_schema()  # a result without fixed-arity shapes has no witness
     fresh: dict[int, int] = {}
     intermediates: dict[int, Extension] = {}
     for uid in sorted(gi.inter_shapes):
@@ -399,7 +398,7 @@ def candidate_shapes(cs: ConstraintSet, known: Mapping) -> tuple[list[ShapeValue
     holds in a `known` shape (a pinned base or output shape, or a copy of
     one), and each of those ±1. So the candidates cover the whole shape
     space exactly when every slot is bool."""
-    schema = cs.result_schema()
+    schema = schema_of(cs.output_functor)
     seen: list[set[int]] = [set() for _ in schema.slots]
     if any(slot.kind == "int" for slot in schema.slots):
         for shape in known.values():

@@ -76,8 +76,8 @@ from .functors import (
     UnitV,
     UnsupportedFunctor,
     Value,
-    flatten_shape,
     from_extension,
+    schema_of,
     show_value,
 )
 
@@ -239,7 +239,7 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
         # fold traces introduce symbolic intermediate results, so the result
         # functor must have fixed-arity shapes
         try:
-            flatten_shape(signature.result)
+            schema_of(signature.result)
         except UnsupportedFunctor as e:
             raise ValidationError(f"result functor unusable for foldr: {e}") from None
 

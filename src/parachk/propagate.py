@@ -10,9 +10,8 @@ shapes of the result functor. Inputs of an example are numbered right to
 left, so constraint 0 of a trace consumes the last list element and the
 given base value. Every known container is an extension the loader
 recorded (`Problem.extensions`); no value is walked again here. Each is
-keyed here, once: `Known.key` is its shape's slot key under the schema of
-its functor, and the set keeps those schemas (`ConstraintSet.part_schemas`,
-`out_schema`), one per functor, for every later reader.
+keyed here, once: `Known.key` is its shape's `shape_key`, whatever its
+functor, so a set that names a nested container keys it like any other.
 
 This module alone knows how a fold trace is laid out. `ConstraintSet.suffixes`
 numbers every suffix of every trace once (`number_suffixes`), and `unpinned`
@@ -34,16 +33,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .functors import (
-    Extension,
-    FunctorExpr,
-    ShapeSchema,
-    ShapeValue,
-    UnsupportedFunctor,
-    flatten_shape,
-    show_shape,
-)
-from .problem import AtomTable, ExampleExtensions, Problem, SketchKind
+from .functors import Extension, FunctorExpr, ShapeValue, shape_key, show_shape
+from .problem import AtomTable, ExampleExtensions, Problem, SketchKind, _only_shape
 
 
 class PropagationUnrealizable(Exception):
@@ -55,13 +46,12 @@ class PropagationUnrealizable(Exception):
 
 
 class Known(NamedTuple):
-    """A container the examples give: its extension, the slot key of its
-    shape (`ShapeSchema.encode_shape`; None where its functor has no
-    fixed-arity shapes) and the codes of its elements in position order.
-    The key and the codes follow from the extension."""
+    """A container the examples give: its extension, the key of its shape
+    (`shape_key`) and the codes of its elements in position order. The key
+    and the codes follow from the extension."""
 
     ext: Extension
-    key: tuple[int, ...] | None
+    key: tuple[int, ...]
     codes: tuple[int, ...]
 
 
@@ -86,7 +76,7 @@ def read_inputs(
     inter_keys: Mapping[int, tuple[int, ...]],
     inter_terms: Mapping[int, tuple[int, ...]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The slot key and the element terms of the inputs of `c`: a known
+    """The key and the element terms of the inputs of `c`: a known
     part's own key and codes, an intermediate's in `inter_keys` and
     `inter_terms`, by uid (KeyError if one is missing)."""
     key: tuple[int, ...] = ()
@@ -130,10 +120,6 @@ class ConstraintSet:
     constraints: tuple[MorphismConstraint, ...]
     unknown_count: int
     atoms: AtomTable
-    # the schema of each input part and of the output functor, built once;
-    # None for a functor whose shapes are not fixed-arity
-    part_schemas: tuple[ShapeSchema | None, ...]
-    out_schema: ShapeSchema | None
     traces: tuple[Trace, ...] = ()
     # a foldr set's base case, e(extra) = base: a raw set from the extra
     # functor to the result functor, one constraint per distinct extra value
@@ -142,35 +128,10 @@ class ConstraintSet:
     suffixes: tuple[Suffix, ...] = ()
     unpinned: tuple[int, ...] = ()
 
-    def input_schemas(self) -> tuple[ShapeSchema, ...]:
-        """The schema of each input part. One whose shapes are not
-        fixed-arity raises flatten_shape's UnsupportedFunctor."""
-        return tuple(
-            flatten_shape(f) if s is None else s
-            for f, s in zip(self.input_parts, self.part_schemas)
-        )
 
-    def result_schema(self) -> ShapeSchema:
-        """The schema of the output functor, or flatten_shape's
-        UnsupportedFunctor."""
-        s = self.out_schema
-        return flatten_shape(self.output_functor) if s is None else s
-
-
-def _schema(f: FunctorExpr) -> ShapeSchema | None:
-    try:
-        return flatten_shape(f)
-    except UnsupportedFunctor:
-        return None
-
-
-def _known(ext: Extension, schema: ShapeSchema | None) -> Known:
-    if schema is None:
-        key = None
-    elif schema.slots:
-        key = schema.encode_shape(ext.shape)
-    else:
-        key = ()  # a schema without slots keys every shape (), with no walk
+def _known(ext: Extension, one_shape: bool) -> Known:
+    # a functor with one shape (`_only_shape`) keys it (), with no walk
+    key = () if one_shape else shape_key(ext.functor, ext.shape)
     return Known(ext, key, tuple([a.code for a in ext.elements]))
 
 
@@ -191,20 +152,22 @@ def propagate_map(p: Problem) -> ConstraintSet:
                 f"example {i}: map preserves list length, but {len(x.inputs)} "
                 f"inputs map to {len(x.outputs)} outputs"
             )
-    element, result = _schema(sig.element), _schema(sig.result)
+    # whether each functor has one shape
+    element, result = (_only_shape(f) is not None for f in (sig.element, sig.result))
     constraints = tuple(
         MorphismConstraint((_known(a, element),), _known(b, result))
         for x in p.extensions
         for a, b in zip(x.inputs, x.outputs)
     )
-    return ConstraintSet(
-        (sig.element,), sig.result, constraints, 0, p.atoms, (element,), result
-    )
+    return ConstraintSet((sig.element,), sig.result, constraints, 0, p.atoms)
 
 
 def propagate_foldr(p: Problem) -> ConstraintSet:
     sig = p.signature
-    extra, element, result = _schema(sig.extra), _schema(sig.element), _schema(sig.result)
+    # whether each functor has one shape
+    extra, element, result = (
+        _only_shape(f) is not None for f in (sig.extra, sig.element, sig.result)
+    )
     constraints: list[MorphismConstraint] = []
     steps_of = []
     # extra -> (extra, base), keyed, for the base case
@@ -238,8 +201,6 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
         tuple(MorphismConstraint((h,), b) for h, b in bases.values()),
         0,
         p.atoms,
-        (extra,),
-        result,
     )
     return ConstraintSet(
         (sig.extra, sig.element, sig.result),
@@ -247,8 +208,6 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
         tuple(constraints),
         uid,
         p.atoms,
-        (extra, element, result),
-        result,
         tuple(map(Trace, chains, steps_of)),
         base_case,
         suffixes,

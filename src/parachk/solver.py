@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 
 from .encode import SmtScript, encode, shrink_assertions
-from .functors import Atom, Extension, ShapeMismatch
+from .functors import Atom, Extension, ShapeMismatch, schema_of
 from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
 from .propagate import ConstraintSet, Known, PropagationUnrealizable, propagate, read_inputs
@@ -412,7 +412,7 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
     except ModelError as e:
         raise WitnessError(str(e)) from None
 
-    out_schema = cs.result_schema()
+    out_schema = schema_of(cs.output_functor)
     intermediates: dict[int, Extension] = {}
     # a refined slot vector is the key of the shape it decodes to
     inter_keys: dict[int, tuple[int, ...]] = {}

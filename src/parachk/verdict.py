@@ -1,12 +1,12 @@
 """Verdicts and realizability witnesses, shared by the SMT backend and the
 brute-force oracle.
 
-A witness is reported as three finite tables keyed by flattened shape slots:
-the shape morphism at every queried input shape, the source position of
-every output position at those shapes, and a concrete container for every
-intermediate result. Witness validation replays every constraint against
-the tables by direct enumeration of positions, so a Realizable verdict never
-rests on unchecked solver output.
+A witness is reported as three finite tables keyed by shape keys
+(`functors.shape_key`, of any functor): the shape morphism at every queried
+input shape, the source position of every output position at those shapes,
+and a concrete container for every intermediate result. Witness validation
+replays every constraint against the tables by direct enumeration of
+positions, so a Realizable verdict never rests on unchecked solver output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .functors import Extension, flatten_shape, show_shape, show_value
+from .functors import Extension, schema_of, shape_key, show_shape, show_value
 from .propagate import ConstraintSet, Known, MorphismConstraint, read_inputs
 
 
@@ -83,22 +83,23 @@ def resolve_constraint(
 
 
 def constraint_key(parts: list[Extension]) -> tuple[int, ...]:
-    """The slot key of a constraint's input extensions, each keyed under
-    the schema of its own functor: the key `propagate.read_inputs` reads
-    off the keys propagation recorded."""
+    """The key of a constraint's input extensions, each its `shape_key`:
+    the key `propagate.read_inputs` reads off the keys propagation
+    recorded."""
     key: list[int] = []
     for ext in parts:
-        key.extend(flatten_shape(ext.functor).encode_shape(ext.shape))
+        key.extend(shape_key(ext.functor, ext.shape))
     return tuple(key)
 
 
 def validate_summary(cs: ConstraintSet, summary: WitnessSummary) -> bool:
     """Replay every constraint against the witness tables. Known containers
     carry their keys and codes; each intermediate is keyed once, from its
-    shape."""
-    out_schema = cs.result_schema()
+    shape, under the schema of the fold result."""
     inter_keys: dict[int, tuple[int, ...]] = {}
     inter_codes: dict[int, tuple[int, ...]] = {}
+    if summary.intermediates:
+        out_schema = schema_of(cs.output_functor)
     for uid, ext in summary.intermediates.items():
         if ext.functor != cs.output_functor:
             return False

@@ -168,17 +168,22 @@ def dropped_examples(rng: random.Random, p: Problem) -> Problem:
     return build_problem(p.name, p.signature, p.sketch, kept)
 
 
-def reverse_gap() -> Problem:
+def reverse_gap(element=ID) -> Problem:
     """reverse as a fold with its length-5 example left out: the fold of
     [b,c,d,e,f] must hold five atoms, one more than the longest candidate
     shape, so no completion is realizable, yet the set is. No rule that
-    guesses nothing refutes it, so `check` sends it to SMT."""
+    guesses nothing refutes it, so `check` sends it to SMT. An `element`
+    of lists holds each atom x as a singleton, [x], [[x]] and so on."""
+
+    def wrap(f, x):
+        return x if f == ID else ListV((wrap(f.inner, x),))
+
     xs = [atom(x) for x in "abcdef"]
     examples = [
-        (UnitV(), xs[-n:], ListV(tuple(reversed(xs[-n:]))), ListV(()))
+        (UnitV(), [wrap(element, x) for x in xs[-n:]], ListV(tuple(reversed(xs[-n:]))), ListV(()))
         for n in (1, 2, 3, 4, 6)
     ]
-    return build_problem("reverse-gap", Signature(UNIT, ID, ListOf(ID)), SketchKind.FOLDR, examples)
+    return build_problem("reverse-gap", Signature(UNIT, element, ListOf(ID)), SketchKind.FOLDR, examples)
 
 
 def forced_past_candidates() -> Problem:

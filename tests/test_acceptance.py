@@ -24,6 +24,11 @@ import time
 import pytest
 
 from parachk import (
+    ID,
+    INT,
+    ListOf,
+    MaybeOf,
+    ProdOf,
     Realizable,
     SolverConfig,
     UNIT,
@@ -43,7 +48,7 @@ from parachk import (
     validate_summary,
 )
 from parachk.bench import run_bench
-from parachk.functors import UnsupportedFunctor
+from parachk.functors import UnsupportedFunctor, shape_key
 from parachk.propagate import PropagationUnrealizable
 from parachk.verdict import same_variant, verdict_name
 
@@ -157,22 +162,31 @@ def test_criterion_5_oracle_agreement(agreement_run):
 def test_criterion_6_property_suites():
     rng = random.Random(555000111)
 
-    # extension roundtrip and size/schema coherence on random typed values
-    functor_pool = support.F_POOL + support.G_POOL + [UNIT]
+    # extension roundtrip, one shape per key of every functor, and
+    # size/schema coherence where the functor has a schema
+    functor_pool = support.F_POOL + support.G_POOL + [
+        UNIT,
+        ListOf(ListOf(ID)),
+        ListOf(MaybeOf(ID)),
+        MaybeOf(ListOf(ProdOf(ID, INT))),
+    ]
     roundtrip = coherence = 0
+    shapes = {}
     for _ in range(120):
         f = rng.choice(functor_pool)
         v = support.random_value(rng, f)
         assert from_extension(to_extension(f, v)) == v
         roundtrip += 1
         shape = shape_of(f, v)
+        key = shape_key(f, shape)
+        assert shapes.setdefault((f, key), shape) == shape
         try:
             sch = flatten_shape(f)
         except UnsupportedFunctor:
             continue
-        slots = sch.encode_shape(shape)
-        assert sch.count_value(slots) == size_of(f, shape)
-        assert sch.decode_slots(slots) == shape
+        assert sch.encode_shape(shape) == key
+        assert sch.count_value(key) == size_of(f, shape)
+        assert sch.decode_slots(key) == shape
         coherence += 1
 
     def oracle_verdict(p):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from parachk import load_problem, problem_to_json, shape_complete, solver
+from parachk import ID, ListOf, load_problem, problem_to_json, shape_complete, solver
 from parachk.bench import corpus
 from parachk.cli import main
 
@@ -283,7 +283,7 @@ def test_oracle_refutes_a_base_case_of_an_incomplete_set(capsys, tmp_path):
 
 def _no_schema(tmp_path, inputs, base):
     """A foldr set over a unit extra whose element, List(Maybe(Unit)), has
-    no fixed-arity shapes, so no step can be grounded or encoded. Each
+    no fixed-arity shapes, so no step can be encoded for SMT. Each
     input is a list of "nothing" or "unit" (for Just ()); the output is
     the base."""
     path = tmp_path / "no-schema.json"
@@ -325,12 +325,135 @@ def test_check_and_oracle_agree_on_a_refuted_base_of_steps_without_a_schema(caps
     assert details[0].startswith("no container morphism of the extra argument gives every base")
 
 
-def test_steps_without_a_schema_still_fail_where_the_base_case_holds(capsys, tmp_path):
-    # the base [], which the unit extra gives, refutes nothing
-    path = _no_schema(tmp_path, [["nothing"]], {"list": []})
-    for command in ("check", "oracle"):
-        assert main([command, path]) == 3
-        assert "has a variable shape" in capsys.readouterr().err
+# flatten_shape's message for the functor the SMT encoding cannot take on
+_NO_SCHEMA = (
+    "List(List(Id)): element functor List(Id) has a variable shape, so the list shape "
+    "is not fixed-arity"
+)
+
+
+def test_steps_without_a_schema_still_fail_where_the_base_case_holds(capsys, tmp_path, no_spawn):
+    # reverse over [[x]] elements with a suffix unpinned: the base [], which
+    # the unit extra gives, refutes nothing, and no guess settles the steps,
+    # so they go to SMT, which has no schema for List(List(Id))
+    path = tmp_path / "nested-reverse-gap.json"
+    path.write_text(problem_to_json(support.reverse_gap(ListOf(ListOf(ID)))))
+    for backend in ("auto", "smt"):
+        argv = ["check", str(path), "--backend", backend, "--solver", no_spawn.solver_command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {_NO_SCHEMA}\n"
+
+
+def _nested_file(tmp_path, name, sketch, element, examples) -> str:
+    """A problem file over a unit extra and a List(Id) result; each
+    example is (inputs, output) or, for a fold, (inputs, output, base)."""
+    keys = ("inputs", "output", "base")
+    path = tmp_path / f"{name}.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": name,
+                "signature": {"element": element, "result": "List(Id)"},
+                "sketch": sketch,
+                "examples": [dict(zip(keys, ex)) for ex in examples],
+            }
+        )
+    )
+    return str(path)
+
+
+def _ls(*items):
+    return {"list": [{"atom": x} if isinstance(x, str) else x for x in items]}
+
+
+def _words(*words):
+    """A List(List(Id)) fold element: one list of atoms per word."""
+    return _ls(*(_ls(*w) for w in words))
+
+
+def _concat_examples(*elements):
+    """concat after concat over the given lists of words, with the base []."""
+    return [
+        ([_words(*el) for el in els], _ls(*(x for el in els for w in el for x in w)), _ls())
+        for els in elements
+    ]
+
+
+# sets over List(List(Id)) and List(Maybe(Id)), which have no fixed-arity
+# shapes: (sketch, element, examples, verdict, path of `check`)
+NESTED_SETS = {
+    "raw-concat": (
+        "raw",
+        "List(List(Id))",
+        [([_ls(_ls("a", "b"), _ls("c"))], _ls("a", "b", "c")), ([_ls(_ls(), _ls("d"))], _ls("d"))],
+        "Realizable",
+        "oracle",
+    ),
+    "raw-shape-clash": (
+        "raw",
+        "List(List(Id))",
+        [([_ls(_ls("a"), _ls("b"))], _ls("a")), ([_ls(_ls("c"), _ls("d"))], _ls("c", "d"))],
+        "Unrealizable",
+        "oracle",
+    ),
+    "raw-from-nowhere": (
+        "raw", "List(List(Id))", [([_ls(_ls("a"), _ls("b"))], _ls("z"))], "Unrealizable", "oracle"
+    ),
+    "map-cat-maybes": (
+        "map",
+        "List(Maybe(Id))",
+        [
+            (
+                [{"list": ["nothing", {"just": {"atom": "a"}}]}, _ls({"just": {"atom": "b"}})],
+                _ls(_ls("a"), _ls("b")),
+            )
+        ],
+        "Realizable",
+        "oracle",
+    ),
+    "fold-concat-complete": (
+        "foldr",
+        "List(List(Id))",
+        _concat_examples([], ["c"], ["ab", "c"], ["de", "ab", "c"]),
+        "Realizable",
+        "oracle",
+    ),
+    "fold-concat-incomplete": (
+        "foldr",
+        "List(List(Id))",
+        _concat_examples(["c"], ["de", "ab", "c"]),
+        "Realizable",
+        "oracle+completion",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_SETS))
+def test_nested_containers_are_decided_in_process(capsys, tmp_path, no_spawn, name):
+    sketch, element, examples, verdict, path = NESTED_SETS[name]
+    problem = _nested_file(tmp_path, name, sketch, element, examples)
+    code = main(["check", problem, "--format", "json", "--solver", no_spawn.solver_command])
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["verdict"], payload["path"]) == (verdict, path)
+    if path == "oracle":
+        assert main(["oracle", problem, "--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--backend", "smt"], ["emit-smt"], ["oracle", "--cross-check"]],
+    ids=["check-smt", "emit-smt", "oracle-cross-check"],
+)
+def test_nested_containers_leave_the_oracle_with_exit_three(capsys, tmp_path, no_spawn, command):
+    # the oracle decides the raw concat set, but the SMT encoding needs a
+    # schema for every input, so each way to SMT stops with the message of
+    # flatten_shape before a solver is spawned
+    sketch, element, examples, _, _ = NESTED_SETS["raw-concat"]
+    problem = _nested_file(tmp_path, "raw-concat", sketch, element, examples)
+    solver_flags = [] if command == ["emit-smt"] else ["--solver", no_spawn.solver_command]
+    assert main([command[0], problem, *command[1:], *solver_flags]) == 3
+    assert capsys.readouterr().err == f"error: {_NO_SCHEMA}\n"
 
 
 def _base_detail(out: str) -> str:

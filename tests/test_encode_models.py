@@ -10,7 +10,7 @@ found a witness, and `check` would report a wrong Unrealizable.
 import glob
 import random
 
-from parachk import encode, load_problem, propagate
+from parachk import encode, flatten_shape, load_problem, propagate
 from parachk.bench import corpus
 from parachk.encode import shrink_assertions
 from parachk.oracle import BoundExceeded, StepBudget
@@ -43,8 +43,8 @@ def witness_model(cs, witness) -> ModelFunctions:
     """The witness's tables and intermediates as the functions the script
     declares: `oshape{j}` and `srcpos` over input shape slots, and
     `mid{uid}_{slot}` and `elem{uid}` for each intermediate."""
-    out_schema = cs.result_schema()
-    arity = sum(len(s.slots) for s in cs.input_schemas())
+    out_schema = flatten_shape(cs.output_functor)
+    arity = sum(len(flatten_shape(f).slots) for f in cs.input_parts)
     defs = [
         _define(f"oshape{j}", arity, {key: out[j] for key, out in witness.shape_table.items()})
         for j in range(len(out_schema.slots))

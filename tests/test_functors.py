@@ -40,6 +40,7 @@ from parachk import (
 )
 from parachk.functors import (
     ArityMismatch,
+    BoolS,
     ConstBool,
     ConstInt,
     ConstUnit,
@@ -49,10 +50,14 @@ from parachk.functors import (
     Nonneg,
     ShapeMismatch,
     TypeMismatch,
+    UnitS,
     UnsupportedFunctor,
     ZeroOne,
     ZeroWhenAbsent,
+    shape_key,
 )
+
+import support
 
 A, B, C = Atom(0, "A"), Atom(1, "B"), Atom(2, "C")
 
@@ -400,16 +405,70 @@ def test_offset_coherence(fv, gw):
         assert prod.elements[k] == left.elements[k]
 
 
+def _read_key(f, key, i):
+    """The shape of f whose `shape_key` starts at key[i], and the index
+    after that key: the key read back, one constructor at a time."""
+    match f:
+        case Id():
+            return IdS(), i
+        case ConstUnit():
+            return UnitS(), i
+        case ConstInt():
+            return IntS(key[i]), i + 1
+        case ConstBool():
+            return BoolS(key[i] == 1), i + 1
+        case ListOf(inner):
+            children, j = [], i + 1
+            for _ in range(key[i]):
+                child, j = _read_key(inner, key, j)
+                children.append(child)
+            return ListS(tuple(children)), j
+        case ProdOf(l, r):
+            a, j = _read_key(l, key, i)
+            b, j = _read_key(r, key, j)
+            return ProdS(a, b), j
+        case MaybeOf(inner):
+            # an absent child's key is the zero key, read and dropped
+            child, j = _read_key(inner, key, i + 1)
+            return MaybeS(child if key[i] == 1 else None), j
+
+
 @given(typed_values)
 @settings(max_examples=150)
 def test_schema_coherence(fv):
+    # every functor's key reads back to its shape; where the functor has a
+    # schema, the key is the shape's slot vector
     f, v = fv
+    shape = shape_of(f, v)
+    key = shape_key(f, shape)
+    assert _read_key(f, key, 0) == (shape, len(key))
     try:
         sch = flatten_shape(f)
     except UnsupportedFunctor:
         return
-    shape = shape_of(f, v)
-    slots = sch.encode_shape(shape)
-    assert sch.refines(slots)
-    assert sch.count_value(slots) == size_of(f, shape)
-    assert sch.decode_slots(slots) == shape
+    assert sch.encode_shape(shape) == key
+    assert sch.refines(key)
+    assert sch.count_value(key) == size_of(f, shape)
+    assert sch.decode_slots(key) == shape
+
+
+# functors without fixed-arity shapes, and two with schemas
+_KEY_POOL = [
+    ListOf(ListOf(ID)),
+    ListOf(MaybeOf(ID)),
+    MaybeOf(ListOf(ProdOf(ID, INT))),
+    ProdOf(ListOf(ListOf(ID)), ListOf(ID)),
+    MaybeOf(MaybeOf(INT)),
+    ProdOf(ListOf(ID), INT),
+]
+
+
+@pytest.mark.parametrize("f", _KEY_POOL, ids=str)
+def test_shape_key_is_injective(f):
+    # distinct random shapes get distinct keys, and so do pairs of them,
+    # which a key that is not prefix-free would merge
+    rng = random.Random(5)
+    shapes = list({shape_of(f, support.random_value(rng, f, list_cap=3)) for _ in range(400)})
+    assert len({shape_key(f, s) for s in shapes}) == len(shapes) >= 10
+    pairs = [ProdS(a, b) for a in shapes[:25] for b in shapes[:25]]
+    assert len({shape_key(ProdOf(f, f), s) for s in pairs}) == len(pairs)

@@ -27,6 +27,7 @@ from parachk import (
     Unrealizable,
     atom,
     build_problem,
+    check,
     corpus,
     ground,
     oracle_check,
@@ -78,6 +79,35 @@ def tail_sc_problem():
             (UnitV(), [atom("z")], lst(), lst()),
         ],
     )
+
+
+def _nested_extra_fold(name, kept):
+    """A fold over an extra of List(List(Id)) whose base is the extra's
+    concatenation and whose step conses: the examples of `kept`."""
+    h1, h2 = lst(lst(atom("p"), atom("q")), lst(atom("r"))), lst(lst(atom("s")))
+    examples = [
+        (h1, []),
+        (h1, [atom("x")]),
+        (h1, [atom("y"), atom("x")]),
+        (h2, [atom("z")]),
+    ]
+    rows = []
+    for h, xs in (examples[i] for i in kept):
+        base = lst(*(y for inner in h.items for y in inner.items))
+        rows.append((h, xs, lst(*xs, *base.items), base))
+    return build_problem(name, Signature(ListOf(ListOf(ID)), ID, ListOf(ID)), SketchKind.FOLDR, rows)
+
+
+@pytest.mark.parametrize(
+    "kept, path", [((0, 1, 2, 3), "oracle"), ((0, 2, 3), "oracle+completion")], ids=["complete", "incomplete"]
+)
+def test_folds_over_a_nested_extra_are_decided_in_process(no_spawn, kept, path):
+    # the extra's shapes are not fixed-arity: its keys, the base case and
+    # the suffix table all take it as they take a flat one
+    p = _nested_extra_fold("nested-extra", kept)
+    report = check(p, no_spawn)
+    assert (verdict_name(report.verdict), report.path) == ("Realizable", path)
+    assert validate_summary(propagate(p), report.verdict.witness)
 
 
 def test_tail_intermediates_resolved_by_suffix_chase():
