@@ -349,24 +349,28 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
 
     uf = _Unifier(budget or StepBudget(float("inf")))
     chosen: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def assign(idx: int) -> bool:
-        if idx == len(variables):
-            return True
+    # depth-first, in the order of `variables`, on an explicit stack: per
+    # variable reached, its candidates left and the unifier's trail mark
+    frames: list[tuple[Iterator[int], int]] = []
+    idx = 0
+    while idx < len(variables):
         key, q, candidates = variables[idx]
+        if idx == len(frames):
+            frames.append((iter(candidates), uf.mark()))
+        left, mark = frames[idx]
         group = by_key[key]
-        for p in candidates:
-            mark = uf.mark()
+        for p in left:
             if all(uf.unify(c.in_terms[p], c.out_terms[q]) for c in group):
                 chosen[(key, q)] = p
-                if assign(idx + 1):
-                    return True
-                del chosen[(key, q)]
+                idx += 1
+                break
             uf.rollback(mark)
-        return False
-
-    if not assign(0):
-        return Unrealizable()
+        else:
+            frames.pop()
+            if not frames:
+                return Unrealizable()
+            idx -= 1
+            uf.rollback(frames[idx][1])
 
     cs = gi.cs
     fresh: dict[int, int] = {}

@@ -349,7 +349,11 @@ def relabel_problem(p: Problem, mapping: dict[str, str]) -> Problem:
 # Functor expression text
 
 
+@functools.cache
 def parse_functor(text: str) -> FunctorExpr:
+    """The functor `text` names, parsed once per text: functors are frozen,
+    so one may be shared. A ParseError, or a RecursionError on deep nesting,
+    is raised on every call, since a raise is not cached."""
     parser = _FunctorParser(text)
     f = parser.parse()
     parser.skip_ws()

@@ -25,6 +25,14 @@ from the extra functor to the result functor that every example fixes at
 its extra argument: `ConstraintSet.base_case` is that raw set, including
 the examples with an empty input. A base's shape is a function of its
 extra's shape, so a suffix leaves it out.
+
+Two conflicts refute a fold set here, before its base case or any search:
+an example with an empty input whose output is not its base, and an
+example with a nonempty input whose output holds an atom from nowhere, in
+neither its extra argument, its inputs nor its base (`atom_from_nowhere`).
+The step function is polymorphic, so by induction over the steps every
+intermediate holds only atoms of the extra, the suffix it folds and the
+base. A map set is refuted here when a list changes length.
 """
 
 from __future__ import annotations
@@ -184,13 +192,20 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
         h, base = bases[x.extra]
         if n == 0:
             continue
+        elements = [_known(e, element) for e in reversed(x.inputs)]
+        out = _known(x.outputs[0], result)
+        code = atom_from_nowhere(out, (h, base, *elements))
+        if code is not None:
+            raise PropagationUnrealizable(
+                f"example {i}: output atom {p.atoms.label_of(code)} occurs in neither "
+                f"its extra argument, its inputs nor its base"
+            )
         accs: list[SymbolicContainer] = [base]
         accs.extend(Unknown(uid + k) for k in range(n - 1))
-        accs.append(_known(x.outputs[0], result))
+        accs.append(out)
         uid += n - 1
         steps = tuple(
-            MorphismConstraint((h, _known(x.inputs[n - 1 - k], element), accs[k]), accs[k + 1])
-            for k in range(n)
+            MorphismConstraint((h, elements[k], accs[k]), accs[k + 1]) for k in range(n)
         )
         constraints.extend(steps)
         steps_of.append(steps)
@@ -213,6 +228,21 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
         suffixes,
         unpinned,
     )
+
+
+def atom_from_nowhere(out: Known, sources: tuple[Known, ...]) -> int | None:
+    """The first atom code of a fold example's output `out`, in position
+    order, that none of `sources` (its extra argument, its base and its
+    inputs) holds; None when there is none. A polymorphic step function
+    cannot invent an element, so by induction over the steps every
+    intermediate's atoms come from the extra, the suffix it folds and the
+    base, and an output atom from nowhere refutes the set."""
+    left = set(out.codes)
+    for part in sources:
+        if not left:
+            return None
+        left.difference_update(part.codes)
+    return next((c for c in out.codes if c in left), None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ which is fine for agreement testing.
 
 from __future__ import annotations
 
+import contextlib
+import importlib
 import random
 
 from parachk import (
     Atom,
+    AtomV,
     size_of,
     BoolV,
     ID,
@@ -33,15 +36,20 @@ from parachk import (
     ProdOf,
     ProdS,
     Problem,
+    PropagationUnrealizable,
     Signature,
     SketchKind,
     UNIT,
     UnitV,
+    Unrealizable,
     Value,
     atom,
     build_problem,
     flatten_shape,
     from_extension,
+    oracle_decide,
+    propagate,
+    shape_complete,
     shape_of,
     to_extension,
     relabel_problem,
@@ -217,6 +225,69 @@ def long_trace(n: int, output: list[str], base: list[str] = ()) -> Problem:
         SketchKind.FOLDR,
         [(UnitV(), xs, ListV(tuple(map(atom, output))), ListV(tuple(map(atom, base))))],
     )
+
+
+NOWHERE = "occurs in neither its extra argument, its inputs nor its base"
+
+
+def atom_labels(v: Value) -> list[str]:
+    """The labels of the atoms of `v`, left to right."""
+    if isinstance(v, AtomV):
+        return [v.atom.label]
+    if isinstance(v, ListV):
+        return [label for x in v.items for label in atom_labels(x)]
+    if isinstance(v, PairV):
+        return atom_labels(v.first) + atom_labels(v.second)
+    if isinstance(v, JustV):
+        return atom_labels(v.value)
+    return []
+
+
+def atoms_from_nowhere(p: Problem) -> list[tuple[int, str]]:
+    """(i, label) for each fold example i with inputs whose output holds
+    an atom that neither its extra, its inputs nor its base holds, `label`
+    the first such atom: read off the example values, not the
+    extensions propagation reads."""
+    if p.sketch is not SketchKind.FOLDR:
+        return []
+    found = []
+    for i, ex in enumerate(p.examples):
+        sources = {label for v in (ex.extra, ex.base, *ex.inputs) for label in atom_labels(v)}
+        nowhere = [label for label in atom_labels(ex.output) if label not in sources]
+        if ex.inputs and nowhere:
+            found.append((i, nowhere[0]))
+    return found
+
+
+@contextlib.contextmanager
+def nowhere_rule_off():
+    """Propagation without its element-from-nowhere rule
+    (`propagate.atom_from_nowhere`), so the search decides what it
+    refutes."""
+    module = importlib.import_module("parachk.propagate")
+    rule = module.atom_from_nowhere
+    module.atom_from_nowhere = lambda out, sources: None
+    try:
+        yield
+    finally:
+        module.atom_from_nowhere = rule
+
+
+def assert_refuted_from_nowhere(p: Problem) -> None:
+    """Propagation refutes `p` by its first example with an atom from
+    nowhere (`atoms_from_nowhere`) and names that atom; with the rule off,
+    an unbudgeted search refutes `p` too wherever it is shape complete."""
+    (i, label), *_ = atoms_from_nowhere(p)
+    try:
+        propagate(p)
+    except PropagationUnrealizable as e:
+        assert e.reason == f"example {i}: output atom {label} {NOWHERE}", (p.name, e.reason)
+    else:
+        raise AssertionError(f"{p.name}: no refutation of the atom {label} of example {i}")
+    if shape_complete(p).complete:
+        with nowhere_rule_off():
+            cs = propagate(p)
+        assert isinstance(oracle_decide(cs), Unrealizable), p.name
 
 
 def suffix_key(cs, s: int) -> tuple[ShapeValue, tuple[ShapeValue, ...]]:

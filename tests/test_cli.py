@@ -242,8 +242,8 @@ def test_oracle_propagates_before_checking_completeness(capsys, tmp_path):
         assert code == 1 and "Unrealizable" in capsys.readouterr().out
 
 
-def _one_trace(tmp_path, base):
-    """A foldr set over a unit extra whose one example [b,c] -> [b,c,z]
+def _one_trace(tmp_path, base, last="b"):
+    """A foldr set over a unit extra whose one example [b,c] -> [b,c,last]
     leaves the suffix [*] unpinned."""
     path = tmp_path / "one-trace.json"
     path.write_text(
@@ -255,7 +255,7 @@ def _one_trace(tmp_path, base):
                 "examples": [
                     {
                         "inputs": [{"atom": "b"}, {"atom": "c"}],
-                        "output": {"list": [{"atom": "b"}, {"atom": "c"}, {"atom": "z"}]},
+                        "output": {"list": [{"atom": "b"}, {"atom": "c"}, {"atom": last}]},
                         "base": base,
                     }
                 ],
@@ -268,7 +268,7 @@ def _one_trace(tmp_path, base):
 def test_oracle_refutes_a_base_case_of_an_incomplete_set(capsys, tmp_path):
     # the base [z] holds an atom no unit extra gives: both commands refute
     # the set by its base case, before the steps need the suffix [*]
-    path = _one_trace(tmp_path, {"list": [{"atom": "z"}]})
+    path = _one_trace(tmp_path, {"list": [{"atom": "z"}]}, last="z")
     code = main(["check", path, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["path"] == "oracle"
@@ -520,6 +520,34 @@ def test_refuted_base_is_decided_before_steps_past_the_search_bounds(capsys, tmp
     assert _base_detail(captured.out).startswith(
         "no container morphism of the extra argument gives every base"
     )
+
+
+FROM_NOWHERE = "example 0: output atom z occurs in neither its extra argument, its inputs nor its base"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["check", "--backend", "smt"], ["oracle"], ["oracle", "--cross-check"]],
+    ids=["check", "check-smt", "oracle", "oracle-cross-check"],
+)
+def test_atom_from_nowhere_is_refuted_in_propagation(capsys, tmp_path, no_spawn, command):
+    # [b,c] -> [b,c,z] with the base []: z comes from nowhere, so
+    # propagation refutes the set before the oracle needs the suffix [*]
+    # or any solver is spawned
+    path = _one_trace(tmp_path, {"list": []}, last="z")
+    code = main([command[0], path, *command[1:], "--format", "json", "--solver", no_spawn.solver_command])
+    captured = capsys.readouterr()
+    payload, _ = json.JSONDecoder().raw_decode(captured.out)
+    assert code == 1 and captured.err == ""
+    assert payload["path"] == "fast-path" and payload["solver_ms"] == 0
+    assert (payload["verdict"], payload["detail"]) == ("Unrealizable", FROM_NOWHERE)
+
+
+def test_emit_smt_refuses_an_atom_from_nowhere(capsys, tmp_path):
+    code = main(["emit-smt", _one_trace(tmp_path, {"list": []}, last="z")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: unrealizable before encoding, no script is sent: {FROM_NOWHERE}\n"
 
 
 def test_oracle_refuses_an_incomplete_set_whose_base_case_holds(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """The brute-force oracle: grounding, conflicts, search, witnesses."""
 
+import gc
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from parachk import (
     check,
     corpus,
     ground,
+    load_problem,
     oracle_check,
     oracle_decide,
     propagate,
@@ -321,6 +323,23 @@ def test_step_budget(make):
     assert steps > 1 and verdict == exhaustive and budget.left == 0
 
 
+def test_search_leaves_no_reference_cycle():
+    # the search keeps its choices on a stack, not in a closure that refers
+    # to itself, so a check frees everything it built without the cyclic
+    # collector; the first check builds the per-functor caches
+    p = load_problem("problems/reverse_as_foldr.json")
+    check(p)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert isinstance(check(p).verdict, Realizable)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_determinism():
     rng = random.Random(99)
     for _ in range(10):
@@ -424,7 +443,7 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     # spend the budget: the 58 shape-consistent completions of one
     # 8-element trace cost at least 58 * 8 steps
     monkeypatch.setattr(oracle, "oracle_check", lambda gi, budget=None: Unrealizable())
-    cs = propagate(support.long_trace(8, ["z"]))
+    cs = propagate(support.long_trace(8, ["x4"]))
     with pytest.raises(Ungroundable) as err:
         ground(cs)
     guessing = StepBudget(10**9)
@@ -676,6 +695,12 @@ def test_scans_agree_with_plain_search_on_sampled_folds():
     rng = random.Random(12)
     searched = 0
     for i in range(300):
-        cs = propagate(support.random_foldr_problem(rng, realizable=i % 3 != 0))
+        p = support.random_foldr_problem(rng, realizable=i % 3 != 0)
+        # a set with an atom from nowhere is refuted before the search; it
+        # is searched with that rule off
+        if support.atoms_from_nowhere(p):
+            support.assert_refuted_from_nowhere(p)
+        with support.nowhere_rule_off():
+            cs = propagate(p)
         searched += _assert_same_search(cs) + _assert_same_search(cs.base_case)
     assert searched >= 400

@@ -276,14 +276,15 @@ def groundings(monkeypatch) -> list:
 
 def test_many_open_keys_go_to_smt_within_the_budget(no_spawn, groundings):
     # one 8-element trace leaves 7 suffixes unpinned (5**7 completions, 58
-    # of them shape consistent), and the atom z comes from nowhere, so no
-    # completion is realizable
-    p = support.long_trace(8, ["z"])
+    # of them shape consistent), and its output [x4] takes an atom from its
+    # inputs, so no rule that guesses nothing refutes it
+    p = support.long_trace(8, ["x4"])
     assert len(shape_complete(p).missing) == 7
+    assert not support.atoms_from_nowhere(p)
     assert_spawns(p, no_spawn)
     # only shape-consistent completions are grounded (a shape conflict in
     # one would escape `check`), and their searches spend the budget
-    # after a few
+    # after a few, before the first realizable one
     assert 1 <= len(groundings) <= 16
 
 
@@ -314,10 +315,11 @@ def test_long_trace_is_decided_by_guesses_and_forcing(no_spawn, monkeypatch):
 
 def test_refuted_base_case_spares_the_solver(no_spawn):
     # the open-keys set with the base [w], an atom no unit extra gives: the
-    # refuted base case decides the set before its steps, which no
-    # completion settles, so nothing is spawned on either backend
-    p = support.long_trace(8, ["z"], base=["w"])
+    # refuted base case decides the set before its steps, whose searches
+    # spend the budget, so nothing is spawned on either backend
+    p = support.long_trace(8, ["x4"], base=["w"])
     assert len(shape_complete(p).missing) == 7
+    assert not support.atoms_from_nowhere(p)
     for backend in solver.BACKENDS:
         report = check(p, no_spawn, backend=backend)
         assert report.path == "oracle" and report.solver_ms == 0.0
@@ -441,6 +443,25 @@ def test_completion_never_contradicts_construction(seed):
         assert not isinstance(_auto_verdict(r), Realizable)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+def test_atom_from_nowhere_is_refuted_in_propagation(seed, drop):
+    """A draw realizable by construction passes propagation; its copy with
+    an element from nowhere is refuted there, for the first example whose
+    output holds one, and the search with the rule off refutes it too
+    wherever it is shape complete."""
+    rng = random.Random(seed)
+    p = support.random_foldr_problem(rng)
+    if drop:
+        p = support.dropped_examples(rng, p)
+    assert not support.atoms_from_nowhere(p)
+    propagate(p)
+    r = _from_nowhere(p)
+    if r is not None:
+        assert support.atoms_from_nowhere(r)
+        support.assert_refuted_from_nowhere(r)
+
+
 def test_guess_free_rules_never_refute_a_realizable_draw():
     rng = random.Random(1917)
     for _ in range(1000):
@@ -482,17 +503,23 @@ def test_guess_free_refutations_have_no_wide_realization(monkeypatch):
     for _ in range(2000):
         p = support.random_foldr_problem(rng, realizable=rng.random() < 0.5)
         p = support.dropped_examples(rng, p)
-        try:
-            report = check(p, NO_SOLVER)
-        except SolverError:
-            continue
-        if isinstance(report.verdict, Unrealizable) and report.path == "oracle+completion":
-            refuted.append((p, report.verdict.detail))
+        # a draw with an atom from nowhere is refuted before any guess; it
+        # is checked with that rule off, so the rules below still see it
+        if support.atoms_from_nowhere(p):
+            support.assert_refuted_from_nowhere(p)
+        with support.nowhere_rule_off():
+            try:
+                report = check(p, NO_SOLVER)
+            except SolverError:
+                continue
+            if isinstance(report.verdict, Unrealizable) and report.path == "oracle+completion":
+                refuted.append((p, report.verdict.detail))
     # the budget alone bounds these searches
     monkeypatch.setattr(oracle, "COMPLETION_LENGTHS", range(9))
     monkeypatch.setattr(oracle, "MAX_POSITIONS", 64)
     monkeypatch.setattr(oracle, "MAX_SHAPES", 64)
-    wide = [_wide_witness(propagate(p)) for p, _ in refuted]
+    with support.nowhere_rule_off():
+        wide = [_wide_witness(propagate(p)) for p, _ in refuted]
     assert True not in wide, [p.name for (p, _), w in zip(refuted, wide) if w]
     past_budget = wide.count(None)
     assert past_budget <= 1, f"{past_budget} of {len(refuted)} refuted sets were not checked"
