@@ -13,8 +13,7 @@ element type.
 from __future__ import annotations
 
 import json
-import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .functors import (
     BOOL,
@@ -39,8 +38,7 @@ from .solver import SolverConfig, check
 from .verdict import verdict_name
 
 
-@dataclass(frozen=True)
-class BenchEntry:
+class BenchEntry(NamedTuple):
     name: str
     problem_sc: Problem
     problem_si: Problem
@@ -213,8 +211,7 @@ def corpus() -> list[BenchEntry]:
 # Running the benchmark
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     name: str
     expected_fold: bool
     sc_verdict: str
@@ -242,7 +239,18 @@ def _median_check(problem, cfg, repeat, backend) -> tuple[str, float]:
         if verdict is None:
             verdict = report.verdict
         times.append(report.total_ms)
-    return verdict_name(verdict), statistics.median(times)
+    return verdict_name(verdict), _median(times)
+
+
+def _median(values: list[float]) -> float:
+    """The middle value for an odd count, else the mean of the two middle
+    values: `statistics.median`, without loading the `statistics` module
+    and the `decimal` and `fractions` modules it imports."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def run_bench(
@@ -280,7 +288,7 @@ def format_table(rows: list[BenchRow]) -> str:
         )
     sc_times = [r.sc_ms for r in rows]
     if sc_times:
-        lines.append(f"median SC time: {statistics.median(sc_times):.1f} ms")
+        lines.append(f"median SC time: {_median(sc_times):.1f} ms")
     return "\n".join(lines)
 
 
@@ -298,6 +306,6 @@ def format_json(rows: list[BenchRow], ok: bool, repeat: int) -> str:
         ],
         "ok": ok,
         "repeat": repeat,
-        "sc_median_ms": round(statistics.median([r.sc_ms for r in rows]), 3) if rows else None,
+        "sc_median_ms": round(_median([r.sc_ms for r in rows]), 3) if rows else None,
     }
     return json.dumps(payload, indent=2)

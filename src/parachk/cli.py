@@ -58,12 +58,6 @@ def _repeat_count(text: str) -> int:
     return n
 
 
-def _config(args) -> SolverConfig:
-    if args.solver is not None:
-        return SolverConfig(solver_command=args.solver, timeout_ms=args.timeout)
-    return SolverConfig(timeout_ms=args.timeout)
-
-
 def _exit_code(verdict) -> int:
     if isinstance(verdict, Realizable):
         return 0
@@ -146,9 +140,9 @@ def _print_report(args, name: str, report: CheckReport, note: str) -> None:
             print(describe_witness(verdict.witness))
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, cfg: SolverConfig) -> int:
     problem = load_problem(args.path)
-    report = check(problem, _config(args), backend=args.backend)
+    report = check(problem, cfg, backend=args.backend)
     timings = f"{report.total_ms:.1f} ms total, {report.solver_ms:.1f} ms solver"
     _print_report(args, problem.name, report, timings)
     return _exit_code(report.verdict)
@@ -166,7 +160,7 @@ def cmd_emit_smt(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, cfg: SolverConfig) -> int:
     problem = load_problem(args.path)
     try:
         report = decide(problem, lambda cs: (oracle_verdict(cs), 0.0, "oracle"))
@@ -179,7 +173,7 @@ def cmd_oracle(args) -> int:
 
     if args.cross_check:
         # pinned to SMT, so the oracle is never compared with itself
-        solved = check(problem, _config(args), backend="smt").verdict
+        solved = check(problem, cfg, backend="smt").verdict
         if not same_variant(solved, report.verdict):
             print(
                 f"cross-check disagreement: oracle {verdict_name(report.verdict)}, "
@@ -191,8 +185,8 @@ def cmd_oracle(args) -> int:
     return _exit_code(report.verdict)
 
 
-def cmd_bench(args) -> int:
-    rows, ok = run_bench(_config(args), repeat=args.repeat, only=args.only)
+def cmd_bench(args, cfg: SolverConfig) -> int:
+    rows, ok = run_bench(cfg, repeat=args.repeat, only=args.only)
     if not rows:
         print(f"error: no benchmark entry named {args.only!r}", file=sys.stderr)
         return 3
@@ -205,20 +199,23 @@ def cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "timeout"):
+    # every command but emit-smt takes the solver flags; the one config is
+    # built, and --timeout checked, before any input is read
+    cfg = None
+    if args.command != "emit-smt":
         try:
-            _config(args)
+            cfg = SolverConfig(args.solver, args.timeout)
         except ValueError as e:
             print(f"error: --{e}", file=sys.stderr)
             return 3
     try:
         if args.command == "check":
-            return cmd_check(args)
+            return cmd_check(args, cfg)
         if args.command == "emit-smt":
             return cmd_emit_smt(args)
         if args.command == "oracle":
-            return cmd_oracle(args)
-        return cmd_bench(args)
+            return cmd_oracle(args, cfg)
+        return cmd_bench(args, cfg)
     except (OSError, ProblemError, ContainerError, SolverError, OracleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -16,14 +16,13 @@ text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .functors import schema_of
 from .propagate import ConstraintSet, Known
 
 
-@dataclass(frozen=True)
-class SmtScript:
+class SmtScript(NamedTuple):
     logic: str
     declarations: tuple[str, ...]
     assertions: tuple[str, ...]

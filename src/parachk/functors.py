@@ -22,8 +22,129 @@ records the same shape and elements, and propagation reads those.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+class Record:
+    """An immutable record whose fields are the names its class lists, in
+    order, in its own `__slots__` (and annotates). It is the base of every sum type's
+    variants (functors, values, shapes, schema clauses, verdicts) and of a
+    record whose constructor converts or checks a field; a record compared
+    only with its own class is a `NamedTuple` instead.
+
+    A record is built from its fields positionally or by name, shows as
+    `Name(field=value)`, equals a record of its own class with equal
+    fields, and hashes as the tuple of its fields. Unlike a tuple, a record
+    with no fields is truthy and equals only its own class. A subclass that
+    converts or checks a field defines `__init__`, which stores each field
+    with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__["__slots__"]  # each record class lists its own fields
+        cls.__match_args__ = fields
+        for method in _record_methods(cls, fields):
+            if method.__name__ not in cls.__dict__:
+                setattr(cls, method.__name__, method)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _record_methods(cls: type, fields: tuple[str, ...]):
+    """`__init__`, `__eq__` and `__hash__` for a record class with these
+    fields: closures for their count, as fast as methods written out per
+    class, built without generating source. Each reads the fields with one
+    `attrgetter` call and stores them through the slot descriptors, past
+    the frozen `__setattr__`."""
+    store = [getattr(cls, name).__set__ for name in fields]
+    if not fields:
+        empty = hash(())
+
+        def __init__(self, *args, **kwargs):
+            if args or kwargs:
+                _bind(cls, args, kwargs)
+
+        def __eq__(self, other):
+            return True if other.__class__ is self.__class__ else NotImplemented
+
+        def __hash__(self):
+            return empty
+
+        return __init__, __eq__, __hash__
+
+    get = attrgetter(*fields)
+    if len(fields) == 1:
+        (store_field,) = store
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != 1:
+                args = _bind(cls, args, kwargs)
+            store_field(self, args[0])
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+
+        return __init__, __eq__, __hash__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(store):
+            args = _bind(cls, args, kwargs)
+        for store_field, value in zip(store, args):
+            store_field(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(get(self))
+
+    return __init__, __eq__, __hash__
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """The fields of a `cls` record from its positional and keyword
+    arguments, with a TypeError where they do not give each field once."""
+    fields = cls.__slots__
+    if len(args) > len(fields):
+        raise TypeError(
+            f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given"
+        )
+    values = list(args)
+    for name in fields[len(args):]:
+        if name not in kwargs:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        values.append(kwargs.pop(name))
+    if kwargs:
+        raise TypeError(f"{cls.__name__}() got an unexpected argument {next(iter(kwargs))!r}")
+    return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# Errors
 
 
 class ContainerError(Exception):
@@ -50,46 +171,50 @@ class UnsupportedFunctor(ContainerError):
 # Functor grammar
 
 
-class FunctorExpr:
+class FunctorExpr(Record):
     """Base of the functor grammar. Instances are immutable and hashable."""
 
-    __match_args__ = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Id(FunctorExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Id"
 
 
-@dataclass(frozen=True)
 class ConstUnit(FunctorExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Unit"
 
 
-@dataclass(frozen=True)
 class ConstInt(FunctorExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Int"
 
 
-@dataclass(frozen=True)
 class ConstBool(FunctorExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
 class ListOf(FunctorExpr):
+    __slots__ = ("inner",)
     inner: FunctorExpr
 
     def __str__(self) -> str:
         return f"List({self.inner})"
 
 
-@dataclass(frozen=True)
 class ProdOf(FunctorExpr):
+    __slots__ = ("left", "right")
     left: FunctorExpr
     right: FunctorExpr
 
@@ -97,8 +222,8 @@ class ProdOf(FunctorExpr):
         return f"Prod({self.left},{self.right})"
 
 
-@dataclass(frozen=True)
 class MaybeOf(FunctorExpr):
+    __slots__ = ("inner",)
     inner: FunctorExpr
 
     def __str__(self) -> str:
@@ -122,51 +247,49 @@ class Atom(NamedTuple):
     label: str
 
 
-class Value:
-    __match_args__ = ()
+class Value(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AtomV(Value):
+    __slots__ = ("atom",)
     atom: Atom
 
 
-@dataclass(frozen=True)
 class IntV(Value):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
 class BoolV(Value):
+    __slots__ = ("value",)
     value: bool
 
 
-@dataclass(frozen=True)
 class UnitV(Value):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ListV(Value):
+    __slots__ = ("items",)
     items: tuple[Value, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, items):
+        object.__setattr__(self, "items", tuple(items))
 
 
-@dataclass(frozen=True)
 class PairV(Value):
+    __slots__ = ("first", "second")
     first: Value
     second: Value
 
 
-@dataclass(frozen=True)
 class NothingV(Value):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class JustV(Value):
+    __slots__ = ("value",)
     value: Value
 
 
@@ -195,46 +318,44 @@ def show_value(v: Value) -> str:
 # Shapes
 
 
-class ShapeValue:
-    __match_args__ = ()
+class ShapeValue(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IdS(ShapeValue):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class UnitS(ShapeValue):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntS(ShapeValue):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
 class BoolS(ShapeValue):
+    __slots__ = ("value",)
     value: bool
 
 
-@dataclass(frozen=True)
 class ListS(ShapeValue):
+    __slots__ = ("children",)
     children: tuple[ShapeValue, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, children):
+        object.__setattr__(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
 class ProdS(ShapeValue):
+    __slots__ = ("left", "right")
     left: ShapeValue
     right: ShapeValue
 
 
-@dataclass(frozen=True)
 class MaybeS(ShapeValue):
+    __slots__ = ("child",)
     child: ShapeValue | None
 
 
@@ -316,36 +437,41 @@ def size_of(f: FunctorExpr, s: ShapeValue) -> int:
 def to_extension(f: FunctorExpr, v: Value) -> Extension:
     """Translate a value to its container form, checking that it inhabits f."""
     elems: list[Atom] = []
-
-    def walk(g: FunctorExpr, w: Value) -> ShapeValue:
-        match g, w:
-            case Id(), AtomV(a):
-                elems.append(a)
-                return IdS()
-            case ConstUnit(), UnitV():
-                return UnitS()
-            case ConstInt(), IntV(n):
-                return IntS(n)
-            case ConstBool(), BoolV(b):
-                return BoolS(b)
-            case ListOf(inner), ListV(items):
-                return ListS(tuple(walk(inner, x) for x in items))
-            case ProdOf(l, r), PairV(a, b):
-                ls = walk(l, a)
-                return ProdS(ls, walk(r, b))
-            case MaybeOf(_), NothingV():
-                return MaybeS(None)
-            case MaybeOf(inner), JustV(x):
-                return MaybeS(walk(inner, x))
-        raise TypeMismatch
-
     try:
-        shape = walk(f, v)
+        shape = _to_shape(f, v, elems)
     except TypeMismatch:
         # the message shows the whole value, so it is built after the walk
         # has unwound: a mismatch deep in v leaves no stack for show_value
         raise TypeMismatch(f"value {show_value(v)} does not inhabit {f}") from None
     return Extension(f, shape, tuple(elems))
+
+
+# The walks below are module functions, not closures: a nested walk refers
+# to itself through its closure, a reference cycle left on every call.
+
+
+def _to_shape(g: FunctorExpr, w: Value, elems: list[Atom]) -> ShapeValue:
+    # the shape of w, appending its atoms to elems
+    match g, w:
+        case Id(), AtomV(a):
+            elems.append(a)
+            return IdS()
+        case ConstUnit(), UnitV():
+            return UnitS()
+        case ConstInt(), IntV(n):
+            return IntS(n)
+        case ConstBool(), BoolV(b):
+            return BoolS(b)
+        case ListOf(inner), ListV(items):
+            return ListS(tuple(_to_shape(inner, x, elems) for x in items))
+        case ProdOf(l, r), PairV(a, b):
+            ls = _to_shape(l, a, elems)
+            return ProdS(ls, _to_shape(r, b, elems))
+        case MaybeOf(_), NothingV():
+            return MaybeS(None)
+        case MaybeOf(inner), JustV(x):
+            return MaybeS(_to_shape(inner, x, elems))
+    raise TypeMismatch
 
 
 def from_extension(e: Extension) -> Value:
@@ -355,41 +481,37 @@ def from_extension(e: Extension) -> Value:
         raise ArityMismatch(
             f"{len(e.elements)} elements for a shape with {expected} positions"
         )
-    pos = 0
+    return _rebuild(e.functor, e.shape, iter(e.elements))
 
-    def rebuild(f: FunctorExpr, s: ShapeValue) -> Value:
-        nonlocal pos
-        match f, s:
-            case Id(), IdS():
-                a = e.elements[pos]
-                pos += 1
-                return AtomV(a)
-            case ConstUnit(), UnitS():
-                return UnitV()
-            case ConstInt(), IntS(n):
-                return IntV(n)
-            case ConstBool(), BoolS(b):
-                return BoolV(b)
-            case ListOf(inner), ListS(children):
-                return ListV(tuple(rebuild(inner, c) for c in children))
-            case ProdOf(l, r), ProdS(a, b):
-                lv = rebuild(l, a)
-                return PairV(lv, rebuild(r, b))
-            case MaybeOf(_), MaybeS(None):
-                return NothingV()
-            case MaybeOf(inner), MaybeS(c):
-                return JustV(rebuild(inner, c))
-        raise ShapeMismatch(f"shape {show_shape(s)} is not a shape of {f}")
 
-    return rebuild(e.functor, e.shape)
+def _rebuild(f: FunctorExpr, s: ShapeValue, elements) -> Value:
+    # the value of shape s, taking its atoms from the iterator elements
+    match f, s:
+        case Id(), IdS():
+            return AtomV(next(elements))
+        case ConstUnit(), UnitS():
+            return UnitV()
+        case ConstInt(), IntS(n):
+            return IntV(n)
+        case ConstBool(), BoolS(b):
+            return BoolV(b)
+        case ListOf(inner), ListS(children):
+            return ListV(tuple(_rebuild(inner, c, elements) for c in children))
+        case ProdOf(l, r), ProdS(a, b):
+            lv = _rebuild(l, a, elements)
+            return PairV(lv, _rebuild(r, b, elements))
+        case MaybeOf(_), MaybeS(None):
+            return NothingV()
+        case MaybeOf(inner), MaybeS(c):
+            return JustV(_rebuild(inner, c, elements))
+    raise ShapeMismatch(f"shape {show_shape(s)} is not a shape of {f}")
 
 
 # ---------------------------------------------------------------------------
 # Shape schemas: fixed-length integer encodings of shapes
 
 
-@dataclass(frozen=True)
-class SlotSpec:
+class SlotSpec(NamedTuple):
     """One integer-valued slot of a flattened shape.
 
     kind is "nat" (list length, >= 0), "bool" (0/1 flag or presence bit) or
@@ -400,8 +522,7 @@ class SlotSpec:
     kind: str
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """const + sum(coeff * slot) over slot indices; all counts are affine."""
 
     const: int
@@ -421,8 +542,8 @@ class LinearForm:
         return "(+ " + " ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class Nonneg:
+class Nonneg(Record):
+    __slots__ = ("slot",)
     slot: int
 
     def eval(self, slots) -> bool:
@@ -432,8 +553,8 @@ class Nonneg:
         return f"(>= {terms[self.slot]} 0)"
 
 
-@dataclass(frozen=True)
-class ZeroOne:
+class ZeroOne(Record):
+    __slots__ = ("slot",)
     slot: int
 
     def eval(self, slots) -> bool:
@@ -444,10 +565,10 @@ class ZeroOne:
         return f"(and (>= {t} 0) (<= {t} 1))"
 
 
-@dataclass(frozen=True)
-class ZeroWhenAbsent:
+class ZeroWhenAbsent(Record):
     """A child slot pinned to the canonical 0 while its presence bit is 0."""
 
+    __slots__ = ("guard", "slot")
     guard: int
     slot: int
 
@@ -458,8 +579,7 @@ class ZeroWhenAbsent:
         return f"(=> (= {terms[self.guard]} 0) (= {terms[self.slot]} 0))"
 
 
-@dataclass(frozen=True)
-class ShapeSchema:
+class ShapeSchema(NamedTuple):
     """A fixed-length integer encoding for the shapes of one functor.
 
     slots lists the integer slots in traversal order; clauses is the
@@ -514,59 +634,60 @@ def flatten_shape(f: FunctorExpr) -> ShapeSchema:
     slots: list[SlotSpec] = []
     clauses: list = []
     coeffs: list[tuple[int, int]] = []
-    per_kind = dict.fromkeys(_SLOT_PREFIX, 0)
-
-    def slot(kind: str) -> int:
-        slots.append(SlotSpec(f"{_SLOT_PREFIX[kind]}{per_kind[kind]}", kind))
-        per_kind[kind] += 1
-        return len(slots) - 1
-
-    def walk(g: FunctorExpr) -> tuple[int, list[int]]:
-        # returns g's constant position count and its slots that no
-        # presence bit inside g guards
-        match g:
-            case Id():
-                return 1, []
-            case ConstUnit():
-                return 0, []
-            case ConstInt():
-                return 0, [slot("int")]
-            case ConstBool():
-                b = slot("bool")
-                clauses.append(ZeroOne(b))
-                return 0, [b]
-            case ListOf(inner):
-                width = len(slots)
-                const, _ = walk(inner)
-                if len(slots) != width:
-                    raise UnsupportedFunctor(
-                        f"{g}: element functor {inner} has a variable shape, so the "
-                        f"list shape is not fixed-arity"
-                    )
-                n = slot("nat")
-                clauses.append(Nonneg(n))
-                if const:
-                    coeffs.append((n, const))
-                return 0, [n]
-            case ProdOf(l, r):
-                lconst, lfree = walk(l)
-                rconst, rfree = walk(r)
-                return lconst + rconst, lfree + rfree
-            case MaybeOf(inner):
-                b = slot("bool")
-                clauses.append(ZeroOne(b))
-                at = len(coeffs)
-                const, free = walk(inner)
-                # an inner slot that an inner presence bit guards is 0 once
-                # that bit is, so only the unguarded slots need this bit
-                clauses.extend(ZeroWhenAbsent(b, i) for i in free)
-                if const:
-                    coeffs.insert(at, (b, const))
-                return 0, [b]
-        raise UnsupportedFunctor(f"not a functor expression: {g!r}")
-
-    const, _ = walk(f)
+    const, _ = _flatten(f, slots, clauses, coeffs, dict.fromkeys(_SLOT_PREFIX, 0))
     return ShapeSchema(f, tuple(slots), tuple(clauses), LinearForm(const, tuple(coeffs)))
+
+
+def _new_slot(kind: str, slots: list[SlotSpec], per_kind: dict[str, int]) -> int:
+    slots.append(SlotSpec(f"{_SLOT_PREFIX[kind]}{per_kind[kind]}", kind))
+    per_kind[kind] += 1
+    return len(slots) - 1
+
+
+def _flatten(g: FunctorExpr, slots: list, clauses: list, coeffs: list, per_kind: dict) -> tuple[int, list[int]]:
+    # appends g's slots, clauses and count coefficients to the lists passed
+    # in, and returns g's constant position count and its slots that no
+    # presence bit inside g guards; a module function, as the walks above
+    match g:
+        case Id():
+            return 1, []
+        case ConstUnit():
+            return 0, []
+        case ConstInt():
+            return 0, [_new_slot("int", slots, per_kind)]
+        case ConstBool():
+            b = _new_slot("bool", slots, per_kind)
+            clauses.append(ZeroOne(b))
+            return 0, [b]
+        case ListOf(inner):
+            width = len(slots)
+            const, _ = _flatten(inner, slots, clauses, coeffs, per_kind)
+            if len(slots) != width:
+                raise UnsupportedFunctor(
+                    f"{g}: element functor {inner} has a variable shape, so the "
+                    f"list shape is not fixed-arity"
+                )
+            n = _new_slot("nat", slots, per_kind)
+            clauses.append(Nonneg(n))
+            if const:
+                coeffs.append((n, const))
+            return 0, [n]
+        case ProdOf(l, r):
+            lconst, lfree = _flatten(l, slots, clauses, coeffs, per_kind)
+            rconst, rfree = _flatten(r, slots, clauses, coeffs, per_kind)
+            return lconst + rconst, lfree + rfree
+        case MaybeOf(inner):
+            b = _new_slot("bool", slots, per_kind)
+            clauses.append(ZeroOne(b))
+            at = len(coeffs)
+            const, free = _flatten(inner, slots, clauses, coeffs, per_kind)
+            # an inner slot that an inner presence bit guards is 0 once
+            # that bit is, so only the unguarded slots need this bit
+            clauses.extend(ZeroWhenAbsent(b, i) for i in free)
+            if const:
+                coeffs.insert(at, (b, const))
+            return 0, [b]
+    raise UnsupportedFunctor(f"not a functor expression: {g!r}")
 
 
 @functools.cache

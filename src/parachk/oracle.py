@@ -48,8 +48,8 @@ candidate shapes for the suffixes left, all under the one budget.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .functors import Atom, Extension, ShapeValue, schema_of, show_shape
 from .propagate import ConstraintSet, Known, Suffix, read_inputs, show_suffix
@@ -102,15 +102,13 @@ class StepBudget:
 
 # Element terms are ints: an atom code (>= 0) stands for itself, and
 # -1 - i for the i-th intermediate position, counted in (uid, position) order.
-@dataclass(frozen=True)
-class GroundConstraint:
+class GroundConstraint(NamedTuple):
     key: tuple[int, ...]
     in_terms: tuple[int, ...]
     out_terms: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroundInstance:
+class GroundInstance(NamedTuple):
     constraints: tuple[GroundConstraint, ...]  # in the order of cs.constraints
     out_keys: dict  # input slot key -> output slot key
     inter_shapes: dict  # uid -> ShapeValue
@@ -420,8 +418,7 @@ def candidate_shapes(cs: ConstraintSet, known: Mapping) -> tuple[list[ShapeValue
     return shapes, all(slot.kind == "bool" for slot in schema.slots)
 
 
-@dataclass
-class Forcing:
+class Forcing(NamedTuple):
     """The known suffix shapes by id and what they force (`_force`): `table`
     maps (h, e, shape of tail) to the suffix's shape for every tie between
     known shapes, `kids` gives the suffixes whose tail each suffix is, and

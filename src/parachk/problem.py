@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -69,6 +68,7 @@ from .functors import (
     PairV,
     ProdOf,
     ProdS,
+    Record,
     ShapeValue,
     TypeMismatch,
     UNIT,
@@ -100,8 +100,7 @@ class SketchKind(str, Enum):
     FOLDR = "foldr"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """The functor triple of a problem.
 
     For foldr sketches the function checked is ``(extra, [element]) ->
@@ -115,19 +114,21 @@ class Signature:
     result: FunctorExpr
 
 
-@dataclass(frozen=True)
-class IOExample:
+class IOExample(Record):
+    __slots__ = ("extra", "inputs", "output", "base")
     extra: Value
     inputs: tuple[Value, ...]
     output: Value
-    base: Value | None = None
+    base: Value | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
+    def __init__(self, extra: Value, inputs, output: Value, base: Value | None = None):
+        object.__setattr__(self, "extra", extra)
+        object.__setattr__(self, "inputs", tuple(inputs))
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "base", base)
 
 
-@dataclass(frozen=True)
-class AtomTable:
+class AtomTable(NamedTuple):
     """Dense interning of atom labels: code i <-> labels[i]."""
 
     labels: tuple[str, ...]
@@ -153,8 +154,7 @@ class ExampleExtensions(NamedTuple):
     base: Extension | None
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     name: str
     signature: Signature
     sketch: SketchKind

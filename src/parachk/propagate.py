@@ -38,7 +38,6 @@ base. A map set is refuted here when a list changes length.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .functors import Extension, FunctorExpr, ShapeValue, shape_key, show_shape
@@ -63,8 +62,7 @@ class Known(NamedTuple):
     codes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     """A fold intermediate: a container of the result functor."""
 
     uid: int
@@ -73,8 +71,7 @@ class Unknown:
 SymbolicContainer = Known | Unknown
 
 
-@dataclass(frozen=True)
-class MorphismConstraint:
+class MorphismConstraint(NamedTuple):
     inputs: tuple[SymbolicContainer, ...]
     output: SymbolicContainer
 
@@ -110,8 +107,7 @@ class Suffix(NamedTuple):
     length: int
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """One nonempty foldr example: the ids of its suffixes, shortest first,
     from its root to the example itself, and its steps, the first of which
     consumes the last list element and the base, the last of which outputs
@@ -121,8 +117,7 @@ class Trace:
     steps: tuple[MorphismConstraint, ...]
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(NamedTuple):
     input_parts: tuple[FunctorExpr, ...]
     output_functor: FunctorExpr
     constraints: tuple[MorphismConstraint, ...]
@@ -294,8 +289,7 @@ def show_suffix(table: tuple[Suffix, ...], sid: int) -> str:
     return f"extra {show_shape(h)}, inputs [" + ", ".join(elements) + "]"
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     complete: bool
     missing: tuple[str, ...]
 

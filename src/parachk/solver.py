@@ -53,10 +53,10 @@ import re
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .encode import SmtScript, encode, shrink_assertions
-from .functors import Atom, Extension, ShapeMismatch, schema_of
+from .functors import Atom, Extension, Record, ShapeMismatch, schema_of
 from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
 from .propagate import ConstraintSet, Known, PropagationUnrealizable, propagate, read_inputs
@@ -74,21 +74,27 @@ def default_solver_command() -> str:
     return os.environ.get("PARACHK_SOLVER", "z3 -in")
 
 
-@dataclass
-class SolverConfig:
-    solver_command: str = field(default_factory=default_solver_command)
-    timeout_ms: int = 10_000
+class SolverConfig(Record):
+    """The solver's command line, `default_solver_command()` when none is
+    given, and its timeout per call."""
 
-    def __post_init__(self):
+    __slots__ = ("solver_command", "timeout_ms")
+    solver_command: str
+    timeout_ms: int
+
+    def __init__(self, solver_command: str | None = None, timeout_ms: int = 10_000):
         # the subprocess wait takes its timeout as a C int of milliseconds
-        if not 0 < self.timeout_ms <= 2**31 - 1:
+        if not 0 < timeout_ms <= 2**31 - 1:
             raise ValueError(
-                f"timeout must be from 1 to {2**31 - 1} milliseconds, not {self.timeout_ms}"
+                f"timeout must be from 1 to {2**31 - 1} milliseconds, not {timeout_ms}"
             )
+        if solver_command is None:
+            solver_command = default_solver_command()
+        object.__setattr__(self, "solver_command", solver_command)
+        object.__setattr__(self, "timeout_ms", timeout_ms)
 
 
-@dataclass(frozen=True)
-class RawResult:
+class RawResult(NamedTuple):
     kind: str  # "sat" | "unsat" | "unknown" | "timeout" | "error"
     model_text: str
     duration_ms: float
@@ -511,8 +517,7 @@ ORACLE_MAX_STEPS = 20_000
 BACKENDS = ("auto", "smt")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     verdict: Verdict
     total_ms: float
     solver_ms: float

@@ -11,28 +11,29 @@ positions, so a Realizable verdict never rests on unchecked solver output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .functors import Extension, schema_of, shape_key, show_shape, show_value
+from .functors import Extension, Record, schema_of, shape_key, show_shape, show_value
 from .propagate import ConstraintSet, Known, MorphismConstraint, read_inputs
 
 
-@dataclass(frozen=True)
-class WitnessSummary:
+class WitnessSummary(NamedTuple):
     shape_table: Mapping[tuple[int, ...], tuple[int, ...]]
     position_table: Mapping[tuple[tuple[int, ...], int], int]
     intermediates: Mapping[int, Extension]
 
 
-@dataclass(frozen=True)
-class Realizable:
+class Realizable(Record):
+    __slots__ = ("witness",)
     witness: WitnessSummary
 
 
-@dataclass(frozen=True)
-class Unrealizable:
-    detail: str = ""
+class Unrealizable(Record):
+    __slots__ = ("detail",)
+    detail: str
+
+    def __init__(self, detail: str = ""):
+        object.__setattr__(self, "detail", detail)
 
     def __eq__(self, other):
         return isinstance(other, Unrealizable)
@@ -41,8 +42,8 @@ class Unrealizable:
         return hash(Unrealizable)
 
 
-@dataclass(frozen=True)
-class UnknownVerdict:
+class UnknownVerdict(Record):
+    __slots__ = ("reason",)
     # "timeout" | "solver-unknown" | "witness-validation-failed" |
     # "base-case-undecided"
     reason: str

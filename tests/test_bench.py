@@ -4,6 +4,8 @@ subsets."""
 
 import hashlib
 import itertools
+import random
+import statistics
 
 import pytest
 
@@ -105,12 +107,21 @@ def test_formatting_round_trips():
 
 
 def test_repeat_reports_the_median(monkeypatch):
-    times = itertools.cycle([1.0, 2.0, 100.0])
-    monkeypatch.setattr(
-        bench, "check", lambda problem, cfg, backend="auto": CheckReport(Unrealizable(), next(times), 0.0)
-    )
-    rows, _ = run_bench(repeat=3, only="tail")
-    assert (rows[0].sc_ms, rows[0].si_ms) == (2.0, 2.0)
+    # an even count gives the mean of the two middle timings
+    for times, median in [([1.0, 2.0, 100.0], 2.0), ([1.0, 2.0, 100.0, 4.0], 3.0)]:
+        cycle = itertools.cycle(times)
+        monkeypatch.setattr(
+            bench, "check", lambda problem, cfg, backend="auto": CheckReport(Unrealizable(), next(cycle), 0.0)
+        )
+        rows, _ = run_bench(repeat=len(times), only="tail")
+        assert (rows[0].sc_ms, rows[0].si_ms) == (median, median)
+
+
+def test_median_is_the_statistics_median():
+    rng = random.Random(5)
+    for n in range(1, 12):
+        values = [rng.choice([rng.uniform(0, 50), float(rng.randint(0, 5))]) for _ in range(n)]
+        assert bench._median(values) == statistics.median(values)
 
 
 @pytest.mark.parametrize("repeat", [0, -1])

@@ -1,7 +1,10 @@
 """Container translation: typechecking, shapes, canonical positions, and
 shape schemas."""
 
+import copy
+import gc
 import itertools
+import pickle
 import random
 import time
 
@@ -45,17 +48,24 @@ from parachk.functors import (
     ConstInt,
     ConstUnit,
     Extension,
+    FunctorExpr,
     Id,
     LinearForm,
     Nonneg,
+    Record,
     ShapeMismatch,
+    ShapeValue,
     TypeMismatch,
     UnitS,
     UnsupportedFunctor,
+    Value,
     ZeroOne,
     ZeroWhenAbsent,
     shape_key,
 )
+from parachk.problem import IOExample, parse_functor
+from parachk.solver import SolverConfig
+from parachk.verdict import Realizable, Unrealizable, UnknownVerdict, WitnessSummary
 
 import support
 
@@ -155,6 +165,86 @@ def test_from_extension_cases():
     assert from_extension(Extension(MaybeOf(ID), MaybeS(IdS()), (A,))) == JustV(AtomV(A))
     with pytest.raises(ArityMismatch):
         from_extension(Extension(ListOf(ID), ListS((IdS(), IdS())), (A,)))
+
+
+# one record of every Record class but the abstract bases; a witness of
+# tuples, so that its verdict hashes
+RECORDS = [
+    Id(), ConstUnit(), ConstInt(), ConstBool(), ListOf(ID), ProdOf(ID, INT), MaybeOf(BOOL),
+    AtomV(A), IntV(3), BoolV(True), UnitV(), ListV([AtomV(A)]), PairV(UnitV(), IntV(1)),
+    NothingV(), JustV(IntV(1)),
+    IdS(), UnitS(), IntS(2), BoolS(False), ListS([IdS()]), ProdS(IdS(), UnitS()), MaybeS(None),
+    Nonneg(0), ZeroOne(1), ZeroWhenAbsent(0, 1),
+    Realizable(WitnessSummary((), (), ())), Unrealizable("why"), UnknownVerdict("timeout"),
+    IOExample(UnitV(), [AtomV(A)], AtomV(A)), SolverConfig("z3 -in", 5),
+]
+
+
+def test_every_record_class_is_sampled():
+    def concrete(cls):
+        for sub in cls.__subclasses__():
+            if sub not in (FunctorExpr, Value, ShapeValue):
+                yield sub
+            yield from concrete(sub)
+
+    assert {type(r) for r in RECORDS} == set(concrete(Record))
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_record_is_an_immutable_value_of_its_fields(r):
+    cls = type(r)
+    fields = {name: getattr(r, name) for name in cls.__slots__}
+    assert cls.__match_args__ == cls.__slots__ == tuple(fields)
+    assert tuple(cls.__dict__.get("__annotations__", ())) == cls.__slots__
+    assert cls(**fields) == cls(*fields.values()) == r
+    assert repr(r) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    assert r and copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
+    if cls is not Unrealizable:  # which ignores its detail
+        assert hash(r) == hash(tuple(fields.values()))
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+
+
+def test_records_of_two_classes_differ():
+    # equal fields, and no fields at all, never make two classes' records equal
+    pairs = [(Id(), ConstUnit()), (IdS(), UnitS()), (UnitV(), NothingV()), (IntS(1), IntV(1)),
+             (Nonneg(0), ZeroOne(0)), (ListOf(ID), MaybeOf(ID)), (IdS(), ())]
+    for a, b in pairs:
+        assert a != b and b != a
+    assert len({Id(), ConstUnit(), IdS(), UnitS(), UnitV(), NothingV()}) == 6
+    assert Unrealizable("one detail") == Unrealizable("another")
+    assert hash(Unrealizable("one detail")) == hash(Unrealizable())
+
+
+def test_records_convert_and_check_their_fields():
+    assert ListV([AtomV(A)]).items == (AtomV(A),)
+    assert ListS(iter([IdS()])).children == (IdS(),)
+    assert IOExample(UnitV(), [AtomV(A)], AtomV(A)).inputs == (AtomV(A),)
+    assert ProdS(IdS(), right=UnitS()) == ProdS(left=IdS(), right=UnitS())
+    for args, kwargs in [((IdS(),), {}), ((IdS(), UnitS()), {"left": IdS()}), ((), {"middle": IdS()})]:
+        with pytest.raises(TypeError):
+            ProdS(*args, **kwargs)
+
+
+def test_container_walks_leave_no_reference_cycle():
+    # flatten_shape, to_extension and from_extension recurse through module
+    # functions, not through closures that refer to themselves, so a call
+    # frees everything it built without the cyclic collector
+    f = parse_functor("Prod(List(Id),Maybe(Int))")
+    v = PairV(lst(AtomV(A), AtomV(B)), JustV(IntV(3)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert flatten_shape(f).count == LinearForm(0, ((0, 1),))
+        assert from_extension(to_extension(f, v)) == v
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_flatten_shape_product_of_lists():

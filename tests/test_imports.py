@@ -4,6 +4,8 @@
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "parachk")
 
@@ -33,6 +35,26 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[os.path.basename(path)] = names
     assert not unused
+
+
+def test_the_cli_imports_no_heavy_standard_module():
+    # a fresh `parachk check` pays for every module the CLI imports:
+    # dataclasses brings inspect, ast, dis and tokenize, and statistics
+    # brings decimal and fractions. -S keeps the site hooks of the
+    # environment out of the answer.
+    code = (
+        "import sys, parachk.cli, parachk.bench\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'statistics') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.split() == []
 
 
 def test_an_unused_import_is_found():
