@@ -22,10 +22,10 @@ position of a raw or map set and of a base case. The other positions are
 tied through intermediates, whose elements stay symbolic and are bound
 lazily by unification; a backtracking search assigns them from the
 candidates no two distinct atoms rule out, and prunes as soon as two
-distinct atoms would have to coincide. A search with more than
-MAX_POSITIONS positions per input shape or MAX_SHAPES input shapes to
-search raises BoundExceeded, and so does one that spends a given
-`StepBudget`; scans spend nothing and count towards neither bound.
+distinct atoms would have to coincide. A given `StepBudget` is the one
+limit on the search: spending it raises BoundExceeded. Without one the
+search is exhaustive, and its time can grow exponentially in the number
+of searched positions. Scans spend nothing.
 Grounding reads the shape keys propagation recorded (`Known.key`), of any
 functor, nested containers included, and keys each intermediate once under
 the schema of the fold result, which is fixed-arity.
@@ -76,14 +76,7 @@ class Ungroundable(OracleError):
 
 
 class BoundExceeded(OracleError):
-    pass
-
-
-# The most positions per input shape, and the most input shapes, that a
-# search takes on; input shapes whose positions scans settle count for
-# neither.
-MAX_POSITIONS = 16
-MAX_SHAPES = 12
+    """A search spent its `StepBudget`."""
 
 
 class StepBudget:
@@ -297,19 +290,17 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
     atoms, and a search assigns those, backtracking and spending one step
     of `budget` per call to the unifier; with no budget it is exhaustive.
     A variable left without a position refutes the set before any search.
-    Scans spend no steps, and only input shapes with a searched variable
-    count towards MAX_SHAPES and MAX_POSITIONS.
+    Scans spend no steps.
     """
     by_key: dict[tuple[int, ...], list[GroundConstraint]] = {}
     for c in gi.constraints:
         by_key.setdefault(c.key, []).append(c)
 
     settled: dict[tuple[tuple[int, ...], int], int] = {}
-    searched: list[tuple[tuple[int, ...], list[int]]] = []
+    open_vars: list[tuple[tuple[int, ...], int]] = []
     for key in sorted(by_key):
         group = by_key[key]
         concrete = all(t >= 0 for c in group for t in c.in_terms)
-        open_qs = []
         for q in range(len(group[0].out_terms)):
             if concrete and all(c.out_terms[q] >= 0 for c in group):
                 p = _first_source(group, q)
@@ -317,33 +308,20 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
                     return Unrealizable(_nowhere(key, q))
                 settled[(key, q)] = p
             else:
-                open_qs.append(q)
-        if open_qs:
-            searched.append((key, open_qs))
+                open_vars.append((key, q))
 
-    if len(searched) > MAX_SHAPES:
-        raise BoundExceeded(
-            f"{len(searched)} input shapes to search exceed the bound {MAX_SHAPES}"
-        )
     variables = []  # (input shape, output position, candidate positions)
-    for key, open_qs in searched:
+    for key, q in open_vars:
         group = by_key[key]
-        n_in, n_out = len(group[0].in_terms), len(group[0].out_terms)
-        if max(n_in, n_out) > MAX_POSITIONS:
-            raise BoundExceeded(
-                f"input shape {key} has {max(n_in, n_out)} positions, bound is "
-                f"{MAX_POSITIONS}"
-            )
-        for q in open_qs:
-            outs = [c.out_terms[q] for c in group]
-            candidates = [
-                p
-                for p in range(n_in)
-                if all(b < 0 or (a := c.in_terms[p]) < 0 or a == b for c, b in zip(group, outs))
-            ]
-            if not candidates:
-                return Unrealizable(_nowhere(key, q))
-            variables.append((key, q, candidates))
+        outs = [c.out_terms[q] for c in group]
+        candidates = [
+            p
+            for p in range(len(group[0].in_terms))
+            if all(b < 0 or (a := c.in_terms[p]) < 0 or a == b for c, b in zip(group, outs))
+        ]
+        if not candidates:
+            return Unrealizable(_nowhere(key, q))
+        variables.append((key, q, candidates))
 
     uf = _Unifier(budget or StepBudget(float("inf")))
     chosen: dict[tuple[tuple[int, ...], int], int] = {}
@@ -469,21 +447,13 @@ def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
 def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> Forcing:
     """The shape every realization gives a suffix, wherever the examples
     fix one: the pinned shapes (`_pinned`) and the shapes they force
-    (`_force`). Two ties between pinned shapes, or a tie and a forced one,
-    that map one argument to two shapes raise ShapeConflict, which no
-    guess and no schema mends."""
+    (`_force`). Two ties that map one argument to two shapes, pinned or
+    forced, raise ShapeConflict, which no guess and no schema mends."""
     known = _pinned(cs)
     state = Forcing(cs.suffixes, known, {}, {}, {})
-    for s, (h, e, tail, _) in enumerate(cs.suffixes):
-        if tail < 0:
-            continue
-        state.kids.setdefault(tail, []).append(s)
-        if s in known and tail in known:
-            arg = (h, e, known[tail])
-            if state.table.setdefault(arg, known[s]) != known[s]:
-                raise ShapeConflict(
-                    "the shapes the examples pin map one input shape to two shapes"
-                )
+    for s, suffix in enumerate(cs.suffixes):
+        if suffix.tail >= 0:
+            state.kids.setdefault(suffix.tail, []).append(s)
     _force(state, list(known), budget)
     return state
 
@@ -563,8 +533,8 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
     per constraint and ground term. Realizable carries the first witness found, for the caller to
     replay. A conflict under a guessed shape proves nothing, so it is None,
     and so is every completion refuted, unless the candidates cover every
-    shape, as the guesses for an all-bool result do. Going past
-    MAX_POSITIONS, MAX_SHAPES or the budget raises BoundExceeded.
+    shape, as the guesses for an all-bool result do. Spending the budget
+    raises BoundExceeded; without one the search has no limit.
     """
     try:
         if budget is None or not cs.unpinned:

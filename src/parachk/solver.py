@@ -19,14 +19,17 @@ holds for every shape: a failed scan or search of a shape-complete set, a
 conflict that involves no guessed shape (a forced clash among them), a
 refuted guess-free part, or every completion refuted when every result
 slot is bool. The SMT path decides everything else: a fold set that no
-rule and no completion settles, and a search that goes past the oracle's
-limits or proposes a witness that fails replay.
+rule and no completion settles, and a search that spends its budget or
+proposes a witness that fails replay. The budget is the oracle's one
+limit, so in the worst case a set reaches SMT only after ORACLE_MAX_STEPS
+steps of search.
 `backend="smt"` always takes the SMT path for the steps, so the oracle can
 be cross-checked against it; `parachk oracle` has `decide` search the
-steps without a budget or an SMT fallback. Before the steps, `decide`
-decides a fold's base case, the raw set `e(extra) = base`, once, by the
-oracle's scans alone, with no bound or budget: a refuted base case is the
-verdict, and nothing else runs.
+steps without a budget or an SMT fallback, so it has no limit at all and
+its time can grow exponentially in the searched positions. Before the
+steps, `decide` decides a fold's base case, the raw set `e(extra) = base`,
+once, by the oracle's scans alone, with no budget: a refuted base case is
+the verdict, and nothing else runs.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -51,7 +54,6 @@ import operator
 import os
 import re
 import shlex
-import subprocess
 import time
 from typing import NamedTuple
 
@@ -106,6 +108,10 @@ class SolverError(Exception):
 
 
 def run_solver(script: SmtScript, cfg: SolverConfig) -> RawResult:
+    # imported here, not at the top: it brings signal, selectors and
+    # threading, which a check that never spawns a solver need not load
+    import subprocess
+
     try:
         cmd = shlex.split(cfg.solver_command)
     except ValueError as e:
@@ -498,7 +504,7 @@ def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdi
     """The oracle's verdict (`oracle.oracle_decide`), except that a
     Realizable witness that fails replay gives Unknown, as a solver's does.
     None where SMT must decide. Without a budget, a shape-incomplete set
-    raises Ungroundable; going past the oracle's bounds or `budget` raises
+    raises Ungroundable and a search has no limit; spending `budget` raises
     BoundExceeded."""
     verdict = oracle_decide(cs, budget)
     if isinstance(verdict, Realizable) and not validate_summary(cs, verdict.witness):
@@ -510,8 +516,8 @@ def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdi
 # End-to-end check
 
 
-# Unification steps the oracle may take on a routed set before `check`
-# hands the set to SMT; `parachk oracle` searches without a budget.
+# Steps the oracle may spend on a routed set before `check` hands the set
+# to SMT, its one limit; `parachk oracle` searches without a budget.
 ORACLE_MAX_STEPS = 20_000
 
 BACKENDS = ("auto", "smt")
@@ -536,8 +542,8 @@ def base_case_verdict(cs: ConstraintSet) -> Verdict | None:
     result functor, independent of the step function, and every constraint
     on it is known: `cs.base_case`, a raw set. The oracle decides it on
     every path, since no SMT script asserts it; a raw set is settled by
-    scans alone, so no bound or budget applies. A refuted base case refutes
-    the fold, and its detail says so."""
+    scans alone, so no budget applies. A refuted base case refutes the
+    fold, and its detail says so."""
     if cs.base_case is None:
         return None
     base = oracle_verdict(cs.base_case)
@@ -588,7 +594,7 @@ def _decide(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[
         try:
             verdict = oracle_verdict(cs, StepBudget(ORACLE_MAX_STEPS))
         except BoundExceeded:
-            verdict = None  # past the bounds or the budget
+            verdict = None  # the search spent the budget
         if isinstance(verdict, (Realizable, Unrealizable)):
             return verdict, 0.0, "oracle+completion" if cs.unpinned else "oracle"
     cfg = cfg or SolverConfig()

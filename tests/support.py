@@ -214,6 +214,50 @@ def forced_past_candidates() -> Problem:
     )
 
 
+def wide_reverse(n: int) -> Problem:
+    """reverse as a fold, with one example of each length 1..n, each of
+    its own atoms: shape complete, with one searched input shape per
+    accumulator length 0..n-1. Realizable."""
+    examples = []
+    for k in range(1, n + 1):
+        xs = [atom(f"x{k}_{i}") for i in range(k)]
+        examples.append((UnitV(), xs, ListV(tuple(reversed(xs))), ListV(())))
+    return build_problem(f"wide-reverse-{n}", Signature(UNIT, ID, ListOf(ID)), SketchKind.FOLDR, examples)
+
+
+def _concat_fold(name: str, rows: list[tuple[list[list[Atom]], list[Atom]]]) -> Problem:
+    return build_problem(
+        name,
+        Signature(UNIT, ListOf(ID), ListOf(ID)),
+        SketchKind.FOLDR,
+        [(UnitV(), [ListV(tuple(xs)) for xs in lists], ListV(tuple(out)), ListV(())) for lists, out in rows],
+    )
+
+
+def _atoms(prefix: str) -> list[Atom]:
+    return [atom(f"{prefix}{i}") for i in range(10)]
+
+
+def big_concat() -> Problem:
+    """foldr (++) [] with [xs, ys] -> xs ++ ys and [ys] -> ys, 10 atoms a
+    list: the last step of the first example reads an intermediate, so its
+    20 positions are searched. Realizable."""
+    xs, ys = _atoms("x"), _atoms("y")
+    return _concat_fold("big-concat", [([xs, ys], xs + ys), ([ys], ys)])
+
+
+def refuted_wide_concat() -> Problem:
+    """`big_concat` with a third example [us, vs] -> us ++ vs', where vs'
+    is vs with its first two atoms swapped: the fold of [vs] must be vs,
+    as the fold of [ys] is ys, so the search over the 20 positions of its
+    step refutes the set."""
+    xs, ys, us, vs = _atoms("x"), _atoms("y"), _atoms("u"), _atoms("v")
+    swapped = [vs[1], vs[0], *vs[2:]]
+    return _concat_fold(
+        "refuted-wide-concat", [([ys], ys), ([xs, ys], xs + ys), ([us, vs], us + swapped)]
+    )
+
+
 def long_trace(n: int, output: list[str], base: list[str] = ()) -> Problem:
     """One `Unit -> Id -> List(Id)` fold example over the atoms x0..x{n-1},
     whose output and base hold the atoms labelled `output` and `base`. It

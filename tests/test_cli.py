@@ -496,10 +496,10 @@ def test_smt_backend_refutes_an_invented_base_without_a_solver(capsys, no_spawn)
 
 
 @pytest.mark.parametrize("command", ["check", "oracle"])
-def test_refuted_base_is_decided_before_steps_past_the_search_bounds(capsys, tmp_path, command):
+def test_refuted_base_is_decided_before_the_steps(capsys, tmp_path, command):
     # foldr (++) over two 10-element lists with the base [z], which no unit
-    # extra gives: the step's input shape (10, 11) has 21 positions, more
-    # than oracle.MAX_POSITIONS, but the base case refutes the set first
+    # extra gives: the step's input shape (10, 11) has 21 positions to
+    # search, but the base case refutes the set first
     xs = [{"atom": f"a{i}"} for i in range(10)]
     ys = [{"atom": f"b{i}"} for i in range(10)]
     z = {"atom": "z"}
@@ -790,10 +790,9 @@ def test_oracle_refutes_an_invented_base(capsys):
     assert code == 1 and "Unrealizable (oracle)" in capsys.readouterr().out
 
 
-def test_oracle_leaves_a_base_case_past_its_bounds_unknown(capsys, tmp_path):
-    # named for the bounds a base case could once go past: 14 extra shapes
-    # are more than oracle.MAX_SHAPES, but scans settle a base case of any
-    # width, and e is the identity here
+def test_oracle_decides_a_wide_base_case_by_scans(capsys, tmp_path):
+    # 14 extra shapes: scans settle a base case of any width, and e is the
+    # identity here
     extras = [{"list": [{"atom": "x"}] * n} for n in range(14)]
     doc = {
         "name": "wide-base",
@@ -805,6 +804,19 @@ def test_oracle_leaves_a_base_case_past_its_bounds_unknown(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code = main(["oracle", str(path)])
     assert code == 0 and "wide-base: Realizable (oracle)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [(lambda: support.wide_reverse(20), 0), (support.refuted_wide_concat, 1)],
+    ids=["reverse", "refuted-concat"],
+)
+def test_oracle_searches_a_wide_set_without_a_limit(capsys, tmp_path, make, code):
+    # 20 searched input shapes, or 20 searched positions of one
+    path = tmp_path / "wide.json"
+    path.write_text(problem_to_json(make()))
+    assert main(["oracle", str(path)]) == code
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("n", [8, 12])

@@ -55,6 +55,8 @@ def test_oracle_and_solver_agree_on_the_benchmark(cfg):
     # gives must be the solver's
     problems = [entry.problem_si for entry in corpus()]
     problems += [load_problem(path) for path in sorted(glob.glob("problems/*.json"))]
+    # the wide sets whose 20 positions the oracle searches in-process
+    problems += [support.big_concat(), support.refuted_wide_concat()]
     # and a set where a guess forces a shape past every candidate
     problems.append(support.forced_past_candidates())
     for p in problems:

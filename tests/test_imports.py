@@ -39,12 +39,14 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_the_cli_imports_no_heavy_standard_module():
     # a fresh `parachk check` pays for every module the CLI imports:
-    # dataclasses brings inspect, ast, dis and tokenize, and statistics
-    # brings decimal and fractions. -S keeps the site hooks of the
-    # environment out of the answer.
+    # dataclasses brings inspect, ast, dis and tokenize, statistics brings
+    # decimal and fractions, and subprocess brings signal, selectors and
+    # threading, though only a solver spawn needs it. -S keeps the site
+    # hooks of the environment out of the answer.
     code = (
         "import sys, parachk.cli, parachk.bench\n"
-        "print(*[m for m in ('dataclasses', 'inspect', 'statistics') if m in sys.modules])"
+        "heavy = ('dataclasses', 'inspect', 'statistics', 'subprocess')\n"
+        "print(*[m for m in heavy if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -247,29 +247,35 @@ def _cons(n):
     )
 
 
-def test_bound_exceeded(monkeypatch):
-    gi = ground(propagate(_concat(9)))
+def _assert_only_the_budget_bounds(gi):
+    # decided without a budget; a budget of exactly the steps that search
+    # spends gives the same verdict, and one step less raises
+    exhaustive = oracle_check(gi)
+    assert isinstance(exhaustive, Realizable)
+    budget = StepBudget(10**9)
+    oracle_check(gi, budget)
+    steps = 10**9 - budget.left
+    assert steps > 0
+    budget = StepBudget(steps)
+    assert oracle_check(gi, budget) == exhaustive and budget.left == 0
     with pytest.raises(BoundExceeded):
-        oracle_check(gi)
-    # a generous bound allows it
-    monkeypatch.setattr(oracle, "MAX_POSITIONS", 32)
-    verdict = oracle_check(gi)
-    assert isinstance(verdict, Realizable)
+        oracle_check(gi, StepBudget(steps - 1))
 
 
-def test_shape_bound_exceeded(monkeypatch):
-    gi = ground(propagate(_cons(oracle.MAX_SHAPES + 2)))
-    with pytest.raises(BoundExceeded):
-        oracle_check(gi)
-    monkeypatch.setattr(oracle, "MAX_SHAPES", 20)
-    verdict = oracle_check(gi)
-    assert isinstance(verdict, Realizable)
+def test_bound_exceeded():
+    # one input shape of 18 positions, searched
+    _assert_only_the_budget_bounds(ground(propagate(_concat(9))))
 
 
-def test_scanned_positions_count_towards_no_bound():
-    # 20 positions of one shape and 14 input shapes, every one atom-only
+def test_shape_bound_exceeded():
+    # 14 searched input shapes
+    _assert_only_the_budget_bounds(ground(propagate(_cons(14))))
+
+
+def test_scans_spend_no_steps():
+    # 15 input shapes, the widest of 20 positions, every one atom-only
     xs = [atom(f"x{i}") for i in range(20)]
-    rows = [lst(*xs[:n]) for n in range(oracle.MAX_SHAPES + 2)] + [lst(*xs)]
+    rows = [lst(*xs[:n]) for n in range(14)] + [lst(*xs)]
     p = build_problem(
         "wide", raw_list_sig(), SketchKind.RAW, [(UnitV(), [r], r) for r in rows]
     )

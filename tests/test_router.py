@@ -349,7 +349,10 @@ def test_clash_among_pinned_shapes_grounds_no_completion(no_spawn, groundings):
     report = check(p, no_spawn)
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
-    assert report.verdict.detail == "the shapes the examples pin map one input shape to two shapes"
+    assert report.verdict.detail == (
+        "the suffix extra (), inputs [*, *] is forced to the shape [*], "
+        "so one input shape maps to both [*] and [*,*,*]"
+    )
     assert groundings == []
 
 
@@ -375,7 +378,10 @@ def test_clash_through_a_base_is_unrealizable_without_a_solver(no_spawn, groundi
     report = check(p, no_spawn)
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
-    assert report.verdict.detail == "the shapes the examples pin map one input shape to two shapes"
+    assert report.verdict.detail == (
+        "the suffix extra *, inputs [*] is forced to the shape [*], "
+        "so one input shape maps to both [*] and [*,*]"
+    )
     assert groundings == []
 
 
@@ -473,8 +479,7 @@ def _wide_witness(cs) -> bool | None:
     """Whether some completion of the pinned shapes, with list lengths
     0..8, is realizable: every candidate completion grounded and searched
     in turn, with no forcing and no guess-free part. None past 2,000,000
-    steps, one per completion and each unification, or the search
-    bounds."""
+    steps, one per completion and each unification."""
     budget = oracle.StepBudget(2_000_000)
     try:
         pinned = oracle._pinned(cs)
@@ -516,8 +521,6 @@ def test_guess_free_refutations_have_no_wide_realization(monkeypatch):
                 refuted.append((p, report.verdict.detail))
     # the budget alone bounds these searches
     monkeypatch.setattr(oracle, "COMPLETION_LENGTHS", range(9))
-    monkeypatch.setattr(oracle, "MAX_POSITIONS", 64)
-    monkeypatch.setattr(oracle, "MAX_SHAPES", 64)
     with support.nowhere_rule_off():
         wide = [_wide_witness(propagate(p)) for p, _ in refuted]
     assert True not in wide, [p.name for (p, _), w in zip(refuted, wide) if w]
@@ -529,25 +532,23 @@ def test_guess_free_refutations_have_no_wide_realization(monkeypatch):
     assert len(forced) >= 5 and len(part) >= 10, (len(forced), len(part))
 
 
-def test_set_over_the_oracle_bounds_goes_to_smt(no_spawn):
-    # foldr (++) []: the last step of the first example reads an
-    # intermediate, so its 20 positions are searched, past
-    # oracle.MAX_POSITIONS
-    xs = [atom(f"x{i}") for i in range(10)]
-    ys = [atom(f"y{i}") for i in range(10)]
-    p = build_problem(
-        "big-concat",
-        Signature(UNIT, ListOf(ID), ListOf(ID)),
-        SketchKind.FOLDR,
-        [
-            (UnitV(), [ListV(tuple(xs)), ListV(tuple(ys))], ListV(tuple(xs + ys)), ListV(())),
-            (UnitV(), [ListV(tuple(ys))], ListV(tuple(ys)), ListV(())),
-        ],
-    )
-    assert_spawns(p, no_spawn)
+@pytest.mark.parametrize(
+    "make, verdict",
+    [
+        (support.big_concat, Realizable),
+        (support.refuted_wide_concat, Unrealizable),
+        (lambda: support.wide_reverse(20), Realizable),
+    ],
+    ids=["concat", "refuted-concat", "reverse"],
+)
+def test_wide_set_is_decided_in_process(no_spawn, make, verdict):
+    # 20 searched positions in one input shape, or 20 searched input
+    # shapes: the step budget is the one limit, and these fit in it
+    report = check(make(), no_spawn)
+    assert isinstance(report.verdict, verdict) and report.path == "oracle"
 
 
-def test_raw_set_over_the_oracle_bounds_is_decided_in_process(no_spawn):
+def test_raw_set_of_twenty_positions_is_decided_by_scans(no_spawn):
     # a raw set holds only atoms: scans settle its 20 positions
     xs = [atom(f"x{i}") for i in range(20)]
     p = build_problem(
@@ -640,9 +641,8 @@ def test_base_case_is_decided_once_per_fold(tmp_path, no_spawn, monkeypatch, nam
 
 def _wide_bases(lengths, bases=None):
     # one extra list of each length; each example is empty, so its output
-    # is its base. With bases=None, e is the identity: realizable, though
-    # its 13 extra shapes or 17 positions are past oracle.MAX_SHAPES or
-    # oracle.MAX_POSITIONS
+    # is its base. With bases=None, e is the identity: realizable.
+    # WIDE_BASES gives 13 extra shapes, or one extra of 17 positions
     extras = [ListV(tuple(atom(f"x{i}") for i in range(n))) for n in lengths]
     bases = extras if bases is None else bases(extras)
     return build_problem(
@@ -654,16 +654,15 @@ def _wide_bases(lengths, bases=None):
 
 
 WIDE_BASES = [
-    pytest.param(range(oracle.MAX_SHAPES + 1), id="shapes"),
-    pytest.param([oracle.MAX_POSITIONS + 1], id="positions"),
+    pytest.param(range(13), id="shapes"),
+    pytest.param([17], id="positions"),
 ]
 
 
 @pytest.mark.parametrize("lengths", WIDE_BASES)
 @pytest.mark.parametrize("backend", ["auto", "smt"])
-def test_base_case_past_the_oracle_bounds_is_never_realizable(tmp_path, lengths, backend):
-    # named for the bounds a base case could once go past; scans settle a
-    # base case of any width, and this one is the identity
+def test_wide_base_case_is_realizable(tmp_path, lengths, backend):
+    # scans settle a base case of any width, and this one is the identity
     p = _wide_bases(lengths)
     cfg = _answering(tmp_path, "sat\n(\n)")
     steps, _, path = solver._decide(propagate(p), cfg, backend)
