@@ -22,13 +22,21 @@ position of a raw or map set and of a base case. The other positions are
 tied through intermediates, whose elements stay symbolic and are bound
 lazily by unification; a backtracking search assigns them from the
 candidates no two distinct atoms rule out, and prunes as soon as two
-distinct atoms would have to coincide. A given `StepBudget` is the one
-limit on the search: spending it raises BoundExceeded. Without one the
-search is exhaustive, and its time can grow exponentially in the number
-of searched positions. Scans spend nothing.
-Grounding reads the shape keys propagation recorded (`Known.key`), of any
-functor, nested containers included, and keys each intermediate once under
-the schema of the fold result, which is fixed-arity.
+distinct atoms would have to coincide. Both read one index per
+constraint, its input positions by atom and its symbolic ones, so a scan
+and a candidate list are set tests, not a pass over every position. A
+given `StepBudget` is the one limit on the search: spending it raises
+BoundExceeded. Without one the search is exhaustive, and its time can
+grow exponentially in the number of searched positions. Scans and
+candidate lists spend nothing.
+
+Every shape here is an int tuple. Known containers bring the keys the
+loader recorded (`Known.key`), of any functor, nested containers
+included. An intermediate's shape, pinned, forced or guessed, is a slot
+vector of the fold result's schema, which is fixed-arity, and is its key
+as well. So grounding, forcing and guessing compare and hash tuples, and a
+shape is decoded only for a Realizable witness's intermediates and for a
+ShapeConflict's message.
 
 Of a shape-incomplete set, what every realization shares is decided before
 any guess. The shape morphism is a function, so known shapes force the
@@ -51,8 +59,8 @@ from collections.abc import Iterator, Mapping
 from itertools import product
 from typing import NamedTuple
 
-from .functors import Atom, Extension, ShapeValue, schema_of, show_shape
-from .propagate import ConstraintSet, Known, Suffix, read_inputs, show_suffix
+from .functors import Atom, Extension, schema_of, show_shape
+from .propagate import ConstraintSet, Known, read_inputs, show_suffix
 from .verdict import Realizable, Unrealizable, Verdict, WitnessSummary
 
 
@@ -104,34 +112,39 @@ class GroundConstraint(NamedTuple):
 class GroundInstance(NamedTuple):
     constraints: tuple[GroundConstraint, ...]  # in the order of cs.constraints
     out_keys: dict  # input slot key -> output slot key
-    inter_shapes: dict  # uid -> ShapeValue
+    inter_keys: dict  # uid -> its slot vector
     inter_terms: dict  # uid -> its terms
     cs: ConstraintSet
 
 
-def _pinned(cs: ConstraintSet) -> dict[int, ShapeValue]:
-    """The output shape of each full example and of each base, by the id
-    of its suffix and of its trace's root: the completion that guesses
+def _show(cs: ConstraintSet, key: tuple[int, ...]) -> str:
+    """A slot vector of the result functor of `cs`, shown as its shape."""
+    return show_shape(schema_of(cs.output_functor).decode_slots(key))
+
+
+def _pinned(cs: ConstraintSet) -> dict[int, tuple[int, ...]]:
+    """The output slot vector of each full example and of each base, by the
+    id of its suffix and of its trace's root: the completion that guesses
     nothing. Raises ShapeConflict when two examples of one suffix disagree;
     two bases that do are a base clash, which no container morphism `e`
     gives. A set with no intermediates needs no shapes: its grounding finds
     a clash of outputs itself, and its base case one of bases."""
-    full: dict[int, ShapeValue] = {}
+    full: dict[int, tuple[int, ...]] = {}
     if cs.unknown_count == 0:
         return full
 
-    def pin(s: int, out: ShapeValue, what: str) -> None:
+    def pin(s: int, out: tuple[int, ...], what: str) -> None:
         prior = full.setdefault(s, out)
         if prior != out:
-            raise ShapeConflict(f"{what} shapes {show_shape(prior)} and {show_shape(out)}")
+            raise ShapeConflict(f"{what} shapes {_show(cs, prior)} and {_show(cs, out)}")
     for trace in cs.traces:
-        pin(trace.suffixes[0], trace.steps[0].inputs[2].ext.shape, "a base clash: bases of one extra shape have")
-        pin(trace.suffixes[-1], trace.steps[-1].output.ext.shape, "two examples with equal input shapes produce")
+        pin(trace.suffixes[0], trace.steps[0].inputs[2].key, "a base clash: bases of one extra shape have")
+        pin(trace.suffixes[-1], trace.steps[-1].output.key, "two examples with equal input shapes produce")
     return full
 
 
-def intermediate_shapes(cs: ConstraintSet, shapes: Mapping[int, ShapeValue]) -> dict[int, ShapeValue]:
-    """The shape of each trace intermediate whose suffix has a shape in
+def intermediate_keys(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """The slot vector of each trace intermediate whose suffix has one in
     `shapes`, by uid: the one `shapes` gives the suffix it is the fold
     result of."""
     return {
@@ -142,61 +155,62 @@ def intermediate_shapes(cs: ConstraintSet, shapes: Mapping[int, ShapeValue]) -> 
     }
 
 
-def ground(cs: ConstraintSet, shapes: Mapping[int, ShapeValue] | None = None) -> GroundInstance:
-    """Give each trace intermediate the shape `shapes`, a completion, gives
-    its suffix's id, and check the shape morphism is a function. Without
-    `shapes`, the completion that guesses nothing: a set with an unpinned
-    suffix raises Ungroundable. Where `shapes` leaves a suffix out, its
-    intermediates are left out, and so is every constraint that reads or
-    yields one: that grounds the part of the set the given shapes settle.
-    Known containers bring their keys; each intermediate is keyed once."""
+def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]] | None = None) -> GroundInstance:
+    """Give each trace intermediate the slot vector `shapes`, a completion,
+    gives its suffix's id, and check the shape morphism is a function.
+    Without `shapes`, the completion that guesses nothing: a set with an
+    unpinned suffix raises Ungroundable. Where `shapes` leaves a suffix
+    out, its intermediates are left out, and so is every constraint that
+    reads or yields one: that grounds the part of the set the given shapes
+    settle. Known containers bring their keys and intermediates their slot
+    vectors, so grounding compares keys and decodes a shape only for a
+    clash's message."""
     if shapes is None:
         if cs.unpinned:
             raise Ungroundable(cs)
         shapes = _pinned(cs)
-    inter_shapes = intermediate_shapes(cs, shapes)
+    inter_keys = intermediate_keys(cs, shapes)
     constraints = cs.constraints
-    if len(inter_shapes) < cs.unknown_count:
+    if len(inter_keys) < cs.unknown_count:
         constraints = tuple(
             c
             for c in constraints
-            if all(type(x) is Known or x.uid in inter_shapes for x in (*c.inputs, c.output))
+            if all(type(x) is Known or x.uid in inter_keys for x in (*c.inputs, c.output))
         )
 
-    inter_keys: dict[int, tuple[int, ...]] = {}
     inter_terms: dict[int, tuple[int, ...]] = {}
-    if inter_shapes:
+    if inter_keys:
         out_schema = schema_of(cs.output_functor)
         term = -1
-        for uid in sorted(inter_shapes):
-            key = inter_keys[uid] = out_schema.encode_shape(inter_shapes[uid])
-            n = out_schema.count_value(key)
+        for uid in sorted(inter_keys):
+            n = out_schema.count_value(inter_keys[uid])
             inter_terms[uid] = tuple(range(term, term - n, -1))
             term -= n
 
-    shape_map: dict[tuple[int, ...], ShapeValue] = {}
     out_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+    firsts = {}  # input key -> the output that first gave its output key
     grounded = []
     for c in constraints:
         key, in_terms = read_inputs(c, inter_keys, inter_terms)
         out = c.output
         if type(out) is Known:
-            out_shape, out_key, out_terms = out.ext.shape, out.key, out.codes
+            out_key, out_terms = out.key, out.codes
         else:
-            uid = out.uid
-            out_shape, out_key, out_terms = inter_shapes[uid], inter_keys[uid], inter_terms[uid]
-        forced = shape_map.get(key)
+            out_key, out_terms = inter_keys[out.uid], inter_terms[out.uid]
+        forced = out_keys.get(key)
         if forced is None:
-            shape_map[key] = out_shape
             out_keys[key] = out_key
-        elif forced != out_shape:
-            raise ShapeConflict(
-                f"input shape {key} maps to both {show_shape(forced)} and "
-                f"{show_shape(out_shape)}"
+            firsts[key] = out
+        elif forced != out_key:
+            # a key reads back to its shape, so the shapes differ
+            first, last = (
+                show_shape(x.ext.shape) if type(x) is Known else _show(cs, inter_keys[x.uid])
+                for x in (firsts[key], out)
             )
+            raise ShapeConflict(f"input shape {key} maps to both {first} and {last}")
         grounded.append(GroundConstraint(key, in_terms, out_terms))
 
-    return GroundInstance(tuple(grounded), out_keys, inter_shapes, inter_terms, cs)
+    return GroundInstance(tuple(grounded), out_keys, inter_keys, inter_terms, cs)
 
 
 class _Unifier:
@@ -255,19 +269,19 @@ class _Unifier:
         return True
 
 
-def _first_source(group: list[GroundConstraint], q: int) -> int | None:
-    """The first input position that holds the atom at output position q
-    in every constraint of `group`, where all those terms are atoms."""
-    first = group[0]
-    target = first.out_terms[q]
-    p = -1
-    while True:
-        try:
-            p = first.in_terms.index(target, p + 1)
-        except ValueError:
-            return None
-        if all(c.in_terms[p] == c.out_terms[q] for c in group):
-            return p
+def _index(terms: tuple[int, ...]) -> tuple[dict[int, list[int]], frozenset[int]]:
+    """The positions of `terms` by atom, each list ascending, and the set of
+    its symbolic positions."""
+    at: dict[int, list[int]] = {}
+    symbolic = []
+    for p, t in enumerate(terms):
+        if t < 0:
+            symbolic.append(p)
+        elif t in at:
+            at[t].append(p)
+        else:
+            at[t] = [p]
+    return at, frozenset(symbolic)
 
 
 def _nowhere(key: tuple[int, ...], q: int) -> str:
@@ -277,67 +291,121 @@ def _nowhere(key: tuple[int, ...], q: int) -> str:
     )
 
 
+def _positions(by_key: dict[tuple[int, ...], list[GroundConstraint]]):
+    """The position variables of the constraints `by_key`, grouped by
+    input shape: one per input shape and output position. Returns the
+    positions the scans settle, each other variable with its candidate
+    positions in (input shape, output position) order, and the first
+    variable left without a position (None if there is none), where the
+    listing stops: a failed scan before any empty candidate list.
+
+    A constraint's input terms are indexed at most once (`_index`), the
+    positions of each atom and the symbolic ones, and only where a test
+    reads them: the first constraint of an input shape for its scans, and
+    each constraint with an atom in its output for the candidates. Where the
+    constraints of an input shape hold only atoms, in their inputs and at
+    the output position, unification is equality and binds nothing, so
+    the variable is independent of every other: a scan settles it as the
+    first position of the output atom in the first constraint's index that
+    matches in every constraint. Every other variable keeps the positions
+    that no constraint rules out by two different atoms: the intersection,
+    over the constraints whose output term is an atom, of that atom's
+    positions and the symbolic ones, in ascending order."""
+    settled: dict[tuple[tuple[int, ...], int], int] = {}
+    open_vars = []  # (input shape, output position)
+    for key in sorted(by_key):
+        group = by_key[key]
+        width = len(group[0].out_terms)
+        if not all(min(c.in_terms, default=0) >= 0 for c in group):
+            open_vars.extend((key, q) for q in range(width))
+            continue
+        first = None
+        for q in range(width):
+            outs = [c.out_terms[q] for c in group]
+            if min(outs) < 0:
+                open_vars.append((key, q))
+                continue
+            if first is None:
+                first, _ = _index(group[0].in_terms)
+            for p in first.get(outs[0], ()):
+                if all(c.in_terms[p] == b for c, b in zip(group, outs)):
+                    settled[(key, q)] = p
+                    break
+            else:
+                return settled, [], (key, q)
+
+    variables = []  # ((input shape, output position), candidate positions)
+    # per input shape, the index and the output terms of each constraint
+    # with an atom in its output: the others rule out no position
+    rows_of: dict[tuple[int, ...], list] = {}
+    for key, q in open_vars:
+        rows = rows_of.get(key)
+        if rows is None:
+            rows = rows_of[key] = [
+                (_index(c.in_terms), c.out_terms)
+                for c in by_key[key]
+                if max(c.out_terms, default=-1) >= 0
+            ]
+        live = None
+        for (at, symbolic), outs in rows:
+            b = outs[q]
+            if b >= 0:
+                held = at.get(b, ())
+                if live is None:
+                    live = symbolic.union(held)
+                else:
+                    live = (live & symbolic).union(live.intersection(held))
+        candidates = range(len(by_key[key][0].in_terms)) if live is None else sorted(live)
+        if not candidates:
+            return settled, variables, (key, q)
+        variables.append(((key, q), candidates))
+    return settled, variables, None
+
+
 def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdict:
     """Decide a ground instance by position assignment: one variable per
     input shape and output position, shared by every constraint with that
     input shape.
 
-    Where those constraints hold only atoms, in their inputs and at the
-    output position, unification is equality and binds nothing, so the
-    variable is independent of every other: a scan settles it as the first
-    input position that matches in every constraint. Every other variable
-    keeps the positions that no constraint rules out by two different
-    atoms, and a search assigns those, backtracking and spending one step
-    of `budget` per call to the unifier; with no budget it is exhaustive.
-    A variable left without a position refutes the set before any search.
-    Scans spend no steps.
+    Scans settle the variables that tie nothing else, and every other one
+    keeps the candidate positions no two distinct atoms rule out; both are
+    set tests on an index of each constraint's input positions by atom
+    (`_positions`). A variable left without a position refutes the set
+    before any search. A search assigns the candidates in order,
+    backtracking and spending one step of `budget` per call to the
+    unifier; with no budget it is exhaustive. Scans and the candidate
+    lists spend no steps: on a wide set, listing costs time in proportion
+    to the constraints with an atom in their output times their width,
+    before the first step.
     """
     by_key: dict[tuple[int, ...], list[GroundConstraint]] = {}
     for c in gi.constraints:
         by_key.setdefault(c.key, []).append(c)
-
-    settled: dict[tuple[tuple[int, ...], int], int] = {}
-    open_vars: list[tuple[tuple[int, ...], int]] = []
-    for key in sorted(by_key):
-        group = by_key[key]
-        concrete = all(t >= 0 for c in group for t in c.in_terms)
-        for q in range(len(group[0].out_terms)):
-            if concrete and all(c.out_terms[q] >= 0 for c in group):
-                p = _first_source(group, q)
-                if p is None:
-                    return Unrealizable(_nowhere(key, q))
-                settled[(key, q)] = p
-            else:
-                open_vars.append((key, q))
-
-    variables = []  # (input shape, output position, candidate positions)
-    for key, q in open_vars:
-        group = by_key[key]
-        outs = [c.out_terms[q] for c in group]
-        candidates = [
-            p
-            for p in range(len(group[0].in_terms))
-            if all(b < 0 or (a := c.in_terms[p]) < 0 or a == b for c, b in zip(group, outs))
-        ]
-        if not candidates:
-            return Unrealizable(_nowhere(key, q))
-        variables.append((key, q, candidates))
+    settled, variables, nowhere = _positions(by_key)
+    if nowhere is not None:
+        return Unrealizable(_nowhere(*nowhere))
 
     uf = _Unifier(budget or StepBudget(float("inf")))
+    unify = uf.unify
     chosen: dict[tuple[tuple[int, ...], int], int] = {}
     # depth-first, in the order of `variables`, on an explicit stack: per
-    # variable reached, its candidates left and the unifier's trail mark
-    frames: list[tuple[Iterator[int], int]] = []
+    # variable reached, its candidates left, the unifier's trail mark and
+    # each constraint's inputs and output term
+    frames: list[tuple[Iterator[int], int, list[tuple[tuple[int, ...], int]]]] = []
     idx = 0
     while idx < len(variables):
-        key, q, candidates = variables[idx]
+        var, candidates = variables[idx]
         if idx == len(frames):
-            frames.append((iter(candidates), uf.mark()))
-        left, mark = frames[idx]
-        group = by_key[key]
+            q = var[1]
+            pairs = [(c.in_terms, c.out_terms[q]) for c in by_key[var[0]]]
+            frames.append((iter(candidates), uf.mark(), pairs))
+        left, mark, pairs = frames[idx]
         for p in left:
-            if all(uf.unify(c.in_terms[p], c.out_terms[q]) for c in group):
-                chosen[(key, q)] = p
+            for ins, b in pairs:
+                if not unify(ins[p], b):
+                    break
+            else:
+                chosen[var] = p
                 idx += 1
                 break
             uf.rollback(mark)
@@ -351,7 +419,9 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
     cs = gi.cs
     fresh: dict[int, int] = {}
     intermediates: dict[int, Extension] = {}
-    for uid in sorted(gi.inter_shapes):
+    if gi.inter_keys:
+        out_schema = schema_of(cs.output_functor)
+    for uid in sorted(gi.inter_keys):
         elems = []
         for term in gi.inter_terms[uid]:
             root = uf.find(term)
@@ -359,7 +429,8 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
             if code is None:
                 code = fresh.setdefault(root, cs.atoms.size + len(fresh))
             elems.append(Atom(code, cs.atoms.label_of(code)))
-        intermediates[uid] = Extension(cs.output_functor, gi.inter_shapes[uid], tuple(elems))
+        shape = out_schema.decode_slots(gi.inter_keys[uid])
+        intermediates[uid] = Extension(cs.output_functor, shape, tuple(elems))
     positions = dict(sorted({**settled, **chosen}.items()))
     return Realizable(WitnessSummary(dict(gi.out_keys), positions, intermediates))
 
@@ -371,18 +442,19 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
 COMPLETION_LENGTHS = range(5)
 
 
-def candidate_shapes(cs: ConstraintSet, known: Mapping) -> tuple[list[ShapeValue], bool]:
-    """The result shapes to try for an unpinned intermediate, and whether
-    they are all the shapes there are. A list slot takes the lengths
-    COMPLETION_LENGTHS, a bool slot 0 and 1, and an int slot every value it
-    holds in a `known` shape (a pinned base or output shape, or a copy of
-    one), and each of those ±1. So the candidates cover the whole shape
-    space exactly when every slot is bool."""
+def candidate_shapes(cs: ConstraintSet, known: Mapping) -> tuple[list[tuple[int, ...]], bool]:
+    """The result slot vectors to try for an unpinned intermediate, and
+    whether they are all the shapes there are. A list slot takes the
+    lengths COMPLETION_LENGTHS, a bool slot 0 and 1, and an int slot every
+    value it holds in a `known` slot vector (a pinned base or output shape,
+    or a copy of one), and each of those ±1; a vector is kept where it
+    `refines`. So the candidates cover the whole shape space exactly when
+    every slot is bool."""
     schema = schema_of(cs.output_functor)
     seen: list[set[int]] = [set() for _ in schema.slots]
     if any(slot.kind == "int" for slot in schema.slots):
-        for shape in known.values():
-            for values, v in zip(seen, schema.encode_shape(shape)):
+        for key in known.values():
+            for values, v in zip(seen, key):
                 values.add(v)
     ranges = []
     for slot, values in zip(schema.slots, seen):
@@ -392,21 +464,23 @@ def candidate_shapes(cs: ConstraintSet, known: Mapping) -> tuple[list[ShapeValue
             ranges.append((0, 1))
         else:
             ranges.append(sorted({v + d for v in values for d in (-1, 0, 1)}))
-    shapes = [schema.decode_slots(v) for v in product(*ranges) if schema.refines(v)]
+    shapes = [v for v in product(*ranges) if schema.refines(v)]
     return shapes, all(slot.kind == "bool" for slot in schema.slots)
 
 
 class Forcing(NamedTuple):
-    """The known suffix shapes by id and what they force (`_force`): `table`
-    maps (h, e, shape of tail) to the suffix's shape for every tie between
-    known shapes, `kids` gives the suffixes whose tail each suffix is, and
-    `waiting` the unknown suffixes with a known tail, by that argument."""
+    """The known suffix shapes of `cs`, slot vectors by suffix id, and what
+    they force (`_force`): `table` maps an argument, the key of (h, e,
+    shape of tail) that grounding reads, to the suffix's shape for every
+    tie between known shapes, `kids` gives the suffixes whose tail each
+    suffix is, and `waiting` the unknown suffixes with a known tail, by
+    that argument."""
 
-    suffixes: tuple[Suffix, ...]
-    known: dict[int, ShapeValue]
-    table: dict[tuple, ShapeValue]
+    cs: ConstraintSet
+    known: dict[int, tuple[int, ...]]
+    table: dict[tuple[int, ...], tuple[int, ...]]
     kids: dict[int, list[int]]
-    waiting: dict[tuple, tuple[int, ...]]
+    waiting: dict[tuple[int, ...], tuple[int, ...]]
 
 
 def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
@@ -416,14 +490,14 @@ def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
     suffix waiting on its argument. Each tie looked at spends one step of
     `budget`. A known suffix whose argument maps to another shape raises
     ShapeConflict naming its tail."""
-    suffixes, known, table, waiting = state.suffixes, state.known, state.table, state.waiting
+    suffixes, known, table, waiting = state.cs.suffixes, state.known, state.table, state.waiting
     todo = list(newly_known)
     for tail in todo:  # grows by each suffix whose shape is forced
         rho = known[tail]
         kids = state.kids.get(tail, ())
         budget.spend(len(kids))
         for s in kids:
-            arg = (suffixes[s].h, suffixes[s].e, rho)
+            arg = suffixes[s].key + rho
             prior = table.get(arg)
             if s not in known:
                 if prior is None:
@@ -438,9 +512,9 @@ def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
                 todo.extend(woken)
             elif prior != known[s]:
                 raise ShapeConflict(
-                    f"the suffix {show_suffix(suffixes, tail)} is forced to the shape "
-                    f"{show_shape(rho)}, so one input shape maps to both "
-                    f"{show_shape(prior)} and {show_shape(known[s])}"
+                    f"the suffix {show_suffix(suffixes, tail)} has the shape "
+                    f"{_show(state.cs, rho)}, so one input shape maps to both "
+                    f"{_show(state.cs, prior)} and {_show(state.cs, known[s])}"
                 )
 
 
@@ -450,7 +524,7 @@ def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> Forcing:
     (`_force`). Two ties that map one argument to two shapes, pinned or
     forced, raise ShapeConflict, which no guess and no schema mends."""
     known = _pinned(cs)
-    state = Forcing(cs.suffixes, known, {}, {}, {})
+    state = Forcing(cs, known, {}, {}, {})
     for s, suffix in enumerate(cs.suffixes):
         if suffix.tail >= 0:
             state.kids.setdefault(suffix.tail, []).append(s)
@@ -462,14 +536,14 @@ def _guesses(state: Forcing, s: int, shapes: list, budget: StepBudget) -> Iterat
     """A copy of `state` for each of `shapes` that the unknown suffix `s`,
     and every suffix waiting on its argument, takes without a clash
     (`_force`). Each guess spends one step of `budget`."""
-    h, e, tail, _ = state.suffixes[s]
-    arg = (h, e, state.known[tail])
+    suffix = state.cs.suffixes[s]
+    arg = suffix.key + state.known[suffix.tail]
     for shape in shapes:
         budget.spend(1)
         waiting = dict(state.waiting)
         group = waiting.pop(arg)
         known = {**state.known, **dict.fromkeys(group, shape)}
-        child = Forcing(state.suffixes, known, {**state.table, arg: shape}, state.kids, waiting)
+        child = Forcing(state.cs, known, {**state.table, arg: shape}, state.kids, waiting)
         try:
             _force(child, group, budget)
         except ShapeConflict:
@@ -484,7 +558,7 @@ def completions(state: Forcing, missing: list, shapes: list, budget: StepBudget)
     morphism stays a function. The shortest unknown suffix is guessed
     first, ties in the order of `missing` (`_guesses`), on an explicit
     stack, so only `budget` bounds the depth of the guesses."""
-    order = sorted(missing, key=lambda s: state.suffixes[s].length)
+    order = sorted(missing, key=lambda s: state.cs.suffixes[s].length)
     stack = [(iter([state]), 0)]
     while stack:
         children, i = stack[-1]
@@ -504,7 +578,7 @@ PART_REFUTED = "the steps whose intermediates have known shapes are already unre
 
 
 def _charged_ground(
-    cs: ConstraintSet, shapes: Mapping[int, ShapeValue], budget: StepBudget
+    cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]], budget: StepBudget
 ) -> GroundInstance:
     """`ground`, charging `budget` one step per constraint and ground term."""
     gi = ground(cs, shapes)

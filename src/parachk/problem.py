@@ -21,12 +21,16 @@ tagged terms: ``{"atom": "A"}``, ``{"int": 3}``, ``{"bool": true}``,
 the extra functor is Unit; ``base`` is required exactly for foldr sketches.
 
 Loading is one walk per field, directed by the field's functor: from the
-JSON node straight to its container form, the one form that
-`Problem.extensions` keeps; `Problem.examples` rebuilds the values on each
-access. Its records are NamedTuples (`Atom`, `Extension`), and the fields
-of a functor with one shape (Id, Unit and products of them) share one
-shape object. Files and code share the walk: `build_problem` reads the
-problem-file term of each value built in code.
+JSON node straight to its container form and its key, the one form that
+`Problem.extensions` keeps, a `Known` per field; `Problem.examples`
+rebuilds the values on each access. As it walks, each field emits the ints
+of its `shape_key` (a list's length, an int, a bool, a Maybe's flag and an
+absent Maybe child's zero key) and its atoms, so no later stage walks a
+shape to key it. Its records are NamedTuples (`Atom`, `Extension`,
+`Known`), and the fields of a functor with one shape (Id, Unit and
+products of them) share one shape object and the key (). Files and code
+share the walk: `build_problem` reads the problem-file term of each value
+built in code.
 The walk checks syntax and type together and builds no location. A field
 it rejects is rendered by `value_from_json`, and a file with faults gets
 the error of its first syntax fault, else of its first validation fault:
@@ -78,6 +82,7 @@ from .functors import (
     Value,
     from_extension,
     schema_of,
+    shape_key,
     show_value,
 )
 
@@ -143,15 +148,26 @@ class AtomTable(NamedTuple):
         return f"#{code}"
 
 
+class Known(NamedTuple):
+    """A container the examples give: its extension, the key of its shape
+    (`shape_key`) and the codes of its elements in position order, all
+    three recorded by the walk that loads it. The key and the codes follow
+    from the extension."""
+
+    ext: Extension
+    key: tuple[int, ...]
+    codes: tuple[int, ...]
+
+
 class ExampleExtensions(NamedTuple):
     """One example's fields in container form: the extra argument, each
     input, the output (for a map sketch, each element of the output) and
     the base (None outside foldr sketches)."""
 
-    extra: Extension
-    inputs: tuple[Extension, ...]
-    outputs: tuple[Extension, ...]
-    base: Extension | None
+    extra: Known
+    inputs: tuple[Known, ...]
+    outputs: tuple[Known, ...]
+    base: Known | None
 
 
 class Problem(NamedTuple):
@@ -168,12 +184,12 @@ class Problem(NamedTuple):
         access; a map output is the list of its outputs."""
         return tuple(
             IOExample(
-                from_extension(e.extra),
-                tuple(map(from_extension, e.inputs)),
-                ListV(tuple(map(from_extension, e.outputs)))
+                from_extension(e.extra.ext),
+                tuple([from_extension(x.ext) for x in e.inputs]),
+                ListV(tuple([from_extension(y.ext) for y in e.outputs]))
                 if self.sketch is SketchKind.MAP
-                else from_extension(e.outputs[0]),
-                None if e.base is None else from_extension(e.base),
+                else from_extension(e.outputs[0].ext),
+                None if e.base is None else from_extension(e.base.ext),
             )
             for e in self.extensions
         )
@@ -248,22 +264,24 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
         _json_reader(f) for f in (signature.extra, signature.element, signature.result)
     )
 
-    def check(read, f, node, i, key, j=None) -> Extension:
+    def check(read, f, node, i, field, j=None) -> Known:
         elems: list[Atom] = []
+        key: list[int] = []
         try:
-            shape = read(node, atoms, elems)
+            shape = read(node, atoms, elems, key)
         except TypeMismatch:
             # the field's name and location are built only on the way to an
             # error
-            key = key if j is None else f"{key}[{j}]"
-            shown = show_value(value_from_json(node, f"examples[{i}].{key}"))
+            field = field if j is None else f"{field}[{j}]"
+            shown = show_value(value_from_json(node, f"examples[{i}].{field}"))
             raise ValidationError(
-                f"example {i}: field {key!r}: value {shown} does not typecheck against {f}"
+                f"example {i}: field {field!r}: value {shown} does not typecheck against {f}"
             ) from None
-        return Extension(f, shape, tuple(elems))
+        return Known(Extension(f, shape, tuple(elems)), tuple(key), tuple([a.code for a in elems]))
 
     extensions = []
-    bases_by_extra: dict[Extension, Extension] = {}
+    # (key, codes) of an extra -> its base
+    bases_by_extra: dict[tuple, Known] = {}
     for i, (extra, inputs, output, base) in enumerate(examples):
         extra = check(read_extra, signature.extra, extra, i, "extra")
         inputs = tuple(
@@ -290,12 +308,12 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
             if base is _ABSENT:
                 raise ValidationError(f"example {i}: foldr examples need a 'base'")
             base = check(read_result, signature.result, base, i, "base")
-            # interned codes are in bijection with labels, so extensions
-            # compare by label
-            seen = bases_by_extra.setdefault(extra, base)
-            if seen != base:
+            # a key reads back to its shape, and interned codes are in
+            # bijection with labels, so (key, codes) names a value
+            seen = bases_by_extra.setdefault((extra.key, extra.codes), base)
+            if (seen.key, seen.codes) != (base.key, base.codes):
                 raise ValidationError(
-                    f"example {i}: base {show_value(from_extension(base))} differs from the "
+                    f"example {i}: base {show_value(from_extension(base.ext))} differs from the "
                     f"base of an earlier example with the same extra argument"
                 )
         elif base is not _ABSENT:
@@ -472,22 +490,25 @@ def value_to_json(v: Value):
 @functools.cache
 def _json_reader(f: FunctorExpr) -> Callable:
     """The one walk of a field of functor f, a problem-file term: the syntax
-    of `value_from_json`, the type check and the interning together.
+    of `value_from_json`, the type check, the interning and the key
+    together.
 
-    read(node, atoms, elems) returns the field's shape, appends its interned
-    atoms to `elems` in position order and interns new labels into `atoms`
-    (label -> Atom, in first-occurrence order). A node that is no value of
-    f raises TypeMismatch. The walk builds no location; a field it rejects
-    goes to `value_from_json` for the message.
+    read(node, atoms, elems, key) returns the field's shape, appends its
+    interned atoms to `elems` in position order and the ints of its
+    `shape_key` to `key`, and interns new labels into `atoms` (label ->
+    Atom, in first-occurrence order). A node that is no value of f raises
+    TypeMismatch. The walk builds no location; a field it rejects goes to
+    `value_from_json` for the message.
 
     Each reader tests its node's tag in line. A functor with one shape
     (`_only_shape`) returns that shape, built once with the reader, so its
-    fields share one shape object; a list of such elements reads each item
-    for its atoms and its type check, then repeats the one shape."""
+    fields share one shape object and add nothing to the key; a list of
+    such elements reads each item for its atoms and its type check, then
+    repeats the one shape."""
     match f:
         case Id():
 
-            def read(node, atoms, elems):
+            def read(node, atoms, elems, key):
                 if type(node) is dict and len(node) == 1:
                     label = node.get("atom")
                     if type(label) is str:
@@ -500,63 +521,68 @@ def _json_reader(f: FunctorExpr) -> Callable:
 
         case ConstUnit():
 
-            def read(node, atoms, elems):
+            def read(node, atoms, elems, key):
                 if node == "unit":
                     return _UNITS
                 raise TypeMismatch
 
         case ConstInt():
 
-            def read(node, atoms, elems):
+            def read(node, atoms, elems, key):
                 if type(node) is dict and len(node) == 1:
                     n = node.get("int")
                     if type(n) is int:
+                        key.append(n)
                         return IntS(n)
                 raise TypeMismatch
 
         case ConstBool():
 
-            def read(node, atoms, elems):
+            def read(node, atoms, elems, key):
                 if type(node) is dict and len(node) == 1:
                     b = node.get("bool")
                     if type(b) is bool:
+                        key.append(1 if b else 0)
                         return BoolS(b)
                 raise TypeMismatch
 
         case ListOf(inner):
             item, shape = _json_reader(inner), _only_shape(inner)
 
-            def read(node, atoms, elems):
+            def read(node, atoms, elems, key):
                 if type(node) is dict and len(node) == 1:
                     body = node.get("list")
                     if type(body) is list:
+                        key.append(len(body))
                         if shape is None:
-                            return ListS([item(x, atoms, elems) for x in body])
+                            return ListS([item(x, atoms, elems, key) for x in body])
                         for x in body:
-                            item(x, atoms, elems)
+                            item(x, atoms, elems, key)
                         return ListS((shape,) * len(body))
                 raise TypeMismatch
 
         case ProdOf(l, r):
             left, right, shape = _json_reader(l), _json_reader(r), _only_shape(f)
 
-            def read(node, atoms, elems):
+            def read(node, atoms, elems, key):
                 if type(node) is dict and len(node) == 1:
                     body = node.get("pair")
                     if type(body) is list and len(body) == 2:
-                        a = left(body[0], atoms, elems)
-                        b = right(body[1], atoms, elems)
+                        a = left(body[0], atoms, elems, key)
+                        b = right(body[1], atoms, elems, key)
                         return ProdS(a, b) if shape is None else shape
                 raise TypeMismatch
 
         case MaybeOf(inner):
-            item = _json_reader(inner)
+            item, absent = _json_reader(inner), shape_key(f, _NOTHINGS)
 
-            def read(node, atoms, elems):
+            def read(node, atoms, elems, key):
                 if node == "nothing":
+                    key.extend(absent)
                     return _NOTHINGS
                 if type(node) is dict and len(node) == 1:
-                    return MaybeS(item(node.get("just"), atoms, elems))
+                    key.append(1)
+                    return MaybeS(item(node.get("just"), atoms, elems, key))
                 raise TypeMismatch
 
         case _:

@@ -8,10 +8,11 @@ every container is known. For foldr sketches the morphism takes the triple
 unknowns, numbered 0..unknown_count-1 in constraint order, whose shapes are
 shapes of the result functor. Inputs of an example are numbered right to
 left, so constraint 0 of a trace consumes the last list element and the
-given base value. Every known container is an extension the loader
-recorded (`Problem.extensions`); no value is walked again here. Each is
-keyed here, once: `Known.key` is its shape's `shape_key`, whatever its
-functor, so a set that names a nested container keys it like any other.
+given base value. Every known container is a `Known` the loader recorded
+(`Problem.extensions`), keyed by that one walk: `Known.key` is its shape's
+`shape_key`, whatever its functor, so a set that names a nested container
+keys it like any other. No value or shape is walked again here, and the
+tables below key on those int tuples, not on shapes.
 
 This module alone knows how a fold trace is laid out. `ConstraintSet.suffixes`
 numbers every suffix of every trace once (`number_suffixes`), and `unpinned`
@@ -40,8 +41,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .functors import Extension, FunctorExpr, ShapeValue, shape_key, show_shape
-from .problem import AtomTable, ExampleExtensions, Problem, SketchKind, _only_shape
+from .functors import FunctorExpr, ShapeValue, show_shape
+# `Known` is the loader's record, re-exported here
+from .problem import AtomTable, ExampleExtensions, Known, Problem, SketchKind
 
 
 class PropagationUnrealizable(Exception):
@@ -50,16 +52,6 @@ class PropagationUnrealizable(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-class Known(NamedTuple):
-    """A container the examples give: its extension, the key of its shape
-    (`shape_key`) and the codes of its elements in position order. The key
-    and the codes follow from the extension."""
-
-    ext: Extension
-    key: tuple[int, ...]
-    codes: tuple[int, ...]
 
 
 class Unknown(NamedTuple):
@@ -99,12 +91,15 @@ def read_inputs(
 class Suffix(NamedTuple):
     """A fold trace suffix: extra shape h, first element shape e and the id
     of its tail, the suffix after e; the shape morphism maps (h, e, shape of
-    tail) to its shape. A root, an empty suffix, has e None and tail -1."""
+    tail) to its shape. A root, an empty suffix, has e None and tail -1.
+    `key` is h's key then e's: the key of the step that folds e onto the
+    tail, up to the tail's key."""
 
     h: ShapeValue
     e: ShapeValue | None
     tail: int
     length: int
+    key: tuple[int, ...]
 
 
 class Trace(NamedTuple):
@@ -132,12 +127,6 @@ class ConstraintSet(NamedTuple):
     unpinned: tuple[int, ...] = ()
 
 
-def _known(ext: Extension, one_shape: bool) -> Known:
-    # a functor with one shape (`_only_shape`) keys it (), with no walk
-    key = () if one_shape else shape_key(ext.functor, ext.shape)
-    return Known(ext, key, tuple([a.code for a in ext.elements]))
-
-
 def propagate(p: Problem) -> ConstraintSet:
     # a raw example has exactly one input and one output: a one-element map
     if p.sketch is SketchKind.FOLDR:
@@ -155,40 +144,30 @@ def propagate_map(p: Problem) -> ConstraintSet:
                 f"example {i}: map preserves list length, but {len(x.inputs)} "
                 f"inputs map to {len(x.outputs)} outputs"
             )
-    # whether each functor has one shape
-    element, result = (_only_shape(f) is not None for f in (sig.element, sig.result))
     constraints = tuple(
-        MorphismConstraint((_known(a, element),), _known(b, result))
-        for x in p.extensions
-        for a, b in zip(x.inputs, x.outputs)
+        MorphismConstraint((a,), b) for x in p.extensions for a, b in zip(x.inputs, x.outputs)
     )
     return ConstraintSet((sig.element,), sig.result, constraints, 0, p.atoms)
 
 
 def propagate_foldr(p: Problem) -> ConstraintSet:
     sig = p.signature
-    # whether each functor has one shape
-    extra, element, result = (
-        _only_shape(f) is not None for f in (sig.extra, sig.element, sig.result)
-    )
     constraints: list[MorphismConstraint] = []
     steps_of = []
-    # extra -> (extra, base), keyed, for the base case
-    bases: dict[Extension, tuple[Known, Known]] = {}
+    # (key, codes) of an extra -> (extra, base), for the base case
+    bases: dict[tuple, tuple[Known, Known]] = {}
     uid = 0
     for i, x in enumerate(p.extensions):
         n = len(x.inputs)
-        if n == 0 and x.base != x.outputs[0]:
+        out = x.outputs[0]
+        if n == 0 and (x.base.key, x.base.codes) != (out.key, out.codes):
             raise PropagationUnrealizable(
                 f"example {i}: an empty input forces the output to equal the base case"
             )
-        if x.extra not in bases:
-            bases[x.extra] = _known(x.extra, extra), _known(x.base, result)
-        h, base = bases[x.extra]
+        h, base = bases.setdefault((x.extra.key, x.extra.codes), (x.extra, x.base))
         if n == 0:
             continue
-        elements = [_known(e, element) for e in reversed(x.inputs)]
-        out = _known(x.outputs[0], result)
+        elements = x.inputs[::-1]
         code = atom_from_nowhere(out, (h, base, *elements))
         if code is not None:
             raise PropagationUnrealizable(
@@ -257,22 +236,25 @@ def number_suffixes(
     nonempty proper suffix must be pinned; the empty suffix is the base
     case, whose shape the base gives.
     """
+    # (-1, extra key) for a root, (tail id, element key) for the rest
     ids: dict[tuple, int] = {}
     table: list[Suffix] = []
     chains = []
     for x in examples:
-        h = x.extra.shape
-        sid = ids.get((-1, h))
+        h = x.extra
+        sid = ids.get((-1, h.key))
         if sid is None:
-            sid = ids[(-1, h)] = len(table)
-            table.append(Suffix(h, None, -1, 0))
+            sid = ids[(-1, h.key)] = len(table)
+            table.append(Suffix(h.ext.shape, None, -1, 0, h.key))
         chain = [sid]
         for element in reversed(x.inputs):
-            key = (sid, element.shape)
+            key = (sid, element.key)
             sid = ids.get(key)
             if sid is None:
                 sid = ids[key] = len(table)
-                table.append(Suffix(h, element.shape, key[0], len(chain)))
+                table.append(
+                    Suffix(h.ext.shape, element.ext.shape, key[0], len(chain), h.key + element.key)
+                )
             chain.append(sid)
         chains.append(tuple(chain))
     pinned = {chain[-1] for chain in chains}

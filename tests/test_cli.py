@@ -61,7 +61,7 @@ def test_check_json_names_a_forced_clash(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["path"] == "oracle+completion"
     assert payload["detail"] == (
-        "the suffix extra (), inputs [*, *] is forced to the shape [], so one "
+        "the suffix extra (), inputs [*, *] has the shape [], so one "
         "input shape maps to both [] and [*,*]"
     )
 
@@ -567,24 +567,21 @@ def test_oracle_replays_its_witness(capsys, monkeypatch):
     assert code == 2 and "Unknown(witness-validation-failed)" in out
 
 
-@needs_solver
-def test_oracle_unrealizable_exit_one(capsys):
-    code = main(["oracle", f"{PROBLEMS}/drop_as_foldr.json"])
+def test_oracle_unrealizable_exit_one(capsys, no_spawn):
+    code = main(["oracle", f"{PROBLEMS}/drop_as_foldr.json", "--solver", no_spawn.solver_command])
     out = capsys.readouterr().out
     assert code == 1 and "Unrealizable" in out
 
 
-@needs_solver
-def test_bench_only_single_row(capsys):
-    code = main(["bench", "--only", "reverse"])
+def test_bench_only_single_row(capsys, no_spawn):
+    code = main(["bench", "--only", "reverse", "--solver", no_spawn.solver_command])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("\nreverse ") == 1 or out.splitlines()[2].startswith("reverse")
 
 
-@needs_solver
-def test_bench_json_schema(capsys):
-    code = main(["bench", "--only", "tail", "--format", "json"])
+def test_bench_json_schema(capsys, no_spawn):
+    code = main(["bench", "--only", "tail", "--format", "json", "--solver", no_spawn.solver_command])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     entry = payload["entries"][0]
@@ -599,9 +596,10 @@ def test_bench_unknown_entry(capsys):
     assert code == 3
 
 
-@needs_solver
-def test_bench_repeat_flag(capsys):
-    code = main(["bench", "--only", "length", "--repeat", "2", "--format", "json"])
+def test_bench_repeat_flag(capsys, no_spawn):
+    code = main(
+        ["bench", "--only", "length", "--repeat", "2", "--format", "json", "--solver", no_spawn.solver_command]
+    )
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["repeat"] == 2
 

@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 
 from parachk import (
     Atom,
+    BOOL,
+    BoolV,
     Extension,
     ID,
+    INT,
+    IntV,
+    JustV,
     Known,
     ListOf,
     ListV,
+    MaybeOf,
+    NothingV,
     PairV,
     ProdOf,
     UnitV,
@@ -32,7 +39,7 @@ from parachk import (
     relabel_problem,
     to_extension,
 )
-from parachk.functors import UnsupportedFunctor
+from parachk.functors import UnsupportedFunctor, shape_key
 from parachk.problem import ParseError, ValidationError, value_to_json
 
 import support
@@ -256,17 +263,24 @@ def test_a_mistyped_leaf_gets_the_same_message_from_a_file(seed):
 # container form of every field
 
 
+def _known(f, v) -> Known:
+    """The `Known` of value v of f, from `to_extension` and `shape_key`."""
+    ext = to_extension(f, v)
+    return Known(ext, shape_key(f, ext.shape), tuple(a.code for a in ext.elements))
+
+
 def _extensions_match_their_fields(p):
-    """Every extension `propagate` reads is `to_extension` of its field."""
+    """Every extension `propagate` reads is `to_extension` of its field, and
+    its key and codes are its shape's `shape_key` and its elements' codes."""
     sig = p.signature
     assert len(p.extensions) == len(p.examples)
     for ex, x in zip(p.examples, p.extensions):
-        assert x.extra == to_extension(sig.extra, ex.extra)
-        assert x.inputs == tuple(to_extension(sig.element, v) for v in ex.inputs)
+        assert x.extra == _known(sig.extra, ex.extra)
+        assert x.inputs == tuple(_known(sig.element, v) for v in ex.inputs)
         outputs = ex.output.items if p.sketch is SketchKind.MAP else (ex.output,)
-        assert x.outputs == tuple(to_extension(sig.result, v) for v in outputs)
+        assert x.outputs == tuple(_known(sig.result, v) for v in outputs)
         if p.sketch is SketchKind.FOLDR:
-            assert x.base == to_extension(sig.result, ex.base)
+            assert x.base == _known(sig.result, ex.base)
         else:
             assert x.base is None and ex.base is None
 
@@ -280,7 +294,7 @@ def _assert_one_walk(p):
         cs = propagate(q)
     except PropagationUnrealizable:
         return
-    knowns = [part.ext for c in cs.constraints for part in (*c.inputs, c.output) if isinstance(part, Known)]
+    knowns = [part for c in cs.constraints for part in (*c.inputs, c.output) if isinstance(part, Known)]
     fields = {e for x in q.extensions for e in (x.extra, *x.inputs, *x.outputs, x.base)}
     assert set(knowns) <= fields
 
@@ -335,6 +349,62 @@ def test_one_walk_on_sampled_problems(seed):
 
 
 # ---------------------------------------------------------------------------
+# The key of the walk: every field's `Known.key` is its `shape_key`, so that
+# stays the one definition of a key
+
+
+def _assert_keyed_by_shape_key(p):
+    for x in p.extensions:
+        fields = (x.extra, *x.inputs, *x.outputs) + (() if x.base is None else (x.base,))
+        for field in fields:
+            assert field.key == shape_key(field.ext.functor, field.ext.shape)
+            assert field.codes == tuple(a.code for a in field.ext.elements)
+
+
+def _raw_of(f, values):
+    """A raw problem from f to f whose examples map each of `values` to
+    itself, loaded from its file."""
+    p = build_problem("keys", Signature(UNIT, f, f), SketchKind.RAW, [(UnitV(), [v], v) for v in values])
+    return parse_problem(problem_to_json(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems())
+def test_the_walk_keys_every_field_by_its_shape_key(p):
+    _assert_keyed_by_shape_key(p)
+    _assert_keyed_by_shape_key(parse_problem(problem_to_json(p)))
+
+
+# (functor, values, the key of each value)
+_NESTED_AND_ABSENT = [
+    (MaybeOf(INT), [NothingV(), JustV(IntV(-3))], [(0, 0), (1, -3)]),
+    (MaybeOf(ListOf(ID)), [NothingV(), JustV(ListV((atom("a"), atom("b"))))], [(0, 0), (1, 2)]),
+    (MaybeOf(ProdOf(BOOL, ListOf(INT))), [NothingV()], [(0, 0, 0)]),
+    (MaybeOf(MaybeOf(INT)), [NothingV(), JustV(NothingV()), JustV(JustV(IntV(4)))], [(0, 0, 0), (1, 0, 0), (1, 1, 4)]),
+    (
+        ListOf(ListOf(ID)),
+        [ListV(()), ListV((ListV((atom("a"),)), ListV(()), ListV((atom("b"), atom("a")))))],
+        [(0,), (3, 1, 0, 2)],
+    ),
+    (ListOf(ListOf(UNIT)), [ListV((ListV((UnitV(),) * 2), ListV((UnitV(),))))], [(2, 2, 1)]),
+    (ListOf(MaybeOf(INT)), [ListV((JustV(IntV(7)), NothingV()))], [(2, 1, 7, 0, 0)]),
+    (ProdOf(BOOL, ListOf(ProdOf(ID, INT))), [PairV(BoolV(True), ListV((PairV(atom("c"), IntV(2)),)))], [(1, 1, 2)]),
+    (ListOf(ProdOf(ID, UNIT)), [ListV((PairV(atom("a"), UnitV()),) * 3)], [(3,)]),
+    (ProdOf(ID, ID), [PairV(atom("a"), atom("b"))], [()]),
+]
+
+
+@pytest.mark.parametrize("f, values, keys", _NESTED_AND_ABSENT, ids=[str(f) for f, _, _ in _NESTED_AND_ABSENT])
+def test_the_walk_keys_nested_and_absent_values(f, values, keys):
+    # an absent Maybe child adds its zero key, and a nested list adds each
+    # child's key after its own length
+    p = _raw_of(f, values)
+    _assert_keyed_by_shape_key(p)
+    assert [x.inputs[0].key for x in p.extensions] == keys
+    assert [x.outputs[0].key for x in p.extensions] == keys
+
+
+# ---------------------------------------------------------------------------
 # The records of the walk: one shape per single-shape functor, and cheap
 # hashable Atom and Extension records
 
@@ -355,11 +425,12 @@ def test_fields_of_a_single_shape_functor_share_one_shape():
         )
     )
     x, y = p.extensions
-    shapes = [e.shape for e in (*x.inputs, *x.outputs, *y.inputs, *y.outputs)]
+    shapes = [e.ext.shape for e in (*x.inputs, *x.outputs, *y.inputs, *y.outputs)]
     assert all(s is shapes[0] for s in shapes)
-    assert x.inputs[0].shape is x.inputs[1].shape
-    assert x.extra.shape is y.extra.shape == UnitS()
-    assert [e.elements for e in x.inputs] == [(Atom(0, "a"), Atom(1, "b")), (Atom(2, "c"), Atom(3, "d"))]
+    assert x.inputs[0].ext.shape is x.inputs[1].ext.shape
+    assert x.extra.ext.shape is y.extra.ext.shape == UnitS()
+    assert [e.ext.elements for e in x.inputs] == [(Atom(0, "a"), Atom(1, "b")), (Atom(2, "c"), Atom(3, "d"))]
+    assert [e.key for e in (x.extra, *x.inputs, *x.outputs)] == [()] * 5
 
 
 def test_a_list_of_single_shape_elements_is_its_container_form():
@@ -370,9 +441,10 @@ def test_a_list_of_single_shape_elements_is_its_container_form():
     assert q == p
     for x, ex, v in zip(q.extensions, q.examples, values):
         (field,) = x.inputs
-        assert field == to_extension(f, ex.inputs[0])
-        assert [a.label for a in field.elements] == [a.label for a in to_extension(f, v).elements]
-        assert all(child is field.shape.children[0] for child in field.shape.children)
+        assert field.ext == to_extension(f, ex.inputs[0])
+        assert field.key == (len(v.items),)
+        assert [a.label for a in field.ext.elements] == [a.label for a in to_extension(f, v).elements]
+        assert all(child is field.ext.shape.children[0] for child in field.ext.shape.children)
 
 
 @pytest.mark.parametrize(
@@ -422,7 +494,7 @@ def test_atoms_and_extensions_are_dict_keys():
     x, y = parse_problem(doc({"list": [{"atom": "w"}]})).extensions
     assert x.extra is not y.extra and x.extra == y.extra
     assert {x.extra: x.base}[y.extra] == y.base
-    rebuilt = Extension(ListOf(ID), x.base.shape, x.base.elements)
-    assert rebuilt == y.base and hash(rebuilt) == hash(y.base)
+    rebuilt = Extension(ListOf(ID), x.base.ext.shape, x.base.ext.elements)
+    assert rebuilt == y.base.ext and hash(rebuilt) == hash(y.base.ext)
     with pytest.raises(ValidationError, match="differs from the base of an earlier example"):
         parse_problem(doc({"list": []}))

@@ -50,7 +50,7 @@ from parachk.oracle import (
     candidate_shapes,
     completions,
     forced_shapes,
-    intermediate_shapes,
+    intermediate_keys,
 )
 from parachk import oracle
 from parachk.functors import flatten_shape, size_of
@@ -116,10 +116,11 @@ def test_tail_intermediates_resolved_by_suffix_chase():
     # the fold results on the suffixes [C] and [B,C] are pinned by the
     # length-1 and length-2 examples: sizes 0 and 1
     cs = propagate(tail_sc_problem())
-    resolved = intermediate_shapes(cs, oracle._pinned(cs))
-    sizes = sorted(size_of(ListOf(ID), s) for s in resolved.values())
+    resolved = intermediate_keys(cs, oracle._pinned(cs))
+    schema = flatten_shape(ListOf(ID))
+    sizes = sorted(schema.count_value(k) for k in resolved.values())
     assert sizes == [0, 0, 1]  # Y1, Y2 of the 3-example plus Y1 of the 2-example
-    trace_sizes = [size_of(ListOf(ID), resolved[uid]) for uid in (0, 1)]
+    trace_sizes = [schema.count_value(resolved[uid]) for uid in (0, 1)]
     assert trace_sizes == [0, 1]
     # every suffix is pinned, so grounding gets as far as the clash that
     # makes tail no fold: (*, []) maps to [] for [z] and to [*] for [x,y]
@@ -139,7 +140,7 @@ def test_raw_and_map_ground_without_unknowns():
         [(UnitV(), [lst(atom("a"), atom("b"))], lst(atom("b"), atom("a")))],
     )
     gi = ground(propagate(p))
-    assert gi.inter_shapes == {}
+    assert gi.inter_keys == {}
     assert len(gi.constraints) == 1
 
 
@@ -376,7 +377,8 @@ def test_candidate_shapes_cover_bool_schemas_only():
     def candidates(name):
         cs = propagate(entries[name].problem_si)
         shapes, covered = candidate_shapes(cs, oracle._pinned(cs))
-        return [show_shape(s) for s in shapes], covered
+        schema = flatten_shape(cs.output_functor)
+        return [show_shape(schema.decode_slots(s)) for s in shapes], covered
 
     assert candidates("null") == (["F", "T"], True)
     assert candidates("head") == (["N", "J*"], True)
@@ -391,9 +393,9 @@ def _completions_past_candidates(cs, missing) -> int:
     completions that ground; return how many it finds outside the
     candidates, each with a forced shape there, a copy of a pinned one."""
     shapes, _ = candidate_shapes(cs, oracle._pinned(cs))
-    # the shape of each full example, by suffix id: the last one wins,
-    # and a clash between two examples is left to `ground` to find
-    pinned = {t.suffixes[-1]: t.steps[-1].output.ext.shape for t in cs.traces}
+    # the slot vector of each full example, by suffix id: the last one
+    # wins, and a clash between two examples is left to `ground` to find
+    pinned = {t.suffixes[-1]: t.steps[-1].output.key for t in cs.traces}
     accepted = []
     for combo in itertools.product(shapes, repeat=len(missing)):
         completion = dict(zip(missing, combo))
@@ -480,7 +482,7 @@ def test_shape_forced_past_the_candidates_is_realizable():
 
 def _keyed_with_bases(q):
     return [
-        (x.extra.shape, x.base.shape, tuple(e.shape for e in x.inputs))
+        (x.extra.ext.shape, x.base.ext.shape, tuple(e.ext.shape for e in x.inputs))
         for x in q.extensions
         if x.inputs
     ]
@@ -513,6 +515,12 @@ def _intermediate_shapes_with_bases(cs, keys, shapes):
         for k in range(1, len(seq)):
             resolved[trace.steps[k - 1].output.uid] = shapes[(h, base, seq[-k:])]
     return resolved
+
+
+def _decoded(cs, keys):
+    """Slot vectors of the result of `cs`, by any key, decoded to shapes."""
+    schema = flatten_shape(cs.output_functor)
+    return {k: schema.decode_slots(v) for k, v in keys.items()}
 
 
 def _or_conflict(f, *args):
@@ -577,11 +585,11 @@ def test_keys_without_bases_pin_what_keys_with_bases_did():
             pinned.update({(h, ()): base for h, base, _ in old})
         by_key = _or_conflict(oracle._pinned, cs)
         if by_key and by_key is not ShapeConflict:
-            by_key = {support.suffix_key(cs, s): shape for s, shape in by_key.items()}
+            by_key = {support.suffix_key(cs, s): shape for s, shape in _decoded(cs, by_key).items()}
         assert by_key == pinned
         if not missing:
             assert _or_conflict(
-                lambda: intermediate_shapes(cs, oracle._pinned(cs))
+                lambda: _decoded(cs, intermediate_keys(cs, oracle._pinned(cs)))
             ) == _or_conflict(
                 lambda: _intermediate_shapes_with_bases(cs, old, _pinned_with_bases(cs, old))
             )
@@ -626,11 +634,14 @@ def _plain_backtracking(gi):
     out_schema = flatten_shape(cs.output_functor)
     shape_table = {}
     for g, c in zip(gi.constraints, cs.constraints):
-        out = c.output.ext.shape if isinstance(c.output, Known) else gi.inter_shapes[c.output.uid]
-        shape_table.setdefault(g.key, out_schema.encode_shape(out))
+        if isinstance(c.output, Known):
+            out = out_schema.encode_shape(c.output.ext.shape)
+        else:
+            out = gi.inter_keys[c.output.uid]
+        shape_table.setdefault(g.key, out)
     fresh, intermediates, term = {}, {}, -1
-    for uid in sorted(gi.inter_shapes):
-        shape = gi.inter_shapes[uid]
+    for uid in sorted(gi.inter_keys):
+        shape = out_schema.decode_slots(gi.inter_keys[uid])
         elems = []
         for _ in range(size_of(cs.output_functor, shape)):
             root = uf.find(term)
@@ -710,3 +721,145 @@ def test_scans_agree_with_plain_search_on_sampled_folds():
             cs = propagate(p)
         searched += _assert_same_search(cs) + _assert_same_search(cs.base_case)
     assert searched >= 400
+
+
+# The position listing and search of the parent change, kept here to
+# compare with: a scan walked the first constraint's inputs with
+# `tuple.index`, and a candidate list tested every input position of every
+# constraint.
+
+
+def _first_source_before(group, q):
+    first = group[0]
+    target = first.out_terms[q]
+    p = -1
+    while True:
+        try:
+            p = first.in_terms.index(target, p + 1)
+        except ValueError:
+            return None
+        if all(c.in_terms[p] == c.out_terms[q] for c in group):
+            return p
+
+
+def _positions_before(by_key):
+    settled, open_vars = {}, []
+    for key in sorted(by_key):
+        group = by_key[key]
+        concrete = all(t >= 0 for c in group for t in c.in_terms)
+        for q in range(len(group[0].out_terms)):
+            if concrete and all(c.out_terms[q] >= 0 for c in group):
+                p = _first_source_before(group, q)
+                if p is None:
+                    return settled, [], (key, q)
+                settled[(key, q)] = p
+            else:
+                open_vars.append((key, q))
+    variables = []
+    for key, q in open_vars:
+        group = by_key[key]
+        outs = [c.out_terms[q] for c in group]
+        candidates = [
+            p
+            for p in range(len(group[0].in_terms))
+            if all(b < 0 or (a := c.in_terms[p]) < 0 or a == b for c, b in zip(group, outs))
+        ]
+        if not candidates:
+            return settled, variables, (key, q)
+        variables.append(((key, q), candidates))
+    return settled, variables, None
+
+
+def _steps_before(by_key, variables, budget):
+    """The search of the parent change over `variables`, spending `budget`:
+    whether it assigns them all."""
+    uf = oracle._Unifier(budget)
+    frames, idx = [], 0
+    while idx < len(variables):
+        (key, q), candidates = variables[idx]
+        if idx == len(frames):
+            frames.append((iter(candidates), uf.mark()))
+        left, mark = frames[idx]
+        group = by_key[key]
+        for p in left:
+            if all(uf.unify(c.in_terms[p], c.out_terms[q]) for c in group):
+                idx += 1
+                break
+            uf.rollback(mark)
+        else:
+            frames.pop()
+            if not frames:
+                return False
+            idx -= 1
+            uf.rollback(frames[idx][1])
+    return True
+
+
+def _sampled_ground_instances(rng):
+    """Ground instances of drawn folds, with examples dropped from some and
+    searched with the element-from-nowhere rule off: the steps of each
+    shape-complete set, the guess-free part and a few completions of each
+    shape-incomplete one, and every base case; and drawn raw sets. An
+    instance whose grounding is a shape conflict is left out."""
+
+    def grounded(cs, *shapes):
+        try:
+            return [ground(cs, *shapes)]
+        except ShapeConflict:
+            return []
+
+    for i in range(400):
+        p = support.random_foldr_problem(rng, realizable=i % 3 != 0)
+        if i % 2:
+            p = support.dropped_examples(rng, p)
+        with support.nowhere_rule_off():
+            try:
+                cs = propagate(p)
+            except PropagationUnrealizable:
+                continue
+        yield from grounded(cs.base_case)
+        if not cs.unpinned:
+            yield from grounded(cs)
+            continue
+        budget = StepBudget(float("inf"))
+        try:
+            forcing = forced_shapes(cs, budget)
+        except ShapeConflict:
+            continue
+        yield from grounded(cs, forcing.known)
+        missing = [s for s in cs.unpinned if s not in forcing.known]
+        shapes, _ = candidate_shapes(cs, forcing.known)
+        for completion in itertools.islice(completions(forcing, missing, shapes, budget), 3):
+            yield from grounded(cs, completion)
+    for _ in range(60):
+        yield from grounded(propagate(support.random_raw_problem(rng)))
+    for p in (support.wide_reverse(12), support.big_concat(), support.refuted_wide_concat()):
+        yield from grounded(propagate(p))
+
+
+def test_position_index_lists_what_the_comprehension_listed():
+    # the scans and candidate lists read an index of each constraint's
+    # inputs by atom; they settle, list and refute exactly what the full
+    # pass over every input position did, and the search spends the same
+    # steps on them
+    listed = searched = refuted = 0
+    for gi in _sampled_ground_instances(random.Random(23)):
+        by_key = {}
+        for c in gi.constraints:
+            by_key.setdefault(c.key, []).append(c)
+        settled, variables, nowhere = oracle._positions(by_key)
+        before = _positions_before(by_key)
+        assert (settled, [(v, list(c)) for v, c in variables], nowhere) == before
+        budget = StepBudget(10**9)
+        verdict = oracle_check(gi, budget)
+        if nowhere is not None:
+            assert verdict == Unrealizable() and budget.left == 10**9
+            refuted += 1
+            continue
+        old = StepBudget(10**9)
+        assigned = _steps_before(by_key, before[1], old)
+        assert isinstance(verdict, Realizable) == assigned
+        assert budget.left == old.left
+        listed += 1
+        searched += budget.left < 10**9
+    assert listed >= 800 and searched >= 180 and refuted >= 50

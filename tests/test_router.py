@@ -86,6 +86,23 @@ def test_oracle_witness_replays(no_spawn):
     assert validate_summary(propagate(p), report.verdict.witness)
 
 
+# Twins of acceptance criteria 3 and 4 (`test_acceptance.py`), which run
+# only where a solver is installed: here no solver is spawned.
+
+
+def test_criterion_3_reverse_as_map_without_a_solver(no_spawn):
+    report = check(load_problem(f"{PROBLEMS}/reverse_as_map.json"), no_spawn)
+    assert isinstance(report.verdict, Unrealizable) and report.total_ms < 2_000
+    assert report.solver_ms == 0.0
+
+
+def test_criterion_4_tail_minimal_proof_without_a_solver(no_spawn):
+    p = load_problem(f"{PROBLEMS}/tail_as_foldr_minimal.json")
+    assert not shape_complete(p).complete
+    report = check(p, no_spawn)
+    assert isinstance(report.verdict, Unrealizable) and report.path == "oracle+completion"
+
+
 def test_shape_incomplete_set_goes_to_smt(no_spawn):
     # the guard of every test that needs a set to reach SMT on auto
     assert_spawns(support.reverse_gap(), no_spawn)
@@ -212,7 +229,7 @@ def test_incomplete_set_with_bool_slots_only_is_refuted_without_a_solver(no_spaw
 GUESS_FREE_REFUTATIONS = {
     "tail/si": oracle.PART_REFUTED,
     "init/si": (
-        "the suffix extra (), inputs [*, *] is forced to the shape [], so one "
+        "the suffix extra (), inputs [*, *] has the shape [], so one "
         "input shape maps to both [] and [*,*]"
     ),
     "drop/si": oracle.PART_REFUTED,
@@ -350,7 +367,7 @@ def test_clash_among_pinned_shapes_grounds_no_completion(no_spawn, groundings):
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
     assert report.verdict.detail == (
-        "the suffix extra (), inputs [*, *] is forced to the shape [*], "
+        "the suffix extra (), inputs [*, *] has the shape [*], "
         "so one input shape maps to both [*] and [*,*,*]"
     )
     assert groundings == []
@@ -379,7 +396,7 @@ def test_clash_through_a_base_is_unrealizable_without_a_solver(no_spawn, groundi
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
     assert report.verdict.detail == (
-        "the suffix extra *, inputs [*] is forced to the shape [*], "
+        "the suffix extra *, inputs [*] has the shape [*], "
         "so one input shape maps to both [*] and [*,*]"
     )
     assert groundings == []

@@ -310,28 +310,26 @@ def test_check_reverse_raw_witness(cfg):
     assert {q: table[((3,), q)] for q in range(3)} == {0: 2, 1: 1, 2: 0}
 
 
-@needs_solver
-def test_check_map_length_mismatch_fast_path(cfg):
+def test_check_map_length_mismatch_fast_path(no_spawn):
     p = build_problem(
         "widen",
         Signature(UNIT, ID, ID),
         SketchKind.MAP,
         [(UnitV(), [atom("a")], lst(atom("b"), atom("c")))],
     )
-    report = check(p, cfg)
+    report = check(p, no_spawn)
     assert isinstance(report.verdict, Unrealizable)
     assert report.path == "fast-path" and report.solver_ms == 0.0
 
 
-@needs_solver
-def test_check_foldr_base_conflict_fast_path(cfg):
+def test_check_foldr_base_conflict_fast_path(no_spawn):
     p = build_problem(
         "base-conflict",
         Signature(UNIT, ID, ListOf(ID)),
         SketchKind.FOLDR,
         [(UnitV(), [], lst(atom("a")), lst())],
     )
-    report = check(p, cfg)
+    report = check(p, no_spawn)
     assert isinstance(report.verdict, Unrealizable) and report.path == "fast-path"
 
 
