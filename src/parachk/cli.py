@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 Realizable, 1 Unrealizable, 2 Unknown, 3 errors (usage
-errors, missing or invalid input, solver failures, oracle preconditions),
-4 cross-check disagreement. `bench` exits 0 iff every shape-complete
+errors, missing or invalid input, solver failures), 4 cross-check
+disagreement. `bench` exits 0 iff every shape-complete
 verdict matches the expected fold column and every shape-incomplete
 verdict is the expected one or Unknown.
 
@@ -21,7 +21,6 @@ import sys
 from .bench import format_json, format_table, run_bench
 from .encode import encode
 from .functors import ContainerError
-from .oracle import OracleError, Ungroundable
 from .problem import ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
 from .solver import (
@@ -32,10 +31,11 @@ from .solver import (
     SolverError,
     check,
     decide,
-    oracle_verdict,
+    oracle_steps,
 )
 from .verdict import (
     Realizable,
+    UnknownVerdict,
     Unrealizable,
     describe_witness,
     same_variant,
@@ -103,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit = subs.add_parser("emit-smt", help="print the SMT-LIB2 script for a problem file")
     p_emit.add_argument("path")
 
-    p_oracle = subs.add_parser("oracle", help="decide one problem with the brute-force oracle")
+    p_oracle = subs.add_parser("oracle", help="decide one problem with the brute-force oracle: the steps of check, without a budget or SMT")
     p_oracle.add_argument("path")
     p_oracle.add_argument("--witness", action="store_true")
-    p_oracle.add_argument("--cross-check", action="store_true", help="also run the SMT backend and fail on disagreement")
+    p_oracle.add_argument("--cross-check", action="store_true", help="also run the SMT backend and fail on disagreement, not on an Unknown")
     p_oracle.add_argument("--format", choices=["table", "json"], default="table")
     _solver_flags(p_oracle)
 
@@ -162,26 +162,25 @@ def cmd_emit_smt(args) -> int:
 
 def cmd_oracle(args, cfg: SolverConfig) -> int:
     problem = load_problem(args.path)
-    try:
-        report = decide(problem, lambda cs: (oracle_verdict(cs), 0.0, "oracle"))
-    except Ungroundable:
-        print("error: the oracle needs a shape-complete example set; missing:", file=sys.stderr)
+    report = decide(problem, oracle_steps)
+    if report.verdict is None:
+        report = report._replace(verdict=UnknownVerdict("completions-refuted"))
+        print("every guessed completion is refuted; no example pins:", file=sys.stderr)
         for m in shape_complete(problem).missing:
             print(f"  {m}", file=sys.stderr)
-        return 3
     _print_report(args, problem.name, report, "oracle")
 
     if args.cross_check:
         # pinned to SMT, so the oracle is never compared with itself
         solved = check(problem, cfg, backend="smt").verdict
-        if not same_variant(solved, report.verdict):
-            print(
-                f"cross-check disagreement: oracle {verdict_name(report.verdict)}, "
-                f"solver {verdict_name(solved)}",
-                file=sys.stderr,
-            )
+        both = f"oracle {verdict_name(report.verdict)}, solver {verdict_name(solved)}"
+        if UnknownVerdict in (type(solved), type(report.verdict)):
+            print(f"cross-check inconclusive: {both}")
+        elif same_variant(solved, report.verdict):
+            print(f"cross-check agrees: {verdict_name(solved)}")
+        else:
+            print(f"cross-check disagreement: {both}", file=sys.stderr)
             return 4
-        print(f"cross-check agrees: {verdict_name(solved)}")
     return _exit_code(report.verdict)
 
 
@@ -216,7 +215,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(args, cfg)
         return cmd_bench(args, cfg)
-    except (OSError, ProblemError, ContainerError, SolverError, OracleError) as e:
+    except (OSError, ProblemError, ContainerError, SolverError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -47,10 +47,18 @@ part, which `ground` grounds when a completion leaves the other suffixes
 out: every realization restricts to a solution of it, so a refuted part
 refutes the set. Each guess is forced through in the same way.
 
-`oracle_decide` is the one entry point: it grounds and searches the one
-completion of a complete set or, under a budget, the guess-free part of a
-shape-incomplete set and then every shape-consistent guess from small
-candidate shapes for the suffixes left, all under the one budget.
+`oracle_decide` is the one entry point, with or without a budget: it
+grounds and searches the one completion of a complete set, or the
+guess-free part of a shape-incomplete set and then every shape-consistent
+guess from small candidate shapes for the suffixes left, all under the one
+budget. The guesses are finite, since there are finitely many suffixes and
+candidate shapes, so the decision ends without a budget too.
+
+Grounding a completion never clashes. `_force` makes the table a function
+on every tie of known suffixes, a guess sets the table's entry for every
+suffix waiting on its argument, and the grounding key of a step is its
+suffix's `Suffix.key` then its tail's slot vector, the table's argument.
+So two steps with one key produce the one shape the table maps it to.
 """
 
 from __future__ import annotations
@@ -591,8 +599,8 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
 
     A raw, map or shape-complete set has one completion, the one that
     guesses nothing: it is grounded and searched, and its verdict is the
-    verdict. A shape-incomplete set raises Ungroundable without a budget.
-    Under one, what every realization shares is decided before any guess:
+    verdict. Of a shape-incomplete set, what every realization shares is
+    decided before any guess:
     - the shapes the pinned ones force (`forced_shapes`), where a clash is
       Unrealizable; with every suffix forced, the set is decided as a
       complete one;
@@ -604,14 +612,16 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
     (`completions`) is grounded and searched in turn: a guess takes a
     shape from the `candidate_shapes`, and the shapes it forces may lie
     outside them. Every grounding of a shape-incomplete set costs one step
-    per constraint and ground term. Realizable carries the first witness found, for the caller to
-    replay. A conflict under a guessed shape proves nothing, so it is None,
-    and so is every completion refuted, unless the candidates cover every
-    shape, as the guesses for an all-bool result do. Spending the budget
-    raises BoundExceeded; without one the search has no limit.
+    per constraint and ground term. Realizable carries the first witness
+    found, for the caller to replay. Every completion refuted is None,
+    unless the candidates cover every shape, as the guesses for an
+    all-bool result do. Spending the budget raises BoundExceeded; without
+    one the decision still ends, since the guesses are finite, but its
+    time can grow exponentially.
     """
+    budget = budget or StepBudget(float("inf"))
     try:
-        if budget is None or not cs.unpinned:
+        if not cs.unpinned:
             return oracle_check(ground(cs), budget)
         forcing = forced_shapes(cs, budget)
         part = _charged_ground(cs, forcing.known, budget)
@@ -626,11 +636,7 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
         shapes, covered = candidate_shapes(cs, forcing.known)
         detail = "every completion has a shape conflict"
         for completion in completions(forcing, missing, shapes, budget):
-            try:
-                gi = _charged_ground(cs, completion, budget)
-            except ShapeConflict:
-                return None
-            verdict = oracle_check(gi, budget)
+            verdict = oracle_check(_charged_ground(cs, completion, budget), budget)
             if isinstance(verdict, Realizable):
                 return verdict
             detail = verdict.detail

@@ -24,12 +24,13 @@ proposes a witness that fails replay. The budget is the oracle's one
 limit, so in the worst case a set reaches SMT only after ORACLE_MAX_STEPS
 steps of search.
 `backend="smt"` always takes the SMT path for the steps, so the oracle can
-be cross-checked against it; `parachk oracle` has `decide` search the
-steps without a budget or an SMT fallback, so it has no limit at all and
-its time can grow exponentially in the searched positions. Before the
-steps, `decide` decides a fold's base case, the raw set `e(extra) = base`,
-once, by the oracle's scans alone, with no budget: a refuted base case is
-the verdict, and nothing else runs.
+be cross-checked against it; `parachk oracle` has `decide` run the same
+oracle steps (`oracle_steps`) without a budget or an SMT fallback. They
+end, since the guesses are finite, but their time can grow exponentially
+in the searched positions. Before the steps, `decide` decides a fold's
+base case, the raw set `e(extra) = base`, once, by the oracle's scans
+alone, with no budget: a refuted base case is the verdict, and nothing
+else runs.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
@@ -503,13 +504,20 @@ def interpret(raw: RawResult, cs: ConstraintSet) -> Verdict:
 def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict | None:
     """The oracle's verdict (`oracle.oracle_decide`), except that a
     Realizable witness that fails replay gives Unknown, as a solver's does.
-    None where SMT must decide. Without a budget, a shape-incomplete set
-    raises Ungroundable and a search has no limit; spending `budget` raises
-    BoundExceeded."""
+    None where SMT must decide: every guessed completion refuted. Spending
+    `budget` raises BoundExceeded; without one the oracle runs the same
+    steps to the end."""
     verdict = oracle_decide(cs, budget)
     if isinstance(verdict, Realizable) and not validate_summary(cs, verdict.witness):
         return UnknownVerdict("witness-validation-failed")
     return verdict
+
+
+def oracle_steps(cs: ConstraintSet, budget: StepBudget | None = None) -> tuple[Verdict | None, float, str]:
+    """The oracle's verdict on the steps of `cs` (`oracle_verdict`), no
+    solver time, and the path that decided: "oracle+completion" for a
+    shape-incomplete set, "oracle" for the rest."""
+    return oracle_verdict(cs, budget), 0.0, "oracle+completion" if cs.unpinned else "oracle"
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +525,7 @@ def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdi
 
 
 # Steps the oracle may spend on a routed set before `check` hands the set
-# to SMT, its one limit; `parachk oracle` searches without a budget.
+# to SMT, its one limit; `parachk oracle` runs the same steps without one.
 ORACLE_MAX_STEPS = 20_000
 
 BACKENDS = ("auto", "smt")
@@ -592,11 +600,11 @@ def _decide(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[
     """The verdict on the steps of `cs`, the solver time and the path."""
     if backend == "auto":
         try:
-            verdict = oracle_verdict(cs, StepBudget(ORACLE_MAX_STEPS))
+            answer = oracle_steps(cs, StepBudget(ORACLE_MAX_STEPS))
+            if isinstance(answer[0], (Realizable, Unrealizable)):
+                return answer
         except BoundExceeded:
-            verdict = None  # the search spent the budget
-        if isinstance(verdict, (Realizable, Unrealizable)):
-            return verdict, 0.0, "oracle+completion" if cs.unpinned else "oracle"
+            pass  # the search spent the budget
     cfg = cfg or SolverConfig()
     path = "smt"
     script = encode(cs)

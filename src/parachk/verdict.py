@@ -45,7 +45,7 @@ class Unrealizable(Record):
 class UnknownVerdict(Record):
     __slots__ = ("reason",)
     # "timeout" | "solver-unknown" | "witness-validation-failed" |
-    # "base-case-undecided"
+    # "base-case-undecided" | "completions-refuted" (`parachk oracle`)
     reason: str
 
 

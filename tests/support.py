@@ -47,6 +47,7 @@ from parachk import (
     build_problem,
     flatten_shape,
     from_extension,
+    ground,
     oracle_decide,
     propagate,
     shape_complete,
@@ -54,6 +55,7 @@ from parachk import (
     to_extension,
     relabel_problem,
 )
+from parachk import oracle
 from parachk.functors import Extension, ShapeValue
 
 ATOM_POOL = ["a", "b", "c", "d", "e", "f"]
@@ -174,6 +176,43 @@ def dropped_examples(rng: random.Random, p: Problem) -> Problem:
     examples = [(e.extra, e.inputs, e.output, e.base) for e in p.examples]
     kept = [ex for ex in examples if rng.random() < 0.6] or examples[-1:]
     return build_problem(p.name, p.signature, p.sketch, kept)
+
+
+def drawn_incomplete_sets(seed: int, draws: int) -> list:
+    """The shape-incomplete constraint sets among `draws` drawn folds at
+    `seed`: odd draws mutated, about 40% with examples dropped, and those
+    refuted in propagation left out."""
+    rng = random.Random(seed)
+    found = []
+    for i in range(draws):
+        p = random_foldr_problem(rng, realizable=i % 2 == 0)
+        if rng.random() < 0.4:
+            p = dropped_examples(rng, p)
+        try:
+            cs = propagate(p)
+        except PropagationUnrealizable:
+            continue
+        if cs.unpinned:
+            found.append(cs)
+    return found
+
+
+def ground_every_completion(cs) -> int:
+    """Ground every completion `oracle.completions` yields for `cs`, each
+    with the shapes the pinned ones force, and count them; a clash raises
+    ShapeConflict. 0 where the pinned and forced shapes already clash."""
+    budget = oracle.StepBudget(float("inf"))
+    try:
+        forcing = oracle.forced_shapes(cs, budget)
+    except oracle.ShapeConflict:
+        return 0
+    missing = [s for s in cs.unpinned if s not in forcing.known]
+    shapes, _ = oracle.candidate_shapes(cs, forcing.known)
+    count = 0
+    for completion in oracle.completions(forcing, missing, shapes, budget):
+        ground(cs, completion)
+        count += 1
+    return count
 
 
 def reverse_gap(element=ID) -> Problem:

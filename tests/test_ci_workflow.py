@@ -27,6 +27,21 @@ def test_the_smoke_run_covers_every_benchmark_workload():
     assert {w["name"] for w in workloads} <= set(loops[0].split())
 
 
+def test_the_oracle_cross_check_covers_every_problem_file():
+    # one loop over the problems/ glob, failing on exit 3 (an error) and 4
+    # (a disagreement); an Unknown's exit 2 is no failure
+    loops = re.findall(
+        r'^\s*for (\w+) in problems/\*\.json; do\n'
+        r'\s*code=0\n'
+        r'\s*parachk oracle "\$\1" --cross-check \|\| code=\$\?\n'
+        r'\s*if \[ "\$code" -ge 3 \]; then$',
+        WORKFLOW,
+        re.MULTILINE,
+    )
+    assert loops == ["f"]
+    assert sorted((ROOT / "problems").glob("*.json"))
+
+
 def test_the_python_matrix_starts_at_the_supported_floor():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     (floor,) = re.findall(r'^requires-python = ">=([\d.]+)"$', pyproject, re.MULTILINE)

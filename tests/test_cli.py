@@ -10,6 +10,7 @@ import pytest
 from parachk import ID, ListOf, load_problem, problem_to_json, shape_complete, solver
 from parachk.bench import corpus
 from parachk.cli import main
+from parachk.oracle import PART_REFUTED
 
 import support
 from conftest import needs_solver
@@ -211,10 +212,16 @@ def test_oracle_cross_check_agrees(capsys):
     assert code == 0 and "agrees" in out
 
 
-def test_oracle_refuses_incomplete_sets(capsys):
-    code = main(["oracle", f"{PROBLEMS}/tail_as_foldr_minimal.json"])
-    err = capsys.readouterr().err
-    assert code == 3 and "shape-complete" in err
+def test_oracle_refutes_the_minimal_tail_set_by_its_guess_free_part(capsys, no_spawn):
+    # the paper's two-example tail set leaves the suffix [*] unpinned; the
+    # steps whose intermediates are pinned refute it before any guess
+    argv = ["oracle", f"{PROBLEMS}/tail_as_foldr_minimal.json", "--format", "json"]
+    code = main([*argv, "--solver", no_spawn.solver_command])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 1 and captured.err == ""
+    assert out["verdict"] == "Unrealizable" and out["path"] == "oracle+completion"
+    assert out["detail"] == PART_REFUTED and out["solver_ms"] == 0
 
 
 def test_oracle_propagates_before_checking_completeness(capsys, tmp_path):
@@ -550,13 +557,27 @@ def test_emit_smt_refuses_an_atom_from_nowhere(capsys, tmp_path):
     assert captured.err == f"error: unrealizable before encoding, no script is sent: {FROM_NOWHERE}\n"
 
 
-def test_oracle_refuses_an_incomplete_set_whose_base_case_holds(capsys, tmp_path):
-    code = main(["oracle", _one_trace(tmp_path, {"list": []}), "--format", "json"])
+def test_oracle_realizes_an_incomplete_set_whose_base_case_holds(capsys, tmp_path, no_spawn):
+    path = _one_trace(tmp_path, {"list": []})
+    code = main(["oracle", path, "--format", "json", "--solver", no_spawn.solver_command])
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
+    out = json.loads(captured.out)
+    assert code == 0 and captured.err == ""
+    assert out["verdict"] == "Realizable" and out["path"] == "oracle+completion"
+
+
+def test_oracle_is_unknown_where_every_completion_is_refuted(capsys, tmp_path, no_spawn):
+    # reverse with its length-5 example left out: the fold of [b,c,d,e,f]
+    # holds five atoms, one more than the longest candidate shape
+    path = tmp_path / "reverse-gap.json"
+    path.write_text(problem_to_json(support.reverse_gap()))
+    code = main(["oracle", str(path), "--solver", no_spawn.solver_command])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "reverse-gap: Unknown(completions-refuted) (oracle)\n"
     assert captured.err.splitlines() == [
-        "error: the oracle needs a shape-complete example set; missing:",
-        "  extra (), inputs [*]",
+        "every guessed completion is refuted; no example pins:",
+        "  extra (), inputs [*, *, *, *, *]",
     ]
 
 
@@ -634,6 +655,29 @@ def test_oracle_cross_check_disagreement_exit_four(capsys, tmp_path):
     code = main(["oracle", f"{PROBLEMS}/reverse_as_foldr.json", "--cross-check", "--solver", fake])
     err = capsys.readouterr().err
     assert code == 4 and "disagreement" in err
+
+
+@pytest.mark.parametrize(
+    "problem, answer, code, line",
+    [
+        # the oracle refutes every completion, the solver refutes the set
+        (support.reverse_gap, "unsat", 2, "oracle Unknown(completions-refuted), solver Unrealizable"),
+        # the oracle realizes the set, the solver gives up
+        (
+            lambda: load_problem(f"{PROBLEMS}/reverse_as_foldr.json"),
+            "unknown",
+            0,
+            "oracle Realizable, solver Unknown(solver-unknown)",
+        ),
+    ],
+    ids=["oracle-unknown", "solver-unknown"],
+)
+def test_oracle_cross_check_with_an_unknown_is_inconclusive(capsys, tmp_path, problem, answer, code, line):
+    path = tmp_path / "problem.json"
+    path.write_text(problem_to_json(problem()))
+    fake = _fake_solver(tmp_path, answer)
+    assert main(["oracle", str(path), "--cross-check", "--solver", fake]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == f"cross-check inconclusive: {line}"
 
 
 def test_unspawnable_solver_exit_three(capsys, unspawnable):

@@ -863,3 +863,45 @@ def test_position_index_lists_what_the_comprehension_listed():
         listed += 1
         searched += budget.left < 10**9
     assert listed >= 800 and searched >= 180 and refuted >= 50
+
+
+def test_every_guessed_completion_grounds_without_a_clash():
+    # `_force` makes the shape table a function on every tie of known
+    # suffixes, and a step's grounding key is its suffix's key then its
+    # tail's shape, the table's argument: a completion never clashes
+    sets = [
+        cs
+        for seed, draws in ((3, 300), (9, 400), (21, 400))
+        for cs in support.drawn_incomplete_sets(seed, draws)
+    ]
+    sets += [propagate(support.forced_past_candidates()), propagate(support.long_trace(8, ["x4"]))]
+    assert sum(map(support.ground_every_completion, sets)) > 5_000
+
+
+def test_a_trace_past_the_budget_is_realizable_without_one():
+    # `check` spends its budget on the 58 completions of this trace and
+    # goes to SMT; the oracle alone runs the same steps to a witness
+    cs = propagate(support.long_trace(8, ["x4"]))
+    with pytest.raises(BoundExceeded):
+        oracle_verdict(cs, StepBudget(ORACLE_MAX_STEPS))
+    verdict = oracle_verdict(cs)
+    assert isinstance(verdict, Realizable)
+    assert validate_summary(cs, verdict.witness)
+
+
+def test_the_oracle_without_a_budget_agrees_with_check_on_drawn_incomplete_sets():
+    # wherever `check`'s budgeted oracle decides a drawn shape-incomplete
+    # set, the unbudgeted one, which runs the same steps, gives its variant
+    decided = 0
+    for cs in support.drawn_incomplete_sets(9, 400) + support.drawn_incomplete_sets(21, 400):
+        try:
+            budgeted = oracle_verdict(cs, StepBudget(ORACLE_MAX_STEPS))
+        except BoundExceeded:
+            continue
+        unbudgeted = oracle_verdict(cs)
+        if budgeted is None:
+            assert unbudgeted is None
+        else:
+            assert verdict_name(unbudgeted) == verdict_name(budgeted)
+            decided += 1
+    assert decided >= 80
