@@ -43,6 +43,7 @@ from .functors import (
     Value,
     flatten_shape,
     from_extension,
+    shape_from_key,
     shape_of,
     show_shape,
     show_value,

@@ -21,7 +21,7 @@ import sys
 from .bench import format_json, format_table, run_bench
 from .encode import encode
 from .functors import ContainerError
-from .problem import ProblemError, load_problem
+from .problem import Problem, ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
 from .solver import (
     BACKENDS,
@@ -38,7 +38,6 @@ from .verdict import (
     UnknownVerdict,
     Unrealizable,
     describe_witness,
-    same_variant,
     verdict_name,
 )
 
@@ -119,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(args, name: str, report: CheckReport, note: str) -> None:
+def _print_report(args, problem: Problem, report: CheckReport, note: str) -> None:
     """The verdict of `check` and `parachk oracle`: a JSON payload, or the
     table line `name: Verdict (note)` and the witness on request."""
     verdict = report.verdict
     if args.format == "json":
         payload = {
-            "name": name,
+            "name": problem.name,
             "verdict": verdict_name(verdict),
             "total_ms": round(report.total_ms, 3),
             "solver_ms": round(report.solver_ms, 3),
@@ -135,16 +134,16 @@ def _print_report(args, name: str, report: CheckReport, note: str) -> None:
             payload["detail"] = verdict.detail
         print(json.dumps(payload, indent=2))
     else:
-        print(f"{name}: {verdict_name(verdict)} ({note})")
+        print(f"{problem.name}: {verdict_name(verdict)} ({note})")
         if args.witness and isinstance(verdict, Realizable):
-            print(describe_witness(verdict.witness))
+            print(describe_witness(verdict.witness, problem.atoms))
 
 
 def cmd_check(args, cfg: SolverConfig) -> int:
     problem = load_problem(args.path)
     report = check(problem, cfg, backend=args.backend)
     timings = f"{report.total_ms:.1f} ms total, {report.solver_ms:.1f} ms solver"
-    _print_report(args, problem.name, report, timings)
+    _print_report(args, problem, report, timings)
     return _exit_code(report.verdict)
 
 
@@ -168,7 +167,7 @@ def cmd_oracle(args, cfg: SolverConfig) -> int:
         print("every guessed completion is refuted; no example pins:", file=sys.stderr)
         for m in shape_complete(problem).missing:
             print(f"  {m}", file=sys.stderr)
-    _print_report(args, problem.name, report, "oracle")
+    _print_report(args, problem, report, "oracle")
 
     if args.cross_check:
         # pinned to SMT, so the oracle is never compared with itself
@@ -176,7 +175,7 @@ def cmd_oracle(args, cfg: SolverConfig) -> int:
         both = f"oracle {verdict_name(report.verdict)}, solver {verdict_name(solved)}"
         if UnknownVerdict in (type(solved), type(report.verdict)):
             print(f"cross-check inconclusive: {both}")
-        elif same_variant(solved, report.verdict):
+        elif type(solved) is type(report.verdict):
             print(f"cross-check agrees: {verdict_name(solved)}")
         else:
             print(f"cross-check disagreement: {both}", file=sys.stderr)

@@ -94,9 +94,7 @@ def shrink_assertions(cs: ConstraintSet) -> list[str]:
     the bounded script is still a model of the exact one."""
     cap = 8
     for c in cs.constraints:
-        known = sum(
-            len(p.ext.elements) for p in (*c.inputs, c.output) if isinstance(p, Known)
-        )
+        known = sum(len(p.codes) for p in (*c.inputs, c.output) if isinstance(p, Known))
         cap = max(cap, 8 + known)
     schema = schema_of(cs.output_functor)
     return [
@@ -125,8 +123,8 @@ def _positions(c, ins, out_schema) -> list[str]:
     off = 0
     for part in c.inputs:
         if isinstance(part, Known):
-            for a in part.ext.elements:
-                known_pos.append((off, a.code))
+            for code in part.codes:
+                known_pos.append((off, code))
                 off += 1
         else:
             cf = out_schema.count.smt(mid_terms(part.uid, out_schema))
@@ -146,8 +144,8 @@ def _positions(c, ins, out_schema) -> list[str]:
 
     out = []
     if isinstance(c.output, Known):
-        for q, a in enumerate(c.output.ext.elements):
-            out.append(disjuncts(str(q), str(a.code)))
+        for q, code in enumerate(c.output.codes):
+            out.append(disjuncts(str(q), str(code)))
     else:
         uid = c.output.uid
         cf = out_schema.count.smt(mid_terms(uid, out_schema))

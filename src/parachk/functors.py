@@ -7,8 +7,9 @@ positions of a product laid out as the left block followed by the right
 block. The same numbering is used both for concrete values and for the
 symbolic shape schemas consumed by the SMT encoding.
 
-Every shape of every functor has a key (`shape_key`); a schema exists only
-for fixed-arity shapes, and keys a shape by the same tuple.
+Every shape of every functor has a key (`shape_key`), and `shape_from_key`
+reads a key back to its shape; a schema exists only for fixed-arity
+shapes, and keys a shape by the same tuple, its slot vector.
 
 Each translation is one walk: `to_extension` checks that a value inhabits
 its functor while it collects the shape and the elements (`typecheck` and
@@ -16,7 +17,8 @@ its functor while it collects the shape and the elements (`typecheck` and
 one walk over the functor. Problem loading (`problem.py`) does not call
 `to_extension`: one walk over each field's problem-file term, shared by
 files and by problems built in code, checks and interns the field and
-records the same shape and elements, and propagation reads those.
+records its key and element codes, and every decision reads those. A
+shape is decoded from its key only for a reader.
 """
 
 from __future__ import annotations
@@ -607,15 +609,16 @@ class ShapeSchema(NamedTuple):
         return shape_key(self.functor, s)
 
     def decode_slots(self, slot_values) -> ShapeValue:
-        vals = list(slot_values)
+        """The shape whose slot vector is `slot_values`, which must refine
+        this schema."""
+        vals = tuple(slot_values)
         if len(vals) != len(self.slots):
             raise ShapeMismatch(
                 f"{len(vals)} slot values for a schema with {len(self.slots)} slots"
             )
         if not self.refines(vals):
-            raise ShapeMismatch(f"slot values {vals} violate the refinement of {self.functor}")
-        shape, used = _decode_slots(self.functor, vals, 0)
-        return shape
+            raise ShapeMismatch(f"slot values {list(vals)} violate the refinement of {self.functor}")
+        return shape_from_key(self.functor, vals)
 
 
 # slot names are numbered per kind in traversal order: k0, b0, b1, n0, ...
@@ -702,8 +705,9 @@ def shape_key(f: FunctorExpr, s: ShapeValue) -> tuple[int, ...]:
     """The key of shape s of f, one preorder walk: a list gives its length
     and its children's keys, an int or a bool its value, a Maybe 0 or 1 and
     its child's key (the zero key, all 0s, when absent), Id and Unit
-    nothing. Given f, a key reads back to its shape, so equal keys mean
-    equal shapes. Where f has a schema, the key is the slot vector."""
+    nothing. Given f, a key reads back to its shape (`shape_from_key`), so
+    equal keys mean equal shapes. Where f has a schema, the key is the slot
+    vector. s None stands for the child of an absent Maybe: the zero key."""
     out: list[int] = []
     _key(f, s, out)
     return tuple(out)
@@ -745,28 +749,49 @@ def _key(f: FunctorExpr, s: ShapeValue | None, out: list[int]) -> None:
             raise ShapeMismatch(f"shape {show_shape(s)} is not a shape of {f}")
 
 
-def _decode_slots(f: FunctorExpr, vals: list[int], i: int):
+def shape_from_key(f: FunctorExpr, key: tuple[int, ...]) -> ShapeValue:
+    """The shape of f whose `shape_key` is `key`, nested functors included:
+    the one decoder of keys and slot vectors, for a shape a person reads.
+    Raises ShapeMismatch where `key` is the key of no shape of f."""
+    try:
+        shape, end = _shape_at(f, key, 0)
+    except (IndexError, ShapeMismatch):
+        end = -1
+    if end != len(key):
+        raise ShapeMismatch(f"{list(key)} is not the key of a shape of {f}")
+    return shape
+
+
+def _shape_at(f: FunctorExpr, key: tuple[int, ...], i: int) -> tuple[ShapeValue, int]:
+    # the shape whose key starts at key[i], and the index past its key: the
+    # walk of `_key`, read backwards
     match f:
         case Id():
             return IdS(), i
         case ConstUnit():
             return UnitS(), i
         case ConstInt():
-            return IntS(vals[i]), i + 1
+            return IntS(key[i]), i + 1
         case ConstBool():
-            return BoolS(vals[i] == 1), i + 1
+            if key[i] in (0, 1):
+                return BoolS(key[i] == 1), i + 1
         case ListOf(inner):
-            n = vals[i]
-            if n < 0:
-                raise ShapeMismatch(f"negative list length {n}")
-            child, _ = _decode_slots(inner, vals, i + 1)
-            return ListS(tuple([child] * n)), i + 1
+            if key[i] >= 0:
+                children, j = [], i + 1
+                for _ in range(key[i]):
+                    child, j = _shape_at(inner, key, j)
+                    children.append(child)
+                return ListS(children), j
         case ProdOf(l, r):
-            a, j = _decode_slots(l, vals, i)
-            b, k = _decode_slots(r, vals, j)
-            return ProdS(a, b), k
+            a, j = _shape_at(l, key, i)
+            b, j = _shape_at(r, key, j)
+            return ProdS(a, b), j
         case MaybeOf(inner):
-            present = vals[i]
-            child, j = _decode_slots(inner, vals, i + 1)
-            return MaybeS(child if present == 1 else None), j
-    raise UnsupportedFunctor(f"not a functor expression: {f!r}")
+            child, j = _shape_at(inner, key, i + 1)
+            if key[i] == 1:
+                return MaybeS(child), j
+            if key[i] == 0 and not any(key[i + 1 : j]):  # absent: the zero key
+                return MaybeS(None), j
+        case _:
+            raise UnsupportedFunctor(f"not a functor expression: {f!r}")
+    raise ShapeMismatch

@@ -34,9 +34,9 @@ Every shape here is an int tuple. Known containers bring the keys the
 loader recorded (`Known.key`), of any functor, nested containers
 included. An intermediate's shape, pinned, forced or guessed, is a slot
 vector of the fold result's schema, which is fixed-arity, and is its key
-as well. So grounding, forcing and guessing compare and hash tuples, and a
-shape is decoded only for a Realizable witness's intermediates and for a
-ShapeConflict's message.
+as well. So grounding, forcing and guessing compare and hash tuples, a
+Realizable witness gives each intermediate as a `Known` of its slot vector
+and codes, and a shape is decoded only for a message.
 
 Of a shape-incomplete set, what every realization shares is decided before
 any guess. The shape morphism is a function, so known shapes force the
@@ -67,20 +67,16 @@ from collections.abc import Iterator, Mapping
 from itertools import product
 from typing import NamedTuple
 
-from .functors import Atom, Extension, schema_of, show_shape
+from .functors import schema_of, shape_from_key, show_shape
 from .propagate import ConstraintSet, Known, read_inputs, show_suffix
 from .verdict import Realizable, Unrealizable, Verdict, WitnessSummary
 
 
-class OracleError(Exception):
-    pass
-
-
-class ShapeConflict(OracleError):
+class ShapeConflict(Exception):
     """Two equal input shapes forced two different output shapes."""
 
 
-class Ungroundable(OracleError):
+class Ungroundable(Exception):
     """An intermediate shape is not pinned by the example set: the set is
     not shape complete. `missing` lists the ids of the unpinned suffixes."""
 
@@ -91,7 +87,7 @@ class Ungroundable(OracleError):
         self.missing = cs.unpinned
 
 
-class BoundExceeded(OracleError):
+class BoundExceeded(Exception):
     """A search spent its `StepBudget`."""
 
 
@@ -126,8 +122,8 @@ class GroundInstance(NamedTuple):
 
 
 def _show(cs: ConstraintSet, key: tuple[int, ...]) -> str:
-    """A slot vector of the result functor of `cs`, shown as its shape."""
-    return show_shape(schema_of(cs.output_functor).decode_slots(key))
+    """A key of the result functor of `cs`, shown as its shape."""
+    return show_shape(shape_from_key(cs.output_functor, key))
 
 
 def _pinned(cs: ConstraintSet) -> dict[int, tuple[int, ...]]:
@@ -196,7 +192,6 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]] | None = Non
             term -= n
 
     out_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-    firsts = {}  # input key -> the output that first gave its output key
     grounded = []
     for c in constraints:
         key, in_terms = read_inputs(c, inter_keys, inter_terms)
@@ -208,14 +203,11 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]] | None = Non
         forced = out_keys.get(key)
         if forced is None:
             out_keys[key] = out_key
-            firsts[key] = out
         elif forced != out_key:
             # a key reads back to its shape, so the shapes differ
-            first, last = (
-                show_shape(x.ext.shape) if type(x) is Known else _show(cs, inter_keys[x.uid])
-                for x in (firsts[key], out)
+            raise ShapeConflict(
+                f"input shape {key} maps to both {_show(cs, forced)} and {_show(cs, out_key)}"
             )
-            raise ShapeConflict(f"input shape {key} maps to both {first} and {last}")
         grounded.append(GroundConstraint(key, in_terms, out_terms))
 
     return GroundInstance(tuple(grounded), out_keys, inter_keys, inter_terms, cs)
@@ -426,19 +418,16 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
 
     cs = gi.cs
     fresh: dict[int, int] = {}
-    intermediates: dict[int, Extension] = {}
-    if gi.inter_keys:
-        out_schema = schema_of(cs.output_functor)
+    intermediates: dict[int, Known] = {}
     for uid in sorted(gi.inter_keys):
-        elems = []
+        codes = []
         for term in gi.inter_terms[uid]:
             root = uf.find(term)
             code = uf.lit.get(root)
             if code is None:
                 code = fresh.setdefault(root, cs.atoms.size + len(fresh))
-            elems.append(Atom(code, cs.atoms.label_of(code)))
-        shape = out_schema.decode_slots(gi.inter_keys[uid])
-        intermediates[uid] = Extension(cs.output_functor, shape, tuple(elems))
+            codes.append(code)
+        intermediates[uid] = Known(cs.output_functor, gi.inter_keys[uid], tuple(codes))
     positions = dict(sorted({**settled, **chosen}.items()))
     return Realizable(WitnessSummary(dict(gi.out_keys), positions, intermediates))
 

@@ -21,14 +21,14 @@ tagged terms: ``{"atom": "A"}``, ``{"int": 3}``, ``{"bool": true}``,
 the extra functor is Unit; ``base`` is required exactly for foldr sketches.
 
 Loading is one walk per field, directed by the field's functor: from the
-JSON node straight to its container form and its key, the one form that
-`Problem.extensions` keeps, a `Known` per field; `Problem.examples`
-rebuilds the values on each access. As it walks, each field emits the ints
-of its `shape_key` (a list's length, an int, a bool, a Maybe's flag and an
-absent Maybe child's zero key) and its atoms, so no later stage walks a
-shape to key it. Its records are NamedTuples (`Atom`, `Extension`,
-`Known`), and the fields of a functor with one shape (Id, Unit and
-products of them) share one shape object and the key (). Files and code
+JSON node straight to the field's container form, a `Known` (functor, key
+of its shape, element codes), the one form that `Problem.extensions`
+keeps. As it walks, each field emits the ints of its `shape_key` (a list's
+length, an int, a bool, a Maybe's flag and an absent Maybe child's zero
+key) and the codes of its atoms, interned label -> code; it builds no shape
+and no value, so no later stage walks a shape to key it. A shape or a value
+is decoded from a `Known` only for a reader (`extension_of`):
+`Problem.examples` rebuilds the values on each access. Files and code
 share the walk: `build_problem` reads the problem-file term of each value
 built in code.
 The walk checks syntax and type together and builds no location. A field
@@ -50,7 +50,6 @@ from .functors import (
     INT,
     Atom,
     AtomV,
-    BoolS,
     BoolV,
     ConstBool,
     ConstInt,
@@ -59,29 +58,23 @@ from .functors import (
     FunctorExpr,
     ID,
     Id,
-    IdS,
-    IntS,
     IntV,
     JustV,
     ListOf,
-    ListS,
     ListV,
     MaybeOf,
-    MaybeS,
     NothingV,
     PairV,
     ProdOf,
-    ProdS,
     Record,
-    ShapeValue,
     TypeMismatch,
     UNIT,
-    UnitS,
     UnitV,
     UnsupportedFunctor,
     Value,
     from_extension,
     schema_of,
+    shape_from_key,
     shape_key,
     show_value,
 )
@@ -149,14 +142,26 @@ class AtomTable(NamedTuple):
 
 
 class Known(NamedTuple):
-    """A container the examples give: its extension, the key of its shape
-    (`shape_key`) and the codes of its elements in position order, all
-    three recorded by the walk that loads it. The key and the codes follow
-    from the extension."""
+    """A concrete container, given by an example or found by a witness: its
+    functor, the key of its shape (`shape_key`) and the codes of its
+    elements in position order. The loader records the key and the codes in
+    the walk that checks the field; `extension_of` decodes them for a
+    reader."""
 
-    ext: Extension
+    functor: FunctorExpr
     key: tuple[int, ...]
     codes: tuple[int, ...]
+
+
+def extension_of(k: Known, atoms: AtomTable) -> Extension:
+    """`k` as an `Extension`: its shape read back from its key and its
+    elements labelled by `atoms`, for a value or a shape that a person
+    reads. No decision reads it."""
+    return Extension(
+        k.functor,
+        shape_from_key(k.functor, k.key),
+        tuple([Atom(code, atoms.label_of(code)) for code in k.codes]),
+    )
 
 
 class ExampleExtensions(NamedTuple):
@@ -182,14 +187,17 @@ class Problem(NamedTuple):
     def examples(self) -> tuple[IOExample, ...]:
         """The examples as values, rebuilt from their container form on each
         access; a map output is the list of its outputs."""
+        def value(k: Known) -> Value:
+            return from_extension(extension_of(k, self.atoms))
+
         return tuple(
             IOExample(
-                from_extension(e.extra.ext),
-                tuple([from_extension(x.ext) for x in e.inputs]),
-                ListV(tuple([from_extension(y.ext) for y in e.outputs]))
+                value(e.extra),
+                tuple([value(x) for x in e.inputs]),
+                ListV(tuple([value(y) for y in e.outputs]))
                 if self.sketch is SketchKind.MAP
-                else from_extension(e.outputs[0].ext),
-                None if e.base is None else from_extension(e.base.ext),
+                else value(e.outputs[0]),
+                None if e.base is None else value(e.base),
             )
             for e in self.extensions
         )
@@ -259,16 +267,16 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
         except UnsupportedFunctor as e:
             raise ValidationError(f"result functor unusable for foldr: {e}") from None
 
-    atoms: dict[str, Atom] = {}
+    atoms: dict[str, int] = {}  # label -> code, in first-occurrence order
     read_extra, read_element, read_result = (
         _json_reader(f) for f in (signature.extra, signature.element, signature.result)
     )
 
     def check(read, f, node, i, field, j=None) -> Known:
-        elems: list[Atom] = []
+        codes: list[int] = []
         key: list[int] = []
         try:
-            shape = read(node, atoms, elems, key)
+            read(node, atoms, codes, key)
         except TypeMismatch:
             # the field's name and location are built only on the way to an
             # error
@@ -277,7 +285,7 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
             raise ValidationError(
                 f"example {i}: field {field!r}: value {shown} does not typecheck against {f}"
             ) from None
-        return Known(Extension(f, shape, tuple(elems)), tuple(key), tuple([a.code for a in elems]))
+        return Known(f, tuple(key), tuple(codes))
 
     extensions = []
     # (key, codes) of an extra -> its base
@@ -312,8 +320,9 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
             # bijection with labels, so (key, codes) names a value
             seen = bases_by_extra.setdefault((extra.key, extra.codes), base)
             if (seen.key, seen.codes) != (base.key, base.codes):
+                shown = show_value(from_extension(extension_of(base, AtomTable(tuple(atoms)))))
                 raise ValidationError(
-                    f"example {i}: base {show_value(from_extension(base.ext))} differs from the "
+                    f"example {i}: base {shown} differs from the "
                     f"base of an earlier example with the same extra argument"
                 )
         elif base is not _ABSENT:
@@ -326,41 +335,16 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
     return Problem(name, signature, sketch, AtomTable(tuple(atoms)), tuple(extensions))
 
 
-def _map_atoms(v: Value, fn) -> Value:
-    match v:
-        case AtomV(a):
-            return AtomV(fn(a))
-        case ListV(items):
-            return ListV(tuple(_map_atoms(x, fn) for x in items))
-        case PairV(a, b):
-            return PairV(_map_atoms(a, fn), _map_atoms(b, fn))
-        case JustV(x):
-            return JustV(_map_atoms(x, fn))
-        case _:
-            return v
-
-
 def relabel_problem(p: Problem, mapping: dict[str, str]) -> Problem:
-    """Rename atom labels through an injective mapping; structure unchanged."""
+    """Rename atom labels through an injective mapping; structure unchanged.
+    Codes number the labels in first-occurrence order, which a renaming
+    keeps, so only the atom table changes."""
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("relabeling must be injective")
     merged = set(mapping.values()) & (set(p.atoms.labels) - mapping.keys())
     if merged:
         raise ValueError(f"relabeling would merge atoms: {min(merged)!r} is both a new and a kept label")
-
-    def rename(a: Atom) -> Atom:
-        return Atom(-1, mapping.get(a.label, a.label))
-
-    exs = [
-        IOExample(
-            _map_atoms(ex.extra, rename),
-            tuple(_map_atoms(v, rename) for v in ex.inputs),
-            _map_atoms(ex.output, rename),
-            _map_atoms(ex.base, rename) if ex.base is not None else None,
-        )
-        for ex in p.examples
-    ]
-    return build_problem(p.name, p.signature, p.sketch, exs)
+    return p._replace(atoms=AtomTable(tuple([mapping.get(label, label) for label in p.atoms.labels])))
 
 
 # ---------------------------------------------------------------------------
@@ -493,121 +477,94 @@ def _json_reader(f: FunctorExpr) -> Callable:
     of `value_from_json`, the type check, the interning and the key
     together.
 
-    read(node, atoms, elems, key) returns the field's shape, appends its
-    interned atoms to `elems` in position order and the ints of its
-    `shape_key` to `key`, and interns new labels into `atoms` (label ->
-    Atom, in first-occurrence order). A node that is no value of f raises
+    read(node, atoms, codes, key) appends the codes of the field's atoms to
+    `codes` in position order and the ints of its `shape_key` to `key`, and
+    interns new labels into `atoms` (label -> code, in first-occurrence
+    order); it builds no shape. A node that is no value of f raises
     TypeMismatch. The walk builds no location; a field it rejects goes to
-    `value_from_json` for the message.
-
-    Each reader tests its node's tag in line. A functor with one shape
-    (`_only_shape`) returns that shape, built once with the reader, so its
-    fields share one shape object and add nothing to the key; a list of
-    such elements reads each item for its atoms and its type check, then
-    repeats the one shape."""
+    `value_from_json` for the message. Each reader tests its node's tag in
+    line."""
     match f:
         case Id():
 
-            def read(node, atoms, elems, key):
+            def read(node, atoms, codes, key):
                 if type(node) is dict and len(node) == 1:
                     label = node.get("atom")
                     if type(label) is str:
-                        a = atoms.get(label)
-                        if a is None:
-                            a = atoms[label] = Atom(len(atoms), label)
-                        elems.append(a)
-                        return _IDS
+                        code = atoms.get(label)
+                        if code is None:
+                            code = atoms[label] = len(atoms)
+                        codes.append(code)
+                        return
                 raise TypeMismatch
 
         case ConstUnit():
 
-            def read(node, atoms, elems, key):
-                if node == "unit":
-                    return _UNITS
-                raise TypeMismatch
+            def read(node, atoms, codes, key):
+                if node != "unit":
+                    raise TypeMismatch
 
         case ConstInt():
 
-            def read(node, atoms, elems, key):
+            def read(node, atoms, codes, key):
                 if type(node) is dict and len(node) == 1:
                     n = node.get("int")
                     if type(n) is int:
                         key.append(n)
-                        return IntS(n)
+                        return
                 raise TypeMismatch
 
         case ConstBool():
 
-            def read(node, atoms, elems, key):
+            def read(node, atoms, codes, key):
                 if type(node) is dict and len(node) == 1:
                     b = node.get("bool")
                     if type(b) is bool:
                         key.append(1 if b else 0)
-                        return BoolS(b)
+                        return
                 raise TypeMismatch
 
         case ListOf(inner):
-            item, shape = _json_reader(inner), _only_shape(inner)
+            item = _json_reader(inner)
 
-            def read(node, atoms, elems, key):
+            def read(node, atoms, codes, key):
                 if type(node) is dict and len(node) == 1:
                     body = node.get("list")
                     if type(body) is list:
                         key.append(len(body))
-                        if shape is None:
-                            return ListS([item(x, atoms, elems, key) for x in body])
                         for x in body:
-                            item(x, atoms, elems, key)
-                        return ListS((shape,) * len(body))
+                            item(x, atoms, codes, key)
+                        return
                 raise TypeMismatch
 
         case ProdOf(l, r):
-            left, right, shape = _json_reader(l), _json_reader(r), _only_shape(f)
+            left, right = _json_reader(l), _json_reader(r)
 
-            def read(node, atoms, elems, key):
+            def read(node, atoms, codes, key):
                 if type(node) is dict and len(node) == 1:
                     body = node.get("pair")
                     if type(body) is list and len(body) == 2:
-                        a = left(body[0], atoms, elems, key)
-                        b = right(body[1], atoms, elems, key)
-                        return ProdS(a, b) if shape is None else shape
+                        left(body[0], atoms, codes, key)
+                        right(body[1], atoms, codes, key)
+                        return
                 raise TypeMismatch
 
         case MaybeOf(inner):
-            item, absent = _json_reader(inner), shape_key(f, _NOTHINGS)
+            item, absent = _json_reader(inner), shape_key(f, None)
 
-            def read(node, atoms, elems, key):
+            def read(node, atoms, codes, key):
                 if node == "nothing":
                     key.extend(absent)
-                    return _NOTHINGS
+                    return
                 if type(node) is dict and len(node) == 1:
                     key.append(1)
-                    return MaybeS(item(node.get("just"), atoms, elems, key))
+                    item(node.get("just"), atoms, codes, key)
+                    return
                 raise TypeMismatch
 
         case _:
             raise UnsupportedFunctor(f"not a functor expression: {f!r}")
     return read
-
-
-_IDS = IdS()
-_UNITS = UnitS()
-_NOTHINGS = MaybeS(None)
-
-
-def _only_shape(f: FunctorExpr) -> ShapeValue | None:
-    """The shape of f if f has exactly one: f is Id, Unit or a product of
-    such functors. None for every other functor."""
-    match f:
-        case Id():
-            return _IDS
-        case ConstUnit():
-            return _UNITS
-        case ProdOf(l, r):
-            a, b = _only_shape(l), _only_shape(r)
-            if a is not None and b is not None:
-                return ProdS(a, b)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .functors import FunctorExpr, ShapeValue, show_shape
+from .functors import FunctorExpr, shape_from_key, show_shape
 # `Known` is the loader's record, re-exported here
 from .problem import AtomTable, ExampleExtensions, Known, Problem, SketchKind
 
@@ -89,14 +89,15 @@ def read_inputs(
 
 
 class Suffix(NamedTuple):
-    """A fold trace suffix: extra shape h, first element shape e and the id
-    of its tail, the suffix after e; the shape morphism maps (h, e, shape of
-    tail) to its shape. A root, an empty suffix, has e None and tail -1.
-    `key` is h's key then e's: the key of the step that folds e onto the
-    tail, up to the tail's key."""
+    """A fold trace suffix: the extra argument h, the first element e and
+    the id of its tail, the suffix after e; the shape morphism maps (shape
+    of h, shape of e, shape of tail) to its shape. h and e are the first
+    containers the examples give with those shapes. A root, an empty
+    suffix, has e None and tail -1. `key` is h's key then e's: the key of
+    the step that folds e onto the tail, up to the tail's key."""
 
-    h: ShapeValue
-    e: ShapeValue | None
+    h: Known
+    e: Known | None
     tail: int
     length: int
     key: tuple[int, ...]
@@ -245,7 +246,7 @@ def number_suffixes(
         sid = ids.get((-1, h.key))
         if sid is None:
             sid = ids[(-1, h.key)] = len(table)
-            table.append(Suffix(h.ext.shape, None, -1, 0, h.key))
+            table.append(Suffix(h, None, -1, 0, h.key))
         chain = [sid]
         for element in reversed(x.inputs):
             key = (sid, element.key)
@@ -253,7 +254,7 @@ def number_suffixes(
             if sid is None:
                 sid = ids[key] = len(table)
                 table.append(
-                    Suffix(h.ext.shape, element.ext.shape, key[0], len(chain), h.key + element.key)
+                    Suffix(h, element, key[0], len(chain), h.key + element.key)
                 )
             chain.append(sid)
         chains.append(tuple(chain))
@@ -263,12 +264,16 @@ def number_suffixes(
 
 
 def show_suffix(table: tuple[Suffix, ...], sid: int) -> str:
-    """Suffix `sid` of `table`, its elements read off its tails."""
+    """Suffix `sid` of `table` as shapes, its elements read off its tails."""
+
+    def shown(k: Known) -> str:
+        return show_shape(shape_from_key(k.functor, k.key))
+
     h, elements = table[sid].h, []
     while table[sid].tail >= 0:
-        elements.append(show_shape(table[sid].e))
+        elements.append(shown(table[sid].e))
         sid = table[sid].tail
-    return f"extra {show_shape(h)}, inputs [" + ", ".join(elements) + "]"
+    return f"extra {shown(h)}, inputs [" + ", ".join(elements) + "]"
 
 
 class CompletenessReport(NamedTuple):

@@ -59,7 +59,7 @@ import time
 from typing import NamedTuple
 
 from .encode import SmtScript, encode, shrink_assertions
-from .functors import Atom, Extension, Record, ShapeMismatch, schema_of
+from .functors import Record, schema_of
 from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
 from .propagate import ConstraintSet, Known, PropagationUnrealizable, propagate, read_inputs
@@ -426,28 +426,26 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
         raise WitnessError(str(e)) from None
 
     out_schema = schema_of(cs.output_functor)
-    intermediates: dict[int, Extension] = {}
-    # a refined slot vector is the key of the shape it decodes to
+    intermediates: dict[int, Known] = {}
     inter_keys: dict[int, tuple[int, ...]] = {}
     inter_codes: dict[int, tuple[int, ...]] = {}
     try:
         for uid in range(cs.unknown_count):
-            slots = [fns.call(f"mid{uid}_{s.name}", []) for s in out_schema.slots]
+            # the slot vector as the model gives it: `validate_summary`
+            # checks that it refines the schema
+            slots = tuple([fns.call(f"mid{uid}_{s.name}", []) for s in out_schema.slots])
             count = out_schema.count_value(slots)
-            # decoding builds a list of every length: bound them all first
+            # a shown witness decodes a list of every length: bound them all
             if count > _MAX_REPLAYED or any(
                 v > _MAX_REPLAYED
                 for s, v in zip(out_schema.slots, slots)
                 if s.kind == "nat"
             ):
                 raise WitnessError(f"intermediate {uid} is too large to replay")
-            shape = out_schema.decode_slots(slots)
-            inter_keys[uid] = tuple(slots)
-            codes = tuple(fns.call(f"elem{uid}", [q]) for q in range(count))
-            inter_codes[uid] = codes
-            elems = tuple(Atom(code, cs.atoms.label_of(code)) for code in codes)
-            intermediates[uid] = Extension(cs.output_functor, shape, elems)
-    except (ModelError, ShapeMismatch, RecursionError) as e:
+            codes = tuple([fns.call(f"elem{uid}", [q]) for q in range(count)])
+            inter_keys[uid], inter_codes[uid] = slots, codes
+            intermediates[uid] = Known(cs.output_functor, slots, codes)
+    except (ModelError, RecursionError) as e:
         raise WitnessError(f"intermediates unreadable: {e}") from None
 
     shape_table: dict = {}

@@ -4,23 +4,27 @@ brute-force oracle.
 A witness is reported as three finite tables keyed by shape keys
 (`functors.shape_key`, of any functor): the shape morphism at every queried
 input shape, the source position of every output position at those shapes,
-and a concrete container for every intermediate result. Witness validation
-replays every constraint against the tables by direct enumeration of
-positions, so a Realizable verdict never rests on unchecked solver output.
+and a concrete container for every intermediate result, a `Known` of its
+slot vector and element codes. Witness validation checks each intermediate
+against the schema of the fold result and replays every constraint against
+the tables by direct enumeration of positions, so a Realizable verdict
+never rests on unchecked solver output. A shape is decoded only to show a
+witness (`describe_witness`).
 """
 
 from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .functors import Extension, Record, schema_of, shape_key, show_shape, show_value
+from .functors import Extension, Record, from_extension, schema_of, shape_key, show_shape, show_value
+from .problem import AtomTable, extension_of
 from .propagate import ConstraintSet, Known, MorphismConstraint, read_inputs
 
 
 class WitnessSummary(NamedTuple):
     shape_table: Mapping[tuple[int, ...], tuple[int, ...]]
     position_table: Mapping[tuple[tuple[int, ...], int], int]
-    intermediates: Mapping[int, Extension]
+    intermediates: Mapping[int, Known]
 
 
 class Realizable(Record):
@@ -63,24 +67,20 @@ def verdict_name(v: Verdict) -> str:
     raise TypeError(f"not a Verdict: {v!r}")
 
 
-def same_variant(a: Verdict, b: Verdict) -> bool:
-    return type(a) is type(b)
-
-
 def resolve_constraint(
     c: MorphismConstraint, intermediates: Mapping[int, Extension]
 ) -> tuple[list[Extension], Extension] | None:
-    """Substitute intermediates into a constraint; None if one is missing."""
+    """Substitute intermediates into a constraint; None if one is missing.
+    Each known part's extension is rebuilt from its key and codes; its
+    atoms carry their codes, unlabelled."""
+    unlabelled = AtomTable(())
     parts = []
-    for part in c.inputs:
-        ext = part.ext if isinstance(part, Known) else intermediates.get(part.uid)
+    for part in (*c.inputs, c.output):
+        ext = extension_of(part, unlabelled) if type(part) is Known else intermediates.get(part.uid)
         if ext is None:
             return None
         parts.append(ext)
-    out = c.output.ext if isinstance(c.output, Known) else intermediates.get(c.output.uid)
-    if out is None:
-        return None
-    return parts, out
+    return parts[:-1], parts[-1]
 
 
 def constraint_key(parts: list[Extension]) -> tuple[int, ...]:
@@ -95,20 +95,24 @@ def constraint_key(parts: list[Extension]) -> tuple[int, ...]:
 
 def validate_summary(cs: ConstraintSet, summary: WitnessSummary) -> bool:
     """Replay every constraint against the witness tables. Known containers
-    carry their keys and codes; each intermediate is keyed once, from its
-    shape, under the schema of the fold result."""
+    and intermediates carry their keys and codes. An intermediate counts
+    only as a container of the fold result: of its functor, with a slot
+    vector that refines the result's schema and as many codes as that
+    vector has positions."""
     inter_keys: dict[int, tuple[int, ...]] = {}
     inter_codes: dict[int, tuple[int, ...]] = {}
     if summary.intermediates:
         out_schema = schema_of(cs.output_functor)
-    for uid, ext in summary.intermediates.items():
-        if ext.functor != cs.output_functor:
+    for uid, k in summary.intermediates.items():
+        if not (
+            k.functor == cs.output_functor
+            and len(k.key) == len(out_schema.slots)
+            and out_schema.refines(k.key)
+            and len(k.codes) == out_schema.count_value(k.key)
+        ):
             return False
-        key = out_schema.encode_shape(ext.shape)
-        if len(ext.elements) != out_schema.count_value(key):
-            return False
-        inter_keys[uid] = key
-        inter_codes[uid] = tuple([a.code for a in ext.elements])
+        inter_keys[uid] = k.key
+        inter_codes[uid] = k.codes
     shape_table, position_table = summary.shape_table, summary.position_table
     for c in cs.constraints:
         try:
@@ -131,10 +135,9 @@ def validate_summary(cs: ConstraintSet, summary: WitnessSummary) -> bool:
     return True
 
 
-def describe_witness(summary: WitnessSummary) -> str:
-    """Human-readable rendering of a witness."""
-    from .functors import from_extension
-
+def describe_witness(summary: WitnessSummary, atoms: AtomTable) -> str:
+    """Human-readable rendering of a witness, its atoms labelled by
+    `atoms`."""
     lines = ["shape morphism:"]
     for key in sorted(summary.shape_table):
         lines.append(f"  {key} -> {summary.shape_table[key]}")
@@ -144,7 +147,7 @@ def describe_witness(summary: WitnessSummary) -> str:
     if summary.intermediates:
         lines.append("intermediate results:")
         for uid in sorted(summary.intermediates):
-            ext = summary.intermediates[uid]
+            ext = extension_of(summary.intermediates[uid], atoms)
             lines.append(
                 f"  y{uid} = {show_value(from_extension(ext))}"
                 f" (shape {show_shape(ext.shape)})"

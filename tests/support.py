@@ -56,7 +56,7 @@ from parachk import (
     relabel_problem,
 )
 from parachk import oracle
-from parachk.functors import Extension, ShapeValue
+from parachk.functors import Extension, ShapeValue, shape_from_key
 
 ATOM_POOL = ["a", "b", "c", "d", "e", "f"]
 
@@ -373,14 +373,40 @@ def assert_refuted_from_nowhere(p: Problem) -> None:
         assert isinstance(oracle_decide(cs), Unrealizable), p.name
 
 
+def map_atoms(v: Value, fn) -> Value:
+    """v with each atom a replaced by fn(a), visited in position order."""
+    match v:
+        case AtomV(a):
+            return AtomV(fn(a))
+        case ListV(items):
+            return ListV(tuple(map_atoms(x, fn) for x in items))
+        case PairV(a, b):
+            return PairV(map_atoms(a, fn), map_atoms(b, fn))
+        case JustV(x):
+            return JustV(map_atoms(x, fn))
+        case _:
+            return v
+
+
+def same_variant(a, b) -> bool:
+    """Whether two verdicts are of one kind: Realizable, Unrealizable or
+    Unknown, whatever their witness, detail or reason."""
+    return type(a) is type(b)
+
+
 def suffix_key(cs, s: int) -> tuple[ShapeValue, tuple[ShapeValue, ...]]:
     """Suffix `s` of `cs.suffixes` as (extra shape, element shapes in list
     order), its elements read off its tails."""
     h, elements = cs.suffixes[s].h, []
     while cs.suffixes[s].tail >= 0:
-        elements.append(cs.suffixes[s].e)
+        elements.append(known_shape(cs.suffixes[s].e))
         s = cs.suffixes[s].tail
-    return h, tuple(elements)
+    return known_shape(h), tuple(elements)
+
+
+def known_shape(k) -> ShapeValue:
+    """The shape of a `Known`, read back from its key."""
+    return shape_from_key(k.functor, k.key)
 
 
 def mutate_problem(rng: random.Random, p: Problem) -> Problem:

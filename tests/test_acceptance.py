@@ -50,7 +50,7 @@ from parachk import (
 from parachk.bench import run_bench
 from parachk.functors import UnsupportedFunctor, shape_key
 from parachk.propagate import PropagationUnrealizable
-from parachk.verdict import same_variant, verdict_name
+from parachk.verdict import verdict_name
 
 import support
 from conftest import solver_available
@@ -86,7 +86,7 @@ def agreement_run():
         cs = propagate(entry.problem_sc)
         oracle_v = oracle_decide(cs)
         solver_v = check(entry.problem_sc, CFG, backend="smt").verdict
-        if not same_variant(oracle_v, solver_v):
+        if not support.same_variant(oracle_v, solver_v):
             disagreements.append((entry.name, verdict_name(oracle_v), verdict_name(solver_v)))
         for v in (oracle_v, solver_v):
             if isinstance(v, Realizable):
@@ -97,7 +97,7 @@ def agreement_run():
         cs = propagate(p)
         oracle_v = oracle_decide(cs)
         solver_v = check(p, CFG, backend="smt").verdict
-        if not same_variant(oracle_v, solver_v):
+        if not support.same_variant(oracle_v, solver_v):
             disagreements.append((p.name, verdict_name(oracle_v), verdict_name(solver_v)))
         for v in (oracle_v, solver_v):
             if isinstance(v, Realizable):
@@ -200,24 +200,24 @@ def test_criterion_6_property_suites():
     for _ in range(100):
         p = support.random_problem(rng)
         q = relabel_problem(p, support.fresh_relabeling(p))
-        assert same_variant(oracle_verdict(p), oracle_verdict(q))
+        assert support.same_variant(oracle_verdict(p), oracle_verdict(q))
         relabel += 1
     for _ in range(25):
         p = support.random_problem(rng)
         q = relabel_problem(p, support.fresh_relabeling(p))
-        assert same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
+        assert support.same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
 
     # example-order invariance
     orders = 0
     for _ in range(100):
         p = support.random_problem(rng)
         q = support.permuted_examples(rng, p)
-        assert same_variant(oracle_verdict(p), oracle_verdict(q))
+        assert support.same_variant(oracle_verdict(p), oracle_verdict(q))
         orders += 1
     for _ in range(25):
         p = support.random_problem(rng)
         q = support.permuted_examples(rng, p)
-        assert same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
+        assert support.same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
 
     # unrealizability is monotone under example addition
     monotone = 0
@@ -242,7 +242,7 @@ def test_criterion_6_property_suites():
         if p.signature.extra != UNIT:
             continue
         q = support.with_constant_extra(p, literal=7)
-        assert same_variant(oracle_verdict(p), oracle_verdict(q))
+        assert support.same_variant(oracle_verdict(p), oracle_verdict(q))
         constant += 1
     solver_constant = 0
     while solver_constant < 15:
@@ -250,7 +250,7 @@ def test_criterion_6_property_suites():
         if p.signature.extra != UNIT:
             continue
         q = support.with_constant_extra(p, literal=7)
-        assert same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
+        assert support.same_variant(check(p, CFG, backend="smt").verdict, check(q, CFG, backend="smt").verdict)
         solver_constant += 1
 
     _report(

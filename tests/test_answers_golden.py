@@ -1,0 +1,71 @@
+"""Golden answers: every detail, witness line and suffix text that `check`
+prints for the fold corpus and the problem files, pinned by one SHA-256
+digest, so that a change of representation moves no answer by a byte."""
+
+import glob
+import hashlib
+import json
+import os
+import re
+
+from parachk import load_problem, problem_to_json, shape_complete
+from parachk.bench import corpus
+from parachk.cli import main
+
+PROBLEMS = "problems"
+
+# the timings of a table line, the one part of `check`'s output that varies
+_TIMINGS = re.compile(r"\(\d+\.\d ms total, \d+\.\d ms solver\)")
+
+ANSWERS_SHA256 = "89b7b804305a707251a7c6477d5e5a6361aff5864f4925add518a1fc5c07e2b1"
+
+
+def _answer_paths(tmp_path) -> list[str]:
+    """Every corpus SC and SI set written as a problem file, then every
+    problem file, in a fixed order."""
+    paths = []
+    for entry in corpus():
+        for kind, problem in (("sc", entry.problem_sc), ("si", entry.problem_si)):
+            path = tmp_path / f"{entry.name}-{kind}.json"
+            path.write_text(problem_to_json(problem))
+            paths.append(str(path))
+    return paths + sorted(glob.glob(f"{PROBLEMS}/*.json"))
+
+
+def _answers(capsys, path: str, solver: str) -> list[str]:
+    """The JSON payload without its timings, the `--witness` table output
+    without its timings, and the suffixes no example pins."""
+    code = main(["check", path, "--format", "json", "--solver", solver])
+    payload = json.loads(capsys.readouterr().out)
+    del payload["total_ms"], payload["solver_ms"]
+    code_table = main(["check", path, "--witness", "--solver", solver])
+    table = _TIMINGS.sub("(timings)", capsys.readouterr().out)
+    missing = shape_complete(load_problem(path)).missing
+    return [
+        os.path.basename(path),
+        str(code),
+        json.dumps(payload, sort_keys=True),
+        str(code_table),
+        table,
+        *missing,
+    ]
+
+
+def test_answers_are_byte_identical(capsys, tmp_path, no_spawn):
+    lines = []
+    for path in _answer_paths(tmp_path):
+        lines.extend(_answers(capsys, path, no_spawn.solver_command))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ANSWERS_SHA256
+
+
+def test_reverse_fold_witness_shows_each_intermediate(capsys, no_spawn):
+    code = main(["check", f"{PROBLEMS}/reverse_as_foldr.json", "--witness", "--solver", no_spawn.solver_command])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    at = out.index("intermediate results:")
+    assert out[at + 1 :] == [
+        "  y0 = [c] (shape [*])",
+        "  y1 = [c,b] (shape [*,*])",
+        "  y2 = [e] (shape [*])",
+    ]

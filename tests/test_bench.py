@@ -14,6 +14,8 @@ from parachk import bench
 from parachk.bench import BenchRow, format_json, format_table, run_bench
 from parachk.solver import CheckReport
 
+import support
+
 EXPECTED = {
     "null": True,
     "length": True,
@@ -78,8 +80,6 @@ def test_si_sets_drop_every_other_example():
 
 
 def _labels(example):
-    from parachk.problem import _map_atoms
-
     atoms = []
 
     def collect(a):
@@ -87,7 +87,7 @@ def _labels(example):
         return a
 
     for v in (example.extra, *example.inputs, example.output, *( [example.base] if example.base else [] )):
-        _map_atoms(v, collect)
+        support.map_atoms(v, collect)
     return atoms
 
 

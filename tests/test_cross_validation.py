@@ -17,7 +17,7 @@ from parachk import (
 )
 from parachk import solver
 from parachk.oracle import StepBudget
-from parachk.verdict import same_variant, verdict_name
+from parachk.verdict import verdict_name
 
 import support
 from conftest import needs_solver
@@ -32,7 +32,7 @@ def test_oracle_and_solver_agree_on_random_instances(cfg):
         cs = propagate(p)
         oracle_verdict = oracle_decide(cs)
         solver_verdict = check(p, cfg, backend="smt").verdict
-        assert same_variant(oracle_verdict, solver_verdict), (
+        assert support.same_variant(oracle_verdict, solver_verdict), (
             f"{p.name}: oracle {verdict_name(oracle_verdict)} vs "
             f"solver {verdict_name(solver_verdict)}"
         )
@@ -46,7 +46,7 @@ def test_oracle_and_solver_agree_on_the_benchmark(cfg):
         cs = propagate(entry.problem_sc)
         oracle_verdict = oracle_decide(cs)
         solver_verdict = check(entry.problem_sc, cfg, backend="smt").verdict
-        assert same_variant(oracle_verdict, solver_verdict), entry.name
+        assert support.same_variant(oracle_verdict, solver_verdict), entry.name
         assert verdict_name(oracle_verdict).startswith(
             "Realizable" if entry.expected_fold else "Unrealizable"
         ), entry.name
@@ -63,12 +63,12 @@ def test_oracle_and_solver_agree_on_the_benchmark(cfg):
         auto = check(p, cfg).verdict
         if not isinstance(auto, UnknownVerdict):
             smt = check(p, cfg, backend="smt").verdict
-            assert same_variant(auto, smt), (
+            assert support.same_variant(auto, smt), (
                 f"{p.name}: auto {verdict_name(auto)} vs smt {verdict_name(smt)}"
             )
     # the oracle decides that set past the auto route's step budget
     p = problems[-1]
-    assert same_variant(
+    assert support.same_variant(
         solver.oracle_verdict(propagate(p), StepBudget(10**6)),
         check(p, cfg, backend="smt").verdict,
     )

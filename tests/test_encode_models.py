@@ -50,10 +50,10 @@ def witness_model(cs, witness) -> ModelFunctions:
         for j in range(len(out_schema.slots))
     ]
     defs.append(_define("srcpos", arity + 1, {(*key, q): p for (key, q), p in witness.position_table.items()}))
-    for uid, ext in witness.intermediates.items():
-        for slot, v in zip(out_schema.slots, out_schema.encode_shape(ext.shape)):
+    for uid, k in witness.intermediates.items():
+        for slot, v in zip(out_schema.slots, k.key, strict=True):
             defs.append(_define(f"mid{uid}_{slot.name}", 0, {(): v}))
-        defs.append(_define(f"elem{uid}", 1, {(q,): a.code for q, a in enumerate(ext.elements)}))
+        defs.append(_define(f"elem{uid}", 1, {(q,): code for q, code in enumerate(k.codes)}))
     return ModelFunctions.parse("(" + "\n".join(defs) + ")")
 
 
@@ -83,7 +83,7 @@ def assert_admitted(p) -> str | None:
         return None
     witness = verdict.witness
     fns = witness_model(cs, witness)
-    sizes = [len(ext.elements) for ext in witness.intermediates.values()]
+    sizes = [len(k.codes) for k in witness.intermediates.values()]
     bound = max(sizes, default=0) + 1
     for assertion in encode(cs).assertions:
         assert holds(fns, assertion, bound), f"{p.name}: the witness violates {assertion}"

@@ -61,6 +61,7 @@ from parachk.functors import (
     Value,
     ZeroOne,
     ZeroWhenAbsent,
+    shape_from_key,
     shape_key,
 )
 from parachk.problem import IOExample, parse_functor
@@ -562,3 +563,44 @@ def test_shape_key_is_injective(f):
     assert len({shape_key(f, s) for s in shapes}) == len(shapes) >= 10
     pairs = [ProdS(a, b) for a in shapes[:25] for b in shapes[:25]]
     assert len({shape_key(ProdOf(f, f), s) for s in pairs}) == len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# The one decoder: `shape_from_key` reads every key back to its shape
+
+
+@given(typed_values)
+@settings(max_examples=200)
+def test_shape_from_key_reads_back_every_key(fv):
+    f, v = fv
+    shape = shape_of(f, v)
+    assert shape_from_key(f, shape_key(f, shape)) == shape
+
+
+@pytest.mark.parametrize("f", _KEY_POOL, ids=str)
+@given(data=st.data())
+@settings(max_examples=50)
+def test_shape_from_key_reads_back_nested_keys(f, data):
+    # List(List(Id)) and the other nested functors of the pool have no schema
+    shape = shape_of(f, data.draw(value_strategy(f)))
+    assert shape_from_key(f, shape_key(f, shape)) == shape
+
+
+@pytest.mark.parametrize(
+    "f, key",
+    [
+        (ListOf(ID), ()),  # too short
+        (ListOf(ID), (1, 0)),  # too long
+        (ListOf(ID), (-1,)),  # a negative length
+        (ListOf(ListOf(ID)), (2, 1)),  # a child's key missing
+        (BOOL, (2,)),
+        (MaybeOf(ID), (2,)),
+        (MaybeOf(ListOf(ID)), (0, 1)),  # absent, with a nonzero child key
+        (MaybeOf(MaybeOf(INT)), (0, 0, 3)),
+    ],
+    ids=str,
+)
+def test_shape_from_key_rejects_the_key_of_no_shape(f, key):
+    with pytest.raises(ShapeMismatch):
+        shape_from_key(f, key)
+

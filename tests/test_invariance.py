@@ -14,7 +14,6 @@ from parachk import (
     propagate,
     relabel_problem,
 )
-from parachk.verdict import same_variant
 
 import support
 from conftest import needs_solver
@@ -32,7 +31,7 @@ def test_relabeling_invariance_oracle():
     for _ in range(60):
         p = support.random_problem(rng)
         q = relabel_problem(p, support.fresh_relabeling(p))
-        assert same_variant(oracle_verdict(p), oracle_verdict(q))
+        assert support.same_variant(oracle_verdict(p), oracle_verdict(q))
 
 
 def test_example_order_invariance_oracle():
@@ -40,7 +39,7 @@ def test_example_order_invariance_oracle():
     for _ in range(60):
         p = support.random_problem(rng)
         q = support.permuted_examples(rng, p)
-        assert same_variant(oracle_verdict(p), oracle_verdict(q))
+        assert support.same_variant(oracle_verdict(p), oracle_verdict(q))
 
 
 def test_unrealizability_monotone_under_example_addition_oracle():
@@ -65,7 +64,7 @@ def test_constant_extra_argument_invariance_oracle():
         if p.signature.extra != UNIT:
             continue
         q = support.with_constant_extra(p, literal=7)
-        assert same_variant(oracle_verdict(p), oracle_verdict(q))
+        assert support.same_variant(oracle_verdict(p), oracle_verdict(q))
         used += 1
     assert used >= 20
 
@@ -78,11 +77,11 @@ def test_invariances_hold_through_the_solver(cfg):
         base = check(p, cfg, backend="smt").verdict
         relabeled = check(relabel_problem(p, support.fresh_relabeling(p)), cfg, backend="smt").verdict
         permuted = check(support.permuted_examples(rng, p), cfg, backend="smt").verdict
-        assert same_variant(base, relabeled)
-        assert same_variant(base, permuted)
+        assert support.same_variant(base, relabeled)
+        assert support.same_variant(base, permuted)
         if p.signature.extra == UNIT:
             constant = check(support.with_constant_extra(p), cfg, backend="smt").verdict
-            assert same_variant(base, constant)
+            assert support.same_variant(base, constant)
         if isinstance(base, Unrealizable) and p.sketch.value == "foldr":
             grown = check(support.duplicate_relabeled_example(rng, p), cfg, backend="smt").verdict
             assert isinstance(grown, Unrealizable)

@@ -12,7 +12,6 @@ from parachk import (
     Atom,
     BOOL,
     BoolV,
-    Extension,
     ID,
     INT,
     IntV,
@@ -30,7 +29,6 @@ from parachk import (
     Signature,
     SketchKind,
     UNIT,
-    UnitS,
     build_problem,
     flatten_shape,
     parse_problem,
@@ -40,7 +38,7 @@ from parachk import (
     to_extension,
 )
 from parachk.functors import UnsupportedFunctor, shape_key
-from parachk.problem import ParseError, ValidationError, value_to_json
+from parachk.problem import ParseError, ValidationError, extension_of, value_to_json
 
 import support
 from test_functors import functor_exprs, value_strategy
@@ -266,7 +264,7 @@ def test_a_mistyped_leaf_gets_the_same_message_from_a_file(seed):
 def _known(f, v) -> Known:
     """The `Known` of value v of f, from `to_extension` and `shape_key`."""
     ext = to_extension(f, v)
-    return Known(ext, shape_key(f, ext.shape), tuple(a.code for a in ext.elements))
+    return Known(f, shape_key(f, ext.shape), tuple(a.code for a in ext.elements))
 
 
 def _extensions_match_their_fields(p):
@@ -354,11 +352,24 @@ def test_one_walk_on_sampled_problems(seed):
 
 
 def _assert_keyed_by_shape_key(p):
-    for x in p.extensions:
-        fields = (x.extra, *x.inputs, *x.outputs) + (() if x.base is None else (x.base,))
-        for field in fields:
-            assert field.key == shape_key(field.ext.functor, field.ext.shape)
-            assert field.codes == tuple(a.code for a in field.ext.elements)
+    """Every field's key and codes are those of `to_extension` of its value,
+    and decode to that extension."""
+    sig = p.signature
+    for ex, x in zip(p.examples, p.extensions):
+        outputs = ex.output.items if p.sketch is SketchKind.MAP else (ex.output,)
+        fields = [
+            (sig.extra, ex.extra, x.extra),
+            *((sig.element, v, k) for v, k in zip(ex.inputs, x.inputs, strict=True)),
+            *((sig.result, v, k) for v, k in zip(outputs, x.outputs, strict=True)),
+        ]
+        if x.base is not None:
+            fields.append((sig.result, ex.base, x.base))
+        for f, v, field in fields:
+            ext = to_extension(f, v)
+            assert field.functor == f
+            assert field.key == shape_key(f, ext.shape)
+            assert field.codes == tuple(a.code for a in ext.elements)
+            assert extension_of(field, p.atoms) == ext
 
 
 def _raw_of(f, values):
@@ -405,15 +416,15 @@ def test_the_walk_keys_nested_and_absent_values(f, values, keys):
 
 
 # ---------------------------------------------------------------------------
-# The records of the walk: one shape per single-shape functor, and cheap
-# hashable Atom and Extension records
+# The records of the walk: the empty key for a single-shape functor, and
+# cheap hashable Atom and Known records
 
 
 def _pair(x, y):
     return {"pair": [{"atom": x}, {"atom": y}]}
 
 
-def test_fields_of_a_single_shape_functor_share_one_shape():
+def test_fields_of_a_single_shape_functor_have_the_empty_key():
     p = parse_problem(
         _doc(
             [
@@ -425,12 +436,13 @@ def test_fields_of_a_single_shape_functor_share_one_shape():
         )
     )
     x, y = p.extensions
-    shapes = [e.ext.shape for e in (*x.inputs, *x.outputs, *y.inputs, *y.outputs)]
-    assert all(s is shapes[0] for s in shapes)
-    assert x.inputs[0].ext.shape is x.inputs[1].ext.shape
-    assert x.extra.ext.shape is y.extra.ext.shape == UnitS()
-    assert [e.ext.elements for e in x.inputs] == [(Atom(0, "a"), Atom(1, "b")), (Atom(2, "c"), Atom(3, "d"))]
+    assert [e.codes for e in x.inputs] == [(0, 1), (2, 3)]
+    assert [to_extension(ProdOf(ID, ID), v).elements for v in p.examples[0].inputs] == [
+        (Atom(0, "a"), Atom(1, "b")),
+        (Atom(2, "c"), Atom(3, "d")),
+    ]
     assert [e.key for e in (x.extra, *x.inputs, *x.outputs)] == [()] * 5
+    assert [e.key for e in (y.extra, *y.inputs, *y.outputs)] == [()] * 3
 
 
 def test_a_list_of_single_shape_elements_is_its_container_form():
@@ -441,10 +453,10 @@ def test_a_list_of_single_shape_elements_is_its_container_form():
     assert q == p
     for x, ex, v in zip(q.extensions, q.examples, values):
         (field,) = x.inputs
-        assert field.ext == to_extension(f, ex.inputs[0])
+        ext = extension_of(field, q.atoms)
+        assert ext == to_extension(f, ex.inputs[0])
         assert field.key == (len(v.items),)
-        assert [a.label for a in field.ext.elements] == [a.label for a in to_extension(f, v).elements]
-        assert all(child is field.ext.shape.children[0] for child in field.ext.shape.children)
+        assert [a.label for a in ext.elements] == [a.label for a in to_extension(f, v).elements]
 
 
 @pytest.mark.parametrize(
@@ -477,7 +489,7 @@ def test_atoms_and_extensions_are_dict_keys():
     assert {Atom(0, "a"): 1}[Atom(0, "a")] == 1
     # two examples with one extra value: the second one's base is checked
     # against the base filed under the first one's extra, an equal but
-    # distinct Extension, as `bases_by_extra` looks it up
+    # distinct Known, as `bases_by_extra` looks it up
     signature = {"extra": "List(Id)", "element": "Id", "result": "List(Id)"}
     extra = {"list": [{"atom": "w"}, {"atom": "u"}]}
 
@@ -494,7 +506,7 @@ def test_atoms_and_extensions_are_dict_keys():
     x, y = parse_problem(doc({"list": [{"atom": "w"}]})).extensions
     assert x.extra is not y.extra and x.extra == y.extra
     assert {x.extra: x.base}[y.extra] == y.base
-    rebuilt = Extension(ListOf(ID), x.base.ext.shape, x.base.ext.elements)
-    assert rebuilt == y.base.ext and hash(rebuilt) == hash(y.base.ext)
+    rebuilt = Known(ListOf(ID), x.base.key, x.base.codes)
+    assert rebuilt == y.base and hash(rebuilt) == hash(y.base)
     with pytest.raises(ValidationError, match="differs from the base of an earlier example"):
         parse_problem(doc({"list": []}))

@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parachk import (
-    Atom,
     BoundExceeded,
-    Extension,
     ID,
     JustV,
     ListOf,
@@ -35,6 +33,7 @@ from parachk import (
     oracle_check,
     oracle_decide,
     propagate,
+    shape_of,
     show_shape,
     validate_summary,
     verdict_name,
@@ -481,10 +480,15 @@ def test_shape_forced_past_the_candidates_is_realizable():
 
 
 def _keyed_with_bases(q):
+    sig = q.signature
     return [
-        (x.extra.ext.shape, x.base.ext.shape, tuple(e.ext.shape for e in x.inputs))
-        for x in q.extensions
-        if x.inputs
+        (
+            shape_of(sig.extra, ex.extra),
+            shape_of(sig.result, ex.base),
+            tuple(shape_of(sig.element, v) for v in ex.inputs),
+        )
+        for ex in q.examples
+        if ex.inputs
     ]
 
 
@@ -503,7 +507,7 @@ def _pinned_with_bases(cs, keys):
     if cs.unknown_count == 0:
         return full
     for key, trace in zip(keys, cs.traces):
-        out = trace.steps[-1].output.ext.shape
+        out = support.known_shape(trace.steps[-1].output)
         if full.setdefault(key, out) != out:
             raise ShapeConflict("two examples with equal input shapes")
     return full
@@ -635,22 +639,22 @@ def _plain_backtracking(gi):
     shape_table = {}
     for g, c in zip(gi.constraints, cs.constraints):
         if isinstance(c.output, Known):
-            out = out_schema.encode_shape(c.output.ext.shape)
+            out = c.output.key
         else:
             out = gi.inter_keys[c.output.uid]
         shape_table.setdefault(g.key, out)
     fresh, intermediates, term = {}, {}, -1
     for uid in sorted(gi.inter_keys):
         shape = out_schema.decode_slots(gi.inter_keys[uid])
-        elems = []
+        codes = []
         for _ in range(size_of(cs.output_functor, shape)):
             root = uf.find(term)
             code = uf.lit.get(root)
             if code is None:
                 code = fresh.setdefault(root, cs.atoms.size + len(fresh))
-            elems.append(Atom(code, cs.atoms.label_of(code)))
+            codes.append(code)
             term -= 1
-        intermediates[uid] = Extension(cs.output_functor, shape, tuple(elems))
+        intermediates[uid] = Known(cs.output_functor, gi.inter_keys[uid], tuple(codes))
     return Realizable(WitnessSummary(shape_table, dict(assignment), intermediates))
 
 

@@ -28,9 +28,9 @@ from parachk import (
     relabel_problem,
 )
 from parachk.functors import AtomV, ListV, MaybeOf, ProdOf
-from parachk.problem import ParseError, ValidationError, _map_atoms
+from parachk.problem import ParseError, ValidationError
 
-from support import random_problem, random_value
+from support import map_atoms, random_problem, random_value
 
 
 REVERSE_MAP = """
@@ -368,7 +368,7 @@ def _first_occurrences(examples) -> tuple[str, ...]:
 
     for ex in examples:
         for _, v in _fields(ex):
-            _map_atoms(v, collect)
+            map_atoms(v, collect)
     return tuple(labels)
 
 
@@ -415,7 +415,7 @@ def test_interning_is_first_occurrence_and_one_leaf_mistyped_is_rejected(seed):
     codes = {}
     for ex in p.examples:
         for _, v in _fields(ex):
-            _map_atoms(v, lambda a: codes.setdefault(a.code, a.label) and a)
+            map_atoms(v, lambda a: codes.setdefault(a.code, a.label) and a)
     assert codes == dict(enumerate(p.atoms.labels))
 
     i = rng.randrange(len(p.examples))

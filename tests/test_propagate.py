@@ -53,8 +53,8 @@ def test_raw_one_constraint_per_example():
     assert cs.input_parts == (ID,)
     c = cs.constraints[0]
     assert isinstance(c.inputs[0], Known) and isinstance(c.output, Known)
-    assert c.inputs[0].ext.elements[0].label == "A"
-    assert c.output.ext.elements[0].label == "C"
+    assert cs.atoms.label_of(c.inputs[0].codes[0]) == "A"
+    assert cs.atoms.label_of(c.output.codes[0]) == "C"
 
 
 def test_map_splits_into_elementwise_constraints():
@@ -66,7 +66,7 @@ def test_map_splits_into_elementwise_constraints():
     )
     cs = propagate_map(p)
     pairs = [
-        (c.inputs[0].ext.elements[0].label, c.output.ext.elements[0].label)
+        (cs.atoms.label_of(c.inputs[0].codes[0]), cs.atoms.label_of(c.output.codes[0]))
         for c in cs.constraints
     ]
     assert pairs == [("A", "C"), ("B", "B"), ("C", "A")]
@@ -108,11 +108,11 @@ def test_foldr_trace_structure():
     # the last input element
     first = cs.constraints[0]
     assert isinstance(first.inputs[2], Known)
-    assert first.inputs[2].ext.elements == ()
-    assert first.inputs[1].ext.elements[0].label == "C"
+    assert first.inputs[2].codes == ()
+    assert cs.atoms.label_of(first.inputs[1].codes[0]) == "C"
     assert isinstance(first.output, Unknown)
     last = cs.constraints[-1]
-    assert last.inputs[1].ext.elements[0].label == "A"
+    assert cs.atoms.label_of(last.inputs[1].codes[0]) == "A"
     assert isinstance(last.output, Known)
 
 
@@ -169,9 +169,9 @@ def _check_trace_record(p):
         h, seq = support.suffix_key(cs, t.suffixes[-1])
         assert [support.suffix_key(cs, s) for s in t.suffixes] == [(h, seq[k:]) for k in range(len(seq), -1, -1)]
         assert len(t.steps) == len(seq)
-        assert all(step.inputs[0].ext.shape == h for step in t.steps)
-        assert tuple(step.inputs[1].ext.shape for step in reversed(t.steps)) == seq
-        assert t.steps[0].inputs[2].ext.shape == shape_of(sig.result, ex.base)
+        assert all(support.known_shape(step.inputs[0]) == h for step in t.steps)
+        assert tuple(support.known_shape(step.inputs[1]) for step in reversed(t.steps)) == seq
+        assert support.known_shape(t.steps[0].inputs[2]) == shape_of(sig.result, ex.base)
         assert isinstance(t.steps[-1].output, Known)
         for step, after in zip(t.steps, t.steps[1:]):
             assert step.output == Unknown(uid) == after.inputs[2]

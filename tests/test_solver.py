@@ -9,8 +9,12 @@ from parachk import (
     ID,
     INT,
     IntV,
+    JustV,
+    Known,
     ListOf,
     ListV,
+    MaybeOf,
+    Problem,
     Realizable,
     Signature,
     SketchKind,
@@ -24,12 +28,15 @@ from parachk import (
     atom,
     build_problem,
     check,
+    flatten_shape,
     interpret,
     propagate,
     run_solver,
+    validate_summary,
     validate_witness,
 )
-from parachk.solver import ModelFunctions, RawResult, WitnessError, extract_witness
+from parachk.bench import corpus
+from parachk.solver import ModelFunctions, RawResult, WitnessError, extract_witness, oracle_verdict
 
 from conftest import needs_solver
 
@@ -269,8 +276,8 @@ def test_validate_witness_rejects_garbage():
 
 
 def test_long_intermediate_without_positions_is_not_decoded():
-    # a list of units has no positions, so only the length bound stops
-    # decoding from building a list of 2 * 10**18 shapes
+    # a list of units has no positions, so only the length bound stops a
+    # shown witness from decoding a list of 2 * 10**18 shapes
     p = build_problem(
         "units",
         Signature(UNIT, ID, ListOf(UNIT)),
@@ -280,6 +287,63 @@ def test_long_intermediate_without_positions_is_not_decoded():
     cs = propagate(p)
     with pytest.raises(WitnessError, match="too large"):
         extract_witness(f"((define-fun mid0_n0 () Int {2 * 10**18}))", cs)
+
+
+# ---------------------------------------------------------------------------
+# An intermediate counts only as a container of the fold result: replay
+# rejects a slot vector that fails the result's schema, without an
+# exception, whether an oracle or a model gives it
+
+
+def _just_fold() -> Problem:
+    """`Just` of the input, as a fold whose result Maybe(List(Id)) guards
+    its list slot with its presence bit."""
+    xs = [atom(c) for c in "abc"]
+    examples = [(UnitV(), xs[:n], JustV(ListV(tuple(xs[:n]))), JustV(lst())) for n in range(4)]
+    return build_problem("just", Signature(UNIT, ID, MaybeOf(ListOf(ID))), SketchKind.FOLDR, examples)
+
+
+# (problem, a slot vector that fails the result's schema, its model text)
+_UNREFINED = {
+    "negative list length": (
+        lambda: _corpus_sc("reverse"), (-1,), "((define-fun mid0_n0 () Int (- 1)))",
+    ),
+    "bool slot of 2": (
+        lambda: _corpus_sc("head"), (2,), "((define-fun mid0_b0 () Int 2))",
+    ),
+    "absent Maybe with a nonzero child slot": (
+        _just_fold, (0, 1), "((define-fun mid0_b0 () Int 0) (define-fun mid0_n0 () Int 1))",
+    ),
+}
+
+
+def _corpus_sc(name: str) -> Problem:
+    (entry,) = [e for e in corpus() if e.name == name]
+    return entry.problem_sc
+
+
+@pytest.mark.parametrize("case", sorted(_UNREFINED))
+def test_replay_rejects_an_intermediate_that_fails_the_schema(case):
+    problem, bad, model = _UNREFINED[case]
+    cs = propagate(problem())
+    verdict = oracle_verdict(cs)
+    assert isinstance(verdict, Realizable) and validate_summary(cs, verdict.witness)
+    schema = flatten_shape(cs.output_functor)
+    assert not schema.refines(bad)
+    intermediates = dict(verdict.witness.intermediates)
+    k = intermediates[0]
+    # as many codes as the slot vector counts, where it counts any
+    intermediates[0] = Known(k.functor, bad, (0,) * max(schema.count_value(bad), 0))
+    assert validate_summary(cs, verdict.witness._replace(intermediates=intermediates)) is False
+    assert validate_witness(model, cs) is False
+
+
+def test_replay_rejects_an_intermediate_of_another_functor_or_count():
+    cs = propagate(_corpus_sc("reverse"))
+    witness = oracle_verdict(cs).witness
+    k = witness.intermediates[0]
+    for wrong in (k._replace(functor=MaybeOf(ID)), k._replace(codes=k.codes * 2), k._replace(key=k.key * 2)):
+        assert validate_summary(cs, witness._replace(intermediates={**witness.intermediates, 0: wrong})) is False
 
 
 # ---------------------------------------------------------------------------
