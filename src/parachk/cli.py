@@ -162,8 +162,7 @@ def cmd_emit_smt(args) -> int:
 def cmd_oracle(args, cfg: SolverConfig) -> int:
     problem = load_problem(args.path)
     report = decide(problem, oracle_steps)
-    if report.verdict is None:
-        report = report._replace(verdict=UnknownVerdict("completions-refuted"))
+    if isinstance(report.verdict, UnknownVerdict) and report.verdict.reason == "completions-refuted":
         print("every guessed completion is refuted; no example pins:", file=sys.stderr)
         for m in shape_complete(problem).missing:
             print(f"  {m}", file=sys.stderr)

@@ -10,6 +10,11 @@ bounds, and output positions of unknown containers are universally
 quantified under a guard. Constraints with known outputs are fully
 enumerated and stay quantifier free.
 
+This is the one module that writes SMT-LIB. A schema is slot data
+(`functors.ShapeSchema`): `refinements` asserts what `refines` checks, from
+each slot's kind and guard, and `count_term` writes what `count_value`
+computes, from the weights and the constant.
+
 Script generation is deterministic: a fixed problem yields byte-identical
 text.
 """
@@ -50,6 +55,35 @@ def mid_terms(uid: int, schema) -> list[str]:
     return [f"mid{uid}_{slot.name}" for slot in schema.slots]
 
 
+def refinements(schema, terms: list[str]) -> list[str]:
+    """The assertions that `terms`, one per slot, form a slot vector that
+    refines `schema` (`ShapeSchema.refines`): a length is at least 0, a
+    bool 0 or 1, and a guarded slot 0 while its guard is."""
+    out = []
+    for slot, term in zip(schema.slots, terms):
+        if slot.kind == "nat":
+            out.append(f"(>= {term} 0)")
+        elif slot.kind == "bool":
+            out.append(f"(and (>= {term} 0) (<= {term} 1))")
+        if slot.guard >= 0:
+            out.append(f"(=> (= {terms[slot.guard]} 0) (= {term} 0))")
+    return out
+
+
+def count_term(schema, terms: list[str]) -> str:
+    """The element positions of the shape whose slots are `terms`
+    (`ShapeSchema.count_value`)."""
+    parts = [str(schema.const)] if schema.const else []
+    for slot, term in zip(schema.slots, terms):
+        if slot.weight:
+            parts.append(term if slot.weight == 1 else f"(* {slot.weight} {term})")
+    if not parts:
+        return "0"
+    if len(parts) == 1:
+        return parts[0]
+    return "(+ " + " ".join(parts) + ")"
+
+
 def encode(cs: ConstraintSet) -> SmtScript:
     """Translate a constraint set to a solver-ready script. A functor
     without fixed-arity shapes has no schema and raises flatten_shape's
@@ -70,7 +104,7 @@ def encode(cs: ConstraintSet) -> SmtScript:
         terms = mid_terms(uid, out_schema)
         decls.extend(f"(declare-fun {term} () Int)" for term in terms)
         decls.append(f"(declare-fun elem{uid} (Int) Int)")
-        assertions.extend(out_schema.smt_refinements(terms))
+        assertions.extend(refinements(out_schema, terms))
 
     def slot_terms(part) -> list[str]:
         if isinstance(part, Known):
@@ -127,7 +161,7 @@ def _positions(c, ins, out_schema) -> list[str]:
                 known_pos.append((off, code))
                 off += 1
         else:
-            cf = out_schema.count.smt(mid_terms(part.uid, out_schema))
+            cf = count_term(out_schema, mid_terms(part.uid, out_schema))
             window = (part.uid, off, cf)
 
     def disjuncts(q_term: str, target: str) -> str:
@@ -148,7 +182,7 @@ def _positions(c, ins, out_schema) -> list[str]:
             out.append(disjuncts(str(q), str(code)))
     else:
         uid = c.output.uid
-        cf = out_schema.count.smt(mid_terms(uid, out_schema))
+        cf = count_term(out_schema, mid_terms(uid, out_schema))
         body = disjuncts("q", f"(elem{uid} q)")
         out.append(
             f"(forall ((q Int)) (=> (and (>= q 0) (< q {cf})) {body}))"

@@ -9,7 +9,11 @@ symbolic shape schemas consumed by the SMT encoding.
 
 Every shape of every functor has a key (`shape_key`), and `shape_from_key`
 reads a key back to its shape; a schema exists only for fixed-arity
-shapes, and keys a shape by the same tuple, its slot vector.
+shapes, and keys a shape by the same tuple, its slot vector. A schema is
+its slots: each slot's kind, the presence bit that guards it and the
+positions it adds say which vectors are shapes (`ShapeSchema.refines`) and
+how many positions each has (`count_value`). This module writes no
+SMT-LIB: `encode` reads the same slot data symbolically.
 
 Each translation is one walk: `to_extension` checks that a value inhabits
 its functor while it collects the shape and the elements (`typecheck` and
@@ -35,7 +39,7 @@ from typing import NamedTuple
 class Record:
     """An immutable record whose fields are the names its class lists, in
     order, in its own `__slots__` (and annotates). It is the base of every sum type's
-    variants (functors, values, shapes, schema clauses, verdicts) and of a
+    variants (functors, values, shapes, verdicts) and of a
     record whose constructor converts or checks a field; a record compared
     only with its own class is a `NamedTuple` instead.
 
@@ -517,108 +521,56 @@ class SlotSpec(NamedTuple):
     """One integer-valued slot of a flattened shape.
 
     kind is "nat" (list length, >= 0), "bool" (0/1 flag or presence bit) or
-    "int" (an unconstrained monomorphic payload).
+    "int" (an unconstrained monomorphic payload). guard is the index of the
+    presence bit of the innermost Maybe around the slot, -1 outside every
+    Maybe: the slot is 0 while that bit is. weight is the element positions
+    each unit of the slot adds: a list length's per element, a presence
+    bit's when present, 0 for the rest.
     """
 
     name: str
     kind: str
-
-
-class LinearForm(NamedTuple):
-    """const + sum(coeff * slot) over slot indices; all counts are affine."""
-
-    const: int
-    coeffs: tuple[tuple[int, int], ...]  # (slot index, coefficient)
-
-    def eval(self, slots) -> int:
-        return self.const + sum(c * slots[i] for i, c in self.coeffs)
-
-    def smt(self, terms) -> str:
-        parts = [str(self.const)] if self.const != 0 else []
-        for i, c in self.coeffs:
-            parts.append(terms[i] if c == 1 else f"(* {c} {terms[i]})")
-        if not parts:
-            return "0"
-        if len(parts) == 1:
-            return parts[0]
-        return "(+ " + " ".join(parts) + ")"
-
-
-class Nonneg(Record):
-    __slots__ = ("slot",)
-    slot: int
-
-    def eval(self, slots) -> bool:
-        return slots[self.slot] >= 0
-
-    def smt(self, terms) -> str:
-        return f"(>= {terms[self.slot]} 0)"
-
-
-class ZeroOne(Record):
-    __slots__ = ("slot",)
-    slot: int
-
-    def eval(self, slots) -> bool:
-        return 0 <= slots[self.slot] <= 1
-
-    def smt(self, terms) -> str:
-        t = terms[self.slot]
-        return f"(and (>= {t} 0) (<= {t} 1))"
-
-
-class ZeroWhenAbsent(Record):
-    """A child slot pinned to the canonical 0 while its presence bit is 0."""
-
-    __slots__ = ("guard", "slot")
     guard: int
-    slot: int
-
-    def eval(self, slots) -> bool:
-        return slots[self.guard] != 0 or slots[self.slot] == 0
-
-    def smt(self, terms) -> str:
-        return f"(=> (= {terms[self.guard]} 0) (= {terms[self.slot]} 0))"
+    weight: int
 
 
 class ShapeSchema(NamedTuple):
     """A fixed-length integer encoding for the shapes of one functor.
 
-    slots lists the integer slots in traversal order; clauses is the
-    refinement predicate over them; count is the number of element positions
-    as an affine function of the slots. Refined slot vectors are in bijection
-    with the shapes of the functor.
+    slots lists the integer slots in traversal order, and const is the
+    element positions every shape has. A slot vector refines the schema
+    where each slot holds a value of its kind and is 0 while its guard is;
+    refined slot vectors are in bijection with the shapes of the functor.
+    The number of element positions is const plus each slot's weight times
+    its value.
     """
 
     functor: FunctorExpr
     slots: tuple[SlotSpec, ...]
-    clauses: tuple
-    count: LinearForm
+    const: int
 
     def refines(self, slot_values) -> bool:
-        return all(c.eval(slot_values) for c in self.clauses)
-
-    def smt_refinements(self, terms) -> list[str]:
-        return [c.smt(terms) for c in self.clauses]
+        if len(slot_values) != len(self.slots):
+            return False
+        for (_, kind, guard, _), v in zip(self.slots, slot_values):
+            if kind == "nat":
+                if v < 0:
+                    return False
+            elif kind == "bool" and not 0 <= v <= 1:
+                return False
+            if v and guard >= 0 and not slot_values[guard]:
+                return False
+        return True
 
     def count_value(self, slot_values) -> int:
-        return self.count.eval(slot_values)
+        count = self.const
+        for (_, _, _, weight), v in zip(self.slots, slot_values):
+            count += weight * v
+        return count
 
     def encode_shape(self, s: ShapeValue) -> tuple[int, ...]:
         """The slot vector of s: its `shape_key`."""
         return shape_key(self.functor, s)
-
-    def decode_slots(self, slot_values) -> ShapeValue:
-        """The shape whose slot vector is `slot_values`, which must refine
-        this schema."""
-        vals = tuple(slot_values)
-        if len(vals) != len(self.slots):
-            raise ShapeMismatch(
-                f"{len(vals)} slot values for a schema with {len(self.slots)} slots"
-            )
-        if not self.refines(vals):
-            raise ShapeMismatch(f"slot values {list(vals)} violate the refinement of {self.functor}")
-        return shape_from_key(self.functor, vals)
 
 
 # slot names are numbered per kind in traversal order: k0, b0, b1, n0, ...
@@ -628,68 +580,56 @@ _SLOT_PREFIX = {"int": "k", "bool": "b", "nat": "n"}
 def flatten_shape(f: FunctorExpr) -> ShapeSchema:
     """Flatten the shapes of f into integer slots.
 
-    One walk over f appends every slot, clause and count coefficient at its
-    final index. Fails for list functors whose element functor itself has
-    shape degrees of freedom (e.g. List(List(Id))): those shapes are not
-    fixed-arity, so they can only appear in concrete values, keyed by
-    `shape_key` alone, never as a symbolic container.
+    One walk over f appends every slot at its final index. Fails for list
+    functors whose element functor itself has shape degrees of freedom
+    (e.g. List(List(Id))): those shapes are not fixed-arity, so they can
+    only appear in concrete values, keyed by `shape_key` alone, never as a
+    symbolic container.
     """
     slots: list[SlotSpec] = []
-    clauses: list = []
-    coeffs: list[tuple[int, int]] = []
-    const, _ = _flatten(f, slots, clauses, coeffs, dict.fromkeys(_SLOT_PREFIX, 0))
-    return ShapeSchema(f, tuple(slots), tuple(clauses), LinearForm(const, tuple(coeffs)))
+    const = _flatten(f, -1, slots, dict.fromkeys(_SLOT_PREFIX, 0))
+    return ShapeSchema(f, tuple(slots), const)
 
 
-def _new_slot(kind: str, slots: list[SlotSpec], per_kind: dict[str, int]) -> int:
-    slots.append(SlotSpec(f"{_SLOT_PREFIX[kind]}{per_kind[kind]}", kind))
+def _new_slot(kind: str, guard: int, weight: int, slots: list[SlotSpec], per_kind: dict[str, int]) -> int:
+    slots.append(SlotSpec(f"{_SLOT_PREFIX[kind]}{per_kind[kind]}", kind, guard, weight))
     per_kind[kind] += 1
     return len(slots) - 1
 
 
-def _flatten(g: FunctorExpr, slots: list, clauses: list, coeffs: list, per_kind: dict) -> tuple[int, list[int]]:
-    # appends g's slots, clauses and count coefficients to the lists passed
-    # in, and returns g's constant position count and its slots that no
-    # presence bit inside g guards; a module function, as the walks above
+def _flatten(g: FunctorExpr, guard: int, slots: list, per_kind: dict) -> int:
+    # appends g's slots to `slots`, each guarded by `guard`, the presence
+    # bit of the innermost Maybe around g (-1 for none), and returns g's
+    # constant position count; a module function, as the walks above
     match g:
         case Id():
-            return 1, []
+            return 1
         case ConstUnit():
-            return 0, []
+            return 0
         case ConstInt():
-            return 0, [_new_slot("int", slots, per_kind)]
+            _new_slot("int", guard, 0, slots, per_kind)
+            return 0
         case ConstBool():
-            b = _new_slot("bool", slots, per_kind)
-            clauses.append(ZeroOne(b))
-            return 0, [b]
+            _new_slot("bool", guard, 0, slots, per_kind)
+            return 0
         case ListOf(inner):
             width = len(slots)
-            const, _ = _flatten(inner, slots, clauses, coeffs, per_kind)
+            const = _flatten(inner, guard, slots, per_kind)
             if len(slots) != width:
                 raise UnsupportedFunctor(
                     f"{g}: element functor {inner} has a variable shape, so the "
                     f"list shape is not fixed-arity"
                 )
-            n = _new_slot("nat", slots, per_kind)
-            clauses.append(Nonneg(n))
-            if const:
-                coeffs.append((n, const))
-            return 0, [n]
+            _new_slot("nat", guard, const, slots, per_kind)
+            return 0
         case ProdOf(l, r):
-            lconst, lfree = _flatten(l, slots, clauses, coeffs, per_kind)
-            rconst, rfree = _flatten(r, slots, clauses, coeffs, per_kind)
-            return lconst + rconst, lfree + rfree
+            return _flatten(l, guard, slots, per_kind) + _flatten(r, guard, slots, per_kind)
         case MaybeOf(inner):
-            b = _new_slot("bool", slots, per_kind)
-            clauses.append(ZeroOne(b))
-            at = len(coeffs)
-            const, free = _flatten(inner, slots, clauses, coeffs, per_kind)
-            # an inner slot that an inner presence bit guards is 0 once
-            # that bit is, so only the unguarded slots need this bit
-            clauses.extend(ZeroWhenAbsent(b, i) for i in free)
-            if const:
-                coeffs.insert(at, (b, const))
-            return 0, [b]
+            b = _new_slot("bool", guard, 0, slots, per_kind)
+            # the bit comes before the slots it guards, and weighs what
+            # they leave constant
+            slots[b] = slots[b]._replace(weight=_flatten(inner, b, slots, per_kind))
+            return 0
     raise UnsupportedFunctor(f"not a functor expression: {g!r}")
 
 

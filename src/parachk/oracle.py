@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from .functors import schema_of, shape_from_key, show_shape
 from .propagate import ConstraintSet, Known, read_inputs, show_suffix
-from .verdict import Realizable, Unrealizable, Verdict, WitnessSummary
+from .verdict import Realizable, UnknownVerdict, Unrealizable, Verdict, WitnessSummary
 
 
 class ShapeConflict(Exception):
@@ -583,8 +583,8 @@ def _charged_ground(
     return gi
 
 
-def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict | None:
-    """Decide `cs` by search, or return None where SMT must decide.
+def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict:
+    """Decide `cs` by search.
 
     A raw, map or shape-complete set has one completion, the one that
     guesses nothing: it is grounded and searched, and its verdict is the
@@ -602,11 +602,12 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
     shape from the `candidate_shapes`, and the shapes it forces may lie
     outside them. Every grounding of a shape-incomplete set costs one step
     per constraint and ground term. Realizable carries the first witness
-    found, for the caller to replay. Every completion refuted is None,
-    unless the candidates cover every shape, as the guesses for an
-    all-bool result do. Spending the budget raises BoundExceeded; without
-    one the decision still ends, since the guesses are finite, but its
-    time can grow exponentially.
+    found, for the caller to replay. Every completion refuted is
+    Unknown("completions-refuted"), where SMT must decide, unless the
+    candidates cover every shape, as the guesses for an all-bool result
+    do. Spending the budget raises BoundExceeded; without one the decision
+    still ends, since the guesses are finite, but its time can grow
+    exponentially.
     """
     budget = budget or StepBudget(float("inf"))
     try:
@@ -631,4 +632,4 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
             detail = verdict.detail
     except ShapeConflict as e:
         return Unrealizable(str(e))
-    return Unrealizable(detail) if covered else None
+    return Unrealizable(detail) if covered else UnknownVerdict("completions-refuted")

@@ -499,10 +499,10 @@ def interpret(raw: RawResult, cs: ConstraintSet) -> Verdict:
     return Realizable(summary)
 
 
-def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict | None:
+def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdict:
     """The oracle's verdict (`oracle.oracle_decide`), except that a
     Realizable witness that fails replay gives Unknown, as a solver's does.
-    None where SMT must decide: every guessed completion refuted. Spending
+    Unknown where SMT must decide: every guessed completion refuted. Spending
     `budget` raises BoundExceeded; without one the oracle runs the same
     steps to the end."""
     verdict = oracle_decide(cs, budget)
@@ -511,7 +511,7 @@ def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdi
     return verdict
 
 
-def oracle_steps(cs: ConstraintSet, budget: StepBudget | None = None) -> tuple[Verdict | None, float, str]:
+def oracle_steps(cs: ConstraintSet, budget: StepBudget | None = None) -> tuple[Verdict, float, str]:
     """The oracle's verdict on the steps of `cs` (`oracle_verdict`), no
     solver time, and the path that decided: "oracle+completion" for a
     shape-incomplete set, "oracle" for the rest."""

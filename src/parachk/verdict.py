@@ -49,7 +49,7 @@ class Unrealizable(Record):
 class UnknownVerdict(Record):
     __slots__ = ("reason",)
     # "timeout" | "solver-unknown" | "witness-validation-failed" |
-    # "base-case-undecided" | "completions-refuted" (`parachk oracle`)
+    # "base-case-undecided" | "completions-refuted" (`oracle_decide`)
     reason: str
 
 
@@ -106,7 +106,6 @@ def validate_summary(cs: ConstraintSet, summary: WitnessSummary) -> bool:
     for uid, k in summary.intermediates.items():
         if not (
             k.functor == cs.output_functor
-            and len(k.key) == len(out_schema.slots)
             and out_schema.refines(k.key)
             and len(k.codes) == out_schema.count_value(k.key)
         ):

@@ -12,6 +12,7 @@ which is fine for agreement testing.
 from __future__ import annotations
 
 import contextlib
+import glob
 import importlib
 import random
 
@@ -49,6 +50,7 @@ from parachk import (
     from_extension,
     ground,
     oracle_decide,
+    problem_to_json,
     propagate,
     shape_complete,
     shape_of,
@@ -56,6 +58,7 @@ from parachk import (
     relabel_problem,
 )
 from parachk import oracle
+from parachk.bench import corpus
 from parachk.functors import Extension, ShapeValue, shape_from_key
 
 ATOM_POOL = ["a", "b", "c", "d", "e", "f"]
@@ -404,9 +407,28 @@ def suffix_key(cs, s: int) -> tuple[ShapeValue, tuple[ShapeValue, ...]]:
     return known_shape(h), tuple(elements)
 
 
+def answer_paths(tmp_path) -> list[str]:
+    """Every corpus SC and SI set written as a problem file under
+    `tmp_path`, then every file of `problems/`, in a fixed order."""
+    paths = []
+    for entry in corpus():
+        for kind, problem in (("sc", entry.problem_sc), ("si", entry.problem_si)):
+            path = tmp_path / f"{entry.name}-{kind}.json"
+            path.write_text(problem_to_json(problem))
+            paths.append(str(path))
+    return paths + sorted(glob.glob("problems/*.json"))
+
+
 def known_shape(k) -> ShapeValue:
     """The shape of a `Known`, read back from its key."""
     return shape_from_key(k.functor, k.key)
+
+
+def schema_shape(schema, slots) -> ShapeValue:
+    """The shape whose slot vector is `slots`, which must refine `schema`,
+    read back by the one decoder."""
+    assert schema.refines(slots), (str(schema.functor), slots)
+    return shape_from_key(schema.functor, slots)
 
 
 def mutate_problem(rng: random.Random, p: Problem) -> Problem:

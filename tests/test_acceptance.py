@@ -186,7 +186,7 @@ def test_criterion_6_property_suites():
             continue
         assert sch.encode_shape(shape) == key
         assert sch.count_value(key) == size_of(f, shape)
-        assert sch.decode_slots(key) == shape
+        assert support.schema_shape(sch, key) == shape
         coherence += 1
 
     def oracle_verdict(p):

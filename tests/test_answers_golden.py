@@ -2,15 +2,15 @@
 prints for the fold corpus and the problem files, pinned by one SHA-256
 digest, so that a change of representation moves no answer by a byte."""
 
-import glob
 import hashlib
 import json
 import os
 import re
 
-from parachk import load_problem, problem_to_json, shape_complete
-from parachk.bench import corpus
+from parachk import load_problem, shape_complete
 from parachk.cli import main
+
+import support
 
 PROBLEMS = "problems"
 
@@ -18,18 +18,6 @@ PROBLEMS = "problems"
 _TIMINGS = re.compile(r"\(\d+\.\d ms total, \d+\.\d ms solver\)")
 
 ANSWERS_SHA256 = "89b7b804305a707251a7c6477d5e5a6361aff5864f4925add518a1fc5c07e2b1"
-
-
-def _answer_paths(tmp_path) -> list[str]:
-    """Every corpus SC and SI set written as a problem file, then every
-    problem file, in a fixed order."""
-    paths = []
-    for entry in corpus():
-        for kind, problem in (("sc", entry.problem_sc), ("si", entry.problem_si)):
-            path = tmp_path / f"{entry.name}-{kind}.json"
-            path.write_text(problem_to_json(problem))
-            paths.append(str(path))
-    return paths + sorted(glob.glob(f"{PROBLEMS}/*.json"))
 
 
 def _answers(capsys, path: str, solver: str) -> list[str]:
@@ -53,7 +41,7 @@ def _answers(capsys, path: str, solver: str) -> list[str]:
 
 def test_answers_are_byte_identical(capsys, tmp_path, no_spawn):
     lines = []
-    for path in _answer_paths(tmp_path):
+    for path in support.answer_paths(tmp_path):
         lines.extend(_answers(capsys, path, no_spawn.solver_command))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ANSWERS_SHA256

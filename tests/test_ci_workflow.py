@@ -28,10 +28,10 @@ def test_the_smoke_run_covers_every_benchmark_workload():
 
 
 def test_the_oracle_cross_check_covers_every_problem_file():
-    # one loop over the problems/ glob, failing on exit 3 (an error) and 4
-    # (a disagreement); an Unknown's exit 2 is no failure
+    # one loop over the problems/ and tests/data/ globs, failing on exit 3
+    # (an error) and 4 (a disagreement); an Unknown's exit 2 is no failure
     loops = re.findall(
-        r'^\s*for (\w+) in problems/\*\.json; do\n'
+        r'^\s*for (\w+) in problems/\*\.json tests/data/\*\.json; do\n'
         r'\s*code=0\n'
         r'\s*parachk oracle "\$\1" --cross-check \|\| code=\$\?\n'
         r'\s*if \[ "\$code" -ge 3 \]; then$',
@@ -40,6 +40,7 @@ def test_the_oracle_cross_check_covers_every_problem_file():
     )
     assert loops == ["f"]
     assert sorted((ROOT / "problems").glob("*.json"))
+    assert sorted((ROOT / "tests" / "data").glob("*.json"))
 
 
 def test_the_python_matrix_starts_at_the_supported_floor():

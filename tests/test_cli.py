@@ -588,6 +588,20 @@ def test_oracle_replays_its_witness(capsys, monkeypatch):
     assert code == 2 and "Unknown(witness-validation-failed)" in out
 
 
+@pytest.mark.parametrize(
+    "name, code",
+    [("just_as_foldr", 0), ("just_mixed_positions_as_foldr", 1)],
+)
+def test_a_guarded_slot_reaches_the_script(capsys, no_spawn, name, code):
+    # a Maybe around the fold result's list slot: the oracle decides the
+    # set, and its script asserts the guard, which CI sends to z3
+    path = f"tests/data/{name}.json"
+    assert main(["oracle", path, "--solver", no_spawn.solver_command]) == code
+    capsys.readouterr()
+    assert main(["emit-smt", path]) == 0
+    assert "(assert (=> (= mid0_b0 0) (= mid0_n0 0)))\n" in capsys.readouterr().out
+
+
 def test_oracle_unrealizable_exit_one(capsys, no_spawn):
     code = main(["oracle", f"{PROBLEMS}/drop_as_foldr.json", "--solver", no_spawn.solver_command])
     out = capsys.readouterr().out

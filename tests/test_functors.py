@@ -50,8 +50,6 @@ from parachk.functors import (
     Extension,
     FunctorExpr,
     Id,
-    LinearForm,
-    Nonneg,
     Record,
     ShapeMismatch,
     ShapeValue,
@@ -59,11 +57,10 @@ from parachk.functors import (
     UnitS,
     UnsupportedFunctor,
     Value,
-    ZeroOne,
-    ZeroWhenAbsent,
     shape_from_key,
     shape_key,
 )
+from parachk.encode import mid_terms, refinements
 from parachk.problem import IOExample, parse_functor
 from parachk.solver import SolverConfig
 from parachk.verdict import Realizable, Unrealizable, UnknownVerdict, WitnessSummary
@@ -175,7 +172,6 @@ RECORDS = [
     AtomV(A), IntV(3), BoolV(True), UnitV(), ListV([AtomV(A)]), PairV(UnitV(), IntV(1)),
     NothingV(), JustV(IntV(1)),
     IdS(), UnitS(), IntS(2), BoolS(False), ListS([IdS()]), ProdS(IdS(), UnitS()), MaybeS(None),
-    Nonneg(0), ZeroOne(1), ZeroWhenAbsent(0, 1),
     Realizable(WitnessSummary((), (), ())), Unrealizable("why"), UnknownVerdict("timeout"),
     IOExample(UnitV(), [AtomV(A)], AtomV(A)), SolverConfig("z3 -in", 5),
 ]
@@ -212,7 +208,7 @@ def test_a_record_is_an_immutable_value_of_its_fields(r):
 def test_records_of_two_classes_differ():
     # equal fields, and no fields at all, never make two classes' records equal
     pairs = [(Id(), ConstUnit()), (IdS(), UnitS()), (UnitV(), NothingV()), (IntS(1), IntV(1)),
-             (Nonneg(0), ZeroOne(0)), (ListOf(ID), MaybeOf(ID)), (IdS(), ())]
+             (ListS([]), ListV([])), (ListOf(ID), MaybeOf(ID)), (IdS(), ())]
     for a, b in pairs:
         assert a != b and b != a
     assert len({Id(), ConstUnit(), IdS(), UnitS(), UnitV(), NothingV()}) == 6
@@ -240,7 +236,7 @@ def test_container_walks_leave_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        assert flatten_shape(f).count == LinearForm(0, ((0, 1),))
+        assert flatten_shape(f).count_value((2, 1, 5)) == 2
         assert from_extension(to_extension(f, v)) == v
         assert gc.collect() == 0
     finally:
@@ -266,7 +262,7 @@ def test_flatten_shape_maybe_by_enumeration():
     for shape in (MaybeS(None), MaybeS(IdS())):
         slots = sch.encode_shape(shape)
         assert sch.count_value(slots) == size_of(MaybeOf(ID), shape)
-        assert sch.decode_slots(slots) == shape
+        assert support.schema_shape(sch, slots) == shape
     assert sch.count_value(sch.encode_shape(MaybeS(IdS()))) == 1
 
 
@@ -285,55 +281,38 @@ def test_flatten_shape_rejects_nested_variable_lists():
 
 
 
-# Schemas pinned slot by slot: every constructor, nested Maybe under Prod
-# and Prod under Maybe, and an Id count that moves onto a presence bit.
+# Schemas pinned slot by slot: each slot's (name, kind); the clauses of the
+# refinement beyond the kinds, each slot's guard (-1 for none); and the
+# count, the constant and each slot's weight. Every constructor, nested
+# Maybe under Prod and Prod under Maybe, and an Id count that moves onto a
+# presence bit.
 _SCHEMAS = [
-    (ID, (), (), LinearForm(1, ())),
-    (ProdOf(INT, BOOL), (("k0", "int"), ("b0", "bool")), (ZeroOne(1),), LinearForm(0, ())),
-    (
-        MaybeOf(MaybeOf(ID)),
-        (("b0", "bool"), ("b1", "bool")),
-        (ZeroOne(0), ZeroOne(1), ZeroWhenAbsent(0, 1)),
-        LinearForm(0, ((1, 1),)),
-    ),
+    (ID, (), (), (1, ())),
+    (ProdOf(INT, BOOL), (("k0", "int"), ("b0", "bool")), (-1, -1), (0, (0, 0))),
+    (MaybeOf(MaybeOf(ID)), (("b0", "bool"), ("b1", "bool")), (-1, 0), (0, (0, 1))),
     (
         MaybeOf(ProdOf(ListOf(ID), MaybeOf(INT))),
         (("b0", "bool"), ("n0", "nat"), ("b1", "bool"), ("k0", "int")),
-        (
-            ZeroOne(0),
-            Nonneg(1),
-            ZeroOne(2),
-            ZeroWhenAbsent(2, 3),
-            ZeroWhenAbsent(0, 1),
-            ZeroWhenAbsent(0, 2),
-        ),
-        LinearForm(0, ((1, 1),)),
+        (-1, 0, 0, 2),
+        (0, (0, 1, 0, 0)),
     ),
     (
         ProdOf(MaybeOf(BOOL), ProdOf(UNIT, ListOf(ProdOf(ID, ID)))),
         (("b0", "bool"), ("b1", "bool"), ("n0", "nat")),
-        (ZeroOne(0), ZeroOne(1), ZeroWhenAbsent(0, 1), Nonneg(2)),
-        LinearForm(0, ((2, 2),)),
+        (-1, 0, -1),
+        (0, (0, 0, 2)),
     ),
     (
         MaybeOf(ProdOf(ID, MaybeOf(ProdOf(BOOL, ID)))),
         (("b0", "bool"), ("b1", "bool"), ("b2", "bool")),
-        (ZeroOne(0), ZeroOne(1), ZeroOne(2), ZeroWhenAbsent(1, 2), ZeroWhenAbsent(0, 1)),
-        LinearForm(0, ((0, 1), (1, 1))),
+        (-1, 0, 1),
+        (0, (1, 1, 0)),
     ),
     (
         ProdOf(MaybeOf(ProdOf(ID, ListOf(ID))), MaybeOf(MaybeOf(ProdOf(INT, ID)))),
         (("b0", "bool"), ("n0", "nat"), ("b1", "bool"), ("b2", "bool"), ("k0", "int")),
-        (
-            ZeroOne(0),
-            Nonneg(1),
-            ZeroWhenAbsent(0, 1),
-            ZeroOne(2),
-            ZeroOne(3),
-            ZeroWhenAbsent(3, 4),
-            ZeroWhenAbsent(2, 3),
-        ),
-        LinearForm(0, ((0, 1), (1, 1), (3, 1))),
+        (-1, 0, -1, 2, 3),
+        (0, (1, 1, 0, 1, 0)),
     ),
 ]
 
@@ -342,8 +321,8 @@ _SCHEMAS = [
 def test_schema_golden(f, slots, clauses, count):
     schema = flatten_shape(f)
     assert tuple((s.name, s.kind) for s in schema.slots) == slots
-    assert schema.clauses == clauses
-    assert schema.count == count
+    assert tuple(s.guard for s in schema.slots) == clauses
+    assert (schema.const, tuple(s.weight for s in schema.slots)) == count
     # an absent Maybe zeroes every slot below it
     if isinstance(f, MaybeOf):
         assert schema.encode_shape(MaybeS(None)) == (0,) * len(slots)
@@ -357,9 +336,12 @@ def _nested_maybe(depth):
 
 
 def test_nested_maybe_schema_is_linear_in_depth():
-    # a bool and its guard clause per level, not a clause per inner slot
+    # one guard per slot, the level just outside it, not a guard per
+    # enclosing level: a bool and its guard assertion per level
     for depth in (1, 10, 150):
-        assert len(flatten_shape(_nested_maybe(depth)).clauses) == 2 * depth - 1
+        schema = flatten_shape(_nested_maybe(depth))
+        assert [s.guard for s in schema.slots] == list(range(-1, depth - 1))
+        assert len(refinements(schema, mid_terms(0, schema))) == 2 * depth - 1
 
 
 def test_deep_maybe_schema_builds_in_linear_time():
@@ -375,14 +357,21 @@ def test_deep_maybe_schema_builds_in_linear_time():
     assert fastest < 0.1
 
 
+# A clause of the reference: ("bool", i) holds slot i to 0 or 1, ("nat", i)
+# holds it nonnegative, and ("absent", g, i) holds it to 0 while slot g is.
 def _shifted(c, offset):
+    kind, *slots = c
+    return (kind, *(i + offset for i in slots))
+
+
+def _holds(c, slots) -> bool:
     match c:
-        case ZeroOne(i):
-            return ZeroOne(i + offset)
-        case Nonneg(i):
-            return Nonneg(i + offset)
-        case ZeroWhenAbsent(g, i):
-            return ZeroWhenAbsent(g + offset, i + offset)
+        case ("bool", i):
+            return 0 <= slots[i] <= 1
+        case ("nat", i):
+            return slots[i] >= 0
+        case ("absent", g, i):
+            return slots[g] != 0 or slots[i] == 0
 
 
 def _quadratic_clauses(f):
@@ -394,17 +383,17 @@ def _quadratic_clauses(f):
         case ConstInt():
             return 1, []
         case ConstBool():
-            return 1, [ZeroOne(0)]
+            return 1, [("bool", 0)]
         case ListOf(_):
-            return 1, [Nonneg(0)]
+            return 1, [("nat", 0)]
         case ProdOf(l, r):
             lw, lc = _quadratic_clauses(l)
             rw, rc = _quadratic_clauses(r)
             return lw + rw, lc + [_shifted(c, lw) for c in rc]
         case MaybeOf(inner):
             w, ic = _quadratic_clauses(inner)
-            absent = [ZeroWhenAbsent(0, i + 1) for i in range(w)]
-            return w + 1, [ZeroOne(0)] + [_shifted(c, 1) for c in ic] + absent
+            absent = [("absent", 0, i + 1) for i in range(w)]
+            return w + 1, [("bool", 0)] + [_shifted(c, 1) for c in ic] + absent
 
 
 def _random_functor(rng, depth):
@@ -426,7 +415,7 @@ def test_maybe_refinement_agrees_with_the_quadratic_construction():
             continue
         assert width == len(schema.slots)
         for slots in itertools.product(range(-1, 3), repeat=width):
-            assert schema.refines(slots) == all(c.eval(slots) for c in reference), (f, slots)
+            assert schema.refines(slots) == all(_holds(c, slots) for c in reference), (f, slots)
         compared += 1
 
 # ---------------------------------------------------------------------------
@@ -540,7 +529,28 @@ def test_schema_coherence(fv):
     assert sch.encode_shape(shape) == key
     assert sch.refines(key)
     assert sch.count_value(key) == size_of(f, shape)
-    assert sch.decode_slots(key) == shape
+    assert support.schema_shape(sch, key) == shape
+
+
+@given(functor_exprs, st.data())
+@settings(max_examples=300)
+def test_the_refinement_is_the_decoders_domain(f, data):
+    # `refines` and `count_value` read slot data; `shape_from_key` and
+    # `size_of` walk the functor, and share no code with them
+    try:
+        schema = flatten_shape(f)
+    except UnsupportedFunctor:
+        return
+    width = len(schema.slots)
+    length = data.draw(st.one_of(st.just(width), st.integers(0, width + 1)))
+    slots = tuple(data.draw(st.lists(st.integers(-1, 2), min_size=length, max_size=length)))
+    try:
+        shape = shape_from_key(f, slots)
+    except ShapeMismatch:
+        assert not schema.refines(slots)
+        return
+    assert schema.refines(slots)
+    assert schema.count_value(slots) == size_of(f, shape)
 
 
 # functors without fixed-arity shapes, and two with schemas

@@ -41,7 +41,7 @@ from parachk import (
 from parachk.problem import ProblemError
 from parachk.propagate import Known, PropagationUnrealizable
 from parachk.solver import ORACLE_MAX_STEPS, oracle_verdict
-from parachk.verdict import WitnessSummary
+from parachk.verdict import UnknownVerdict, WitnessSummary
 from parachk.oracle import (
     ShapeConflict,
     StepBudget,
@@ -377,7 +377,7 @@ def test_candidate_shapes_cover_bool_schemas_only():
         cs = propagate(entries[name].problem_si)
         shapes, covered = candidate_shapes(cs, oracle._pinned(cs))
         schema = flatten_shape(cs.output_functor)
-        return [show_shape(schema.decode_slots(s)) for s in shapes], covered
+        return [show_shape(support.schema_shape(schema, s)) for s in shapes], covered
 
     assert candidates("null") == (["F", "T"], True)
     assert candidates("head") == (["N", "J*"], True)
@@ -459,7 +459,7 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     shapes, _ = candidate_shapes(cs, forcing.known)
     assert len(list(completions(forcing, err.value.missing, shapes, guessing))) == 58
     budget = StepBudget(10**9)
-    assert oracle_decide(cs, budget) is None
+    assert oracle_decide(cs, budget) == UnknownVerdict("completions-refuted")
     assert guessing.left - budget.left >= 58 * len(cs.constraints)
     # guessing alone spends steps too
     with pytest.raises(BoundExceeded):
@@ -524,7 +524,7 @@ def _intermediate_shapes_with_bases(cs, keys, shapes):
 def _decoded(cs, keys):
     """Slot vectors of the result of `cs`, by any key, decoded to shapes."""
     schema = flatten_shape(cs.output_functor)
-    return {k: schema.decode_slots(v) for k, v in keys.items()}
+    return {k: support.schema_shape(schema, v) for k, v in keys.items()}
 
 
 def _or_conflict(f, *args):
@@ -645,7 +645,7 @@ def _plain_backtracking(gi):
         shape_table.setdefault(g.key, out)
     fresh, intermediates, term = {}, {}, -1
     for uid in sorted(gi.inter_keys):
-        shape = out_schema.decode_slots(gi.inter_keys[uid])
+        shape = support.schema_shape(out_schema, gi.inter_keys[uid])
         codes = []
         for _ in range(size_of(cs.output_functor, shape)):
             root = uf.find(term)
