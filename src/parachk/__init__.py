@@ -95,7 +95,6 @@ from .oracle import (
     GroundInstance,
     ShapeConflict,
     StepBudget,
-    Ungroundable,
     ground,
     oracle_check,
     oracle_decide,

@@ -76,17 +76,6 @@ class ShapeConflict(Exception):
     """Two equal input shapes forced two different output shapes."""
 
 
-class Ungroundable(Exception):
-    """An intermediate shape is not pinned by the example set: the set is
-    not shape complete. `missing` lists the ids of the unpinned suffixes."""
-
-    def __init__(self, cs: ConstraintSet):
-        super().__init__(
-            f"no example pins the intermediate for {show_suffix(cs.suffixes, cs.unpinned[0])}"
-        )
-        self.missing = cs.unpinned
-
-
 class BoundExceeded(Exception):
     """A search spent its `StepBudget`."""
 
@@ -159,20 +148,17 @@ def intermediate_keys(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) 
     }
 
 
-def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]] | None = None) -> GroundInstance:
+def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundInstance:
     """Give each trace intermediate the slot vector `shapes`, a completion,
     gives its suffix's id, and check the shape morphism is a function.
-    Without `shapes`, the completion that guesses nothing: a set with an
-    unpinned suffix raises Ungroundable. Where `shapes` leaves a suffix
-    out, its intermediates are left out, and so is every constraint that
-    reads or yields one: that grounds the part of the set the given shapes
-    settle. Known containers bring their keys and intermediates their slot
+    `_pinned(cs)` is the completion that guesses nothing, the whole of a
+    raw, map or shape-complete set. Where `shapes` leaves a suffix out, its
+    intermediates are left out, and so is every constraint that reads or
+    yields one: that grounds the part of the set the given shapes settle.
+    Which suffixes no example pins is `cs.unpinned`, not grounding's to
+    say. Known containers bring their keys and intermediates their slot
     vectors, so grounding compares keys and decodes a shape only for a
     clash's message."""
-    if shapes is None:
-        if cs.unpinned:
-            raise Ungroundable(cs)
-        shapes = _pinned(cs)
     inter_keys = intermediate_keys(cs, shapes)
     constraints = cs.constraints
     if len(inter_keys) < cs.unknown_count:
@@ -612,7 +598,7 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
     budget = budget or StepBudget(float("inf"))
     try:
         if not cs.unpinned:
-            return oracle_check(ground(cs), budget)
+            return oracle_check(ground(cs, _pinned(cs)), budget)
         forcing = forced_shapes(cs, budget)
         part = _charged_ground(cs, forcing.known, budget)
         missing = [s for s in cs.unpinned if s not in forcing.known]

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
@@ -579,6 +580,12 @@ def parse_problem(text: str) -> Problem:
         raise ParseError("the problem file is nested too deeply") from None
 
 
+# A surrogate code point. JSON escapes a lone one (`"\ud800"`) and
+# `json.loads` keeps it, though no UTF-8 output can print it; an escaped
+# pair loads as the one code point it encodes.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _parse_problem(text: str) -> Problem:
     try:
         doc = json.loads(text)
@@ -594,6 +601,8 @@ def _parse_problem(text: str) -> Problem:
             raise ParseError(f"problem: missing field {key!r}")
     if not isinstance(doc["name"], str):
         raise ParseError("problem: 'name' is a string")
+    if _SURROGATE.search(doc["name"]):
+        raise ParseError(f"problem: 'name' {doc['name']!r} holds a lone surrogate, which is not text")
 
     sig_doc = doc["signature"]
     if not isinstance(sig_doc, dict):
@@ -623,12 +632,38 @@ def _parse_problem(text: str) -> Problem:
     if not isinstance(ex_docs, list) or not ex_docs:
         raise ParseError("problem: 'examples' is a non-empty array")
     try:
-        return _assemble(doc["name"], signature, sketch, _example_fields(ex_docs))
+        problem = _assemble(doc["name"], signature, sketch, _example_fields(ex_docs))
     except ValidationError:
         # every syntax fault in the file is reported before any validation
         # fault: look for one past the field the walk stopped at
         _first_syntax_fault(ex_docs)
         raise
+    # every distinct label in one scan, after interning; the label and its
+    # field are found only on the way to an error
+    labels = problem.atoms.labels
+    joined = "".join(labels)
+    if not joined.isascii() and _SURROGATE.search(joined):
+        code = next(code for code, label in enumerate(labels) if _SURROGATE.search(label))
+        raise ParseError(
+            f"{_first_field_with(problem, code)}: atom label {labels[code]!r} "
+            f"holds a lone surrogate, which is not text"
+        )
+    return problem
+
+
+def _first_field_with(p: Problem, code: int) -> str:
+    """The first field of `p` that holds the atom `code`, as `example i:
+    field 'f'`; every interned label comes from one."""
+    for i, ex in enumerate(p.extensions):
+        output = "output[{}]" if p.sketch is SketchKind.MAP else "output"
+        named = [("extra", ex.extra)]
+        named += [(f"inputs[{j}]", k) for j, k in enumerate(ex.inputs)]
+        named += [(output.format(j), k) for j, k in enumerate(ex.outputs)]
+        named += [("base", ex.base)] if ex.base is not None else []
+        for field, k in named:
+            if code in k.codes:
+                return f"example {i}: field {field!r}"
+    raise AssertionError(f"no field holds atom {code}")
 
 
 _EXAMPLE_KEYS = frozenset({"extra", "inputs", "output", "base"})

@@ -43,6 +43,25 @@ def test_the_oracle_cross_check_covers_every_problem_file():
     assert sorted((ROOT / "tests" / "data").glob("*.json"))
 
 
+def _job(name: str) -> str:
+    """The text of the workflow job `name`, up to the next job."""
+    jobs = re.split(r"^  (?=[\w-]+:$)", WORKFLOW.split("\njobs:\n", 1)[1], flags=re.MULTILINE)
+    (job,) = [j for j in jobs if j.startswith(f"{name}:\n")]
+    return job
+
+
+def test_a_job_runs_tier1_without_a_solver_and_bounds_the_skips():
+    # the solver-gated tests skip there and nothing else may: a test that
+    # needs no solver must not move behind the gate unseen
+    job = _job("tier1-no-solver")
+    assert "z3" not in job.replace("! command -v z3", "")
+    assert re.search(r"^\s*! command -v z3$", job, re.MULTILINE)
+    assert re.search(r"^\s*MAX_SKIPPED: 20$", job, re.MULTILINE)
+    assert 'if [ "$skipped" -gt "$MAX_SKIPPED" ]; then' in job
+    assert "python -m pytest -q --continue-on-collection-errors" in job
+    assert "z3-solver" in _job("tier1")
+
+
 def test_the_python_matrix_starts_at_the_supported_floor():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     (floor,) = re.findall(r'^requires-python = ">=([\d.]+)"$', pyproject, re.MULTILINE)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from parachk import ID, ListOf, load_problem, problem_to_json, shape_complete, solver
+from parachk import ID, ListOf, UnknownVerdict, load_problem, problem_to_json, shape_complete, solver
 from parachk.bench import corpus
 from parachk.cli import main
 from parachk.oracle import PART_REFUTED
@@ -157,6 +157,56 @@ def test_bad_problem_files_exit_three(capsys, tmp_path):
         for command in ("check", "emit-smt", "oracle"):
             assert main([command, str(path)]) == 3
             assert capsys.readouterr().err.startswith("error: ")
+
+
+def _surrogate_files(tmp_path, label):
+    """A raw problem named `bad{label}name`, and a fold set whose inputs,
+    outputs and witness intermediate hold the atom `label`, written by
+    `json.dumps`, which escapes a surrogate as `\\uXXXX`."""
+    x = {"atom": label}
+    raw = {
+        "name": f"bad{label}name",
+        "signature": {"element": "List(Id)", "result": "List(Id)"},
+        "sketch": "raw",
+        "examples": [{"inputs": [{"list": [{"atom": "a"}]}], "output": {"list": [{"atom": "a"}]}}],
+    }
+    fold = {
+        "name": "f",
+        "signature": {"element": "Id", "result": "List(Id)"},
+        "sketch": "foldr",
+        "examples": [
+            {"inputs": [{"atom": "y"}, x], "output": {"list": [{"atom": "y"}, x]}, "base": {"list": []}},
+            {"inputs": [x], "output": {"list": [x]}, "base": {"list": []}},
+        ],
+    }
+    paths = [tmp_path / "name.json", tmp_path / "atom.json"]
+    for path, doc in zip(paths, (raw, fold)):
+        path.write_text(json.dumps(doc), encoding="ascii")
+    return paths
+
+
+def test_a_lone_surrogate_is_an_input_error(capsys, tmp_path):
+    # JSON escapes a lone surrogate and `json.loads` keeps it, but no UTF-8
+    # output prints it: the name and atom labels are checked at load
+    name, fold = _surrogate_files(tmp_path, "\ud800")
+    for path, field in ((name, "problem: 'name'"), (fold, "example 0: field 'inputs[1]'")):
+        assert "\\ud800" in path.read_text()
+        for command in (["check"], ["oracle"], ["emit-smt"], ["check", "--witness"], ["oracle", "--witness"]):
+            assert main([*command, str(path)]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {field}") and "lone surrogate" in err
+            assert err.count("\n") == 1
+
+
+def test_an_escaped_surrogate_pair_loads(capsys, tmp_path, no_spawn):
+    name, fold = _surrogate_files(tmp_path, "\U0001F600")
+    assert "\\ud83d\\ude00" in fold.read_text()
+    assert load_problem(str(name)).name == "bad\U0001F600name"
+    assert "\U0001F600" in load_problem(str(fold)).atoms.labels
+    assert main(["check", "--witness", str(fold), "--solver", no_spawn.solver_command]) == 0
+    assert "\U0001F600" in capsys.readouterr().out
+    assert main(["oracle", str(name), "--solver", no_spawn.solver_command]) == 0
 
 
 def test_emit_smt_deterministic(capsys):
@@ -606,6 +656,21 @@ def test_oracle_unrealizable_exit_one(capsys, no_spawn):
     code = main(["oracle", f"{PROBLEMS}/drop_as_foldr.json", "--solver", no_spawn.solver_command])
     out = capsys.readouterr().out
     assert code == 1 and "Unrealizable" in out
+
+
+def test_a_base_witness_that_fails_replay_leaves_the_fold_unknown(capsys, monkeypatch, no_spawn):
+    # the base case is decided and replayed on its own; a base witness that
+    # fails replay while the steps are Realizable gives Unknown, exit 2.
+    # The base case is the one raw set replayed, with no base case itself
+    real = solver.validate_summary
+    monkeypatch.setattr(solver, "validate_summary", lambda cs, w: cs.base_case is not None and real(cs, w))
+    path = f"{PROBLEMS}/reverse_as_foldr.json"
+    report = solver.check(load_problem(path), no_spawn)
+    assert (report.verdict, report.path) == (UnknownVerdict("base-case-undecided"), "oracle")
+    for command in ("check", "oracle"):
+        assert main([command, path, "--format", "json", "--solver", no_spawn.solver_command]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"].startswith("Unknown") and "base-case-undecided" in payload["verdict"]
 
 
 def test_bench_only_single_row(capsys, no_spawn):

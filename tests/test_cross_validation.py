@@ -1,13 +1,17 @@
-"""Oracle versus SMT backend on random shape-complete instances. The
-acceptance suite runs the full 200-instance agreement check; this is the
-fast everyday version."""
+"""Oracle versus SMT backend on random instances, shape complete and
+shape incomplete. The acceptance suite runs the full 200-instance agreement
+check; this is the fast everyday version."""
 
 import glob
+import itertools
 import random
 
 from parachk import (
+    ID,
+    MaybeOf,
     Realizable,
     UnknownVerdict,
+    Unrealizable,
     check,
     load_problem,
     oracle_decide,
@@ -16,11 +20,31 @@ from parachk import (
     validate_summary,
 )
 from parachk import solver
-from parachk.oracle import StepBudget
+from parachk.oracle import PART_REFUTED, StepBudget
 from parachk.verdict import verdict_name
 
 import support
 from conftest import needs_solver
+
+
+def drawn_incomplete_folds(seed: int, count: int) -> list:
+    """The first `count` shape-incomplete sets among drawn folds with
+    examples dropped, odd draws mutated."""
+    rng = random.Random(seed)
+    found = []
+    for i in itertools.count():
+        p = support.random_foldr_problem(rng, realizable=i % 2 == 0)
+        p = support.dropped_examples(rng, p)
+        if not shape_complete(p).complete:
+            found.append(p)
+            if len(found) == count:
+                return found
+
+
+# Among them, the auto route refutes one set by a refuted guess-free part,
+# one by a forced clash and one, of result Maybe(Id), by refuting every
+# guess; a solver meets each only here
+INCOMPLETE_FOLDS = (39, 40)
 
 
 @needs_solver
@@ -36,6 +60,29 @@ def test_oracle_and_solver_agree_on_random_instances(cfg):
             f"{p.name}: oracle {verdict_name(oracle_verdict)} vs "
             f"solver {verdict_name(solver_verdict)}"
         )
+    # where the auto route and SMT both decide a shape-incomplete set, they
+    # agree
+    for p in drawn_incomplete_folds(*INCOMPLETE_FOLDS):
+        auto = check(p, cfg).verdict
+        smt = check(p, cfg, backend="smt").verdict
+        if not isinstance(auto, UnknownVerdict) and not isinstance(smt, UnknownVerdict):
+            assert support.same_variant(auto, smt), (
+                f"{p.name}: auto {verdict_name(auto)} vs smt {verdict_name(smt)}"
+            )
+
+
+def test_the_incomplete_folds_reach_every_in_process_refutation(no_spawn):
+    # the auto route decides them all without a solver, and the three
+    # refutations of a shape-incomplete set are among its answers
+    details = []
+    for p in drawn_incomplete_folds(*INCOMPLETE_FOLDS):
+        report = check(p, no_spawn)
+        assert not isinstance(report.verdict, UnknownVerdict), p.name
+        if isinstance(report.verdict, Unrealizable) and report.path == "oracle+completion":
+            details.append((report.verdict.detail, p.signature.result))
+    assert any(d.startswith(PART_REFUTED) for d, _ in details), details
+    assert any("has the shape" in d for d, _ in details), details
+    assert ("", MaybeOf(ID)) in details, details
 
 
 @needs_solver

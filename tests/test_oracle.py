@@ -33,19 +33,19 @@ from parachk import (
     oracle_check,
     oracle_decide,
     propagate,
+    shape_complete,
     shape_of,
     show_shape,
     validate_summary,
     verdict_name,
 )
 from parachk.problem import ProblemError
-from parachk.propagate import Known, PropagationUnrealizable
+from parachk.propagate import Known, PropagationUnrealizable, show_suffix
 from parachk.solver import ORACLE_MAX_STEPS, oracle_verdict
 from parachk.verdict import UnknownVerdict, WitnessSummary
 from parachk.oracle import (
     ShapeConflict,
     StepBudget,
-    Ungroundable,
     candidate_shapes,
     completions,
     forced_shapes,
@@ -59,6 +59,11 @@ import support
 
 def lst(*vs):
     return ListV(tuple(vs))
+
+
+def _ground(cs):
+    """`ground` with the completion that guesses nothing, `_pinned`."""
+    return ground(cs, oracle._pinned(cs))
 
 
 def tail_sig():
@@ -124,7 +129,7 @@ def test_tail_intermediates_resolved_by_suffix_chase():
     # every suffix is pinned, so grounding gets as far as the clash that
     # makes tail no fold: (*, []) maps to [] for [z] and to [*] for [x,y]
     with pytest.raises(ShapeConflict):
-        ground(cs)
+        _ground(cs)
 
 
 def test_tail_sc_is_unrealizable():
@@ -138,7 +143,7 @@ def test_raw_and_map_ground_without_unknowns():
         SketchKind.RAW,
         [(UnitV(), [lst(atom("a"), atom("b"))], lst(atom("b"), atom("a")))],
     )
-    gi = ground(propagate(p))
+    gi = _ground(propagate(p))
     assert gi.inter_keys == {}
     assert len(gi.constraints) == 1
 
@@ -154,7 +159,7 @@ def test_shape_conflict_detected_in_ground():
         ],
     )
     with pytest.raises(ShapeConflict):
-        ground(propagate(p))
+        _ground(propagate(p))
     assert isinstance(oracle_decide(propagate(p)), Unrealizable)
 
 
@@ -204,6 +209,9 @@ def test_reverse_witness_positions():
 
 
 def test_oracle_requires_shape_completeness():
+    # no example of the minimal tail set has the one-element suffix [C] as
+    # its whole input, so that suffix is unpinned, and `shape_complete`
+    # names it by its shapes
     p = build_problem(
         "tail-min",
         tail_sig(),
@@ -213,8 +221,10 @@ def test_oracle_requires_shape_completeness():
             (UnitV(), [atom("D"), atom("E")], lst(atom("E")), lst()),
         ],
     )
-    with pytest.raises(Ungroundable):
-        ground(propagate(p))
+    cs = propagate(p)
+    assert cs.unpinned
+    assert shape_complete(p).missing == tuple(show_suffix(cs.suffixes, s) for s in cs.unpinned)
+    assert shape_complete(p).missing == ("extra (), inputs [*]",)
 
 
 def _concat(width):
@@ -264,12 +274,12 @@ def _assert_only_the_budget_bounds(gi):
 
 def test_bound_exceeded():
     # one input shape of 18 positions, searched
-    _assert_only_the_budget_bounds(ground(propagate(_concat(9))))
+    _assert_only_the_budget_bounds(_ground(propagate(_concat(9))))
 
 
 def test_shape_bound_exceeded():
     # 14 searched input shapes
-    _assert_only_the_budget_bounds(ground(propagate(_cons(14))))
+    _assert_only_the_budget_bounds(_ground(propagate(_cons(14))))
 
 
 def test_scans_spend_no_steps():
@@ -280,8 +290,20 @@ def test_scans_spend_no_steps():
         "wide", raw_list_sig(), SketchKind.RAW, [(UnitV(), [r], r) for r in rows]
     )
     budget = StepBudget(0)
-    verdict = oracle_check(ground(propagate(p)), budget)
+    verdict = oracle_check(_ground(propagate(p)), budget)
     assert isinstance(verdict, Realizable) and budget.left == 0
+
+
+def test_unifying_joined_terms_records_nothing():
+    budget = StepBudget(10)
+    uf = oracle._Unifier(budget)
+    assert uf.unify(-1, -2) and uf.unify(-2, 5)
+    mark = uf.mark()
+    # -1 and -2 share a root: joining them again, either way round, holds
+    # and leaves the trail as it was
+    assert uf.unify(-2, -1) and uf.unify(-1, -1)
+    assert uf.mark() == mark and budget.left == 6
+    assert uf.lit[uf.find(-1)] == 5 and not uf.unify(-1, 6)
 
 
 def _swap_conflict():
@@ -314,7 +336,7 @@ def _reverse():
 
 @pytest.mark.parametrize("make", [_swap_conflict, _reverse])
 def test_step_budget(make):
-    gi = ground(propagate(make()))
+    gi = _ground(propagate(make()))
     exhaustive = oracle_check(gi)
     # the smallest budget the search fits in gives the exhaustive verdict
     # and is spent to the last step; every smaller one raises
@@ -430,13 +452,11 @@ def test_consistent_completions_are_those_ground_accepts():
         if not kept:
             continue
         cs = propagate(build_problem(p.name, p.signature, p.sketch, kept))
-        try:
-            ground(cs)
+        missing = cs.unpinned
+        if not missing:
             continue
-        except (Ungroundable, ShapeConflict) as e:
-            missing = getattr(e, "missing", None)
         shapes, _ = candidate_shapes(cs, oracle._pinned(cs))
-        if missing is None or len(shapes) ** len(missing) > 3000:
+        if len(shapes) ** len(missing) > 3000:
             continue
         _completions_past_candidates(cs, missing)
         compared += 1
@@ -451,19 +471,18 @@ def test_guesses_and_groundings_spend_the_budget(monkeypatch):
     # 8-element trace cost at least 58 * 8 steps
     monkeypatch.setattr(oracle, "oracle_check", lambda gi, budget=None: Unrealizable())
     cs = propagate(support.long_trace(8, ["x4"]))
-    with pytest.raises(Ungroundable) as err:
-        ground(cs)
+    assert len(cs.unpinned) == 7
     guessing = StepBudget(10**9)
     forcing = forced_shapes(cs, guessing)
     assert forcing.known == oracle._pinned(cs)  # no suffix is forced
     shapes, _ = candidate_shapes(cs, forcing.known)
-    assert len(list(completions(forcing, err.value.missing, shapes, guessing))) == 58
+    assert len(list(completions(forcing, cs.unpinned, shapes, guessing))) == 58
     budget = StepBudget(10**9)
     assert oracle_decide(cs, budget) == UnknownVerdict("completions-refuted")
     assert guessing.left - budget.left >= 58 * len(cs.constraints)
     # guessing alone spends steps too
     with pytest.raises(BoundExceeded):
-        list(completions(forcing, err.value.missing, shapes, StepBudget(100)))
+        list(completions(forcing, cs.unpinned, shapes, StepBudget(100)))
 
 
 def test_shape_forced_past_the_candidates_is_realizable():
@@ -662,7 +681,7 @@ def _assert_same_search(cs):
     """oracle_check gives the verdict and the witness of the plain search;
     returns whether the set got as far as a search."""
     try:
-        gi = ground(cs)
+        gi = _ground(cs)
     except ShapeConflict:
         return False
     verdict, plain = oracle_check(gi), _plain_backtracking(gi)
@@ -806,9 +825,9 @@ def _sampled_ground_instances(rng):
     shape-incomplete one, and every base case; and drawn raw sets. An
     instance whose grounding is a shape conflict is left out."""
 
-    def grounded(cs, *shapes):
+    def grounded(cs, shapes=None):
         try:
-            return [ground(cs, *shapes)]
+            return [_ground(cs) if shapes is None else ground(cs, shapes)]
         except ShapeConflict:
             return []
 

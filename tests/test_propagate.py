@@ -16,16 +16,13 @@ from parachk import (
     ListOf,
     ListV,
     PropagationUnrealizable,
-    ShapeConflict,
     Signature,
     SketchKind,
     UNIT,
     UnitV,
-    Ungroundable,
     atom,
     build_problem,
     flatten_shape,
-    ground,
     load_problem,
     propagate,
     propagate_foldr,
@@ -413,8 +410,9 @@ def _rebased_tower(rng, p, examples):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32), st.booleans())
 def test_shape_complete_iff_groundable(seed, rebase):
-    """`shape_complete` and the oracle's grounding apply one rule: a foldr
-    set is complete exactly when grounding finds every intermediate pinned."""
+    """`shape_complete` and the oracle's completions read one rule: the
+    suffixes `shape_complete` reports missing are those `cs.unpinned` holds,
+    in order, which the oracle guesses."""
     rng = random.Random(seed)
     p = support.random_foldr_problem(rng, realizable=rng.random() < 0.5)
     examples = [(e.extra, e.inputs, e.output, e.base) for e in p.examples]
@@ -424,16 +422,12 @@ def test_shape_complete_iff_groundable(seed, rebase):
     else:
         examples += tower
     q = build_problem(p.name, p.signature, p.sketch, examples)
-    # a set with an atom from nowhere is refuted before grounding; it is
-    # grounded with that rule off
+    # a set with an atom from nowhere is refuted in propagation; it is
+    # propagated with that rule off
     if support.atoms_from_nowhere(q):
         support.assert_refuted_from_nowhere(q)
-    try:
-        with support.nowhere_rule_off():
-            ground(propagate(q))
-        groundable = True
-    except ShapeConflict:
-        groundable = True
-    except Ungroundable:
-        groundable = False
-    assert shape_complete(q).complete == groundable
+    with support.nowhere_rule_off():
+        cs = propagate(q)
+    report = shape_complete(q)
+    assert report.missing == tuple(show_suffix(cs.suffixes, s) for s in cs.unpinned)
+    assert report.complete == (not cs.unpinned)

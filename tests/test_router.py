@@ -125,8 +125,9 @@ def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
         ],
     )
     assert shape_complete(p).complete
+    cs = propagate(p)
     with pytest.raises(oracle.ShapeConflict, match="a base clash"):
-        ground(propagate(p))
+        ground(cs, oracle._pinned(cs))
     report = check(p, no_spawn)
     assert report.path == "oracle" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
@@ -282,7 +283,7 @@ def groundings(monkeypatch) -> list:
     seen = []
     real_ground = oracle.ground
 
-    def counting_ground(cs, completion=None):
+    def counting_ground(cs, completion):
         if cs.base_case is not None:
             seen.append(completion)
         return real_ground(cs, completion)

@@ -1,6 +1,8 @@
 """Solver subprocess driver, model evaluation, witness validation, and the
 end-to-end check pipeline."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,14 @@ from parachk import (
     validate_witness,
 )
 from parachk.bench import corpus
-from parachk.solver import ModelFunctions, RawResult, WitnessError, extract_witness, oracle_verdict
+from parachk.solver import (
+    ModelError,
+    ModelFunctions,
+    RawResult,
+    WitnessError,
+    extract_witness,
+    oracle_verdict,
+)
 
 from conftest import needs_solver
 
@@ -82,6 +91,11 @@ def test_unspawnable_solver_is_a_solver_error(unspawnable):
     p = build_problem("swap", Signature(UNIT, ID, ID), SketchKind.RAW, [(UnitV(), [atom("a")], atom("b"))])
     with pytest.raises(SolverError, match="cannot spawn solver"):
         check(p, cfg, backend="smt")
+
+
+def test_run_solver_rejects_an_empty_command():
+    with pytest.raises(SolverError, match="empty solver command"):
+        run_solver(TRUE_SCRIPT, SolverConfig(solver_command=" "))
 
 
 def test_solver_config_rejects_nonpositive_timeout():
@@ -190,6 +204,76 @@ def test_indexed_call_matches_generic_eval(case):
     params, body = fns.funcs["f"]
     for q in queries:
         assert fns.call("f", list(q)) == int(fns._eval(body, dict(zip(params, q))))
+
+
+# (a body of `f`, the one parameter x, and its value at x = 2) for each
+# operator and literal the other model tests do not read
+_TERMS = {
+    "true": ("(ite true x 0)", 2),
+    "not": ("(ite (not (= x 0)) 1 0)", 1),
+    "distinct": ("(+ (ite (distinct x 1 3) 1 0) (ite (distinct x 1 2) 10 0))", 1),
+    "abs": ("(abs (- x 5))", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TERMS))
+def test_model_functions_evaluate_each_operator(case):
+    body, value = _TERMS[case]
+    fns = ModelFunctions.parse(f"((define-fun f ((x Int)) Int {body}))")
+    assert fns.call("f", [2]) == value
+
+
+# (a model text, and the message of the ModelError its parse raises)
+_UNPARSEABLE = {
+    "unexpected close": ("((define-fun f () Int 1)))", "unexpected ')'"),
+    "short define-fun": ("((define-fun f () Int))", "malformed define-fun"),
+    "repeated parameter": ("((define-fun f ((x Int) (x Int)) Int x))", "repeated parameter name"),
+}
+
+# (a body of `f`, whose one parameter is x, and the message of the
+# ModelError a call raises)
+_UNEVALUABLE = {
+    "unbound symbol": ("(+ x y)", "unbound symbol"),
+    "empty application": ("(+ x ())", "empty application"),
+    "compound head": ("((g x) 1)", "application of a compound term"),
+    "unknown operator": ("(bvadd x 1)", "cannot evaluate model term 'bvadd'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNPARSEABLE))
+def test_a_malformed_model_is_a_model_error(case):
+    text, message = _UNPARSEABLE[case]
+    with pytest.raises(ModelError, match=re.escape(message)):
+        ModelFunctions.parse(text)
+
+
+@pytest.mark.parametrize("case", sorted(_UNEVALUABLE))
+def test_an_unevaluable_term_is_a_model_error(case):
+    body, message = _UNEVALUABLE[case]
+    fns = ModelFunctions.parse(f"((define-fun f ((x Int)) Int {body}))")
+    with pytest.raises(ModelError, match=re.escape(message)):
+        fns.call("f", [2])
+
+
+def test_a_call_with_the_wrong_arity_is_a_model_error():
+    fns = ModelFunctions.parse("((define-fun f ((x Int)) Int x))")
+    with pytest.raises(ModelError, match="f expects 1 arguments, got 2"):
+        fns.call("f", [1, 2])
+
+
+def test_an_empty_model_and_other_entries_leave_every_function_zero():
+    # a model with no forms defines nothing, and an entry that is no
+    # define-fun is passed over
+    assert ModelFunctions.parse("").call("f", [1]) == 0
+    fns = ModelFunctions.parse("(model (declare-fun g () Int) k (define-fun f () Int 4))")
+    assert (fns.call("f", []), fns.call("g", [])) == (4, 0)
+
+
+def test_an_unreadable_intermediate_is_a_witness_error():
+    cs = propagate(_corpus_sc("reverse"))
+    with pytest.raises(WitnessError, match="intermediates unreadable: unbound symbol"):
+        extract_witness("((define-fun mid0_n0 () Int y))", cs)
+    assert validate_witness("((define-fun mid0_n0 () Int y))", cs) is False
 
 
 def _reverse_srcpos(n: int) -> str:
@@ -344,6 +428,21 @@ def test_replay_rejects_an_intermediate_of_another_functor_or_count():
     k = witness.intermediates[0]
     for wrong in (k._replace(functor=MaybeOf(ID)), k._replace(codes=k.codes * 2), k._replace(key=k.key * 2)):
         assert validate_summary(cs, witness._replace(intermediates={**witness.intermediates, 0: wrong})) is False
+
+
+def test_replay_rejects_a_witness_that_misses_an_intermediate():
+    # each intermediate of the reverse trace is read by one step and yielded
+    # by another; without it, the step that yields it has no output to
+    # compare, and once the yielding step is dropped too, the step that
+    # reads it has no input
+    cs = propagate(_corpus_sc("reverse"))
+    witness = oracle_verdict(cs).witness
+    assert validate_summary(cs, witness)
+    for uid in witness.intermediates:
+        kept = {k: v for k, v in witness.intermediates.items() if k != uid}
+        assert validate_summary(cs, witness._replace(intermediates=kept)) is False
+        readers = [c for c in cs.constraints if getattr(c.output, "uid", None) != uid]
+        assert validate_summary(cs._replace(constraints=tuple(readers)), witness._replace(intermediates=kept)) is False
 
 
 # ---------------------------------------------------------------------------
