@@ -6,9 +6,9 @@ disagreement. `bench` exits 0 iff every shape-complete
 verdict matches the expected fold column and every shape-incomplete
 verdict is the expected one or Unknown.
 
-`check` and `oracle` decide through `solver.decide` and print its
-`CheckReport` alike; the table line ends in the timings for `check` and
-in `(oracle)` for `oracle`.
+`check` and `oracle` decide through `solver.check`, `oracle` on its
+"oracle" backend, and print its `CheckReport` alike; the table line ends
+in the timings for `check` and in `(oracle)` for `oracle`.
 """
 
 from __future__ import annotations
@@ -23,16 +23,7 @@ from .encode import encode
 from .functors import ContainerError
 from .problem import Problem, ProblemError, load_problem
 from .propagate import PropagationUnrealizable, propagate, shape_complete
-from .solver import (
-    BACKENDS,
-    ORACLE_MAX_STEPS,
-    CheckReport,
-    SolverConfig,
-    SolverError,
-    check,
-    decide,
-    oracle_steps,
-)
+from .solver import ORACLE_MAX_STEPS, CheckReport, SolverConfig, SolverError, check
 from .verdict import (
     Realizable,
     UnknownVerdict,
@@ -91,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("path")
     p_check.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
+        # the "oracle" backend is spelt `parachk oracle`
+        "--backend", choices=("auto", "smt"), default="auto",
         help="auto (default): try the oracle first, with guessed shapes for unpinned "
         "fold intermediates; smt: always use the SMT solver",
     )
@@ -161,7 +153,7 @@ def cmd_emit_smt(args) -> int:
 
 def cmd_oracle(args, cfg: SolverConfig) -> int:
     problem = load_problem(args.path)
-    report = decide(problem, oracle_steps)
+    report = check(problem, cfg, backend="oracle")
     if isinstance(report.verdict, UnknownVerdict) and report.verdict.reason == "completions-refuted":
         print("every guessed completion is refuted; no example pins:", file=sys.stderr)
         for m in shape_complete(problem).missing:

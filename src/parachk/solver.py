@@ -1,11 +1,14 @@
 """Deciding a problem: the engine router, running the external SMT solver,
 and reading its results.
 
-`decide` is the one driver of `check` and `parachk oracle`: it propagates
-the examples first, and a conflict visible there is already the verdict.
-`check` sends every other set to the brute-force oracle's one entry
-point, `oracle.oracle_decide`, with a budget of ORACLE_MAX_STEPS steps and
-no script or process. A raw, map or shape-complete set has one completion,
+`check` is the one driver of every decision, on each of its backends. It
+propagates the examples first, and a conflict visible there is already the
+verdict. Then it decides a fold's base case, the raw set `e(extra) =
+base`, once, by the oracle's scans alone, with no budget: a refuted base
+case is the verdict, and nothing else runs. Then it decides the steps.
+Backend "auto" sends them to the brute-force oracle's one entry point,
+`oracle.oracle_decide`, with a budget of ORACLE_MAX_STEPS steps and no
+script or process. A raw, map or shape-complete set has one completion,
 the one that guesses nothing. Of a shape-incomplete set, the oracle first
 decides what every realization shares: the shapes the pinned ones force,
 and the guess-free part, the steps whose intermediates all have known
@@ -13,31 +16,28 @@ shapes. Then it searches once per guess of a small shape (lists of length
 0..4, both values of a bool, observed ints ±1) for every fold intermediate
 left. Raw and map sets are settled by scans alone, and so is any position
 that no intermediate ties; only positions tied through fold intermediates
-are searched. `oracle_verdict` is the one replay gate: an oracle witness
-counts only once it replays. Unrealizable needs no solver only where it
-holds for every shape: a failed scan or search of a shape-complete set, a
-conflict that involves no guessed shape (a forced clash among them), a
-refuted guess-free part, or every completion refuted when every result
-slot is bool. The SMT path decides everything else: a fold set that no
-rule and no completion settles, and a search that spends its budget or
-proposes a witness that fails replay. The budget is the oracle's one
-limit, so in the worst case a set reaches SMT only after ORACLE_MAX_STEPS
-steps of search.
-`backend="smt"` always takes the SMT path for the steps, so the oracle can
-be cross-checked against it; `parachk oracle` has `decide` run the same
-oracle steps (`oracle_steps`) without a budget or an SMT fallback. They
-end, since the guesses are finite, but their time can grow exponentially
-in the searched positions. Before the steps, `decide` decides a fold's
-base case, the raw set `e(extra) = base`, once, by the oracle's scans
-alone, with no budget: a refuted base case is the verdict, and nothing
-else runs.
+are searched. `oracle_verdict` is the one replay gate of an oracle
+witness: it counts only once it replays. Unrealizable needs no solver only
+where it holds for every shape: a failed scan or search of a
+shape-complete set, a conflict that involves no guessed shape (a forced
+clash among them), a refuted guess-free part, or every completion refuted
+when every result slot is bool. The SMT path decides everything else: a
+fold set that no rule and no completion settles, and a search that spends
+its budget or proposes a witness that fails replay. The budget is the
+oracle's one limit, so in the worst case a set reaches SMT only after
+ORACLE_MAX_STEPS steps of search.
+Backend "smt" always takes the SMT path for the steps, so the oracle can
+be cross-checked against it. Backend "oracle", which `parachk oracle`
+runs, takes the same oracle steps without a budget or an SMT fallback.
+They end, since the guesses are finite, but their time can grow
+exponentially in the searched positions.
 
 The solver runs as a one-shot subprocess fed SMT-LIB2 on standard input
 (`z3 -in` by default, overridable per call or through the PARACHK_SOLVER
 environment variable). A `sat` answer is never trusted raw: the model text
 is parsed, the morphism tables and intermediates are read off it, and every
-constraint is replayed concretely. Only a witness that survives this replay
-yields a Realizable verdict.
+constraint is replayed concretely (`interpret`). Only a witness that
+survives this replay yields a Realizable verdict.
 
 A model is read once. Each `define-fun` whose body starts with a chain of
 `(ite (and (= x!0 c0) (= x!1 c1) ...) v ...)` tests becomes a point table
@@ -468,23 +468,15 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
     return WitnessSummary(shape_table, position_table, intermediates)
 
 
-def replayed_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary | None:
-    """The model's witness if it survives concrete replay of every
-    constraint, else None. Unparseable or corrupt models are simply not
-    witnesses."""
-    try:
-        summary = extract_witness(model_text, cs)
-    except WitnessError:
-        return None
-    return summary if validate_summary(cs, summary) else None
-
-
 def validate_witness(model_text: str, cs: ConstraintSet) -> bool:
-    """True iff the model's witness survives concrete replay."""
-    return replayed_witness(model_text, cs) is not None
+    """True iff the model's witness survives concrete replay (`interpret`)."""
+    return isinstance(interpret(RawResult("sat", model_text, 0.0), cs), Realizable)
 
 
 def interpret(raw: RawResult, cs: ConstraintSet) -> Verdict:
+    """The verdict a solver's answer gives. A `sat` model is Realizable only
+    once its witness survives concrete replay of every constraint;
+    unparseable or corrupt models are simply not witnesses."""
     if raw.kind == "unsat":
         return Unrealizable()
     if raw.kind == "timeout":
@@ -493,8 +485,11 @@ def interpret(raw: RawResult, cs: ConstraintSet) -> Verdict:
         return UnknownVerdict("solver-unknown")
     if raw.kind == "error":
         raise SolverError(raw.detail)
-    summary = replayed_witness(raw.model_text, cs)
-    if summary is None:
+    try:
+        summary = extract_witness(raw.model_text, cs)
+    except WitnessError:
+        return UnknownVerdict("witness-validation-failed")
+    if not validate_summary(cs, summary):
         return UnknownVerdict("witness-validation-failed")
     return Realizable(summary)
 
@@ -511,22 +506,15 @@ def oracle_verdict(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdi
     return verdict
 
 
-def oracle_steps(cs: ConstraintSet, budget: StepBudget | None = None) -> tuple[Verdict, float, str]:
-    """The oracle's verdict on the steps of `cs` (`oracle_verdict`), no
-    solver time, and the path that decided: "oracle+completion" for a
-    shape-incomplete set, "oracle" for the rest."""
-    return oracle_verdict(cs, budget), 0.0, "oracle+completion" if cs.unpinned else "oracle"
-
-
 # ---------------------------------------------------------------------------
 # End-to-end check
 
 
 # Steps the oracle may spend on a routed set before `check` hands the set
-# to SMT, its one limit; `parachk oracle` runs the same steps without one.
+# to SMT, its one limit; backend "oracle" runs the same steps without one.
 ORACLE_MAX_STEPS = 20_000
 
-BACKENDS = ("auto", "smt")
+BACKENDS = ("auto", "smt", "oracle")
 
 
 class CheckReport(NamedTuple):
@@ -541,30 +529,20 @@ class CheckReport(NamedTuple):
     path: str = "smt"
 
 
-def base_case_verdict(cs: ConstraintSet) -> Verdict | None:
-    """The verdict on a fold's base case, None for a raw or map set.
-
-    The sketch's `e` is a container morphism from the extra functor to the
-    result functor, independent of the step function, and every constraint
-    on it is known: `cs.base_case`, a raw set. The oracle decides it on
-    every path, since no SMT script asserts it; a raw set is settled by
-    scans alone, so no budget applies. A refuted base case refutes the
-    fold, and its detail says so."""
-    if cs.base_case is None:
-        return None
-    base = oracle_verdict(cs.base_case)
-    if isinstance(base, Unrealizable):
-        detail = "no container morphism of the extra argument gives every base"
-        return Unrealizable(f"{detail}: {base.detail}" if base.detail else detail)
-    return base
-
-
-def decide(problem: Problem, decide_steps) -> CheckReport:
-    """Propagate, then decide a fold's base case (`base_case_verdict`) once,
-    then its steps: `decide_steps(cs)` gives their verdict, the solver time
-    and the path. A propagation conflict (path "fast-path") or a refuted
-    base case (path "oracle") is the verdict; a base witness that fails
-    replay turns Realizable steps into Unknown."""
+def check(
+    problem: Problem,
+    cfg: SolverConfig | None = None,
+    backend: str = "auto",
+) -> CheckReport:
+    """Decide `problem`: propagate, then decide a fold's base case once,
+    then its steps (`_steps`). A propagation conflict (path "fast-path") or
+    a refuted base case (path "oracle") is the verdict; a base witness that
+    fails replay turns Realizable steps into Unknown. The base case,
+    `cs.base_case`, constrains only the sketch's `e`, a container morphism
+    from the extra functor to the result functor; no SMT script asserts it,
+    so the oracle decides it on every backend, by scans alone."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
     start = time.perf_counter()
     solver_ms, path = 0.0, "oracle"
     try:
@@ -572,37 +550,33 @@ def decide(problem: Problem, decide_steps) -> CheckReport:
     except PropagationUnrealizable as e:
         verdict, path = Unrealizable(e.reason), "fast-path"
     else:
-        base = verdict = base_case_verdict(cs)
-        if not isinstance(base, Unrealizable):
-            verdict, solver_ms, path = decide_steps(cs)
+        base = verdict = None if cs.base_case is None else oracle_verdict(cs.base_case)
+        if isinstance(base, Unrealizable):
+            detail = "no container morphism of the extra argument gives every base"
+            verdict = Unrealizable(f"{detail}: {base.detail}" if base.detail else detail)
+        else:
+            verdict, solver_ms, path = _steps(cs, cfg, backend)
             if isinstance(base, UnknownVerdict) and isinstance(verdict, Realizable):
                 verdict = UnknownVerdict("base-case-undecided")
     return CheckReport(verdict, (time.perf_counter() - start) * 1000.0, solver_ms, path)
 
 
-def check(
-    problem: Problem,
-    cfg: SolverConfig | None = None,
-    backend: str = "auto",
-) -> CheckReport:
-    """Decide `problem` (`decide`). With backend "auto", the oracle decides
-    the steps of every set it can within ORACLE_MAX_STEPS steps
-    (`oracle_verdict`), and SMT (encode, solve, shrink, extract, replay)
-    decides whatever is left. Backend "smt" always takes the SMT path."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
-    return decide(problem, lambda cs: _decide(cs, cfg, backend))
-
-
-def _decide(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[Verdict, float, str]:
-    """The verdict on the steps of `cs`, the solver time and the path."""
-    if backend == "auto":
+def _steps(cs: ConstraintSet, cfg: SolverConfig | None, backend: str) -> tuple[Verdict, float, str]:
+    """The verdict on the steps of `cs`, the solver time and the path. The
+    oracle (`oracle_verdict`) decides them first, within ORACLE_MAX_STEPS
+    steps on "auto" and with no budget on "oracle": "oracle+completion"
+    for a shape-incomplete set, "oracle" for the rest. Backend "oracle"
+    stops there; "auto" hands SMT what the oracle leaves open, and "smt"
+    hands it everything: encode, solve, shrink, extract and replay."""
+    if backend != "smt":
+        budget = StepBudget(ORACLE_MAX_STEPS) if backend == "auto" else None
         try:
-            answer = oracle_steps(cs, StepBudget(ORACLE_MAX_STEPS))
-            if isinstance(answer[0], (Realizable, Unrealizable)):
-                return answer
+            verdict = oracle_verdict(cs, budget)
         except BoundExceeded:
             pass  # the search spent the budget
+        else:
+            if backend == "oracle" or not isinstance(verdict, UnknownVerdict):
+                return verdict, 0.0, "oracle+completion" if cs.unpinned else "oracle"
     cfg = cfg or SolverConfig()
     path = "smt"
     script = encode(cs)

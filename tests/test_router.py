@@ -7,6 +7,7 @@ process ran, and a SolverError proves the SMT path was taken."""
 
 import glob
 import itertools
+import json
 import os
 import random
 
@@ -28,6 +29,7 @@ from parachk import (
     SolverError,
     UNIT,
     UnitV,
+    UnknownVerdict,
     Unrealizable,
     atom,
     build_problem,
@@ -43,6 +45,7 @@ from parachk import (
     verdict_name,
 )
 from parachk import oracle, solver
+from parachk.cli import main
 from parachk.functors import IdS
 
 import support
@@ -392,7 +395,7 @@ def test_clash_through_a_base_is_unrealizable_without_a_solver(no_spawn, groundi
         ],
     )
     assert shape_complete(p).missing == ("extra *, inputs [*, *, *]",)
-    assert isinstance(solver.base_case_verdict(propagate(p)), Realizable)
+    assert isinstance(solver.oracle_verdict(propagate(p).base_case), Realizable)
     report = check(p, no_spawn)
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
@@ -591,9 +594,43 @@ def test_smt_backend_skips_the_oracle(no_spawn):
     assert_spawns(load_problem(f"{PROBLEMS}/atom_swap_raw.json"), no_spawn, backend="smt")
 
 
+def test_oracle_backend_is_what_parachk_oracle_prints(capsys, tmp_path, no_spawn):
+    # every corpus set and problem file, decided in-process on the backend
+    # that `parachk oracle` runs, with the report the command prints
+    for path in support.answer_paths(tmp_path):
+        problem = load_problem(path)
+        report = check(problem, no_spawn, backend="oracle")
+        assert report.solver_ms == 0.0
+        main(["oracle", path, "--format", "json", "--solver", no_spawn.solver_command])
+        printed = json.loads(capsys.readouterr().out)
+        assert printed.pop("name") == problem.name
+        assert printed.pop("total_ms") >= 0.0
+        assert printed == {
+            "verdict": verdict_name(report.verdict),
+            "solver_ms": 0.0,
+            "path": report.path,
+            **({"detail": report.verdict.detail} if isinstance(report.verdict, Unrealizable) else {}),
+        }
+
+
+def test_oracle_backend_has_no_budget(no_spawn):
+    # the open-keys set spends the budget under auto; with none, a guess
+    # realizes it
+    p = support.long_trace(8, ["x4"])
+    assert_spawns(p, no_spawn)
+    report = check(p, no_spawn, backend="oracle")
+    assert isinstance(report.verdict, Realizable) and report.path == "oracle+completion"
+
+
+def test_oracle_backend_leaves_refuted_completions_unknown(no_spawn):
+    report = check(support.reverse_gap(), no_spawn, backend="oracle")
+    assert report.verdict == UnknownVerdict("completions-refuted")
+    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+
+
 def test_unknown_backend_is_rejected():
     with pytest.raises(ValueError):
-        check(load_problem(f"{PROBLEMS}/atom_swap_raw.json"), backend="oracle")
+        check(load_problem(f"{PROBLEMS}/atom_swap_raw.json"), backend="z3")
 
 
 # A model of the steps of problems/invented_base.json: each step conses its
@@ -616,7 +653,7 @@ def _answering(tmp_path, answer: str) -> SolverConfig:
 def test_invented_base_is_unrealizable_on_both_backends(tmp_path, backend):
     p = load_problem(f"{PROBLEMS}/invented_base.json")
     cfg = _answering(tmp_path, CONS_MODEL)
-    steps, _, _ = solver._decide(propagate(p), cfg, backend)
+    steps, _, _ = solver._steps(propagate(p), cfg, backend)
     assert isinstance(steps, Realizable)
     report = check(p, cfg, backend=backend)
     assert isinstance(report.verdict, Unrealizable) and report.path == "oracle"
@@ -633,19 +670,23 @@ def test_invented_base_is_unrealizable_on_both_backends(tmp_path, backend):
         ("reverse-gap", "auto", "unsat", "smt"),
         ("reverse_as_foldr.json", "smt", "sat\n(\n)", "smt+shrink"),
         ("reverse_as_foldr.json", "smt", "unsat", "smt"),
+        ("reverse_as_foldr.json", "oracle", None, "oracle"),
+        ("reverse-gap", "oracle", None, "oracle+completion"),
     ],
 )
 def test_base_case_is_decided_once_per_fold(tmp_path, no_spawn, monkeypatch, name, backend, answer, path):
-    calls = []
-    real = solver.base_case_verdict
-
-    def counting(cs):
-        calls.append(cs)
-        return real(cs)
-
-    monkeypatch.setattr(solver, "base_case_verdict", counting)
-    cfg = no_spawn if answer is None else _answering(tmp_path, answer)
     problem = support.reverse_gap() if name == "reverse-gap" else load_problem(f"{PROBLEMS}/{name}")
+    base_case = propagate(problem).base_case
+    calls = []
+    real = solver.oracle_verdict
+
+    def counting(cs, budget=None):
+        if cs == base_case:
+            calls.append(cs)
+        return real(cs, budget)
+
+    monkeypatch.setattr(solver, "oracle_verdict", counting)
+    cfg = no_spawn if answer is None else _answering(tmp_path, answer)
     report = check(problem, cfg, backend=backend)
     assert report.path == path and len(calls) == 1
 
@@ -676,7 +717,7 @@ def test_wide_base_case_is_realizable(tmp_path, lengths, backend):
     # scans settle a base case of any width, and this one is the identity
     p = _wide_bases(lengths)
     cfg = _answering(tmp_path, "sat\n(\n)")
-    steps, _, path = solver._decide(propagate(p), cfg, backend)
+    steps, _, path = solver._steps(propagate(p), cfg, backend)
     assert isinstance(steps, Realizable)
     report = check(p, cfg, backend=backend)
     assert isinstance(report.verdict, Realizable) and report.path == path
