@@ -693,13 +693,23 @@ def shape_from_key(f: FunctorExpr, key: tuple[int, ...]) -> ShapeValue:
     """The shape of f whose `shape_key` is `key`, nested functors included:
     the one decoder of keys and slot vectors, for a shape a person reads.
     Raises ShapeMismatch where `key` is the key of no shape of f."""
+    return shapes_from_key((f,), key)[0]
+
+
+def shapes_from_key(fs: tuple[FunctorExpr, ...], key: tuple[int, ...]) -> tuple[ShapeValue, ...]:
+    """The shapes of the functors fs whose keys, end to end, are `key`: a
+    constraint's input key decoded part by part (`shape_from_key`)."""
+    shapes, end = [], 0
     try:
-        shape, end = _shape_at(f, key, 0)
+        for f in fs:
+            shape, end = _shape_at(f, key, end)
+            shapes.append(shape)
     except (IndexError, ShapeMismatch):
         end = -1
     if end != len(key):
-        raise ShapeMismatch(f"{list(key)} is not the key of a shape of {f}")
-    return shape
+        parts = " and ".join(map(str, fs))
+        raise ShapeMismatch(f"{list(key)} is not the key of a shape of {parts}")
+    return tuple(shapes)
 
 
 def _shape_at(f: FunctorExpr, key: tuple[int, ...], i: int) -> tuple[ShapeValue, int]:

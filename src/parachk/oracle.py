@@ -67,7 +67,7 @@ from collections.abc import Iterator, Mapping
 from itertools import product
 from typing import NamedTuple
 
-from .functors import schema_of, shape_from_key, show_shape
+from .functors import schema_of, shape_from_key, shapes_from_key, show_shape
 from .propagate import ConstraintSet, Known, read_inputs, show_suffix
 from .verdict import Realizable, UnknownVerdict, Unrealizable, Verdict, WitnessSummary
 
@@ -113,6 +113,13 @@ class GroundInstance(NamedTuple):
 def _show(cs: ConstraintSet, key: tuple[int, ...]) -> str:
     """A key of the result functor of `cs`, shown as its shape."""
     return show_shape(shape_from_key(cs.output_functor, key))
+
+
+def _show_input(cs: ConstraintSet, key: tuple[int, ...]) -> str:
+    """A grounding key of `cs`, shown as the shape of each input part: one
+    part alone, several as a tuple."""
+    shown = [show_shape(s) for s in shapes_from_key(cs.input_parts, key)]
+    return shown[0] if len(shown) == 1 else "(" + ", ".join(shown) + ")"
 
 
 def _pinned(cs: ConstraintSet) -> dict[int, tuple[int, ...]]:
@@ -192,7 +199,8 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundIn
         elif forced != out_key:
             # a key reads back to its shape, so the shapes differ
             raise ShapeConflict(
-                f"input shape {key} maps to both {_show(cs, forced)} and {_show(cs, out_key)}"
+                f"input shape {_show_input(cs, key)} maps to both "
+                f"{_show(cs, forced)} and {_show(cs, out_key)}"
             )
         grounded.append(GroundConstraint(key, in_terms, out_terms))
 
@@ -270,10 +278,10 @@ def _index(terms: tuple[int, ...]) -> tuple[dict[int, list[int]], frozenset[int]
     return at, frozenset(symbolic)
 
 
-def _nowhere(key: tuple[int, ...], q: int) -> str:
+def _nowhere(cs: ConstraintSet, key: tuple[int, ...], q: int) -> str:
     return (
-        f"no input position gives output position {q} of input shape {key} "
-        f"in every constraint"
+        f"no input position gives output position {q} of input shape "
+        f"{_show_input(cs, key)} in every constraint"
     )
 
 
@@ -369,7 +377,7 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
         by_key.setdefault(c.key, []).append(c)
     settled, variables, nowhere = _positions(by_key)
     if nowhere is not None:
-        return Unrealizable(_nowhere(*nowhere))
+        return Unrealizable(_nowhere(gi.cs, *nowhere))
 
     uf = _Unifier(budget or StepBudget(float("inf")))
     unify = uf.unify
@@ -558,6 +566,7 @@ def completions(state: Forcing, missing: list, shapes: list, budget: StepBudget)
 
 
 PART_REFUTED = "the steps whose intermediates have known shapes are already unrealizable"
+COMPLETIONS_REFUTED = "every completion of the unpinned suffixes is refuted"
 
 
 def _charged_ground(
@@ -591,7 +600,8 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
     found, for the caller to replay. Every completion refuted is
     Unknown("completions-refuted"), where SMT must decide, unless the
     candidates cover every shape, as the guesses for an all-bool result
-    do. Spending the budget raises BoundExceeded; without one the decision
+    do: then it is Unrealizable, and its detail names the guessed suffixes,
+    not one completion's conflict. Spending the budget raises BoundExceeded; without one the decision
     still ends, since the guesses are finite, but its time can grow
     exponentially.
     """
@@ -610,12 +620,18 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
                 detail = verdict.detail
                 return Unrealizable(f"{PART_REFUTED}: {detail}" if detail else PART_REFUTED)
         shapes, covered = candidate_shapes(cs, forcing.known)
-        detail = "every completion has a shape conflict"
+        grounded = False
         for completion in completions(forcing, missing, shapes, budget):
             verdict = oracle_check(_charged_ground(cs, completion, budget), budget)
             if isinstance(verdict, Realizable):
                 return verdict
-            detail = verdict.detail
+            grounded = True
     except ShapeConflict as e:
         return Unrealizable(str(e))
-    return Unrealizable(detail) if covered else UnknownVerdict("completions-refuted")
+    if not covered:
+        return UnknownVerdict("completions-refuted")
+    if not grounded:
+        return Unrealizable("every completion has a shape conflict")
+    # each completion's own conflict rests on its guesses, so none is the cause
+    guessed = "; ".join(show_suffix(cs.suffixes, s) for s in missing)
+    return Unrealizable(f"{COMPLETIONS_REFUTED}: {guessed}")

@@ -17,7 +17,7 @@ PROBLEMS = "problems"
 # the timings of a table line, the one part of `check`'s output that varies
 _TIMINGS = re.compile(r"\(\d+\.\d ms total, \d+\.\d ms solver\)")
 
-ANSWERS_SHA256 = "89b7b804305a707251a7c6477d5e5a6361aff5864f4925add518a1fc5c07e2b1"
+ANSWERS_SHA256 = "fe4f8c960b9eafa9683c737bff86e84f1c9a245d6707434823cd65305eb27831"
 
 
 def _answers(capsys, path: str, solver: str) -> list[str]:

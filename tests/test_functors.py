@@ -59,6 +59,7 @@ from parachk.functors import (
     Value,
     shape_from_key,
     shape_key,
+    shapes_from_key,
 )
 from parachk.encode import mid_terms, refinements
 from parachk.problem import IOExample, parse_functor
@@ -614,3 +615,15 @@ def test_shape_from_key_rejects_the_key_of_no_shape(f, key):
     with pytest.raises(ShapeMismatch):
         shape_from_key(f, key)
 
+
+
+@given(typed_values, typed_values)
+@settings(max_examples=100)
+def test_shapes_from_key_reads_back_keys_end_to_end(fv, gw):
+    # a constraint's input key is its parts' keys end to end
+    (f, v), (g, w) = fv, gw
+    shapes = (shape_of(f, v), shape_of(g, w))
+    key = shape_key(f, shapes[0]) + shape_key(g, shapes[1])
+    assert shapes_from_key((f, g), key) == shapes
+    with pytest.raises(ShapeMismatch):
+        shapes_from_key((f, g), key + (0,))

@@ -19,9 +19,15 @@ from parachk import (
     Atom,
     Extension,
     ID,
+    INT,
+    IntV,
+    JustV,
     ListOf,
     ListV,
     MaybeOf,
+    NothingV,
+    PairV,
+    ProdOf,
     Realizable,
     Signature,
     SketchKind,
@@ -136,7 +142,7 @@ def test_suffix_with_another_base_shape_pins_nothing(no_spawn):
     assert isinstance(report.verdict, Unrealizable)
     assert report.verdict.detail == (
         "no container morphism of the extra argument gives every base: "
-        "input shape () maps to both [*] and [*,*]"
+        "input shape * maps to both [*] and [*,*]"
     )
 
 
@@ -224,6 +230,108 @@ def test_incomplete_set_with_bool_slots_only_is_refuted_without_a_solver(no_spaw
     report = check(problem, no_spawn)
     assert report.path == "oracle+completion" and report.solver_ms == 0.0
     assert isinstance(report.verdict, Unrealizable)
+
+
+def _maybe_fold(name, signature, rows):
+    """A fold to Maybe(Id) with the base Nothing: each row the extra value,
+    the inputs and the output, "" for Nothing and an atom label for Just
+    it."""
+    def out(label):
+        return JustV(atom(label)) if label else NothingV()
+
+    return build_problem(
+        name, signature, SketchKind.FOLDR, [(h, xs, out(o), NothingV()) for h, xs, o in rows]
+    )
+
+
+def _pairs(text):
+    return [PairV(atom(a), atom(b)) for a, b in text.split()]
+
+
+# draws of the loop of `support.drawn_incomplete_sets`: seed 21 draws 627
+# and 1903, and seed 105 draw 1463
+DRAW_627 = _maybe_fold(
+    "draw-627",
+    Signature(ListOf(ID), ProdOf(ID, ID), MaybeOf(ID)),
+    [
+        (ListV(()), [], ""),
+        (ListV(()), _pairs("ab cc"), ""),
+        (ListV(()), _pairs("ad fd be"), "b"),
+        (ListV(()), _pairs("fe ec bc bd"), ""),
+    ],
+)
+DRAW_1903 = _maybe_fold(
+    "draw-1903",
+    Signature(INT, ID, MaybeOf(ID)),
+    [(IntV(0), [], ""), (IntV(0), list(map(atom, "ece")), "e"), (IntV(0), list(map(atom, "abbc")), "b")],
+)
+DRAW_1463 = _maybe_fold(
+    "draw-1463",
+    Signature(UNIT, ListOf(ID), MaybeOf(ID)),
+    [
+        (UnitV(), [], ""),
+        (UnitV(), [ListV(tuple(map(atom, x))) for x in ("ec", "b", "")], "c"),
+        (UnitV(), [ListV(tuple(map(atom, x))) for x in ("", "df", "f", "")], "d"),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "problem, detail",
+    [
+        (ENTRIES["tail"].problem_sc, "input shape ((), *, []) maps to both [] and [*]"),
+        (ENTRIES["index"].problem_sc, "input shape (1, *, N) maps to both N and J*"),
+        (
+            load_problem(f"{PROBLEMS}/atom_swap_raw.json"),
+            "no input position gives output position 0 of input shape * in every constraint",
+        ),
+        # its one unpinned suffix is forced, so the set is decided whole
+        (
+            DRAW_627,
+            "no input position gives output position 0 of input shape ([], (*,*), N) "
+            "in every constraint",
+        ),
+    ],
+    ids=["tail-sc", "index-sc", "atom-swap", "draw-627"],
+)
+def test_conflicts_show_each_input_part_shape(no_spawn, problem, detail):
+    report = check(problem, no_spawn)
+    assert isinstance(report.verdict, Unrealizable) and report.verdict.detail == detail
+
+
+def _both_guesses_clash():
+    # [[],[d]] is unpinned. Folding [c] onto it has the input shape
+    # ((), [*], N) or ((), [*], J*); [[a]] and [[b],[a]] map both to J*,
+    # but [[c],[],[d]] gives N
+    empty, a, b, c, d = (ListV(tuple(map(atom, x))) for x in ("", "a", "b", "c", "d"))
+    return _maybe_fold(
+        "both-guesses-clash",
+        Signature(UNIT, ListOf(ID), MaybeOf(ID)),
+        [(UnitV(), [empty], ""), (UnitV(), [a], "a"), (UnitV(), [b, a], "b"), (UnitV(), [c, empty, d], "")],
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, detail",
+    [
+        (ENTRIES["index"].problem_si, f"{oracle.COMPLETIONS_REFUTED}: extra 1, inputs [*]"),
+        (DRAW_1903, f"{oracle.COMPLETIONS_REFUTED}: extra 0, inputs [*]; extra 0, inputs [*, *]"),
+        (
+            DRAW_1463,
+            f"{oracle.COMPLETIONS_REFUTED}: extra (), inputs [[]]; extra (), inputs [[*], []]",
+        ),
+        (_both_guesses_clash(), "every completion has a shape conflict"),
+    ],
+    ids=["index-si", "draw-1903", "draw-1463", "both-guesses-clash"],
+)
+def test_covered_refutation_names_the_guessed_suffixes(no_spawn, problem, detail):
+    # the candidates cover every shape, and every completion is refuted:
+    # the cause is the set of guesses, never one completion's conflict.
+    # The last completion of draw 1463 fails a scan at a guessed
+    # accumulator shape, and of index/si and draw 1903 an exhaustive search
+    report = check(problem, no_spawn)
+    assert report.path == "oracle+completion" and report.solver_ms == 0.0
+    assert isinstance(report.verdict, Unrealizable) and report.verdict.detail == detail
 
 
 # the forced clash of init/si, and the one step of the others that no guess
