@@ -15,6 +15,8 @@ import contextlib
 import glob
 import importlib
 import random
+import sys
+from collections import Counter
 
 from parachk import (
     Atom,
@@ -39,13 +41,17 @@ from parachk import (
     Problem,
     PropagationUnrealizable,
     Signature,
+    CheckReport,
     SketchKind,
+    SolverConfig,
+    SolverError,
     UNIT,
     UnitV,
     Unrealizable,
     Value,
     atom,
     build_problem,
+    check,
     flatten_shape,
     from_extension,
     ground,
@@ -56,6 +62,7 @@ from parachk import (
     shape_of,
     to_extension,
     relabel_problem,
+    verdict_name,
 )
 from parachk import oracle
 from parachk.bench import corpus
@@ -198,6 +205,50 @@ def drawn_incomplete_sets(seed: int, draws: int) -> list:
         if cs.unpinned:
             found.append(cs)
     return found
+
+
+# The drawn-fold probe: (seed, draws, tallest tower), None for the towers
+# of 1 to 4 inputs that `random_foldr_problem` draws
+PROBE = ((3, 1500, None), (9, 400, 8), (21, 400, 6))
+
+
+class _TallTowers(random.Random):
+    """A Random whose randint(1, 4), the tower height that
+    `random_foldr_problem` draws, draws from 5 to `tallest` instead."""
+
+    tallest = 4
+
+    def randint(self, a, b):
+        return super().randint(5, self.tallest) if (a, b) == (1, 4) else super().randint(a, b)
+
+
+def probe_draws():
+    """(seed, draw, problem) for every draw of the probe: draw i is
+    `random_foldr_problem(rng, realizable=i % 2 == 0)`, with examples
+    dropped when `rng.random() < 0.4`."""
+    for seed, draws, tallest in PROBE:
+        rng = random.Random(seed)
+        if tallest is not None:
+            # set, not passed: Python 3.10's Random takes one argument
+            rng = _TallTowers(seed)
+            rng.tallest = tallest
+        for i in range(draws):
+            p = random_foldr_problem(rng, realizable=i % 2 == 0)
+            if rng.random() < 0.4:
+                p = dropped_examples(rng, p)
+            yield seed, i, p
+
+
+def probe(cfg: SolverConfig) -> list[tuple[int, int, CheckReport | None]]:
+    """(seed, draw, report) for every probe draw, checked with `cfg`, whose
+    solver must fail when spawned: report None for a draw handed to SMT."""
+    results = []
+    for seed, i, p in probe_draws():
+        try:
+            results.append((seed, i, check(p, cfg)))
+        except SolverError:
+            results.append((seed, i, None))
+    return results
 
 
 def ground_every_completion(cs) -> int:
@@ -504,3 +555,26 @@ def duplicate_relabeled_example(rng: random.Random, p: Problem) -> Problem:
     # the original extra and base when extras collide after relabeling
     exs.append((p.examples[i].extra, dup.inputs, dup.output, p.examples[i].base))
     return build_problem(p.name + "-dup", p.signature, p.sketch, exs)
+
+
+def _print_probe() -> None:
+    """Print the probe's count per path and verdict, and the draws that
+    reach SMT, with a solver command that cannot be spawned."""
+    results = probe(SolverConfig(solver_command="/nonexistent/parachk-probe-solver"))
+    decided = Counter((r.path, verdict_name(r.verdict)) for _, _, r in results if r is not None)
+    verdicts = ("Realizable", "Unrealizable", "Unknown")
+    print(f"{'path':<18}" + "".join(f"{v:>14}" for v in verdicts))
+    for path in sorted({path for path, _ in decided}):
+        print(f"{path:<18}" + "".join(f"{decided[path, v]:>14,}" for v in verdicts))
+    handed = [(seed, i) for seed, i, r in results if r is None]
+    print(f"reach SMT: {len(handed)}")
+    for seed, _, _ in PROBE:
+        draws = [i for s, i in handed if s == seed]
+        if draws:
+            print(f"  seed {seed}: draws " + ", ".join(map(str, draws)))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["probe"]:
+        sys.exit("usage: python tests/support.py probe")
+    _print_probe()

@@ -62,6 +62,14 @@ def test_a_job_runs_tier1_without_a_solver_and_bounds_the_skips():
     assert "z3-solver" in _job("tier1")
 
 
+def test_the_job_without_a_solver_prints_the_drawn_fold_probe():
+    # after the tests, for information: no threshold, as the import-time step
+    job = _job("tier1-no-solver")
+    steps = re.findall(r"^      - name: (.*)$", job, re.MULTILINE)
+    assert steps.index("Drawn-fold probe") > steps.index("Tier-1 tests")
+    assert re.search(r"^        run: PYTHONPATH=src python tests/support\.py probe$", job, re.MULTILINE)
+
+
 def test_the_python_matrix_starts_at_the_supported_floor():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     (floor,) = re.findall(r'^requires-python = ">=([\d.]+)"$', pyproject, re.MULTILINE)

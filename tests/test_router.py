@@ -597,6 +597,19 @@ def test_guess_free_rules_never_refute_a_realizable_draw():
         assert not isinstance(_auto_verdict(p), Unrealizable), p.name
 
 
+def test_drawn_fold_probe(no_spawn):
+    # the probe of `support.PROBE` (`python tests/support.py probe` prints
+    # its table): every draw is decided in-process or handed to SMT, no
+    # draw realizable by construction is refuted, and at most 19 reach
+    # SMT. A change that hands over fewer lowers the bound
+    results = support.probe(no_spawn)
+    assert len(results) == sum(draws for _, draws, _ in support.PROBE) == 2_300
+    decided = [(i, r.verdict) for _, i, r in results if r is not None]
+    assert not any(isinstance(v, UnknownVerdict) for _, v in decided)
+    assert not [i for i, v in decided if i % 2 == 0 and isinstance(v, Unrealizable)]
+    assert len(results) - len(decided) <= 19
+
+
 def _wide_witness(cs) -> bool | None:
     """Whether some completion of the pinned shapes, with list lengths
     0..8, is realizable: every candidate completion grounded and searched
