@@ -600,10 +600,10 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
     found, for the caller to replay. Every completion refuted is
     Unknown("completions-refuted"), where SMT must decide, unless the
     candidates cover every shape, as the guesses for an all-bool result
-    do: then it is Unrealizable, and its detail names the guessed suffixes,
-    not one completion's conflict. Spending the budget raises BoundExceeded; without one the decision
-    still ends, since the guesses are finite, but its time can grow
-    exponentially.
+    do: then it is Unrealizable, and its detail names the guessed
+    suffixes, not one completion's conflict. Spending the budget raises
+    BoundExceeded; without one the decision still ends, since the guesses
+    are finite, but its time can grow exponentially.
     """
     budget = budget or StepBudget(float("inf"))
     try:

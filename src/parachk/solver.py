@@ -550,7 +550,7 @@ def check(
     except PropagationUnrealizable as e:
         verdict, path = Unrealizable(e.reason), "fast-path"
     else:
-        base = verdict = None if cs.base_case is None else oracle_verdict(cs.base_case)
+        base = None if cs.base_case is None else oracle_verdict(cs.base_case)
         if isinstance(base, Unrealizable):
             detail = "no container morphism of the extra argument gives every base"
             verdict = Unrealizable(f"{detail}: {base.detail}" if base.detail else detail)
