@@ -188,16 +188,22 @@ def dropped_examples(rng: random.Random, p: Problem) -> Problem:
     return build_problem(p.name, p.signature, p.sketch, kept)
 
 
-def drawn_incomplete_sets(seed: int, draws: int) -> list:
-    """The shape-incomplete constraint sets among `draws` drawn folds at
-    `seed`: odd draws mutated, about 40% with examples dropped, and those
-    refuted in propagation left out."""
-    rng = random.Random(seed)
-    found = []
+def drawn_folds(rng: random.Random, draws: int):
+    """(i, draw i) for `draws` drawn folds: draw i is
+    `random_foldr_problem(rng, realizable=i % 2 == 0)`, so odd draws are
+    mutated, with examples dropped when `rng.random() < 0.4`."""
     for i in range(draws):
         p = random_foldr_problem(rng, realizable=i % 2 == 0)
         if rng.random() < 0.4:
             p = dropped_examples(rng, p)
+        yield i, p
+
+
+def drawn_incomplete_sets(seed: int, draws: int) -> list:
+    """The shape-incomplete constraint sets among `draws` drawn folds at
+    `seed` (`drawn_folds`), those refuted in propagation left out."""
+    found = []
+    for _, p in drawn_folds(random.Random(seed), draws):
         try:
             cs = propagate(p)
         except PropagationUnrealizable:
@@ -223,19 +229,14 @@ class _TallTowers(random.Random):
 
 
 def probe_draws():
-    """(seed, draw, problem) for every draw of the probe: draw i is
-    `random_foldr_problem(rng, realizable=i % 2 == 0)`, with examples
-    dropped when `rng.random() < 0.4`."""
+    """(seed, draw, problem) for every draw of the probe (`drawn_folds`)."""
     for seed, draws, tallest in PROBE:
         rng = random.Random(seed)
         if tallest is not None:
             # set, not passed: Python 3.10's Random takes one argument
             rng = _TallTowers(seed)
             rng.tallest = tallest
-        for i in range(draws):
-            p = random_foldr_problem(rng, realizable=i % 2 == 0)
-            if rng.random() < 0.4:
-                p = dropped_examples(rng, p)
+        for i, p in drawn_folds(rng, draws):
             yield seed, i, p
 
 
