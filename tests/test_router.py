@@ -248,7 +248,7 @@ def _pairs(text):
     return [PairV(atom(a), atom(b)) for a, b in text.split()]
 
 
-# draws of the loop of `support.drawn_incomplete_sets`: seed 21 draws 627
+# draws of `support.drawn_folds`: seed 21 draws 627
 # and 1903, and seed 105 draw 1463
 DRAW_627 = _maybe_fold(
     "draw-627",
