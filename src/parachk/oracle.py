@@ -24,7 +24,9 @@ lazily by unification; a backtracking search assigns them from the
 candidates no two distinct atoms rule out, and prunes as soon as two
 distinct atoms would have to coincide. Both read one index per
 constraint, its input positions by atom and its symbolic ones, so a scan
-and a candidate list are set tests, not a pass over every position. A
+and a candidate list are set tests, not a pass over every position; a
+scan then compares columns, the terms at one position in every
+constraint of the input shape, as whole tuples. A
 given `StepBudget` is the one limit on the search: spending it raises
 BoundExceeded. Without one the search is exhaustive, and its time can
 grow exponentially in the number of searched positions. Scans and
@@ -300,8 +302,9 @@ def _positions(by_key: dict[tuple[int, ...], list[GroundConstraint]]):
     constraints of an input shape hold only atoms, in their inputs and at
     the output position, unification is equality and binds nothing, so
     the variable is independent of every other: a scan settles it as the
-    first position of the output atom in the first constraint's index that
-    matches in every constraint. Every other variable keeps the positions
+    first position of the output atom in the first constraint's index whose
+    column, the group's input terms at that position, equals the output
+    position's column, in one tuple comparison. Every other variable keeps the positions
     that no constraint rules out by two different atoms: the intersection,
     over the constraints whose output term is an atom, of that atom's
     positions and the symbolic ones, in ascending order."""
@@ -309,20 +312,20 @@ def _positions(by_key: dict[tuple[int, ...], list[GroundConstraint]]):
     open_vars = []  # (input shape, output position)
     for key in sorted(by_key):
         group = by_key[key]
-        width = len(group[0].out_terms)
-        if not all(min(c.in_terms, default=0) >= 0 for c in group):
-            open_vars.extend((key, q) for q in range(width))
+        # the group's input and output terms by position, one column each
+        ins = list(zip(*[c.in_terms for c in group]))
+        if min(map(min, ins), default=0) < 0:
+            open_vars.extend((key, q) for q in range(len(group[0].out_terms)))
             continue
         first = None
-        for q in range(width):
-            outs = [c.out_terms[q] for c in group]
+        for q, outs in enumerate(zip(*[c.out_terms for c in group])):
             if min(outs) < 0:
                 open_vars.append((key, q))
                 continue
             if first is None:
                 first, _ = _index(group[0].in_terms)
             for p in first.get(outs[0], ()):
-                if all(c.in_terms[p] == b for c, b in zip(group, outs)):
+                if ins[p] == outs:
                     settled[(key, q)] = p
                     break
             else:

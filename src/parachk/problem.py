@@ -20,7 +20,9 @@ tagged terms: ``{"atom": "A"}``, ``{"int": 3}``, ``{"bool": true}``,
 ``{"just": v}``. Unknown fields are rejected. ``extra`` may be omitted when
 the extra functor is Unit; ``base`` is required exactly for foldr sketches.
 
-Loading is one walk per field, directed by the field's functor: from the
+Loading is one call per run of fields, an example's inputs or a map's
+output items (the extra, a non-map output and a base are runs of one),
+and in it one walk per field, directed by the field's functor: from the
 JSON node straight to the field's container form, a `Known` (functor, key
 of its shape, element codes), the one form that `Problem.extensions`
 keeps. As it walks, each field emits the ints of its `shape_key` (a list's
@@ -154,6 +156,11 @@ class Known(NamedTuple):
     codes: tuple[int, ...]
 
 
+# Known((functor, key, codes)) without NamedTuple's Python-level __new__,
+# for the loader's one record per field
+_known = functools.partial(tuple.__new__, Known)
+
+
 def extension_of(k: Known, atoms: AtomTable) -> Extension:
     """`k` as an `Extension`: its shape read back from its key and its
     elements labelled by `atoms`, for a value or a shape that a person
@@ -273,30 +280,32 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
         _json_reader(f) for f in (signature.extra, signature.element, signature.result)
     )
 
-    def check(read, f, node, i, field, j=None) -> Known:
-        codes: list[int] = []
-        key: list[int] = []
+    def check(read, f, nodes, i, field, one=False) -> tuple[Known, ...]:
+        # a run of fields of functor f: an example's inputs, a map's output
+        # items, or one field alone (`one`), named without an index
+        out = []
         try:
-            read(node, atoms, codes, key)
+            for node in nodes:
+                codes: list[int] = []
+                key: list[int] = []
+                read(node, atoms, codes, key)
+                out.append(_known((f, tuple(key), tuple(codes))))
         except TypeMismatch:
             # the field's name and location are built only on the way to an
             # error
-            field = field if j is None else f"{field}[{j}]"
-            shown = show_value(value_from_json(node, f"examples[{i}].{field}"))
+            field = field if one else f"{field}[{len(out)}]"
+            shown = show_value(value_from_json(nodes[len(out)], f"examples[{i}].{field}"))
             raise ValidationError(
                 f"example {i}: field {field!r}: value {shown} does not typecheck against {f}"
             ) from None
-        return Known(f, tuple(key), tuple(codes))
+        return tuple(out)
 
     extensions = []
     # (key, codes) of an extra -> its base
     bases_by_extra: dict[tuple, Known] = {}
     for i, (extra, inputs, output, base) in enumerate(examples):
-        extra = check(read_extra, signature.extra, extra, i, "extra")
-        inputs = tuple(
-            check(read_element, signature.element, x, i, "inputs", j)
-            for j, x in enumerate(inputs)
-        )
+        (extra,) = check(read_extra, signature.extra, (extra,), i, "extra", True)
+        inputs = check(read_element, signature.element, inputs, i, "inputs")
         if sketch is SketchKind.RAW and len(inputs) != 1:
             raise ValidationError(
                 f"example {i}: raw examples take exactly one input, got {len(inputs)}"
@@ -307,16 +316,13 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
                 raise ValidationError(
                     f"example {i}: field 'output': a map sketch produces a list"
                 )
-            outputs = tuple(
-                check(read_result, signature.result, y, i, "output", j)
-                for j, y in enumerate(items)
-            )
+            outputs = check(read_result, signature.result, items, i, "output")
         else:
-            outputs = (check(read_result, signature.result, output, i, "output"),)
+            outputs = check(read_result, signature.result, (output,), i, "output", True)
         if sketch is SketchKind.FOLDR:
             if base is _ABSENT:
                 raise ValidationError(f"example {i}: foldr examples need a 'base'")
-            base = check(read_result, signature.result, base, i, "base")
+            (base,) = check(read_result, signature.result, (base,), i, "base", True)
             # a key reads back to its shape, and interned codes are in
             # bijection with labels, so (key, codes) names a value
             seen = bases_by_extra.setdefault((extra.key, extra.codes), base)

@@ -888,6 +888,38 @@ def test_position_index_lists_what_the_comprehension_listed():
     assert listed >= 800 and searched >= 180 and refuted >= 50
 
 
+def _group(key, *rows):
+    return [oracle.GroundConstraint(key, ins, outs) for ins, outs in rows]
+
+
+# Hand-built groups at the edges of the column scan, which transposes each
+# input shape's terms: zero-width inputs and outputs, symbolic terms, and a
+# group of one constraint beside a larger one.
+_EDGE_GROUPS = {
+    "no input positions": {(0,): _group((0,), ((), (3,)), ((), (4,)))},
+    "no input positions, no output": {(0,): _group((0,), ((), ()), ((), ()))},
+    "no output positions": {(2,): _group((2,), ((1, 2), ()), ((5, 5), ()))},
+    "symbolic input": {(2,): _group((2,), ((1, -1), (1, 2)), ((3, 4), (4, 3)))},
+    "symbolic output": {(2,): _group((2,), ((1, 2), (-1, 2)), ((3, 4), (3, 4)))},
+    "symbolic output ruled out": {(2,): _group((2,), ((1, 2), (-1, 1)), ((3, 4), (3, 5)))},
+    "two groups, one of one": {
+        (1,): _group((1,), ((7,), (7, 7))),
+        (3,): _group((3,), ((1, 2, 1), (2, 1)), ((2, 3, 2), (3, 2)), ((4, 4, 5), (4, 5))),
+    },
+    "two groups, the larger refuted": {
+        (1,): _group((1,), ((7,), (7,))),
+        (2,): _group((2,), ((1, 2), (2,)), ((3, 4), (3,))),
+    },
+}
+
+
+@pytest.mark.parametrize("name", _EDGE_GROUPS)
+def test_the_column_scan_lists_what_the_comprehension_listed_at_the_edges(name):
+    by_key = _EDGE_GROUPS[name]
+    settled, variables, nowhere = oracle._positions(by_key)
+    assert (settled, [(v, list(c)) for v, c in variables], nowhere) == _positions_before(by_key)
+
+
 def test_every_guessed_completion_grounds_without_a_clash():
     # `_force` makes the shape table a function on every tie of known
     # suffixes, and a step's grounding key is its suffix's key then its

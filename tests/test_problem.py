@@ -349,6 +349,65 @@ def test_validation_messages(sig, sketch, examples, message):
     assert str(err.value) == message
 
 
+# A run of fields (an example's inputs, a map's output items) is read in one
+# call; a mistyped field is named by its index in its run, and the fields
+# read before it intern in order.
+
+
+def test_a_mistyped_map_output_item_is_named_by_its_index():
+    items = [atom("a"), atom("b"), atom("c"), IntV(3), atom("e")]
+    with pytest.raises(ValidationError) as err:
+        build_problem(
+            "map",
+            Signature(UNIT, ID, ID),
+            SketchKind.MAP,
+            [
+                (UnitV(), [atom("a")], ListV((atom("a"),))),
+                (UnitV(), [atom(x) for x in "abcde"], ListV(tuple(items))),
+            ],
+        )
+    assert str(err.value) == "example 1: field 'output[3]': value 3 does not typecheck against Id"
+
+
+def test_a_mistyped_fold_input_is_named_by_its_index():
+    with pytest.raises(ValidationError) as err:
+        build_problem(
+            "fold",
+            Signature(UNIT, ListOf(ID), ListOf(ID)),
+            SketchKind.FOLDR,
+            [
+                (
+                    UnitV(),
+                    [ListV((atom("a"),)), ListV(()), ListV((atom("b"), BoolV(False)))],
+                    ListV(()),
+                    ListV(()),
+                )
+            ],
+        )
+    assert str(err.value) == (
+        "example 0: field 'inputs[2]': value [b,false] does not typecheck against List(Id)"
+    )
+
+
+def test_a_run_interns_its_fields_in_order():
+    p = build_problem(
+        "map",
+        Signature(UNIT, ListOf(ID), ProdOf(ID, ID)),
+        SketchKind.MAP,
+        [
+            (
+                UnitV(),
+                [ListV((atom("c"), atom("a"))), ListV(()), ListV((atom("d"), atom("c")))],
+                ListV((PairV(atom("a"), atom("b")), PairV(atom("e"), atom("e")), PairV(atom("d"), atom("a")))),
+            ),
+            (UnitV(), [ListV((atom("f"),))], ListV((PairV(atom("b"), atom("f")),))),
+        ],
+    )
+    assert p.atoms.labels == ("c", "a", "d", "b", "e", "f")
+    assert [k.codes for k in p.extensions[0].inputs] == [(0, 1), (), (2, 0)]
+    assert [k.codes for k in p.extensions[0].outputs] == [(1, 3), (4, 4), (2, 1)]
+
+
 def _fields(ex):
     """(field name, value) for every field the validator checks by type."""
     out = [("extra", ex.extra)]
