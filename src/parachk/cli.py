@@ -128,7 +128,7 @@ def _print_report(args, problem: Problem, report: CheckReport, note: str) -> Non
     else:
         print(f"{problem.name}: {verdict_name(verdict)} ({note})")
         if args.witness and isinstance(verdict, Realizable):
-            print(describe_witness(verdict.witness, problem.atoms))
+            print(describe_witness(verdict.witness, problem))
 
 
 def cmd_check(args, cfg: SolverConfig) -> int:

@@ -712,6 +712,13 @@ def shapes_from_key(fs: tuple[FunctorExpr, ...], key: tuple[int, ...]) -> tuple[
     return tuple(shapes)
 
 
+def show_key(fs: tuple[FunctorExpr, ...], key: tuple[int, ...]) -> str:
+    """`key`, the keys of the functors fs end to end, shown as the shape of
+    each part (`shapes_from_key`): one part alone, several as a tuple."""
+    shown = [show_shape(s) for s in shapes_from_key(fs, key)]
+    return shown[0] if len(shown) == 1 else "(" + ", ".join(shown) + ")"
+
+
 def _shape_at(f: FunctorExpr, key: tuple[int, ...], i: int) -> tuple[ShapeValue, int]:
     # the shape whose key starts at key[i], and the index past its key: the
     # walk of `_key`, read backwards

@@ -69,7 +69,7 @@ from collections.abc import Iterator, Mapping
 from itertools import product
 from typing import NamedTuple
 
-from .functors import schema_of, shape_from_key, shapes_from_key, show_shape
+from .functors import schema_of, show_key
 from .propagate import ConstraintSet, Known, read_inputs, show_suffix
 from .verdict import Realizable, UnknownVerdict, Unrealizable, Verdict, WitnessSummary
 
@@ -114,14 +114,7 @@ class GroundInstance(NamedTuple):
 
 def _show(cs: ConstraintSet, key: tuple[int, ...]) -> str:
     """A key of the result functor of `cs`, shown as its shape."""
-    return show_shape(shape_from_key(cs.output_functor, key))
-
-
-def _show_input(cs: ConstraintSet, key: tuple[int, ...]) -> str:
-    """A grounding key of `cs`, shown as the shape of each input part: one
-    part alone, several as a tuple."""
-    shown = [show_shape(s) for s in shapes_from_key(cs.input_parts, key)]
-    return shown[0] if len(shown) == 1 else "(" + ", ".join(shown) + ")"
+    return show_key((cs.output_functor,), key)
 
 
 def _pinned(cs: ConstraintSet) -> dict[int, tuple[int, ...]]:
@@ -201,7 +194,7 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundIn
         elif forced != out_key:
             # a key reads back to its shape, so the shapes differ
             raise ShapeConflict(
-                f"input shape {_show_input(cs, key)} maps to both "
+                f"input shape {show_key(cs.input_parts, key)} maps to both "
                 f"{_show(cs, forced)} and {_show(cs, out_key)}"
             )
         grounded.append(GroundConstraint(key, in_terms, out_terms))
@@ -283,7 +276,7 @@ def _index(terms: tuple[int, ...]) -> tuple[dict[int, list[int]], frozenset[int]
 def _nowhere(cs: ConstraintSet, key: tuple[int, ...], q: int) -> str:
     return (
         f"no input position gives output position {q} of input shape "
-        f"{_show_input(cs, key)} in every constraint"
+        f"{show_key(cs.input_parts, key)} in every constraint"
     )
 
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .functors import FunctorExpr, shape_from_key, show_shape
 # `Known` is the loader's record, re-exported here
-from .problem import AtomTable, ExampleExtensions, Known, Problem, SketchKind
+from .problem import AtomTable, ExampleExtensions, Known, Problem, Signature, SketchKind
 
 
 class PropagationUnrealizable(Exception):
@@ -128,6 +128,16 @@ class ConstraintSet(NamedTuple):
     unpinned: tuple[int, ...] = ()
 
 
+def input_parts(sig: Signature, sketch: SketchKind) -> tuple[FunctorExpr, ...]:
+    """The functors of the inputs of a problem's constraints, whose keys end
+    to end are a constraint's grounding key: a fold step reads the extra
+    argument, an element and the fold of the tail, and a map or raw
+    constraint one element. `ConstraintSet.input_parts` of the steps."""
+    if sketch is SketchKind.FOLDR:
+        return (sig.extra, sig.element, sig.result)
+    return (sig.element,)
+
+
 def propagate(p: Problem) -> ConstraintSet:
     # a raw example has exactly one input and one output: a one-element map
     if p.sketch is SketchKind.FOLDR:
@@ -148,7 +158,7 @@ def propagate_map(p: Problem) -> ConstraintSet:
     constraints = tuple(
         MorphismConstraint((a,), b) for x in p.extensions for a, b in zip(x.inputs, x.outputs)
     )
-    return ConstraintSet((sig.element,), sig.result, constraints, 0, p.atoms)
+    return ConstraintSet(input_parts(sig, p.sketch), sig.result, constraints, 0, p.atoms)
 
 
 def propagate_foldr(p: Problem) -> ConstraintSet:
@@ -193,7 +203,7 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
         p.atoms,
     )
     return ConstraintSet(
-        (sig.extra, sig.element, sig.result),
+        input_parts(sig, p.sketch),
         sig.result,
         tuple(constraints),
         uid,

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .functors import Extension, Record, from_extension, schema_of, shape_key, show_shape, show_value
-from .problem import AtomTable, extension_of
-from .propagate import ConstraintSet, Known, MorphismConstraint, read_inputs
+from .functors import Extension, Record, from_extension, schema_of, shape_key, show_key, show_shape, show_value
+from .problem import AtomTable, Problem, extension_of
+from .propagate import ConstraintSet, Known, MorphismConstraint, input_parts, read_inputs
 
 
 class WitnessSummary(NamedTuple):
@@ -134,19 +134,22 @@ def validate_summary(cs: ConstraintSet, summary: WitnessSummary) -> bool:
     return True
 
 
-def describe_witness(summary: WitnessSummary, atoms: AtomTable) -> str:
-    """Human-readable rendering of a witness, its atoms labelled by
-    `atoms`."""
+def describe_witness(summary: WitnessSummary, problem: Problem) -> str:
+    """Human-readable rendering of a witness of `problem`'s steps: each
+    grounding key shown as the shape of each input part, each output key
+    as a shape of the result functor, and the atoms labelled."""
+    parts = input_parts(problem.signature, problem.sketch)
+    result = (problem.signature.result,)
     lines = ["shape morphism:"]
     for key in sorted(summary.shape_table):
-        lines.append(f"  {key} -> {summary.shape_table[key]}")
+        lines.append(f"  {show_key(parts, key)} -> {show_key(result, summary.shape_table[key])}")
     lines.append("position morphism (input shape, output position) -> input position:")
     for key, q in sorted(summary.position_table):
-        lines.append(f"  {key} q={q} -> {summary.position_table[(key, q)]}")
+        lines.append(f"  {show_key(parts, key)} q={q} -> {summary.position_table[(key, q)]}")
     if summary.intermediates:
         lines.append("intermediate results:")
         for uid in sorted(summary.intermediates):
-            ext = extension_of(summary.intermediates[uid], atoms)
+            ext = extension_of(summary.intermediates[uid], problem.atoms)
             lines.append(
                 f"  y{uid} = {show_value(from_extension(ext))}"
                 f" (shape {show_shape(ext.shape)})"

@@ -17,7 +17,7 @@ PROBLEMS = "problems"
 # the timings of a table line, the one part of `check`'s output that varies
 _TIMINGS = re.compile(r"\(\d+\.\d ms total, \d+\.\d ms solver\)")
 
-ANSWERS_SHA256 = "fe4f8c960b9eafa9683c737bff86e84f1c9a245d6707434823cd65305eb27831"
+ANSWERS_SHA256 = "9d3dd3529a886c988e5fae823b8a1df939e10a4c8f4cfb47d43901091c04bee3"
 
 
 def _answers(capsys, path: str, solver: str) -> list[str]:
@@ -51,6 +51,9 @@ def test_reverse_fold_witness_shows_each_intermediate(capsys, no_spawn):
     code = main(["check", f"{PROBLEMS}/reverse_as_foldr.json", "--witness", "--solver", no_spawn.solver_command])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
+    # every key shows as the shape of each input part, and of the result
+    assert out[1:3] == ["shape morphism:", "  ((), *, []) -> [*]"]
+    assert "  ((), *, [*]) q=0 -> 1" in out
     at = out.index("intermediate results:")
     assert out[at + 1 :] == [
         "  y0 = [c] (shape [*])",
