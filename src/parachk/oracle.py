@@ -295,17 +295,19 @@ def _positions(by_key: dict[tuple[int, ...], list[GroundConstraint]]):
     constraints of an input shape hold only atoms, in their inputs and at
     the output position, unification is equality and binds nothing, so
     the variable is independent of every other: a scan settles it as the
-    first position of the output atom in the first constraint's index whose
-    column, the group's input terms at that position, equals the output
-    position's column, in one tuple comparison. Every other variable keeps the positions
-    that no constraint rules out by two different atoms: the intersection,
-    over the constraints whose output term is an atom, of that atom's
-    positions and the symbolic ones, in ascending order."""
+    first position of the output atom in the first constraint's index
+    whose column, the input terms of every constraint at that position,
+    equals the output position's column, in one tuple comparison. Every
+    other variable keeps the positions that no constraint rules out by
+    two different atoms: the intersection, over the constraints whose
+    output term is an atom, of that atom's positions and the symbolic
+    ones, in ascending order."""
     settled: dict[tuple[tuple[int, ...], int], int] = {}
     open_vars = []  # (input shape, output position)
     for key in sorted(by_key):
         group = by_key[key]
-        # the group's input and output terms by position, one column each
+        # ins[p] is the column of input position p: every constraint's term
+        # there, in group order, as each output column is
         ins = list(zip(*[c.in_terms for c in group]))
         if min(map(min, ins), default=0) < 0:
             open_vars.extend((key, q) for q in range(len(group[0].out_terms)))

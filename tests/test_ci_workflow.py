@@ -27,6 +27,31 @@ def test_the_smoke_run_covers_every_benchmark_workload():
     assert {w["name"] for w in workloads} <= set(loops[0].split())
 
 
+def test_every_benchmark_record_gives_both_sides_of_every_metric():
+    # a perf change records its numbers in .benchmarks/BENCH_<n>.json: the
+    # parent and change commits, the machine, the solver (null for none),
+    # the command, and a parent and a change value of every end-to-end
+    # metric on every workload
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"] for m in benchmark["end_to_end"]}
+    records = sorted((ROOT / ".benchmarks").glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert "solver" in record, path.name
+        assert {"nproc", "cpu", "python"} <= record["machine"].keys(), path.name
+        for side in ("parent", "change"):
+            assert re.fullmatch(r"[0-9a-f]{7,40}", record[side]), (path.name, side)
+        assert record["command"], path.name
+        for w in benchmark["workloads"]:
+            sides = record["workloads"][w["name"]]
+            assert metrics <= sides.keys(), (path.name, w["name"])
+            for m in metrics:
+                for side in ("parent", "change"):
+                    value = sides[m][side]
+                    assert isinstance(value, (int, float)) and value >= 0, (path.name, w["name"], m, side)
+
+
 def test_the_oracle_cross_check_covers_every_problem_file():
     # one loop over the problems/ and tests/data/ globs, failing on exit 3
     # (an error) and 4 (a disagreement); an Unknown's exit 2 is no failure
