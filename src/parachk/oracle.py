@@ -433,28 +433,27 @@ COMPLETION_LENGTHS = range(5)
 
 def candidate_shapes(cs: ConstraintSet, known: Mapping) -> tuple[list[tuple[int, ...]], bool]:
     """The result slot vectors to try for an unpinned intermediate, and
-    whether they are all the shapes there are. A list slot takes the
-    lengths COMPLETION_LENGTHS, a bool slot 0 and 1, and an int slot every
-    value it holds in a `known` slot vector (a pinned base or output shape,
-    or a copy of one), and each of those ±1; a vector is kept where it
-    `refines`. So the candidates cover the whole shape space exactly when
-    every slot is bool."""
+    whether they cover every shape that matters: they do unless a slot is
+    a list length. A list slot takes COMPLETION_LENGTHS, a bool slot 0 and
+    1, and an int slot one value per unpinned suffix past the largest a
+    `known` vector holds there, then 0 for an absent Maybe; a vector is
+    kept where it `refines`. An int slot adds no positions, and keys are
+    self-delimiting, so a guessed int meets only the same slot of other
+    result shapes, where an equality merges two table arguments or two
+    position variables and so only adds constraints: distinct fresh ints
+    are refuted only where every other choice of ints is."""
     schema = schema_of(cs.output_functor)
-    seen: list[set[int]] = [set() for _ in schema.slots]
-    if any(slot.kind == "int" for slot in schema.slots):
-        for key in known.values():
-            for values, v in zip(seen, key):
-                values.add(v)
     ranges = []
-    for slot, values in zip(schema.slots, seen):
+    for i, slot in enumerate(schema.slots):
         if slot.kind == "nat":
             ranges.append(COMPLETION_LENGTHS)
         elif slot.kind == "bool":
             ranges.append((0, 1))
         else:
-            ranges.append(sorted({v + d for v in values for d in (-1, 0, 1)}))
+            top = max([0, *(key[i] for key in known.values())])
+            ranges.append([*range(top + 1, top + 1 + len(cs.unpinned)), 0])
     shapes = [v for v in product(*ranges) if schema.refines(v)]
-    return shapes, all(slot.kind == "bool" for slot in schema.slots)
+    return shapes, all(slot.kind != "nat" for slot in schema.slots)
 
 
 class Forcing(NamedTuple):
@@ -596,12 +595,12 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
     outside them. Every grounding of a shape-incomplete set costs one step
     per constraint and ground term. Realizable carries the first witness
     found, for the caller to replay. Every completion refuted is
-    Unknown("completions-refuted"), where SMT must decide, unless the
-    candidates cover every shape, as the guesses for an all-bool result
-    do: then it is Unrealizable, and its detail names the guessed
-    suffixes, not one completion's conflict. Spending the budget raises
-    BoundExceeded; without one the decision still ends, since the guesses
-    are finite, but its time can grow exponentially.
+    Unrealizable, and its detail names the guessed suffixes, not one
+    completion's conflict, unless the result has a list slot, whose
+    lengths stop at COMPLETION_LENGTHS: then it is
+    Unknown("completions-refuted"), where SMT must decide. Spending the
+    budget raises BoundExceeded; without one the decision still ends, since
+    the guesses are finite, but its time can grow exponentially.
     """
     budget = budget or StepBudget(float("inf"))
     try:

@@ -13,18 +13,18 @@ the one that guesses nothing. Of a shape-incomplete set, the oracle first
 decides what every realization shares: the shapes the pinned ones force,
 and the guess-free part, the steps whose intermediates all have known
 shapes. Then it searches once per guess of a small shape (lists of length
-0..4, both values of a bool, observed ints ±1) for every fold intermediate
-left. Raw and map sets are settled by scans alone, and so is any position
-that no intermediate ties; only positions tied through fold intermediates
-are searched. `oracle_verdict` is the one replay gate of an oracle
-witness: it counts only once it replays. Unrealizable needs no solver only
-where it holds for every shape: a failed scan or search of a
-shape-complete set, a conflict that involves no guessed shape (a forced
+0..4, both values of a bool, ints no known shape holds or 0) for every
+fold intermediate left. Raw and map sets are settled by scans alone, and
+so is any position that no intermediate ties; only positions tied through
+fold intermediates are searched. `oracle_verdict` is the one replay gate
+of an oracle witness: it counts only once it replays. Unrealizable needs
+no solver only where it holds for every shape: a failed scan or search of
+a shape-complete set, a conflict that involves no guessed shape (a forced
 clash among them), a refuted guess-free part, or every completion refuted
-when every result slot is bool. The SMT path decides everything else: a
-fold set that no rule and no completion settles, and a search that spends
-its budget or proposes a witness that fails replay. The budget is the
-oracle's one limit, so in the worst case a set reaches SMT only after
+when no result slot is a list length. The SMT path decides everything
+else: a fold set that no rule and no completion settles, and a search that
+spends its budget or proposes a witness that fails replay. The budget is
+the oracle's one limit, so in the worst case a set reaches SMT only after
 ORACLE_MAX_STEPS steps of search.
 Backend "smt" always takes the SMT path for the steps, so the oracle can
 be cross-checked against it. Backend "oracle", which `parachk oracle`

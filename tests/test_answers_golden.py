@@ -17,7 +17,7 @@ PROBLEMS = "problems"
 # the timings of a table line, the one part of `check`'s output that varies
 _TIMINGS = re.compile(r"\(\d+\.\d ms total, \d+\.\d ms solver\)")
 
-ANSWERS_SHA256 = "9d3dd3529a886c988e5fae823b8a1df939e10a4c8f4cfb47d43901091c04bee3"
+ANSWERS_SHA256 = "f3733cb2c8d7fde8d7b68ca67d6422bff08c6c95bc27c6e1dda0e853bf530918"
 
 
 def _answers(capsys, path: str, solver: str) -> list[str]:

@@ -652,6 +652,26 @@ def test_a_guarded_slot_reaches_the_script(capsys, no_spawn, name, code):
     assert "(assert (=> (= mid0_b0 0) (= mid0_n0 0)))\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, code, detail",
+    [
+        ("int_gap_refuted_as_foldr", 1, "every completion of the unpinned suffixes is refuted: extra *, inputs [*, *]"),
+        # three distinct nonzero ints for the three unpinned suffixes
+        ("int_three_fresh_as_foldr", 0, None),
+    ],
+)
+def test_int_results_are_decided_without_a_solver(capsys, no_spawn, name, code, detail):
+    # a result with no list slot: the int candidates cover every shape that
+    # matters, so every completion refuted is Unrealizable, not Unknown
+    path = f"tests/data/{name}.json"
+    assert main(["oracle", path, "--solver", no_spawn.solver_command]) == code
+    capsys.readouterr()
+    assert main(["check", path, "--format", "json", "--solver", no_spawn.solver_command]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["path"] == "oracle+completion"
+    assert payload.get("detail") == detail
+
+
 def test_oracle_unrealizable_exit_one(capsys, no_spawn):
     code = main(["oracle", f"{PROBLEMS}/drop_as_foldr.json", "--solver", no_spawn.solver_command])
     out = capsys.readouterr().out

@@ -37,6 +37,7 @@ from parachk import (
     relabel_problem,
     to_extension,
 )
+from parachk.cli import main
 from parachk.functors import UnsupportedFunctor, shape_key
 from parachk.problem import ParseError, ValidationError, extension_of, value_to_json
 
@@ -138,6 +139,59 @@ def test_malformed_term_where_its_kind_is_expected(at, term, message):
     with pytest.raises(ParseError) as err:
         parse_problem(text)
     assert str(err.value) == f"examples[0].inputs[0].{at}: {message}"
+
+
+def _file_with(**changes) -> str:
+    """The text of a good problem file with the top-level fields `changes`,
+    a field whose value is None left out."""
+    doc = json.loads(_doc([GOOD]))
+    doc.update(changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+# (file text, and the message of the error it exits 3 with)
+STRUCTURE_FAULTS = {
+    "not json": ("{", "not valid JSON: Expecting property name enclosed in double quotes"),
+    "not an object": ("[]", "a problem file is a JSON object"),
+    "no sketch": (_file_with(sketch=None), "problem: missing field 'sketch'"),
+    "int name": (_file_with(name=3), "problem: 'name' is a string"),
+    "signature string": (_file_with(signature="Id"), "problem: 'signature' is an object"),
+    "no result": (_file_with(signature={"element": "Id"}), "signature: missing field 'result'"),
+    "bad sketch": (_file_with(sketch="fold"), "problem: 'sketch' is one of 'raw', 'map', 'foldr', got 'fold'"),
+    "no examples": (_file_with(examples=[]), "problem: 'examples' is a non-empty array"),
+    "example array": (_file_with(examples=[[]]), "examples[0]: an example is an object"),
+    "unknown example field": (
+        _file_with(examples=[dict(GOOD, outputs=[])]),
+        "examples[0]: unknown fields ['outputs']",
+    ),
+    "inputs object": (_file_with(examples=[dict(GOOD, inputs={})]), "examples[0]: 'inputs' is an array"),
+    "open functor": (
+        _file_with(signature={"element": "Id", "result": "List(Id"}),
+        "expected ')' at column 7 in functor",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_FAULTS))
+def test_a_structure_fault_exits_three_with_its_message(capsys, tmp_path, name):
+    text, message = STRUCTURE_FAULTS[name]
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_building_a_problem_without_examples_is_a_validation_error():
+    with pytest.raises(ValidationError, match="a problem needs at least one example"):
+        build_problem("none", Signature(UNIT, ID, ListOf(ID)), SketchKind.FOLDR, [])
+
+
+def test_a_relabeling_that_is_not_injective_is_rejected():
+    p = parse_problem(_doc([GOOD]))
+    with pytest.raises(ValueError, match="relabeling must be injective"):
+        relabel_problem(p, {"a": "c", "b": "c"})
 
 
 def test_good_document_loads():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from parachk import (
     BoundExceeded,
     ID,
+    INT,
+    IntV,
     JustV,
     ListOf,
     ListV,
@@ -392,20 +394,29 @@ def test_oracle_witnesses_validate():
     assert checked >= 10
 
 
-def test_candidate_shapes_cover_bool_schemas_only():
+def test_candidate_shapes_cover_schemas_without_lists():
     entries = {e.name: e for e in corpus()}
 
-    def candidates(name):
-        cs = propagate(entries[name].problem_si)
+    def candidates(p):
+        cs = propagate(p)
         shapes, covered = candidate_shapes(cs, oracle._pinned(cs))
         schema = flatten_shape(cs.output_functor)
         return [show_shape(support.schema_shape(schema, s)) for s in shapes], covered
 
-    assert candidates("null") == (["F", "T"], True)
-    assert candidates("head") == (["N", "J*"], True)
-    assert candidates("reverse") == (["[]", "[*]", "[*,*]", "[*,*,*]", "[*,*,*,*]"], False)
-    # length's SI outputs are 3 and 2, its base 0: each value and its neighbours
-    assert candidates("length") == ([str(n) for n in range(-1, 5)], False)
+    assert candidates(entries["null"].problem_si) == (["F", "T"], True)
+    assert candidates(entries["head"].problem_si) == (["N", "J*"], True)
+    assert candidates(entries["reverse"].problem_si) == (["[]", "[*]", "[*,*]", "[*,*,*]", "[*,*,*,*]"], False)
+    # length's SI outputs are 3 and 2, its base 0, and one suffix is
+    # unpinned: one value past the largest, then 0
+    assert candidates(entries["length"].problem_si) == (["4", "0"], True)
+    # [b, c] is unpinned: Nothing, then Just of a fresh int and of 0
+    rows = [
+        (UnitV(), [], NothingV(), NothingV()),
+        (UnitV(), [atom("a")], JustV(IntV(2)), NothingV()),
+        (UnitV(), [atom("a"), atom("b"), atom("c")], JustV(IntV(1)), NothingV()),
+    ]
+    maybe_int = build_problem("maybe-int", Signature(UNIT, ID, MaybeOf(INT)), SketchKind.FOLDR, rows)
+    assert candidates(maybe_int) == (["N", "J3", "J0"], True)
 
 
 def _completions_past_candidates(cs, missing) -> int:
@@ -926,7 +937,7 @@ def test_every_guessed_completion_grounds_without_a_clash():
     # tail's shape, the table's argument: a completion never clashes
     sets = [
         cs
-        for seed, draws in ((3, 300), (9, 400), (21, 400))
+        for seed, draws in ((3, 400), (9, 400), (21, 400))
         for cs in support.drawn_incomplete_sets(seed, draws)
     ]
     sets += [propagate(support.forced_past_candidates()), propagate(support.long_trace(8, ["x4"]))]

@@ -1,7 +1,8 @@
 """Reference deciders that share no code with propagation, grounding or the
 oracle's search, and their agreement with `check`: for raw and map sets
 over nested containers, and for folds of `Unit -> Id -> List(Id)` by
-concrete execution (below).
+concrete execution (below). Last, the int slots of guessed fold
+intermediates are checked against a wide search of int values.
 
 A raw or map set is realizable exactly when one container morphism maps
 each example input to its output: a shape function, and for each output
@@ -21,9 +22,13 @@ from parachk import (
     Atom,
     ID,
     INT,
+    IntV,
+    JustV,
     ListOf,
     ListV,
     MaybeOf,
+    NothingV,
+    PairV,
     ProdOf,
     Realizable,
     Signature,
@@ -40,7 +45,9 @@ from parachk import (
     to_extension,
     validate_summary,
 )
-from parachk.functors import Extension
+from parachk import oracle
+from parachk.functors import Extension, schema_of
+from parachk.propagate import PropagationUnrealizable
 from parachk.verdict import UnknownVerdict, verdict_name
 
 import support
@@ -251,3 +258,78 @@ def test_check_agrees_with_the_fold_reference(no_spawn):
     decided = sum(n for k, n in tally.items() if k not in ("smt", "unknown"))
     assert decided >= 500, tally
     assert min(n for k, n in tally.items() if k not in ("smt", "unknown")) >= 20, tally
+
+
+# ---------------------------------------------------------------------------
+# Int slots of guessed intermediates, against a wide search
+#
+# An int slot carries no positions, so a guessed int matters only through
+# which other shapes hold it (`oracle.candidate_shapes`). The same decision
+# with every int from -2 to past one fresh value per unpinned suffix as a
+# candidate must give the same verdicts, and no Unknown: these results
+# have no list slot.
+
+INT_RESULTS = [
+    INT,
+    ProdOf(INT, ID),
+    ProdOf(ID, INT),
+    MaybeOf(INT),
+    ProdOf(INT, MaybeOf(ID)),
+    MaybeOf(ProdOf(INT, ID)),
+    ProdOf(INT, INT),
+]
+
+
+def _int_value(rng, f, labels):
+    """A value of `f`, a functor of INT_RESULTS or a part of one, with ints
+    0 to 3 and atoms labelled from `labels`."""
+    if f == ID:
+        return atom(rng.choice(labels))
+    if f == INT:
+        return IntV(rng.randint(0, 3))
+    if isinstance(f, ProdOf):
+        return PairV(_int_value(rng, f.left, labels), _int_value(rng, f.right, labels))
+    return JustV(_int_value(rng, f.inner, labels)) if rng.random() < 0.6 else NothingV()
+
+
+def drawn_int_fold(rng):
+    """A fold `Id -> Id -> r` for an r of INT_RESULTS: one extra atom and
+    one base, and 2 to 6 examples of 0 to 4 inputs whose outputs hold only
+    atoms of the extra and the inputs."""
+    sig = Signature(ID, ID, rng.choice(INT_RESULTS))
+    h = rng.choice("abcd")
+    base = _int_value(rng, sig.result, [h])
+    rows = []
+    for _ in range(rng.randint(2, 6)):
+        inputs = [rng.choice("abcd") for _ in range(rng.randint(0, 4))]
+        output = _int_value(rng, sig.result, [h, *inputs])
+        rows.append((atom(h), list(map(atom, inputs)), output, base))
+    return build_problem("drawn-int-fold", sig, SketchKind.FOLDR, rows)
+
+
+def _every_small_int(cs, known):
+    """`oracle.candidate_shapes` for a result with no list slot, with every
+    int in range(-2, 6 + len(cs.unpinned)) as a candidate."""
+    schema = schema_of(cs.output_functor)
+    ranges = [(0, 1) if slot.kind == "bool" else range(-2, 6 + len(cs.unpinned)) for slot in schema.slots]
+    return [v for v in itertools.product(*ranges) if schema.refines(v)], True
+
+
+def test_int_candidates_agree_with_a_wide_search(no_spawn, monkeypatch):
+    rng = random.Random(3)
+    problems = []
+    for _ in range(1500):
+        p = drawn_int_fold(rng)
+        try:
+            if propagate(p).unpinned:
+                problems.append(p)
+        except PropagationUnrealizable:
+            pass
+    verdicts = [check(p, no_spawn, backend="oracle").verdict for p in problems]
+    assert not [v for v in verdicts if isinstance(v, UnknownVerdict)]
+    monkeypatch.setattr(oracle, "candidate_shapes", _every_small_int)
+    for p, verdict in zip(problems, verdicts):
+        wide = check(p, no_spawn, backend="oracle").verdict
+        assert verdict_name(verdict) == verdict_name(wide), (p.signature, p.examples)
+    tally = Counter(map(verdict_name, verdicts))
+    assert min(tally["Realizable"], tally["Unrealizable"]) >= 150, tally

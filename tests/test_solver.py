@@ -206,6 +206,30 @@ def test_indexed_call_matches_generic_eval(case):
         assert fns.call("f", list(q)) == int(fns._eval(body, dict(zip(params, q))))
 
 
+# (the parameters of `f`, an ite test that fixes no point, and the query
+# points) for each way a test ends the point table
+_NOT_A_POINT = {
+    "value not a literal": (["x"], "(= x (+ 1 1))", [(1,), (2,)]),
+    "no parameter": (["x"], "(= 1 1)", [(0,), (1,)]),
+    "parameter fixed twice": (["x"], "(and (= x 1) (= x 1))", [(1,), (2,)]),
+    "parameter left free": (["x", "y"], "(= x 1)", [(1, 0), (1, 5), (2, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_POINT))
+def test_a_test_that_fixes_no_point_ends_the_table(case):
+    # the ite and everything below it is the fallback, so the point below
+    # it that a table would hold is read in ite order by the evaluator
+    params, test, queries = _NOT_A_POINT[case]
+    decl = " ".join(f"({p} Int)" for p in params)
+    body = f"(ite {test} 7 (ite (and {' '.join(f'(= {p} 2)' for p in params)}) 9 0))"
+    fns = ModelFunctions.parse(f"((define-fun f ({decl}) Int {body}))")
+    points, fallback = fns._tables["f"]
+    assert points == {} and fallback == fns.funcs["f"][1]
+    for q in queries:
+        assert fns.call("f", list(q)) == int(fns._eval(fallback, dict(zip(params, q))))
+
+
 # (a body of `f`, the one parameter x, and its value at x = 2) for each
 # operator and literal the other model tests do not read
 _TERMS = {
