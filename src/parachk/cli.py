@@ -110,10 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(args, problem: Problem, report: CheckReport, note: str) -> None:
+def _print_report(args, problem: Problem, report: CheckReport, note: str, cross_check=None) -> None:
     """The verdict of `check` and `parachk oracle`: a JSON payload, or the
-    table line `name: Verdict (note)` and the witness on request."""
+    table line `name: Verdict (note)`, with the witness on request. The
+    payload gives the witness as the lines of the table's, and carries
+    `cross_check` where one is given."""
     verdict = report.verdict
+    witness = args.witness and isinstance(verdict, Realizable)
     if args.format == "json":
         payload = {
             "name": problem.name,
@@ -124,10 +127,14 @@ def _print_report(args, problem: Problem, report: CheckReport, note: str) -> Non
         }
         if isinstance(verdict, Unrealizable):
             payload["detail"] = verdict.detail
+        if witness:
+            payload["witness"] = describe_witness(verdict.witness, problem).splitlines()
+        if cross_check is not None:
+            payload["cross_check"] = cross_check
         print(json.dumps(payload, indent=2))
     else:
         print(f"{problem.name}: {verdict_name(verdict)} ({note})")
-        if args.witness and isinstance(verdict, Realizable):
+        if witness:
             print(describe_witness(verdict.witness, problem))
 
 
@@ -154,24 +161,35 @@ def cmd_emit_smt(args) -> int:
 def cmd_oracle(args, cfg: SolverConfig) -> int:
     problem = load_problem(args.path)
     report = check(problem, cfg, backend="oracle")
-    if isinstance(report.verdict, UnknownVerdict) and report.verdict.reason == "completions-refuted":
+    verdict = report.verdict
+    if isinstance(verdict, UnknownVerdict) and verdict.reason == "completions-refuted":
         print("every guessed completion is refuted; no example pins:", file=sys.stderr)
         for m in shape_complete(problem).missing:
             print(f"  {m}", file=sys.stderr)
-    _print_report(args, problem, report, "oracle")
+    # the table line comes before the cross-check; the JSON payload holds it
+    table = args.format == "table"
+    if table or not args.cross_check:
+        _print_report(args, problem, report, "oracle")
+    if not args.cross_check:
+        return _exit_code(verdict)
 
-    if args.cross_check:
-        # pinned to SMT, so the oracle is never compared with itself
-        solved = check(problem, cfg, backend="smt").verdict
-        both = f"oracle {verdict_name(report.verdict)}, solver {verdict_name(solved)}"
-        if UnknownVerdict in (type(solved), type(report.verdict)):
-            print(f"cross-check inconclusive: {both}")
-        elif type(solved) is type(report.verdict):
-            print(f"cross-check agrees: {verdict_name(solved)}")
-        else:
-            print(f"cross-check disagreement: {both}", file=sys.stderr)
-            return 4
-    return _exit_code(report.verdict)
+    # pinned to SMT, so the oracle is never compared with itself
+    solved = check(problem, cfg, backend="smt").verdict
+    both = f"oracle {verdict_name(verdict)}, solver {verdict_name(solved)}"
+    if UnknownVerdict in (type(solved), type(verdict)):
+        outcome, shown = "inconclusive", both
+    elif type(solved) is type(verdict):
+        outcome, shown = "agrees", verdict_name(solved)
+    else:
+        outcome, shown = "disagreement", both
+    if not table:
+        _print_report(args, problem, report, "oracle", {"solver": verdict_name(solved), "outcome": outcome})
+    if outcome == "disagreement":
+        print(f"cross-check disagreement: {both}", file=sys.stderr)
+        return 4
+    if table:
+        print(f"cross-check {outcome}: {shown}")
+    return _exit_code(verdict)
 
 
 def cmd_bench(args, cfg: SolverConfig) -> int:

@@ -96,8 +96,9 @@ class StepBudget:
             raise BoundExceeded("the oracle spent its step budget")
 
 
-# Element terms are ints: an atom code (>= 0) stands for itself, and
-# -1 - i for the i-th intermediate position, counted in (uid, position) order.
+# Element terms are ints: an atom code (>= 0) stands for itself and is a
+# root of the unifier, and -1 - i stands for the i-th intermediate
+# position, counted in (uid, position) order.
 class GroundConstraint(NamedTuple):
     key: tuple[int, ...]
     in_terms: tuple[int, ...]
@@ -203,14 +204,13 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundIn
 
 
 class _Unifier:
-    """Union-find over the intermediate terms, each root optionally bound to
-    an atom code, with an undo trail: a term t for a parent link of t, ~t
-    for an atom bound to root t. Each call to `unify` spends one step of
-    `budget`."""
+    """Union-find over element terms with an undo trail of parent links.
+    An atom code is a node that is always a root, so a class holds at most
+    one atom, and that atom is its root. Each call to `unify` spends one
+    step of `budget`."""
 
     def __init__(self, budget: StepBudget):
         self.parent: dict[int, int] = {}
-        self.lit: dict[int, int] = {}
         self.trail: list[int] = []
         self.budget = budget
 
@@ -224,37 +224,19 @@ class _Unifier:
 
     def rollback(self, mark: int) -> None:
         while len(self.trail) > mark:
-            key = self.trail.pop()
-            if key < 0:
-                del self.parent[key]
-            else:
-                del self.lit[~key]
+            del self.parent[self.trail.pop()]
 
     def unify(self, a: int, b: int) -> bool:
         self.budget.spend(1)
-        if a >= 0:
-            if b >= 0:
-                return a == b
-            a, b = b, a
-        ra = self.find(a)
-        if b >= 0:
-            bound = self.lit.get(ra)
-            if bound is None:
-                self.lit[ra] = b
-                self.trail.append(~ra)
-                return True
-            return bound == b
-        rb = self.find(b)
+        ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return True
-        la, lb = self.lit.get(ra), self.lit.get(rb)
-        if la is not None and lb is not None and la != lb:
-            return False
+        if ra >= 0:
+            if rb >= 0:
+                return False  # two distinct atoms
+            ra, rb = rb, ra
         self.parent[ra] = rb
         self.trail.append(ra)
-        if la is not None and lb is None:
-            self.lit[rb] = la
-            self.trail.append(~rb)
         return True
 
 
@@ -373,13 +355,13 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
     by_key: dict[tuple[int, ...], list[GroundConstraint]] = {}
     for c in gi.constraints:
         by_key.setdefault(c.key, []).append(c)
-    settled, variables, nowhere = _positions(by_key)
+    # the scans' positions; the search adds each position it chooses
+    positions, variables, nowhere = _positions(by_key)
     if nowhere is not None:
         return Unrealizable(_nowhere(gi.cs, *nowhere))
 
     uf = _Unifier(budget or StepBudget(float("inf")))
     unify = uf.unify
-    chosen: dict[tuple[tuple[int, ...], int], int] = {}
     # depth-first, in the order of `variables`, on an explicit stack: per
     # variable reached, its candidates left, the unifier's trail mark and
     # each constraint's inputs and output term
@@ -397,7 +379,7 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
                 if not unify(ins[p], b):
                     break
             else:
-                chosen[var] = p
+                positions[var] = p
                 idx += 1
                 break
             uf.rollback(mark)
@@ -415,13 +397,9 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
         codes = []
         for term in gi.inter_terms[uid]:
             root = uf.find(term)
-            code = uf.lit.get(root)
-            if code is None:
-                code = fresh.setdefault(root, cs.atoms.size + len(fresh))
-            codes.append(code)
+            codes.append(root if root >= 0 else fresh.setdefault(root, cs.atoms.size + len(fresh)))
         intermediates[uid] = Known(cs.output_functor, gi.inter_keys[uid], tuple(codes))
-    positions = dict(sorted({**settled, **chosen}.items()))
-    return Realizable(WitnessSummary(dict(gi.out_keys), positions, intermediates))
+    return Realizable(WitnessSummary(dict(gi.out_keys), dict(sorted(positions.items())), intermediates))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ import shlex
 import time
 from typing import NamedTuple
 
-from .encode import SmtScript, encode, shrink_assertions
+from .encode import SmtScript, encode, mid_terms, shrink_assertions
 from .functors import Record, schema_of
 from .oracle import BoundExceeded, StepBudget, oracle_decide
 from .problem import Problem
@@ -433,7 +433,7 @@ def extract_witness(model_text: str, cs: ConstraintSet) -> WitnessSummary:
         for uid in range(cs.unknown_count):
             # the slot vector as the model gives it: `validate_summary`
             # checks that it refines the schema
-            slots = tuple([fns.call(f"mid{uid}_{s.name}", []) for s in out_schema.slots])
+            slots = tuple([fns.call(name, []) for name in mid_terms(uid, out_schema)])
             count = out_schema.count_value(slots)
             # a shown witness decodes a list of every length: bound them all
             if count > _MAX_REPLAYED or any(

@@ -54,16 +54,22 @@ def test_every_benchmark_record_gives_both_sides_of_every_metric():
 
 def test_the_oracle_cross_check_covers_every_problem_file():
     # one loop over the problems/ and tests/data/ globs, failing on exit 3
-    # (an error) and 4 (a disagreement); an Unknown's exit 2 is no failure
+    # (an error) and 4 (a disagreement); an Unknown's exit 2 is no failure.
+    # Each run's JSON output goes to a file that json.load then reads
     loops = re.findall(
         r'^\s*for (\w+) in problems/\*\.json tests/data/\*\.json; do\n'
         r'\s*code=0\n'
-        r'\s*parachk oracle "\$\1" --cross-check \|\| code=\$\?\n'
-        r'\s*if \[ "\$code" -ge 3 \]; then$',
+        r'\s*parachk oracle "\$\1" --cross-check --format json > "(\$RUNNER_TEMP/[\w.]+)" \|\| code=\$\?\n'
+        r'\s*if \[ "\$code" -ge 3 \]; then\n'
+        r'\s*echo "error: [^"\n]*" >&2\n'
+        r'\s*exit 1\n'
+        r'\s*fi\n'
+        r"\s*python -c '[^']*json\.load\(sys\.stdin\)[^']*' \"\$\1\" < \"\2\"\n"
+        r'\s*done$',
         WORKFLOW,
         re.MULTILINE,
     )
-    assert loops == ["f"]
+    assert loops == [("f", "$RUNNER_TEMP/cross.json")]
     assert sorted((ROOT / "problems").glob("*.json"))
     assert sorted((ROOT / "tests" / "data").glob("*.json"))
 

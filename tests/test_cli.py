@@ -514,9 +514,8 @@ def test_nested_containers_leave_the_oracle_with_exit_three(capsys, tmp_path, no
 
 
 def _base_detail(out: str) -> str:
-    """The detail of the JSON verdict `out` starts with, which a
-    cross-check line may follow."""
-    payload, _ = json.JSONDecoder().raw_decode(out)
+    """The detail of the JSON verdict `out`, the one document printed."""
+    payload = json.loads(out)
     assert payload["verdict"] == "Unrealizable"
     return payload["detail"]
 
@@ -594,7 +593,7 @@ def test_atom_from_nowhere_is_refuted_in_propagation(capsys, tmp_path, no_spawn,
     path = _one_trace(tmp_path, {"list": []}, last="z")
     code = main([command[0], path, *command[1:], "--format", "json", "--solver", no_spawn.solver_command])
     captured = capsys.readouterr()
-    payload, _ = json.JSONDecoder().raw_decode(captured.out)
+    payload = json.loads(captured.out)
     assert code == 1 and captured.err == ""
     assert payload["path"] == "fast-path" and payload["solver_ms"] == 0
     assert (payload["verdict"], payload["detail"]) == ("Unrealizable", FROM_NOWHERE)
@@ -777,6 +776,41 @@ def test_oracle_cross_check_with_an_unknown_is_inconclusive(capsys, tmp_path, pr
     fake = _fake_solver(tmp_path, answer)
     assert main(["oracle", str(path), "--cross-check", "--solver", fake]) == code
     assert capsys.readouterr().out.splitlines()[-1] == f"cross-check inconclusive: {line}"
+
+
+PROBLEM_FILES = sorted(glob.glob(f"{PROBLEMS}/*.json") + glob.glob("tests/data/*.json"))
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+@pytest.mark.parametrize("path", PROBLEM_FILES)
+def test_json_is_one_document_with_the_witness_of_the_table(capsys, no_spawn, path, command):
+    # a Realizable payload holds the witness lines the table prints
+    argv = [command, path, "--witness", "--solver", no_spawn.solver_command]
+    code = main(argv)
+    table = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--format", "json"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert code in (0, 1) and payload.get("witness", []) == table[1:]
+    assert ("witness" in payload) == (payload["verdict"] == "Realizable")
+
+
+@pytest.mark.parametrize("answer", ["unsat", "unknown"])
+@pytest.mark.parametrize("path", PROBLEM_FILES)
+def test_oracle_cross_check_json_is_one_document(capsys, tmp_path, path, answer):
+    fake = _fake_solver(tmp_path, answer)
+    code = main(["oracle", path, "--cross-check", "--format", "json", "--solver", fake])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    # the fake's answer, unless the SMT backend refutes the set unspawned
+    solved = payload["cross_check"]["solver"]
+    assert solved in ("Unrealizable", "Unknown(solver-unknown)")
+    if solved != "Unrealizable":
+        outcome = "inconclusive"
+    else:
+        outcome = "agrees" if payload["verdict"] == "Unrealizable" else "disagreement"
+    assert payload["cross_check"]["outcome"] == outcome
+    assert code == (4 if outcome == "disagreement" else {"Realizable": 0, "Unrealizable": 1}[payload["verdict"]])
+    assert (outcome == "disagreement") == ("cross-check disagreement" in captured.err)
 
 
 def test_unspawnable_solver_exit_three(capsys, unspawnable):

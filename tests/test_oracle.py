@@ -305,7 +305,68 @@ def test_unifying_joined_terms_records_nothing():
     # and leaves the trail as it was
     assert uf.unify(-2, -1) and uf.unify(-1, -1)
     assert uf.mark() == mark and budget.left == 6
-    assert uf.lit[uf.find(-1)] == 5 and not uf.unify(-1, 6)
+    assert uf.find(-1) == 5 and not uf.unify(-1, 6)
+
+
+def _naive_unify(labels, a, b):
+    """Join the classes of the element terms `a` and `b` in `labels`, each
+    term's class label, by relabelling every member of one class: a term
+    missing from `labels` is its own class, and an atom labels its class.
+    False, with nothing joined, where the classes hold two distinct atoms."""
+    la, lb = labels.get(a, a), labels.get(b, b)
+    if la == lb:
+        return True
+    if la >= 0:
+        if lb >= 0:
+            return False
+        la, lb = lb, la
+    for t, label in list(labels.items()):
+        if label == la:
+            labels[t] = lb
+    labels[la] = lb
+    return True
+
+
+def test_the_unifier_agrees_with_a_partition_model():
+    # random unify, mark and rollback sequences over the terms -1..-8 and
+    # the atoms 0..3, against relabelled classes copied at each mark
+    rng = random.Random(5)
+    nodes = [*range(-8, 0), *range(4)]
+    unified = refused = rolled_back = 0
+    for _ in range(300):
+        budget = StepBudget(float("inf"))
+        uf = oracle._Unifier(budget)
+        labels, marks = {}, []
+        for _ in range(rng.randint(1, 30)):
+            move = rng.random()
+            if move < 0.15:
+                marks.append((uf.mark(), dict(labels)))
+            elif move < 0.25 and marks:
+                # back to a mark still open; the later ones close
+                i = rng.randrange(len(marks))
+                mark, labels = marks[i]
+                del marks[i:]
+                uf.rollback(mark)
+                rolled_back += 1
+            else:
+                a, b = rng.choice(nodes), rng.choice(nodes)
+                left = budget.left
+                held = uf.unify(a, b)
+                assert held == _naive_unify(labels, a, b)
+                assert budget.left == left - 1
+                unified += held
+                refused += not held
+            roots = {x: uf.find(x) for x in nodes}
+            for x in nodes:
+                label = labels.get(x, x)
+                assert [roots[y] == roots[x] for y in nodes] == [
+                    labels.get(y, y) == label for y in nodes
+                ]
+                if label >= 0:
+                    # a class with an atom has that atom as its root
+                    assert roots[x] == label
+            assert all(t < 0 for t in uf.parent)
+    assert unified >= 2000 and refused >= 800 and rolled_back >= 200
 
 
 def _swap_conflict():
@@ -637,14 +698,15 @@ def test_keys_without_bases_pin_what_keys_with_bases_did():
 def _plain_backtracking(gi):
     """The search as it was before scans: every position variable in
     (input shape, output position) order, every input position of each in
-    turn, backtracking over all of them; no bound."""
+    turn, backtracking over all of them; no bound. Its classes are its
+    own (`_naive_unify`), copied for undo."""
     by_key = {}
     for c in gi.constraints:
         by_key.setdefault(c.key, []).append(c)
     variables = [
         (key, q) for key in sorted(by_key) for q in range(len(by_key[key][0].out_terms))
     ]
-    uf = oracle._Unifier(StepBudget(float("inf")))
+    labels = {}
     assignment = {}
 
     def assign(idx):
@@ -653,13 +715,14 @@ def _plain_backtracking(gi):
         key, q = variables[idx]
         group = by_key[key]
         for p in range(len(group[0].in_terms)):
-            mark = uf.mark()
-            if all(uf.unify(c.in_terms[p], c.out_terms[q]) for c in group):
+            saved = dict(labels)
+            if all(_naive_unify(labels, c.in_terms[p], c.out_terms[q]) for c in group):
                 assignment[(key, q)] = p
                 if assign(idx + 1):
                     return True
                 del assignment[(key, q)]
-            uf.rollback(mark)
+            labels.clear()
+            labels.update(saved)
         return False
 
     if not assign(0):
@@ -678,11 +741,10 @@ def _plain_backtracking(gi):
         shape = support.schema_shape(out_schema, gi.inter_keys[uid])
         codes = []
         for _ in range(size_of(cs.output_functor, shape)):
-            root = uf.find(term)
-            code = uf.lit.get(root)
-            if code is None:
-                code = fresh.setdefault(root, cs.atoms.size + len(fresh))
-            codes.append(code)
+            label = labels.get(term, term)
+            if label < 0:
+                label = fresh.setdefault(label, cs.atoms.size + len(fresh))
+            codes.append(label)
             term -= 1
         intermediates[uid] = Known(cs.output_functor, gi.inter_keys[uid], tuple(codes))
     return Realizable(WitnessSummary(shape_table, dict(assignment), intermediates))
