@@ -9,6 +9,12 @@ verdict is the expected one or Unknown.
 `check` and `oracle` decide through `solver.check`, `oracle` on its
 "oracle" backend, and print its `CheckReport` alike; the table line ends
 in the timings for `check` and in `(oracle)` for `oracle`.
+
+`main` parses a command line once: when its first word names a command,
+the rest goes straight to that command's parser, which reports every
+error in it, unrecognized arguments too (`parachk check: error: ...`).
+Any other line (none, `-h`, an unknown word, an option before the
+command) goes to the top-level parser, which names the commands.
 """
 
 from __future__ import annotations
@@ -58,7 +64,10 @@ def _exit_code(verdict) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors exit 3, the code of every input
-    error, rather than argparse's 2, which is Unknown's."""
+    error, rather than argparse's 2, which is Unknown's. The top-level one
+    keeps its commands' parsers by name in `commands`."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -73,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide realizability of polymorphic functions from types, sketches, and input-output examples.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
     p_check = subs.add_parser(
         "check",
@@ -205,7 +215,15 @@ def cmd_bench(args, cfg: SolverConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # the parser the top level would dispatch to, without its pass
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     # every command but emit-smt takes the solver flags; the one config is
     # built, and --timeout checked, before any input is read
     cfg = None

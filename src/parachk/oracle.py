@@ -66,6 +66,7 @@ So two steps with one key produce the one shape the table maps it to.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -75,7 +76,14 @@ from .verdict import Realizable, UnknownVerdict, Unrealizable, Verdict, WitnessS
 
 
 class ShapeConflict(Exception):
-    """Two equal input shapes forced two different output shapes."""
+    """Two equal input shapes forced two different output shapes. The
+    message is text, or a function that returns it, called by `str`: a
+    guess that clashes is dropped unread (`_guesses`), so its conflict
+    is formatted only where one is shown."""
+
+    def __str__(self) -> str:
+        message = self.args[0]
+        return message if isinstance(message, str) else message()
 
 
 class BoundExceeded(Exception):
@@ -449,6 +457,14 @@ class Forcing(NamedTuple):
     waiting: dict[tuple[int, ...], tuple[int, ...]]
 
 
+def _tail_clash(cs: ConstraintSet, tail: int, rho, prior, shape) -> str:
+    return (
+        f"the suffix {show_suffix(cs.suffixes, tail)} has the shape "
+        f"{_show(cs, rho)}, so one input shape maps to both "
+        f"{_show(cs, prior)} and {_show(cs, shape)}"
+    )
+
+
 def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
     """Propagate newly known suffix shapes through the ties, in place: the
     shape morphism is a function, so a suffix whose argument the table
@@ -477,11 +493,7 @@ def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
                 known.update(dict.fromkeys(woken, known[s]))
                 todo.extend(woken)
             elif prior != known[s]:
-                raise ShapeConflict(
-                    f"the suffix {show_suffix(suffixes, tail)} has the shape "
-                    f"{_show(state.cs, rho)}, so one input shape maps to both "
-                    f"{_show(state.cs, prior)} and {_show(state.cs, known[s])}"
-                )
+                raise ShapeConflict(partial(_tail_clash, state.cs, tail, rho, prior, known[s]))
 
 
 def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> Forcing:

@@ -744,9 +744,15 @@ def problem_to_json(p: Problem) -> str:
 
 
 def load_problem(path: str) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise ParseError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+    """The problem in the file at `path`. The file is read as bytes and
+    decoded in one call: `json.loads` reads the text whole, so a text-mode
+    read's incremental decoding and newline translation buy nothing. JSON
+    takes a carriage return for whitespace, so a CRLF file loads to the
+    problem of its LF copy."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     return parse_problem(text)

@@ -3,13 +3,17 @@
 import glob
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import parachk
 from parachk import ID, ListOf, UnknownVerdict, load_problem, problem_to_json, shape_complete, solver
 from parachk.bench import corpus
-from parachk.cli import main
+from parachk.cli import build_parser, main
 from parachk.oracle import PART_REFUTED
 
 import support
@@ -1029,10 +1033,14 @@ def test_oracle_refutes_an_element_from_nowhere_at_once(capsys, tmp_path, n):
         (["bench", "--repeat", "0"], "argument --repeat: must be at least 1, not 0"),
         (["bench", "--repeat", "-3"], "argument --repeat: must be at least 1, not -3"),
         (["bench", "--repeat", "abc"], "argument --repeat: invalid int value: 'abc'"),
+        (
+            ["check", f"{PROBLEMS}/reverse_as_foldr.json", "--frob"],
+            "parachk check: error: unrecognized arguments: --frob",
+        ),
     ],
     ids=[
         "bad-timeout", "no-path", "unknown-command", "no-command",
-        "zero-repeat", "negative-repeat", "bad-repeat",
+        "zero-repeat", "negative-repeat", "bad-repeat", "unrecognized-args",
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, message):
@@ -1041,6 +1049,60 @@ def test_usage_errors_exit_three(capsys, argv, message):
     err = capsys.readouterr().err
     assert exit_.value.code == 3
     assert err.startswith("usage: parachk") and message in err
+    # the parser that reports the error prints its own usage
+    prog = err.splitlines()[-1].split(": error: ")[0]
+    assert err.startswith(f"usage: {prog} ")
+
+
+def _decided(capsys, argv):
+    """The exit code and output of `main(argv)`, without its timings."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    if "--format" in argv:
+        payload = json.loads(captured.out)
+        del payload["total_ms"], payload["solver_ms"]
+        return code, payload, captured.err
+    return code, captured.out, captured.err
+
+
+def test_a_command_line_is_parsed_once(capsys, monkeypatch):
+    # a line that starts with a command goes to that command's parser only
+    lines = [
+        ["oracle", f"{PROBLEMS}/reverse_as_foldr.json"],
+        ["check", f"{PROBLEMS}/reverse_as_map.json", "--format", "json"],
+    ]
+    expected = [_decided(capsys, argv) for argv in lines]
+    assert [code for code, _, _ in expected] == [0, 1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command line")
+
+    parser = build_parser()
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    assert [_decided(capsys, argv) for argv in lines] == expected
+    # every other line reaches the top-level parser
+    for argv in ([], ["frob"], ["-h"], ["--witness", "check"]):
+        with pytest.raises(AssertionError, match="top-level parser"):
+            main(argv)
+
+
+def test_main_reads_the_command_line_of_the_process(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["parachk", "oracle", f"{PROBLEMS}/reverse_as_foldr.json"])
+    assert main() == 0
+    assert capsys.readouterr().out == "reverse-as-foldr: Realizable (oracle)\n"
+
+
+def test_the_cli_module_runs_as_a_program():
+    src = os.path.dirname(os.path.dirname(parachk.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "parachk.cli", "oracle", f"{PROBLEMS}/reverse_as_foldr.json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "reverse-as-foldr: Realizable (oracle)\n", "")
 
 
 def test_help_exits_zero(capsys):

@@ -1,6 +1,7 @@
 """Loading problem files: the exact error each malformed file gets, and which
 fault wins when a file has more than one."""
 
+import glob
 import json
 import random
 
@@ -31,6 +32,7 @@ from parachk import (
     UNIT,
     build_problem,
     flatten_shape,
+    load_problem,
     parse_problem,
     problem_to_json,
     propagate,
@@ -181,6 +183,36 @@ def test_a_structure_fault_exits_three_with_its_message(capsys, tmp_path, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+def test_a_byte_that_is_not_utf8_exits_three_with_its_offset(capsys, tmp_path):
+    # the offset counts from the start of the file, not of a read chunk
+    path = tmp_path / "problem.json"
+    path.write_bytes(b" " * 20_010 + b"\xff" + _doc([GOOD]).encode())
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text: invalid start byte at byte 20010\n"
+
+
+def _check_payload(capsys, path):
+    code = main(["check", str(path), "--format", "json", "--witness"])
+    payload = json.loads(capsys.readouterr().out)
+    del payload["total_ms"], payload["solver_ms"]
+    return code, payload
+
+
+@pytest.mark.parametrize("lf", sorted(glob.glob("problems/*.json")))
+def test_a_crlf_file_is_checked_as_its_lf_copy(capsys, tmp_path, lf):
+    # JSON reads a carriage return as whitespace, so a file read as bytes
+    # needs no newline translation
+    with open(lf, "rb") as fh:
+        data = fh.read()
+    assert b"\r" not in data
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+    assert load_problem(str(crlf)) == load_problem(lf)
+    assert _check_payload(capsys, crlf) == _check_payload(capsys, lf)
 
 
 def test_building_a_problem_without_examples_is_a_validation_error():

@@ -1033,3 +1033,32 @@ def test_the_oracle_without_a_budget_agrees_with_check_on_drawn_incomplete_sets(
             assert verdict_name(unbudgeted) == verdict_name(budgeted)
             decided += 1
     assert decided >= 80
+
+
+def test_a_dropped_guess_formats_no_conflict(no_spawn, monkeypatch):
+    # unzip/si's guesses clash and `_guesses` drops each clash unread, so
+    # no conflict text is built on the way to the witness
+    shown = []
+    dropped = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            shown.append(name)
+            return f(*args)
+        return wrapper
+
+    def force(*args):
+        try:
+            return real_force(*args)
+        except ShapeConflict:
+            dropped.append("clash")
+            raise
+
+    real_force = oracle._force
+    monkeypatch.setattr(oracle, "_show", counted("_show", oracle._show))
+    monkeypatch.setattr(oracle, "show_suffix", counted("show_suffix", oracle.show_suffix))
+    monkeypatch.setattr(oracle, "_force", force)
+    (unzip,) = [e for e in corpus() if e.name == "unzip"]
+    report = check(unzip.problem_si, no_spawn)
+    assert isinstance(report.verdict, Realizable) and report.path == "oracle+completion"
+    assert dropped and shown == []
