@@ -75,7 +75,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The parser, built on first use and kept: parsing leaves it unchanged."""
     parser = _Parser(
         prog="parachk",
