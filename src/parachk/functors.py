@@ -106,7 +106,9 @@ def _record_methods(cls: type, fields: tuple[str, ...]):
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
-                return (get(self),) == (get(other),)
+                # as `(a,) == (b,)` compares, without building the tuples
+                a, b = get(self), get(other)
+                return a is b or a == b
             return NotImplemented
 
         def __hash__(self):
@@ -114,11 +116,22 @@ def _record_methods(cls: type, fields: tuple[str, ...]):
 
         return __init__, __eq__, __hash__
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(store):
-            args = _bind(cls, args, kwargs)
-        for store_field, value in zip(store, args):
-            store_field(self, value)
+    if len(fields) == 2:
+        store_first, store_second = store
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != 2:
+                args = _bind(cls, args, kwargs)
+            store_first(self, args[0])
+            store_second(self, args[1])
+
+    else:
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(store):
+                args = _bind(cls, args, kwargs)
+            for store_field, value in zip(store, args):
+                store_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

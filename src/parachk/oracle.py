@@ -113,6 +113,11 @@ class GroundConstraint(NamedTuple):
     out_terms: tuple[int, ...]
 
 
+# GroundConstraint((key, in_terms, out_terms)) without NamedTuple's
+# Python-level __new__: one record per constraint grounded
+_ground = partial(tuple.__new__, GroundConstraint)
+
+
 class GroundInstance(NamedTuple):
     constraints: tuple[GroundConstraint, ...]  # in the order of cs.constraints
     out_keys: dict  # input slot key -> output slot key
@@ -191,8 +196,13 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundIn
     out_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
     grounded = []
     for c in constraints:
-        key, in_terms = read_inputs(c, inter_keys, inter_terms)
-        out = c.output
+        inputs, out = c
+        if len(inputs) == 1 and type(inputs[0]) is Known:
+            # a raw, map or base-case constraint: its key and terms are its
+            # one input's
+            _, key, in_terms = inputs[0]
+        else:
+            key, in_terms = read_inputs(c, inter_keys, inter_terms)
         if type(out) is Known:
             out_key, out_terms = out.key, out.codes
         else:
@@ -206,7 +216,7 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundIn
                 f"input shape {show_key(cs.input_parts, key)} maps to both "
                 f"{_show(cs, forced)} and {_show(cs, out_key)}"
             )
-        grounded.append(GroundConstraint(key, in_terms, out_terms))
+        grounded.append(_ground((key, in_terms, out_terms)))
 
     return GroundInstance(tuple(grounded), out_keys, inter_keys, inter_terms, cs)
 

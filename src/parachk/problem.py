@@ -20,20 +20,21 @@ tagged terms: ``{"atom": "A"}``, ``{"int": 3}``, ``{"bool": true}``,
 ``{"just": v}``. Unknown fields are rejected. ``extra`` may be omitted when
 the extra functor is Unit; ``base`` is required exactly for foldr sketches.
 
-Loading is one call per run of fields, an example's inputs or a map's
-output items (the extra, a non-map output and a base are runs of one),
-and in it one walk per field, directed by the field's functor: from the
-JSON node straight to the field's container form, a `Known` (functor, key
-of its shape, element codes), the one form that `Problem.extensions`
-keeps. As it walks, each field emits the ints of its `shape_key` (a list's
-length, an int, a bool, a Maybe's flag and an absent Maybe child's zero
-key) and the codes of its atoms, interned label -> code; it builds no shape
-and no value, so no later stage walks a shape to key it. A shape or a value
-is decoded from a `Known` only for a reader (`extension_of`):
-`Problem.examples` rebuilds the values on each access. Files and code
-share the walk: `build_problem` reads the problem-file term of each value
-built in code.
-The walk checks syntax and type together and builds no location. A field
+Loading is one call per field, to the reader of its functor
+(`_field_reader`): from the JSON node straight to the field's container
+form, a `Known` (functor, key of its shape, element codes), the one form
+that `Problem.extensions` keeps. An `Id`, `List(Id)` or `Prod(Id,Id)`
+field, the form of most long examples, is read in line, each atom term
+tested and interned where it stands; any other field by one walk directed
+by its functor (`_json_reader`). Either way a field emits the ints of its
+`shape_key` (a list's length, an int, a bool, a Maybe's flag and an absent
+Maybe child's zero key) and the codes of its atoms, interned label ->
+code; it builds no shape and no value, so no later stage walks a shape to
+key it. A shape or a value is decoded from a `Known` only for a reader
+(`extension_of`): `Problem.examples` rebuilds the values on each access.
+Files and code share the readers: `build_problem` reads the problem-file
+term of each value built in code.
+A reader checks syntax and type together and builds no location. A field
 it rejects is rendered by `value_from_json`, and a file with faults gets
 the error of its first syntax fault, else of its first validation fault:
 the same errors as reading every value first and checking them after.
@@ -277,7 +278,7 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
 
     atoms: dict[str, int] = {}  # label -> code, in first-occurrence order
     read_extra, read_element, read_result = (
-        _json_reader(f) for f in (signature.extra, signature.element, signature.result)
+        _field_reader(f) for f in (signature.extra, signature.element, signature.result)
     )
 
     def check(read, f, nodes, i, field, one=False) -> tuple[Known, ...]:
@@ -286,10 +287,7 @@ def _assemble(name: str, signature: Signature, sketch: SketchKind, examples) -> 
         out = []
         try:
             for node in nodes:
-                codes: list[int] = []
-                key: list[int] = []
-                read(node, atoms, codes, key)
-                out.append(_known((f, tuple(key), tuple(codes))))
+                out.append(read(node, atoms))
         except TypeMismatch:
             # the field's name and location are built only on the way to an
             # error
@@ -498,10 +496,7 @@ def _json_reader(f: FunctorExpr) -> Callable:
                 if type(node) is dict and len(node) == 1:
                     label = node.get("atom")
                     if type(label) is str:
-                        code = atoms.get(label)
-                        if code is None:
-                            code = atoms[label] = len(atoms)
-                        codes.append(code)
+                        codes.append(atoms.setdefault(label, len(atoms)))
                         return
                 raise TypeMismatch
 
@@ -571,6 +566,63 @@ def _json_reader(f: FunctorExpr) -> Callable:
 
         case _:
             raise UnsupportedFunctor(f"not a functor expression: {f!r}")
+    return read
+
+
+@functools.cache
+def _field_reader(f: FunctorExpr) -> Callable:
+    """read(node, atoms) -> Known: one field of functor f, the `Known` that
+    the walk of `_json_reader` gives, its labels interned in the same order,
+    and TypeMismatch on the nodes the walk rejects. An `Id`, `List(Id)` or
+    `Prod(Id,Id)` field, the form of most long examples, is read in line,
+    with no call per atom and no key list."""
+    match f:
+        case Id():
+
+            def read(node, atoms):
+                if type(node) is dict and len(node) == 1:
+                    label = node.get("atom")
+                    if type(label) is str:
+                        return _known((f, (), (atoms.setdefault(label, len(atoms)),)))
+                raise TypeMismatch
+
+        case ListOf(Id()):
+
+            def read(node, atoms):
+                if type(node) is dict and len(node) == 1:
+                    body = node.get("list")
+                    if type(body) is list:
+                        codes = []
+                        for x in body:
+                            label = x.get("atom") if type(x) is dict and len(x) == 1 else None
+                            if type(label) is not str:
+                                raise TypeMismatch
+                            codes.append(atoms.setdefault(label, len(atoms)))
+                        return _known((f, (len(body),), tuple(codes)))
+                raise TypeMismatch
+
+        case ProdOf(Id(), Id()):
+
+            def read(node, atoms):
+                body = node.get("pair") if type(node) is dict and len(node) == 1 else None
+                if type(body) is list and len(body) == 2:
+                    a, b = body
+                    a = a.get("atom") if type(a) is dict and len(a) == 1 else None
+                    b = b.get("atom") if type(b) is dict and len(b) == 1 else None
+                    if type(a) is str and type(b) is str:
+                        a = atoms.setdefault(a, len(atoms))
+                        return _known((f, (), (a, atoms.setdefault(b, len(atoms)))))
+                raise TypeMismatch
+
+        case _:
+            walk = _json_reader(f)
+
+            def read(node, atoms):
+                codes: list[int] = []
+                key: list[int] = []
+                walk(node, atoms, codes, key)
+                return _known((f, tuple(key), tuple(codes)))
+
     return read
 
 

@@ -39,6 +39,7 @@ base. A map set is refuted here when a list changes length.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
 from typing import NamedTuple
 
 from .functors import FunctorExpr, shape_from_key, show_shape
@@ -66,6 +67,13 @@ SymbolicContainer = Known | Unknown
 class MorphismConstraint(NamedTuple):
     inputs: tuple[SymbolicContainer, ...]
     output: SymbolicContainer
+
+
+# MorphismConstraint((inputs, output)) and Unknown((uid,)) without
+# NamedTuple's Python-level __new__, as `problem._known` builds a Known:
+# one record per list element or fold step
+_constraint = partial(tuple.__new__, MorphismConstraint)
+_unknown = partial(tuple.__new__, Unknown)
 
 
 def read_inputs(
@@ -156,7 +164,7 @@ def propagate_map(p: Problem) -> ConstraintSet:
                 f"inputs map to {len(x.outputs)} outputs"
             )
     constraints = tuple(
-        MorphismConstraint((a,), b) for x in p.extensions for a, b in zip(x.inputs, x.outputs)
+        [_constraint(((a,), b)) for x in p.extensions for a, b in zip(x.inputs, x.outputs)]
     )
     return ConstraintSet(input_parts(sig, p.sketch), sig.result, constraints, 0, p.atoms)
 
@@ -186,11 +194,11 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
                 f"its extra argument, its inputs nor its base"
             )
         accs: list[SymbolicContainer] = [base]
-        accs.extend(Unknown(uid + k) for k in range(n - 1))
+        accs.extend([_unknown((uid + k,)) for k in range(n - 1)])
         accs.append(out)
         uid += n - 1
         steps = tuple(
-            MorphismConstraint((h, elements[k], accs[k]), accs[k + 1]) for k in range(n)
+            [_constraint(((h, elements[k], accs[k]), accs[k + 1])) for k in range(n)]
         )
         constraints.extend(steps)
         steps_of.append(steps)
@@ -198,7 +206,7 @@ def propagate_foldr(p: Problem) -> ConstraintSet:
     base_case = ConstraintSet(
         (sig.extra,),
         sig.result,
-        tuple(MorphismConstraint((h,), b) for h, b in bases.values()),
+        tuple([_constraint(((h,), b)) for h, b in bases.values()]),
         0,
         p.atoms,
     )

@@ -114,11 +114,16 @@ def validate_summary(cs: ConstraintSet, summary: WitnessSummary) -> bool:
         inter_codes[uid] = k.codes
     shape_table, position_table = summary.shape_table, summary.position_table
     for c in cs.constraints:
-        try:
-            key, in_codes = read_inputs(c, inter_keys, inter_codes)
-        except KeyError:
-            return False
-        out = c.output
+        inputs, out = c
+        if len(inputs) == 1 and type(inputs[0]) is Known:
+            # a raw, map or base-case constraint: its key and codes are its
+            # one input's
+            _, key, in_codes = inputs[0]
+        else:
+            try:
+                key, in_codes = read_inputs(c, inter_keys, inter_codes)
+            except KeyError:
+                return False
         if type(out) is Known:
             out_key, targets = out.key, out.codes
         elif out.uid in inter_keys:

@@ -40,8 +40,16 @@ from parachk import (
     to_extension,
 )
 from parachk.cli import main
-from parachk.functors import UnsupportedFunctor, shape_key
-from parachk.problem import ParseError, ValidationError, extension_of, value_to_json
+from parachk.functors import TypeMismatch, UnsupportedFunctor, shape_key
+from parachk.problem import (
+    ParseError,
+    ValidationError,
+    _field_reader,
+    _json_reader,
+    extension_of,
+    parse_functor,
+    value_to_json,
+)
 
 import support
 from test_functors import functor_exprs, value_strategy
@@ -499,6 +507,79 @@ def test_the_walk_keys_nested_and_absent_values(f, values, keys):
     _assert_keyed_by_shape_key(p)
     assert [x.inputs[0].key for x in p.extensions] == keys
     assert [x.outputs[0].key for x in p.extensions] == keys
+
+
+# ---------------------------------------------------------------------------
+# The field readers: one call per field, reading an `Id`, `List(Id)` or
+# `Prod(Id,Id)` field's atoms in line and any other field by the walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from([ID, ListOf(ID), ProdOf(ID, ID)]), functor_exprs).flatmap(
+        lambda f: st.tuples(st.just(f), st.lists(value_strategy(f), min_size=1, max_size=4))
+    )
+)
+def test_a_field_reader_reads_each_field_as_the_walk_does(case):
+    f, values = case
+    read, walk = _field_reader(f), _json_reader(f)
+    atoms: dict[str, int] = {}
+    walked: dict[str, int] = {}
+    for v in values:
+        node = value_to_json(v)
+        codes: list[int] = []
+        key: list[int] = []
+        walk(node, walked, codes, key)
+        k = read(node, atoms)
+        assert type(k) is Known and k == (f, tuple(key), tuple(codes))
+    # the same labels, interned in the same order
+    assert list(atoms.items()) == list(walked.items())
+
+
+_GOOD_TERMS = {
+    "Id": A,
+    "Bool": {"bool": True},
+    "List(Id)": {"list": [A]},
+    "Prod(Id,Id)": {"pair": [A, A]},
+    "Prod(Bool,Id)": {"pair": [{"bool": False}, A]},
+    "List(List(Id))": {"list": []},
+    "Maybe(Id)": "nothing",
+}
+
+# (functor, a term no value of it, the error of a file whose second input is
+# that term)
+_CORRUPTED = [
+    ("Id", {"atom": "a", "int": 1}, ParseError, "examples[0].inputs[1]: a value term has exactly one tag, got ['atom', 'int']"),
+    ("Id", {"atom": 3}, ParseError, "examples[0].inputs[1]: atom labels are strings"),
+    ("Id", "nothing", ValidationError, "example 0: field 'inputs[1]': value Nothing does not typecheck against Id"),
+    ("Bool", {"bool": 1}, ParseError, "examples[0].inputs[1]: 'bool' takes true or false"),
+    ("List(Id)", {"list": {"atom": "a"}}, ParseError, "examples[0].inputs[1]: 'list' takes an array"),
+    ("List(Id)", {"list": [A, {"atom": "a", "int": 1}]}, ParseError, "examples[0].inputs[1][1]: a value term has exactly one tag, got ['atom', 'int']"),
+    ("List(Id)", {"list": [A, {"atom": 3}]}, ParseError, "examples[0].inputs[1][1]: atom labels are strings"),
+    ("List(Id)", {"list": [A, "nothing"]}, ValidationError, "example 0: field 'inputs[1]': value [a,Nothing] does not typecheck against List(Id)"),
+    ("Prod(Id,Id)", {"pair": [A, A, A]}, ParseError, "examples[0].inputs[1]: 'pair' takes a two-element array"),
+    ("Prod(Id,Id)", {"pair": [A, {"atom": "a", "int": 1}]}, ParseError, "examples[0].inputs[1].snd: a value term has exactly one tag, got ['atom', 'int']"),
+    ("Prod(Id,Id)", {"pair": [{"atom": 3}, A]}, ParseError, "examples[0].inputs[1].fst: atom labels are strings"),
+    ("Prod(Id,Id)", {"pair": [A, "nothing"]}, ValidationError, "example 0: field 'inputs[1]': value (a,Nothing) does not typecheck against Prod(Id,Id)"),
+    ("Prod(Id,Id)", {"list": [A, A]}, ValidationError, "example 0: field 'inputs[1]': value [a,a] does not typecheck against Prod(Id,Id)"),
+    ("Prod(Bool,Id)", {"pair": [{"bool": 1}, A]}, ParseError, "examples[0].inputs[1].fst: 'bool' takes true or false"),
+    ("List(List(Id))", {"list": [{"list": "a"}]}, ParseError, "examples[0].inputs[1][0]: 'list' takes an array"),
+    ("Maybe(Id)", {"just": {"atom": 3}}, ParseError, "examples[0].inputs[1].just: atom labels are strings"),
+]
+
+
+@pytest.mark.parametrize("f, term, error, message", _CORRUPTED)
+def test_a_field_reader_rejects_what_the_walk_rejects(f, term, error, message):
+    functor = parse_functor(f)
+    with pytest.raises(TypeMismatch):
+        _json_reader(functor)(term, {}, [], [])
+    with pytest.raises(TypeMismatch):
+        _field_reader(functor)(term, {})
+    good = _GOOD_TERMS[f]
+    text = _doc([{"inputs": [good, term], "output": {"list": [good, good]}}], "map", {"element": f, "result": f})
+    with pytest.raises(error) as err:
+        parse_problem(text)
+    assert type(err.value) is error and str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from parachk import (
     ListOf,
     ListV,
     MaybeOf,
+    PairV,
+    ProdOf,
     Problem,
     Realizable,
     Signature,
@@ -467,6 +469,57 @@ def test_replay_rejects_a_witness_that_misses_an_intermediate():
         assert validate_summary(cs, witness._replace(intermediates=kept)) is False
         readers = [c for c in cs.constraints if getattr(c.output, "uid", None) != uid]
         assert validate_summary(cs._replace(constraints=tuple(readers)), witness._replace(intermediates=kept)) is False
+
+
+# ---------------------------------------------------------------------------
+# Sets without intermediates: replay reads a raw or map constraint's key and
+# codes off its one input, and rejects a witness whose tables disagree
+
+
+def _raw_reverse() -> Problem:
+    xs = [atom(c) for c in "abcd"]
+    examples = [(UnitV(), [lst(*xs[:n])], lst(*xs[:n][::-1])) for n in range(1, 5)]
+    return build_problem("reverse", Signature(UNIT, ListOf(ID), ListOf(ID)), SketchKind.RAW, examples)
+
+
+def _map_swap() -> Problem:
+    pair = ProdOf(ID, ID)
+    rows = [[(atom(f"a{i}{j}"), atom(f"b{i}{j}")) for j in range(3)] for i in range(2)]
+    examples = [
+        (UnitV(), [PairV(a, b) for a, b in row], lst(*(PairV(b, a) for a, b in row)))
+        for row in rows
+    ]
+    return build_problem("swap", Signature(UNIT, pair, pair), SketchKind.MAP, examples)
+
+
+def _moved(w):
+    # the last position of the widest input shape read from another column
+    (key, q), p = max(w.position_table.items())
+    return w._replace(position_table={**w.position_table, (key, q): (p + 1) % (q + 1)})
+
+
+def _out_of_range(w):
+    (key, q), _ = max(w.position_table.items())
+    return w._replace(position_table={**w.position_table, (key, q): q + 1})
+
+
+def _without_a_shape(w):
+    return w._replace(shape_table=dict(list(w.shape_table.items())[1:]))
+
+
+def _wrong_output_key(w):
+    key, out = next(iter(w.shape_table.items()))
+    return w._replace(shape_table={**w.shape_table, key: out + (0,)})
+
+
+@pytest.mark.parametrize("problem", [_raw_reverse, _map_swap], ids=["raw", "map"])
+@pytest.mark.parametrize("corrupt", [_moved, _out_of_range, _without_a_shape, _wrong_output_key])
+def test_replay_rejects_a_wrong_table_of_a_set_without_intermediates(problem, corrupt):
+    cs = propagate(problem())
+    assert cs.unknown_count == 0 and all(len(c.inputs) == 1 for c in cs.constraints)
+    verdict = oracle_verdict(cs)
+    assert isinstance(verdict, Realizable) and validate_summary(cs, verdict.witness)
+    assert validate_summary(cs, corrupt(verdict.witness)) is False
 
 
 # ---------------------------------------------------------------------------
