@@ -66,7 +66,6 @@ So two steps with one key produce the one shape the table maps it to.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -76,14 +75,9 @@ from .verdict import Realizable, UnknownVerdict, Unrealizable, Verdict, WitnessS
 
 
 class ShapeConflict(Exception):
-    """Two equal input shapes forced two different output shapes. The
-    message is text, or a function that returns it, called by `str`: a
-    guess that clashes is dropped unread (`_guesses`), so its conflict
-    is formatted only where one is shown."""
-
-    def __str__(self) -> str:
-        message = self.args[0]
-        return message if isinstance(message, str) else message()
+    """Two equal input shapes forced two different output shapes; the
+    message names them. A guess that clashes raises none: `_force`
+    returns its clash, and `_guesses` drops the guess unread."""
 
 
 class BoundExceeded(Exception):
@@ -107,19 +101,12 @@ class StepBudget:
 # Element terms are ints: an atom code (>= 0) stands for itself and is a
 # root of the unifier, and -1 - i stands for the i-th intermediate
 # position, counted in (uid, position) order.
-class GroundConstraint(NamedTuple):
-    key: tuple[int, ...]
-    in_terms: tuple[int, ...]
-    out_terms: tuple[int, ...]
-
-
-# GroundConstraint((key, in_terms, out_terms)) without NamedTuple's
-# Python-level __new__: one record per constraint grounded
-_ground = partial(tuple.__new__, GroundConstraint)
-
-
 class GroundInstance(NamedTuple):
-    constraints: tuple[GroundConstraint, ...]  # in the order of cs.constraints
+    """A grounded completion. `rows` holds its constraints by input key,
+    the input shape a position map belongs to: per key, each constraint's
+    input terms and output terms, in the order of cs.constraints."""
+
+    rows: dict  # input slot key -> [(in_terms, out_terms), ...]
     out_keys: dict  # input slot key -> output slot key
     inter_keys: dict  # uid -> its slot vector
     inter_terms: dict  # uid -> its terms
@@ -173,7 +160,8 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundIn
     yields one: that grounds the part of the set the given shapes settle.
     Which suffixes no example pins is `cs.unpinned`, not grounding's to
     say. Known containers bring their keys and intermediates their slot
-    vectors, so grounding compares keys and decodes a shape only for a
+    vectors, so grounding compares keys, groups the constraints by their
+    input key (`GroundInstance.rows`) and decodes a shape only for a
     clash's message."""
     inter_keys = intermediate_keys(cs, shapes)
     constraints = cs.constraints
@@ -194,7 +182,7 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundIn
             term -= n
 
     out_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-    grounded = []
+    rows: dict[tuple[int, ...], list] = {}
     for c in constraints:
         inputs, out = c
         if len(inputs) == 1 and type(inputs[0]) is Known:
@@ -210,15 +198,17 @@ def ground(cs: ConstraintSet, shapes: Mapping[int, tuple[int, ...]]) -> GroundIn
         forced = out_keys.get(key)
         if forced is None:
             out_keys[key] = out_key
+            rows[key] = [(in_terms, out_terms)]
         elif forced != out_key:
             # a key reads back to its shape, so the shapes differ
             raise ShapeConflict(
                 f"input shape {show_key(cs.input_parts, key)} maps to both "
                 f"{_show(cs, forced)} and {_show(cs, out_key)}"
             )
-        grounded.append(_ground((key, in_terms, out_terms)))
+        else:
+            rows[key].append((in_terms, out_terms))
 
-    return GroundInstance(tuple(grounded), out_keys, inter_keys, inter_terms, cs)
+    return GroundInstance(rows, out_keys, inter_keys, inter_terms, cs)
 
 
 class _Unifier:
@@ -280,9 +270,10 @@ def _nowhere(cs: ConstraintSet, key: tuple[int, ...], q: int) -> str:
     )
 
 
-def _positions(by_key: dict[tuple[int, ...], list[GroundConstraint]]):
-    """The position variables of the constraints `by_key`, grouped by
-    input shape: one per input shape and output position. Returns the
+def _positions(rows: dict):
+    """The position variables of the constraints `rows` holds by input
+    shape (`GroundInstance.rows`), each as its input terms and output
+    terms: one per input shape and output position. Returns the
     positions the scans settle, each other variable with its candidate
     positions in (input shape, output position) order, and the first
     variable left without a position (None if there is none), where the
@@ -304,21 +295,21 @@ def _positions(by_key: dict[tuple[int, ...], list[GroundConstraint]]):
     ones, in ascending order."""
     settled: dict[tuple[tuple[int, ...], int], int] = {}
     open_vars = []  # (input shape, output position)
-    for key in sorted(by_key):
-        group = by_key[key]
+    for key in sorted(rows):
+        group = rows[key]
         # ins[p] is the column of input position p: every constraint's term
         # there, in group order, as each output column is
-        ins = list(zip(*[c.in_terms for c in group]))
+        ins = list(zip(*[in_terms for in_terms, _ in group]))
         if min(map(min, ins), default=0) < 0:
-            open_vars.extend((key, q) for q in range(len(group[0].out_terms)))
+            open_vars.extend((key, q) for q in range(len(group[0][1])))
             continue
         first = None
-        for q, outs in enumerate(zip(*[c.out_terms for c in group])):
+        for q, outs in enumerate(zip(*[out_terms for _, out_terms in group])):
             if min(outs) < 0:
                 open_vars.append((key, q))
                 continue
             if first is None:
-                first, _ = _index(group[0].in_terms)
+                first, _ = _index(group[0][0])
             for p in first.get(outs[0], ()):
                 if ins[p] == outs:
                     settled[(key, q)] = p
@@ -329,17 +320,17 @@ def _positions(by_key: dict[tuple[int, ...], list[GroundConstraint]]):
     variables = []  # ((input shape, output position), candidate positions)
     # per input shape, the index and the output terms of each constraint
     # with an atom in its output: the others rule out no position
-    rows_of: dict[tuple[int, ...], list] = {}
+    indexed_of: dict[tuple[int, ...], list] = {}
     for key, q in open_vars:
-        rows = rows_of.get(key)
-        if rows is None:
-            rows = rows_of[key] = [
-                (_index(c.in_terms), c.out_terms)
-                for c in by_key[key]
-                if max(c.out_terms, default=-1) >= 0
+        indexed = indexed_of.get(key)
+        if indexed is None:
+            indexed = indexed_of[key] = [
+                (_index(in_terms), out_terms)
+                for in_terms, out_terms in rows[key]
+                if max(out_terms, default=-1) >= 0
             ]
         live = None
-        for (at, symbolic), outs in rows:
+        for (at, symbolic), outs in indexed:
             b = outs[q]
             if b >= 0:
                 held = at.get(b, ())
@@ -347,7 +338,7 @@ def _positions(by_key: dict[tuple[int, ...], list[GroundConstraint]]):
                     live = symbolic.union(held)
                 else:
                     live = (live & symbolic).union(live.intersection(held))
-        candidates = range(len(by_key[key][0].in_terms)) if live is None else sorted(live)
+        candidates = range(len(rows[key][0][0])) if live is None else sorted(live)
         if not candidates:
             return settled, variables, (key, q)
         variables.append(((key, q), candidates))
@@ -368,13 +359,11 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
     unifier; with no budget it is exhaustive. Scans and the candidate
     lists spend no steps: on a wide set, listing costs time in proportion
     to the constraints with an atom in their output times their width,
-    before the first step.
+    before the first step. Both read the constraints as `ground` grouped
+    them, by input shape (`GroundInstance.rows`).
     """
-    by_key: dict[tuple[int, ...], list[GroundConstraint]] = {}
-    for c in gi.constraints:
-        by_key.setdefault(c.key, []).append(c)
     # the scans' positions; the search adds each position it chooses
-    positions, variables, nowhere = _positions(by_key)
+    positions, variables, nowhere = _positions(gi.rows)
     if nowhere is not None:
         return Unrealizable(_nowhere(gi.cs, *nowhere))
 
@@ -389,7 +378,7 @@ def oracle_check(gi: GroundInstance, budget: StepBudget | None = None) -> Verdic
         var, candidates = variables[idx]
         if idx == len(frames):
             q = var[1]
-            pairs = [(c.in_terms, c.out_terms[q]) for c in by_key[var[0]]]
+            pairs = [(in_terms, out_terms[q]) for in_terms, out_terms in gi.rows[var[0]]]
             frames.append((iter(candidates), uf.mark(), pairs))
         left, mark, pairs = frames[idx]
         for p in left:
@@ -475,13 +464,15 @@ def _tail_clash(cs: ConstraintSet, tail: int, rho, prior, shape) -> str:
     )
 
 
-def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
+def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> tuple | None:
     """Propagate newly known suffix shapes through the ties, in place: the
     shape morphism is a function, so a suffix whose argument the table
     maps has that shape, and a known suffix gives its shape to every
     suffix waiting on its argument. Each tie looked at spends one step of
-    `budget`. A known suffix whose argument maps to another shape raises
-    ShapeConflict naming its tail."""
+    `budget`. Returns the first clash, a known suffix whose argument maps
+    to another shape, as (its tail, the tail's shape, the shape the table
+    gives, the suffix's shape), where propagation stops; None where there
+    is none. Its text is built only where it is shown (`_tail_clash`)."""
     suffixes, known, table, waiting = state.cs.suffixes, state.known, state.table, state.waiting
     todo = list(newly_known)
     for tail in todo:  # grows by each suffix whose shape is forced
@@ -503,7 +494,8 @@ def _force(state: Forcing, newly_known: list[int], budget: StepBudget) -> None:
                 known.update(dict.fromkeys(woken, known[s]))
                 todo.extend(woken)
             elif prior != known[s]:
-                raise ShapeConflict(partial(_tail_clash, state.cs, tail, rho, prior, known[s]))
+                return tail, rho, prior, known[s]
+    return None
 
 
 def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> Forcing:
@@ -516,14 +508,17 @@ def forced_shapes(cs: ConstraintSet, budget: StepBudget) -> Forcing:
     for s, suffix in enumerate(cs.suffixes):
         if suffix.tail >= 0:
             state.kids.setdefault(suffix.tail, []).append(s)
-    _force(state, list(known), budget)
+    clash = _force(state, list(known), budget)
+    if clash is not None:
+        raise ShapeConflict(_tail_clash(cs, *clash))
     return state
 
 
 def _guesses(state: Forcing, s: int, shapes: list, budget: StepBudget) -> Iterator[Forcing]:
     """A copy of `state` for each of `shapes` that the unknown suffix `s`,
     and every suffix waiting on its argument, takes without a clash
-    (`_force`). Each guess spends one step of `budget`."""
+    (`_force`): a guess whose forcing returns a clash is dropped. Each
+    guess spends one step of `budget`."""
     suffix = state.cs.suffixes[s]
     arg = suffix.key + state.known[suffix.tail]
     for shape in shapes:
@@ -532,11 +527,8 @@ def _guesses(state: Forcing, s: int, shapes: list, budget: StepBudget) -> Iterat
         group = waiting.pop(arg)
         known = {**state.known, **dict.fromkeys(group, shape)}
         child = Forcing(state.cs, known, {**state.table, arg: shape}, state.kids, waiting)
-        try:
-            _force(child, group, budget)
-        except ShapeConflict:
-            continue
-        yield child
+        if _force(child, group, budget) is None:
+            yield child
 
 
 def completions(state: Forcing, missing: list, shapes: list, budget: StepBudget) -> Iterator[dict]:
@@ -571,7 +563,7 @@ def _charged_ground(
 ) -> GroundInstance:
     """`ground`, charging `budget` one step per constraint and ground term."""
     gi = ground(cs, shapes)
-    budget.spend(sum(1 + len(c.in_terms) + len(c.out_terms) for c in gi.constraints))
+    budget.spend(sum(1 + len(ins) + len(outs) for group in gi.rows.values() for ins, outs in group))
     return gi
 
 
@@ -611,7 +603,7 @@ def oracle_decide(cs: ConstraintSet, budget: StepBudget | None = None) -> Verdic
         missing = [s for s in cs.unpinned if s not in forcing.known]
         if not missing:
             return oracle_check(part, budget)
-        if part.constraints:
+        if part.rows:
             verdict = oracle_check(part, budget)
             if isinstance(verdict, Unrealizable):
                 detail = verdict.detail

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import hashlib
 import importlib
 import random
 import sys
@@ -66,6 +67,7 @@ from parachk import (
 )
 from parachk import oracle
 from parachk.bench import corpus
+from parachk.solver import ORACLE_MAX_STEPS
 from parachk.functors import Extension, ShapeValue, shape_from_key
 
 ATOM_POOL = ["a", "b", "c", "d", "e", "f"]
@@ -575,7 +577,54 @@ def _print_probe() -> None:
             print(f"  seed {seed}: draws " + ", ".join(map(str, draws)))
 
 
+def decision_problems():
+    """The problems whose oracle decisions `decisions` hashes: every probe
+    draw, every corpus SC and SI set, 2,000 folds drawn at seed 77, and
+    the hand-built wide, long and gapped folds."""
+    yield from (p for _, _, p in probe_draws())
+    for entry in corpus():
+        yield entry.problem_sc
+        yield entry.problem_si
+    yield from (p for _, p in drawn_folds(random.Random(77), 2000))
+    yield wide_reverse(20)
+    yield wide_reverse(40)
+    yield long_trace(8, ["x4"])
+    yield from (reverse_gap(), big_concat(), refuted_wide_concat())
+
+
+def decisions() -> tuple[int, str]:
+    """The number of decisions over `decision_problems` and a SHA-256 over
+    them, a line each: the reason of a set propagation refutes, else, for
+    its steps and then its base case, the repr of `oracle_decide` under a
+    budget of ORACLE_MAX_STEPS, witness and detail included, or `bound`
+    where it spends the budget, and the steps left."""
+    digest = hashlib.sha256()
+    count = 0
+    for p in decision_problems():
+        try:
+            cs = propagate(p)
+        except PropagationUnrealizable as e:
+            lines = [e.reason]
+        else:
+            lines = []
+            for s in (cs, cs.base_case):
+                budget = oracle.StepBudget(ORACLE_MAX_STEPS)
+                try:
+                    decided = repr(oracle_decide(s, budget))
+                except oracle.BoundExceeded:
+                    decided = "bound"
+                lines.append(f"{decided} {budget.left}")
+        for line in lines:
+            digest.update(line.encode() + b"\n")
+        count += len(lines)
+    return count, digest.hexdigest()
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["probe"]:
-        sys.exit("usage: python tests/support.py probe")
-    _print_probe()
+    if sys.argv[1:] == ["probe"]:
+        _print_probe()
+    elif sys.argv[1:] == ["decisions"]:
+        count, digest = decisions()
+        print(f"decisions: {count:,}\nsha256: {digest}")
+    else:
+        sys.exit("usage: python tests/support.py probe | decisions")

@@ -94,11 +94,16 @@ def test_a_job_runs_tier1_without_a_solver_and_bounds_the_skips():
 
 
 def test_the_job_without_a_solver_prints_the_drawn_fold_probe():
-    # after the tests, for information: no threshold, as the import-time step
+    # after the tests, for information: no threshold, as the import-time
+    # step; the decisions digest follows the probe
     job = _job("tier1-no-solver")
     steps = re.findall(r"^      - name: (.*)$", job, re.MULTILINE)
     assert steps.index("Drawn-fold probe") > steps.index("Tier-1 tests")
-    assert re.search(r"^        run: PYTHONPATH=src python tests/support\.py probe$", job, re.MULTILINE)
+    assert steps.index("Oracle decisions digest") == steps.index("Drawn-fold probe") + 1
+    for command in ("probe", "decisions"):
+        assert re.search(
+            rf"^        run: PYTHONPATH=src python tests/support\.py {command}$", job, re.MULTILINE
+        )
 
 
 def test_the_python_matrix_starts_at_the_supported_floor():

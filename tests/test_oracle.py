@@ -41,10 +41,10 @@ from parachk import (
     validate_summary,
     verdict_name,
 )
-from parachk.problem import ProblemError
-from parachk.propagate import Known, PropagationUnrealizable, show_suffix
+from parachk.problem import AtomTable, ProblemError, extension_of
+from parachk.propagate import ConstraintSet, Known, PropagationUnrealizable, Suffix, read_inputs, show_suffix
 from parachk.solver import ORACLE_MAX_STEPS, oracle_verdict
-from parachk.verdict import UnknownVerdict, WitnessSummary
+from parachk.verdict import UnknownVerdict, WitnessSummary, constraint_key, resolve_constraint
 from parachk.oracle import (
     ShapeConflict,
     StepBudget,
@@ -54,7 +54,7 @@ from parachk.oracle import (
     intermediate_keys,
 )
 from parachk import oracle
-from parachk.functors import flatten_shape, size_of
+from parachk.functors import flatten_shape, shape_key, size_of
 
 import support
 
@@ -147,7 +147,8 @@ def test_raw_and_map_ground_without_unknowns():
     )
     gi = _ground(propagate(p))
     assert gi.inter_keys == {}
-    assert len(gi.constraints) == 1
+    a, b = map(gi.cs.atoms.labels.index, "ab")
+    assert list(gi.rows.values()) == [[((a, b), (b, a))]]
 
 
 def test_shape_conflict_detected_in_ground():
@@ -455,6 +456,58 @@ def test_oracle_witnesses_validate():
     assert checked >= 10
 
 
+def _random_map_problem(rng):
+    sig = Signature(UNIT, rng.choice([ID, ListOf(ID), ProdOf(ID, ID)]), rng.choice([ID, ListOf(ID), MaybeOf(ID)]))
+    examples = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(0, 3)
+        inputs = [support.random_value(rng, sig.element) for _ in range(n)]
+        examples.append((UnitV(), inputs, lst(*(support.random_value(rng, sig.result) for _ in range(n)))))
+    return build_problem(f"map-{rng.randrange(10**6)}", sig, SketchKind.MAP, examples)
+
+
+def test_the_replay_key_definition_agrees_with_grounding():
+    # the benchmark's replay models key a constraint by `constraint_key` of
+    # the extensions `resolve_constraint` substitutes; over the oracle's
+    # witnesses of drawn raw, map and fold sets, that key is the one
+    # grounding reads (`read_inputs`), and the output's `shape_key` the
+    # constraint's output key
+    rng = random.Random(31)
+    drawn = [("raw", support.random_raw_problem(rng)) for _ in range(300)]
+    drawn += [("map", _random_map_problem(rng)) for _ in range(300)]
+    drawn += [("fold", p) for _, p in support.drawn_folds(random.Random(31), 120)]
+    checked = {"raw": 0, "map": 0, "fold": 0}
+    left_out = 0
+    for kind, p in drawn:
+        try:
+            cs = propagate(p)
+            verdict = oracle_decide(cs, StepBudget(ORACLE_MAX_STEPS))
+        except (PropagationUnrealizable, BoundExceeded):
+            continue
+        if not isinstance(verdict, Realizable):
+            continue
+        found = verdict.witness.intermediates
+        inter_keys = {uid: k.key for uid, k in found.items()}
+        inter_codes = {uid: k.codes for uid, k in found.items()}
+        mids = {uid: extension_of(k, cs.atoms) for uid, k in found.items()}
+        for c in cs.constraints:
+            parts, out = resolve_constraint(c, mids)
+            assert constraint_key(parts) == read_inputs(c, inter_keys, inter_codes)[0]
+            out_key = c.output.key if isinstance(c.output, Known) else inter_keys[c.output.uid]
+            assert shape_key(out.functor, out.shape) == out_key
+            # a known part's atoms carry their codes, unlabelled
+            for part, ext in zip(c.inputs, parts):
+                if isinstance(part, Known):
+                    assert [a.label for a in ext.elements] == [f"#{code}" for code in part.codes]
+            uids = [x.uid for x in (*c.inputs, c.output) if not isinstance(x, Known)]
+            if uids:
+                assert resolve_constraint(c, {u: e for u, e in mids.items() if u != uids[0]}) is None
+                left_out += 1
+        checked[kind] += 1
+    assert checked["raw"] >= 30 and checked["map"] >= 30 and checked["fold"] >= 80 and left_out >= 250
+    assert AtomTable(()).label_of(3) == "#3"
+
+
 def test_candidate_shapes_cover_schemas_without_lists():
     entries = {e.name: e for e in corpus()}
 
@@ -699,12 +752,28 @@ def _plain_backtracking(gi):
     """The search as it was before scans: every position variable in
     (input shape, output position) order, every input position of each in
     turn, backtracking over all of them; no bound. Its classes are its
-    own (`_naive_unify`), copied for undo."""
-    by_key = {}
-    for c in gi.constraints:
-        by_key.setdefault(c.key, []).append(c)
+    own (`_naive_unify`), copied for undo. It groups the constraints of
+    `gi.cs` by input shape itself, each key and its terms joined from the
+    parts: a known one's own, an intermediate's grounded ones."""
+    cs = gi.cs
+
+    def joined(parts):
+        key, terms = (), ()
+        for x in parts:
+            if isinstance(x, Known):
+                key, terms = key + x.key, terms + x.codes
+            else:
+                key, terms = key + gi.inter_keys[x.uid], terms + gi.inter_terms[x.uid]
+        return key, terms
+
+    by_key, shape_table = {}, {}
+    for c in cs.constraints:
+        key, in_terms = joined(c.inputs)
+        out, out_terms = joined([c.output])
+        by_key.setdefault(key, []).append((in_terms, out_terms))
+        shape_table.setdefault(key, out)
     variables = [
-        (key, q) for key in sorted(by_key) for q in range(len(by_key[key][0].out_terms))
+        (key, q) for key in sorted(by_key) for q in range(len(by_key[key][0][1]))
     ]
     labels = {}
     assignment = {}
@@ -714,9 +783,9 @@ def _plain_backtracking(gi):
             return True
         key, q = variables[idx]
         group = by_key[key]
-        for p in range(len(group[0].in_terms)):
+        for p in range(len(group[0][0])):
             saved = dict(labels)
-            if all(_naive_unify(labels, c.in_terms[p], c.out_terms[q]) for c in group):
+            if all(_naive_unify(labels, ins[p], outs[q]) for ins, outs in group):
                 assignment[(key, q)] = p
                 if assign(idx + 1):
                     return True
@@ -727,15 +796,7 @@ def _plain_backtracking(gi):
 
     if not assign(0):
         return Unrealizable()
-    cs = gi.cs
     out_schema = flatten_shape(cs.output_functor)
-    shape_table = {}
-    for g, c in zip(gi.constraints, cs.constraints):
-        if isinstance(c.output, Known):
-            out = c.output.key
-        else:
-            out = gi.inter_keys[c.output.uid]
-        shape_table.setdefault(g.key, out)
     fresh, intermediates, term = {}, {}, -1
     for uid in sorted(gi.inter_keys):
         shape = support.schema_shape(out_schema, gi.inter_keys[uid])
@@ -826,15 +887,15 @@ def test_scans_agree_with_plain_search_on_sampled_folds():
 
 
 def _first_source_before(group, q):
-    first = group[0]
-    target = first.out_terms[q]
+    first_ins, first_outs = group[0]
+    target = first_outs[q]
     p = -1
     while True:
         try:
-            p = first.in_terms.index(target, p + 1)
+            p = first_ins.index(target, p + 1)
         except ValueError:
             return None
-        if all(c.in_terms[p] == c.out_terms[q] for c in group):
+        if all(ins[p] == outs[q] for ins, outs in group):
             return p
 
 
@@ -842,9 +903,9 @@ def _positions_before(by_key):
     settled, open_vars = {}, []
     for key in sorted(by_key):
         group = by_key[key]
-        concrete = all(t >= 0 for c in group for t in c.in_terms)
-        for q in range(len(group[0].out_terms)):
-            if concrete and all(c.out_terms[q] >= 0 for c in group):
+        concrete = all(t >= 0 for ins, _ in group for t in ins)
+        for q in range(len(group[0][1])):
+            if concrete and all(outs[q] >= 0 for _, outs in group):
                 p = _first_source_before(group, q)
                 if p is None:
                     return settled, [], (key, q)
@@ -854,11 +915,10 @@ def _positions_before(by_key):
     variables = []
     for key, q in open_vars:
         group = by_key[key]
-        outs = [c.out_terms[q] for c in group]
         candidates = [
             p
-            for p in range(len(group[0].in_terms))
-            if all(b < 0 or (a := c.in_terms[p]) < 0 or a == b for c, b in zip(group, outs))
+            for p in range(len(group[0][0]))
+            if all(outs[q] < 0 or ins[p] < 0 or ins[p] == outs[q] for ins, outs in group)
         ]
         if not candidates:
             return settled, variables, (key, q)
@@ -878,7 +938,7 @@ def _steps_before(by_key, variables, budget):
         left, mark = frames[idx]
         group = by_key[key]
         for p in left:
-            if all(uf.unify(c.in_terms[p], c.out_terms[q]) for c in group):
+            if all(uf.unify(ins[p], outs[q]) for ins, outs in group):
                 idx += 1
                 break
             uf.rollback(mark)
@@ -940,9 +1000,7 @@ def test_position_index_lists_what_the_comprehension_listed():
     # steps on them
     listed = searched = refuted = 0
     for gi in _sampled_ground_instances(random.Random(23)):
-        by_key = {}
-        for c in gi.constraints:
-            by_key.setdefault(c.key, []).append(c)
+        by_key = gi.rows
         settled, variables, nowhere = oracle._positions(by_key)
         before = _positions_before(by_key)
         assert (settled, [(v, list(c)) for v, c in variables], nowhere) == before
@@ -961,27 +1019,24 @@ def test_position_index_lists_what_the_comprehension_listed():
     assert listed >= 800 and searched >= 180 and refuted >= 50
 
 
-def _group(key, *rows):
-    return [oracle.GroundConstraint(key, ins, outs) for ins, outs in rows]
-
-
 # Hand-built groups at the edges of the column scan, which transposes each
 # input shape's terms: zero-width inputs and outputs, symbolic terms, and a
-# group of one constraint beside a larger one.
+# group of one constraint beside a larger one. Each constraint is its
+# (input terms, output terms).
 _EDGE_GROUPS = {
-    "no input positions": {(0,): _group((0,), ((), (3,)), ((), (4,)))},
-    "no input positions, no output": {(0,): _group((0,), ((), ()), ((), ()))},
-    "no output positions": {(2,): _group((2,), ((1, 2), ()), ((5, 5), ()))},
-    "symbolic input": {(2,): _group((2,), ((1, -1), (1, 2)), ((3, 4), (4, 3)))},
-    "symbolic output": {(2,): _group((2,), ((1, 2), (-1, 2)), ((3, 4), (3, 4)))},
-    "symbolic output ruled out": {(2,): _group((2,), ((1, 2), (-1, 1)), ((3, 4), (3, 5)))},
+    "no input positions": {(0,): [((), (3,)), ((), (4,))]},
+    "no input positions, no output": {(0,): [((), ()), ((), ())]},
+    "no output positions": {(2,): [((1, 2), ()), ((5, 5), ())]},
+    "symbolic input": {(2,): [((1, -1), (1, 2)), ((3, 4), (4, 3))]},
+    "symbolic output": {(2,): [((1, 2), (-1, 2)), ((3, 4), (3, 4))]},
+    "symbolic output ruled out": {(2,): [((1, 2), (-1, 1)), ((3, 4), (3, 5))]},
     "two groups, one of one": {
-        (1,): _group((1,), ((7,), (7, 7))),
-        (3,): _group((3,), ((1, 2, 1), (2, 1)), ((2, 3, 2), (3, 2)), ((4, 4, 5), (4, 5))),
+        (1,): [((7,), (7, 7))],
+        (3,): [((1, 2, 1), (2, 1)), ((2, 3, 2), (3, 2)), ((4, 4, 5), (4, 5))],
     },
     "two groups, the larger refuted": {
-        (1,): _group((1,), ((7,), (7,))),
-        (2,): _group((2,), ((1, 2), (2,)), ((3, 4), (3,))),
+        (1,): [((7,), (7,))],
+        (2,): [((1, 2), (2,)), ((3, 4), (3,))],
     },
 }
 
@@ -1036,8 +1091,9 @@ def test_the_oracle_without_a_budget_agrees_with_check_on_drawn_incomplete_sets(
 
 
 def test_a_dropped_guess_formats_no_conflict(no_spawn, monkeypatch):
-    # unzip/si's guesses clash and `_guesses` drops each clash unread, so
-    # no conflict text is built on the way to the witness
+    # unzip/si's guesses clash, `_force` returns each clash and `_guesses`
+    # drops it unread, so no conflict text is built on the way to the
+    # witness
     shown = []
     dropped = []
 
@@ -1048,11 +1104,10 @@ def test_a_dropped_guess_formats_no_conflict(no_spawn, monkeypatch):
         return wrapper
 
     def force(*args):
-        try:
-            return real_force(*args)
-        except ShapeConflict:
-            dropped.append("clash")
-            raise
+        clash = real_force(*args)
+        if clash is not None:
+            dropped.append(clash)
+        return clash
 
     real_force = oracle._force
     monkeypatch.setattr(oracle, "_show", counted("_show", oracle._show))
@@ -1062,3 +1117,37 @@ def test_a_dropped_guess_formats_no_conflict(no_spawn, monkeypatch):
     report = check(unzip.problem_si, no_spawn)
     assert isinstance(report.verdict, Realizable) and report.path == "oracle+completion"
     assert dropped and shown == []
+
+
+def _hand_forcing(shape_of_y):
+    """A Forcing over a fold with an Id extra: roots 0 and 1, the empty
+    suffixes under the extras a and b, and suffixes 2 = [x] under a and
+    3 = [y] under b, on those tails. Every suffix is pinned: the roots to
+    [], [x] to [*] and [y] to `shape_of_y`, so the one argument of both
+    steps, (*, *, []), maps to [*] and to `shape_of_y`."""
+    a, b, x, y = (Known(ID, (), (code,)) for code in range(4))
+    suffixes = (
+        Suffix(a, None, -1, 0, ()),
+        Suffix(b, None, -1, 0, ()),
+        Suffix(a, x, 0, 1, ()),
+        Suffix(b, y, 1, 1, ()),
+    )
+    cs = ConstraintSet((ID, ID, ListOf(ID)), ListOf(ID), (), 2, AtomTable(tuple("abxy")), suffixes=suffixes)
+    known = {0: (0,), 1: (0,), 2: (1,), 3: shape_of_y}
+    return oracle.Forcing(cs, known, {}, {0: [2], 1: [3]}, {})
+
+
+def test_force_returns_a_clash_among_pinned_ties():
+    # the tail of [y] has the shape [], so [y]'s argument is the one [x]
+    # gave the table: the clash is (tail, its shape, the table's shape,
+    # [y]'s shape), and each of the two ties looked at spends one step
+    budget = StepBudget(10)
+    assert oracle._force(_hand_forcing((2,)), [0, 1, 2, 3], budget) == (1, (0,), (1,), (2,))
+    assert budget.left == 8
+
+
+def test_force_returns_none_without_a_clash():
+    budget = StepBudget(10)
+    state = _hand_forcing((1,))
+    assert oracle._force(state, [0, 1, 2, 3], budget) is None
+    assert state.table == {(0,): (1,)} and budget.left == 8
